@@ -29,9 +29,9 @@
 //   - wirebounds: length-prefixed decoders bounds-check every decoded
 //     count before it sizes an allocation and do size arithmetic in a
 //     wide type (the wire.decodeSample wrap class from the PR 6 review).
-//   - metricshygiene: Prometheus families are mfod-namespaced, declared
-//     exactly once with a valid kind, and every written series matches
-//     its family's kind.
+//   - metricshygiene: no # HELP / # TYPE exposition literal outside
+//     internal/metrics, whose typed registry turns the naming, kind and
+//     suffix rules into construction-time panics.
 //
 // The suite is built only on the standard library (go/ast, go/parser,
 // go/types, go/token) so the module stays dependency-free. Findings can

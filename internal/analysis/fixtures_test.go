@@ -164,7 +164,7 @@ func TestWireboundsFixture(t *testing.T) {
 
 func TestMetricshygieneFixture(t *testing.T) {
 	findings := checkFixture(t, "metricspkg", Metricshygiene)
-	wantSuppressed(t, findings, 1) // RenderAllowed legacy series
+	wantSuppressed(t, findings, 1) // RenderAllowed upstream page
 }
 
 // TestFixtureViolationPositions locks the acceptance contract that

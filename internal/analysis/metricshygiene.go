@@ -3,198 +3,45 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"regexp"
 	"strconv"
 	"strings"
 )
 
-// Metricshygiene checks the hand-rolled Prometheus text exposition the
-// serving tier emits (internal/serve and internal/gate render the
-// /metrics page with fmt.Fprintf format strings, not a client library).
-// Because the "registry" is just string literals, drift is silent: a
-// series written with no `# TYPE` declaration, a family declared twice,
-// a counter without the `_total` suffix, or a histogram written as a
-// bare scalar all scrape fine and then lie to the dashboards.
-//
-// The analyzer parses every string literal in packages that declare at
-// least one metric family and enforces: every family name lives in the
-// mfod namespace, is declared exactly once, carries a valid kind
-// (counter/gauge/histogram/summary), counters end in _total (gauges
-// don't), and every written series resolves to a declared family whose
-// kind matches the suffix used (_bucket → histogram, _sum/_count →
-// histogram or summary, bare → counter or gauge).
+// Metricshygiene keeps the Prometheus exposition format inside
+// internal/metrics. The registry there turns the naming rules — one
+// namespace prefix per page, one declaration per family, _total on
+// counters only, _bucket/_sum/_count written by the renderer alone —
+// into construction-time panics, but only for families declared through
+// it. A `# HELP` or `# TYPE` line written as a string literal anywhere
+// else is a hand-rolled family those checks never see, and that is the
+// one rule a type cannot express.
 var Metricshygiene = &Analyzer{
 	Name: "metricshygiene",
-	Doc: "every Prometheus metric family must be mfod-namespaced, declared " +
-		"with # TYPE exactly once, named per its kind (counters end _total), " +
-		"and every written series must match a declared family's kind " +
-		"(_bucket/_sum/_count suffixes vs bare scalars)",
+	Doc: "no # HELP / # TYPE exposition literal outside internal/metrics: " +
+		"families are declared through the typed registry, whose " +
+		"constructors enforce the naming and suffix rules",
 	Run: runMetricshygiene,
 }
 
-var metricKinds = map[string]bool{
-	"counter":   true,
-	"gauge":     true,
-	"histogram": true,
-	"summary":   true,
-}
-
-type metricDecl struct {
-	kind string
-	pos  token.Pos
-}
+// expositionLine matches a literal line that declares a family.
+var expositionLine = regexp.MustCompile(`(?m)^\s*# (HELP|TYPE) \S`)
 
 func runMetricshygiene(p *Pass) {
-	type litLine struct {
-		text string
-		pos  token.Pos
+	if strings.HasSuffix(p.Path, "internal/metrics") || strings.Contains(p.Path, "internal/metrics/") {
+		return
 	}
-	var lines []litLine
-	declares := false
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			lit, ok := n.(*ast.BasicLit)
 			if !ok || lit.Kind != token.STRING {
 				return true
 			}
-			s, err := strconv.Unquote(lit.Value)
-			if err != nil {
-				return true
-			}
-			for _, line := range strings.Split(s, "\n") {
-				line = strings.TrimSpace(line)
-				if line == "" {
-					continue
-				}
-				lines = append(lines, litLine{line, lit.Pos()})
-				if strings.HasPrefix(line, "# TYPE ") {
-					declares = true
-				}
+			if s, err := strconv.Unquote(lit.Value); err == nil && expositionLine.MatchString(s) {
+				p.Reportf(lit.Pos(), "Prometheus exposition line outside internal/metrics: "+
+					"declare the family on a metrics.Registry so its name, kind and suffixes are checked")
 			}
 			return true
 		})
 	}
-	// Only packages that render an exposition page are in scope; a lone
-	// "mfod..." substring elsewhere in the tree is not a metric write.
-	if !declares {
-		return
-	}
-
-	families := map[string]metricDecl{}
-	for _, l := range lines {
-		if !strings.HasPrefix(l.text, "# TYPE ") {
-			continue
-		}
-		fields := strings.Fields(l.text)
-		if len(fields) != 4 {
-			p.Reportf(l.pos, "malformed TYPE declaration %q: want `# TYPE <family> <kind>`", l.text)
-			continue
-		}
-		name, kind := fields[2], fields[3]
-		if !metricKinds[kind] {
-			p.Reportf(l.pos, "metric family %s declared with unknown kind %q: want counter, gauge, histogram or summary", name, kind)
-			continue
-		}
-		if !metricName(name) || !strings.HasPrefix(name, "mfod") {
-			p.Reportf(l.pos, "metric family %s is outside the mfod namespace: every family this tier exports is mfod-prefixed so dashboards and alerts can select on one namespace", name)
-		}
-		if prev, dup := families[name]; dup {
-			p.Reportf(l.pos, "metric family %s declared twice (kinds %s and %s): a family is registered exactly once per exposition page", name, prev.kind, kind)
-			continue
-		}
-		families[name] = metricDecl{kind: kind, pos: l.pos}
-		switch kind {
-		case "counter":
-			if !strings.HasSuffix(name, "_total") {
-				p.Reportf(l.pos, "counter %s must end in _total (Prometheus counter naming): rename the family or declare it as a gauge", name)
-			}
-		case "gauge":
-			if strings.HasSuffix(name, "_total") {
-				p.Reportf(l.pos, "gauge %s must not end in _total: the suffix promises a monotonic counter to every recording rule that sees it", name)
-			}
-		}
-	}
-
-	for _, l := range lines {
-		if strings.HasPrefix(l.text, "#") {
-			continue
-		}
-		name := leadingMetricName(l.text)
-		if name == "" {
-			continue
-		}
-		if decl, ok := families[name]; ok {
-			switch decl.kind {
-			case "histogram":
-				p.Reportf(l.pos, "histogram family %s written as a bare scalar: histograms are written as %s_bucket, %s_sum and %s_count series", name, name, name, name)
-			case "summary":
-				p.Reportf(l.pos, "summary family %s written as a bare scalar: summaries are written as %s_sum and %s_count series", name, name, name)
-			}
-			continue
-		}
-		base, suffix := splitSeriesSuffix(name)
-		if decl, ok := families[base]; ok && suffix != "" {
-			switch suffix {
-			case "_bucket":
-				if decl.kind != "histogram" {
-					p.Reportf(l.pos, "series %s uses the histogram _bucket suffix but family %s is declared as a %s", name, base, decl.kind)
-				}
-			case "_sum", "_count":
-				if decl.kind != "histogram" && decl.kind != "summary" {
-					p.Reportf(l.pos, "series %s uses the %s suffix but family %s is declared as a %s: only histograms and summaries have %s series", name, suffix, base, decl.kind, suffix)
-				}
-			}
-			continue
-		}
-		p.Reportf(l.pos, "series %s is written but never declared: add `# HELP` and `# TYPE %s <kind>` lines so scrapers know its kind", name, name)
-	}
-}
-
-// leadingMetricName extracts a metric identifier from the start of an
-// exposition line ("mfod_x{l=%q} %d" -> "mfod_x"), or "" when the line
-// does not look like a series write: the name must sit in the mfod
-// namespace, contain an underscore (ruling out prose mentions of
-// "mfodlint" or "mfodgate"), and be followed by a label block, a space
-// before the value, or the end of the literal.
-func leadingMetricName(line string) string {
-	if !strings.HasPrefix(line, "mfod") {
-		return ""
-	}
-	i := 0
-	for i < len(line) && isMetricChar(line[i]) {
-		i++
-	}
-	name := line[:i]
-	if !strings.Contains(name, "_") {
-		return ""
-	}
-	if i < len(line) && line[i] != '{' && line[i] != ' ' {
-		return ""
-	}
-	return name
-}
-
-func splitSeriesSuffix(name string) (base, suffix string) {
-	for _, s := range []string{"_bucket", "_sum", "_count"} {
-		if strings.HasSuffix(name, s) {
-			return strings.TrimSuffix(name, s), s
-		}
-	}
-	return name, ""
-}
-
-func metricName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if !isMetricChar(s[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func isMetricChar(c byte) bool {
-	return c == '_' || c == ':' ||
-		('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
 }

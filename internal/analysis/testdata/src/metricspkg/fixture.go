@@ -1,46 +1,21 @@
 // Package metricspkg is an mfodlint fixture for the metricshygiene
-// analyzer: every family mfod-namespaced and declared exactly once with
-// a valid kind, counters named _total, and every written series
-// resolving to a declared family of the matching kind.
+// analyzer: exposition lines belong to the internal/metrics registry, so
+// a # HELP or # TYPE literal anywhere else is reported.
 package metricspkg
 
-import (
-	"bytes"
-	"fmt"
-)
+import "bytes"
 
-// Render writes an exposition page with one of everything.
-func Render(buf *bytes.Buffer, hits, depth uint64) {
-	// A well-formed counter and gauge: declared once, written bare.
-	buf.WriteString("# HELP mfod_hits_total Fixture request counter.\n")
-	buf.WriteString("# TYPE mfod_hits_total counter\n")
-	fmt.Fprintf(buf, "mfod_hits_total %d\n", hits)
-	buf.WriteString("# HELP mfod_queue_depth Fixture queue gauge.\n")
-	buf.WriteString("# TYPE mfod_queue_depth gauge\n")
-	fmt.Fprintf(buf, "mfod_queue_depth %d\n", depth)
-
-	// A well-formed histogram: written only via its suffixed series.
-	buf.WriteString("# TYPE mfod_latency_seconds histogram\n")
-	fmt.Fprintf(buf, "mfod_latency_seconds_bucket{le=\"0.1\"} %d\n", hits)
-	fmt.Fprintf(buf, "mfod_latency_seconds_sum %d\n", hits)
-	fmt.Fprintf(buf, "mfod_latency_seconds_count %d\n", hits)
+// RenderBad hand-writes a family the registry never sees.
+func RenderBad(buf *bytes.Buffer, v string) {
+	buf.WriteString("# TYPE mfod_hits_total counter\n") // want "outside internal/metrics"
+	buf.WriteString("mfod_hits_total " + v + "\n")
 }
 
-// RenderBad collects the violations.
-func RenderBad(buf *bytes.Buffer, v uint64) {
-	buf.WriteString("# TYPE requests_total counter\n")       // want "outside the mfod namespace"
-	buf.WriteString("# TYPE mfod_speed velocity\n")          // want "unknown kind"
-	buf.WriteString("# TYPE mfod_hits_total counter\n")      // want "declared twice"
-	buf.WriteString("# TYPE mfod_errors counter\n")          // want "must end in _total"
-	buf.WriteString("# TYPE mfod_workers_total gauge\n")     // want "must not end in _total"
-	buf.WriteString("# TYPE mfod_broken\n")                  // want "malformed TYPE declaration"
-	fmt.Fprintf(buf, "mfod_mystery_series %d\n", v)          // want "never declared"
-	fmt.Fprintf(buf, "mfod_latency_seconds %d\n", v)         // want "written as a bare scalar"
-	fmt.Fprintf(buf, "mfod_hits_total_bucket{le=\"1\"} 0\n") // want "histogram _bucket suffix"
-}
-
-// RenderAllowed documents a tolerated out-of-band series.
+// RenderAllowed documents a tolerated hand-written line.
 func RenderAllowed(buf *bytes.Buffer) {
-	//mfodlint:allow metricshygiene fixture legacy series kept one release for dashboard migration
-	buf.WriteString("mfod_legacy_series 1\n")
+	//mfodlint:allow metricshygiene fixture static page copied verbatim from an upstream exporter's documentation
+	buf.WriteString("# HELP upstream_up Whether the upstream answered.\n")
 }
+
+// Prose mentions a # TYPE line mid-sentence and is not a declaration.
+const Prose = "declare every family with a # TYPE line"

@@ -1,11 +1,10 @@
 package gate
 
 import (
-	"bytes"
-	"fmt"
 	"io"
-	"sort"
-	"sync"
+	"strconv"
+
+	"repro/internal/metrics"
 )
 
 // gateLatencyBuckets are the upper bounds (seconds) of the gate's
@@ -15,72 +14,51 @@ var gateLatencyBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-type gateReqKey struct {
-	model string
-	code  int
-}
-
-type replicaKey struct {
-	replica string
-	outcome string // "ok" | "error"
-}
-
-// Metrics aggregates the gate's counters and histograms and renders
-// them in the Prometheus text format. All methods are safe for
-// concurrent use and nil-receiver tolerant, mirroring internal/serve.
+// Metrics holds the gate's counters and histograms and renders them in
+// the Prometheus text format. All methods are safe for concurrent use
+// and nil-receiver tolerant, mirroring internal/serve.
 type Metrics struct {
-	mu       sync.Mutex
-	requests map[gateReqKey]uint64
-	replicas map[replicaKey]uint64
+	reg      *metrics.Registry
+	requests metrics.Counter
+	latency  metrics.Histogram
+	replicas metrics.Counter
 	// Hedge accounting: how many races launched a secondary at all, and
 	// which leg delivered the winning answer.
-	hedges   uint64
-	legWins  map[string]uint64
-	reloads  uint64
-	buckets  []uint64
-	latCount uint64
-	latSum   float64
-	// Deadline & overload accounting.
-	hedgesSuppressed uint64 // secondary legs skipped under brownout
-	deadlineRejected uint64 // malformed X-Mfod-Deadline-Ms headers (400)
-	deadlineExpired  uint64 // budgets already spent on arrival (504)
+	hedges  metrics.Counter
+	legWins metrics.Counter
 	// upstreamBytes counts bytes forwarded to replicas per codec, so the
 	// gate's own JSON→wire transcoding savings are observable.
-	upstreamBytes map[string]uint64
-
-	// scrape-time gauges, installed during wiring
-	healthDown func() map[string]bool
-	fleetSize  func() int
-	brownout   func() bool
+	upstreamBytes metrics.Counter
+	// Deadline & overload accounting.
+	hedgesSuppressed metrics.Counter // secondary legs skipped under brownout
+	deadlineRejected metrics.Counter // malformed X-Mfod-Deadline-Ms headers (400)
+	deadlineExpired  metrics.Counter // budgets already spent on arrival (504)
+	reloads          metrics.Counter
 }
 
 // NewMetrics returns an empty gate metrics registry.
 func NewMetrics() *Metrics {
+	r := metrics.NewRegistry("mfodgate_")
 	return &Metrics{
-		requests:      make(map[gateReqKey]uint64),
-		replicas:      make(map[replicaKey]uint64),
-		legWins:       make(map[string]uint64),
-		buckets:       make([]uint64, len(gateLatencyBuckets)),
-		upstreamBytes: make(map[string]uint64),
+		reg:              r,
+		requests:         r.Counter("mfodgate_requests_total", "Gateway scoring requests by model and HTTP status code.", "model", "code"),
+		latency:          r.Histogram("mfodgate_request_duration_seconds", "Client-observed gateway latency including hedges.", gateLatencyBuckets),
+		replicas:         r.Counter("mfodgate_replica_requests_total", "Upstream legs by replica and outcome.", "replica", "outcome"),
+		hedges:           r.Counter("mfodgate_hedges_total", "Races that launched the secondary leg."),
+		legWins:          r.Counter("mfodgate_leg_wins_total", "Winning leg of finished races.", "leg"),
+		upstreamBytes:    r.Counter("mfodgate_upstream_bytes_total", "Body bytes forwarded to replicas by codec.", "codec"),
+		hedgesSuppressed: r.Counter("mfodgate_hedges_suppressed_total", "Speculative secondaries skipped under brownout."),
+		deadlineRejected: r.Counter("mfodgate_deadline_rejected_total", "Requests refused for malformed deadline headers."),
+		deadlineExpired:  r.Counter("mfodgate_deadline_expired_total", "Requests whose propagated budget was spent on arrival."),
+		reloads:          r.Counter("mfodgate_topology_reloads_total", "Successful topology hot-reloads."),
 	}
 }
 
 // ObserveRequest records one finished gateway request.
 func (m *Metrics) ObserveRequest(model string, code int, seconds float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[gateReqKey{model, code}]++
-	m.latCount++
-	if seconds >= 0 {
-		m.latSum += seconds
-	}
-	for i, ub := range gateLatencyBuckets {
-		if seconds <= ub {
-			m.buckets[i]++
-		}
+	if m != nil {
+		m.requests.Inc(model, strconv.Itoa(code))
+		m.latency.Observe(seconds)
 	}
 }
 
@@ -93,9 +71,7 @@ func (m *Metrics) ObserveReplica(replica string, ok bool) {
 	if !ok {
 		outcome = "error"
 	}
-	m.mu.Lock()
-	m.replicas[replicaKey{replica, outcome}]++
-	m.mu.Unlock()
+	m.replicas.Inc(replica, outcome)
 }
 
 // ObserveHedge records one finished race: whether a secondary leg was
@@ -104,212 +80,88 @@ func (m *Metrics) ObserveHedge(secondaryLaunched bool, winner string) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
 	if secondaryLaunched {
-		m.hedges++
+		m.hedges.Inc()
 	}
-	m.legWins[winner]++
-	m.mu.Unlock()
+	m.legWins.Inc(winner)
 }
 
 // ObserveUpstreamBytes counts body bytes forwarded upstream per codec.
 func (m *Metrics) ObserveUpstreamBytes(codec string, n int) {
-	if m == nil || n < 0 {
-		return
+	if m != nil && n >= 0 {
+		m.upstreamBytes.Add(uint64(n), codec)
 	}
-	m.mu.Lock()
-	m.upstreamBytes[codec] += uint64(n)
-	m.mu.Unlock()
 }
 
 // ObserveHedgeSuppressed counts one speculative secondary skipped
 // because the gate is in brownout mode.
 func (m *Metrics) ObserveHedgeSuppressed() {
-	if m == nil {
-		return
+	if m != nil {
+		m.hedgesSuppressed.Inc()
 	}
-	m.mu.Lock()
-	m.hedgesSuppressed++
-	m.mu.Unlock()
 }
 
 // ObserveDeadlineRejected counts one request refused for a malformed
 // deadline header.
 func (m *Metrics) ObserveDeadlineRejected() {
-	if m == nil {
-		return
+	if m != nil {
+		m.deadlineRejected.Inc()
 	}
-	m.mu.Lock()
-	m.deadlineRejected++
-	m.mu.Unlock()
 }
 
 // ObserveDeadlineExpired counts one request whose propagated budget was
 // already spent on arrival.
 func (m *Metrics) ObserveDeadlineExpired() {
-	if m == nil {
-		return
+	if m != nil {
+		m.deadlineExpired.Inc()
 	}
-	m.mu.Lock()
-	m.deadlineExpired++
-	m.mu.Unlock()
 }
 
 // RegisterBrownout installs the scrape-time brownout gauge. Call once
 // during wiring.
 func (m *Metrics) RegisterBrownout(fn func() bool) {
-	if m != nil {
-		m.brownout = fn
+	if m == nil {
+		return
 	}
+	m.reg.GaugeFunc("mfodgate_brownout", "Whether the gate is in brownout mode (hedges suppressed).", func() int {
+		if fn() {
+			return 1
+		}
+		return 0
+	})
 }
 
 // ObserveTopologyReload counts one successful topology hot-reload.
 func (m *Metrics) ObserveTopologyReload() {
-	if m == nil {
-		return
+	if m != nil {
+		m.reloads.Inc()
 	}
-	m.mu.Lock()
-	m.reloads++
-	m.mu.Unlock()
 }
 
 // RegisterFleetGauges installs the scrape-time gauges: the current
 // fleet size and the health down-set. Call once during wiring.
 func (m *Metrics) RegisterFleetGauges(fleetSize func() int, healthDown func() map[string]bool) {
 	if m != nil {
-		m.fleetSize = fleetSize
-		m.healthDown = healthDown
+		m.reg.GaugeFunc("mfodgate_replicas", "Replicas in the current topology.", fleetSize)
+		m.reg.GaugeFunc("mfodgate_replica_down", "Replicas currently failing health checks.", func() int {
+			return len(healthDown())
+		})
+		m.reg.InfoFunc("mfodgate_replica_down_info", "One series per replica currently failing health checks.", "replica", func() []string {
+			var names []string
+			for n := range healthDown() {
+				names = append(names, n)
+			}
+			return names
+		})
 	}
 }
 
-// WritePrometheus renders every series in sorted order. Rendering
-// happens into an in-memory buffer under the lock; the bytes reach w —
-// usually a scraper's ResponseWriter — only after the lock is released,
-// so a slow scraper cannot convoy the request path on m.mu.
+// WritePrometheus renders every series in sorted order. The page is
+// rendered in memory and reaches w — usually a scraper's ResponseWriter
+// — only after every lock is released, so a slow scraper cannot convoy
+// the request path.
 func (m *Metrics) WritePrometheus(w io.Writer) {
-	if m == nil {
-		return
-	}
-	var buf bytes.Buffer
-	m.renderLocked(&buf)
-	w.Write(buf.Bytes())
-}
-
-func (m *Metrics) renderLocked(w *bytes.Buffer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP mfodgate_requests_total Gateway scoring requests by model and HTTP status code.")
-	fmt.Fprintln(w, "# TYPE mfodgate_requests_total counter")
-	rkeys := make([]gateReqKey, 0, len(m.requests))
-	for k := range m.requests {
-		rkeys = append(rkeys, k)
-	}
-	sort.Slice(rkeys, func(a, b int) bool {
-		if rkeys[a].model != rkeys[b].model {
-			return rkeys[a].model < rkeys[b].model
-		}
-		return rkeys[a].code < rkeys[b].code
-	})
-	for _, k := range rkeys {
-		fmt.Fprintf(w, "mfodgate_requests_total{model=%q,code=\"%d\"} %d\n", k.model, k.code, m.requests[k])
-	}
-
-	fmt.Fprintln(w, "# HELP mfodgate_request_duration_seconds Client-observed gateway latency including hedges.")
-	fmt.Fprintln(w, "# TYPE mfodgate_request_duration_seconds histogram")
-	for i, ub := range gateLatencyBuckets {
-		fmt.Fprintf(w, "mfodgate_request_duration_seconds_bucket{le=\"%g\"} %d\n", ub, m.buckets[i])
-	}
-	fmt.Fprintf(w, "mfodgate_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", m.latCount)
-	fmt.Fprintf(w, "mfodgate_request_duration_seconds_sum %g\n", m.latSum)
-	fmt.Fprintf(w, "mfodgate_request_duration_seconds_count %d\n", m.latCount)
-
-	fmt.Fprintln(w, "# HELP mfodgate_replica_requests_total Upstream legs by replica and outcome.")
-	fmt.Fprintln(w, "# TYPE mfodgate_replica_requests_total counter")
-	pkeys := make([]replicaKey, 0, len(m.replicas))
-	for k := range m.replicas {
-		pkeys = append(pkeys, k)
-	}
-	sort.Slice(pkeys, func(a, b int) bool {
-		if pkeys[a].replica != pkeys[b].replica {
-			return pkeys[a].replica < pkeys[b].replica
-		}
-		return pkeys[a].outcome < pkeys[b].outcome
-	})
-	for _, k := range pkeys {
-		fmt.Fprintf(w, "mfodgate_replica_requests_total{replica=%q,outcome=%q} %d\n", k.replica, k.outcome, m.replicas[k])
-	}
-
-	fmt.Fprintln(w, "# HELP mfodgate_hedges_total Races that launched the secondary leg.")
-	fmt.Fprintln(w, "# TYPE mfodgate_hedges_total counter")
-	fmt.Fprintf(w, "mfodgate_hedges_total %d\n", m.hedges)
-
-	fmt.Fprintln(w, "# HELP mfodgate_leg_wins_total Winning leg of finished races.")
-	fmt.Fprintln(w, "# TYPE mfodgate_leg_wins_total counter")
-	legs := make([]string, 0, len(m.legWins))
-	for l := range m.legWins {
-		legs = append(legs, l)
-	}
-	sort.Strings(legs)
-	for _, l := range legs {
-		fmt.Fprintf(w, "mfodgate_leg_wins_total{leg=%q} %d\n", l, m.legWins[l])
-	}
-
-	fmt.Fprintln(w, "# HELP mfodgate_upstream_bytes_total Body bytes forwarded to replicas by codec.")
-	fmt.Fprintln(w, "# TYPE mfodgate_upstream_bytes_total counter")
-	codecs := make([]string, 0, len(m.upstreamBytes))
-	for c := range m.upstreamBytes {
-		codecs = append(codecs, c)
-	}
-	sort.Strings(codecs)
-	for _, c := range codecs {
-		fmt.Fprintf(w, "mfodgate_upstream_bytes_total{codec=%q} %d\n", c, m.upstreamBytes[c])
-	}
-
-	fmt.Fprintln(w, "# HELP mfodgate_hedges_suppressed_total Speculative secondaries skipped under brownout.")
-	fmt.Fprintln(w, "# TYPE mfodgate_hedges_suppressed_total counter")
-	fmt.Fprintf(w, "mfodgate_hedges_suppressed_total %d\n", m.hedgesSuppressed)
-
-	fmt.Fprintln(w, "# HELP mfodgate_deadline_rejected_total Requests refused for malformed deadline headers.")
-	fmt.Fprintln(w, "# TYPE mfodgate_deadline_rejected_total counter")
-	fmt.Fprintf(w, "mfodgate_deadline_rejected_total %d\n", m.deadlineRejected)
-
-	fmt.Fprintln(w, "# HELP mfodgate_deadline_expired_total Requests whose propagated budget was spent on arrival.")
-	fmt.Fprintln(w, "# TYPE mfodgate_deadline_expired_total counter")
-	fmt.Fprintf(w, "mfodgate_deadline_expired_total %d\n", m.deadlineExpired)
-
-	fmt.Fprintln(w, "# HELP mfodgate_topology_reloads_total Successful topology hot-reloads.")
-	fmt.Fprintln(w, "# TYPE mfodgate_topology_reloads_total counter")
-	fmt.Fprintf(w, "mfodgate_topology_reloads_total %d\n", m.reloads)
-
-	if m.brownout != nil {
-		v := 0
-		if m.brownout() {
-			v = 1
-		}
-		fmt.Fprintln(w, "# HELP mfodgate_brownout Whether the gate is in brownout mode (hedges suppressed).")
-		fmt.Fprintln(w, "# TYPE mfodgate_brownout gauge")
-		fmt.Fprintf(w, "mfodgate_brownout %d\n", v)
-	}
-	if m.fleetSize != nil {
-		fmt.Fprintln(w, "# HELP mfodgate_replicas Replicas in the current topology.")
-		fmt.Fprintln(w, "# TYPE mfodgate_replicas gauge")
-		fmt.Fprintf(w, "mfodgate_replicas %d\n", m.fleetSize())
-	}
-	if m.healthDown != nil {
-		down := m.healthDown()
-		names := make([]string, 0, len(down))
-		for n := range down {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Fprintln(w, "# HELP mfodgate_replica_down Replicas currently failing health checks.")
-		fmt.Fprintln(w, "# TYPE mfodgate_replica_down gauge")
-		fmt.Fprintf(w, "mfodgate_replica_down %d\n", len(names))
-		fmt.Fprintln(w, "# HELP mfodgate_replica_down_info One series per replica currently failing health checks.")
-		fmt.Fprintln(w, "# TYPE mfodgate_replica_down_info gauge")
-		for _, n := range names {
-			fmt.Fprintf(w, "mfodgate_replica_down_info{replica=%q} 1\n", n)
-		}
+	if m != nil {
+		m.reg.WritePrometheus(w)
 	}
 }

@@ -72,8 +72,10 @@ func TestChaosPanicQuarantinesBatch(t *testing.T) {
 			t.Fatalf("neighbour job %d: err=%v scores=%v — must survive the poisoned batch", i+1, res.Err, res.Scores)
 		}
 	}
-	if got := metrics.panics.Load(); got != 2 {
-		t.Fatalf("panics_total = %d, want 2", got)
+	var page strings.Builder
+	metrics.WritePrometheus(&page)
+	if !strings.Contains(page.String(), "\nmfod_panics_total 2\n") {
+		t.Fatalf("page lacks mfod_panics_total 2:\n%s", page.String())
 	}
 	if hits, fired := faultinject.Hits(core.FaultScore); fired != 2 || hits < 3 {
 		t.Fatalf("fault point saw %d hits / %d fired, want >=3 / 2", hits, fired)

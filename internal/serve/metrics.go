@@ -1,19 +1,18 @@
 // Package serve turns a fitted detection pipeline into an online scoring
 // service: a model registry with atomic hot-reload (registry.go), a
 // bounded worker pool that micro-batches concurrent requests (pool.go),
-// a stdlib-only HTTP API (server.go) and this file's hand-rolled
-// Prometheus-text observability layer. The package depends only on the
-// standard library, matching the repository's zero-dependency rule.
+// a stdlib-only HTTP API (server.go) and this file's observability
+// layer, declared on the internal/metrics registry. The package depends
+// only on the standard library, matching the repository's
+// zero-dependency rule.
 package serve
 
 import (
-	"bytes"
-	"fmt"
 	"io"
-	"math"
-	"sort"
-	"sync"
+	"strconv"
 	"sync/atomic"
+
+	"repro/internal/metrics"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the request-duration
@@ -31,128 +30,78 @@ var sizeBuckets = []float64{
 	256, 1024, 4096, 16384, 65536, 262144, 1 << 20, 4 << 20, 16 << 20,
 }
 
-// sizeHist is one codec's cell of the request-size histogram.
-type sizeHist struct {
-	buckets []uint64
-	count   uint64
-	sum     float64
-}
-
-// reqKey labels one cell of the request counter.
-type reqKey struct {
-	model string
-	code  int
-}
-
-// Metrics aggregates the server's counters, gauges and histograms and
+// Metrics holds the server's counters, gauges and histograms and
 // renders them in the Prometheus text exposition format. All methods are
-// safe for concurrent use; WritePrometheus emits series in sorted order
-// so scrapes are deterministic.
+// safe for concurrent use and tolerate a nil receiver; WritePrometheus
+// emits families and series in sorted order so scrapes are
+// deterministic.
 type Metrics struct {
-	inflight   atomic.Int64
-	panics     atomic.Uint64
-	shed       atomic.Uint64
-	evicted    atomic.Uint64
-	wasted     atomic.Uint64
-	queueDepth func() int // registered gauge; nil until a pool attaches
-	limit      func() int // registered gauge; nil until a limiter attaches
-	// Streaming-tier series, registered when a stream.Manager attaches:
-	// the live-stream gauge plus the append/eviction/refit counters the
-	// manager accumulates.
-	streamsActive  func() int
-	streamAppends  func() uint64
-	streamsEvicted func() uint64
-	streamFits     func() uint64
-
-	mu       sync.Mutex
-	requests map[reqKey]uint64
-	// Request-latency histogram: bucketCounts[i] counts observations
-	// <= latencyBuckets[i]; the +Inf bucket is latSum's count.
-	bucketCounts []uint64
-	latCount     uint64
-	latSum       float64
-	// Micro-batch accounting: how many worker wake-ups and how many jobs
-	// they carried; batchSum/batchCount is the mean batch size.
-	batchCount uint64
-	batchSum   uint64
-	reloads    map[string]uint64
+	reg      *metrics.Registry
+	requests metrics.Counter
+	latency  metrics.Histogram
 	// Request-size histogram by codec ("json" / "wire"), so the byte
 	// savings of the binary wire format are observable in production,
 	// not only in BENCH_serve.json.
-	reqBytes map[string]*sizeHist
+	reqBytes metrics.Histogram
+	// Micro-batch accounting: how many worker wake-ups and how many jobs
+	// they carried; sum/count is the mean batch size.
+	batches  metrics.Summary
+	reloads  metrics.Counter
+	panics   metrics.Counter
+	shed     metrics.Counter
+	evicted  metrics.Counter
+	wasted   metrics.Counter
+	inflight atomic.Int64
 }
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		requests:     make(map[reqKey]uint64),
-		bucketCounts: make([]uint64, len(latencyBuckets)),
-		reloads:      make(map[string]uint64),
-		reqBytes:     make(map[string]*sizeHist),
+	r := metrics.NewRegistry("mfod_")
+	m := &Metrics{
+		reg:      r,
+		requests: r.Counter("mfod_requests_total", "Scoring requests by model and HTTP status code.", "model", "code"),
+		latency:  r.Histogram("mfod_request_duration_seconds", "Scoring request latency.", latencyBuckets),
+		reqBytes: r.Histogram("mfod_request_bytes", "Scoring request body size by codec.", sizeBuckets, "codec"),
+		batches:  r.Summary("mfod_batch_jobs", "Jobs carried per worker wake-up (micro-batch size)."),
+		reloads:  r.Counter("mfod_model_reloads_total", "Successful hot-reloads by model.", "model"),
+		panics:   r.Counter("mfod_panics_total", "Scoring panics recovered by the worker pool."),
+		shed:     r.Counter("mfod_shed_total", "Requests rejected by the adaptive concurrency limiter."),
+		evicted:  r.Counter("mfod_evicted_total", "Queued jobs dropped because their deadline passed before scoring."),
+		wasted:   r.Counter("mfod_wasted_total", "Jobs scored to completion after their waiter had given up."),
 	}
+	r.GaugeFunc("mfod_inflight_requests", "Requests currently being handled.", func() int { return int(m.inflight.Load()) })
+	return m
 }
 
 // ObserveRequest records one finished scoring request: its model label,
 // HTTP status code and wall-clock duration in seconds.
 func (m *Metrics) ObserveRequest(model string, code int, seconds float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[reqKey{model, code}]++
-	m.latCount++
-	if !math.IsNaN(seconds) && seconds >= 0 {
-		m.latSum += seconds
-	}
-	for i, ub := range latencyBuckets {
-		if seconds <= ub {
-			m.bucketCounts[i]++
-		}
+	if m != nil {
+		m.requests.Inc(model, strconv.Itoa(code))
+		m.latency.Observe(seconds)
 	}
 }
 
 // ObserveRequestBytes records the body size of one scoring request
 // under its codec label ("json" or "wire").
 func (m *Metrics) ObserveRequestBytes(codec string, n int) {
-	if m == nil || n < 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.reqBytes[codec]
-	if h == nil {
-		h = &sizeHist{buckets: make([]uint64, len(sizeBuckets))}
-		m.reqBytes[codec] = h
-	}
-	h.count++
-	h.sum += float64(n)
-	for i, ub := range sizeBuckets {
-		if float64(n) <= ub {
-			h.buckets[i]++
-		}
+	if m != nil && n >= 0 {
+		m.reqBytes.Observe(float64(n), codec)
 	}
 }
 
 // ObserveBatch records one worker wake-up that carried n jobs.
 func (m *Metrics) ObserveBatch(n int) {
-	if m == nil {
-		return
+	if m != nil {
+		m.batches.Observe(uint64(n))
 	}
-	m.mu.Lock()
-	m.batchCount++
-	m.batchSum += uint64(n)
-	m.mu.Unlock()
 }
 
 // ObserveReload counts one successful hot-reload of the named model.
 func (m *Metrics) ObserveReload(model string) {
-	if m == nil {
-		return
+	if m != nil {
+		m.reloads.Inc(model)
 	}
-	m.mu.Lock()
-	m.reloads[model]++
-	m.mu.Unlock()
 }
 
 // IncInflight / DecInflight track requests currently inside the handler.
@@ -172,7 +121,7 @@ func (m *Metrics) DecInflight() {
 // IncPanics counts one scoring panic recovered by the worker pool.
 func (m *Metrics) IncPanics() {
 	if m != nil {
-		m.panics.Add(1)
+		m.panics.Inc()
 	}
 }
 
@@ -180,7 +129,7 @@ func (m *Metrics) IncPanics() {
 // limiter before any decoding or scoring work.
 func (m *Metrics) IncShed() {
 	if m != nil {
-		m.shed.Add(1)
+		m.shed.Inc()
 	}
 }
 
@@ -188,7 +137,7 @@ func (m *Metrics) IncShed() {
 // already passed before scoring started.
 func (m *Metrics) IncEvicted() {
 	if m != nil {
-		m.evicted.Add(1)
+		m.evicted.Inc()
 	}
 }
 
@@ -196,7 +145,7 @@ func (m *Metrics) IncEvicted() {
 // already given up.
 func (m *Metrics) IncWasted() {
 	if m != nil {
-		m.wasted.Add(1)
+		m.wasted.Inc()
 	}
 }
 
@@ -204,7 +153,7 @@ func (m *Metrics) IncWasted() {
 // current queue length. Call once during wiring, before serving.
 func (m *Metrics) RegisterQueueDepth(fn func() int) {
 	if m != nil {
-		m.queueDepth = fn
+		m.reg.GaugeFunc("mfod_queue_depth", "Jobs waiting in the scoring queue.", fn)
 	}
 }
 
@@ -212,7 +161,7 @@ func (m *Metrics) RegisterQueueDepth(fn func() int) {
 // adaptive limiter's current limit. Call once during wiring.
 func (m *Metrics) RegisterConcurrencyLimit(fn func() int) {
 	if m != nil {
-		m.limit = fn
+		m.reg.GaugeFunc("mfod_concurrency_limit", "Current adaptive concurrency limit.", fn)
 	}
 }
 
@@ -221,151 +170,18 @@ func (m *Metrics) RegisterConcurrencyLimit(fn func() int) {
 // counters. Call once during wiring, before serving.
 func (m *Metrics) RegisterStreams(active func() int, appends, evicted, fits func() uint64) {
 	if m != nil {
-		m.streamsActive = active
-		m.streamAppends = appends
-		m.streamsEvicted = evicted
-		m.streamFits = fits
+		m.reg.GaugeFunc("mfod_streams_active", "Live ingestion streams.", active)
+		m.reg.CounterFunc("mfod_stream_appends_total", "Observations accepted across all streams.", appends)
+		m.reg.CounterFunc("mfod_streams_evicted_total", "Idle streams reclaimed by the janitor.", evicted)
+		m.reg.CounterFunc("mfod_stream_fits_total", "Incremental refits performed by stream scoring.", fits)
 	}
 }
 
 // WritePrometheus renders every series in the Prometheus text format.
-// The page is rendered into an in-memory buffer under the lock and
-// written to w only after it is released: w is typically a
-// ResponseWriter backed by a scraper's TCP connection, and a slow
-// scraper must not convoy the request path on m.mu.
+// The page is rendered in memory and written to w only after every lock
+// is released, so a slow scraper cannot convoy the request path.
 func (m *Metrics) WritePrometheus(w io.Writer) {
-	if m == nil {
-		return
+	if m != nil {
+		m.reg.WritePrometheus(w)
 	}
-	var buf bytes.Buffer
-	m.renderLocked(&buf)
-	w.Write(buf.Bytes())
-}
-
-func (m *Metrics) renderLocked(w *bytes.Buffer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP mfod_requests_total Scoring requests by model and HTTP status code.")
-	fmt.Fprintln(w, "# TYPE mfod_requests_total counter")
-	keys := make([]reqKey, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].model != keys[b].model {
-			return keys[a].model < keys[b].model
-		}
-		return keys[a].code < keys[b].code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "mfod_requests_total{model=%q,code=\"%d\"} %d\n", k.model, k.code, m.requests[k])
-	}
-
-	fmt.Fprintln(w, "# HELP mfod_request_duration_seconds Scoring request latency.")
-	fmt.Fprintln(w, "# TYPE mfod_request_duration_seconds histogram")
-	for i, ub := range latencyBuckets {
-		fmt.Fprintf(w, "mfod_request_duration_seconds_bucket{le=%q} %d\n",
-			formatBound(ub), m.bucketCounts[i])
-	}
-	fmt.Fprintf(w, "mfod_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", m.latCount)
-	fmt.Fprintf(w, "mfod_request_duration_seconds_sum %g\n", m.latSum)
-	fmt.Fprintf(w, "mfod_request_duration_seconds_count %d\n", m.latCount)
-
-	if len(m.reqBytes) > 0 {
-		fmt.Fprintln(w, "# HELP mfod_request_bytes Scoring request body size by codec.")
-		fmt.Fprintln(w, "# TYPE mfod_request_bytes histogram")
-		codecs := make([]string, 0, len(m.reqBytes))
-		for c := range m.reqBytes {
-			codecs = append(codecs, c)
-		}
-		sort.Strings(codecs)
-		for _, c := range codecs {
-			h := m.reqBytes[c]
-			for i, ub := range sizeBuckets {
-				fmt.Fprintf(w, "mfod_request_bytes_bucket{codec=%q,le=%q} %d\n",
-					c, formatBound(ub), h.buckets[i])
-			}
-			fmt.Fprintf(w, "mfod_request_bytes_bucket{codec=%q,le=\"+Inf\"} %d\n", c, h.count)
-			fmt.Fprintf(w, "mfod_request_bytes_sum{codec=%q} %g\n", c, h.sum)
-			fmt.Fprintf(w, "mfod_request_bytes_count{codec=%q} %d\n", c, h.count)
-		}
-	}
-
-	fmt.Fprintln(w, "# HELP mfod_batch_jobs Jobs carried per worker wake-up (micro-batch size).")
-	fmt.Fprintln(w, "# TYPE mfod_batch_jobs summary")
-	fmt.Fprintf(w, "mfod_batch_jobs_sum %d\n", m.batchSum)
-	fmt.Fprintf(w, "mfod_batch_jobs_count %d\n", m.batchCount)
-
-	if len(m.reloads) > 0 {
-		fmt.Fprintln(w, "# HELP mfod_model_reloads_total Successful hot-reloads by model.")
-		fmt.Fprintln(w, "# TYPE mfod_model_reloads_total counter")
-		names := make([]string, 0, len(m.reloads))
-		for n := range m.reloads {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(w, "mfod_model_reloads_total{model=%q} %d\n", n, m.reloads[n])
-		}
-	}
-
-	fmt.Fprintln(w, "# HELP mfod_panics_total Scoring panics recovered by the worker pool.")
-	fmt.Fprintln(w, "# TYPE mfod_panics_total counter")
-	fmt.Fprintf(w, "mfod_panics_total %d\n", m.panics.Load())
-
-	fmt.Fprintln(w, "# HELP mfod_shed_total Requests rejected by the adaptive concurrency limiter.")
-	fmt.Fprintln(w, "# TYPE mfod_shed_total counter")
-	fmt.Fprintf(w, "mfod_shed_total %d\n", m.shed.Load())
-
-	fmt.Fprintln(w, "# HELP mfod_evicted_total Queued jobs dropped because their deadline passed before scoring.")
-	fmt.Fprintln(w, "# TYPE mfod_evicted_total counter")
-	fmt.Fprintf(w, "mfod_evicted_total %d\n", m.evicted.Load())
-
-	fmt.Fprintln(w, "# HELP mfod_wasted_total Jobs scored to completion after their waiter had given up.")
-	fmt.Fprintln(w, "# TYPE mfod_wasted_total counter")
-	fmt.Fprintf(w, "mfod_wasted_total %d\n", m.wasted.Load())
-
-	fmt.Fprintln(w, "# HELP mfod_inflight_requests Requests currently being handled.")
-	fmt.Fprintln(w, "# TYPE mfod_inflight_requests gauge")
-	fmt.Fprintf(w, "mfod_inflight_requests %d\n", m.inflight.Load())
-
-	if m.queueDepth != nil {
-		fmt.Fprintln(w, "# HELP mfod_queue_depth Jobs waiting in the scoring queue.")
-		fmt.Fprintln(w, "# TYPE mfod_queue_depth gauge")
-		fmt.Fprintf(w, "mfod_queue_depth %d\n", m.queueDepth())
-	}
-
-	if m.limit != nil {
-		fmt.Fprintln(w, "# HELP mfod_concurrency_limit Current adaptive concurrency limit.")
-		fmt.Fprintln(w, "# TYPE mfod_concurrency_limit gauge")
-		fmt.Fprintf(w, "mfod_concurrency_limit %d\n", m.limit())
-	}
-
-	if m.streamsActive != nil {
-		fmt.Fprintln(w, "# HELP mfod_streams_active Live ingestion streams.")
-		fmt.Fprintln(w, "# TYPE mfod_streams_active gauge")
-		fmt.Fprintf(w, "mfod_streams_active %d\n", m.streamsActive())
-	}
-	if m.streamAppends != nil {
-		fmt.Fprintln(w, "# HELP mfod_stream_appends_total Observations accepted across all streams.")
-		fmt.Fprintln(w, "# TYPE mfod_stream_appends_total counter")
-		fmt.Fprintf(w, "mfod_stream_appends_total %d\n", m.streamAppends())
-	}
-	if m.streamsEvicted != nil {
-		fmt.Fprintln(w, "# HELP mfod_streams_evicted_total Idle streams reclaimed by the janitor.")
-		fmt.Fprintln(w, "# TYPE mfod_streams_evicted_total counter")
-		fmt.Fprintf(w, "mfod_streams_evicted_total %d\n", m.streamsEvicted())
-	}
-	if m.streamFits != nil {
-		fmt.Fprintln(w, "# HELP mfod_stream_fits_total Incremental refits performed by stream scoring.")
-		fmt.Fprintln(w, "# TYPE mfod_stream_fits_total counter")
-		fmt.Fprintf(w, "mfod_stream_fits_total %d\n", m.streamFits())
-	}
-}
-
-// formatBound renders a bucket bound the way Prometheus clients do:
-// shortest decimal form ("0.005", "1", "2.5").
-func formatBound(v float64) string {
-	return fmt.Sprintf("%g", v)
 }
