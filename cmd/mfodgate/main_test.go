@@ -19,6 +19,7 @@ import (
 	"repro/internal/gate"
 	"repro/internal/geometry"
 	"repro/internal/iforest"
+	"repro/internal/metrics/metricstest"
 	"repro/internal/serve"
 )
 
@@ -162,9 +163,15 @@ func TestGateBinaryEndToEnd(t *testing.T) {
 	}
 	mraw, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
+	if err := metricstest.Check(string(mraw)); err != nil {
+		t.Fatalf("metrics page fails the strict check: %v\n%s", err, mraw)
+	}
 	for _, want := range []string{
 		`mfodgate_requests_total{model="ecg",code="200"} 1`,
 		`mfodgate_upstream_bytes_total{codec="wire"}`, // JSON inbound was transcoded
+		"mfodgate_replicas 1",
+		"mfodgate_brownout 0",
+		"# TYPE mfodgate_replica_down_info gauge",
 	} {
 		if !strings.Contains(string(mraw), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, mraw)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/fda"
 	"repro/internal/geometry"
 	"repro/internal/iforest"
+	"repro/internal/metrics/metricstest"
 )
 
 // writeModel trains a quick pipeline and persists it, returning the
@@ -86,6 +87,10 @@ func TestServeEndToEnd(t *testing.T) {
 			timeout: 5 * time.Second,
 			quiet:   true,
 			ready:   ready,
+			// The limiter and the stream manager install the page's
+			// scrape-time families; the strict check below sees them.
+			limitMax: 8,
+			streams:  true,
 		})
 	}()
 	var base string
@@ -145,9 +150,16 @@ func TestServeEndToEnd(t *testing.T) {
 	mraw, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
 	text := string(mraw)
+	if err := metricstest.Check(text); err != nil {
+		t.Fatalf("metrics page fails the strict check: %v\n%s", err, text)
+	}
 	for _, want := range []string{
 		`mfod_requests_total{model="ecg",code="200"} 1`,
 		"mfod_request_duration_seconds_count 1",
+		"mfod_queue_depth 0",
+		"mfod_concurrency_limit 8",
+		"mfod_streams_active 0",
+		"mfod_stream_fits_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
