@@ -94,14 +94,25 @@ func TestStreamClientRoundTrip(t *testing.T) {
 		err    error
 	}
 	watched := make(chan watchOut, 1)
+	// The watch answers its first event as soon as it subscribes; wait
+	// for it, or the delete below can land before the watch connects.
+	subscribed := make(chan struct{})
 	go func() {
 		var out watchOut
 		out.final, out.err = c.StreamWatch(ctx, "rt", func(ev stream.ScoreEvent) error {
+			if len(out.events) == 0 {
+				close(subscribed)
+			}
 			out.events = append(out.events, ev)
 			return nil
 		})
 		watched <- out
 	}()
+	select {
+	case <-subscribed:
+	case out := <-watched:
+		t.Fatalf("watch ended before its first event: %+v", out)
+	}
 
 	lastTo := first.Score.GridTo
 	for at := 5; at < n; at += 5 {
