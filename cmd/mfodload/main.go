@@ -12,8 +12,8 @@
 //
 //	mfodload -self 3 [-rps 100] [-duration 10s] ...
 //
-// -replay takes an `mfodgen -json` document (the mfodserve :score body
-// shape). -self N needs no running servers or replay file: it fits a
+// -replay takes an `mfodgen -json` document (the mfodserve /v1/score
+// body shape). -self N needs no running servers or replay file: it fits a
 // small pipeline, boots N in-process mfodserve replicas plus an mfodgate
 // over them, and load-tests that — the hermetic mode `make bench-serve`
 // and CI use.
@@ -43,7 +43,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -246,7 +245,7 @@ func contentTypeFor(codec string) string {
 	return "application/json"
 }
 
-// decodeReplay reads an `mfodgen -json` document (the :score body shape).
+// decodeReplay reads an `mfodgen -json` document (the /v1/score body shape).
 func decodeReplay(raw []byte) (fda.Dataset, error) {
 	var doc struct {
 		Samples []struct {
@@ -416,8 +415,10 @@ type selfReplica struct {
 	url  string
 	srv  *http.Server
 	pool *serve.Pool
-	// slowNs is extra latency (nanoseconds) injected in front of :score.
+	// slowNs is extra latency (nanoseconds) injected in front of
+	// /v1/score; slowed counts the requests it delayed.
 	slowNs atomic.Int64
+	slowed atomic.Uint64
 }
 
 // Slow sets the injected pre-scoring latency (0 clears it).
@@ -520,7 +521,8 @@ func bootSelfFleet(n int, model string, popt serve.PoolOptions, healthInterval t
 		rep := &selfReplica{name: fmt.Sprintf("self-%d", i), pool: pool}
 		inner := srv.Handler()
 		wrapped := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if d := time.Duration(rep.slowNs.Load()); d > 0 && strings.HasSuffix(r.URL.Path, ":score") {
+			if d := time.Duration(rep.slowNs.Load()); d > 0 && r.URL.Path == "/v1/score" {
+				rep.slowed.Add(1)
 				time.Sleep(d)
 			}
 			inner.ServeHTTP(w, r)

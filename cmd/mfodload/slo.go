@@ -44,6 +44,10 @@ type sloScenario struct {
 	// P99WithinDeadline: the 99th-percentile completed request (any
 	// status) answered before the client would have walked away.
 	P99WithinDeadline bool `json:"p99WithinDeadline"`
+	// Injected counts the faults that fired during the scenario: delays
+	// in front of the slowed replica's /v1/score, or serve.FaultBatch
+	// stalls. A fault scenario that injected nothing proves nothing.
+	Injected uint64 `json:"injected"`
 }
 
 // sloReport is the BENCH_slo.json document.
@@ -122,15 +126,20 @@ func runSLO(o loadOptions) error {
 	// --- Scenario 2: latency fault — the model's primary replica slows
 	// by half the deadline; the hedge must carry goodput through the
 	// secondary. ---
-	fleet.replica(primary).Slow(o.deadline / 2)
-	gated(driveSLO("latency-fault", fleet.base, o, o.rps, bodies))
-	fleet.replica(primary).Slow(0)
+	slowed := fleet.replica(primary)
+	slowed.Slow(o.deadline / 2)
+	latency := driveSLO("latency-fault", fleet.base, o, o.rps, bodies)
+	slowed.Slow(0)
+	latency.Injected = slowed.slowed.Load()
+	gated(latency)
 
 	// --- Scenario 3: overload — every batch stalls 25ms (fleet capacity
 	// ≈ 80/s per replica) and the offered rate doubles; the fleet must
 	// divide the burst into honest 200s and 429s, nothing worse. ---
 	faultinject.Arm(serve.FaultBatch, faultinject.Fault{Delay: 25 * time.Millisecond})
 	overload := driveSLO("overload-2x", fleet.base, o, 2*o.rps, bodies)
+	_, fired := faultinject.Hits(serve.FaultBatch)
+	overload.Injected = uint64(fired)
 	rep.Scenarios = append(rep.Scenarios, overload) // shed-gated, not goodput-gated
 	faultinject.Reset()
 
@@ -151,6 +160,14 @@ func runSLO(o loadOptions) error {
 	if overload.Errors > 0 {
 		rep.Pass = false
 		fail = append(fail, fmt.Sprintf("overload produced %d errors; shed load must be 429, never 5xx", overload.Errors))
+	}
+	if latency.Injected == 0 {
+		rep.Pass = false
+		fail = append(fail, "latency-fault injected no delay: the slowed primary never saw a /v1/score request")
+	}
+	if overload.Injected == 0 {
+		rep.Pass = false
+		fail = append(fail, "overload-2x never fired serve.FaultBatch: no batch stalled")
 	}
 	if overload.Shed == 0 {
 		rep.Pass = false
@@ -177,8 +194,8 @@ func runSLO(o loadOptions) error {
 	}
 	for _, s := range rep.Scenarios {
 		fmt.Fprintf(os.Stderr,
-			"mfodload: %-13s %4d req, %4d ok, %3d shed, %2d err, %2d late, goodput=%.3f p99=%.1fms\n",
-			s.Name, s.Requests, s.OK, s.Shed, s.Errors, s.DeadlineMisses, s.Goodput, s.P99Ms)
+			"mfodload: %-13s %4d req, %4d ok, %3d shed, %2d err, %2d late, goodput=%.3f p99=%.1fms injected=%d\n",
+			s.Name, s.Requests, s.OK, s.Shed, s.Errors, s.DeadlineMisses, s.Goodput, s.P99Ms, s.Injected)
 	}
 	fmt.Fprintf(os.Stderr, "mfodload: wasted=%d evicted=%d minGoodput=%.3f pass=%v\n",
 		rep.WastedWork, rep.Evicted, rep.MinGoodput, rep.Pass)

@@ -70,7 +70,8 @@ func fitModelFile(t *testing.T) (string, fda.Dataset) {
 }
 
 // bootReplica starts one in-process mfodserve replica holding every
-// model name, optionally wrapping :score in the slow-score fault point.
+// model name, optionally wrapping /v1/score in the slow-score fault
+// point.
 func bootReplica(t *testing.T, modelPath string, slow bool) *httptest.Server {
 	t.Helper()
 	reg := serve.NewRegistry()
@@ -99,7 +100,7 @@ func bootReplica(t *testing.T, modelPath string, slow bool) *httptest.Server {
 	h := inner
 	if slow {
 		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasSuffix(r.URL.Path, ":score") {
+			if r.URL.Path == "/v1/score" {
 				faultinject.Hit(faultSlowScore)
 			}
 			inner.ServeHTTP(w, r)
@@ -164,14 +165,14 @@ func postScores(t *testing.T, base, model, contentType string, body []byte) []fl
 	t.Helper()
 	scores, code, raw := tryScores(t, base, model, contentType, body)
 	if code != http.StatusOK {
-		t.Fatalf("POST %s:score = %d: %s", model, code, raw)
+		t.Fatalf("POST /v1/score?model=%s = %d: %s", model, code, raw)
 	}
 	return scores
 }
 
 func tryScores(t *testing.T, base, model, contentType string, body []byte) ([]float64, int, string) {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/models/"+model+":score", contentType, bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/score?model="+model, contentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST %s: %v", model, err)
 	}
@@ -294,6 +295,9 @@ func TestGateEndToEnd(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		postScores(t, h.base, slowModel, wire.ContentType, wireBody)
 	}
+	if _, fired := faultinject.Hits(faultSlowScore); fired != 3 {
+		t.Fatalf("latency fault fired %d times, want 3: the slow primary never saw the requests", fired)
+	}
 	faultinject.Reset()
 	if elapsed := time.Since(start); elapsed > 3*400*time.Millisecond {
 		t.Fatalf("hedged requests took %v — secondary never raced the slow primary", elapsed)
@@ -409,7 +413,7 @@ func TestGateOperationalEndpoints(t *testing.T) {
 	}
 
 	// Reload broadcast reaches every replica.
-	resp, err := http.Post(h.base+"/v1/models/m0:reload", "application/json", nil)
+	resp, err := http.Post(h.base+"/v1/reload?model=m0", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
