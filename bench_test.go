@@ -380,7 +380,7 @@ func BenchmarkServeScoreParallel(b *testing.B) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	url := ts.URL + "/v1/models/ecg:score"
+	url := ts.URL + "/v1/score?model=ecg"
 
 	// Pre-marshal one request body per sample.
 	bodies := make([][]byte, d.Len())

@@ -14,7 +14,7 @@
 //	         [-health-interval 2s] [-health-threshold 2] [-health-jitter 0.1]
 //	         [-attempts 2] [-breaker-threshold 5] [-breaker-cooldown 1s]
 //	         [-brownout-window 5s] [-brownout-enter 0.3] [-brownout-exit 0.1]
-//	         [-slow-after 0] [-max-body 33554432] [-json-upstream] [-quiet]
+//	         [-slow-after 0] [-max-body 33554432] [-quiet]
 //	         [-jobs=true] [-jobs-chunk 256] [-jobs-tokens 4]
 //
 // Endpoints (a drop-in superset of one replica's surface; every
@@ -31,10 +31,6 @@
 //	GET  /v1/topology              fleet, health and routing view
 //	GET  /healthz, /readyz         liveness / readiness
 //	GET  /metrics                  Prometheus text metrics
-//
-// The colon-verb forms POST /v1/models/{name}:score and :reload remain
-// as deprecated aliases answering byte-identically plus a Deprecation
-// header.
 //
 // On SIGINT/SIGTERM the gate drains gracefully: readiness flips to 503,
 // in-flight hedges finish, then the process exits.
@@ -78,7 +74,6 @@ type gateOptions struct {
 	brownoutExit     float64
 	slowAfter        time.Duration
 	maxBody          int64
-	jsonUpstream     bool
 	jobsEnable       bool
 	jobsChunk        int
 	jobsTokens       int
@@ -105,7 +100,6 @@ func main() {
 	flag.Float64Var(&o.brownoutExit, "brownout-exit", 0.1, "bad-outcome fraction below which brownout exits")
 	flag.DurationVar(&o.slowAfter, "slow-after", 0, "latency counted as a bad outcome by the brownout window (0 = timeout/2)")
 	flag.Int64Var(&o.maxBody, "max-body", 0, "request-body byte cap, exceeded => JSON 413 (0 = 32 MiB)")
-	flag.BoolVar(&o.jsonUpstream, "json-upstream", false, "forward JSON bodies as-is instead of transcoding to the binary wire codec")
 	flag.BoolVar(&o.jobsEnable, "jobs", true, "serve the async bulk-scoring jobs API, scatter/gathered across the fleet")
 	flag.IntVar(&o.jobsChunk, "jobs-chunk", 0, "default samples per bulk-job chunk (0 = 256)")
 	flag.IntVar(&o.jobsTokens, "jobs-tokens", 0, "concurrent chunks one bulk job may have in flight (0 = 4)")
@@ -179,7 +173,6 @@ func run(o gateOptions) error {
 		Attempts:         o.attempts,
 		BreakerThreshold: o.breakerThreshold,
 		BreakerCooldown:  o.breakerCooldown,
-		JSONUpstream:     o.jsonUpstream,
 		Brownout:         brownout,
 		EnableJobs:       o.jobsEnable,
 		JobOptions:       jobs.Options{ChunkSize: o.jobsChunk, Tokens: o.jobsTokens},

@@ -131,7 +131,7 @@ func TestGateBinaryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(base+"/v1/models/ecg:score", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/score?model=ecg", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 		class     = flag.String("class", "persistent-shape", "taxonomy outlier class")
 		seed      = flag.Int64("seed", 1, "random seed")
 		out       = flag.String("o", "-", "output path (- = stdout)")
-		asJSON    = flag.Bool("json", false, "write JSON instead of CSV (usable as an mfodserve :score body)")
+		asJSON    = flag.Bool("json", false, "write JSON instead of CSV (usable as an mfodserve /v1/score body)")
 	)
 	flag.Parse()
 	if err := run(*data, *n, *points, *frac, *bivariate, *class, *seed, *out, *asJSON); err != nil {

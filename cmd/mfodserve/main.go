@@ -25,12 +25,9 @@
 //	GET  /v1/streams[/{id}]        list live streams / one stream's status
 //	DELETE /v1/streams/{id}        close a stream
 //	GET  /v1/models                list loaded models
+//	GET  /v1/models/{name}         one model's metadata
 //	GET  /healthz, /readyz         liveness / readiness
 //	GET  /metrics                  Prometheus text metrics
-//
-// The colon-verb forms POST /v1/models/{name}:score and :reload remain
-// as deprecated aliases answering byte-identically plus a Deprecation
-// header.
 //
 // On SIGINT/SIGTERM the server drains gracefully: readiness flips to
 // 503, in-flight requests finish, then the worker pool shuts down.

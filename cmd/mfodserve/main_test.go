@@ -122,7 +122,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sresp, err := http.Post(base+"/v1/models/ecg:score", "application/json", bytes.NewReader(body))
+	sresp, err := http.Post(base+"/v1/score?model=ecg", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

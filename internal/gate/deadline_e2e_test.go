@@ -56,7 +56,7 @@ func gateOver(t *testing.T, urls map[string]string, tweak func(*gate.Config)) (*
 // returns the response (body closed, Retry-After preserved).
 func scoreReq(t *testing.T, base, model, deadlineMs string, body []byte) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/models/"+model+":score", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/score?model="+model, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestGateOverloadSheds429Never5xx(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				model := modelNames[(w+i)%len(modelNames)]
-				req, err := http.NewRequest(http.MethodPost, base+"/v1/models/"+model+":score", bytes.NewReader(body))
+				req, err := http.NewRequest(http.MethodPost, base+"/v1/score?model="+model, bytes.NewReader(body))
 				if err != nil {
 					codes <- -1
 					return

@@ -54,10 +54,6 @@ type Config struct {
 	BreakerThreshold int
 	// BreakerCooldown is the open-circuit probe interval; 0 means 1s.
 	BreakerCooldown time.Duration
-	// JSONUpstream disables the default JSON→binary transcoding of
-	// inbound JSON bodies, forwarding them byte-for-byte instead. Binary
-	// inbound bodies are always forwarded as-is.
-	JSONUpstream bool
 	// Brownout is the sliding-window overload detector driving hedge
 	// suppression and Retry-After derivation; nil means defaults with
 	// SlowAfter = Timeout/2.
@@ -79,8 +75,8 @@ type Config struct {
 // names across the mfodserve replicas of a file-watched topology,
 // health-checks them actively, and answers each scoring request through
 // a hedged race between a model's primary replica and its ring
-// successor. Requests leave the gate on the binary wire codec by
-// default, whatever the client spoke. Canonical v1 surface:
+// successor. Requests leave the gate on the binary wire codec,
+// whatever the client spoke. Canonical v1 surface:
 //
 //	POST /v1/score?model={name}     forwarded to the model's shard (hedged)
 //	POST /v1/reload?model={name}    broadcast to every replica
@@ -94,9 +90,7 @@ type Config struct {
 //	GET  /readyz                    503 until a replica is healthy / while draining
 //	GET  /metrics                   Prometheus text exposition
 //
-// The colon-verb routes POST /v1/models/{name}:score|:reload remain as
-// deprecated aliases, mirroring the replica surface; every 4xx/5xx
-// carries the v1 error envelope.
+// Every 4xx/5xx carries the v1 error envelope.
 type Gate struct {
 	cfg      Config
 	hedge    resilience.Hedge
@@ -278,7 +272,6 @@ func (g *Gate) Handler() http.Handler {
 	mux.HandleFunc("/v1/score", httpapi.MethodNotAllowed("POST"))
 	mux.HandleFunc("POST /v1/reload", g.handleReloadV1)
 	mux.HandleFunc("/v1/reload", httpapi.MethodNotAllowed("POST"))
-	mux.HandleFunc("/v1/models/", g.handleModel)
 	mux.HandleFunc("/v1/streams", g.handleStreams)
 	mux.HandleFunc("/v1/streams/", g.handleStreams)
 	if g.jobs != nil {
@@ -387,31 +380,6 @@ func (g *Gate) handleReloadV1(w http.ResponseWriter, r *http.Request) {
 	g.handleReload(w, r, model)
 }
 
-// handleModel routes the legacy colon-verb aliases
-// /v1/models/{name}:score and :reload, mirroring the replica URL
-// surface so clients can point at a gate unchanged. Aliases run the
-// same handlers as the canonical routes plus a Deprecation header.
-func (g *Gate) handleModel(w http.ResponseWriter, r *http.Request) {
-	tail := strings.TrimPrefix(r.URL.Path, "/v1/models/")
-	name, action, hasAction := strings.Cut(tail, ":")
-	if name == "" || strings.Contains(name, "/") {
-		httpapi.Error(w, http.StatusNotFound, "no such route %q", r.URL.Path)
-		return
-	}
-	switch {
-	case action == "score" && r.Method == http.MethodPost:
-		httpapi.MarkDeprecated(w)
-		g.handleScore(w, r, name)
-	case action == "reload" && r.Method == http.MethodPost:
-		httpapi.MarkDeprecated(w)
-		g.handleReload(w, r, name)
-	case hasAction && (action == "score" || action == "reload"):
-		httpapi.Error(w, http.StatusMethodNotAllowed, "%s requires POST", action)
-	default:
-		httpapi.Error(w, http.StatusNotFound, "unknown action %q", action)
-	}
-}
-
 // handleReload broadcasts a model reload to every replica — a sharded
 // deployment does not know which replica holds the model, and reloading
 // a model a replica does not serve is that replica's 404 to report.
@@ -457,26 +425,23 @@ func scoreURL(base, path, model string, passthrough map[string][]string) string 
 }
 
 // inboundBody reads and caps the request body, returning the upstream
-// payload and its codec. JSON bodies are transcoded to the binary wire
-// frame unless JSONUpstream is set; wire bodies always pass through
-// untouched — the gate never decodes what it can forward.
-func (g *Gate) inboundBody(w http.ResponseWriter, r *http.Request) (body []byte, codec string, code int) {
+// payload as a binary wire frame. JSON bodies are transcoded; wire
+// bodies pass through untouched — the gate never decodes what it can
+// forward.
+func (g *Gate) inboundBody(w http.ResponseWriter, r *http.Request) (body []byte, code int) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpapi.Error(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return nil, "", http.StatusRequestEntityTooLarge
+			return nil, http.StatusRequestEntityTooLarge
 		}
 		httpapi.Error(w, http.StatusBadRequest, "read body: %v", err)
-		return nil, "", http.StatusBadRequest
+		return nil, http.StatusBadRequest
 	}
 	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	if strings.TrimSpace(ct) == wire.ContentType {
-		return raw, "wire", 0
-	}
-	if g.cfg.JSONUpstream {
-		return raw, "json", 0
+		return raw, 0
 	}
 	// Transcode JSON → wire so the fleet's internal traffic rides the
 	// compact codec even for JSON clients. A body the gate cannot parse
@@ -491,7 +456,7 @@ func (g *Gate) inboundBody(w http.ResponseWriter, r *http.Request) (body []byte,
 	}
 	if err := json.Unmarshal(raw, &req); err != nil {
 		httpapi.Error(w, http.StatusBadRequest, "decode body: %v", err)
-		return nil, "", http.StatusBadRequest
+		return nil, http.StatusBadRequest
 	}
 	ds := fda.Dataset{Samples: make([]fda.Sample, len(req.Samples))}
 	for i, sm := range req.Samples {
@@ -503,12 +468,12 @@ func (g *Gate) inboundBody(w http.ResponseWriter, r *http.Request) (body []byte,
 			if len(col) != len(sm.Times) {
 				httpapi.Error(w, http.StatusBadRequest,
 					"sample %d: values[%d] has %d points but times has %d", i, k, len(col), len(sm.Times))
-				return nil, "", http.StatusBadRequest
+				return nil, http.StatusBadRequest
 			}
 		}
 		ds.Samples[i] = fda.Sample{Times: sm.Times, Values: sm.Values}
 	}
-	return wire.EncodeRequest(wire.Request{Dataset: ds, Explain: req.Explain}), "wire", 0
+	return wire.EncodeRequest(wire.Request{Dataset: ds, Explain: req.Explain}), 0
 }
 
 // handleScore is the hot path: resolve the model's shard, race the
@@ -546,13 +511,9 @@ func (g *Gate) score(w http.ResponseWriter, r *http.Request, model string) int {
 		httpapi.Error(w, http.StatusGatewayTimeout, "deadline in %s already expired", resilience.DeadlineHeader)
 		return http.StatusGatewayTimeout
 	}
-	body, codec, errCode := g.inboundBody(w, r)
+	body, errCode := g.inboundBody(w, r)
 	if errCode != 0 {
 		return errCode
-	}
-	contentType := wire.ContentType
-	if codec == "json" {
-		contentType = "application/json"
 	}
 	f := g.cfg.Table.Fleet()
 	primary, secondary := g.Route(model)
@@ -561,10 +522,10 @@ func (g *Gate) score(w http.ResponseWriter, r *http.Request, model string) int {
 	}
 	leg := func(name string) func(ctx context.Context) (*http.Response, error) {
 		return func(ctx context.Context) (*http.Response, error) {
-			resp, err := g.client(name).Post(ctx, target(name), contentType, body)
+			resp, err := g.client(name).Post(ctx, target(name), wire.ContentType, body)
 			g.cfg.Metrics.ObserveReplica(name, err == nil)
 			if err == nil {
-				g.cfg.Metrics.ObserveUpstreamBytes(codec, len(body))
+				g.cfg.Metrics.ObserveUpstreamBytes("wire", len(body))
 			}
 			return resp, err
 		}

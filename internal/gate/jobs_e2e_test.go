@@ -197,8 +197,9 @@ func TestGateV1Envelope(t *testing.T) {
 		{"score without model", "POST", "/v1/score", body, 400, httpapi.CodeBadRequest},
 		{"score wrong method", "GET", "/v1/score?model=m0", nil, 405, httpapi.CodeMethodNotAllowed},
 		{"relayed unknown model", "POST", "/v1/score?model=zz-unknown", body, 404, httpapi.CodeNotFound},
+		// The retired colon-verb alias paths now answer an enveloped 404.
 		{"alias unknown action", "POST", "/v1/models/m0:frobnicate", body, 404, httpapi.CodeNotFound},
-		{"alias wrong method", "GET", "/v1/models/m0:score", nil, 405, httpapi.CodeMethodNotAllowed},
+		{"alias wrong method", "GET", "/v1/models/m0:score", nil, 404, httpapi.CodeNotFound},
 		{"job submit wrong method", "GET", "/v1/jobs", nil, 405, httpapi.CodeMethodNotAllowed},
 		{"unknown job", "GET", "/v1/jobs/j-nope", nil, 404, httpapi.CodeNotFound},
 		{"unknown route", "GET", "/v2/nope", nil, 404, httpapi.CodeNotFound},

@@ -1,9 +1,10 @@
 // Package httpapi defines the v1 HTTP contract shared by every service
 // surface of the repository — the mfodserve replicas, the mfodgate
-// front tier and the async jobs API. Two things live here:
+// front tier and the async jobs API: `/v1/score`, `/v1/reload`,
+// `/v1/models`, `/v1/topology`, `/v1/jobs…` and `/v1/streams…`.
 //
-// First, the error envelope. Every 4xx/5xx response body repo-wide is
-// exactly one shape:
+// Its core is the error envelope. Every 4xx/5xx response body repo-wide
+// is exactly one shape:
 //
 //	{"error": {"code": "overloaded", "message": "...", "retry_after_ms": 2000}}
 //
@@ -13,12 +14,6 @@
 // explanation, and `retry_after_ms` appears exactly when the response
 // also carries a Retry-After header — same value, finer unit, so
 // clients that only read bodies still see honest backpressure hints.
-//
-// Second, the deprecation marker for legacy routes. The v1 surface is
-// `/v1/score`, `/v1/reload`, `/v1/models`, `/v1/topology`, `/v1/jobs…`;
-// the colon-verb paths (`/v1/models/{name}:score`, `:reload`) remain as
-// byte-identical aliases that additionally emit a `Deprecation: true`
-// header so traffic still on them is measurable and migratable.
 package httpapi
 
 import (
@@ -163,21 +158,9 @@ func ParseError(status int, body []byte) *APIError {
 	return &APIError{Status: status, Code: CodeForStatus(status), Message: string(body)}
 }
 
-// DeprecationHeader marks responses served through a legacy route
-// alias. The value is the constant "true" (RFC 9745 allows a boolean
-// form); the canonical route never sets it, which is what the
-// alias/canonical byte-equality tests key on — headers differ, bodies
-// must not.
 // NDJSONContentType is the content type of the line-delimited JSON
 // streaming responses (bulk-job results, stream score-event watches).
 const NDJSONContentType = "application/x-ndjson"
-
-const DeprecationHeader = "Deprecation"
-
-// MarkDeprecated stamps the deprecation header for a legacy alias.
-func MarkDeprecated(w http.ResponseWriter) {
-	w.Header().Set(DeprecationHeader, "true")
-}
 
 // NotFound is the catch-all handler for unmatched routes, so even a
 // typo'd path gets the v1 envelope instead of the mux's plain text.

@@ -194,11 +194,3 @@ func TestEveryCodeRoundTrips(t *testing.T) {
 		})
 	}
 }
-
-func TestMarkDeprecated(t *testing.T) {
-	rec := httptest.NewRecorder()
-	MarkDeprecated(rec)
-	if rec.Header().Get(DeprecationHeader) != "true" {
-		t.Fatalf("Deprecation header = %q", rec.Header().Get(DeprecationHeader))
-	}
-}

@@ -59,11 +59,6 @@ func retryAfter(resp *http.Response) time.Duration {
 	return time.Duration(s) * time.Second
 }
 
-// PostJSON sends a JSON body to url with Post's retry semantics.
-func (c *Client) PostJSON(ctx context.Context, url string, body []byte) (*http.Response, error) {
-	return c.Post(ctx, url, "application/json", body)
-}
-
 // Post sends body to url under the given content type with Do's retry
 // semantics.
 func (c *Client) Post(ctx context.Context, url, contentType string, body []byte) (*http.Response, error) {

@@ -91,7 +91,7 @@ func TestChaosPanicOverHTTP(t *testing.T) {
 	ts, _, _, _, _, ds := testStack(t, PoolOptions{Workers: 2}, 22)
 	for round := 0; round < chaosRounds(); round++ {
 		faultinject.Arm(core.FaultScore, faultinject.Fault{Panic: "chaos", Times: 1})
-		resp, body := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, []int{0}, 0))
+		resp, body := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{0}, 0))
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("round %d: poisoned request = %d, want 500 (body %s)", round, resp.StatusCode, body)
 		}
@@ -99,7 +99,7 @@ func TestChaosPanicOverHTTP(t *testing.T) {
 			t.Fatalf("round %d: 500 body %s", round, body)
 		}
 		// The pool survived: the very next request scores normally.
-		resp2, body2 := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, []int{1}, 0))
+		resp2, body2 := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{1}, 0))
 		if resp2.StatusCode != http.StatusOK {
 			t.Fatalf("round %d: request after panic = %d, want 200 (body %s)", round, resp2.StatusCode, body2)
 		}
@@ -129,7 +129,7 @@ func TestChaosReloadFaultKeepsOldSnapshot(t *testing.T) {
 	before := m.Pipeline()
 
 	faultinject.Arm(FaultReload, faultinject.Fault{})
-	resp, body := postScore(t, ts.URL+"/v1/models/ecg:reload", nil)
+	resp, body := postScore(t, ts.URL+"/v1/reload?model=ecg", nil)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("faulted reload = %d, want 500 (body %s)", resp.StatusCode, body)
 	}
@@ -140,13 +140,13 @@ func TestChaosReloadFaultKeepsOldSnapshot(t *testing.T) {
 		t.Fatal("failed reload must keep the old snapshot")
 	}
 	// The old snapshot still scores.
-	resp2, body2 := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, []int{0}, 0))
+	resp2, body2 := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{0}, 0))
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("score during reload outage = %d (body %s)", resp2.StatusCode, body2)
 	}
 	// Fault cleared: reload works again.
 	faultinject.Disarm(FaultReload)
-	resp3, body3 := postScore(t, ts.URL+"/v1/models/ecg:reload", nil)
+	resp3, body3 := postScore(t, ts.URL+"/v1/reload?model=ecg", nil)
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("reload after disarm = %d (body %s)", resp3.StatusCode, body3)
 	}
@@ -160,12 +160,12 @@ func TestChaosInjectedLatency504(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	ts, _, _, _, _, ds := testStack(t, PoolOptions{Workers: 1}, 24)
 	faultinject.Arm(FaultBatch, faultinject.Fault{Delay: 400 * time.Millisecond})
-	resp, body := postScore(t, ts.URL+"/v1/models/ecg:score?timeout=50ms", scoreBody(t, ds, []int{0}, 0))
+	resp, body := postScore(t, ts.URL+"/v1/score?model=ecg&timeout=50ms", scoreBody(t, ds, []int{0}, 0))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("slow batch = %d, want 504 (body %s)", resp.StatusCode, body)
 	}
 	faultinject.Disarm(FaultBatch)
-	resp2, body2 := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, []int{0}, 0))
+	resp2, body2 := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{0}, 0))
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("score after disarm = %d (body %s)", resp2.StatusCode, body2)
 	}

@@ -36,7 +36,7 @@ func newCodecServer(t *testing.T) *httptest.Server {
 // response, failing the test on a non-200.
 func codecScore(t *testing.T, base, contentType string, body []byte) []float64 {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/models/m:score", contentType, bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/score?model=m", contentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestWireBodyErrors(t *testing.T) {
 	ts := newCodecServer(t)
 	post := func(body []byte) int {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/models/m:score", wire.ContentType, bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/score?model=m", wire.ContentType, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

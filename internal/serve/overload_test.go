@@ -83,7 +83,7 @@ func TestAIMDMultiplicativeDecreaseAndAdditiveRecovery(t *testing.T) {
 func TestServerDeadlineHeaderMalformed400(t *testing.T) {
 	ts, _, _, _, _, ds := testStack(t, PoolOptions{Workers: 1}, 41)
 	for _, v := range []string{"abc", "0", "-20"} {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/models/ecg:score",
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/score?model=ecg",
 			nil)
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set(resilience.DeadlineHeader, v)
@@ -107,7 +107,7 @@ func TestServerDeadlineHeaderCapsTimeout(t *testing.T) {
 	// below the server's own 10s timeout: only the budget can 504 this
 	// quickly.
 	faultinject.Arm(FaultBatch, faultinject.Fault{Delay: 400 * time.Millisecond})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/models/ecg:score",
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/score?model=ecg",
 		bytes.NewReader(scoreBody(t, ds, []int{0}, 0)))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(resilience.DeadlineHeader, "50")
@@ -142,7 +142,7 @@ func TestServerShedFaultPointForces429(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	ts, _, _, _, _, ds := testStack(t, PoolOptions{Workers: 1}, 43)
 	faultinject.Arm(FaultShed, faultinject.Fault{Err: faultinject.Injected(FaultShed), Times: 1})
-	resp, _ := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, []int{0}, 0))
+	resp, _ := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{0}, 0))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429 forced by %s", resp.StatusCode, FaultShed)
 	}
@@ -150,7 +150,7 @@ func TestServerShedFaultPointForces429(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
 	}
 	// Disarmed after Times: 1 — the next request scores normally.
-	resp, body := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, []int{0}, 0))
+	resp, body := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{0}, 0))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-fault status = %d, body %s", resp.StatusCode, body)
 	}
@@ -179,12 +179,12 @@ func TestServerAdaptiveLimiterShedsWithDerivedRetryAfter(t *testing.T) {
 	body := scoreBody(t, ds, []int{0}, 0)
 	firstDone := make(chan int, 1)
 	go func() {
-		resp, _ := http.Post(ts.URL+"/v1/models/ecg:score", "application/json", bytes.NewReader(body))
+		resp, _ := http.Post(ts.URL+"/v1/score?model=ecg", "application/json", bytes.NewReader(body))
 		firstDone <- resp.StatusCode
 		resp.Body.Close()
 	}()
 	<-started // the first request holds the only concurrency slot
-	resp, _ := postScore(t, ts.URL+"/v1/models/ecg:score", body)
+	resp, _ := postScore(t, ts.URL+"/v1/score?model=ecg", body)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-limit status = %d, want 429", resp.StatusCode)
 	}

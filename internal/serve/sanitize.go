@@ -10,7 +10,7 @@ import (
 // generous for legitimate traffic but stop a single request from
 // smoothing an unbounded number of curves or points.
 const (
-	// DefaultMaxSamples caps curves per :score request.
+	// DefaultMaxSamples caps curves per /v1/score request.
 	DefaultMaxSamples = 1024
 	// DefaultMaxPoints caps measurement points per curve.
 	DefaultMaxPoints = 16384

@@ -87,7 +87,7 @@ func TestServerBodyTooLarge413(t *testing.T) {
 		t.Fatalf("big body %d bytes does not exceed cap %d", len(big), maxBody)
 	}
 	ts, ds := limitedStack(t, maxBody, 0, 0)
-	resp, out := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, []int{0, 1, 2, 3}, 0))
+	resp, out := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{0, 1, 2, 3}, 0))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413 (body %s)", resp.StatusCode, out)
 	}
@@ -98,7 +98,7 @@ func TestServerBodyTooLarge413(t *testing.T) {
 		t.Fatalf("413 body %s", out)
 	}
 	// A request within the cap still scores.
-	resp2, out2 := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, []int{0}, 0))
+	resp2, out2 := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{0}, 0))
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("small request = %d, body %s", resp2.StatusCode, out2)
 	}
@@ -106,7 +106,7 @@ func TestServerBodyTooLarge413(t *testing.T) {
 
 func TestServerRequestLimits400(t *testing.T) {
 	ts, ds := limitedStack(t, 0, 2, 0)
-	resp, out := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, []int{0, 1, 2}, 0))
+	resp, out := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{0, 1, 2}, 0))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("over-sample status = %d, want 400 (body %s)", resp.StatusCode, out)
 	}
@@ -114,7 +114,7 @@ func TestServerRequestLimits400(t *testing.T) {
 		t.Fatalf("400 body %s", out)
 	}
 	tsPts, dsPts := limitedStack(t, 0, 0, 5)
-	resp2, out2 := postScore(t, tsPts.URL+"/v1/models/ecg:score", scoreBody(t, dsPts, []int{0}, 0))
+	resp2, out2 := postScore(t, tsPts.URL+"/v1/score?model=ecg", scoreBody(t, dsPts, []int{0}, 0))
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("over-points status = %d, want 400 (body %s)", resp2.StatusCode, out2)
 	}

@@ -42,7 +42,7 @@ type Config struct {
 	// MaxBodyBytes caps the request body; 0 means 32 MiB. Oversized
 	// bodies are rejected with a JSON 413, not a connection reset.
 	MaxBodyBytes int64
-	// MaxSamples caps curves per :score request; 0 means
+	// MaxSamples caps curves per /v1/score request; 0 means
 	// DefaultMaxSamples. Exceeding it is a 400.
 	MaxSamples int
 	// MaxPoints caps measurement points per curve; 0 means
@@ -87,10 +87,8 @@ type Config struct {
 //	GET  /readyz                    readiness (503 before models / while draining)
 //	GET  /metrics                   Prometheus text exposition
 //
-// The pre-v1 colon-verb routes POST /v1/models/{name}:score and
-// POST /v1/models/{name}:reload remain as aliases: same handlers, byte
-// identical bodies, plus a Deprecation header. Every 4xx/5xx on every
-// route carries the v1 error envelope (internal/httpapi).
+// Every 4xx/5xx on every route carries the v1 error envelope
+// (internal/httpapi).
 type Server struct {
 	cfg      Config
 	draining atomic.Bool
@@ -156,7 +154,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/score", httpapi.MethodNotAllowed("POST"))
 	mux.HandleFunc("POST /v1/reload", s.handleReloadV1)
 	mux.HandleFunc("/v1/reload", httpapi.MethodNotAllowed("POST"))
-	mux.HandleFunc("/v1/models/", s.handleModel)
+	mux.HandleFunc("GET /v1/models/{name}", s.handleModel)
+	mux.HandleFunc("/v1/models/{name}", httpapi.MethodNotAllowed("GET"))
 	if s.cfg.Jobs != nil {
 		api := &jobs.API{
 			Manager:      s.cfg.Jobs,
@@ -256,37 +255,15 @@ func (s *Server) handleReloadV1(w http.ResponseWriter, r *http.Request) {
 	s.handleReload(w, r, name)
 }
 
-// handleModel routes GET /v1/models/{name} (canonical) and the two
-// colon-verb legacy aliases /v1/models/{name}:score|:reload. The colon
-// suffix cannot be expressed as a ServeMux wildcard, so the tail is
-// parsed here. Aliases run the exact same handlers as the canonical
-// routes — the only difference is the Deprecation header.
+// handleModel serves one model's metadata, GET /v1/models/{name}.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	tail := strings.TrimPrefix(r.URL.Path, "/v1/models/")
-	name, action, hasAction := strings.Cut(tail, ":")
-	if name == "" || strings.Contains(name, "/") {
-		httpapi.Error(w, http.StatusNotFound, "no such route %q", r.URL.Path)
+	name := r.PathValue("name")
+	m, ok := s.cfg.Registry.Get(name)
+	if !ok {
+		httpapi.Error(w, http.StatusNotFound, "unknown model %q", name)
 		return
 	}
-	switch {
-	case !hasAction && r.Method == http.MethodGet:
-		m, ok := s.cfg.Registry.Get(name)
-		if !ok {
-			httpapi.Error(w, http.StatusNotFound, "unknown model %q", name)
-			return
-		}
-		writeJSON(w, describe(m))
-	case action == "score" && r.Method == http.MethodPost:
-		httpapi.MarkDeprecated(w)
-		s.handleScore(w, r, name)
-	case action == "reload" && r.Method == http.MethodPost:
-		httpapi.MarkDeprecated(w)
-		s.handleReload(w, r, name)
-	case hasAction && (action == "score" || action == "reload"):
-		httpapi.Error(w, http.StatusMethodNotAllowed, "%s requires POST", action)
-	default:
-		httpapi.Error(w, http.StatusNotFound, "unknown action %q", action)
-	}
+	writeJSON(w, describe(m))
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request, name string) {

@@ -43,7 +43,7 @@ func testStack(t *testing.T, popt PoolOptions, seed int64) (*httptest.Server, *S
 	return ts, srv, reg, pool, path, ds
 }
 
-// scoreBody marshals samples into a :score request body.
+// scoreBody marshals samples into a /v1/score request body.
 func scoreBody(t *testing.T, ds fda.Dataset, idx []int, explain int) []byte {
 	t.Helper()
 	type sample struct {
@@ -86,7 +86,7 @@ func TestServerScoreHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, idx, 0))
+	resp, body := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, idx, 0))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -109,7 +109,7 @@ func TestServerScoreHappyPath(t *testing.T) {
 
 func TestServerScoreWithExplanations(t *testing.T) {
 	ts, _, _, _, _, ds := testStack(t, PoolOptions{Workers: 1}, 2)
-	resp, body := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, []int{0, 1}, 3))
+	resp, body := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{0, 1}, 3))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -135,16 +135,16 @@ func TestServerClientErrors(t *testing.T) {
 		body []byte
 		want int
 	}{
-		{"unknown model", ts.URL + "/v1/models/nope:score", scoreBody(t, ds, []int{0}, 0), http.StatusNotFound},
-		{"bad json", ts.URL + "/v1/models/ecg:score", []byte("{"), http.StatusBadRequest},
-		{"no samples", ts.URL + "/v1/models/ecg:score", []byte(`{"samples":[]}`), http.StatusBadRequest},
-		{"invalid curve", ts.URL + "/v1/models/ecg:score", []byte(`{"samples":[{"times":[1,0],"values":[[1,2],[3,4]]}]}`), http.StatusBadRequest},
-		{"NaN sample", ts.URL + "/v1/models/ecg:score", []byte(`{"samples":[{"times":[0,1],"values":[[1,NaN],[3,4]]}]}`), http.StatusBadRequest},
-		{"Inf time", ts.URL + "/v1/models/ecg:score", []byte(`{"samples":[{"times":[0,1e999],"values":[[1,2],[3,4]]}]}`), http.StatusBadRequest},
-		{"ragged grid", ts.URL + "/v1/models/ecg:score", []byte(`{"samples":[{"times":[0,0.5,1],"values":[[1,2],[3,4,5]]}]}`), http.StatusBadRequest},
-		{"empty grid", ts.URL + "/v1/models/ecg:score", []byte(`{"samples":[{"times":[],"values":[[],[]]}]}`), http.StatusBadRequest},
-		{"bad timeout", ts.URL + "/v1/models/ecg:score?timeout=banana", scoreBody(t, ds, []int{0}, 0), http.StatusBadRequest},
-		{"unknown action", ts.URL + "/v1/models/ecg:frobnicate", scoreBody(t, ds, []int{0}, 0), http.StatusNotFound},
+		{"unknown model", ts.URL + "/v1/score?model=nope", scoreBody(t, ds, []int{0}, 0), http.StatusNotFound},
+		{"bad json", ts.URL + "/v1/score?model=ecg", []byte("{"), http.StatusBadRequest},
+		{"no samples", ts.URL + "/v1/score?model=ecg", []byte(`{"samples":[]}`), http.StatusBadRequest},
+		{"invalid curve", ts.URL + "/v1/score?model=ecg", []byte(`{"samples":[{"times":[1,0],"values":[[1,2],[3,4]]}]}`), http.StatusBadRequest},
+		{"NaN sample", ts.URL + "/v1/score?model=ecg", []byte(`{"samples":[{"times":[0,1],"values":[[1,NaN],[3,4]]}]}`), http.StatusBadRequest},
+		{"Inf time", ts.URL + "/v1/score?model=ecg", []byte(`{"samples":[{"times":[0,1e999],"values":[[1,2],[3,4]]}]}`), http.StatusBadRequest},
+		{"ragged grid", ts.URL + "/v1/score?model=ecg", []byte(`{"samples":[{"times":[0,0.5,1],"values":[[1,2],[3,4,5]]}]}`), http.StatusBadRequest},
+		{"empty grid", ts.URL + "/v1/score?model=ecg", []byte(`{"samples":[{"times":[],"values":[[],[]]}]}`), http.StatusBadRequest},
+		{"bad timeout", ts.URL + "/v1/score?model=ecg&timeout=banana", scoreBody(t, ds, []int{0}, 0), http.StatusBadRequest},
+		{"retired alias path", ts.URL + "/v1/models/ecg:score", scoreBody(t, ds, []int{0}, 0), http.StatusMethodNotAllowed},
 	}
 	for _, c := range cases {
 		resp, body := postScore(t, c.url, c.body)
@@ -152,19 +152,19 @@ func TestServerClientErrors(t *testing.T) {
 			t.Fatalf("%s: status = %d, want %d (body %s)", c.name, resp.StatusCode, c.want, body)
 		}
 	}
-	// Wrong method on an action.
-	resp, err := http.Get(ts.URL + "/v1/models/ecg:score")
+	// Wrong method on the scoring route.
+	resp, err := http.Get(ts.URL + "/v1/score?model=ecg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET :score status = %d, want 405", resp.StatusCode)
+		t.Fatalf("GET /v1/score status = %d, want 405", resp.StatusCode)
 	}
 	// A univariate curve against the bivariate model: the job fails in
 	// the mapping layer and maps to 422.
 	uni := fmt.Sprintf(`{"samples":[{"times":[0,0.5,1,1.5,2],"values":[[1,2,1,2,1]]}]}`)
-	resp2, body := postScore(t, ts.URL+"/v1/models/ecg:score", []byte(uni))
+	resp2, body := postScore(t, ts.URL+"/v1/score?model=ecg", []byte(uni))
 	if resp2.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("univariate status = %d, want 422 (body %s)", resp2.StatusCode, body)
 	}
@@ -187,7 +187,7 @@ func TestServerQueueFull429(t *testing.T) {
 	}
 	results := make(chan result, 2)
 	post := func() {
-		resp, err := http.Post(ts.URL+"/v1/models/ecg:score", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/score?model=ecg", "application/json", bytes.NewReader(body))
 		if err != nil {
 			results <- result{0}
 			return
@@ -207,7 +207,7 @@ func TestServerQueueFull429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Queue is full: the next request must be rejected immediately.
-	resp, bodyOut := postScore(t, ts.URL+"/v1/models/ecg:score", body)
+	resp, bodyOut := postScore(t, ts.URL+"/v1/score?model=ecg", body)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429 (body %s)", resp.StatusCode, bodyOut)
 	}
@@ -235,7 +235,7 @@ func TestServerDeadline504(t *testing.T) {
 	body := scoreBody(t, ds, []int{0}, 0)
 	done := make(chan int, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/v1/models/ecg:score?timeout=60ms", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/score?model=ecg&timeout=60ms", "application/json", bytes.NewReader(body))
 		if err != nil {
 			done <- 0
 			return
@@ -266,7 +266,7 @@ func TestServerHotReload(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postScore(t, ts.URL+"/v1/models/ecg:reload", nil)
+	resp, body := postScore(t, ts.URL+"/v1/reload?model=ecg", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status = %d, body %s", resp.StatusCode, body)
 	}
@@ -274,7 +274,7 @@ func TestServerHotReload(t *testing.T) {
 		t.Fatal("HTTP reload must swap the served pipeline")
 	}
 	// The swapped model scores.
-	resp2, body2 := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, []int{0}, 0))
+	resp2, body2 := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{0}, 0))
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("score after reload = %d, body %s", resp2.StatusCode, body2)
 	}
@@ -283,14 +283,14 @@ func TestServerHotReload(t *testing.T) {
 	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resp3, _ := postScore(t, ts.URL+"/v1/models/ecg:reload", nil)
+	resp3, _ := postScore(t, ts.URL+"/v1/reload?model=ecg", nil)
 	if resp3.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("corrupt reload status = %d, want 500", resp3.StatusCode)
 	}
 	if m.Pipeline() != current {
 		t.Fatal("failed reload must keep serving the old model")
 	}
-	resp4, _ := postScore(t, ts.URL+"/v1/models/nope:reload", nil)
+	resp4, _ := postScore(t, ts.URL+"/v1/reload?model=nope", nil)
 	if resp4.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown reload status = %d, want 404", resp4.StatusCode)
 	}
@@ -382,12 +382,12 @@ func TestServerModelListAndInfo(t *testing.T) {
 func TestServerMetricsEndpoint(t *testing.T) {
 	ts, _, _, _, _, ds := testStack(t, PoolOptions{Workers: 1}, 9)
 	for i := 0; i < 3; i++ {
-		resp, body := postScore(t, ts.URL+"/v1/models/ecg:score", scoreBody(t, ds, []int{i}, 0))
+		resp, body := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{i}, 0))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("score %d = %d, body %s", i, resp.StatusCode, body)
 		}
 	}
-	postScore(t, ts.URL+"/v1/models/nope:score", scoreBody(t, ds, []int{0}, 0)) // a 404
+	postScore(t, ts.URL+"/v1/score?model=nope", scoreBody(t, ds, []int{0}, 0)) // a 404
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

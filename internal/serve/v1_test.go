@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"testing"
 	"time"
 
@@ -69,8 +68,9 @@ func TestV1EnvelopeEverywhere(t *testing.T) {
 		{"reload wrong method", "DELETE", "/v1/reload?model=ecg", "", 405, httpapi.CodeMethodNotAllowed},
 		{"models wrong method", "POST", "/v1/models", "", 405, httpapi.CodeMethodNotAllowed},
 		{"unknown model info", "GET", "/v1/models/nope", "", 404, httpapi.CodeNotFound},
-		{"alias unknown action", "POST", "/v1/models/ecg:frobnicate", "{}", 404, httpapi.CodeNotFound},
-		{"alias wrong method", "GET", "/v1/models/ecg:score", "", 405, httpapi.CodeMethodNotAllowed},
+		// The retired colon-verb alias paths now answer an enveloped 4xx.
+		{"alias unknown action", "POST", "/v1/models/ecg:frobnicate", "{}", 405, httpapi.CodeMethodNotAllowed},
+		{"alias wrong method", "GET", "/v1/models/ecg:score", "", 404, httpapi.CodeNotFound},
 		{"job submit wrong method", "GET", "/v1/jobs", "", 405, httpapi.CodeMethodNotAllowed},
 		{"job submit without model", "POST", "/v1/jobs", `{"samples":[{"times":[0,1],"values":[[1,2],[3,4]]}]}`, 400, httpapi.CodeBadRequest},
 		{"job submit unknown model", "POST", "/v1/jobs?model=nope", `{"samples":[{"times":[0,1],"values":[[1,2],[3,4]]}]}`, 404, httpapi.CodeNotFound},
@@ -109,80 +109,5 @@ func TestV1EnvelopeEverywhere(t *testing.T) {
 				t.Fatalf("%s %s: empty envelope message", c.method, c.path)
 			}
 		})
-	}
-}
-
-// elapsedRe masks the one legitimately run-dependent field before the
-// byte comparison.
-var elapsedRe = regexp.MustCompile(`"elapsedMs":[0-9.eE+-]+`)
-
-// TestV1AliasByteEquality: the deprecated colon-verb alias must answer
-// byte-identically to the canonical /v1/score route — same bytes, same
-// content type — differing only in the Deprecation header.
-func TestV1AliasByteEquality(t *testing.T) {
-	ts, _, _, _, _, ds := testStack(t, PoolOptions{Workers: 1}, 9)
-	body := scoreBody(t, ds, []int{0, 1, 2}, 2)
-
-	fetch := func(path string) ([]byte, http.Header) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s = %d: %s", path, resp.StatusCode, raw)
-		}
-		return elapsedRe.ReplaceAll(raw, []byte(`"elapsedMs":0`)), resp.Header
-	}
-
-	canonical, canonHdr := fetch("/v1/score?model=ecg")
-	alias, aliasHdr := fetch("/v1/models/ecg:score")
-	if !bytes.Equal(canonical, alias) {
-		t.Fatalf("alias body diverged from canonical:\ncanonical: %s\nalias:     %s", canonical, alias)
-	}
-	if got := aliasHdr.Get(httpapi.DeprecationHeader); got != "true" {
-		t.Fatalf("alias Deprecation header = %q, want \"true\"", got)
-	}
-	if got := canonHdr.Get(httpapi.DeprecationHeader); got != "" {
-		t.Fatalf("canonical route carries Deprecation header %q", got)
-	}
-	if c, a := canonHdr.Get("Content-Type"), aliasHdr.Get("Content-Type"); c != a {
-		t.Fatalf("content type diverged: canonical %q, alias %q", c, a)
-	}
-}
-
-// TestV1AliasReloadByteEquality covers the reload verb the same way.
-func TestV1AliasReloadByteEquality(t *testing.T) {
-	ts, _, _, _, _, _ := testStack(t, PoolOptions{Workers: 1}, 10)
-
-	post := func(path string) ([]byte, http.Header) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s = %d: %s", path, resp.StatusCode, raw)
-		}
-		return elapsedRe.ReplaceAll(raw, []byte(`"elapsedMs":0`)), resp.Header
-	}
-
-	canonical, _ := post("/v1/reload?model=ecg")
-	alias, aliasHdr := post("/v1/models/ecg:reload")
-	if !bytes.Equal(canonical, alias) {
-		t.Fatalf("reload alias diverged:\ncanonical: %s\nalias:     %s", canonical, alias)
-	}
-	if aliasHdr.Get(httpapi.DeprecationHeader) != "true" {
-		t.Fatal("reload alias missing Deprecation header")
 	}
 }

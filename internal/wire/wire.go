@@ -67,7 +67,7 @@ var ErrWire = errors.New("wire: invalid frame")
 
 // Request is the decoded form of one scoring request frame: the curves
 // plus the optional explanation count, mirroring the JSON body of
-// POST /v1/models/{name}:score.
+// POST /v1/score?model={name}.
 type Request struct {
 	Dataset fda.Dataset
 	// Explain asks for the top-k most deviating grid positions per
