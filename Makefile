@@ -15,7 +15,9 @@ vet:
 # Custom static analysis (internal/analysis via cmd/mfodlint): the
 # numeric-core invariants (nodeterminism / floateq / mutafterfit /
 # poolmisuse) plus the distributed-tier invariants (ctxpropagate /
-# envelopediscipline / lockio / wirebounds / metricshygiene), with
+# envelopediscipline / lockio / wirebounds / metricshygiene — the last
+# keeps # HELP / # TYPE exposition literals inside internal/metrics,
+# whose typed registry enforces the metric naming rules), with
 # //mfodlint:allow escape hatches that must carry a reason. See the
 # README "Static analysis" section and the DESIGN.md invariant table.
 lint:
@@ -32,13 +34,14 @@ test:
 # The race suite focuses on the concurrent paths: the serving subsystem,
 # the gateway tier (hedged legs, topology watcher, health prober), the
 # shared-pipeline scoring guarantee, the server binary, the
-# smoothing/mapping hot path (worker pool + shared basis cache), and the
+# smoothing/mapping hot path (worker pool + shared basis cache), the
+# metrics registry (observed and scraped concurrently), and the
 # analyzer suite (whose repo-clean test loads and checks the whole tree).
 test-race:
 	$(GO) test -race ./internal/serve ./internal/gate ./internal/resilience \
 		./internal/core ./cmd/mfodserve ./cmd/mfodgate \
 		./internal/fda ./internal/geometry ./internal/parallel \
-		./internal/stream ./internal/analysis
+		./internal/stream ./internal/analysis ./internal/metrics
 
 # Chaos gate: the fault-injection and resilience packages plus the serve
 # chaos suite (Chaos* tests arm faultinject points), under the race
