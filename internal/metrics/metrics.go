@@ -9,7 +9,7 @@
 // invalid family or label name, a second family of the same name, a
 // counter without the _total suffix or another kind with it, a name
 // ending in a suffix only the renderer writes (_bucket, _sum, _count),
-// and a reserved label key (le, quantile); observing with the wrong
+// and a reserved (le, quantile) or repeated label key; observing with the wrong
 // number of label values panics too. Each is a wiring bug, caught the
 // first time the code runs instead of on a dashboard.
 //

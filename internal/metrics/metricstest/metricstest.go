@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"regexp"
 	"strconv"
 	"strings"
 )
@@ -29,24 +30,21 @@ func Check(page string) error {
 	declared := map[string]bool{}
 	seen := map[string]bool{}
 	family, kind := "", ""
-	// Histogram state per label set (le excluded) of the current family.
-	type hist struct {
-		le, last float64
-		inf      float64
-		hasInf   bool
-	}
+	// The last bucket seen per label set (le excluded) of the current
+	// histogram; after the +Inf bucket, le is +Inf and last its count.
+	type hist struct{ le, last float64 }
 	hists := map[string]*hist{}
 	counts := map[string]float64{}
 	closeFamily := func(line int) {
 		for labels, h := range hists {
 			c, ok := counts[labels]
 			switch {
-			case !h.hasInf:
+			case !math.IsInf(h.le, 1):
 				fail(line, "histogram %s{%s} has no +Inf bucket", family, labels)
 			case !ok:
 				fail(line, "histogram %s{%s} has no _count", family, labels)
-			case math.Float64bits(h.inf) != math.Float64bits(c): // both are integer counts
-				fail(line, "histogram %s{%s}: +Inf bucket %v != _count %v", family, labels, h.inf, c)
+			case math.Float64bits(h.last) != math.Float64bits(c): // both are integer counts
+				fail(line, "histogram %s{%s}: +Inf bucket %v != _count %v", family, labels, h.last, c)
 			}
 		}
 		hists, counts = map[string]*hist{}, map[string]float64{}
@@ -114,9 +112,6 @@ func Check(page string) error {
 				fail(n, "bucket le=%q of %s{%s} is out of order or decreasing", le, family, labels)
 			}
 			h.le, h.last = bound, value
-			if le == "+Inf" {
-				h.inf, h.hasInf = value, true
-			}
 		case "_count":
 			if kind == "histogram" {
 				counts[labels] = value
@@ -141,44 +136,29 @@ func suffixFits(kind, suffix string) bool {
 	return false
 }
 
-// parseSeries splits one series line into its name, its label block
+var (
+	seriesLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)$`)
+	labelBlock = regexp.MustCompile(`^(?:[a-zA-Z_]\w*="(?:[^"\\]|\\.)*"(?:,|$))*$`)
+	labelPair  = regexp.MustCompile(`([a-zA-Z_]\w*)="((?:[^"\\]|\\.)*)"`)
+)
+
+// parseSeries splits one series line into its name, its label pairs
 // without le (as a canonical key), the le value and the sample value.
 func parseSeries(text string) (name, labels, le string, value float64, err error) {
-	rest := text
-	i := strings.IndexAny(rest, "{ ")
-	if i <= 0 {
+	m := seriesLine.FindStringSubmatch(text)
+	if m == nil || !labelBlock.MatchString(m[2]) {
 		return "", "", "", 0, fmt.Errorf("malformed series %q", text)
 	}
-	name, rest = rest[:i], rest[i:]
 	var keep []string
-	if rest[0] == '{' {
-		rest = rest[1:]
-		for !strings.HasPrefix(rest, "}") {
-			key, after, ok := strings.Cut(rest, "=")
-			if !ok {
-				return "", "", "", 0, fmt.Errorf("malformed labels in %q", text)
-			}
-			quoted, qerr := strconv.QuotedPrefix(after)
-			if qerr != nil {
-				return "", "", "", 0, fmt.Errorf("malformed label %s in %q", key, text)
-			}
-			val, _ := strconv.Unquote(quoted)
-			if key == "le" {
-				le = val
-			} else {
-				keep = append(keep, key+"="+quoted)
-			}
-			rest = strings.TrimPrefix(after[len(quoted):], ",")
+	for _, p := range labelPair.FindAllStringSubmatch(m[2], -1) {
+		if p[1] == "le" {
+			le = p[2]
+		} else {
+			keep = append(keep, p[0])
 		}
-		rest = rest[1:]
 	}
-	raw, ok := strings.CutPrefix(rest, " ")
-	if !ok {
-		return "", "", "", 0, fmt.Errorf("malformed series %q", text)
+	if value, err = strconv.ParseFloat(m[3], 64); err != nil {
+		return "", "", "", 0, fmt.Errorf("series %s: bad value %q", m[1], m[3])
 	}
-	value, err = strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return "", "", "", 0, fmt.Errorf("series %s: bad value %q", name, raw)
-	}
-	return name, strings.Join(keep, ","), le, value, nil
+	return m[1], strings.Join(keep, ","), le, value, nil
 }
