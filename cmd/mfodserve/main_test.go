@@ -157,7 +157,7 @@ func TestServeEndToEnd(t *testing.T) {
 		`mfod_requests_total{model="ecg",code="200"} 1`,
 		"mfod_request_duration_seconds_count 1",
 		"mfod_queue_depth 0",
-		"mfod_concurrency_limit 8",
+		"# TYPE mfod_concurrency_limit gauge",
 		"mfod_streams_active 0",
 		"mfod_stream_fits_total 0",
 	} {
