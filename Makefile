@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint lint-audit test test-race test-chaos bench bench-hotpath bench-serve bench-slo bench-jobs bench-streaming fuzz check
+.PHONY: build vet lint lint-audit test test-race test-chaos bench bench-smoke bench-hotpath bench-serve bench-slo bench-jobs bench-streaming fuzz check
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,12 @@ test-chaos:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# benchmark/ is a Go module of its own, so `go test ./...` never compiles
+# it: build it and run its smoke tests, so an internal API change that
+# breaks the benchmark fails here rather than when the benchmark runs.
+bench-smoke:
+	cd benchmark && $(GO) test ./...
 
 # Machine-readable hot-path benchmark (sequential seed path vs worker
 # pool + basis cache); fails below a 2x speedup. CI archives the report.
@@ -106,4 +112,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzBSplineEval -fuzztime=30s -run=^$$ ./internal/bspline
 	$(GO) test -fuzz=FuzzStreamAppend -fuzztime=30s -run=^$$ ./internal/stream
 
-check: build vet lint test test-race test-chaos
+check: build vet lint test test-race test-chaos bench-smoke

@@ -139,7 +139,11 @@ func run(o gateOptions) error {
 	stop := make(chan struct{})
 	defer close(stop)
 	table.Watch(o.watch, stop, func(err error) {
-		logger.Error("topology reload failed, previous fleet keeps serving", "err", err)
+		if err != nil {
+			logger.Error("topology reload failed, previous fleet keeps serving", "err", err)
+			return
+		}
+		metrics.ObserveTopologyReload()
 	})
 	health := &gate.Health{
 		Interval:  o.healthInterval,

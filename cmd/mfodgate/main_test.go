@@ -172,9 +172,34 @@ func TestGateBinaryEndToEnd(t *testing.T) {
 		"mfodgate_replicas 1",
 		"mfodgate_brownout 0",
 		"# TYPE mfodgate_replica_down_info gauge",
+		"mfodgate_topology_reloads_total 0", // the initial load is not a hot reload
 	} {
 		if !strings.Contains(string(mraw), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, mraw)
+		}
+	}
+
+	// A rewritten topology file is hot-reloaded by the watcher and
+	// counted.
+	topo, err = json.Marshal(gate.Topology{VNodes: 32, Replicas: []gate.Replica{{Name: "r1", URL: replica.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(topoPath, topo, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		page, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if strings.Contains(string(page), "mfodgate_topology_reloads_total 1\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("topology rewrite never counted as a hot reload:\n%s", page)
 		}
 	}
 

@@ -1,14 +1,14 @@
 // Bulk-scoring benchmark mode (-jobs): boots the hermetic -self fleet
-// with the gate's async jobs API enabled, submits one large bulk job
+// with the gate's async jobs API enabled, runs back-to-back bulk jobs
 // through internal/client while pacing interactive scoring traffic
-// beside it, and scores the run on four axes:
+// beside them, and scores the run on four axes:
 //
 //   - bulk throughput (curves scored per second, end to end),
 //   - time to first result (submit → first streamed score run — the
 //     streaming advantage a batch API cannot have),
-//   - interactive p99 while the bulk job is in flight (the token budget
-//     exists so bulk work cannot starve interactive traffic),
-//   - bitwise fidelity: the job's merged scores must equal one
+//   - interactive p99 while the bulk jobs are in flight (the token
+//     budget exists so bulk work cannot starve interactive traffic),
+//   - bitwise fidelity: every job's merged scores must equal one
 //     synchronous Score over the same curves, bit for bit.
 //
 // Writes BENCH_jobs.json and exits nonzero when a gate fails; `make
@@ -17,70 +17,27 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"os"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/fda"
+	"repro/internal/jobs"
 	"repro/internal/serve"
 )
 
-// jobsReport is the BENCH_jobs.json document.
-type jobsReport struct {
-	Fleet        int     `json:"fleet"`
-	Model        string  `json:"model"`
-	Codec        string  `json:"codec"`
-	Samples      int     `json:"samples"`
-	Chunk        int     `json:"chunk"`
-	Jobs         int     `json:"jobs"`
-	TotalMs      float64 `json:"totalMs"`
-	CurvesPerSec float64 `json:"curvesPerSec"`
-	// TTFRMs is the time from job submission to the first streamed score
-	// run arriving at the client.
-	TTFRMs       float64 `json:"ttfrMs"`
-	ChunkRetries int     `json:"chunkRetries"`
-	// BitwiseMatch: every job score equals the synchronous score of the
-	// same sample, compared on raw float64 bits.
-	BitwiseMatch bool `json:"bitwiseMatch"`
-	Interactive  struct {
-		Requests int     `json:"requests"`
-		Errors   int     `json:"errors"`
-		Shed     int     `json:"shed"`
-		P50Ms    float64 `json:"p50Ms"`
-		P99Ms    float64 `json:"p99Ms"`
-	} `json:"interactiveDuringBulk"`
-	Gates struct {
-		MaxTTFRMs           float64 `json:"maxTtfrMs"`
-		MaxInteractiveP99Ms float64 `json:"maxInteractiveP99Ms,omitempty"`
-	} `json:"gates"`
-	Pass bool `json:"pass"`
-}
-
-func runJobs(o loadOptions) error {
-	if o.selfFleet <= 0 {
-		return errors.New("-jobs needs -self N (the benchmark measures the hermetic fleet)")
-	}
-	if o.codec != "wire" && o.codec != "json" {
-		return fmt.Errorf("bad -codec %q, want wire or json", o.codec)
-	}
+func runJobs(o loadOptions) (*report, error) {
 	if o.jobsSamples <= 0 {
-		return errors.New("-jobs-samples must be positive")
-	}
-	if o.out == "BENCH_serve.json" {
-		o.out = "BENCH_jobs.json"
+		return nil, errors.New("-jobs-samples must be positive")
 	}
 	fleet, err := bootSelfFleet(o.selfFleet, o.model,
 		serve.PoolOptions{QueueCap: 256}, 200*time.Millisecond)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Tile the fitted curves up to the bulk size: per-sample scoring is
 	// batch-invariant, so repeats are fine and keep the reference cheap.
@@ -95,67 +52,24 @@ func runJobs(o loadOptions) error {
 	// gate — the bitwise yardstick.
 	ref, err := c.Score(ctx, o.model, bulk, 0)
 	if err != nil {
-		return fmt.Errorf("reference score: %w", err)
+		return nil, fmt.Errorf("reference score: %w", err)
+	}
+	bodies, _, err := buildBodies(fleet.d, 1, o.codec)
+	if err != nil {
+		return nil, err
 	}
 
-	rep := jobsReport{
-		Fleet: o.selfFleet, Model: o.model, Codec: o.codec,
-		Samples: o.jobsSamples,
-	}
-	rep.Gates.MaxTTFRMs = float64(o.jobsMaxTTFR.Microseconds()) / 1000
-	rep.Gates.MaxInteractiveP99Ms = float64(o.jobsMaxP99.Microseconds()) / 1000
-
-	// Interactive traffic runs beside the bulk job for its whole life.
-	stop := make(chan struct{})
-	var iwg sync.WaitGroup
-	var imu sync.Mutex
-	var ilat []float64
-	iErrs, iShed := 0, 0
-	iwg.Add(1)
-	//mfodlint:allow poolmisuse interactive-traffic pacer: one goroutine for the benchmark's life, joined via the WaitGroup before the report is written
+	// Interactive traffic is paced beside the bulk jobs for their whole
+	// life: the pacer stops when the bulk loop ends.
+	paceCtx, stopPacing := context.WithCancel(ctx)
+	interactive := make(chan scenario, 1)
+	httpc := &http.Client{Timeout: 10 * time.Second}
+	target := scoreURL(fleet.base, o.model)
+	//mfodlint:allow poolmisuse interactive pacer: one goroutine for the bulk loop's life, stopped by cancelling its context and joined by receiving its scenario
 	go func() {
-		defer iwg.Done()
-		bodies, _, _, err := buildBodies(fleet.d, 1, o.codec)
-		if err != nil {
-			return
-		}
-		contentType := contentTypeFor(o.codec)
-		httpc := &http.Client{Timeout: 10 * time.Second}
-		target := fleet.base + "/v1/score?model=" + o.model
-		interval := time.Duration(float64(time.Second) / o.rps)
-		sem := make(chan struct{}, o.concurrency)
-		var rwg sync.WaitGroup
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				rwg.Wait()
-				return
-			case <-time.After(interval):
-			}
-			select {
-			case sem <- struct{}{}:
-				rwg.Add(1)
-				body := bodies[i%len(bodies)]
-				//mfodlint:allow poolmisuse interactive request goroutine: bounded by the concurrency semaphore and joined before the pacer returns
-				go func() {
-					defer rwg.Done()
-					defer func() { <-sem }()
-					t0 := time.Now()
-					ok := postOnce(httpc, target, contentType, body)
-					ms := float64(time.Since(t0).Microseconds()) / 1000
-					imu.Lock()
-					ilat = append(ilat, ms)
-					if !ok {
-						iErrs++
-					}
-					imu.Unlock()
-				}()
-			default:
-				imu.Lock()
-				iShed++
-				imu.Unlock()
-			}
-		}
+		interactive <- pace(paceCtx, "interactive", o.rps, o.concurrency, nil, func(i int) outcome {
+			return post(ctx, httpc, target, contentTypeFor(o.codec), bodies[i%len(bodies)])
+		})
 	}()
 
 	// The measured run: bulk jobs flow back to back for the whole
@@ -163,121 +77,68 @@ func runJobs(o loadOptions) error {
 	// bulk load — one small job would finish before the pacer warms up.
 	// TTFR comes from the first job; throughput and retries aggregate
 	// over every job in the window; every job is bitwise-checked.
-	t0 := time.Now()
+	bulkJobs := &tally{s: scenario{Name: "bulk"}}
 	var (
-		ttfr        time.Duration
-		totalCurves int
-		jobsRun     int
+		ttfr                               time.Duration
+		jobErr                             error
+		chunk, retries, curves, mismatches int
 	)
-	rep.BitwiseMatch = true
-	for jobsRun == 0 || time.Since(t0) < o.duration {
-		js := time.Now()
-		job, err := c.SubmitJob(ctx, o.model, bulk, o.jobsChunk)
-		if err != nil {
-			close(stop)
-			iwg.Wait()
-			return fmt.Errorf("submit job: %w", err)
-		}
-		rep.Chunk = job.Chunk
+	start := time.Now()
+	for n := 0; jobErr == nil && (n == 0 || time.Since(start) < o.duration); n++ {
+		t0 := time.Now()
 		scores := make([]float64, 0, o.jobsSamples)
-		end, err := job.Stream(ctx, 0, func(start int, run []float64) error {
-			if jobsRun == 0 && ttfr == 0 {
-				ttfr = time.Since(js)
-			}
-			scores = append(scores, run...)
-			return nil
-		})
+		job, err := c.SubmitJob(ctx, o.model, bulk, o.jobsChunk)
+		var end *jobs.ResultEnd
+		if err == nil {
+			chunk = job.Chunk
+			end, err = job.Stream(ctx, 0, func(_ int, run []float64) error {
+				if ttfr == 0 {
+					ttfr = time.Since(t0)
+				}
+				scores = append(scores, run...)
+				return nil
+			})
+		}
+		if err == nil && (end.Error != "" || len(scores) != o.jobsSamples) {
+			err = fmt.Errorf("ended %s with %d/%d scores: %s", end.State, len(scores), o.jobsSamples, end.Error)
+		}
 		if err != nil {
-			close(stop)
-			iwg.Wait()
-			return fmt.Errorf("stream job: %w", err)
+			bulkJobs.add(failed, time.Since(t0))
+			jobErr = fmt.Errorf("bulk job %d: %w", n, err)
+			continue
 		}
-		if end.Error != "" || len(scores) != o.jobsSamples {
-			close(stop)
-			iwg.Wait()
-			return fmt.Errorf("job ended %s with %d/%d scores: %s", end.State, len(scores), o.jobsSamples, end.Error)
-		}
-		st, err := job.Status(ctx)
-		if err != nil {
-			close(stop)
-			iwg.Wait()
-			return fmt.Errorf("job status: %w", err)
-		}
-		rep.ChunkRetries += st.Retries
+		bulkJobs.add(served, time.Since(t0))
+		retries += end.Retries
+		curves += len(scores)
 		for i := range scores {
 			if math.Float64bits(scores[i]) != math.Float64bits(ref.Scores[i]) {
-				rep.BitwiseMatch = false
+				mismatches++
 				fmt.Fprintf(os.Stderr, "mfodload: BITWISE MISMATCH job %d sample %d: job %x sync %x\n",
-					jobsRun, i, math.Float64bits(scores[i]), math.Float64bits(ref.Scores[i]))
+					n, i, math.Float64bits(scores[i]), math.Float64bits(ref.Scores[i]))
 				break
 			}
 		}
-		totalCurves += len(scores)
-		jobsRun++
 	}
-	total := time.Since(t0)
-	close(stop)
-	iwg.Wait()
+	elapsed := time.Since(start)
+	stopPacing()
+	inter := <-interactive
 
-	rep.TotalMs = float64(total.Microseconds()) / 1000
-	rep.TTFRMs = float64(ttfr.Microseconds()) / 1000
-	rep.CurvesPerSec = float64(totalCurves) / total.Seconds()
-	rep.Jobs = jobsRun
-	imu.Lock()
-	rep.Interactive.Requests = len(ilat)
-	rep.Interactive.Errors = iErrs
-	rep.Interactive.Shed = iShed
-	if len(ilat) > 0 {
-		sort.Float64s(ilat)
-		rep.Interactive.P50Ms = percentile(ilat, 0.50)
-		rep.Interactive.P99Ms = percentile(ilat, 0.99)
+	rep := &report{Mode: "jobs", Target: fleet.base, Fleet: o.selfFleet, Model: o.model, Codec: o.codec,
+		Scenarios: []scenario{bulkJobs.done(elapsed), inter}}
+	rep.Totals = map[string]any{
+		"samples":      o.jobsSamples,
+		"chunk":        chunk,
+		"curvesPerSec": float64(curves) / elapsed.Seconds(),
+		// Time from submitting the first job to its first streamed score run.
+		"ttfrMs":       ms(ttfr),
+		"chunkRetries": retries,
+		"bitwiseMatch": mismatches == 0,
 	}
-	imu.Unlock()
-
-	rep.Pass = true
-	var fail []string
-	if !rep.BitwiseMatch {
-		rep.Pass = false
-		fail = append(fail, "job scores are not bitwise identical to synchronous scoring")
-	}
-	if rep.Gates.MaxTTFRMs > 0 && rep.TTFRMs > rep.Gates.MaxTTFRMs {
-		rep.Pass = false
-		fail = append(fail, fmt.Sprintf("time to first result %.1fms > allowed %.1fms", rep.TTFRMs, rep.Gates.MaxTTFRMs))
-	}
-	if rep.Gates.MaxInteractiveP99Ms > 0 && rep.Interactive.P99Ms > rep.Gates.MaxInteractiveP99Ms {
-		rep.Pass = false
-		fail = append(fail, fmt.Sprintf("interactive p99 %.1fms under bulk load > allowed %.1fms", rep.Interactive.P99Ms, rep.Gates.MaxInteractiveP99Ms))
-	}
-	if rep.Interactive.Requests == 0 {
-		rep.Pass = false
-		fail = append(fail, "no interactive requests completed during the bulk job — the starvation measurement proves nothing")
-	}
-
-	var w io.Writer = os.Stdout
-	if o.out != "-" {
-		f, err := os.Create(o.out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr,
-		"mfodload: jobs run, %d jobs x %d curves in %.0fms (%.0f curves/s), ttfr=%.1fms, retries=%d, bitwise=%v\n",
-		rep.Jobs, rep.Samples, rep.TotalMs, rep.CurvesPerSec, rep.TTFRMs, rep.ChunkRetries, rep.BitwiseMatch)
-	fmt.Fprintf(os.Stderr,
-		"mfodload: interactive during bulk: %d req, %d err, p50=%.2fms p99=%.2fms\n",
-		rep.Interactive.Requests, rep.Interactive.Errors, rep.Interactive.P50Ms, rep.Interactive.P99Ms)
-	if !rep.Pass {
-		for _, f := range fail {
-			fmt.Fprintln(os.Stderr, "mfodload: JOBS FAIL:", f)
-		}
-		return errors.New("jobs gate failed")
-	}
-	return nil
+	rep.failIf(jobErr != nil, "%v", jobErr)
+	rep.failIf(mismatches > 0, "%d jobs' scores are not bitwise identical to synchronous scoring", mismatches)
+	rep.failIf(o.jobsMaxTTFR > 0 && ttfr > o.jobsMaxTTFR, "time to first result %v > allowed %v", ttfr, o.jobsMaxTTFR)
+	rep.failIf(o.jobsMaxP99 > 0 && inter.LatencyMs.P99 > ms(o.jobsMaxP99),
+		"interactive p99 %.1fms under bulk load > allowed %v", inter.LatencyMs.P99, o.jobsMaxP99)
+	rep.failIf(inter.Requests == 0, "no interactive requests completed during the bulk jobs — the starvation measurement proves nothing")
+	return rep, nil
 }

@@ -1,8 +1,18 @@
 // Command mfodload replays scoring traffic against an mfodserve replica
-// or an mfodgate front tier at a target request rate and writes a
-// latency/throughput report (BENCH_serve.json): p50/p99/p999 latency,
-// achieved RPS and the error budget, plus the bytes-per-request cost of
-// the binary wire codec next to JSON for the same curves.
+// or an mfodgate front tier and writes a BENCH report. Every mode runs
+// through one open-loop pacer (pace) and reports the same scenario
+// record; the modes differ only in the operations they pace, the totals
+// they add and the gates they check:
+//
+//   - plain load: one steady scenario of batch scoring requests at -rps,
+//     plus the bytes-per-request cost of the binary wire codec next to
+//     JSON for the same curves (BENCH_serve.json);
+//   - -slo: the SLO chaos harness, four scripted scenarios with a real
+//     client deadline on every request (slo.go, BENCH_slo.json);
+//   - -jobs: back-to-back bulk jobs beside paced interactive traffic
+//     (jobs.go, BENCH_jobs.json);
+//   - -streams: live streams completed chunk by chunk (streams.go,
+//     BENCH_streaming.json).
 //
 // Usage:
 //
@@ -10,21 +20,13 @@
 //	         [-codec wire|json] [-rps 100] [-duration 10s]
 //	         [-concurrency 32] [-batch 4] [-o BENCH_serve.json]
 //
-//	mfodload -self 3 [-rps 100] [-duration 10s] ...
+//	mfodload -self 3 [-slo | -jobs | -streams N] [-rps 100] ...
 //
 // -replay takes an `mfodgen -json` document (the mfodserve /v1/score
 // body shape). -self N needs no running servers or replay file: it fits a
 // small pipeline, boots N in-process mfodserve replicas plus an mfodgate
-// over them, and load-tests that — the hermetic mode `make bench-serve`
-// and CI use.
-//
-// -slo switches to the SLO chaos harness (requires -self): scripted
-// scenarios — baseline, a latency-faulted primary, a 2x overload burst,
-// a replica kill — each request carrying a -deadline budget propagated
-// via X-Mfod-Deadline-Ms. Writes per-scenario goodput/shed/p99 plus
-// fleet-wide wasted work to BENCH_slo.json and exits nonzero when
-// -slo-min-goodput or -slo-max-wasted is violated; `make bench-slo`
-// runs it under the race detector.
+// over them, and load-tests that — the hermetic mode the Makefile bench
+// targets and CI use. The -slo, -jobs and -streams modes require it.
 package main
 
 import (
@@ -43,6 +45,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,11 +102,11 @@ func main() {
 	flag.StringVar(&o.model, "model", "ecg", "model name to score against")
 	flag.StringVar(&o.replay, "replay", "", "mfodgen -json document to replay (required with -url)")
 	flag.StringVar(&o.codec, "codec", "wire", "request encoding: wire or json")
-	flag.Float64Var(&o.rps, "rps", 100, "target requests per second")
+	flag.Float64Var(&o.rps, "rps", 100, "target operations per second: requests, or streams with -streams")
 	flag.DurationVar(&o.duration, "duration", 10*time.Second, "how long to drive load (per scenario with -slo)")
-	flag.IntVar(&o.concurrency, "concurrency", 32, "max in-flight requests; ticks beyond it are shed and reported")
+	flag.IntVar(&o.concurrency, "concurrency", 32, "max in-flight operations; ticks beyond it are skipped and reported")
 	flag.IntVar(&o.batch, "batch", 4, "curves per scoring request")
-	flag.StringVar(&o.out, "o", "BENCH_serve.json", "report path (- = stdout; BENCH_slo.json default with -slo)")
+	flag.StringVar(&o.out, "o", "BENCH_serve.json", "report path (- = stdout; BENCH_slo/jobs/streaming.json default with -slo/-jobs/-streams)")
 	flag.BoolVar(&o.slo, "slo", false, "run the scripted SLO chaos scenarios against the -self fleet instead of a plain load run")
 	flag.DurationVar(&o.deadline, "deadline", 500*time.Millisecond, "per-request client deadline in -slo mode, propagated via "+resilience.DeadlineHeader)
 	flag.Float64Var(&o.sloMinGoodput, "slo-min-goodput", 0.9, "fail the -slo run when any non-overload scenario's goodput drops below this")
@@ -117,57 +120,14 @@ func main() {
 	flag.IntVar(&o.streamChunk, "stream-chunk", 6, "points per append in -streams mode")
 	flag.Float64Var(&o.streamsMinRate, "streams-min-rate", 0, "fail the -streams run when completed streams/sec drops below this (0 disables)")
 	flag.Parse()
-	if o.streams > 0 {
-		if err := runStreams(o); err != nil {
-			fmt.Fprintln(os.Stderr, "mfodload:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if o.jobs {
-		if err := runJobs(o); err != nil {
-			fmt.Fprintln(os.Stderr, "mfodload:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if o.slo {
-		if err := runSLO(o); err != nil {
-			fmt.Fprintln(os.Stderr, "mfodload:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "mfodload:", err)
 		os.Exit(1)
 	}
 }
 
-// report is the BENCH_serve.json document.
-type report struct {
-	Target      string  `json:"target"`
-	Model       string  `json:"model"`
-	Codec       string  `json:"codec"`
-	TargetRPS   float64 `json:"targetRps"`
-	DurationS   float64 `json:"durationS"`
-	Requests    int     `json:"requests"`
-	Errors      int     `json:"errors"`
-	Shed        int     `json:"shed"`
-	ErrorRate   float64 `json:"errorRate"`
-	AchievedRPS float64 `json:"achievedRps"`
-	LatencyMs   struct {
-		P50  float64 `json:"p50"`
-		P99  float64 `json:"p99"`
-		P999 float64 `json:"p999"`
-		Mean float64 `json:"mean"`
-		Max  float64 `json:"max"`
-	} `json:"latencyMs"`
-	// BytesPerRequest reports the request-body size of the SAME curves
-	// under each codec, so the wire savings are part of every bench run.
-	BytesPerRequest map[string]int `json:"bytesPerRequest"`
-}
-
+// run checks the shared options, drives the selected mode and writes
+// its report.
 func run(o loadOptions) error {
 	if o.codec != "wire" && o.codec != "json" {
 		return fmt.Errorf("bad -codec %q, want wire or json", o.codec)
@@ -175,7 +135,31 @@ func run(o loadOptions) error {
 	if o.rps <= 0 || o.duration <= 0 || o.concurrency <= 0 || o.batch <= 0 {
 		return errors.New("-rps, -duration, -concurrency and -batch must be positive")
 	}
+	mode, drive := "serve", runPlain
+	switch {
+	case o.streams > 0:
+		mode, drive = "streaming", runStreams
+	case o.jobs:
+		mode, drive = "jobs", runJobs
+	case o.slo:
+		mode, drive = "slo", runSLO
+	}
+	if mode != "serve" && o.selfFleet <= 0 {
+		return fmt.Errorf("the %s benchmark needs -self N: it measures the hermetic in-process fleet", mode)
+	}
+	if o.out == "BENCH_serve.json" {
+		o.out = "BENCH_" + mode + ".json"
+	}
+	rep, err := drive(o)
+	if err != nil {
+		return err
+	}
+	return rep.write(o.out)
+}
 
+// runPlain drives one steady scenario of batch scoring requests and
+// fails on any answer but 200, 429s included.
+func runPlain(o loadOptions) (*report, error) {
 	var d fda.Dataset
 	base := o.url
 	switch {
@@ -183,58 +167,44 @@ func run(o loadOptions) error {
 		fleet, err := bootSelfFleet(o.selfFleet, o.model,
 			serve.PoolOptions{QueueCap: 256}, 500*time.Millisecond)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		base, d = fleet.base, fleet.d
 	case o.url != "":
 		if o.replay == "" {
-			return errors.New("-url needs -replay (an `mfodgen -json` document)")
+			return nil, errors.New("-url needs -replay (an `mfodgen -json` document)")
 		}
 		raw, err := os.ReadFile(o.replay)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		d, err = decodeReplay(raw)
-		if err != nil {
-			return fmt.Errorf("replay %s: %w", o.replay, err)
+		if d, err = dataset.ReadJSON(bytes.NewReader(raw)); err != nil {
+			return nil, fmt.Errorf("replay %s: %w", o.replay, err)
 		}
 	default:
-		return errors.New("either -url or -self N is required")
-	}
-	if len(d.Samples) == 0 {
-		return errors.New("no curves to replay")
+		return nil, errors.New("either -url or -self N is required")
 	}
 
-	bodies, jsonBytes, wireBytes, err := buildBodies(d, o.batch, o.codec)
+	bodies, bytesPerRequest, err := buildBodies(d, o.batch, o.codec)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	client := &http.Client{Timeout: 30 * time.Second}
+	target := scoreURL(base, o.model)
+	ctx, cancel := context.WithTimeout(context.Background(), o.duration)
+	defer cancel()
+	s := pace(ctx, "steady", o.rps, o.concurrency, nil, func(i int) outcome {
+		return post(context.Background(), client, target, contentTypeFor(o.codec), bodies[i%len(bodies)])
+	})
 
-	rep := drive(base, o, bodies, contentTypeFor(o.codec))
-	rep.BytesPerRequest = map[string]int{"json": jsonBytes, "wire": wireBytes}
-
-	var w io.Writer = os.Stdout
-	if o.out != "-" {
-		f, err := os.Create(o.out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	rep := &report{Mode: "serve", Target: base, Fleet: o.selfFleet, Model: o.model, Codec: o.codec,
+		Scenarios: []scenario{s},
+		// The request-body size of the SAME curves under each codec, so
+		// the wire savings are part of every bench run.
+		Totals: map[string]any{"bytesPerRequest": bytesPerRequest},
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr,
-		"mfodload: %d requests, %d errors, %d shed, %.1f rps achieved, p50=%.2fms p99=%.2fms p999=%.2fms\n",
-		rep.Requests, rep.Errors, rep.Shed, rep.AchievedRPS,
-		rep.LatencyMs.P50, rep.LatencyMs.P99, rep.LatencyMs.P999)
-	if rep.Errors > 0 {
-		return fmt.Errorf("%d/%d requests failed", rep.Errors, rep.Requests)
-	}
-	return nil
+	rep.failIf(s.OK < s.Requests, "%d/%d requests not answered 200", s.Requests-s.OK, s.Requests)
+	return rep, nil
 }
 
 // contentTypeFor maps a -codec value to its media type.
@@ -245,166 +215,273 @@ func contentTypeFor(codec string) string {
 	return "application/json"
 }
 
-// decodeReplay reads an `mfodgen -json` document (the /v1/score body shape).
-func decodeReplay(raw []byte) (fda.Dataset, error) {
-	var doc struct {
-		Samples []struct {
-			Times  []float64   `json:"times"`
-			Values [][]float64 `json:"values"`
-		} `json:"samples"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fda.Dataset{}, err
-	}
-	d := fda.Dataset{Samples: make([]fda.Sample, len(doc.Samples))}
-	for i, s := range doc.Samples {
-		d.Samples[i] = fda.Sample{Times: s.Times, Values: s.Values}
-	}
-	return d, nil
+// scoreURL is the synchronous scoring route for model at base.
+func scoreURL(base, model string) string {
+	return base + "/v1/score?model=" + url.QueryEscape(model)
 }
 
 // buildBodies pre-encodes rotating windows of batch curves under the
 // chosen codec, and returns the average bytes-per-request of the same
 // windows under both codecs for the report.
-func buildBodies(d fda.Dataset, batch int, codec string) (bodies [][]byte, jsonAvg, wireAvg int, err error) {
+func buildBodies(d fda.Dataset, batch int, codec string) (bodies [][]byte, bytesPerRequest map[string]int, err error) {
 	n := len(d.Samples)
-	if batch > n {
-		batch = n
-	}
-	windows := n
-	if windows > 64 {
-		windows = 64 // bound pre-encoding work; rotation reuses them
-	}
-	var jsonTotal, wireTotal int
+	batch = min(batch, n)
+	windows := min(n, 64) // bound pre-encoding work; rotation reuses them
+	bytesPerRequest = map[string]int{}
 	for w := 0; w < windows; w++ {
-		sub := fda.Dataset{Samples: make([]fda.Sample, 0, batch)}
-		for i := 0; i < batch; i++ {
-			sub.Samples = append(sub.Samples, d.Samples[(w+i)%n])
+		sub := fda.Dataset{Samples: make([]fda.Sample, batch)}
+		for i := range sub.Samples {
+			sub.Samples[i] = d.Samples[(w+i)%n]
 		}
-		wb := wire.EncodeRequest(wire.Request{Dataset: sub})
-		type jsonSample struct {
-			Times  []float64   `json:"times"`
-			Values [][]float64 `json:"values"`
+		var jb bytes.Buffer
+		if err := dataset.WriteJSON(&jb, sub); err != nil {
+			return nil, nil, err
 		}
-		js := struct {
-			Samples []jsonSample `json:"samples"`
-		}{}
-		for _, s := range sub.Samples {
-			js.Samples = append(js.Samples, jsonSample{Times: s.Times, Values: s.Values})
+		encoded := map[string][]byte{"json": jb.Bytes(), "wire": wire.EncodeRequest(wire.Request{Dataset: sub})}
+		for c, b := range encoded {
+			bytesPerRequest[c] += len(b)
 		}
-		jb, jerr := json.Marshal(js)
-		if jerr != nil {
-			return nil, 0, 0, jerr
-		}
-		jsonTotal += len(jb)
-		wireTotal += len(wb)
-		if codec == "wire" {
-			bodies = append(bodies, wb)
-		} else {
-			bodies = append(bodies, jb)
-		}
+		bodies = append(bodies, encoded[codec])
 	}
-	return bodies, jsonTotal / windows, wireTotal / windows, nil
+	for c := range bytesPerRequest {
+		bytesPerRequest[c] /= windows
+	}
+	return bodies, bytesPerRequest, nil
 }
 
-// drive paces requests at the target rate with a bounded in-flight
-// window: a tick that finds every slot busy is shed (counted, not sent),
-// so a saturated server degrades the achieved rate instead of building
-// an unbounded goroutine backlog.
-func drive(base string, o loadOptions, bodies [][]byte, contentType string) report {
-	var (
-		mu        sync.Mutex
-		latencies []float64 // milliseconds
-		errs      int
-		shed      int
-	)
-	client := &http.Client{Timeout: 30 * time.Second}
-	target := base + "/v1/score?model=" + url.QueryEscape(o.model)
-	sem := make(chan struct{}, o.concurrency)
-	var wg sync.WaitGroup
+// post sends one scoring request and classifies the answer. When ctx
+// carries a deadline, the remaining budget is propagated downstream via
+// the deadline header, and a request the deadline overtook is late.
+func post(ctx context.Context, client *http.Client, target, contentType string, body []byte) outcome {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(body))
+	if err != nil {
+		return failed
+	}
+	req.Header.Set("Content-Type", contentType)
+	if dl, ok := ctx.Deadline(); ok {
+		req.Header.Set(resilience.DeadlineHeader, strconv.FormatInt(time.Until(dl).Milliseconds(), 10))
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		if ctx.Err() != nil {
+			return late
+		}
+		return failed
+	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
+	switch {
+	case resp.StatusCode == http.StatusTooManyRequests:
+		return shed
+	case resp.StatusCode != http.StatusOK:
+		return failed
+	case ctx.Err() != nil:
+		return late // answered, but after the caller walked away
+	}
+	return served
+}
 
-	interval := time.Duration(float64(time.Second) / o.rps)
+// outcome classifies one paced operation.
+type outcome int
+
+const (
+	served outcome = iota // 200, inside the deadline if there was one
+	shed                  // 429: honest backpressure
+	late                  // answered, or abandoned, after the client deadline
+	failed                // anything else
+)
+
+// scenario is one load phase's scorecard, the record every mode
+// reports whether the phase was paced or (bulk jobs) closed-loop.
+type scenario struct {
+	Name      string  `json:"name"`
+	TargetRPS float64 `json:"targetRps,omitempty"`
+	ElapsedS  float64 `json:"elapsedS"`
+	// Requests counts the operations sent; Skipped counts pacing ticks
+	// that found every in-flight slot busy and sent nothing.
+	Requests int `json:"requests"`
+	OK       int `json:"ok"`
+	Shed     int `json:"shed"`
+	Late     int `json:"late"`
+	Errors   int `json:"errors"`
+	Skipped  int `json:"skipped"`
+	// Goodput is OK over every tick offered, sent or skipped: a request
+	// the script wanted to send and never did is not good.
+	Goodput     float64 `json:"goodput"`
+	AchievedRPS float64 `json:"achievedRps"`
+	LatencyMs   latency `json:"latencyMs"`
+	// Injected counts the faults that fired during the scenario. A fault
+	// scenario that injected nothing proves nothing.
+	Injected uint64 `json:"injected,omitempty"`
+}
+
+// latency summarizes operation latencies in milliseconds.
+type latency struct {
+	P50  float64 `json:"p50"`
+	P99  float64 `json:"p99"`
+	P999 float64 `json:"p999"`
+	Mean float64 `json:"mean"`
+	Max  float64 `json:"max"`
+}
+
+// summarize sorts samples (milliseconds) and reads their nearest-rank
+// percentiles, mean and max.
+func summarize(samples []float64) latency {
+	if len(samples) == 0 {
+		return latency{}
+	}
+	sort.Float64s(samples)
+	var sum float64
+	for _, v := range samples {
+		sum += v
+	}
+	at := func(p float64) float64 {
+		rank := int(math.Ceil(p*float64(len(samples)))) - 1
+		return samples[min(max(rank, 0), len(samples)-1)]
+	}
+	return latency{P50: at(0.50), P99: at(0.99), P999: at(0.999),
+		Mean: sum / float64(len(samples)), Max: samples[len(samples)-1]}
+}
+
+// ms converts a duration to float milliseconds at microsecond precision.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// tally accumulates one scenario's outcomes; safe for concurrent use.
+type tally struct {
+	mu sync.Mutex
+	s  scenario
+	ms []float64
+}
+
+func (t *tally) add(o outcome, d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.s.Requests++
+	t.ms = append(t.ms, ms(d))
+	switch o {
+	case served:
+		t.s.OK++
+	case shed:
+		t.s.Shed++
+	case late:
+		t.s.Late++
+	default:
+		t.s.Errors++
+	}
+}
+
+// done scores the tally over elapsed wall time.
+func (t *tally) done(elapsed time.Duration) scenario {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.s
+	s.ElapsedS = elapsed.Seconds()
+	if offered := s.Requests + s.Skipped; offered > 0 {
+		s.Goodput = float64(s.OK) / float64(offered)
+	}
+	s.AchievedRPS = float64(s.Requests) / elapsed.Seconds()
+	s.LatencyMs = summarize(t.ms)
+	return s
+}
+
+// pace is the open-loop pacer every mode shares. It starts op(i) at rps
+// until ctx ends, at most concurrency at once: a tick that finds every
+// slot busy is skipped and counted, so a saturated target degrades the
+// achieved rate instead of building an unbounded goroutine backlog. tick,
+// when set, runs on the pacing goroutine before each operation (scripted
+// chaos, or a stop after a fixed count). pace returns once every
+// operation it started has finished.
+func pace(ctx context.Context, name string, rps float64, concurrency int, tick func(i int), op func(i int) outcome) scenario {
+	t := &tally{s: scenario{Name: name, TargetRPS: rps}}
+	sem := make(chan struct{}, concurrency)
+	var wg sync.WaitGroup
+	interval := time.Duration(float64(time.Second) / rps)
 	start := time.Now()
-	deadline := start.Add(o.duration)
-	for i, next := 0, start; next.Before(deadline); i, next = i+1, next.Add(interval) {
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
+	skipped := 0
+	for i, next := 0, start; ; i, next = i+1, next.Add(interval) {
+		select {
+		case <-ctx.Done():
+		case <-time.After(time.Until(next)):
+		}
+		if ctx.Err() != nil {
+			break
+		}
+		if tick != nil {
+			tick(i)
 		}
 		select {
 		case sem <- struct{}{}:
 			wg.Add(1)
-			body := bodies[i%len(bodies)]
-			//mfodlint:allow poolmisuse load-generator request goroutine: bounded by the concurrency semaphore and joined via the WaitGroup before the report is written
+			//mfodlint:allow poolmisuse load-generator operation goroutine: bounded by the concurrency semaphore and joined via the WaitGroup before pace returns
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
 				t0 := time.Now()
-				ok := postOnce(client, target, contentType, body)
-				ms := float64(time.Since(t0).Microseconds()) / 1000
-				mu.Lock()
-				latencies = append(latencies, ms)
-				if !ok {
-					errs++
-				}
-				mu.Unlock()
+				t.add(op(i), time.Since(t0))
 			}()
 		default:
-			shed++
+			skipped++
 		}
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep := report{
-		Target:    base,
-		Model:     o.model,
-		Codec:     o.codec,
-		TargetRPS: o.rps,
-		DurationS: o.duration.Seconds(),
-		Requests:  len(latencies),
-		Errors:    errs,
-		Shed:      shed,
-	}
-	if rep.Requests > 0 {
-		rep.ErrorRate = float64(errs) / float64(rep.Requests)
-		rep.AchievedRPS = float64(rep.Requests) / elapsed.Seconds()
-		sort.Float64s(latencies)
-		var sum float64
-		for _, l := range latencies {
-			sum += l
-		}
-		rep.LatencyMs.P50 = percentile(latencies, 0.50)
-		rep.LatencyMs.P99 = percentile(latencies, 0.99)
-		rep.LatencyMs.P999 = percentile(latencies, 0.999)
-		rep.LatencyMs.Mean = sum / float64(rep.Requests)
-		rep.LatencyMs.Max = latencies[len(latencies)-1]
-	}
-	return rep
+	t.s.Skipped = skipped
+	return t.done(time.Since(start))
 }
 
-func postOnce(client *http.Client, url, contentType string, body []byte) bool {
-	resp, err := client.Post(url, contentType, bytes.NewReader(body))
+// report is the BENCH document every mode writes: the run's target, its
+// scenarios, the mode's own totals and the verdict of the gates the
+// mode checked.
+type report struct {
+	Mode      string         `json:"mode"`
+	Target    string         `json:"target"`
+	Fleet     int            `json:"fleet,omitempty"`
+	Model     string         `json:"model"`
+	Codec     string         `json:"codec"`
+	Scenarios []scenario     `json:"scenarios"`
+	Totals    map[string]any `json:"totals,omitempty"`
+	Pass      bool           `json:"pass"`
+	Failures  []string       `json:"failures,omitempty"`
+}
+
+// failIf records a gate violation when bad holds.
+func (r *report) failIf(bad bool, format string, args ...any) {
+	if bad {
+		r.Failures = append(r.Failures, fmt.Sprintf(format, args...))
+	}
+}
+
+// write encodes the report to path (- = stdout), prints one line per
+// scenario, and fails when any gate was violated.
+func (r *report) write(path string) error {
+	r.Pass = len(r.Failures) == 0
+	raw, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
-		return false
+		return err
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
-// percentile reads the p-quantile from sorted (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+	raw = append(raw, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(raw)
+	} else {
+		err = os.WriteFile(path, raw, 0o644)
 	}
-	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
+	if err != nil {
+		return err
 	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
+	for _, s := range r.Scenarios {
+		fmt.Fprintf(os.Stderr,
+			"mfodload: %-13s %5d req %5d ok %4d shed %3d late %3d err %3d skipped, goodput=%.3f %.1f/s p50=%.2fms p99=%.2fms p999=%.2fms injected=%d\n",
+			s.Name, s.Requests, s.OK, s.Shed, s.Late, s.Errors, s.Skipped, s.Goodput, s.AchievedRPS,
+			s.LatencyMs.P50, s.LatencyMs.P99, s.LatencyMs.P999, s.Injected)
 	}
-	return sorted[rank]
+	totals, _ := json.Marshal(r.Totals) // cannot fail: the whole report just encoded
+	fmt.Fprintf(os.Stderr, "mfodload: %s totals %s pass=%v\n", r.Mode, totals, r.Pass)
+	for _, f := range r.Failures {
+		fmt.Fprintln(os.Stderr, "mfodload: FAIL:", f)
+	}
+	if !r.Pass {
+		return fmt.Errorf("%s gate failed", r.Mode)
+	}
+	return nil
 }
 
 // selfReplica is one in-process mfodserve of the hermetic fleet, with
@@ -451,17 +528,11 @@ func (f *selfFleet) replica(name string) *selfReplica {
 	return nil
 }
 
-// wasted and evicted sum the pool counters across the fleet.
-func (f *selfFleet) wasted() (n uint64) {
+// poolTotal sums one pool counter (Wasted, Cancelled, Evicted) across
+// the fleet.
+func (f *selfFleet) poolTotal(counter func(*serve.Pool) uint64) (n uint64) {
 	for _, r := range f.replicas {
-		n += r.pool.Wasted()
-	}
-	return n
-}
-
-func (f *selfFleet) evicted() (n uint64) {
-	for _, r := range f.replicas {
-		n += r.pool.Evicted()
+		n += counter(r.pool)
 	}
 	return n
 }

@@ -1,22 +1,18 @@
-// Streaming-ingestion benchmark (-streams): complete N live streams
-// through the hermetic -self fleet, each one curve appended chunk by
-// chunk with a piggybacked early-warning score on every append.
-// Reports streams/sec (and per core), append latency percentiles and
-// score staleness percentiles to BENCH_streaming.json; exits nonzero
-// below -streams-min-rate or on any error or final-score mismatch, so
-// CI can gate streaming throughput like it gates serving latency.
+// Streaming-ingestion benchmark (-streams): paces N live streams through
+// the hermetic -self fleet at -rps streams per second, each one curve
+// appended chunk by chunk with a piggybacked early-warning score on
+// every append. Reports completed streams/sec (and per core), append
+// latency and score staleness to BENCH_streaming.json; fails below
+// -streams-min-rate or on any failed stream or final-score mismatch, so
+// CI can gate streaming like it gates serving latency.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -25,44 +21,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/stream"
 )
-
-// streamingReport is the BENCH_streaming.json document.
-type streamingReport struct {
-	Fleet           int     `json:"fleet"`
-	Model           string  `json:"model"`
-	Streams         int     `json:"streams"`
-	PointsPerStream int     `json:"pointsPerStream"`
-	Chunk           int     `json:"chunk"`
-	Workers         int     `json:"workers"`
-	TotalMs         float64 `json:"totalMs"`
-	Appends         int     `json:"appends"`
-	Errors          int     `json:"errors"`
-	// StreamsPerSec counts completed streams (full curve appended and
-	// scored at coverage 1) per wall-clock second; PerCore divides by
-	// GOMAXPROCS so the floor survives machine changes.
-	StreamsPerSec        float64 `json:"streamsPerSec"`
-	StreamsPerSecPerCore float64 `json:"streamsPerSecPerCore"`
-	AppendMs             struct {
-		P50  float64 `json:"p50"`
-		P99  float64 `json:"p99"`
-		Mean float64 `json:"mean"`
-		Max  float64 `json:"max"`
-	} `json:"appendMs"`
-	// StalenessMs is the age of the fit behind each piggybacked score
-	// event at the moment it was produced (0 = refit on this append).
-	StalenessMs struct {
-		P50 float64 `json:"p50"`
-		P99 float64 `json:"p99"`
-		Max float64 `json:"max"`
-	} `json:"stalenessMs"`
-	// BitwiseMatch: every completed stream's final score equals the
-	// synchronous batch score of the same curve on raw float64 bits.
-	BitwiseMatch bool `json:"bitwiseMatch"`
-	Gates        struct {
-		MinStreamsPerSec float64 `json:"minStreamsPerSec,omitempty"`
-	} `json:"gates"`
-	Pass bool `json:"pass"`
-}
 
 // streamPoints converts one fitted sample into append points.
 func streamPoints(s fda.Sample) []stream.Point {
@@ -77,20 +35,14 @@ func streamPoints(s fda.Sample) []stream.Point {
 	return pts
 }
 
-func runStreams(o loadOptions) error {
-	if o.selfFleet <= 0 {
-		return errors.New("-streams needs -self N (the benchmark measures the hermetic fleet)")
-	}
-	if o.streamChunk <= 0 || o.concurrency <= 0 {
-		return errors.New("-stream-chunk and -concurrency must be positive")
-	}
-	if o.out == "BENCH_serve.json" {
-		o.out = "BENCH_streaming.json"
+func runStreams(o loadOptions) (*report, error) {
+	if o.streamChunk <= 0 {
+		return nil, errors.New("-stream-chunk must be positive")
 	}
 	fleet, err := bootSelfFleet(o.selfFleet, o.model,
 		serve.PoolOptions{QueueCap: 256}, 200*time.Millisecond)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	c := client.New(client.Options{BaseURL: fleet.base})
 	ctx := context.Background()
@@ -100,136 +52,82 @@ func runStreams(o loadOptions) error {
 	for i, s := range fleet.d.Samples {
 		res, err := c.Score(ctx, o.model, fda.Dataset{Samples: []fda.Sample{s}}, 0)
 		if err != nil {
-			return fmt.Errorf("reference score: %w", err)
+			return nil, fmt.Errorf("reference score: %w", err)
 		}
 		ref[i] = res.Scores[0]
 	}
 
-	workers := o.concurrency
-	if workers > o.streams {
-		workers = o.streams
-	}
-	rep := streamingReport{
-		Fleet: o.selfFleet, Model: o.model, Streams: o.streams,
-		PointsPerStream: len(fleet.d.Samples[0].Times),
-		Chunk:           o.streamChunk, Workers: workers, BitwiseMatch: true,
-	}
-	rep.Gates.MinStreamsPerSec = o.streamsMinRate
-
 	var (
 		mu          sync.Mutex
 		appendMs    []float64
-		stalenessMs []float64
-		errCount    int
+		stalenessMs []float64 // age of the fit behind each piggybacked score
 		mismatches  int
 	)
-	ids := make(chan int)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//mfodlint:allow poolmisuse benchmark worker: bounded by -concurrency and joined before the report is written
-		go func() {
-			defer wg.Done()
-			for i := range ids {
-				curve := i % len(fleet.d.Samples)
-				pts := streamPoints(fleet.d.Samples[curve])
-				id := fmt.Sprintf("bench-%d", i)
-				var lats, stals []float64
-				failed := false
-				var last *stream.AppendResult
-				for at := 0; at < len(pts) && !failed; at += o.streamChunk {
-					end := at + o.streamChunk
-					if end > len(pts) {
-						end = len(pts)
-					}
-					t0 := time.Now()
-					res, err := c.StreamAppend(ctx, id, o.model, pts[at:end], true)
-					if err != nil {
-						failed = true
-						break
-					}
-					lats = append(lats, float64(time.Since(t0).Microseconds())/1000)
-					if res.Score != nil {
-						stals = append(stals, float64(res.Score.StalenessMs))
-					}
-					last = res
-				}
-				ok := !failed && last != nil && last.Score != nil &&
-					last.Score.Coverage == 1 //mfodlint:allow floateq coverage is the grid-count ratio (covered/total), exactly 1.0 when the whole domain is observed; the gate demands full coverage, not near-full
-				match := ok && math.Float64bits(last.Score.Score) == math.Float64bits(ref[curve])
-				c.StreamDelete(ctx, id)
-				mu.Lock()
-				appendMs = append(appendMs, lats...)
-				stalenessMs = append(stalenessMs, stals...)
-				if !ok {
-					errCount++
-				} else if !match {
-					mismatches++
-				}
-				mu.Unlock()
+	// One stream from first append to delete; the final score, at full
+	// coverage, must equal the batch score of the same curve bitwise.
+	completeStream := func(i int) outcome {
+		curve := i % len(fleet.d.Samples)
+		pts := streamPoints(fleet.d.Samples[curve])
+		id := fmt.Sprintf("bench-%d", i)
+		defer c.StreamDelete(ctx, id)
+		var lats, stals []float64
+		var last *stream.AppendResult
+		for at := 0; at < len(pts); at += o.streamChunk {
+			t0 := time.Now()
+			res, err := c.StreamAppend(ctx, id, o.model, pts[at:min(at+o.streamChunk, len(pts))], true)
+			if err != nil {
+				return failed
 			}
-		}()
-	}
-	for i := 0; i < o.streams; i++ {
-		ids <- i
-	}
-	close(ids)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	completed := o.streams - errCount
-	rep.TotalMs = float64(elapsed.Microseconds()) / 1000
-	rep.Appends = len(appendMs)
-	rep.Errors = errCount
-	rep.BitwiseMatch = mismatches == 0
-	rep.StreamsPerSec = float64(completed) / elapsed.Seconds()
-	rep.StreamsPerSecPerCore = rep.StreamsPerSec / float64(runtime.GOMAXPROCS(0))
-	sort.Float64s(appendMs)
-	rep.AppendMs.P50 = percentile(appendMs, 0.50)
-	rep.AppendMs.P99 = percentile(appendMs, 0.99)
-	for _, v := range appendMs {
-		rep.AppendMs.Mean += v
-	}
-	if len(appendMs) > 0 {
-		rep.AppendMs.Mean /= float64(len(appendMs))
-		rep.AppendMs.Max = appendMs[len(appendMs)-1]
-	}
-	sort.Float64s(stalenessMs)
-	rep.StalenessMs.P50 = percentile(stalenessMs, 0.50)
-	rep.StalenessMs.P99 = percentile(stalenessMs, 0.99)
-	if len(stalenessMs) > 0 {
-		rep.StalenessMs.Max = stalenessMs[len(stalenessMs)-1]
-	}
-	rep.Pass = rep.Errors == 0 && rep.BitwiseMatch &&
-		(o.streamsMinRate <= 0 || rep.StreamsPerSec >= o.streamsMinRate)
-
-	var w io.Writer = os.Stdout
-	if o.out != "-" {
-		f, err := os.Create(o.out)
-		if err != nil {
-			return err
+			lats = append(lats, ms(time.Since(t0)))
+			if res.Score != nil {
+				stals = append(stals, float64(res.Score.StalenessMs))
+			}
+			last = res
 		}
-		defer f.Close()
-		w = f
+		mu.Lock()
+		defer mu.Unlock()
+		appendMs = append(appendMs, lats...)
+		stalenessMs = append(stalenessMs, stals...)
+		if last == nil || last.Score == nil ||
+			last.Score.Coverage != 1 { //mfodlint:allow floateq coverage is the grid-count ratio (covered/total), exactly 1.0 when the whole domain is observed; the gate demands full coverage, not near-full
+			return failed
+		}
+		if math.Float64bits(last.Score.Score) != math.Float64bits(ref[curve]) {
+			mismatches++
+		}
+		return served
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
+
+	paceCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	s := pace(paceCtx, "streams", o.rps, o.concurrency, func(i int) {
+		if i == o.streams-1 {
+			stop() // the last stream: pace sends it, then ends
+		}
+	}, completeStream)
+
+	streamsPerSec := float64(s.OK) / s.ElapsedS
+	rep := &report{Mode: "streaming", Target: fleet.base, Fleet: o.selfFleet, Model: o.model,
+		Codec:     "json", // appends have no wire encoding
+		Scenarios: []scenario{s},
+		Totals: map[string]any{
+			"streams":         o.streams,
+			"pointsPerStream": len(fleet.d.Samples[0].Times),
+			"chunk":           o.streamChunk,
+			"appends":         len(appendMs),
+			// Completed streams (full curve appended and scored at
+			// coverage 1) per second; per core divides by GOMAXPROCS so
+			// the floor survives machine changes.
+			"streamsPerSec":        streamsPerSec,
+			"streamsPerSecPerCore": streamsPerSec / float64(runtime.GOMAXPROCS(0)),
+			"appendMs":             summarize(appendMs),
+			"stalenessMs":          summarize(stalenessMs),
+			"bitwiseMatch":         mismatches == 0,
+		},
 	}
-	fmt.Fprintf(os.Stderr,
-		"mfodload: %d streams (%d errors), %.1f streams/sec (%.2f per core), append p50=%.2fms p99=%.2fms, staleness p99=%.0fms, bitwise=%v\n",
-		o.streams, rep.Errors, rep.StreamsPerSec, rep.StreamsPerSecPerCore,
-		rep.AppendMs.P50, rep.AppendMs.P99, rep.StalenessMs.P99, rep.BitwiseMatch)
-	switch {
-	case rep.Errors > 0:
-		return fmt.Errorf("%d/%d streams failed", rep.Errors, o.streams)
-	case !rep.BitwiseMatch:
-		return fmt.Errorf("%d streams finished off the batch score", mismatches)
-	case !rep.Pass:
-		return fmt.Errorf("streams/sec %.1f below the -streams-min-rate floor %.1f",
-			rep.StreamsPerSec, o.streamsMinRate)
-	}
-	return nil
+	rep.failIf(s.Errors > 0, "%d/%d streams failed", s.Errors, s.Requests)
+	rep.failIf(mismatches > 0, "%d streams finished off the batch score", mismatches)
+	rep.failIf(o.streamsMinRate > 0 && streamsPerSec < o.streamsMinRate,
+		"streams/sec %.1f below the -streams-min-rate floor %.1f", streamsPerSec, o.streamsMinRate)
+	return rep, nil
 }

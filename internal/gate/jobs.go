@@ -2,12 +2,10 @@ package gate
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/httpapi"
@@ -25,8 +23,7 @@ import (
 //
 // Each attempt asks the replica for the binary partial-scores frame
 // (Accept: application/x-mfod-scores) so float64 scores round-trip
-// bitwise-exactly; a JSON scores response remains acceptable from
-// older replicas. Requests ride the per-replica resilience client, so
+// bitwise-exactly. Requests ride the per-replica resilience client, so
 // chunk legs inherit the same breaker, retry and deadline-budget
 // behaviour as interactive traffic. A failed candidate falls through to
 // the next replica in ring order; errors that survive both candidates
@@ -81,34 +78,21 @@ func decodeChunkResponse(resp *http.Response, c jobs.Chunk) ([]float64, error) {
 		}
 		return nil, err
 	}
-	ct, _, _ := strings.Cut(resp.Header.Get("Content-Type"), ";")
-	if strings.TrimSpace(ct) == wire.ScoresContentType {
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		frame, err := wire.DecodeScores(raw)
-		if err != nil {
-			return nil, err
-		}
-		// A frame for the wrong offset or size means the replica answered
-		// some other request — treat it as transient and re-ask.
-		if frame.Start != c.Start || len(frame.Values) != want {
-			return nil, fmt.Errorf("gate: scores frame start=%d n=%d, want start=%d n=%d",
-				frame.Start, len(frame.Values), c.Start, want)
-		}
-		return frame.Values, nil
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
 	}
-	var out struct {
-		Scores []float64 `json:"scores"`
+	frame, err := wire.DecodeScores(raw)
+	if err != nil {
+		return nil, err
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("gate: decode chunk response: %w", err)
+	// A frame for the wrong offset or size means the replica answered
+	// some other request — treat it as transient and re-ask.
+	if frame.Start != c.Start || len(frame.Values) != want {
+		return nil, fmt.Errorf("gate: scores frame start=%d n=%d, want start=%d n=%d",
+			frame.Start, len(frame.Values), c.Start, want)
 	}
-	if len(out.Scores) != want {
-		return nil, fmt.Errorf("gate: %d scores for %d samples", len(out.Scores), want)
-	}
-	return out.Scores, nil
+	return frame.Values, nil
 }
 
 // defaultJobOptions are the gate-side bulk-scoring defaults: chunks

@@ -173,12 +173,12 @@ func (t *Table) changed() bool {
 }
 
 // Watch polls the topology file every interval and hot-reloads it on
-// change until stop is closed. Reload failures (mid-write truncation,
-// validation errors) are reported to onErr — may be nil — and the
-// previous fleet keeps serving; the next tick retries. Watch only
-// touches Table fields behind the atomic snapshot, so it is safe next
-// to concurrent routing.
-func (t *Table) Watch(interval time.Duration, stop <-chan struct{}, onErr func(error)) {
+// change until stop is closed. Every hot reload's outcome is reported to
+// onReload — may be nil — with a nil error on success. On a failure
+// (mid-write truncation, validation errors) the previous fleet keeps
+// serving and the next tick retries. Watch only touches Table fields
+// behind the atomic snapshot, so it is safe next to concurrent routing.
+func (t *Table) Watch(interval time.Duration, stop <-chan struct{}, onReload func(error)) {
 	if interval <= 0 {
 		interval = time.Second
 	}
@@ -194,8 +194,8 @@ func (t *Table) Watch(interval time.Duration, stop <-chan struct{}, onErr func(e
 				if !t.changed() {
 					continue
 				}
-				if err := t.Reload(); err != nil && onErr != nil {
-					onErr(err)
+				if err := t.Reload(); onReload != nil {
+					onReload(err)
 				}
 			}
 		}

@@ -138,6 +138,9 @@ func TestWatchReportsReloadErrors(t *testing.T) {
 	stop := make(chan struct{})
 	defer close(stop)
 	table.Watch(5*time.Millisecond, stop, func(e error) {
+		if e == nil {
+			return
+		}
 		select {
 		case errc <- e:
 		default:

@@ -45,13 +45,14 @@ type Metrics struct {
 	reqBytes metrics.Histogram
 	// Micro-batch accounting: how many worker wake-ups and how many jobs
 	// they carried; sum/count is the mean batch size.
-	batches  metrics.Summary
-	reloads  metrics.Counter
-	panics   metrics.Counter
-	shed     metrics.Counter
-	evicted  metrics.Counter
-	wasted   metrics.Counter
-	inflight atomic.Int64
+	batches   metrics.Summary
+	reloads   metrics.Counter
+	panics    metrics.Counter
+	shed      metrics.Counter
+	evicted   metrics.Counter
+	wasted    metrics.Counter
+	cancelled metrics.Counter
+	inflight  atomic.Int64
 }
 
 // NewMetrics returns an empty metrics registry.
@@ -67,7 +68,9 @@ func NewMetrics() *Metrics {
 		panics:   r.Counter("mfod_panics_total", "Scoring panics recovered by the worker pool."),
 		shed:     r.Counter("mfod_shed_total", "Requests rejected by the adaptive concurrency limiter."),
 		evicted:  r.Counter("mfod_evicted_total", "Queued jobs dropped because their deadline passed before scoring."),
-		wasted:   r.Counter("mfod_wasted_total", "Jobs scored to completion after their waiter had given up."),
+		wasted:   r.Counter("mfod_wasted_total", "Jobs scored to completion after their deadline had passed."),
+		cancelled: r.Counter("mfod_cancelled_total",
+			"Jobs scored to completion after their caller cancelled them before the deadline."),
 	}
 	r.GaugeFunc("mfod_inflight_requests", "Requests currently being handled.", func() int { return int(m.inflight.Load()) })
 	return m
@@ -141,11 +144,19 @@ func (m *Metrics) IncEvicted() {
 	}
 }
 
-// IncWasted counts one job scored to completion after its waiter had
-// already given up.
+// IncWasted counts one job scored to completion after its deadline had
+// passed.
 func (m *Metrics) IncWasted() {
 	if m != nil {
 		m.wasted.Inc()
+	}
+}
+
+// IncCancelled counts one job scored to completion after its caller
+// cancelled it before the deadline.
+func (m *Metrics) IncCancelled() {
+	if m != nil {
+		m.cancelled.Inc()
 	}
 }
 

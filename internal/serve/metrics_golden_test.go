@@ -93,6 +93,8 @@ func TestMetricsGoldenPage(t *testing.T) {
 	m.IncWasted()
 	m.IncWasted()
 	m.IncWasted()
+	m.IncCancelled()
+	m.IncCancelled()
 	m.RegisterQueueDepth(func() int { return 7 })
 	m.RegisterConcurrencyLimit(func() int { return 24 })
 	m.RegisterStreams(

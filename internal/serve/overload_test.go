@@ -243,3 +243,41 @@ func TestPoolCountsWastedWork(t *testing.T) {
 		t.Fatalf("Wasted = %d, want 1 (scored after abandonment)", got)
 	}
 }
+
+// A caller that cancels mid-score, long before its deadline — a hedge
+// loser, a client that disconnected — is cancelled work, never wasted.
+func TestPoolCountsCancelledWorkApartFromWasted(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	m, ds := newTestModel(t, 45)
+	p := NewPool(PoolOptions{Workers: 1})
+	defer p.Close()
+	faultinject.Arm(core.FaultScore, faultinject.Fault{Delay: 150 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := p.Enqueue(ctx, m, ds.Subset([]int{0, 1}), 0); err != nil {
+		t.Fatal(err)
+	}
+	// The fault counts its firing before it sleeps: once it has fired,
+	// the worker is inside the scoring call, past every liveness check.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, fired := faultinject.Hits(core.FaultScore); fired > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("scoring never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	for p.Cancelled() == 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := p.Cancelled(); got != 1 {
+		t.Fatalf("Cancelled = %d, want 1 (caller gave up before the deadline)", got)
+	}
+	if got := p.Wasted(); got != 0 {
+		t.Fatalf("Wasted = %d, want 0: the job finished long before its deadline", got)
+	}
+}

@@ -111,10 +111,13 @@ type Pool struct {
 
 	// Deadline accounting: evicted counts jobs whose context was already
 	// dead when a worker picked them up (no scoring spent); wasted counts
-	// jobs scored to completion after their waiter had given up — the
-	// signal the SLO harness gates on.
-	evicted atomic.Uint64
-	wasted  atomic.Uint64
+	// jobs scored to completion at or after their own deadline — the
+	// signal the SLO harness gates on; cancelled counts jobs scored for a
+	// caller that cancelled before that deadline (a hedge loser, a
+	// disconnect).
+	evicted   atomic.Uint64
+	wasted    atomic.Uint64
+	cancelled atomic.Uint64
 
 	// Drain-rate EWMA (jobs/second across all workers), feeding the
 	// Retry-After computation for 429 responses.
@@ -160,9 +163,14 @@ func (p *Pool) QueueDepth() int { return len(p.queue) }
 // deadline had already passed when a worker reached them.
 func (p *Pool) Evicted() uint64 { return p.evicted.Load() }
 
-// Wasted returns how many jobs were scored to completion after their
-// waiter had already given up — upstream work nobody read.
+// Wasted returns how many jobs were scored to completion at or after
+// their deadline — work the deadline machinery should have dropped.
 func (p *Pool) Wasted() uint64 { return p.wasted.Load() }
+
+// Cancelled returns how many jobs were scored to completion after their
+// caller cancelled them before the deadline: a hedge loser, or a client
+// that disconnected.
+func (p *Pool) Cancelled() uint64 { return p.cancelled.Load() }
 
 // RetryAfter estimates, in whole seconds, how long a rejected caller
 // should wait before the queue has drained: current depth (plus the
@@ -314,12 +322,18 @@ func (p *Pool) evict(j *Job) {
 }
 
 // deliver hands a result to the job's waiter, counting completed work
-// whose waiter has already abandoned it — the wasted-work signal the
-// SLO harness gates to zero.
+// whose waiter has already abandoned it: as wasted when the job finished
+// at or after its deadline — the signal the SLO harness gates to zero —
+// and as cancelled when the caller gave up before that deadline.
 func (p *Pool) deliver(j *Job, res JobResult) {
 	if res.Err == nil && j.ctx.Err() != nil {
-		p.wasted.Add(1)
-		p.metrics.IncWasted()
+		if deadline, ok := j.ctx.Deadline(); ok && !time.Now().Before(deadline) {
+			p.wasted.Add(1)
+			p.metrics.IncWasted()
+		} else {
+			p.cancelled.Add(1)
+			p.metrics.IncCancelled()
+		}
 	}
 	j.done <- res
 }
