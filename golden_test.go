@@ -63,18 +63,21 @@ func goldenScores(t *testing.T) map[string][]float64 {
 	if err != nil {
 		t.Fatalf("grid values: %v", err)
 	}
-	for _, s := range []core.FunctionalScorer{
-		depth.NewFUNTA(grid),
-		depth.NewDirOut(depth.ProjectionOptions{Directions: 50, Seed: 1}),
+	for _, c := range []struct {
+		name string
+		s    core.FunctionalScorer
+	}{
+		{"FUNTA", depth.NewFUNTA(grid)},
+		{"Dir.out", depth.NewDirOut(depth.ProjectionOptions{Directions: 50, Seed: 1})},
 	} {
-		if err := s.Fit(vals); err != nil {
-			t.Fatalf("%s fit: %v", s.Name(), err)
+		if err := c.s.Fit(vals); err != nil {
+			t.Fatalf("%s fit: %v", c.name, err)
 		}
-		scores, err := s.ScoreBatch(vals)
+		scores, err := c.s.ScoreBatch(vals)
 		if err != nil {
-			t.Fatalf("%s score: %v", s.Name(), err)
+			t.Fatalf("%s score: %v", c.name, err)
 		}
-		out[s.Name()] = scores
+		out[c.name] = scores
 	}
 	return out
 }

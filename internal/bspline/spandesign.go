@@ -62,9 +62,6 @@ func NewSpanDesign(b *BSpline, ts []float64, deriv int) *SpanDesign {
 	return d
 }
 
-// Len returns the number of design rows (grid points).
-func (d *SpanDesign) Len() int { return len(d.start) }
-
 // Dot returns the dot product of design row j with coef, the fitted
 // value Σ_l coef_l · D^deriv φ_l(ts[j]) of Eq. 2.
 func (d *SpanDesign) Dot(j int, coef []float64) float64 {

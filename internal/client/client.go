@@ -45,9 +45,7 @@ type Options struct {
 	// Codec picks the request encoding: "wire" (default — the compact
 	// binary frame) or "json".
 	Codec string
-	// HTTP is the transport; nil means a client with Timeout.
-	HTTP *http.Client
-	// Timeout bounds one HTTP attempt when HTTP is nil; 0 means 30s.
+	// Timeout bounds one HTTP attempt; 0 means 30s.
 	Timeout time.Duration
 	// Attempts is the total tries per request including the first;
 	// 0 means 4.
@@ -59,11 +57,6 @@ type Options struct {
 	BreakerThreshold int
 	// BreakerCooldown is the open-circuit probe interval; 0 means 1s.
 	BreakerCooldown time.Duration
-	// Deadline, when positive, attaches a fresh per-call budget to every
-	// synchronous Score so retries stop — and the server sheds work —
-	// once the caller would have walked away. Propagated downstream via
-	// the deadline header.
-	Deadline time.Duration
 	// Seed makes retry jitter reproducible; 0 means 1.
 	Seed int64
 }
@@ -93,10 +86,7 @@ func New(opt Options) *Client {
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
-	httpc := opt.HTTP
-	if httpc == nil {
-		httpc = &http.Client{Timeout: opt.Timeout}
-	}
+	httpc := &http.Client{Timeout: opt.Timeout}
 	c := &Client{
 		opt:  opt,
 		base: strings.TrimSuffix(opt.BaseURL, "/"),
@@ -157,15 +147,6 @@ func apiError(resp *http.Response) error {
 	return httpapi.ParseError(resp.StatusCode, raw)
 }
 
-// withBudget attaches the per-call deadline budget when configured.
-func (c *Client) withBudget(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.opt.Deadline <= 0 {
-		return ctx, func() {}
-	}
-	ctx, cancel := context.WithTimeout(ctx, c.opt.Deadline)
-	return resilience.WithBudget(ctx, resilience.NewBudget(c.opt.Deadline)), cancel
-}
-
 // Score scores ds against model synchronously via POST /v1/score.
 // Transient failures (connection errors, 429, 5xx) are retried under
 // backoff and the breaker; a definitive rejection comes back as
@@ -175,9 +156,7 @@ func (c *Client) Score(ctx context.Context, model string, ds fda.Dataset, explai
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := c.withBudget(ctx)
-	defer cancel()
-	resp, err := c.rc.Post(ctx, c.base+"/v1/score?model="+url.QueryEscape(model), contentType, body)
+	resp, err := c.rc.Do(ctx, http.MethodPost, c.base+"/v1/score?model="+url.QueryEscape(model), contentType, "", body)
 	if err != nil {
 		return nil, fmt.Errorf("client: score: %w", err)
 	}
@@ -204,7 +183,6 @@ type Job struct {
 	Samples int
 	Chunk   int
 
-	statusURL  string
 	resultsURL string
 }
 
@@ -219,7 +197,7 @@ func (c *Client) SubmitJob(ctx context.Context, model string, ds fda.Dataset, ch
 	if chunk > 0 {
 		u += "&chunk=" + strconv.Itoa(chunk)
 	}
-	resp, err := c.rc.Post(ctx, u, contentType, body)
+	resp, err := c.rc.Do(ctx, http.MethodPost, u, contentType, "", body)
 	if err != nil {
 		return nil, fmt.Errorf("client: submit job: %w", err)
 	}
@@ -231,7 +209,6 @@ func (c *Client) SubmitJob(ctx context.Context, model string, ds fda.Dataset, ch
 		Job        string `json:"job"`
 		Samples    int    `json:"samples"`
 		Chunk      int    `json:"chunk"`
-		StatusURL  string `json:"statusUrl"`
 		ResultsURL string `json:"resultsUrl"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
@@ -242,40 +219,8 @@ func (c *Client) SubmitJob(ctx context.Context, model string, ds fda.Dataset, ch
 	}
 	return &Job{
 		c: c, ID: out.Job, Samples: out.Samples, Chunk: out.Chunk,
-		statusURL: out.StatusURL, resultsURL: out.ResultsURL,
+		resultsURL: out.ResultsURL,
 	}, nil
-}
-
-// Status polls the job snapshot.
-func (j *Job) Status(ctx context.Context) (*jobs.Status, error) {
-	resp, err := j.c.rc.Do(ctx, http.MethodGet, j.c.base+j.statusURL, "", nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: job status: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	var st jobs.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("client: decode job status: %w", err)
-	}
-	return &st, nil
-}
-
-// Cancel asks the server to cancel the job; already-finished chunks
-// keep their scores.
-func (j *Job) Cancel(ctx context.Context) error {
-	resp, err := j.c.rc.Do(ctx, http.MethodDelete, j.c.base+j.statusURL, "", nil)
-	if err != nil {
-		return fmt.Errorf("client: cancel job: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	return nil
 }
 
 // streamAttempts bounds consecutive results-stream reconnects that make

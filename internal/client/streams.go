@@ -1,13 +1,11 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
-	"strings"
 
 	"repro/internal/stream"
 )
@@ -40,7 +38,7 @@ func (c *Client) StreamAppend(ctx context.Context, id, model string, pts []strea
 	if withScore {
 		u += "?score=1"
 	}
-	resp, err := c.rc.Post(ctx, u, "application/json", body)
+	resp, err := c.rc.Do(ctx, http.MethodPost, u, "application/json", "", body)
 	if err != nil {
 		return nil, fmt.Errorf("client: stream append: %w", err)
 	}
@@ -55,67 +53,9 @@ func (c *Client) StreamAppend(ctx context.Context, id, model string, pts []strea
 	return &out, nil
 }
 
-// StreamScore fetches the stream's current early-warning score event,
-// refitting over whatever sub-domain has been observed so far.
-func (c *Client) StreamScore(ctx context.Context, id string) (*stream.ScoreEvent, error) {
-	resp, err := c.rc.Do(ctx, http.MethodGet, c.streamURL(id, "/score"), "", nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: stream score: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	var ev stream.ScoreEvent
-	if err := json.NewDecoder(resp.Body).Decode(&ev); err != nil {
-		return nil, fmt.Errorf("client: decode score event: %w", err)
-	}
-	return &ev, nil
-}
-
-// StreamWatch follows the stream's NDJSON score events, invoking fn for
-// each one until the terminal final event (returned), fn's first error,
-// or ctx cancellation. The terminal event is not passed to fn.
-func (c *Client) StreamWatch(ctx context.Context, id string, fn func(stream.ScoreEvent) error) (*stream.ScoreEvent, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.streamURL(id, "/score?watch=1"), nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: stream watch: %w", err)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: stream watch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(strings.TrimSpace(string(line))) == 0 {
-			continue
-		}
-		ev, err := stream.ParseScoreEvent(line)
-		if err != nil {
-			return nil, err
-		}
-		if ev.Final {
-			return &ev, nil
-		}
-		if err := fn(ev); err != nil {
-			return nil, err
-		}
-	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return nil, fmt.Errorf("client: watch dropped: %w", err)
-	}
-	return nil, ctx.Err()
-}
-
 // StreamDelete closes and forgets the stream.
 func (c *Client) StreamDelete(ctx context.Context, id string) error {
-	resp, err := c.rc.Do(ctx, http.MethodDelete, c.streamURL(id, ""), "", nil)
+	resp, err := c.rc.Do(ctx, http.MethodDelete, c.streamURL(id, ""), "", "", nil)
 	if err != nil {
 		return fmt.Errorf("client: stream delete: %w", err)
 	}

@@ -66,9 +66,8 @@ func curvePoints(s fda.Sample, from, to int) []stream.Point {
 
 // TestStreamClientRoundTrip drives a stream to completion through the
 // client: appends widen the early-warning window, the completed stream
-// scores bitwise equal to the batch path, the watch sees every append
-// and ends with the terminal event on delete, and a deleted stream
-// answers the not_found envelope.
+// scores bitwise equal to the batch path, and a deleted stream answers
+// the not_found envelope.
 func TestStreamClientRoundTrip(t *testing.T) {
 	ts, p, d := streamBackend(t)
 	c := New(Options{BaseURL: ts.URL})
@@ -80,7 +79,6 @@ func TestStreamClientRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Watch in the background from the first append on.
 	first, err := c.StreamAppend(ctx, "rt", "ecg", curvePoints(s, 0, 5), true)
 	if err != nil {
 		t.Fatal(err)
@@ -88,33 +86,7 @@ func TestStreamClientRoundTrip(t *testing.T) {
 	if first.Score == nil || first.Points != 5 {
 		t.Fatalf("first append: %+v", first)
 	}
-	type watchOut struct {
-		events []stream.ScoreEvent
-		final  *stream.ScoreEvent
-		err    error
-	}
-	watched := make(chan watchOut, 1)
-	// The watch answers its first event as soon as it subscribes; wait
-	// for it, or the delete below can land before the watch connects.
-	subscribed := make(chan struct{})
-	go func() {
-		var out watchOut
-		out.final, out.err = c.StreamWatch(ctx, "rt", func(ev stream.ScoreEvent) error {
-			if len(out.events) == 0 {
-				close(subscribed)
-			}
-			out.events = append(out.events, ev)
-			return nil
-		})
-		watched <- out
-	}()
-	select {
-	case <-subscribed:
-	case out := <-watched:
-		t.Fatalf("watch ended before its first event: %+v", out)
-	}
-
-	lastTo := first.Score.GridTo
+	last := first.Score
 	for at := 5; at < n; at += 5 {
 		end := at + 5
 		if end > n {
@@ -124,41 +96,21 @@ func TestStreamClientRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Score.GridTo < lastTo {
-			t.Fatalf("observed sub-domain shrank: %d -> %d", lastTo, res.Score.GridTo)
+		if res.Score.GridTo < last.GridTo {
+			t.Fatalf("observed sub-domain shrank: %d -> %d", last.GridTo, res.Score.GridTo)
 		}
-		lastTo = res.Score.GridTo
+		last = res.Score
 	}
-	ev, err := c.StreamScore(ctx, "rt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Coverage != 1 || math.Float64bits(ev.Score) != math.Float64bits(want) {
-		t.Fatalf("completed stream event %+v, want batch score %v", ev, want)
+	if last.Coverage != 1 || math.Float64bits(last.Score) != math.Float64bits(want) {
+		t.Fatalf("completed stream event %+v, want batch score %v", last, want)
 	}
 
 	if err := c.StreamDelete(ctx, "rt"); err != nil {
 		t.Fatal(err)
 	}
-	out := <-watched
-	if out.err != nil {
-		t.Fatalf("watch: %v", out.err)
-	}
-	if out.final == nil || !out.final.Final {
-		t.Fatalf("watch must end with the terminal event, got %+v", out.final)
-	}
-	if len(out.events) == 0 {
-		t.Fatal("watch saw no events before the terminal one")
-	}
-	for i := 1; i < len(out.events); i++ {
-		if out.events[i].GridTo < out.events[i-1].GridTo {
-			t.Fatalf("watch event %d narrowed the window: %+v", i, out.events[i])
-		}
-	}
-
-	_, err = c.StreamScore(ctx, "rt")
+	err = c.StreamDelete(ctx, "rt")
 	var ae *httpapi.APIError
 	if !errors.As(err, &ae) || ae.Code != httpapi.CodeNotFound {
-		t.Fatalf("score after delete = %v, want not_found envelope", err)
+		t.Fatalf("delete after delete = %v, want not_found envelope", err)
 	}
 }

@@ -38,16 +38,6 @@ func (e *Ensemble) Fit(trainSets []fda.Dataset) error {
 	return nil
 }
 
-// FitShared trains every member on the same training set (the plain
-// model-averaging variant).
-func (e *Ensemble) FitShared(train fda.Dataset) error {
-	sets := make([]fda.Dataset, len(e.Members))
-	for i := range sets {
-		sets[i] = train
-	}
-	return e.Fit(sets)
-}
-
 // Score returns the ensemble score of each test sample (the mean of the
 // members' rank-normalised scores) along with the per-member normalised
 // scores (members × samples) for composition analysis.
@@ -74,17 +64,4 @@ func (e *Ensemble) Score(test fda.Dataset) (combined []float64, perMember [][]fl
 		combined[j] /= float64(len(e.Members))
 	}
 	return combined, perMember, nil
-}
-
-// Attribution returns, for one test sample index, each member's
-// rank-normalised score — the "outlyingness composition" of Sec. 5.
-func (e *Ensemble) Attribution(perMember [][]float64, sample int) ([]float64, error) {
-	if sample < 0 || len(perMember) == 0 || sample >= len(perMember[0]) {
-		return nil, fmt.Errorf("core: attribution sample %d out of range: %w", sample, ErrPipeline)
-	}
-	out := make([]float64, len(perMember))
-	for i, scores := range perMember {
-		out[i] = scores[sample]
-	}
-	return out, nil
 }

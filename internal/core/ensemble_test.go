@@ -26,7 +26,7 @@ func TestEnsembleFitValidation(t *testing.T) {
 func TestEnsembleSharedTraining(t *testing.T) {
 	d := smallECG(t, 50, 10)
 	e := &Ensemble{Members: []*Pipeline{quickPipeline(1), quickPipeline(2)}}
-	if err := e.FitShared(d); err != nil {
+	if err := e.Fit([]fda.Dataset{d, d}); err != nil {
 		t.Fatal(err)
 	}
 	combined, perMember, err := e.Score(d)
@@ -78,17 +78,12 @@ func TestEnsemblePerClassTraining(t *testing.T) {
 	if len(combined) != test.Len() {
 		t.Fatal("combined length wrong")
 	}
-	attr, err := e.Attribution(perMember, 0)
-	if err != nil {
-		t.Fatal(err)
+	if len(perMember) != 2 {
+		t.Fatalf("per-member scores for %d members, want 2", len(perMember))
 	}
-	if len(attr) != 2 {
-		t.Fatalf("attribution = %v want 2 members", attr)
-	}
-	if _, err := e.Attribution(perMember, -1); !errors.Is(err, ErrPipeline) {
-		t.Fatal("negative sample index must fail")
-	}
-	if _, err := e.Attribution(perMember, test.Len()); !errors.Is(err, ErrPipeline) {
-		t.Fatal("out-of-range sample index must fail")
+	for i, scores := range perMember {
+		if len(scores) != test.Len() {
+			t.Fatalf("member %d scored %d samples, want %d", i, len(scores), test.Len())
+		}
 	}
 }

@@ -11,8 +11,6 @@ import (
 // (internal/depth): they consume MFD samples discretised on a common grid
 // as p×m matrices, unlike Detector which consumes flat feature vectors.
 type FunctionalScorer interface {
-	// Name identifies the baseline in reports.
-	Name() string
 	// Fit builds the reference from training samples (n × p × m).
 	Fit(train [][][]float64) error
 	// ScoreBatch returns one outlyingness score per sample.

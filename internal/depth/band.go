@@ -24,9 +24,6 @@ type BandDepth struct {
 // NewBandDepth returns an unfitted band-depth scorer.
 func NewBandDepth() *BandDepth { return &BandDepth{} }
 
-// Name identifies the baseline in reports.
-func (b *BandDepth) Name() string { return "MBD" }
-
 // Fit memorises the reference curves.
 func (b *BandDepth) Fit(train [][][]float64) error {
 	if len(train) < 2 {
@@ -118,9 +115,6 @@ type FraimanMuniz struct {
 
 // NewFraimanMuniz returns an unfitted Fraiman–Muniz scorer.
 func NewFraimanMuniz() *FraimanMuniz { return &FraimanMuniz{} }
-
-// Name identifies the baseline in reports.
-func (f *FraimanMuniz) Name() string { return "FM" }
 
 // Fit memorises the reference curves.
 func (f *FraimanMuniz) Fit(train [][][]float64) error {

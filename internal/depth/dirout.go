@@ -29,9 +29,6 @@ type DirOut struct {
 // NewDirOut returns an unfitted Dir.out scorer.
 func NewDirOut(opt ProjectionOptions) *DirOut { return &DirOut{opt: opt} }
 
-// Name identifies the baseline in reports.
-func (d *DirOut) Name() string { return "Dir.out" }
-
 // Fit builds the pointwise robust references from the training samples
 // (n × p × m, all on one grid).
 func (d *DirOut) Fit(train [][][]float64) error {

@@ -27,9 +27,6 @@ type FUNTA struct {
 // case a unit-spaced grid is assumed.
 func NewFUNTA(times []float64) *FUNTA { return &FUNTA{times: times} }
 
-// Name identifies the baseline in reports.
-func (f *FUNTA) Name() string { return "FUNTA" }
-
 // Fit memorises the reference curves.
 func (f *FUNTA) Fit(train [][][]float64) error {
 	if len(train) == 0 {

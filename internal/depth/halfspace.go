@@ -27,9 +27,6 @@ type MFHD struct {
 // scorer.
 func NewMFHD(opt ProjectionOptions) *MFHD { return &MFHD{opt: opt} }
 
-// Name identifies the baseline in reports.
-func (h *MFHD) Name() string { return "MFHD" }
-
 // Fit precomputes sorted projections of the training cloud for every
 // (grid point, direction) pair.
 func (h *MFHD) Fit(train [][][]float64) error {

@@ -50,9 +50,6 @@ func NewIntegratedDepth(agg Aggregation, opt ProjectionOptions) *IntegratedDepth
 	return &IntegratedDepth{opt: opt, agg: agg}
 }
 
-// Name identifies the baseline in reports.
-func (d *IntegratedDepth) Name() string { return "IntDepth(" + d.agg.String() + ")" }
-
 // Fit builds the pointwise references.
 func (d *IntegratedDepth) Fit(train [][][]float64) error {
 	if len(train) == 0 {

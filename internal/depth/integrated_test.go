@@ -112,8 +112,4 @@ func TestAggregationString(t *testing.T) {
 	if Aggregation(9).String() == "" {
 		t.Fatal("unknown aggregation must still stringify")
 	}
-	d := NewIntegratedDepth(Infimum, ProjectionOptions{})
-	if d.Name() != "IntDepth(infimum)" {
-		t.Fatalf("Name = %q", d.Name())
-	}
 }

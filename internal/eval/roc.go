@@ -65,69 +65,3 @@ func AUC(scores []float64, labels []int) (float64, error) {
 	u := rankSumPos - float64(nPos)*float64(nPos+1)/2
 	return u / (float64(nPos) * float64(nNeg)), nil
 }
-
-// ROCPoint is one operating point of the ROC curve.
-type ROCPoint struct {
-	Threshold float64
-	TPR       float64 // true-positive rate (recall on outliers)
-	FPR       float64 // false-positive rate
-}
-
-// ROC returns the full ROC curve (one point per distinct score, plus the
-// (0,0) and (1,1) endpoints), sweeping the decision threshold from high to
-// low over the outlyingness scores.
-func ROC(scores []float64, labels []int) ([]ROCPoint, error) {
-	if len(scores) != len(labels) {
-		return nil, fmt.Errorf("eval: %d scores for %d labels: %w", len(scores), len(labels), ErrEval)
-	}
-	var nPos, nNeg int
-	for _, l := range labels {
-		if l == 1 {
-			nPos++
-		} else {
-			nNeg++
-		}
-	}
-	if nPos == 0 || nNeg == 0 {
-		return nil, fmt.Errorf("eval: need both classes (pos=%d neg=%d): %w", nPos, nNeg, ErrEval)
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	out := []ROCPoint{{Threshold: math.Inf(1), TPR: 0, FPR: 0}}
-	var tp, fp int
-	for i := 0; i < len(idx); {
-		j := i
-		//mfodlint:allow floateq tie-group detection over one computed slice: ties are exact duplicates; a tolerance would merge near-ties
-		for j+1 < len(idx) && scores[idx[j+1]] == scores[idx[i]] {
-			j++
-		}
-		for k := i; k <= j; k++ {
-			if labels[idx[k]] == 1 {
-				tp++
-			} else {
-				fp++
-			}
-		}
-		out = append(out, ROCPoint{
-			Threshold: scores[idx[i]],
-			TPR:       float64(tp) / float64(nPos),
-			FPR:       float64(fp) / float64(nNeg),
-		})
-		i = j + 1
-	}
-	return out, nil
-}
-
-// AUCFromROC integrates a ROC curve with the trapezoid rule; it agrees
-// with AUC up to floating-point error and exists mainly for testing the
-// two implementations against each other.
-func AUCFromROC(curve []ROCPoint) float64 {
-	var area float64
-	for i := 1; i < len(curve); i++ {
-		area += 0.5 * (curve[i].TPR + curve[i-1].TPR) * (curve[i].FPR - curve[i-1].FPR)
-	}
-	return area
-}

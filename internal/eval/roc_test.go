@@ -101,74 +101,3 @@ func TestAUCLabelFlipProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: the rank-based AUC equals the trapezoid integral of the ROC.
-func TestAUCMatchesROCIntegralProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(50)
-		scores := make([]float64, n)
-		labels := make([]int, n)
-		labels[0], labels[1] = 0, 1
-		for i := range scores {
-			scores[i] = float64(rng.Intn(8))
-			if i > 1 {
-				labels[i] = rng.Intn(2)
-			}
-		}
-		direct, err := AUC(scores, labels)
-		if err != nil {
-			return false
-		}
-		curve, err := ROC(scores, labels)
-		if err != nil {
-			return false
-		}
-		return math.Abs(direct-AUCFromROC(curve)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestROCEndpointsAndMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n := 30
-	scores := make([]float64, n)
-	labels := make([]int, n)
-	labels[0], labels[1] = 0, 1
-	for i := range scores {
-		scores[i] = rng.NormFloat64()
-		if i > 1 {
-			labels[i] = rng.Intn(2)
-		}
-	}
-	curve, err := ROC(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, last := curve[0], curve[len(curve)-1]
-	if first.TPR != 0 || first.FPR != 0 {
-		t.Fatalf("ROC must start at (0,0), got (%g,%g)", first.FPR, first.TPR)
-	}
-	if last.TPR != 1 || last.FPR != 1 {
-		t.Fatalf("ROC must end at (1,1), got (%g,%g)", last.FPR, last.TPR)
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].TPR < curve[i-1].TPR || curve[i].FPR < curve[i-1].FPR {
-			t.Fatal("ROC must be monotone")
-		}
-		if curve[i].Threshold > curve[i-1].Threshold {
-			t.Fatal("thresholds must be non-increasing")
-		}
-	}
-}
-
-func TestROCErrors(t *testing.T) {
-	if _, err := ROC([]float64{1}, []int{1, 0}); !errors.Is(err, ErrEval) {
-		t.Fatal("length mismatch must fail")
-	}
-	if _, err := ROC([]float64{1, 2}, []int{0, 0}); !errors.Is(err, ErrEval) {
-		t.Fatal("single class must fail")
-	}
-}

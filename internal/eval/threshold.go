@@ -42,15 +42,6 @@ func (c Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// Accuracy returns the fraction of correct decisions.
-func (c Confusion) Accuracy() float64 {
-	n := c.TP + c.FP + c.TN + c.FN
-	if n == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(n)
-}
-
 // Confuse evaluates the rule "score >= threshold ⇒ outlier" against labels.
 func Confuse(scores []float64, labels []int, threshold float64) (Confusion, error) {
 	if len(scores) != len(labels) {

@@ -15,16 +15,13 @@ func TestConfusionMetrics(t *testing.T) {
 	if got := c.Recall(); got != 8.0/13 {
 		t.Fatalf("recall = %g want %g", got, 8.0/13)
 	}
-	if got := c.Accuracy(); got != 0.93 {
-		t.Fatalf("accuracy = %g want 0.93", got)
-	}
 	f1 := c.F1()
 	p, r := c.Precision(), c.Recall()
 	if f1 != 2*p*r/(p+r) {
 		t.Fatalf("F1 = %g", f1)
 	}
 	empty := Confusion{}
-	if empty.Precision() != 0 || empty.Recall() != 0 || empty.F1() != 0 || empty.Accuracy() != 0 {
+	if empty.Precision() != 0 || empty.Recall() != 0 || empty.F1() != 0 {
 		t.Fatal("empty confusion metrics must be 0")
 	}
 }

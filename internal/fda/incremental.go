@@ -105,14 +105,8 @@ func NewIncremental(p int, opt Options) (*Incremental, error) {
 	return inc, nil
 }
 
-// Dim returns the number of parameters p.
-func (inc *Incremental) Dim() int { return inc.p }
-
 // Len returns the number of distinct observed times.
 func (inc *Incremental) Len() int { return len(inc.ts) }
-
-// Domain returns the fixed basis domain.
-func (inc *Incremental) Domain() (lo, hi float64) { return inc.lo, inc.hi }
 
 // Span returns the observed sub-domain [first, last] time; ok is false
 // while the stream is empty.
@@ -126,16 +120,6 @@ func (inc *Incremental) Span() (lo, hi float64, ok bool) {
 // Rebuilds returns how many canonical Gram refactors Fit has performed —
 // the observable cost of out-of-order arrivals and window trims.
 func (inc *Incremental) Rebuilds() int { return inc.rebuilds }
-
-// Sample returns a deep copy of the accumulated observations as a batch
-// Sample, for equivalence checks and debugging.
-func (inc *Incremental) Sample() Sample {
-	s := Sample{Times: append([]float64(nil), inc.ts...), Values: make([][]float64, inc.p)}
-	for k := range s.Values {
-		s.Values[k] = append([]float64(nil), inc.ys[k]...)
-	}
-	return s
-}
 
 // CheckAppend validates an observation without applying it, so callers
 // batching several points can make the batch all-or-nothing: validate

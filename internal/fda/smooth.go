@@ -385,7 +385,6 @@ func fitWithEntry(e *fitEntry, ys []float64, lambdas []float64, crit Criterion) 
 
 // spdSolver abstracts the dense and banded Cholesky factorizations.
 type spdSolver interface {
-	Solve(b []float64) ([]float64, error)
 	SolveInto(b, x []float64) error
 }
 

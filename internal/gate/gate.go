@@ -36,9 +36,6 @@ type Config struct {
 	Health  *Health
 	Metrics *Metrics
 	Logger  *slog.Logger
-	// Client is the upstream transport shared by every replica leg; nil
-	// means http.DefaultClient.
-	Client *http.Client
 	// HedgeDelay is how long the primary replica may stay silent before
 	// the secondary leg launches; 0 means 50ms.
 	HedgeDelay time.Duration
@@ -67,8 +64,6 @@ type Config struct {
 	// JobOptions tunes the bulk-scoring manager. Runner is ignored —
 	// the gate itself scores chunks.
 	JobOptions jobs.Options
-	// JobsMaxBodyBytes caps the job submit body; 0 means 256 MiB.
-	JobsMaxBodyBytes int64
 }
 
 // Gate is the scale-out front tier: it consistent-hash-shards model
@@ -193,7 +188,6 @@ func (g *Gate) client(name string) *resilience.Client {
 		}
 	}
 	c := &resilience.Client{
-		HTTP:        g.cfg.Client,
 		MaxAttempts: g.cfg.Attempts,
 		Backoff:     &resilience.Backoff{Base: 25 * time.Millisecond, Max: 250 * time.Millisecond, Seed: 1},
 		RetryBudget: g.budget,
@@ -272,12 +266,10 @@ func (g *Gate) Handler() http.Handler {
 	mux.HandleFunc("/v1/score", httpapi.MethodNotAllowed("POST"))
 	mux.HandleFunc("POST /v1/reload", g.handleReloadV1)
 	mux.HandleFunc("/v1/reload", httpapi.MethodNotAllowed("POST"))
-	mux.HandleFunc("/v1/streams", g.handleStreams)
-	mux.HandleFunc("/v1/streams/", g.handleStreams)
+	g.registerStreams(mux)
 	if g.jobs != nil {
 		api := &jobs.API{
-			Manager:      g.jobs,
-			MaxBodyBytes: g.cfg.JobsMaxBodyBytes,
+			Manager: g.jobs,
 			// Structural invariants only at the edge; each chunk passes
 			// through the replicas' full sanitizer anyway.
 			Validate: func(ds fda.Dataset) error { return ds.Validate() },
@@ -346,11 +338,7 @@ func (g *Gate) handleList(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		client := g.cfg.Client
-		if client == nil {
-			client = http.DefaultClient
-		}
-		resp, err := client.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			continue
 		}
@@ -388,7 +376,7 @@ func (g *Gate) handleReload(w http.ResponseWriter, r *http.Request, model string
 	results := make(map[string]string, f.ring.Len())
 	failures := 0
 	for _, name := range f.ring.Names() {
-		resp, err := g.client(name).Post(r.Context(), scoreURL(f.urls[name], "/v1/reload", model, nil), "application/json", nil)
+		resp, err := g.client(name).Do(r.Context(), http.MethodPost, scoreURL(f.urls[name], "/v1/reload", model, nil), "application/json", "", nil)
 		if err != nil {
 			results[name] = err.Error()
 			failures++
@@ -431,13 +419,7 @@ func scoreURL(base, path, model string, passthrough map[string][]string) string 
 func (g *Gate) inboundBody(w http.ResponseWriter, r *http.Request) (body []byte, code int) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpapi.Error(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return nil, http.StatusRequestEntityTooLarge
-		}
-		httpapi.Error(w, http.StatusBadRequest, "read body: %v", err)
-		return nil, http.StatusBadRequest
+		return nil, httpapi.BodyError(w, err)
 	}
 	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	if strings.TrimSpace(ct) == wire.ContentType {
@@ -522,7 +504,7 @@ func (g *Gate) score(w http.ResponseWriter, r *http.Request, model string) int {
 	}
 	leg := func(name string) func(ctx context.Context) (*http.Response, error) {
 		return func(ctx context.Context) (*http.Response, error) {
-			resp, err := g.client(name).Post(ctx, target(name), wire.ContentType, body)
+			resp, err := g.client(name).Do(ctx, http.MethodPost, target(name), wire.ContentType, "", body)
 			g.cfg.Metrics.ObserveReplica(name, err == nil)
 			if err == nil {
 				g.cfg.Metrics.ObserveUpstreamBytes("wire", len(body))

@@ -11,10 +11,11 @@ import (
 
 // Health actively probes every replica of the current fleet and keeps a
 // concurrently-readable up/down verdict per replica name. One probe
-// round GETs each replica's /healthz with a short timeout; a replica is
-// down after Threshold consecutive failures and up again after a single
-// success, so a kill is noticed within about Threshold×Interval while a
-// lone dropped probe does not flap routing.
+// round GETs each replica's /healthz through http.DefaultClient with a
+// timeout of min(Interval, 1s); a replica is down after Threshold
+// consecutive failures and up again after a single success, so a kill
+// is noticed within about Threshold×Interval while a lone dropped probe
+// does not flap routing.
 //
 // Replicas unknown to the health map (just added by a topology reload,
 // not yet probed) route as up: optimistic until proven dead, because
@@ -22,24 +23,18 @@ import (
 type Health struct {
 	// Interval between probe rounds; 0 means 2s.
 	Interval time.Duration
-	// Timeout per probe; 0 means min(Interval, 1s).
-	Timeout time.Duration
 	// Threshold is the consecutive-failure count that marks a replica
 	// down; 0 means 2.
 	Threshold int
-	// Client is the probing HTTP client; nil means http.DefaultClient.
-	Client *http.Client
 	// OnChange, when non-nil, observes up/down transitions (logging,
 	// metrics). Called from the probe goroutine.
 	OnChange func(replica string, up bool)
 	// Jitter spreads each probe wait uniformly over
 	// [Interval·(1−Jitter), Interval·(1+Jitter)], so a fleet of gates
 	// booted together (a rolling restart, a load test) does not probe
-	// every replica in lockstep forever. 0 means 0.1; negative disables.
+	// every replica in lockstep forever. The sequence is seeded from
+	// the wall clock. 0 means 0.1; negative disables.
 	Jitter float64
-	// Seed makes the jitter sequence reproducible in tests; 0 seeds from
-	// the wall clock.
-	Seed int64
 
 	mu    sync.Mutex
 	fails map[string]int
@@ -75,19 +70,12 @@ func (h *Health) probe(f *fleet) {
 	if threshold <= 0 {
 		threshold = 2
 	}
-	timeout := h.Timeout
-	if timeout <= 0 {
-		timeout = time.Second
-		if h.Interval > 0 && h.Interval < timeout {
-			timeout = h.Interval
-		}
-	}
-	client := h.Client
-	if client == nil {
-		client = http.DefaultClient
+	timeout := time.Second
+	if h.Interval > 0 && h.Interval < timeout {
+		timeout = h.Interval
 	}
 	for _, name := range f.ring.Names() {
-		ok := h.probeOne(client, f.urls[name]+"/healthz", timeout)
+		ok := probeOne(f.urls[name]+"/healthz", timeout)
 		h.mu.Lock()
 		if h.fails == nil {
 			h.fails = make(map[string]int)
@@ -111,7 +99,7 @@ func (h *Health) probe(f *fleet) {
 	}
 }
 
-func (h *Health) probeOne(client *http.Client, url string, timeout time.Duration) bool {
+func probeOne(url string, timeout time.Duration) bool {
 	//mfodlint:allow ctxpropagate background health prober runs outside any request; every probe is bounded by the per-probe timeout
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -119,7 +107,7 @@ func (h *Health) probeOne(client *http.Client, url string, timeout time.Duration
 	if err != nil {
 		return false
 	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false
 	}
@@ -160,10 +148,7 @@ func (h *Health) Run(table *Table, stop <-chan struct{}) {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
-	seed := h.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
+	seed := time.Now().UnixNano()
 	//mfodlint:allow poolmisuse replica health prober: a single long-lived goroutine per gate process, stopped via the stop channel on shutdown; verdicts cross to the routing path only through the mutex-guarded maps
 	go func() {
 		rng := rand.New(rand.NewSource(seed))

@@ -43,7 +43,7 @@ func (g *Gate) ScoreChunk(ctx context.Context, model string, c jobs.Chunk) ([]fl
 	for _, name := range order {
 		u := scoreURL(f.urls[name], "/v1/score", model,
 			map[string][]string{"start": {strconv.Itoa(c.Start)}})
-		resp, err := g.client(name).PostAccept(ctx, u, wire.ContentType, wire.ScoresContentType, body)
+		resp, err := g.client(name).Do(ctx, http.MethodPost, u, wire.ContentType, wire.ScoresContentType, body)
 		g.cfg.Metrics.ObserveReplica(name, err == nil)
 		if err != nil {
 			lastErr = fmt.Errorf("replica %s: %w", name, err)

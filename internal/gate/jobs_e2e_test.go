@@ -193,16 +193,22 @@ func TestGateV1Envelope(t *testing.T) {
 		body   []byte
 		status int
 		code   string
+		allow  string // the Allow header a 405 must carry
 	}{
-		{"score without model", "POST", "/v1/score", body, 400, httpapi.CodeBadRequest},
-		{"score wrong method", "GET", "/v1/score?model=m0", nil, 405, httpapi.CodeMethodNotAllowed},
-		{"relayed unknown model", "POST", "/v1/score?model=zz-unknown", body, 404, httpapi.CodeNotFound},
+		{"score without model", "POST", "/v1/score", body, 400, httpapi.CodeBadRequest, ""},
+		{"score wrong method", "GET", "/v1/score?model=m0", nil, 405, httpapi.CodeMethodNotAllowed, "POST"},
+		{"relayed unknown model", "POST", "/v1/score?model=zz-unknown", body, 404, httpapi.CodeNotFound, ""},
 		// The retired colon-verb alias paths now answer an enveloped 404.
-		{"alias unknown action", "POST", "/v1/models/m0:frobnicate", body, 404, httpapi.CodeNotFound},
-		{"alias wrong method", "GET", "/v1/models/m0:score", nil, 404, httpapi.CodeNotFound},
-		{"job submit wrong method", "GET", "/v1/jobs", nil, 405, httpapi.CodeMethodNotAllowed},
-		{"unknown job", "GET", "/v1/jobs/j-nope", nil, 404, httpapi.CodeNotFound},
-		{"unknown route", "GET", "/v2/nope", nil, 404, httpapi.CodeNotFound},
+		{"alias unknown action", "POST", "/v1/models/m0:frobnicate", body, 404, httpapi.CodeNotFound, ""},
+		{"alias wrong method", "GET", "/v1/models/m0:score", nil, 404, httpapi.CodeNotFound, ""},
+		{"job submit wrong method", "GET", "/v1/jobs", nil, 405, httpapi.CodeMethodNotAllowed, "POST"},
+		{"unknown job", "GET", "/v1/jobs/j-nope", nil, 404, httpapi.CodeNotFound, ""},
+		{"unknown route", "GET", "/v2/nope", nil, 404, httpapi.CodeNotFound, ""},
+		// A method that is only a substring of an allowed one is not
+		// allowed: the gate answers the 405 itself, Allow header included,
+		// and never proxies it.
+		{"stream method substring", "ET", "/v1/streams/s1", nil, 405, httpapi.CodeMethodNotAllowed, "GET, DELETE"},
+		{"stream append method substring", "P", "/v1/streams/s1/append", nil, 405, httpapi.CodeMethodNotAllowed, "POST"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -228,6 +234,9 @@ func TestGateV1Envelope(t *testing.T) {
 			}
 			if eb.Error.Code != c.code {
 				t.Fatalf("%s %s: code %q, want %q", c.method, c.path, eb.Error.Code, c.code)
+			}
+			if got := resp.Header.Get("Allow"); got != c.allow {
+				t.Fatalf("%s %s: Allow %q, want %q", c.method, c.path, got, c.allow)
 			}
 		})
 	}

@@ -108,18 +108,3 @@ func (r *Ring) Order(key string, n int) []string {
 	}
 	return out
 }
-
-// Pick returns the primary owner for key and the distinct successor
-// used as the hedged-failover secondary; secondary is "" on a
-// single-replica ring.
-func (r *Ring) Pick(key string) (primary, secondary string) {
-	order := r.Order(key, 2)
-	switch len(order) {
-	case 0:
-		return "", ""
-	case 1:
-		return order[0], ""
-	default:
-		return order[0], order[1]
-	}
-}

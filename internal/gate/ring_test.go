@@ -30,16 +30,16 @@ func TestRingOrderDistinctAndStable(t *testing.T) {
 	}
 }
 
+// TestRingPick checks the primary/secondary pick: the first two
+// distinct owners, and only the primary on a single-replica ring.
 func TestRingPick(t *testing.T) {
-	r := NewRing([]string{"a", "b"}, 32)
-	p, s := r.Pick("some-model")
-	if p == "" || s == "" || p == s {
-		t.Fatalf("Pick = (%q, %q), want two distinct replicas", p, s)
+	r := NewRing([]string{"a", "b", "c"}, 32)
+	if pick := r.Order("some-model", 2); len(pick) != 2 || pick[0] == pick[1] {
+		t.Fatalf("Order(key, 2) = %v, want two distinct replicas", pick)
 	}
 	single := NewRing([]string{"only"}, 32)
-	p, s = single.Pick("some-model")
-	if p != "only" || s != "" {
-		t.Fatalf("single-replica Pick = (%q, %q), want (only, empty)", p, s)
+	if pick := single.Order("some-model", 2); len(pick) != 1 || pick[0] != "only" {
+		t.Fatalf("single-replica Order(key, 2) = %v, want [only]", pick)
 	}
 }
 

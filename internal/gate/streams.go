@@ -3,17 +3,19 @@ package gate
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/httpapi"
 )
 
-// handleStreams fronts the replicas' streaming-ingestion surface.
+// registerStreams fronts the replicas' streaming-ingestion surface
+// with the method patterns stream.API.Register uses, so a wrong method
+// gets the same enveloped 405 and Allow header from the gate as from a
+// replica, and only the methods a replica serves are proxied.
+//
 // Streams shard by *stream id* (not model name) through the same
 // consistent-hash ring as models, so every append and score for one
 // stream lands on the same replica and its incremental state stays in
@@ -24,81 +26,75 @@ import (
 // clients send the model name on every append, the stream is recreated
 // there transparently (losing only the dead replica's buffered points,
 // which the writer's next appends refill).
-func (g *Gate) handleStreams(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	code := g.streamProxy(w, r)
-	g.cfg.Metrics.ObserveRequest("(stream)", code, time.Since(start).Seconds())
-	g.cfg.Logger.Info("request",
-		"method", r.Method, "path", r.URL.Path, "code", code,
-		"durMs", float64(time.Since(start).Microseconds())/1000)
-}
-
-func (g *Gate) streamProxy(w http.ResponseWriter, r *http.Request) int {
-	tail := strings.TrimPrefix(r.URL.Path, "/v1/streams")
-	tail = strings.TrimPrefix(tail, "/")
-	id, op, _ := strings.Cut(tail, "/")
-	if id == "" {
-		if r.Method != http.MethodGet {
-			httpapi.MethodNotAllowed("GET")(w, r)
+func (g *Gate) registerStreams(mux *http.ServeMux) {
+	handle := func(pattern string, h func(http.ResponseWriter, *http.Request) int) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			start := time.Now()
+			code := h(w, r)
+			g.cfg.Metrics.ObserveRequest("(stream)", code, time.Since(start).Seconds())
+			g.cfg.Logger.Info("request",
+				"method", r.Method, "path", r.URL.Path, "code", code,
+				"durMs", float64(time.Since(start).Microseconds())/1000)
+		})
+	}
+	notAllowed := func(allow string) func(http.ResponseWriter, *http.Request) int {
+		return func(w http.ResponseWriter, r *http.Request) int {
+			httpapi.MethodNotAllowed(allow)(w, r)
 			return http.StatusMethodNotAllowed
 		}
-		return g.streamList(w, r)
 	}
-	allow := ""
-	switch op {
-	case "":
-		allow = "GET, DELETE"
-	case "append":
-		allow = "POST"
-	case "score":
-		allow = "GET"
-	default:
-		httpapi.Error(w, http.StatusNotFound, "no such route %q", r.URL.Path)
-		return http.StatusNotFound
-	}
-	if !strings.Contains(allow, r.Method) {
-		httpapi.MethodNotAllowed(allow)(w, r)
-		return http.StatusMethodNotAllowed
-	}
+	handle("POST /v1/streams/{id}/append", g.streamForward)
+	handle("/v1/streams/{id}/append", notAllowed("POST"))
+	handle("GET /v1/streams/{id}/score", g.streamScore)
+	handle("/v1/streams/{id}/score", notAllowed("GET"))
+	handle("GET /v1/streams/{id}", g.streamForward)
+	handle("DELETE /v1/streams/{id}", g.streamForward)
+	handle("/v1/streams/{id}", notAllowed("GET, DELETE"))
+	handle("GET /v1/streams", g.streamList)
+	handle("GET /v1/streams/{$}", g.streamList)
+	handle("/v1/streams", notAllowed("GET"))
+}
 
+// streamTarget is r's path and query on the named replica.
+func streamTarget(f *fleet, name string, r *http.Request) string {
+	u := f.urls[name] + r.URL.Path
+	if q := r.URL.RawQuery; q != "" {
+		u += "?" + q
+	}
+	return u
+}
+
+// streamScore serves GET /v1/streams/{id}/score: a watch is relayed
+// line by line, a plain score forwarded.
+func (g *Gate) streamScore(w http.ResponseWriter, r *http.Request) int {
+	if r.URL.Query().Get("watch") != "" {
+		return g.streamWatch(w, r)
+	}
+	return g.streamForward(w, r)
+}
+
+// streamForward sends the request to the stream's home replica, walking
+// the ring order on transport failures, and relays the answer.
+func (g *Gate) streamForward(w http.ResponseWriter, r *http.Request) int {
+	id := r.PathValue("id")
 	var body []byte
-	if op == "append" {
+	if r.Method == http.MethodPost {
 		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				httpapi.ErrorCode(w, http.StatusRequestEntityTooLarge, httpapi.CodeTooLarge,
-					"append body exceeds %d bytes", tooBig.Limit)
-				return http.StatusRequestEntityTooLarge
-			}
-			httpapi.Error(w, http.StatusBadRequest, "read body: %v", err)
-			return http.StatusBadRequest
+			return httpapi.BodyError(w, err)
 		}
 		body = raw
 	}
-
-	order := g.rankedOrder(id)
-	f := g.cfg.Table.Fleet()
-	target := func(name string) string {
-		u := f.urls[name] + r.URL.Path
-		if q := r.URL.RawQuery; q != "" {
-			u += "?" + q
-		}
-		return u
-	}
-	if op == "score" && r.URL.Query().Get("watch") != "" {
-		return g.streamWatch(w, r, id, order, target)
-	}
-
 	contentType := r.Header.Get("Content-Type")
 	if contentType == "" {
 		contentType = "application/json"
 	}
+	f := g.cfg.Table.Fleet()
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
 	defer cancel()
 	var lastErr error
-	for _, name := range order {
-		resp, err := g.client(name).Do(ctx, r.Method, target(name), contentType, body)
+	for _, name := range g.rankedOrder(id) {
+		resp, err := g.client(name).Do(ctx, r.Method, streamTarget(f, name, r), contentType, "", body)
 		g.cfg.Metrics.ObserveReplica(name, err == nil)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -125,19 +121,17 @@ func (g *Gate) streamProxy(w http.ResponseWriter, r *http.Request) int {
 // initial connect; once bytes have flowed, a broken upstream ends the
 // watch and the client reconnects (through the gate, which routes the
 // reconnect to the stream's new home).
-func (g *Gate) streamWatch(w http.ResponseWriter, r *http.Request, id string, order []string, target func(string) string) int {
-	client := g.cfg.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
+func (g *Gate) streamWatch(w http.ResponseWriter, r *http.Request) int {
+	id := r.PathValue("id")
+	f := g.cfg.Table.Fleet()
 	var lastErr error
-	for _, name := range order {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target(name), nil)
+	for _, name := range g.rankedOrder(id) {
+		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, streamTarget(f, name, r), nil)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		resp, err := client.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		g.cfg.Metrics.ObserveReplica(name, err == nil)
 		if err != nil {
 			lastErr = err
@@ -176,10 +170,6 @@ func (g *Gate) streamWatch(w http.ResponseWriter, r *http.Request, id string, or
 // operator view, not a transactional one.
 func (g *Gate) streamList(w http.ResponseWriter, r *http.Request) int {
 	f := g.cfg.Table.Fleet()
-	client := g.cfg.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
 	defer cancel()
 	seen := make(map[string]bool)
@@ -189,7 +179,7 @@ func (g *Gate) streamList(w http.ResponseWriter, r *http.Request) int {
 		if err != nil {
 			continue
 		}
-		resp, err := client.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			continue
 		}

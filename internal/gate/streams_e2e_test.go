@@ -166,8 +166,8 @@ func TestGateStreamE2E(t *testing.T) {
 		defer close(lines)
 		sc := bufio.NewScanner(wresp.Body)
 		for sc.Scan() {
-			ev, err := stream.ParseScoreEvent(sc.Bytes())
-			if err != nil {
+			var ev stream.ScoreEvent
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 				return
 			}
 			lines <- ev

@@ -18,6 +18,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -156,6 +157,21 @@ func ParseError(status int, body []byte) *APIError {
 		}
 	}
 	return &APIError{Status: status, Code: CodeForStatus(status), Message: string(body)}
+}
+
+// BodyError writes the envelope for a request body that could not be
+// read or decoded and returns the status it chose: 413
+// payload_too_large when the read ran into an http.MaxBytesReader cap,
+// so the client hears about the cap rather than a decode error or a
+// connection reset, and 400 bad_request for anything else.
+func BodyError(w http.ResponseWriter, err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		Error(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		return http.StatusRequestEntityTooLarge
+	}
+	Error(w, http.StatusBadRequest, "request body: %v", err)
+	return http.StatusBadRequest
 }
 
 // NDJSONContentType is the content type of the line-delimited JSON

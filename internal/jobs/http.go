@@ -105,7 +105,7 @@ func (a *API) decodeSubmit(w http.ResponseWriter, r *http.Request) (model string
 	if strings.TrimSpace(ct) == wire.ContentType {
 		raw, err := io.ReadAll(body)
 		if err != nil {
-			submitBodyError(w, err)
+			httpapi.BodyError(w, err)
 			return "", ds, 0, false
 		}
 		req, err := wire.DecodeRequest(raw)
@@ -126,7 +126,7 @@ func (a *API) decodeSubmit(w http.ResponseWriter, r *http.Request) (model string
 	}
 	var req submitRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		submitBodyError(w, err)
+		httpapi.BodyError(w, err)
 		return "", ds, 0, false
 	}
 	ds = fda.Dataset{Samples: make([]fda.Sample, len(req.Samples))}
@@ -147,16 +147,6 @@ func (a *API) decodeSubmit(w http.ResponseWriter, r *http.Request) (model string
 		chunk = n
 	}
 	return model, ds, chunk, true
-}
-
-func submitBodyError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		httpapi.Error(w, http.StatusRequestEntityTooLarge,
-			"request body exceeds %d bytes", tooBig.Limit)
-		return
-	}
-	httpapi.Error(w, http.StatusBadRequest, "decode body: %v", err)
 }
 
 func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -123,9 +123,10 @@ type Options struct {
 	// MaxJobs caps the job table (active and retained terminal jobs);
 	// 0 means 64.
 	MaxJobs int
-	// Retain keeps terminal jobs queryable before pruning; 0 means 10m.
-	Retain time.Duration
 }
+
+// retain keeps terminal jobs queryable before pruning.
+const retain = 10 * time.Minute
 
 // Manager owns the job table and the per-job supervisors.
 type Manager struct {
@@ -160,9 +161,6 @@ func NewManager(opt Options) (*Manager, error) {
 	}
 	if opt.MaxJobs <= 0 {
 		opt.MaxJobs = 64
-	}
-	if opt.Retain <= 0 {
-		opt.Retain = 10 * time.Minute
 	}
 	return &Manager{opt: opt, jobs: make(map[string]*Job)}, nil
 }
@@ -246,7 +244,7 @@ func (m *Manager) Get(id string) (*Job, bool) {
 // under m.mu on every Submit, so the table cannot grow without bound
 // even with no reaper goroutine.
 func (m *Manager) pruneLocked() {
-	cutoff := time.Now().Add(-m.opt.Retain)
+	cutoff := time.Now().Add(-retain)
 	for id, j := range m.jobs {
 		j.mu.Lock()
 		expired := j.state.Terminal() && j.finished.Before(cutoff)

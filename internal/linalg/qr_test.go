@@ -81,7 +81,10 @@ func TestQRNormalEquationsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res := Sub(b, ax)
+		res := make([]float64, m)
+		for i := range res {
+			res[i] = b[i] - ax[i]
+		}
 		atr, err := a.AtVec(res)
 		if err != nil {
 			return false

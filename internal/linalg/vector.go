@@ -55,18 +55,6 @@ func ScaleVec(a float64, x []float64) []float64 {
 	return out
 }
 
-// Sub returns x − y as a new vector.
-func Sub(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("linalg: sub of vectors with different lengths")
-	}
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v - y[i]
-	}
-	return out
-}
-
 // Dist2 returns the Euclidean distance between x and y.
 func Dist2(x, y []float64) float64 {
 	if len(x) != len(y) {

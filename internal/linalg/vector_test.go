@@ -56,10 +56,6 @@ func TestScaleVec(t *testing.T) {
 }
 
 func TestSubAndDist(t *testing.T) {
-	d := Sub([]float64{5, 7}, []float64{2, 3})
-	if d[0] != 3 || d[1] != 4 {
-		t.Fatalf("Sub = %v", d)
-	}
 	if Dist2([]float64{0, 0}, []float64{3, 4}) != 5 {
 		t.Fatal("Dist2 wrong")
 	}

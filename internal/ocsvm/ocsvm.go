@@ -55,9 +55,6 @@ func New(opt Options) *Model {
 // Name identifies the detector in reports.
 func (m *Model) Name() string { return "OCSVM" }
 
-// Nu returns the configured ν.
-func (m *Model) Nu() float64 { return m.opt.Nu }
-
 // Fit solves the ν-OCSVM dual on the feature vectors x with SMO.
 func (m *Model) Fit(x [][]float64) error {
 	n := len(x)

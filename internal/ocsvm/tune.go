@@ -34,7 +34,7 @@ func TuneNu(x [][]float64, candidates []float64, folds int, kernel Kernel, seed 
 	}
 	grid := make([]Params, 0, len(candidates))
 	if len(candidates) == 0 {
-		candidates = defaultNuCandidates()
+		candidates = []float64{0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3}
 	}
 	for _, nu := range candidates {
 		grid = append(grid, Params{Nu: nu, Kernel: kernel})
@@ -49,10 +49,6 @@ type Params struct {
 	Kernel Kernel
 }
 
-func defaultNuCandidates() []float64 {
-	return []float64{0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3}
-}
-
 // GammaGrid returns RBF kernels at the GammaScale heuristic multiplied by
 // the given factors — the γ search space for joint (ν, γ) tuning.
 func GammaGrid(x [][]float64, factors []float64) []Kernel {
@@ -63,20 +59,6 @@ func GammaGrid(x [][]float64, factors []float64) []Kernel {
 	out := make([]Kernel, len(factors))
 	for i, f := range factors {
 		out[i] = RBF{Gamma: base * f}
-	}
-	return out
-}
-
-// JointGrid crosses ν candidates with kernels into a tuning grid.
-func JointGrid(nus []float64, kernels []Kernel) []Params {
-	if len(nus) == 0 {
-		nus = defaultNuCandidates()
-	}
-	out := make([]Params, 0, len(nus)*len(kernels))
-	for _, k := range kernels {
-		for _, nu := range nus {
-			out = append(out, Params{Nu: nu, Kernel: k})
-		}
 	}
 	return out
 }

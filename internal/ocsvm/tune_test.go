@@ -85,7 +85,12 @@ func TestTuneNuErrors(t *testing.T) {
 func TestTuneGridJoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := cloud(rng, 60, 2, 1)
-	grid := JointGrid([]float64{0.1, 0.2}, GammaGrid(x, []float64{0.5, 2}))
+	var grid []Params
+	for _, k := range GammaGrid(x, []float64{0.5, 2}) {
+		for _, nu := range []float64{0.1, 0.2} {
+			grid = append(grid, Params{Nu: nu, Kernel: k})
+		}
+	}
 	if len(grid) != 4 {
 		t.Fatalf("grid size = %d want 4", len(grid))
 	}

@@ -127,7 +127,7 @@ func TestClientRetryAfterHintBeyondDeadlineFailsFast(t *testing.T) {
 	defer cancel()
 	c := &Client{MaxAttempts: 4, Backoff: fastBackoff(), RetryBudget: NewRetryBudget(0, 0)}
 	start := time.Now()
-	resp, err := c.Post(ctx, ts.URL, "application/json", nil)
+	resp, err := c.Do(ctx, http.MethodPost, ts.URL, "application/json", "", nil)
 	if err != nil {
 		t.Fatalf("held 429 must be returned, got error %v", err)
 	}
@@ -159,7 +159,7 @@ func TestClientStopsWhenBudgetCannotCoverAttempt(t *testing.T) {
 	ctx, cancel := b.Context(context.Background())
 	defer cancel()
 	c := &Client{MaxAttempts: 10, Backoff: fastBackoff()}
-	resp, err := c.Post(ctx, ts.URL, "application/json", nil)
+	resp, err := c.Do(ctx, http.MethodPost, ts.URL, "application/json", "", nil)
 	if err != nil {
 		t.Fatalf("held 500 must be returned, got error %v", err)
 	}
@@ -178,7 +178,7 @@ func TestClientExpiredBudgetFailsBeforeFirstAttempt(t *testing.T) {
 	ts, calls := flakyServer(t, 0, http.StatusOK)
 	ctx := WithBudget(context.Background(), testBudget(-time.Millisecond))
 	c := &Client{MaxAttempts: 4, Backoff: fastBackoff()}
-	_, err := c.Post(ctx, ts.URL, "application/json", nil)
+	_, err := c.Do(ctx, http.MethodPost, ts.URL, "application/json", "", nil)
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
@@ -200,7 +200,7 @@ func TestClientStampsDeadlineHeader(t *testing.T) {
 	ctx, cancel := b.Context(context.Background())
 	defer cancel()
 	c := &Client{MaxAttempts: 1}
-	resp, err := c.Post(ctx, ts.URL, "application/json", nil)
+	resp, err := c.Do(ctx, http.MethodPost, ts.URL, "application/json", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

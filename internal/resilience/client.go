@@ -59,19 +59,6 @@ func retryAfter(resp *http.Response) time.Duration {
 	return time.Duration(s) * time.Second
 }
 
-// Post sends body to url under the given content type with Do's retry
-// semantics.
-func (c *Client) Post(ctx context.Context, url, contentType string, body []byte) (*http.Response, error) {
-	return c.Do(ctx, http.MethodPost, url, contentType, body)
-}
-
-// PostAccept is Post with an explicit Accept header, for callers
-// negotiating a binary response representation (e.g. the gate asking a
-// replica for a partial-scores frame instead of JSON).
-func (c *Client) PostAccept(ctx context.Context, url, contentType, accept string, body []byte) (*http.Response, error) {
-	return c.do(ctx, http.MethodPost, url, contentType, accept, body)
-}
-
 // retain buffers a retryable response's (small) body in memory and
 // closes the network body, so the connection returns to the keep-alive
 // pool immediately and the response stays readable even after the
@@ -100,8 +87,11 @@ func remainingIn(ctx context.Context, b *Budget) (time.Duration, bool) {
 
 // Do sends body to url, retrying transient failures with backoff until
 // an attempt gets a definitive answer, the attempt budget, retry budget
-// or deadline budget runs out, the breaker opens, or ctx expires. On
-// success the caller owns resp.Body.
+// or deadline budget runs out, the breaker opens, or ctx expires. A
+// non-empty accept sets the Accept header, for callers negotiating a
+// binary response representation (e.g. the gate asking a replica for
+// a partial-scores frame instead of JSON). On success the caller owns
+// resp.Body.
 //
 // Retry-stop semantics: when retrying stops while the client holds a
 // retryable HTTP response (a 429 or 5xx the server actually sent), that
@@ -110,11 +100,7 @@ func remainingIn(ctx context.Context, b *Budget) (time.Duration, bool) {
 // launder into a synthetic failure. An error is returned only when
 // there is no server answer at all: transport failures, an open
 // breaker, or a budget that expired before the first attempt.
-func (c *Client) Do(ctx context.Context, method, url, contentType string, body []byte) (*http.Response, error) {
-	return c.do(ctx, method, url, contentType, "", body)
-}
-
-func (c *Client) do(ctx context.Context, method, url, contentType, accept string, body []byte) (*http.Response, error) {
+func (c *Client) Do(ctx context.Context, method, url, contentType, accept string, body []byte) (*http.Response, error) {
 	attempts := c.MaxAttempts
 	if attempts <= 0 {
 		attempts = 4

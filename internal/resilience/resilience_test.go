@@ -151,7 +151,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	for _, code := range []int{http.StatusInternalServerError, http.StatusTooManyRequests, http.StatusServiceUnavailable} {
 		ts, calls := flakyServer(t, 2, code)
 		c := &Client{MaxAttempts: 4, Backoff: fastBackoff()}
-		resp, err := c.Post(context.Background(), ts.URL, "application/json", []byte(`{}`))
+		resp, err := c.Do(context.Background(), http.MethodPost, ts.URL, "application/json", "", []byte(`{}`))
 		if err != nil {
 			t.Fatalf("code %d: %v", code, err)
 		}
@@ -168,7 +168,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 func TestClientGivesUpAfterMaxAttempts(t *testing.T) {
 	ts, calls := flakyServer(t, 1<<30, http.StatusBadGateway)
 	c := &Client{MaxAttempts: 3, Backoff: fastBackoff()}
-	resp, err := c.Post(context.Background(), ts.URL, "application/json", nil)
+	resp, err := c.Do(context.Background(), http.MethodPost, ts.URL, "application/json", "", nil)
 	if err != nil {
 		t.Fatalf("exhausted attempts must surface the server's last answer, got error %v", err)
 	}
@@ -187,7 +187,7 @@ func TestClientGivesUpAfterMaxAttempts(t *testing.T) {
 func TestClientDoesNotRetryDefinitiveAnswers(t *testing.T) {
 	ts, calls := flakyServer(t, 1<<30, http.StatusBadRequest) // 400 is not transient
 	c := &Client{MaxAttempts: 4, Backoff: fastBackoff()}
-	resp, err := c.Post(context.Background(), ts.URL, "application/json", nil)
+	resp, err := c.Do(context.Background(), http.MethodPost, ts.URL, "application/json", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +204,14 @@ func TestClientBreakerOpensAndFastFails(t *testing.T) {
 	ts, calls := flakyServer(t, 1<<30, http.StatusInternalServerError)
 	br := NewBreaker(2, time.Hour)
 	c := &Client{MaxAttempts: 5, Backoff: fastBackoff(), Breaker: br}
-	if _, err := c.Post(context.Background(), ts.URL, "application/json", nil); !errors.Is(err, ErrOpen) {
+	if _, err := c.Do(context.Background(), http.MethodPost, ts.URL, "application/json", "", nil); !errors.Is(err, ErrOpen) {
 		t.Fatalf("err = %v, want ErrOpen once the threshold is crossed", err)
 	}
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("server saw %d calls, want 2 (breaker cut the rest)", got)
 	}
 	// Circuit is open: the next call must not touch the network at all.
-	if _, err := c.Post(context.Background(), ts.URL, "application/json", nil); !errors.Is(err, ErrOpen) {
+	if _, err := c.Do(context.Background(), http.MethodPost, ts.URL, "application/json", "", nil); !errors.Is(err, ErrOpen) {
 		t.Fatalf("err = %v, want ErrOpen", err)
 	}
 	if got := calls.Load(); got != 2 {
@@ -223,7 +223,7 @@ func TestClientRetryBudgetExhaustion(t *testing.T) {
 	ts, calls := flakyServer(t, 1<<30, http.StatusInternalServerError)
 	budget := NewRetryBudget(1, 0.0001)
 	c := &Client{MaxAttempts: 10, Backoff: fastBackoff(), RetryBudget: budget}
-	resp, err := c.Post(context.Background(), ts.URL, "application/json", nil)
+	resp, err := c.Do(context.Background(), http.MethodPost, ts.URL, "application/json", "", nil)
 	if err != nil {
 		t.Fatalf("budget exhaustion with a held 500 must return it, got error %v", err)
 	}
@@ -245,7 +245,7 @@ func TestClientDeadlineStopsBackoffEarly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	resp, err := c.Post(ctx, ts.URL, "application/json", nil)
+	resp, err := c.Do(ctx, http.MethodPost, ts.URL, "application/json", "", nil)
 	if err != nil {
 		t.Fatalf("deadline stop with a held 500 must return it, got error %v", err)
 	}
@@ -269,7 +269,7 @@ func TestClientHonorsContextCancel(t *testing.T) {
 	defer cancel()
 	time.AfterFunc(50*time.Millisecond, cancel)
 	start := time.Now()
-	_, err := c.Post(ctx, "http://127.0.0.1:1/score", "application/json", nil)
+	_, err := c.Do(ctx, http.MethodPost, "http://127.0.0.1:1/score", "application/json", "", nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}

@@ -6,6 +6,9 @@ import (
 	"time"
 )
 
+// aimdDecrease scales the limit on congestion.
+const aimdDecrease = 0.75
+
 // AIMDOptions configures the adaptive concurrency limiter.
 type AIMDOptions struct {
 	// Min is the floor of the limit; 0 means 1. The limiter never
@@ -16,9 +19,6 @@ type AIMDOptions struct {
 	// Target is the latency above which a request counts as congested;
 	// 0 means 250ms.
 	Target time.Duration
-	// DecreaseFactor scales the limit on congestion; values outside
-	// (0, 1) — including 0 — mean 0.75.
-	DecreaseFactor float64
 	// Cooldown rate-limits multiplicative decreases so one slow batch
 	// (many in-flight requests observing the same congestion) costs one
 	// cut, not limit-many; 0 means Target.
@@ -61,9 +61,6 @@ func NewAIMD(opt AIMDOptions) *AIMD {
 	if opt.Target <= 0 {
 		opt.Target = 250 * time.Millisecond
 	}
-	if opt.DecreaseFactor <= 0 || opt.DecreaseFactor >= 1 {
-		opt.DecreaseFactor = 0.75
-	}
 	if opt.Cooldown <= 0 {
 		opt.Cooldown = opt.Target
 	}
@@ -84,7 +81,7 @@ func (a *AIMD) Acquire() bool {
 
 // Release returns a slot and feeds the control loop: a congested
 // outcome (latency above Target, or a timeout/queue-full downstream)
-// multiplies the limit by DecreaseFactor — at most once per Cooldown —
+// multiplies the limit by 0.75 — at most once per Cooldown —
 // while a healthy one adds 1/limit, probing additively for headroom.
 func (a *AIMD) Release(latency time.Duration, congested bool) {
 	a.mu.Lock()
@@ -95,7 +92,7 @@ func (a *AIMD) Release(latency time.Duration, congested bool) {
 	if congested || latency > a.opt.Target {
 		if now := a.now(); now.Sub(a.lastDecrease) >= a.opt.Cooldown {
 			a.lastDecrease = now
-			a.limit = math.Max(float64(a.opt.Min), a.limit*a.opt.DecreaseFactor)
+			a.limit = math.Max(float64(a.opt.Min), a.limit*aimdDecrease)
 		}
 		return
 	}

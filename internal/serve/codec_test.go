@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -128,5 +129,54 @@ func TestWireBodyErrors(t *testing.T) {
 	// Valid frame, empty dataset: the shared sanitizer rejects it.
 	if code := post(wire.EncodeRequest(wire.Request{})); code != http.StatusBadRequest {
 		t.Fatalf("empty dataset: %d", code)
+	}
+}
+
+// TestScoresFrameStart: a wire request that accepts the scores frame
+// gets its ?start= echoed into the frame, and a start that is negative,
+// not a number or past the int range is a 400, never a frame carrying
+// an offset the caller did not send.
+func TestScoresFrameStart(t *testing.T) {
+	ts := newCodecServer(t)
+	d := testDataset(t, 4, 7)
+	body := wire.EncodeRequest(wire.Request{Dataset: d})
+	post := func(start string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/score?model=m&start="+start, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", wire.ContentType)
+		req.Header.Set("Accept", wire.ScoresContentType)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, raw
+	}
+
+	resp, raw := post("7")
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != wire.ScoresContentType {
+		t.Fatalf("start=7: %s %q (body %q)", resp.Status, resp.Header.Get("Content-Type"), raw)
+	}
+	frame, err := wire.DecodeScores(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame.Start != 7 || len(frame.Values) != d.Len() {
+		t.Fatalf("frame start %d with %d scores, want start 7 with %d", frame.Start, len(frame.Values), d.Len())
+	}
+
+	for _, bad := range []string{"-1", "x", "18446744073709551617"} {
+		resp, raw := post(bad)
+		var e httpapi.ErrorBody
+		if err := json.Unmarshal(raw, &e); err != nil || resp.StatusCode != http.StatusBadRequest || e.Error.Code != httpapi.CodeBadRequest {
+			t.Fatalf("start=%s: %s %q, want 400 %s", bad, resp.Status, raw, httpapi.CodeBadRequest)
+		}
 	}
 }

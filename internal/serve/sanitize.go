@@ -14,6 +14,10 @@ const (
 	DefaultMaxSamples = 1024
 	// DefaultMaxPoints caps measurement points per curve.
 	DefaultMaxPoints = 16384
+	// jobsMaxSamples caps samples per bulk submission. The interactive
+	// MaxSamples cap does not apply to jobs — bulk is the point — but
+	// curves are still sanitized per submission.
+	jobsMaxSamples = 1 << 20
 )
 
 // ValidationError marks a request rejected by sanitization before any

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -57,20 +58,11 @@ type Config struct {
 	// (POST /v1/jobs and friends) backed by this manager. Typically the
 	// manager's Runner is a JobRunner over the same Registry and Pool.
 	Jobs *jobs.Manager
-	// JobsMaxSamples caps samples per bulk submission; 0 means 1<<20.
-	// The interactive MaxSamples cap does not apply to jobs — bulk is
-	// the point — but curves are still sanitized per submission.
-	JobsMaxSamples int
-	// JobsMaxBodyBytes caps the job submit body; 0 means 256 MiB.
-	JobsMaxBodyBytes int64
 	// Streams, when non-nil, mounts the streaming-ingestion endpoints
 	// (POST /v1/streams/{id}/append and friends) backed by this manager;
 	// see NewStreamManager for registry/metrics wiring.
 	Streams *stream.Manager
-	// StreamsMaxBodyBytes caps one append body; 0 means 1 MiB (bulk
-	// history loads belong on /v1/jobs, not the append path).
-	StreamsMaxBodyBytes int64
-	Logger              *slog.Logger
+	Logger  *slog.Logger
 }
 
 // Server exposes fitted pipelines over HTTP. Canonical v1 surface:
@@ -110,9 +102,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxPoints <= 0 {
 		cfg.MaxPoints = DefaultMaxPoints
-	}
-	if cfg.JobsMaxSamples <= 0 {
-		cfg.JobsMaxSamples = 1 << 20
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -158,10 +147,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/models/{name}", httpapi.MethodNotAllowed("GET"))
 	if s.cfg.Jobs != nil {
 		api := &jobs.API{
-			Manager:      s.cfg.Jobs,
-			MaxBodyBytes: s.cfg.JobsMaxBodyBytes,
+			Manager: s.cfg.Jobs,
 			Validate: func(ds fda.Dataset) error {
-				return SanitizeDataset(ds, s.cfg.JobsMaxSamples, s.cfg.MaxPoints)
+				return SanitizeDataset(ds, jobsMaxSamples, s.cfg.MaxPoints)
 			},
 			CheckModel: func(name string) error {
 				if _, ok := s.cfg.Registry.Get(name); !ok {
@@ -174,9 +162,8 @@ func (s *Server) Handler() http.Handler {
 	}
 	if s.cfg.Streams != nil {
 		api := &stream.API{
-			Manager:      s.cfg.Streams,
-			MaxBodyBytes: s.cfg.StreamsMaxBodyBytes,
-			Admit:        s.streamAdmit,
+			Manager: s.cfg.Streams,
+			Admit:   s.streamAdmit,
 			Observe: func(code int, dur time.Duration) {
 				// One constant label keeps the per-model cardinality of
 				// mfod_requests_total away from per-stream explosion.
@@ -340,7 +327,7 @@ func (s *Server) decodeScoreBody(w http.ResponseWriter, r *http.Request) (ds fda
 		w.Header().Set(httpapi.CodecHeader, "wire")
 		raw, err := io.ReadAll(body)
 		if err != nil {
-			return ds, 0, bodyReadError(w, err)
+			return ds, 0, httpapi.BodyError(w, err)
 		}
 		s.cfg.Metrics.ObserveRequestBytes("wire", len(raw))
 		req, err := wire.DecodeRequest(raw)
@@ -354,7 +341,7 @@ func (s *Server) decodeScoreBody(w http.ResponseWriter, r *http.Request) (ds fda
 	cr := &countingReader{r: body}
 	var req scoreRequest
 	if err := json.NewDecoder(cr).Decode(&req); err != nil {
-		return ds, 0, bodyReadError(w, err)
+		return ds, 0, httpapi.BodyError(w, err)
 	}
 	s.cfg.Metrics.ObserveRequestBytes("json", cr.n)
 	ds = fda.Dataset{Samples: make([]fda.Sample, len(req.Samples))}
@@ -362,22 +349,6 @@ func (s *Server) decodeScoreBody(w http.ResponseWriter, r *http.Request) (ds fda
 		ds.Samples[i] = fda.Sample{Times: sm.Times, Values: sm.Values}
 	}
 	return ds, req.Explain, 0
-}
-
-// bodyReadError writes the error response for a failed body read or
-// decode and returns the status code it chose.
-func bodyReadError(w http.ResponseWriter, err error) int {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		// MaxBytesReader has already stopped reading; answering with a
-		// JSON 413 instead of letting the decode error surface as a 400
-		// (or the connection reset a bare MaxBytesHandler gives).
-		httpapi.Error(w, http.StatusRequestEntityTooLarge,
-			"request body exceeds %d bytes", tooBig.Limit)
-		return http.StatusRequestEntityTooLarge
-	}
-	httpapi.Error(w, http.StatusBadRequest, "decode body: %v", err)
-	return http.StatusBadRequest
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, name string) {
@@ -521,12 +492,12 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, star
 		// can only merge at its own offset.
 		frameStart := 0
 		if qs := r.URL.Query().Get("start"); qs != "" {
-			if n, err := parseNonNegativeInt(qs); err == nil {
-				frameStart = n
-			} else {
+			n, err := strconv.Atoi(qs)
+			if err != nil || n < 0 {
 				httpapi.Error(w, http.StatusBadRequest, "bad start %q", qs)
 				return http.StatusBadRequest, len(ds.Samples)
 			}
+			frameStart = n
 		}
 		w.Header().Set("Content-Type", wire.ScoresContentType)
 		w.Write(wire.EncodeScores(wire.Scores{Start: frameStart, Values: res.Scores}))
@@ -549,24 +520,6 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, star
 	}
 	writeJSON(w, resp)
 	return http.StatusOK, len(ds.Samples)
-}
-
-// parseNonNegativeInt is strconv.Atoi restricted to >= 0.
-func parseNonNegativeInt(s string) (int, error) {
-	n := 0
-	if s == "" {
-		return 0, errors.New("empty")
-	}
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, errors.New("not a non-negative integer")
-		}
-		n = n*10 + int(c-'0')
-		if n < 0 {
-			return 0, errors.New("overflow")
-		}
-	}
-	return n, nil
 }
 
 func (s *Server) log(r *http.Request, model string, code int, start time.Time, samples int) {

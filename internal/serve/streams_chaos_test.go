@@ -186,9 +186,9 @@ func TestChaosStreamShedEvictRace(t *testing.T) {
 					resp.Body.Close()
 					switch {
 					case resp.StatusCode == http.StatusOK:
-						ev, err := stream.ParseScoreEvent(raw)
-						if err != nil {
-							errc <- fmt.Errorf("poller %d: %v", p, err)
+						var ev stream.ScoreEvent
+						if err := json.Unmarshal(raw, &ev); err != nil {
+							errc <- fmt.Errorf("poller %d: bad score event %q: %v", p, raw, err)
 							return
 						}
 						if ev.GridTo < last {

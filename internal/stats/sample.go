@@ -7,9 +7,6 @@ func Shuffle(rng *rand.Rand, idx []int) {
 	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 }
 
-// Perm returns a random permutation of 0..n-1 drawn from rng.
-func Perm(rng *rand.Rand, n int) []int { return rng.Perm(n) }
-
 // SampleWithoutReplacement returns k distinct indices drawn uniformly from
 // 0..n-1. It returns all n indices (shuffled) when k >= n and nil when
 // k <= 0.

@@ -3,7 +3,6 @@ package stream
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -110,13 +109,7 @@ func (a *API) handleAppend(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpapi.ErrorCode(w, http.StatusRequestEntityTooLarge, httpapi.CodeTooLarge,
-				"append body exceeds %d bytes", a.maxBody())
-			return
-		}
-		httpapi.Error(w, http.StatusBadRequest, "bad append body: %v", err)
+		httpapi.BodyError(w, err)
 		return
 	}
 	withScore := r.URL.Query().Get("score") != ""
@@ -254,14 +247,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		// Headers are gone; nothing useful to do.
 		_ = err
 	}
-}
-
-// ParseScoreEvent decodes one NDJSON watch line; clients (internal/
-// client, mfodload) use it so the wire shape has one decoder.
-func ParseScoreEvent(line []byte) (ScoreEvent, error) {
-	var ev ScoreEvent
-	if err := json.Unmarshal(line, &ev); err != nil {
-		return ScoreEvent{}, fmt.Errorf("stream: bad score event %q: %w", line, err)
-	}
-	return ev, nil
 }

@@ -365,9 +365,6 @@ func (m *Manager) janitor() {
 	}
 }
 
-// ID returns the stream id.
-func (s *Stream) ID() string { return s.id }
-
 // ModelName returns the model the stream is bound to.
 func (s *Stream) ModelName() string { return s.modelName }
 

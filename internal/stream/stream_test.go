@@ -362,9 +362,9 @@ func TestWatchNDJSON(t *testing.T) {
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 		for sc.Scan() {
-			ev, err := stream.ParseScoreEvent(sc.Bytes())
-			if err != nil {
-				errs <- err
+			var ev stream.ScoreEvent
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				errs <- fmt.Errorf("bad score event %q: %w", sc.Bytes(), err)
 				return
 			}
 			lines <- ev
