@@ -107,9 +107,13 @@ bench-streaming:
 # derivative edge cases); the corpus lives in internal/bspline/testdata.
 # The stream-append fuzzer throws hostile HTTP bodies (NaN/Inf,
 # out-of-order, oversized, garbage) at the streaming surface and checks
-# envelope discipline plus a state-corruption oracle.
+# envelope discipline plus a state-corruption oracle. The wire-decode
+# fuzzer feeds untrusted binary frames to the request decoder: it must
+# fail with ErrWire, never panic or over-allocate, and a frame that
+# decodes must re-encode to the same bytes.
 fuzz:
 	$(GO) test -fuzz=FuzzBSplineEval -fuzztime=30s -run=^$$ ./internal/bspline
 	$(GO) test -fuzz=FuzzStreamAppend -fuzztime=30s -run=^$$ ./internal/stream
+	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s -run=^$$ ./internal/wire
 
 check: build vet lint test test-race test-chaos bench-smoke

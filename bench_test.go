@@ -209,7 +209,7 @@ func BenchmarkSmoothOneCurve(b *testing.B) {
 	s := d.Samples[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fda.FitCurve(s.Times, s.Values[0], fda.Options{}); err != nil {
+		if _, err := fda.FitSample(fda.Sample{Times: s.Times, Values: s.Values[:1]}, fda.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -339,8 +339,8 @@ func benchName(prefix string, v int) string {
 // --- Serving: concurrent scoring throughput ----------------------------
 
 // BenchmarkServeScoreParallel measures end-to-end scoring throughput of
-// the mfodserve stack — HTTP handler, bounded queue, micro-batching
-// worker pool, fitted pipeline — under parallel single-curve requests,
+// the mfodserve stack — HTTP handler, bounded queue, worker pool,
+// fitted pipeline — under parallel single-curve requests,
 // the serving subsystem's target workload.
 func BenchmarkServeScoreParallel(b *testing.B) {
 	d, err := dataset.ECGBivariate(dataset.ECGOptions{N: 60, Points: 40, Seed: 1})

@@ -229,7 +229,7 @@ func run(o options) error {
 	var explain func(i int) ([]expLine, error)
 	if o.explain > 0 {
 		explain = func(i int) ([]expLine, error) {
-			exps, err := p.Explain(testSet, i, o.explain)
+			exps, err := p.Explain(testSet.Samples[i], o.explain)
 			if err != nil {
 				return nil, err
 			}

@@ -26,11 +26,11 @@ func runSLO(o loadOptions) (*report, error) {
 		return nil, errors.New("-deadline must be positive")
 	}
 	o.duration = min(o.duration, 10*time.Second) // per scenario; four scenarios run
-	// Small pools so overload actually overflows: 2 workers, one job per
-	// batch, a queue shallow enough that its worst-case wait stays far
-	// inside the client deadline (8 jobs × the injected 25ms ≪ deadline),
-	// keeping "admitted" and "answerable in time" the same thing.
-	popt := serve.PoolOptions{Workers: 2, QueueCap: 8, MaxBatch: 1}
+	// Small pools so overload actually overflows: 2 workers and a queue
+	// shallow enough that its worst-case wait stays far inside the client
+	// deadline (8 jobs × the injected 25ms ≪ deadline), keeping
+	// "admitted" and "answerable in time" the same thing.
+	popt := serve.PoolOptions{Workers: 2, QueueCap: 8}
 	fleet, err := bootSelfFleet(o.selfFleet, o.model, popt, 100*time.Millisecond)
 	if err != nil {
 		return nil, err
@@ -74,7 +74,7 @@ func runSLO(o loadOptions) (*report, error) {
 	primary.Slow(0)
 	latencyFault.Injected = primary.slowed.Load()
 
-	// Overload: every batch stalls 25ms (fleet capacity ≈ 80/s per
+	// Overload: every job stalls 25ms (fleet capacity ≈ 80/s per
 	// replica) and the offered rate doubles; the fleet must divide the
 	// burst into honest 200s and 429s, nothing worse.
 	faultinject.Arm(serve.FaultBatch, faultinject.Fault{Delay: 25 * time.Millisecond})

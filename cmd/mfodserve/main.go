@@ -7,7 +7,7 @@
 // Usage:
 //
 //	mfodserve -model ecg=model.json [-model other=o.json ...]
-//	          [-addr :8080] [-workers 8] [-queue 256] [-batch 16]
+//	          [-addr :8080] [-workers 8] [-queue 256]
 //	          [-timeout 30s] [-max-body 33554432] [-quiet]
 //	          [-limit-max 256] [-limit-min 1] [-limit-target 250ms]
 //	          [-jobs=true] [-jobs-chunk 64] [-jobs-tokens 2] [-jobs-max 64]
@@ -82,7 +82,6 @@ type serveOptions struct {
 	models       []string
 	workers      int
 	queue        int
-	batch        int
 	maxBody      int64
 	timeout      time.Duration
 	limitMax     int
@@ -108,7 +107,6 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&o.workers, "workers", 0, "scoring goroutines (0 = GOMAXPROCS)")
 	flag.IntVar(&o.queue, "queue", 256, "bounded scoring-queue capacity (full queue => 429)")
-	flag.IntVar(&o.batch, "batch", 16, "max jobs one worker drains per wake-up (micro-batch)")
 	flag.Int64Var(&o.maxBody, "max-body", 0, "request-body byte cap, exceeded => JSON 413 (0 = 32 MiB)")
 	flag.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request deadline (exceeded => 504)")
 	flag.IntVar(&o.limitMax, "limit-max", 0, "adaptive concurrency limit ceiling (AIMD); 0 disables the limiter")
@@ -167,7 +165,6 @@ func run(o serveOptions) error {
 	pool := serve.NewPool(serve.PoolOptions{
 		Workers:  o.workers,
 		QueueCap: o.queue,
-		MaxBatch: o.batch,
 		Metrics:  metrics,
 	})
 	var limiter *serve.AIMD

@@ -83,7 +83,6 @@ func TestServeEndToEnd(t *testing.T) {
 			models:  []string{"ecg=" + path},
 			workers: 2,
 			queue:   16,
-			batch:   4,
 			timeout: 5 * time.Second,
 			quiet:   true,
 			ready:   ready,

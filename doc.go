@@ -9,7 +9,7 @@
 // the evaluation protocol of Sec. 4 (eval), synthetic workloads (dataset)
 // and the assembled pipeline (core). The serve package plus cmd/mfodserve
 // turn persisted pipelines into an online HTTP scoring service — model
-// registry with atomic hot-reload, micro-batching worker pool and
+// registry with atomic hot-reload, bounded worker pool and
 // Prometheus-text metrics. See README.md for a tour, DESIGN.md
 // for the system inventory and EXPERIMENTS.md for paper-vs-measured
 // results. The benchmarks in bench_test.go regenerate every figure of the

@@ -94,7 +94,7 @@ func TestPipelineScoreConcurrent(t *testing.T) {
 						errc <- err
 						return
 					}
-					if _, err := p.Explain(d, g%d.Len(), 3); err != nil {
+					if _, err := p.Explain(d.Samples[g%d.Len()], 3); err != nil {
 						errc <- err
 						return
 					}

@@ -16,14 +16,15 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fda"
 	"repro/internal/geometry"
+	"repro/internal/parallel"
 )
 
 // ErrPipeline reports a mis-configured or unfitted pipeline.
 var ErrPipeline = errors.New("core: invalid pipeline state")
 
 // FaultScore is the fault-injection point hit at the top of Score and
-// ScoreOne. Chaos tests arm it (see internal/faultinject) to simulate a
-// detector that errors or panics mid-request.
+// ScorePartialFit. Chaos tests arm it (see internal/faultinject) to
+// simulate a detector that errors or panics mid-request.
 const FaultScore = "core.pipeline.score"
 
 // Detector is the contract a multivariate outlier-detection algorithm
@@ -133,7 +134,9 @@ func (p *Pipeline) Fit(train fda.Dataset) error {
 	}
 	if p.Standardize {
 		p.featMean, p.featScale = featureStats(feats)
-		applyStandardize(feats, p.featMean, p.featScale)
+		if err := p.standardize(feats, 0, len(p.grid)-1); err != nil {
+			return err
+		}
 	} else {
 		p.featMean, p.featScale = nil, nil
 	}
@@ -144,30 +147,39 @@ func (p *Pipeline) Fit(train fda.Dataset) error {
 	return nil
 }
 
-// features smooths and maps every sample of d on the pipeline grid,
-// fanning both stages out over the pipeline's worker pool and sharing
-// the pipeline's basis cache across samples and calls.
+// features smooths and maps every sample of d on the pipeline grid in
+// one fan-out over the pipeline's worker pool, sharing the pipeline's
+// basis cache across samples and calls. Each row is written back by
+// sample index and its arithmetic does not depend on scheduling, so the
+// result is bitwise identical for every worker count; on error the
+// lowest-index sample's error is returned.
 func (p *Pipeline) features(d fda.Dataset) ([][]float64, error) {
 	opt := p.smoothOptions()
-	fits, err := fda.FitDataset(d, opt)
-	if err != nil {
-		return nil, fmt.Errorf("core: smoothing: %w", err)
-	}
-	feats, err := geometry.MapDatasetParallel(fits, p.Mapping, p.grid, p.Parallel)
-	if err != nil {
-		return nil, fmt.Errorf("core: mapping: %w", err)
+	feats := make([][]float64, d.Len())
+	errs := make([]error, d.Len())
+	parallel.For(d.Len(), p.Parallel, func(_, i int) {
+		fit, err := fda.FitSample(d.Samples[i], opt)
+		if err != nil {
+			errs[i] = fmt.Errorf("core: sample %d: smoothing: %w", i, err)
+			return
+		}
+		if feats[i], err = p.Mapping.Map(fit, p.grid); err != nil {
+			errs[i] = fmt.Errorf("core: sample %d: mapping: %w", i, err)
+		}
+	})
+	if err := parallel.FirstError(errs); err != nil {
+		return nil, err
 	}
 	return feats, nil
 }
 
 // smoothOptions resolves the effective smoothing options for scoring:
-// the fitted grid domain, the pipeline worker pool and the shared cache.
+// the fitted grid domain and the shared cache.
 func (p *Pipeline) smoothOptions() fda.Options {
 	opt := p.Smooth
 	if !opt.HasDomain() {
 		opt.Lo, opt.Hi = p.gridLo, p.gridHi
 	}
-	opt.Parallel = p.Parallel
 	if opt.Cache == nil {
 		opt.Cache = p.cache
 	}
@@ -190,8 +202,28 @@ func (p *Pipeline) Score(test fda.Dataset) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.detect(feats, 0, len(p.grid)-1)
+}
+
+// ScoreOne scores a single held-out sample: Score of a one-sample
+// dataset, so it equals the matching row of Score by construction.
+func (p *Pipeline) ScoreOne(s fda.Sample) (float64, error) {
+	scores, err := p.Score(fda.Dataset{Samples: []fda.Sample{s}})
+	if err != nil {
+		return 0, err
+	}
+	return scores[0], nil
+}
+
+// detect is the step every scoring path ends in: standardize the
+// feature rows with the training statistics, pinning features outside
+// the observed grid window [from, to] to the training mean (see
+// standardize), then score them with the detector.
+func (p *Pipeline) detect(feats [][]float64, from, to int) ([]float64, error) {
 	if p.featMean != nil {
-		applyStandardize(feats, p.featMean, p.featScale)
+		if err := p.standardize(feats, from, to); err != nil {
+			return nil, err
+		}
 	}
 	scores, err := p.Detector.ScoreBatch(feats)
 	if err != nil {
@@ -200,43 +232,25 @@ func (p *Pipeline) Score(test fda.Dataset) ([]float64, error) {
 	return scores, nil
 }
 
-// ScoreOne smooths, maps and scores a single held-out sample: the
-// single-sample fast path used by the internal/serve micro-batcher. It
-// avoids the Dataset allocation and per-call domain recomputation of
-// Score for the latency-sensitive one-curve request shape. Like Score it
-// is safe for concurrent use once the pipeline is fitted.
-func (p *Pipeline) ScoreOne(s fda.Sample) (float64, error) {
-	if !p.fitted {
-		return 0, fmt.Errorf("core: pipeline not fitted: %w", ErrPipeline)
-	}
-	if err := faultinject.Hit(FaultScore); err != nil {
-		return 0, err
-	}
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	fit, err := fda.FitSample(s, p.smoothOptions())
-	if err != nil {
-		return 0, fmt.Errorf("core: smoothing: %w", err)
-	}
-	feat, err := p.Mapping.Map(fit, p.grid)
-	if err != nil {
-		return 0, fmt.Errorf("core: mapping: %w", err)
-	}
-	if p.featMean != nil {
-		if len(feat) != len(p.featMean) {
-			return 0, fmt.Errorf("core: feature length %d, trained %d: %w",
-				len(feat), len(p.featMean), ErrPipeline)
+// standardize z-scores feature rows in place with the training
+// statistics and pins every feature whose grid index lies outside
+// [from, to] to the training mean, zero in standardized space. A
+// feature's grid index is its position modulo the grid length: raw and
+// stacked mappings emit one block of features per pass over the grid.
+func (p *Pipeline) standardize(feats [][]float64, from, to int) error {
+	for _, row := range feats {
+		if len(row) != len(p.featMean) {
+			return fmt.Errorf("core: feature length %d, trained %d: %w", len(row), len(p.featMean), ErrPipeline)
 		}
-		for j := range feat {
-			feat[j] = (feat[j] - p.featMean[j]) / p.featScale[j]
+		for j := range row {
+			if g := j % len(p.grid); g >= from && g <= to {
+				row[j] = (row[j] - p.featMean[j]) / p.featScale[j]
+			} else {
+				row[j] = 0
+			}
 		}
 	}
-	scores, err := p.Detector.ScoreBatch([][]float64{feat})
-	if err != nil {
-		return 0, fmt.Errorf("core: detector score: %w", err)
-	}
-	return scores[0], nil
+	return nil
 }
 
 // Grid returns the common evaluation grid chosen at Fit time.
@@ -263,11 +277,7 @@ func (p *Pipeline) NewIncremental(dim int) (*fda.Incremental, error) {
 		return nil, fmt.Errorf("core: mapping %s needs p >= %d parameters, stream has %d: %w",
 			p.Mapping.Name(), p.Mapping.MinDim(), dim, ErrPipeline)
 	}
-	opt := p.smoothOptions()
-	if !opt.HasDomain() {
-		opt.Lo, opt.Hi = p.gridLo, p.gridHi
-	}
-	return fda.NewIncremental(dim, opt)
+	return fda.NewIncremental(dim, p.smoothOptions())
 }
 
 // ScorePartialFit scores a partially observed curve fitted over the
@@ -278,9 +288,10 @@ func (p *Pipeline) NewIncremental(dim int) (*fda.Incremental, error) {
 // the detector judges only what has actually been seen and the score
 // widens smoothly as data lands. It returns the score plus the
 // inclusive grid-index window [gridFrom, gridTo] the features were kept
-// on; once the sub-domain covers the grid the arithmetic is identical
-// to ScoreOne's. Requires Standardize: without training statistics
-// there is no mean-neutral masking value.
+// on. It ends in the same detect step as Score, so once the sub-domain
+// covers the grid the score equals ScoreOne's bit for bit. Requires
+// Standardize: without training statistics there is no mean-neutral
+// masking value.
 func (p *Pipeline) ScorePartialFit(fit *fda.Fit, lo, hi float64) (score float64, gridFrom, gridTo int, err error) {
 	if !p.fitted {
 		return 0, 0, 0, fmt.Errorf("core: pipeline not fitted: %w", ErrPipeline)
@@ -298,25 +309,14 @@ func (p *Pipeline) ScorePartialFit(fit *fda.Fit, lo, hi float64) (score float64,
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("core: mapping: %w", err)
 	}
-	if len(feat) != len(p.featMean) {
-		return 0, 0, 0, fmt.Errorf("core: feature length %d, trained %d: %w",
-			len(feat), len(p.featMean), ErrPipeline)
-	}
 	// gridFrom is the first grid point >= lo, gridTo the last <= hi;
 	// sort.Search keeps the boundary logic free of exact float
 	// comparisons.
 	gridFrom = sort.Search(len(p.grid), func(i int) bool { return !(p.grid[i] < lo) })
 	gridTo = sort.Search(len(p.grid), func(i int) bool { return p.grid[i] > hi }) - 1
-	for j := range feat {
-		if j >= gridFrom && j <= gridTo {
-			feat[j] = (feat[j] - p.featMean[j]) / p.featScale[j]
-		} else {
-			feat[j] = 0
-		}
-	}
-	scores, err := p.Detector.ScoreBatch([][]float64{feat})
+	scores, err := p.detect([][]float64{feat}, gridFrom, gridTo)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("core: detector score: %w", err)
+		return 0, 0, 0, err
 	}
 	return scores[0], gridFrom, gridTo, nil
 }
@@ -352,12 +352,4 @@ func featureStats(x [][]float64) (mean, scale []float64) {
 		}
 	}
 	return mean, scale
-}
-
-func applyStandardize(x [][]float64, mean, scale []float64) {
-	for _, row := range x {
-		for j := range row {
-			row[j] = (row[j] - mean[j]) / scale[j]
-		}
-	}
 }

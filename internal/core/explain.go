@@ -24,43 +24,27 @@ type Explanation struct {
 	Z float64
 }
 
-// Explain returns the k most deviant mapped features of one sample of
-// test, ordered by |Z| descending. The pipeline must have been fitted
-// with Standardize: true, which is what records the training feature
+// Explain returns the k most deviant mapped features of one sample,
+// ordered by |Z| descending. The pipeline must have been fitted with
+// Standardize: true, which is what records the training feature
 // statistics the attribution is measured against.
-func (p *Pipeline) Explain(test fda.Dataset, sample, k int) ([]Explanation, error) {
+func (p *Pipeline) Explain(s fda.Sample, k int) ([]Explanation, error) {
 	if !p.fitted {
 		return nil, fmt.Errorf("core: pipeline not fitted: %w", ErrPipeline)
 	}
 	if p.featMean == nil {
 		return nil, fmt.Errorf("core: Explain requires Standardize: %w", ErrPipeline)
 	}
-	if err := test.Validate(); err != nil {
-		return nil, err
-	}
-	if sample < 0 || sample >= test.Len() {
-		return nil, fmt.Errorf("core: explain sample %d out of range [0, %d): %w", sample, test.Len(), ErrPipeline)
-	}
-	one := test.Subset([]int{sample})
-	feats, err := p.features(one)
+	feats, err := p.features(fda.Dataset{Samples: []fda.Sample{s}})
 	if err != nil {
 		return nil, err
 	}
-	row := feats[0]
-	if len(row) != len(p.featMean) {
-		return nil, fmt.Errorf("core: explain feature length %d, trained %d: %w", len(row), len(p.featMean), ErrPipeline)
+	if err := p.standardize(feats, 0, len(p.grid)-1); err != nil {
+		return nil, err
 	}
-	out := make([]Explanation, len(row))
-	for j, v := range row {
-		t := math.NaN()
-		if len(p.grid) > 0 {
-			t = p.grid[j%len(p.grid)]
-		}
-		out[j] = Explanation{
-			FeatureIndex: j,
-			T:            t,
-			Z:            (v - p.featMean[j]) / p.featScale[j],
-		}
+	out := make([]Explanation, len(feats[0]))
+	for j, z := range feats[0] {
+		out[j] = Explanation{FeatureIndex: j, T: p.grid[j%len(p.grid)], Z: z}
 	}
 	sort.Slice(out, func(a, b int) bool { return math.Abs(out[a].Z) > math.Abs(out[b].Z) })
 	if k > 0 && k < len(out) {

@@ -48,7 +48,7 @@ func TestExplainLocalisesDeviation(t *testing.T) {
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	exps, err := p.Explain(d, 0, 5)
+	exps, err := p.Explain(d.Samples[0], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestExplainInlierIsMild(t *testing.T) {
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Explain(d, 0, 1)
+	out, err := p.Explain(d.Samples[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := p.Explain(d, 1, 1)
+	in, err := p.Explain(d.Samples[1], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,28 +109,13 @@ func TestExplainValidation(t *testing.T) {
 		Detector:    iforest.New(iforest.Options{Seed: 8}),
 		Standardize: false,
 	}
-	if _, err := p.Explain(d, 0, 3); !errors.Is(err, ErrPipeline) {
+	if _, err := p.Explain(d.Samples[0], 3); !errors.Is(err, ErrPipeline) {
 		t.Fatal("explain before fit must fail")
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Explain(d, 0, 3); !errors.Is(err, ErrPipeline) {
+	if _, err := p.Explain(d.Samples[0], 3); !errors.Is(err, ErrPipeline) {
 		t.Fatal("explain without standardization must fail")
-	}
-	p2 := &Pipeline{
-		Smooth:      fda.Options{Dims: []int{16}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Seed: 8}),
-		Standardize: true,
-	}
-	if err := p2.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Explain(d, -1, 3); !errors.Is(err, ErrPipeline) {
-		t.Fatal("negative sample index must fail")
-	}
-	if _, err := p2.Explain(d, d.Len(), 3); !errors.Is(err, ErrPipeline) {
-		t.Fatal("out-of-range sample index must fail")
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/iforest"
 )
 
-func fitPartialPipeline(t *testing.T, standardize bool) (*Pipeline, fda.Dataset) {
+func fitPartialPipeline(t *testing.T, m geometry.Mapping, standardize bool) (*Pipeline, fda.Dataset) {
 	t.Helper()
 	d, err := dataset.ECGBivariate(dataset.ECGOptions{N: 25, Points: 50, Seed: 5})
 	if err != nil {
@@ -19,7 +19,7 @@ func fitPartialPipeline(t *testing.T, standardize bool) (*Pipeline, fda.Dataset)
 	}
 	p := &Pipeline{
 		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
+		Mapping:     m,
 		Detector:    iforest.New(iforest.Options{Trees: 40, Seed: 5}),
 		Standardize: standardize,
 		Parallel:    1,
@@ -32,46 +32,56 @@ func fitPartialPipeline(t *testing.T, standardize bool) (*Pipeline, fda.Dataset)
 
 // TestScorePartialFitFullCoverage: once the observed sub-domain covers
 // the whole grid, the partial path must be arithmetically identical to
-// ScoreOne — same mapping, same standardization, no masked features.
+// ScoreOne — same mapping, same standardization, no masked features —
+// also for raw and stacked mappings, which emit one block of features
+// per pass over the grid.
 func TestScorePartialFitFullCoverage(t *testing.T) {
-	p, d := fitPartialPipeline(t, true)
-	for i := 0; i < 5; i++ {
-		s := d.Samples[i]
-		want, err := p.ScoreOne(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inc, err := p.NewIncremental(s.Dim())
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals := make([]float64, s.Dim())
-		for j := range s.Times {
-			for k := range s.Values {
-				vals[k] = s.Values[k][j]
+	for _, m := range []geometry.Mapping{
+		geometry.LogCurvature{},
+		geometry.Raw{},
+		geometry.Stack{geometry.Curvature{}, geometry.Speed{}},
+	} {
+		t.Run(m.Name(), func(t *testing.T) {
+			p, d := fitPartialPipeline(t, m, true)
+			for i := 0; i < 5; i++ {
+				s := d.Samples[i]
+				want, err := p.ScoreOne(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inc, err := p.NewIncremental(s.Dim())
+				if err != nil {
+					t.Fatal(err)
+				}
+				vals := make([]float64, s.Dim())
+				for j := range s.Times {
+					for k := range s.Values {
+						vals[k] = s.Values[k][j]
+					}
+					if err := inc.Append(s.Times[j], vals); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fit, err := inc.Fit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				lo, hi, ok := inc.Span()
+				if !ok {
+					t.Fatal("empty span on a full stream")
+				}
+				got, from, to, err := p.ScorePartialFit(fit, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if from != 0 || to != len(p.Grid())-1 {
+					t.Fatalf("full coverage masked the grid: [%d, %d] of %d", from, to, len(p.Grid()))
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("sample %d: partial %v != batch %v at full coverage", i, got, want)
+				}
 			}
-			if err := inc.Append(s.Times[j], vals); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fit, err := inc.Fit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo, hi, ok := inc.Span()
-		if !ok {
-			t.Fatal("empty span on a full stream")
-		}
-		got, from, to, err := p.ScorePartialFit(fit, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if from != 0 || to != len(p.Grid())-1 {
-			t.Fatalf("full coverage masked the grid: [%d, %d] of %d", from, to, len(p.Grid()))
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("sample %d: partial %v != batch %v at full coverage", i, got, want)
-		}
+		})
 	}
 }
 
@@ -79,7 +89,7 @@ func TestScorePartialFitFullCoverage(t *testing.T) {
 // strictly interior grid window, and the window must widen as more of
 // the curve lands.
 func TestScorePartialFitPrefix(t *testing.T) {
-	p, d := fitPartialPipeline(t, true)
+	p, d := fitPartialPipeline(t, geometry.LogCurvature{}, true)
 	s := d.Samples[0]
 	inc, err := p.NewIncremental(s.Dim())
 	if err != nil {
@@ -126,7 +136,7 @@ func TestScorePartialFitPrefix(t *testing.T) {
 // statistics there is no mean-neutral masking value, so the partial
 // path must refuse rather than silently feed raw zeros to the detector.
 func TestScorePartialFitRequiresStandardize(t *testing.T) {
-	p, d := fitPartialPipeline(t, false)
+	p, d := fitPartialPipeline(t, geometry.LogCurvature{}, false)
 	fit, err := fda.FitSample(d.Samples[0], fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}, Lo: d.Samples[0].Times[0], Hi: d.Samples[0].Times[len(d.Samples[0].Times)-1]})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +153,7 @@ func TestNewIncrementalValidation(t *testing.T) {
 	if _, err := unfitted.NewIncremental(2); !errors.Is(err, ErrPipeline) {
 		t.Fatalf("unfitted: %v", err)
 	}
-	p, _ := fitPartialPipeline(t, true)
+	p, _ := fitPartialPipeline(t, geometry.LogCurvature{}, true)
 	if _, err := p.NewIncremental(1); !errors.Is(err, ErrPipeline) {
 		t.Fatalf("dim below MinDim: %v", err)
 	}

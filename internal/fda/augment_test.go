@@ -57,11 +57,11 @@ func TestAugmentWithDerivativesValidation(t *testing.T) {
 
 func TestCriterionGCVSelectsReasonableModel(t *testing.T) {
 	ts, ys := sinSample(60, 0.05, 11)
-	loocvFit, err := FitCurve(ts, ys, Options{})
+	loocvFit, err := fitCurve(ts, ys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcvFit, err := FitCurve(ts, ys, Options{Criterion: GCV})
+	gcvFit, err := fitCurve(ts, ys, Options{Criterion: GCV})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,7 +230,7 @@ type lambdaFactor struct {
 // newFitEntry builds the eager members (design and Gram matrices). ts is
 // retained; callers that reuse their grid slice must pass a stable one
 // (the cache passes the verified key grid, transient entries live only
-// for one FitCurve call).
+// for one FitSample call).
 func newFitEntry(basis bspline.Basis, ts []float64, q int) *fitEntry {
 	e := &fitEntry{basis: basis, ts: ts, q: q, bandwidth: -1}
 	if bs, ok := basis.(*bspline.BSpline); ok {

@@ -149,7 +149,7 @@ func TestEvalGridCachedMatchesUncached(t *testing.T) {
 func benchmarkFit(b *testing.B) *CurveFit {
 	b.Helper()
 	d := hotpathDataset(1, 85)
-	fit, err := FitCurve(d.Samples[0].Times, d.Samples[0].Values[0], Options{})
+	fit, err := fitCurve(d.Samples[0].Times, d.Samples[0].Values[0], Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

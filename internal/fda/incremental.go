@@ -15,7 +15,7 @@ import (
 //
 // The equivalence contract — the reason this type is trusted — is that a
 // completed stream fits *bitwise identically* to the batch path
-// (FitCurve/FitSample with the same Options), regardless of the order or
+// (FitSample with the same Options), regardless of the order or
 // chunking the observations arrived in:
 //
 //   - Per candidate basis size, the Gram matrix ΦᵀΦ is accumulated one
@@ -35,10 +35,10 @@ import (
 //     does not touch the Gram at all: fitWithEntry recomputes Φᵀy from
 //     scratch on every fit, so only the time grid — never the values —
 //     decides whether the Gram is current.
-//   - Fitting routes through the same unexported fitWithEntry as the
-//     batch path (same λ ladder, same LOOCV/GCV arithmetic, same ridge
-//     retry, same strict score tie-break), over a transient fitEntry
-//     whose design is a no-copy view of the accumulated rows. When a
+//   - Fitting runs the batch path's own selection loop, selectFit (same
+//     λ ladder, same LOOCV/GCV arithmetic, same ridge retry, same strict
+//     score tie-break), over transient fitEntry snapshots whose designs
+//     are no-copy views of the accumulated rows. When a
 //     BasisCache already holds the exact grid (a stream that completed
 //     on a grid the batch path also fit), the resident entry is reused
 //     via a lookup that never populates the cache — growing streams
@@ -220,86 +220,35 @@ func (inc *Incremental) Fit() (*Fit, error) {
 	}
 	dims := inc.opt.dims(m)
 	inc.pruneAccs(dims)
-	type cand struct {
-		acc   *incAcc
-		entry *fitEntry
-		err   error
-	}
-	cands := make([]cand, len(dims))
+	accs := make([]*incAcc, len(dims))
+	systems := make([]system, len(dims))
 	for i, dim := range dims {
-		acc, err := inc.ensureAcc(dim)
-		if err != nil {
-			cands[i] = cand{err: err}
-			continue
-		}
-		cands[i] = cand{acc: acc}
+		accs[i], systems[i].err = inc.ensureAcc(dim)
 	}
 	if inc.dirty {
-		for _, c := range cands {
-			if c.acc != nil {
-				c.acc.rebuildGram(m)
+		for _, acc := range accs {
+			if acc != nil {
+				acc.rebuildGram(m)
 			}
 		}
 		inc.dirty = false
 		inc.rebuilds++
 	}
-	cache := inc.cache()
-	for i := range cands {
-		if cands[i].acc == nil {
-			continue
+	for i, acc := range accs {
+		if acc != nil {
+			systems[i].entry, systems[i].err = inc.entryFor(acc, m)
 		}
-		e, err := inc.entryFor(cands[i].acc, m, cache)
-		if err != nil {
-			cands[i] = cand{err: err}
-			continue
-		}
-		cands[i].entry = e
 	}
-	fit := &Fit{Params: make([]*CurveFit, inc.p)}
-	for k := 0; k < inc.p; k++ {
-		best := (*CurveFit)(nil)
-		var firstErr error
-		for _, c := range cands {
-			if c.entry == nil {
-				if firstErr == nil {
-					firstErr = c.err
-				}
-				continue
-			}
-			cf, err := fitWithEntry(c.entry, inc.ys[k], inc.opt.lambdas(), inc.opt.Criterion)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if best == nil || cf.Score < best.Score {
-				best = cf
-			}
-		}
-		if best == nil {
-			inner := fmt.Errorf("fda: no candidate basis fit: %w", ErrFit)
-			if firstErr != nil {
-				inner = fmt.Errorf("fda: no candidate basis fit: %w", firstErr)
-			}
-			return nil, fmt.Errorf("fda: parameter %d: %w", k, inner)
-		}
-		best.cache = cache
-		fit.Params[k] = best
+	fit, err := selectFit(systems, inc.ys, inc.opt)
+	if err != nil {
+		return nil, err
 	}
-	for i := range cands {
-		if cands[i].acc != nil && cands[i].entry != nil {
-			cands[i].acc.harvestPenalty(cands[i].entry)
+	for i, acc := range accs {
+		if systems[i].entry != nil {
+			acc.harvestPenalty(systems[i].entry)
 		}
 	}
 	return fit, nil
-}
-
-func (inc *Incremental) cache() *BasisCache {
-	if inc.opt.Basis != nil || inc.opt.NoCache {
-		return nil
-	}
-	return inc.opt.Cache
 }
 
 func (inc *Incremental) pruneAccs(dims []int) {
@@ -349,8 +298,8 @@ func (inc *Incremental) ensureAcc(dim int) (*incAcc, error) {
 // transient, viewing the accumulated rows without copying and cloning
 // the Gram so the mirror step cannot corrupt the running upper
 // triangle.
-func (inc *Incremental) entryFor(acc *incAcc, m int, cache *BasisCache) (*fitEntry, error) {
-	if cache != nil {
+func (inc *Incremental) entryFor(acc *incAcc, m int) (*fitEntry, error) {
+	if cache := inc.opt.basisCache(); cache != nil {
 		if e := cache.lookupFitEntry(acc.dim, inc.order, inc.q, inc.lo, inc.hi, inc.ts); e != nil {
 			return e, nil
 		}

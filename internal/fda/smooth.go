@@ -50,8 +50,8 @@ type Options struct {
 	Parallel int
 	// Cache memoizes design/penalty matrices and their factorizations
 	// across fits (see BasisCache). nil makes FitDataset create a
-	// private cache for the call; FitCurve and FitSample use a cache
-	// only when one is supplied. Ignored for custom Basis factories.
+	// private cache for the call; FitSample uses a cache only when one
+	// is supplied. Ignored for custom Basis factories.
 	Cache *BasisCache
 	// NoCache disables basis caching entirely, forcing every fit to
 	// rebuild its linear algebra from scratch — the sequential seed
@@ -153,6 +153,15 @@ func (o Options) factory() BasisFactory {
 	}
 }
 
+// basisCache returns the cache fits share: Cache, unless caching is
+// disabled or a custom Basis factory (which cannot be keyed) is set.
+func (o Options) basisCache() *BasisCache {
+	if o.Basis != nil || o.NoCache {
+		return nil
+	}
+	return o.Cache
+}
+
 // CurveFit is the fitted approximation x̃ of one parameter: the basis, the
 // estimated coefficient vector α* (Eq. 4) and the model-selection scores.
 type CurveFit struct {
@@ -247,13 +256,18 @@ func (f *Fit) EvalGrid(ts []float64, deriv int) [][]float64 {
 	return out
 }
 
-// FitCurve fits one univariate parameter observed at ts with the penalized
-// least-squares criterion of Eq. 3, choosing the basis size and λ that
-// minimise the closed-form leave-one-out cross-validation error.
-func FitCurve(ts, ys []float64, opt Options) (*CurveFit, error) {
-	if len(ts) != len(ys) {
-		return nil, fmt.Errorf("fda: %d points vs %d values: %w", len(ts), len(ys), ErrData)
+// FitSample fits all p parameters of one MFD sample with the penalized
+// least-squares criterion of Eq. 3. Each candidate basis size gets one
+// smoothing system — design, Gram, penalty and λ factorizations, none
+// of which depend on the observed values — and every parameter is fit
+// against it; selectFit then keeps, per parameter, the basis size and λ
+// that minimise the selection criterion (by default the closed-form
+// leave-one-out cross-validation error).
+func FitSample(s Sample, opt Options) (*Fit, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
+	ts := s.Times
 	if len(ts) < 2 {
 		return nil, fmt.Errorf("fda: need at least 2 points, got %d: %w", len(ts), ErrData)
 	}
@@ -266,46 +280,72 @@ func FitCurve(ts, ys []float64, opt Options) (*CurveFit, error) {
 	}
 	factory := opt.factory()
 	q := opt.penaltyDeriv()
-	cache := opt.Cache
-	if opt.Basis != nil || opt.NoCache {
-		cache = nil
-	}
-	best := (*CurveFit)(nil)
-	var firstErr error
-	for _, dim := range opt.dims(len(ts)) {
-		var entry *fitEntry
+	cache := opt.basisCache()
+	dims := opt.dims(len(ts))
+	systems := make([]system, len(dims))
+	for i, dim := range dims {
 		if cache != nil {
-			entry = cache.fitEntryFor(dim, opt.order(), q, lo, hi, ts)
+			if e := cache.fitEntryFor(dim, opt.order(), q, lo, hi, ts); e != nil {
+				systems[i].entry = e
+				continue
+			}
 		}
-		if entry == nil {
-			basis, err := factory(dim, lo, hi)
+		basis, err := factory(dim, lo, hi)
+		if err != nil {
+			systems[i].err = err
+			continue
+		}
+		systems[i].entry = newFitEntry(basis, ts, q)
+	}
+	return selectFit(systems, s.Values, opt)
+}
+
+// system is the smoothing system of one candidate basis size, or the
+// error that kept it from being built.
+type system struct {
+	entry *fitEntry
+	err   error
+}
+
+// selectFit is the model selection shared by FitSample and
+// Incremental.Fit: each parameter row of ys is fit against every
+// candidate system in ladder order, and the criterion minimiser wins
+// (strict <, so the earlier candidate keeps a tie). A parameter that no
+// candidate fits reports the first candidate error.
+func selectFit(systems []system, ys [][]float64, opt Options) (*Fit, error) {
+	fit := &Fit{Params: make([]*CurveFit, len(ys))}
+	for k, y := range ys {
+		var best *CurveFit
+		var firstErr error
+		for _, sys := range systems {
+			if sys.entry == nil {
+				if firstErr == nil {
+					firstErr = sys.err
+				}
+				continue
+			}
+			cf, err := fitWithEntry(sys.entry, y, opt.lambdas(), opt.Criterion)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 				continue
 			}
-			entry = newFitEntry(basis, ts, q)
-		}
-		fit, err := fitWithEntry(entry, ys, opt.lambdas(), opt.Criterion)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+			if best == nil || cf.Score < best.Score {
+				best = cf
 			}
-			continue
 		}
-		if best == nil || fit.Score < best.Score {
-			best = fit
+		if best == nil {
+			inner := fmt.Errorf("fda: no candidate basis fit: %w", ErrFit)
+			if firstErr != nil {
+				inner = fmt.Errorf("fda: no candidate basis fit: %w", firstErr)
+			}
+			return nil, fmt.Errorf("fda: parameter %d: %w", k, inner)
 		}
+		best.cache = opt.basisCache()
+		fit.Params[k] = best
 	}
-	if best == nil {
-		if firstErr != nil {
-			return nil, fmt.Errorf("fda: no candidate basis fit: %w", firstErr)
-		}
-		return nil, fmt.Errorf("fda: no candidate basis fit: %w", ErrFit)
-	}
-	best.cache = cache
-	return best, nil
+	return fit, nil
 }
 
 // fitWithEntry solves Eq. 4 for every candidate λ of one (pre-built)
@@ -395,22 +435,6 @@ func factorSPD(a *linalg.Dense, bandwidth int) (spdSolver, error) {
 		return linalg.NewBandCholesky(a, bandwidth)
 	}
 	return linalg.NewCholesky(a)
-}
-
-// FitSample fits all p parameters of one MFD sample.
-func FitSample(s Sample, opt Options) (*Fit, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	fit := &Fit{Params: make([]*CurveFit, s.Dim())}
-	for k := 0; k < s.Dim(); k++ {
-		cf, err := FitCurve(s.Times, s.Values[k], opt)
-		if err != nil {
-			return nil, fmt.Errorf("fda: parameter %d: %w", k, err)
-		}
-		fit.Params[k] = cf
-	}
-	return fit, nil
 }
 
 // FitDataset fits every sample of the dataset, fixing the basis domain to

@@ -19,9 +19,19 @@ func sinSample(m int, noise float64, seed int64) ([]float64, []float64) {
 	return ts, ys
 }
 
+// fitCurve fits one univariate parameter observed at ts: FitSample on a
+// one-parameter sample.
+func fitCurve(ts, ys []float64, opt Options) (*CurveFit, error) {
+	fit, err := FitSample(Sample{Times: ts, Values: [][]float64{ys}}, opt)
+	if err != nil {
+		return nil, err
+	}
+	return fit.Params[0], nil
+}
+
 func TestFitCurveRecoversSmoothFunction(t *testing.T) {
 	ts, ys := sinSample(60, 0.02, 1)
-	fit, err := FitCurve(ts, ys, Options{})
+	fit, err := fitCurve(ts, ys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +48,7 @@ func TestFitCurveRecoversSmoothFunction(t *testing.T) {
 
 func TestFitCurveDerivativeAccuracy(t *testing.T) {
 	ts, ys := sinSample(80, 0.01, 2)
-	fit, err := FitCurve(ts, ys, Options{})
+	fit, err := fitCurve(ts, ys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +67,7 @@ func TestFitCurveDerivativeAccuracy(t *testing.T) {
 
 func TestFitCurveNoiselessInterpolatesClosely(t *testing.T) {
 	ts, ys := sinSample(50, 0, 3)
-	fit, err := FitCurve(ts, ys, Options{Dims: []int{20}, Lambdas: []float64{0}})
+	fit, err := fitCurve(ts, ys, Options{Dims: []int{20}, Lambdas: []float64{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +80,11 @@ func TestFitCurveNoiselessInterpolatesClosely(t *testing.T) {
 
 func TestFitCurvePenaltyShrinksRoughness(t *testing.T) {
 	ts, ys := sinSample(60, 0.1, 4)
-	rough, err := FitCurve(ts, ys, Options{Dims: []int{25}, Lambdas: []float64{0}})
+	rough, err := fitCurve(ts, ys, Options{Dims: []int{25}, Lambdas: []float64{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	smooth, err := FitCurve(ts, ys, Options{Dims: []int{25}, Lambdas: []float64{10}})
+	smooth, err := fitCurve(ts, ys, Options{Dims: []int{25}, Lambdas: []float64{10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +103,7 @@ func TestFitCurvePenaltyShrinksRoughness(t *testing.T) {
 
 func TestFitCurveSelectsAmongDims(t *testing.T) {
 	ts, ys := sinSample(60, 0.05, 5)
-	fit, err := FitCurve(ts, ys, Options{Dims: []int{6, 12, 18}})
+	fit, err := fitCurve(ts, ys, Options{Dims: []int{6, 12, 18}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,17 +120,17 @@ func TestFitCurveSelectsAmongDims(t *testing.T) {
 }
 
 func TestFitCurveErrors(t *testing.T) {
-	if _, err := FitCurve([]float64{0, 1}, []float64{1}, Options{}); !errors.Is(err, ErrData) {
+	if _, err := fitCurve([]float64{0, 1}, []float64{1}, Options{}); !errors.Is(err, ErrData) {
 		t.Fatal("length mismatch must fail")
 	}
-	if _, err := FitCurve([]float64{0}, []float64{1}, Options{}); !errors.Is(err, ErrData) {
+	if _, err := fitCurve([]float64{0}, []float64{1}, Options{}); !errors.Is(err, ErrData) {
 		t.Fatal("single point must fail")
 	}
 }
 
 func TestFitCurveFourierBasis(t *testing.T) {
 	ts, ys := sinSample(60, 0.02, 6)
-	fit, err := FitCurve(ts, ys, Options{
+	fit, err := fitCurve(ts, ys, Options{
 		Dims: []int{5, 9},
 		Basis: func(dim int, lo, hi float64) (bspline.Basis, error) {
 			if dim%2 == 0 {
@@ -187,7 +197,7 @@ func TestFitDatasetSharedDomain(t *testing.T) {
 
 func TestCurveFitEvalGridMatchesEval(t *testing.T) {
 	ts, ys := sinSample(40, 0.02, 7)
-	fit, err := FitCurve(ts, ys, Options{})
+	fit, err := fitCurve(ts, ys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

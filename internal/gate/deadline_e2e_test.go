@@ -327,7 +327,7 @@ func bootTinyReplica(t *testing.T, modelPath string) *httptest.Server {
 			t.Fatal(err)
 		}
 	}
-	pool := serve.NewPool(serve.PoolOptions{Workers: 1, QueueCap: 2, MaxBatch: 1})
+	pool := serve.NewPool(serve.PoolOptions{Workers: 1, QueueCap: 2})
 	t.Cleanup(pool.Close)
 	srv, err := serve.NewServer(serve.Config{
 		Registry: reg,
@@ -358,7 +358,7 @@ func TestGateOverloadSheds429Never5xx(t *testing.T) {
 	_, base, _ := gateOver(t, urls, func(c *gate.Config) {
 		c.HedgeDelay = 30 * time.Millisecond
 	})
-	// Every single-sample batch stalls 25ms: three workers fleet-wide,
+	// Every job stalls 25ms: three workers fleet-wide,
 	// so 64 concurrent requests are far past capacity.
 	faultinject.Arm(serve.FaultBatch, faultinject.Fault{Delay: 25 * time.Millisecond})
 

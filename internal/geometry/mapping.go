@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"repro/internal/fda"
-	"repro/internal/parallel"
 )
 
 // ErrMapping reports a mapping that cannot be applied to the given fit
@@ -401,34 +400,18 @@ func Registry() map[string]Mapping {
 }
 
 // MapDataset applies the mapping to every fitted sample on a shared grid,
-// returning the n feature vectors the detector layer consumes. It runs
-// sequentially; MapDatasetParallel is the fan-out form.
+// returning the n feature vectors the detector layer consumes.
 func MapDataset(fits []*fda.Fit, m Mapping, ts []float64) ([][]float64, error) {
-	return MapDatasetParallel(fits, m, ts, 1)
-}
-
-// MapDatasetParallel is MapDataset over a bounded worker pool (workers
-// <= 0 means GOMAXPROCS). Every Mapping in this package is read-only
-// after construction, and feature vectors are written back by sample
-// index, so the output is bitwise identical to the sequential path; on
-// error the lowest-index sample's error is returned, exactly as the
-// sequential loop would surface it.
-func MapDatasetParallel(fits []*fda.Fit, m Mapping, ts []float64, workers int) ([][]float64, error) {
 	if len(fits) == 0 {
 		return nil, fmt.Errorf("geometry: no fits to map: %w", ErrMapping)
 	}
 	out := make([][]float64, len(fits))
-	errs := make([]error, len(fits))
-	parallel.For(len(fits), workers, func(_, i int) {
-		v, err := m.Map(fits[i], ts)
+	for i, fit := range fits {
+		v, err := m.Map(fit, ts)
 		if err != nil {
-			errs[i] = fmt.Errorf("geometry: sample %d: %w", i, err)
-			return
+			return nil, fmt.Errorf("geometry: sample %d: %w", i, err)
 		}
 		out[i] = v
-	})
-	if err := parallel.FirstError(errs); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

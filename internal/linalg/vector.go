@@ -24,37 +24,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// NormInf returns the max-absolute-value norm of x.
-func NormInf(x []float64) float64 {
-	var mx float64
-	for _, v := range x {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// Axpy computes y ← a*x + y in place and returns y.
-func Axpy(a float64, x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("linalg: axpy of vectors with different lengths")
-	}
-	for i, v := range x {
-		y[i] += a * v
-	}
-	return y
-}
-
-// ScaleVec returns a*x as a new vector.
-func ScaleVec(a float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = a * v
-	}
-	return out
-}
-
 // Dist2 returns the Euclidean distance between x and y.
 func Dist2(x, y []float64) float64 {
 	if len(x) != len(y) {

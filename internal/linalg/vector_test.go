@@ -30,31 +30,6 @@ func TestNorm2Known(t *testing.T) {
 	}
 }
 
-func TestNormInf(t *testing.T) {
-	if got := NormInf([]float64{-7, 3, 5}); got != 7 {
-		t.Fatalf("NormInf = %g want 7", got)
-	}
-}
-
-func TestAxpyInPlace(t *testing.T) {
-	y := []float64{1, 1}
-	Axpy(2, []float64{3, 4}, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Fatalf("Axpy = %v want [7 9]", y)
-	}
-}
-
-func TestScaleVec(t *testing.T) {
-	x := []float64{1, -2}
-	got := ScaleVec(-3, x)
-	if got[0] != -3 || got[1] != 6 {
-		t.Fatalf("ScaleVec = %v", got)
-	}
-	if x[0] != 1 {
-		t.Fatal("ScaleVec must not mutate input")
-	}
-}
-
 func TestSubAndDist(t *testing.T) {
 	if Dist2([]float64{0, 0}, []float64{3, 4}) != 5 {
 		t.Fatal("Dist2 wrong")

@@ -1,9 +1,9 @@
 // Package metrics is the serving tiers' Prometheus registry. Each family
-// is declared once, as a counter, gauge, histogram or summary with fixed
-// label keys, and one renderer writes the text exposition format, so the
-// format and the naming policy live here and nowhere else. Counters,
-// histograms and summaries are observed; gauges, and counters another
-// component already keeps, are read from their owner at scrape time.
+// is declared once, as a counter, gauge or histogram with fixed label
+// keys, and one renderer writes the text exposition format, so the
+// format and the naming policy live here and nowhere else. Counters and
+// histograms are observed; gauges, and counters another component
+// already keeps, are read from their owner at scrape time.
 //
 // Registration panics on a name outside the registry's prefix, an
 // invalid family or label name, a second family of the same name, a
@@ -65,10 +65,9 @@ type family struct {
 // family's kind.
 type series struct {
 	values  []string // label values, in key order
-	n       uint64   // counter value; observations of a histogram or summary
+	n       uint64   // counter value; observations of a histogram
 	g       int      // gauge value
 	sum     float64  // histogram: sum of the non-negative observations
-	isum    uint64   // summary: sum of the observations
 	buckets []uint64 // histogram: observations per bucket, not cumulative
 }
 
@@ -77,10 +76,6 @@ type Counter struct{ f *family }
 
 // Histogram is a family of bucketed float observations.
 type Histogram struct{ f *family }
-
-// Summary is a family of integer observations, such as batch sizes,
-// exposed as count and sum only (no quantiles).
-type Summary struct{ f *family }
 
 // Counter registers a counter family; name must end in _total.
 func (r *Registry) Counter(name, help string, labels ...string) Counter {
@@ -91,11 +86,6 @@ func (r *Registry) Counter(name, help string, labels ...string) Counter {
 // bounds; the +Inf bucket is implicit.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) Histogram {
 	return Histogram{r.register(name, help, "histogram", labels, bounds, nil)}
-}
-
-// Summary registers a summary family.
-func (r *Registry) Summary(name, help string, labels ...string) Summary {
-	return Summary{r.register(name, help, "summary", labels, nil, nil)}
 }
 
 // CounterFunc registers an unlabelled counter whose value fn returns at
@@ -144,11 +134,6 @@ func (h Histogram) Observe(v float64, values ...string) {
 			s.buckets[i]++
 		}
 	})
-}
-
-// Observe records v in the series with the given label values.
-func (sm Summary) Observe(v uint64, values ...string) {
-	sm.f.update(values, func(s *series) { s.n++; s.isum += v })
 }
 
 func (r *Registry) register(name, help, kind string, labels []string, bounds []float64, read func() []*series) *family {
@@ -266,9 +251,6 @@ func (f *family) render(b *bytes.Buffer, list []*series) {
 			}
 			line(b, f.name+"_bucket", append(pairs, `le="+Inf"`), u(s.n))
 			line(b, f.name+"_sum", pairs, g(s.sum))
-			line(b, f.name+"_count", pairs, u(s.n))
-		case "summary":
-			line(b, f.name+"_sum", pairs, u(s.isum))
 			line(b, f.name+"_count", pairs, u(s.n))
 		}
 	}

@@ -29,7 +29,7 @@ func TestRegistrationPanics(t *testing.T) {
 			r.Counter("requests_total", "Help.")
 		}},
 		{"invalid name", "not a valid metric name", func(r *metrics.Registry) {
-			r.Summary("mfod_queue-depth", "Help.")
+			r.GaugeFunc("mfod_queue-depth", "Help.", func() int { return 0 })
 		}},
 		{"duplicate family", "registered twice", func(r *metrics.Registry) {
 			r.Counter("mfod_hits_total", "Help.")
@@ -48,9 +48,6 @@ func TestRegistrationPanics(t *testing.T) {
 		{"histogram with _total", "must not end in _total", func(r *metrics.Registry) {
 			r.Histogram("mfod_latency_total", "Help.", []float64{1})
 		}},
-		{"summary with _total", "must not end in _total", func(r *metrics.Registry) {
-			r.Summary("mfod_batch_total", "Help.")
-		}},
 		{"renderer suffix", "only the renderer writes", func(r *metrics.Registry) {
 			r.GaugeFunc("mfod_jobs_count", "Help.", func() int { return 0 })
 		}},
@@ -61,7 +58,7 @@ func TestRegistrationPanics(t *testing.T) {
 			r.Histogram("mfod_latency_seconds", "Help.", []float64{1}, "le")
 		}},
 		{"quantile label key", "invalid, reserved or repeated label key", func(r *metrics.Registry) {
-			r.Summary("mfod_batch_jobs", "Help.", "quantile")
+			r.Histogram("mfod_latency_seconds", "Help.", []float64{1}, "quantile")
 		}},
 		{"repeated label key", "repeated label key \"model\"", func(r *metrics.Registry) {
 			r.Counter("mfod_hits_total", "Help.", "model", "model")
@@ -84,8 +81,8 @@ func TestRegistrationPanics(t *testing.T) {
 
 // TestWritePrometheus pins the exposition format of every kind: sorted
 // families and series, %q label values, le last, %g bounds and sums,
-// integer counters, summaries and gauges, and header lines for a
-// family with no series yet.
+// integer counters and gauges, and header lines for a family with no
+// series yet.
 func TestWritePrometheus(t *testing.T) {
 	r := metrics.NewRegistry("mfod_")
 	req := r.Counter("mfod_requests_total", "Requests.", "model", "code")
@@ -100,15 +97,14 @@ func TestWritePrometheus(t *testing.T) {
 	lat.Observe(2e6, "wire")
 	lat.Observe(math.NaN(), "wire")
 	lat.Observe(-1, "wire")
-	r.Summary("mfod_batch_jobs", "Batch sizes.").Observe(2_000_000)
+	r.Counter("mfod_appends_total", "Appends.").Add(2_000_000)
 	r.CounterFunc("mfod_fits_total", "Fits.", func() uint64 { return 7 })
 	r.GaugeFunc("mfod_queue_depth", "Queue.", func() int { return -2 })
 	r.InfoFunc("mfod_down_info", "Down replicas.", "replica", func() []string { return []string{"r3", "r1"} })
 
-	want := `# HELP mfod_batch_jobs Batch sizes.
-# TYPE mfod_batch_jobs summary
-mfod_batch_jobs_sum 2000000
-mfod_batch_jobs_count 1
+	want := `# HELP mfod_appends_total Appends.
+# TYPE mfod_appends_total counter
+mfod_appends_total 2000000
 # HELP mfod_down_info Down replicas.
 # TYPE mfod_down_info gauge
 mfod_down_info{replica="r1"} 1
@@ -152,7 +148,7 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 	r := metrics.NewRegistry("mfod_")
 	req := r.Counter("mfod_requests_total", "Requests.", "model")
 	lat := r.Histogram("mfod_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
-	batch := r.Summary("mfod_batch_jobs", "Batches.")
+	size := r.Histogram("mfod_size_bytes", "Sizes.", []float64{1, 2}, "codec")
 
 	const workers, rounds = 8, 200
 	var wg sync.WaitGroup
@@ -164,7 +160,7 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				req.Inc(fmt.Sprintf("m%d", i%3))
 				lat.Observe(float64(i%5) * 0.05)
-				batch.Observe(uint64(i % 4))
+				size.Observe(float64(i%4), "wire")
 			}
 		}(w)
 	}
@@ -192,7 +188,7 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 	final := page(r)
 	for _, want := range []string{
 		fmt.Sprintf("mfod_latency_seconds_count %d\n", workers*rounds),
-		fmt.Sprintf("mfod_batch_jobs_count %d\n", workers*rounds),
+		fmt.Sprintf("mfod_size_bytes_count{codec=\"wire\"} %d\n", workers*rounds),
 		"mfod_worker7_depth 7\n",
 	} {
 		if !strings.Contains(final, want) {

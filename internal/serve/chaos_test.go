@@ -31,11 +31,11 @@ func chaosRounds() int {
 	return 1
 }
 
-// TestChaosPanicQuarantinesBatch drives runBatch directly with three
-// one-curve jobs and a fault that panics exactly twice: once in the
-// merged batch call and once in the first per-job retry. The batch is
-// quarantined — only the job whose retry panicked fails, its neighbours
-// score, the panics are counted, and nothing unwinds the caller.
+// TestChaosPanicQuarantinesBatch queues three one-curve jobs on one
+// worker with a fault that panics exactly once, in the first job's
+// Score call. The panic is quarantined to that job: it fails with a
+// *PanicError carrying the value and stack, its neighbours score, the
+// panic is counted, and the worker keeps serving.
 func TestChaosPanicQuarantinesBatch(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
@@ -44,21 +44,17 @@ func TestChaosPanicQuarantinesBatch(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, Metrics: metrics})
 	defer p.Close()
 
+	faultinject.Arm(core.FaultScore, faultinject.Fault{Panic: "chaos: detector exploded", Times: 1})
 	jobs := make([]*Job, 3)
 	for i := range jobs {
-		jobs[i] = &Job{
-			model: m,
-			ds:    fda.Dataset{Samples: []fda.Sample{ds.Samples[i]}},
-			ctx:   context.Background(),
-			done:  make(chan JobResult, 1),
+		j, err := p.Enqueue(context.Background(), m, fda.Dataset{Samples: ds.Samples[i : i+1]}, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		jobs[i] = j
 	}
-	// Hit 1 is the merged Score call, hit 2 the first per-job retry.
-	faultinject.Arm(core.FaultScore, faultinject.Fault{Panic: "chaos: detector exploded", Times: 2})
 
-	p.runBatch(jobs)
-
-	res0 := <-jobs[0].done
+	res0, _ := jobs[0].Wait(context.Background())
 	var pe *PanicError
 	if !errors.As(res0.Err, &pe) {
 		t.Fatalf("job 0 err = %v, want *PanicError", res0.Err)
@@ -67,18 +63,18 @@ func TestChaosPanicQuarantinesBatch(t *testing.T) {
 		t.Fatalf("PanicError = %+v", pe)
 	}
 	for i, j := range jobs[1:] {
-		res := <-j.done
+		res, _ := j.Wait(context.Background())
 		if res.Err != nil || len(res.Scores) != 1 {
-			t.Fatalf("neighbour job %d: err=%v scores=%v — must survive the poisoned batch", i+1, res.Err, res.Scores)
+			t.Fatalf("neighbour job %d: err=%v scores=%v — must survive the poisoned job", i+1, res.Err, res.Scores)
 		}
 	}
 	var page strings.Builder
 	metrics.WritePrometheus(&page)
-	if !strings.Contains(page.String(), "\nmfod_panics_total 2\n") {
-		t.Fatalf("page lacks mfod_panics_total 2:\n%s", page.String())
+	if !strings.Contains(page.String(), "\nmfod_panics_total 1\n") {
+		t.Fatalf("page lacks mfod_panics_total 1:\n%s", page.String())
 	}
-	if hits, fired := faultinject.Hits(core.FaultScore); fired != 2 || hits < 3 {
-		t.Fatalf("fault point saw %d hits / %d fired, want >=3 / 2", hits, fired)
+	if hits, fired := faultinject.Hits(core.FaultScore); fired != 1 || hits != 3 {
+		t.Fatalf("fault point saw %d hits / %d fired, want 3 / 1", hits, fired)
 	}
 }
 
@@ -171,9 +167,9 @@ func TestChaosInjectedLatency504(t *testing.T) {
 	}
 }
 
-// TestChaosBatchErrorFailsWholeBatch arms the batch-level error fault:
-// every job of the affected wake-up fails with the injected error and
-// the pool keeps serving afterwards.
+// TestChaosBatchErrorFailsWholeBatch arms the pool's per-job error
+// fault: the job it hits fails with the injected error, whole, and the
+// pool keeps serving afterwards.
 func TestChaosBatchErrorFailsWholeBatch(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)

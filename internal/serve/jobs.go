@@ -13,10 +13,10 @@ import (
 
 // JobRunner adapts the serving pool to the jobs.Runner interface: each
 // bulk-job chunk becomes one ordinary pool job, so chunks ride the same
-// micro-batcher, deadline eviction and panic quarantine as interactive
-// requests — and inherit the pipeline's batch-invariance guarantee,
-// which is what makes the merged job bitwise-identical to one
-// synchronous Score over the full dataset.
+// queue, deadline eviction and panic isolation as interactive requests
+// — and inherit the pipeline's batch-invariance guarantee, which is what
+// makes the merged job bitwise-identical to one synchronous Score over
+// the full dataset.
 type JobRunner struct {
 	Registry *Registry
 	Pool     *Pool

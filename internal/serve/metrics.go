@@ -1,8 +1,8 @@
 // Package serve turns a fitted detection pipeline into an online scoring
 // service: a model registry with atomic hot-reload (registry.go), a
-// bounded worker pool that micro-batches concurrent requests (pool.go),
-// a stdlib-only HTTP API (server.go) and this file's observability
-// layer, declared on the internal/metrics registry. The package depends
+// bounded worker pool that scores one request per worker wake-up
+// (pool.go), a stdlib-only HTTP API (server.go) and this file's
+// observability layer, declared on the internal/metrics registry. The package depends
 // only on the standard library, matching the repository's
 // zero-dependency rule.
 package serve
@@ -42,10 +42,7 @@ type Metrics struct {
 	// Request-size histogram by codec ("json" / "wire"), so the byte
 	// savings of the binary wire format are observable in production,
 	// not only in BENCH_serve.json.
-	reqBytes metrics.Histogram
-	// Micro-batch accounting: how many worker wake-ups and how many jobs
-	// they carried; sum/count is the mean batch size.
-	batches   metrics.Summary
+	reqBytes  metrics.Histogram
 	reloads   metrics.Counter
 	panics    metrics.Counter
 	shed      metrics.Counter
@@ -63,7 +60,6 @@ func NewMetrics() *Metrics {
 		requests: r.Counter("mfod_requests_total", "Scoring requests by model and HTTP status code.", "model", "code"),
 		latency:  r.Histogram("mfod_request_duration_seconds", "Scoring request latency.", latencyBuckets),
 		reqBytes: r.Histogram("mfod_request_bytes", "Scoring request body size by codec.", sizeBuckets, "codec"),
-		batches:  r.Summary("mfod_batch_jobs", "Jobs carried per worker wake-up (micro-batch size)."),
 		reloads:  r.Counter("mfod_model_reloads_total", "Successful hot-reloads by model.", "model"),
 		panics:   r.Counter("mfod_panics_total", "Scoring panics recovered by the worker pool."),
 		shed:     r.Counter("mfod_shed_total", "Requests rejected by the adaptive concurrency limiter."),
@@ -90,13 +86,6 @@ func (m *Metrics) ObserveRequest(model string, code int, seconds float64) {
 func (m *Metrics) ObserveRequestBytes(codec string, n int) {
 	if m != nil && n >= 0 {
 		m.reqBytes.Observe(float64(n), codec)
-	}
-}
-
-// ObserveBatch records one worker wake-up that carried n jobs.
-func (m *Metrics) ObserveBatch(n int) {
-	if m != nil {
-		m.batches.Observe(uint64(n))
 	}
 }
 

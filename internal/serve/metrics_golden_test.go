@@ -66,7 +66,7 @@ func compareGoldenPage(t *testing.T, page, golden string) {
 // TestMetricsGoldenPage pins every family the replica exports, byte for
 // byte: each family gets at least one series, every scrape-time source
 // is installed, and the large values pin integer rendering of counters
-// and summary sums next to the %g forms of histogram bounds and sums.
+// next to the %g forms of histogram bounds and sums.
 func TestMetricsGoldenPage(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveRequest("ecg", 200, 0.0034)
@@ -78,8 +78,6 @@ func TestMetricsGoldenPage(t *testing.T) {
 	m.ObserveRequestBytes("json", 2_000_000)
 	m.ObserveRequestBytes("wire", 300)
 	m.ObserveRequestBytes("wire", 70_000)
-	m.ObserveBatch(1_500_000)
-	m.ObserveBatch(3)
 	m.ObserveReload("ecg")
 	m.ObserveReload("ecg")
 	m.ObserveReload("taxonomy")

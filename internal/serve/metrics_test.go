@@ -49,16 +49,12 @@ func TestMetricsGaugesAndBatch(t *testing.T) {
 	m.IncInflight()
 	m.IncInflight()
 	m.DecInflight()
-	m.ObserveBatch(3)
-	m.ObserveBatch(5)
 	m.ObserveReload("m")
 	m.RegisterQueueDepth(func() int { return 7 })
 	text := render(m)
 	for _, want := range []string{
 		"mfod_inflight_requests 1",
 		"mfod_queue_depth 7",
-		"mfod_batch_jobs_sum 8",
-		"mfod_batch_jobs_count 2",
 		`mfod_model_reloads_total{model="m"} 1`,
 	} {
 		if !strings.Contains(text, want) {
@@ -70,7 +66,6 @@ func TestMetricsGaugesAndBatch(t *testing.T) {
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
 	m.ObserveRequest("x", 200, 0.1)
-	m.ObserveBatch(1)
 	m.ObserveReload("x")
 	m.IncInflight()
 	m.DecInflight()

@@ -161,7 +161,7 @@ func TestServerAdaptiveLimiterShedsWithDerivedRetryAfter(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	var once sync.Once
-	pool.testHook = func([]*Job) {
+	pool.testHook = func(*Job) {
 		once.Do(func() { close(started); <-gate })
 	}
 	defer close(gate)

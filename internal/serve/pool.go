@@ -23,9 +23,9 @@ var ErrQueueFull = errors.New("serve: scoring queue full")
 // ErrPoolClosed is returned by Enqueue after Close has begun.
 var ErrPoolClosed = errors.New("serve: pool closed")
 
-// FaultBatch is the fault-injection point hit at the start of every
-// drained batch. Arming it with a delay holds a worker past request
-// deadlines (504s); arming it with an error fails the whole batch.
+// FaultBatch is the fault-injection point hit at the start of every job
+// a worker picks up. Arming it with a delay holds a worker past request
+// deadlines (504s); arming it with an error fails the job.
 const FaultBatch = "serve.pool.batch"
 
 // PanicError reports a panic recovered inside a worker while scoring or
@@ -86,24 +86,18 @@ type PoolOptions struct {
 	// means 64. A full queue rejects new work instead of building an
 	// unbounded backlog.
 	QueueCap int
-	// MaxBatch caps how many queued jobs one worker wake-up drains and
-	// scores together; 0 means 16. Jobs for the same model in a drained
-	// batch share a single Pipeline.Score call.
-	MaxBatch int
-	// Metrics receives batch-size and queue-depth observations; may be
-	// nil.
+	// Metrics receives queue-depth, deadline and panic observations; may
+	// be nil.
 	Metrics *Metrics
 }
 
-// Pool is a bounded worker pool that micro-batches scoring jobs. Workers
-// drain bursts of queued jobs, group them by model and score each group
-// with one batched pipeline call, so concurrent requests amortize the
-// per-call overhead while the bounded queue keeps overload failures fast
-// and explicit.
+// Pool is a bounded worker pool for scoring jobs. Each worker takes one
+// job per wake-up and scores it with one pipeline call; the bounded
+// queue keeps overload failures fast and explicit. Jobs are never merged:
+// scoring is per sample, so a merged call would share no work.
 type Pool struct {
-	queue    chan *Job
-	maxBatch int
-	metrics  *Metrics
+	queue   chan *Job
+	metrics *Metrics
 
 	mu     sync.RWMutex // guards closed vs. sends on queue
 	closed bool
@@ -125,9 +119,9 @@ type Pool struct {
 	rateEWMA float64
 	rateLast time.Time
 
-	// testHook, when set (tests only), runs at the start of every batch
+	// testHook, when set (tests only), runs at the start of every job
 	// before any scoring; it lets tests hold a worker to fill the queue.
-	testHook func(batch []*Job)
+	testHook func(j *Job)
 }
 
 // NewPool starts the workers and returns the pool. Call Close to drain.
@@ -138,13 +132,9 @@ func NewPool(opt PoolOptions) *Pool {
 	if opt.QueueCap <= 0 {
 		opt.QueueCap = 64
 	}
-	if opt.MaxBatch <= 0 {
-		opt.MaxBatch = 16
-	}
 	p := &Pool{
-		queue:    make(chan *Job, opt.QueueCap),
-		maxBatch: opt.MaxBatch,
-		metrics:  opt.Metrics,
+		queue:   make(chan *Job, opt.QueueCap),
+		metrics: opt.Metrics,
 	}
 	if p.metrics != nil {
 		p.metrics.RegisterQueueDepth(p.QueueDepth)
@@ -194,16 +184,16 @@ func (p *Pool) RetryAfter() int {
 	return secs
 }
 
-// observeDrain feeds one finished batch of n jobs into the drain-rate
-// EWMA. Consecutive batch completions across all workers approximate
-// aggregate throughput; smoothing (α=0.2) keeps one giant or empty
-// batch from whipsawing the advertised Retry-After.
-func (p *Pool) observeDrain(n int) {
+// observeDrain feeds one finished job into the drain-rate EWMA.
+// Consecutive job completions across all workers approximate aggregate
+// throughput; smoothing (α=0.2) keeps one slow or instant job from
+// whipsawing the advertised Retry-After.
+func (p *Pool) observeDrain() {
 	now := time.Now()
 	p.rateMu.Lock()
 	if !p.rateLast.IsZero() {
 		if dt := now.Sub(p.rateLast).Seconds(); dt > 0 {
-			inst := float64(n) / dt
+			inst := 1 / dt
 			if p.rateEWMA == 0 {
 				p.rateEWMA = inst
 			} else {
@@ -256,69 +246,54 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// worker drains bursts of jobs and scores them grouped by model.
+// worker scores one job per wake-up until Close drains the queue.
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for j := range p.queue {
-		batch := []*Job{j}
-		for len(batch) < p.maxBatch {
-			select {
-			case extra, ok := <-p.queue:
-				if !ok {
-					p.runBatch(batch)
-					return
-				}
-				batch = append(batch, extra)
-			default:
-				goto drained
-			}
-		}
-	drained:
-		p.runBatch(batch)
+		p.run(j)
 	}
 }
 
-// runBatch groups a drained batch by model and scores each group with a
-// single batched call against that model's current pipeline snapshot.
-func (p *Pool) runBatch(batch []*Job) {
+// run scores one job against its model's current pipeline snapshot: one
+// Score call, then an explanation per sample when the job asked for
+// them. A job whose waiter is already gone is evicted unscored, and a
+// panic fails this job alone.
+func (p *Pool) run(j *Job) {
 	if p.testHook != nil {
-		p.testHook(batch)
+		p.testHook(j)
 	}
-	p.metrics.ObserveBatch(len(batch))
-	defer p.observeDrain(len(batch))
+	defer p.observeDrain()
 	if err := faultinject.Hit(FaultBatch); err != nil {
-		for _, j := range batch {
-			j.done <- JobResult{Err: err}
-		}
+		j.done <- JobResult{Err: err}
 		return
 	}
-	// Group by model preserving arrival order within each group.
-	order := make([]*Model, 0, len(batch))
-	groups := make(map[*Model][]*Job, len(batch))
-	for _, j := range batch {
-		if j.ctx.Err() != nil {
-			// The waiter is gone (deadline or disconnect): don't burn
-			// smoothing time on an answer nobody reads.
-			p.evict(j)
-			continue
-		}
-		if _, ok := groups[j.model]; !ok {
-			order = append(order, j.model)
-		}
-		groups[j.model] = append(groups[j.model], j)
+	if err := j.ctx.Err(); err != nil {
+		// The waiter is gone (deadline or disconnect): don't burn
+		// smoothing time on an answer nobody reads.
+		p.evicted.Add(1)
+		p.metrics.IncEvicted()
+		j.done <- JobResult{Err: err}
+		return
 	}
-	for _, m := range order {
-		p.runGroup(m.Pipeline(), groups[m])
+	pipe := j.model.Pipeline()
+	var res JobResult
+	err := p.call(func() (err error) {
+		res.Scores, err = pipe.Score(j.ds)
+		if err != nil || j.explain == 0 {
+			return err
+		}
+		res.Explanations = make([][]core.Explanation, j.ds.Len())
+		for i, s := range j.ds.Samples {
+			if res.Explanations[i], err = pipe.Explain(s, j.explain); err != nil {
+				return fmt.Errorf("serve: explain sample %d: %w", i, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		res = JobResult{Err: err}
 	}
-}
-
-// evict delivers a dead job's context error without scoring it. The
-// batch slot it would have burned goes to a job somebody still waits
-// for.
-func (p *Pool) evict(j *Job) {
-	p.evicted.Add(1)
-	p.metrics.IncEvicted()
-	j.done <- JobResult{Err: j.ctx.Err()}
+	p.deliver(j, res)
 }
 
 // deliver hands a result to the job's waiter, counting completed work
@@ -349,82 +324,4 @@ func (p *Pool) call(fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// runGroup scores all jobs of one model together. On a batched failure —
-// a malformed request, or a panic recovered from the scoring call — it
-// quarantines the batch and falls back to per-job scoring so one
-// poisoned curve cannot take down its batch neighbours.
-func (p *Pool) runGroup(pipe *core.Pipeline, jobs []*Job) {
-	// Re-check deadlines at group start: in a large batch, earlier groups
-	// may have taken long enough that later jobs are already dead, and a
-	// batch slot spent on them is a slot stolen from live requests.
-	live := jobs[:0]
-	for _, j := range jobs {
-		if j.ctx.Err() != nil {
-			p.evict(j)
-			continue
-		}
-		live = append(live, j)
-	}
-	jobs = live
-	if len(jobs) == 0 {
-		return
-	}
-	if len(jobs) == 1 && jobs[0].ds.Len() == 1 && jobs[0].explain == 0 {
-		// Single curve, no explanations: the allocation-light fast path.
-		var s float64
-		err := p.call(func() (e error) {
-			s, e = pipe.ScoreOne(jobs[0].ds.Samples[0])
-			return
-		})
-		if err != nil {
-			p.deliver(jobs[0], JobResult{Err: err})
-			return
-		}
-		p.deliver(jobs[0], JobResult{Scores: []float64{s}})
-		return
-	}
-	merged := fda.Dataset{}
-	for _, j := range jobs {
-		merged.Samples = append(merged.Samples, j.ds.Samples...)
-	}
-	var scores []float64
-	err := p.call(func() (e error) {
-		scores, e = pipe.Score(merged)
-		return
-	})
-	if err != nil {
-		if len(jobs) == 1 {
-			p.deliver(jobs[0], JobResult{Err: err})
-			return
-		}
-		for _, j := range jobs {
-			p.runGroup(pipe, []*Job{j})
-		}
-		return
-	}
-	off := 0
-	for _, j := range jobs {
-		n := j.ds.Len()
-		res := JobResult{Scores: scores[off : off+n : off+n]}
-		off += n
-		if j.explain > 0 {
-			res.Explanations = make([][]core.Explanation, n)
-			expErr := p.call(func() error {
-				for i := 0; i < n; i++ {
-					exp, err := pipe.Explain(j.ds, i, j.explain)
-					if err != nil {
-						return fmt.Errorf("serve: explain sample %d: %w", i, err)
-					}
-					res.Explanations[i] = exp
-				}
-				return nil
-			})
-			if expErr != nil {
-				res = JobResult{Err: expErr}
-			}
-		}
-		p.deliver(j, res)
-	}
 }

@@ -30,10 +30,10 @@ func TestPoolScoresMatchDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(PoolOptions{Workers: 3, QueueCap: 32, MaxBatch: 4})
+	p := NewPool(PoolOptions{Workers: 3, QueueCap: 32})
 	defer p.Close()
 
-	// Submit every sample as its own concurrent request; micro-batching
+	// Submit every sample as its own concurrent request; pooled scoring
 	// must not change any score.
 	var wg sync.WaitGroup
 	got := make([]float64, ds.Len())
@@ -87,13 +87,13 @@ func TestPoolMultiSampleJobWithExplanations(t *testing.T) {
 }
 
 // gatedPool returns a pool whose single worker blocks on gate at the
-// start of every batch, signalling each pickup on started.
-func gatedPool(queueCap, maxBatch int) (p *Pool, started chan []*Job, gate chan struct{}) {
-	started = make(chan []*Job, 16)
+// start of every job, signalling each pickup on started.
+func gatedPool(queueCap int) (p *Pool, started chan *Job, gate chan struct{}) {
+	started = make(chan *Job, 16)
 	gate = make(chan struct{})
-	p = NewPool(PoolOptions{Workers: 1, QueueCap: queueCap, MaxBatch: maxBatch})
-	p.testHook = func(batch []*Job) {
-		started <- batch
+	p = NewPool(PoolOptions{Workers: 1, QueueCap: queueCap})
+	p.testHook = func(j *Job) {
+		started <- j
 		<-gate
 	}
 	return p, started, gate
@@ -102,7 +102,7 @@ func gatedPool(queueCap, maxBatch int) (p *Pool, started chan []*Job, gate chan 
 func TestPoolQueueFull(t *testing.T) {
 	m, ds := newTestModel(t, 3)
 	one := fda.Dataset{Samples: ds.Samples[:1]}
-	p, started, gate := gatedPool(1, 1)
+	p, started, gate := gatedPool(1)
 	defer close(gate)
 	defer p.Close()
 
@@ -150,12 +150,12 @@ func TestPoolBadJobDoesNotPoisonBatch(t *testing.T) {
 	badSample := fda.Sample{Times: ds.Samples[0].Times, Values: ds.Samples[0].Values[:1]}
 	bad := fda.Dataset{Samples: []fda.Sample{badSample}}
 
-	p, started, gate := gatedPool(8, 8)
+	p, started, gate := gatedPool(8)
 	defer close(gate)
 	defer p.Close()
 
 	// Hold the worker with a sacrificial job so the good and bad jobs
-	// land in one drained batch.
+	// queue up behind it together.
 	hold, err := p.Enqueue(context.Background(), m, one, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -170,11 +170,10 @@ func TestPoolBadJobDoesNotPoisonBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate <- struct{}{} // release the holder
-	batch := <-started // the drained batch with both jobs
-	if len(batch) != 2 {
-		t.Fatalf("drained batch has %d jobs, want 2", len(batch))
-	}
-	gate <- struct{}{}
+	<-started
+	gate <- struct{}{} // release the good job
+	<-started
+	gate <- struct{}{} // release the bad job
 
 	if res, ok := hold.Wait(context.Background()); !ok || res.Err != nil {
 		t.Fatalf("holder failed: %v", res.Err)
@@ -195,7 +194,7 @@ func TestPoolBadJobDoesNotPoisonBatch(t *testing.T) {
 func TestPoolCloseDrainsQueuedWork(t *testing.T) {
 	m, ds := newTestModel(t, 6)
 	one := fda.Dataset{Samples: ds.Samples[:1]}
-	p, started, gate := gatedPool(8, 1)
+	p, started, gate := gatedPool(8)
 
 	j1, err := p.Enqueue(context.Background(), m, one, 0)
 	if err != nil {

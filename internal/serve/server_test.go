@@ -171,11 +171,11 @@ func TestServerClientErrors(t *testing.T) {
 }
 
 func TestServerQueueFull429(t *testing.T) {
-	ts, _, reg, pool, _, ds := testStack(t, PoolOptions{Workers: 1, QueueCap: 1, MaxBatch: 1}, 4)
-	started := make(chan []*Job, 16)
+	ts, _, reg, pool, _, ds := testStack(t, PoolOptions{Workers: 1, QueueCap: 1}, 4)
+	started := make(chan *Job, 16)
 	gate := make(chan struct{})
-	pool.testHook = func(batch []*Job) {
-		started <- batch
+	pool.testHook = func(j *Job) {
+		started <- j
 		<-gate
 	}
 	defer close(gate)
@@ -226,10 +226,10 @@ func TestServerQueueFull429(t *testing.T) {
 
 func TestServerDeadline504(t *testing.T) {
 	ts, _, _, pool, _, ds := testStack(t, PoolOptions{Workers: 1}, 5)
-	started := make(chan []*Job, 16)
+	started := make(chan *Job, 16)
 	gate := make(chan struct{})
-	pool.testHook = func(batch []*Job) {
-		started <- batch
+	pool.testHook = func(j *Job) {
+		started <- j
 		<-gate
 	}
 	body := scoreBody(t, ds, []int{0}, 0)
@@ -406,7 +406,6 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		"mfod_panics_total 0",
 		"mfod_inflight_requests 0",
 		"mfod_queue_depth 0",
-		"mfod_batch_jobs_count",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
