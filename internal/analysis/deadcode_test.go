@@ -11,8 +11,7 @@ import (
 // calls but that stay, each with the reason. Keys are
 // "<package>.<Func>" or "<package>.<Type>.<Method>".
 var deadCodeAllow = map[string]string{
-	"core.Pipeline.Domain":   "called by the benchmark module, which the loader does not see",
-	"core.Pipeline.ScoreOne": "called by the benchmark module, which the loader does not see",
+	"core.Pipeline.Domain": "called by the benchmark module, which the loader does not see",
 
 	"linalg.Dense.T":            "oracle: reference transpose for AtA/AtVec and the solver residuals",
 	"linalg.Dense.Mul":          "oracle: reference product for AtA and the solver residuals",
@@ -50,9 +49,6 @@ var deadCodeAllow = map[string]string{
 	"linalg.Cholesky.SolveMatrix":    pendingDeletion,
 	"linalg.Cholesky.LogDet":         pendingDeletion,
 	"linalg.Normalize":               pendingDeletion,
-	"linalg.Dense.Col":               pendingDeletion,
-	"linalg.Dense.Add":               pendingDeletion,
-	"linalg.Dense.Scale":             pendingDeletion,
 	"stats.Shuffle":                  pendingDeletion,
 	"stats.SampleWithoutReplacement": pendingDeletion,
 	"stats.Bootstrap":                pendingDeletion,

@@ -123,68 +123,78 @@ func (b *BSpline) Eval(t float64, deriv int, out []float64) {
 		t = b.hi
 	}
 	span := b.findSpan(t)
-	ders := b.dersBasisFuns(span, t, deriv)
-	for j := 0; j <= degree; j++ {
-		idx := span - degree + j
-		if idx >= 0 && idx < b.dim {
-			out[idx] = ders[deriv][j]
-		}
-	}
+	b.dersBasisFuns(span, t, deriv, out[span-degree:span+1])
 }
 
-// dersBasisFuns computes derivatives 0..n of the degree+1 non-vanishing
-// basis functions on the given span at t. Result[r][j] is the r-th
-// derivative of basis function span−degree+j.
-func (b *BSpline) dersBasisFuns(span int, t float64, n int) [][]float64 {
+// dersStackOrder is the largest spline order whose dersBasisFuns
+// scratch fits the fixed stack buffer; higher orders use one heap slice.
+const dersStackOrder = 8
+
+// dersBasisFuns writes the n-th derivative of the degree+1 basis
+// functions that do not vanish on the given span at t into out (length
+// order): out[j] belongs to basis function span−degree+j. It is the
+// derivative algorithm of Piegl & Tiller (The NURBS Book, A2.3) run in
+// one flat, zeroed scratch array — on the stack up to dersStackOrder —
+// so evaluation allocates nothing; only the requested derivative row is
+// scaled by p!/(p−n)! and written out.
+func (b *BSpline) dersBasisFuns(span int, t float64, n int, out []float64) {
 	p := b.order - 1
+	w := p + 1
 	u := b.knots
-	ndu := make([][]float64, p+1)
-	for i := range ndu {
-		ndu[i] = make([]float64, p+1)
+	var stack [dersStackOrder * (dersStackOrder + 4)]float64
+	var buf []float64
+	if need := w * (w + 4); need <= len(stack) {
+		buf = stack[:need]
+	} else {
+		buf = make([]float64, need)
 	}
-	ndu[0][0] = 1
-	left := make([]float64, p+1)
-	right := make([]float64, p+1)
+	// ndu[j*w+r]: knot differences below the diagonal, basis values of
+	// rising degree on and above it.
+	ndu := buf[:w*w]
+	left := buf[w*w : w*w+w]
+	right := buf[w*w+w : w*w+2*w]
+	// Two alternating rows of derivative coefficients.
+	a0 := buf[w*w+2*w : w*w+3*w]
+	a1 := buf[w*w+3*w : w*w+4*w]
+	ndu[0] = 1
 	for j := 1; j <= p; j++ {
 		left[j] = t - u[span+1-j]
 		right[j] = u[span+j] - t
 		var saved float64
 		for r := 0; r < j; r++ {
 			// Lower triangle: knot differences.
-			ndu[j][r] = right[r+1] + left[j-r]
+			ndu[j*w+r] = right[r+1] + left[j-r]
 			var temp float64
-			if ndu[j][r] != 0 {
-				temp = ndu[r][j-1] / ndu[j][r]
+			if ndu[j*w+r] != 0 {
+				temp = ndu[r*w+j-1] / ndu[j*w+r]
 			}
 			// Upper triangle: basis values.
-			ndu[r][j] = saved + right[r+1]*temp
+			ndu[r*w+j] = saved + right[r+1]*temp
 			saved = left[j-r] * temp
 		}
-		ndu[j][j] = saved
+		ndu[j*w+j] = saved
 	}
-	ders := make([][]float64, n+1)
-	for i := range ders {
-		ders[i] = make([]float64, p+1)
+	if n == 0 {
+		for j := 0; j <= p; j++ {
+			out[j] = ndu[j*w+p]
+		}
+		return
 	}
-	for j := 0; j <= p; j++ {
-		ders[0][j] = ndu[j][p]
-	}
-	// Two alternating rows of coefficients.
-	a := [2][]float64{make([]float64, p+1), make([]float64, p+1)}
 	for r := 0; r <= p; r++ {
-		s1, s2 := 0, 1
-		a[0][0] = 1
+		s1, s2 := a0, a1
+		s1[0] = 1
+		var d float64
 		for k := 1; k <= n; k++ {
-			var d float64
+			d = 0
 			rk := r - k
 			pk := p - k
 			if r >= k {
-				if ndu[pk+1][rk] != 0 {
-					a[s2][0] = a[s1][0] / ndu[pk+1][rk]
+				if ndu[(pk+1)*w+rk] != 0 {
+					s2[0] = s1[0] / ndu[(pk+1)*w+rk]
 				} else {
-					a[s2][0] = 0
+					s2[0] = 0
 				}
-				d = a[s2][0] * ndu[rk][pk]
+				d = s2[0] * ndu[rk*w+pk]
 			}
 			j1 := 1
 			if rk < -1 {
@@ -195,32 +205,31 @@ func (b *BSpline) dersBasisFuns(span int, t float64, n int) [][]float64 {
 				j2 = p - r
 			}
 			for j := j1; j <= j2; j++ {
-				if ndu[pk+1][rk+j] != 0 {
-					a[s2][j] = (a[s1][j] - a[s1][j-1]) / ndu[pk+1][rk+j]
+				if ndu[(pk+1)*w+rk+j] != 0 {
+					s2[j] = (s1[j] - s1[j-1]) / ndu[(pk+1)*w+rk+j]
 				} else {
-					a[s2][j] = 0
+					s2[j] = 0
 				}
-				d += a[s2][j] * ndu[rk+j][pk]
+				d += s2[j] * ndu[(rk+j)*w+pk]
 			}
 			if r <= pk {
-				if ndu[pk+1][r] != 0 {
-					a[s2][k] = -a[s1][k-1] / ndu[pk+1][r]
+				if ndu[(pk+1)*w+r] != 0 {
+					s2[k] = -s1[k-1] / ndu[(pk+1)*w+r]
 				} else {
-					a[s2][k] = 0
+					s2[k] = 0
 				}
-				d += a[s2][k] * ndu[r][pk]
+				d += s2[k] * ndu[r*w+pk]
 			}
-			ders[k][r] = d
 			s1, s2 = s2, s1
 		}
+		out[r] = d
 	}
-	// Multiply through by the factorial-style factors p!/(p−k)!.
-	r := float64(p)
-	for k := 1; k <= n; k++ {
-		for j := 0; j <= p; j++ {
-			ders[k][j] *= r
-		}
-		r *= float64(p - k)
+	// Scale by p!/(p−n)!, the product taken in rising k as p·(p−1)·…
+	fac := float64(p)
+	for k := 1; k < n; k++ {
+		fac *= float64(p - k)
 	}
-	return ders
+	for j := 0; j <= p; j++ {
+		out[j] *= fac
+	}
 }

@@ -31,8 +31,7 @@ func (b *BSpline) EvalNonzero(t float64, deriv int, out []float64) (start int) {
 		t = b.hi
 	}
 	span := b.findSpan(t)
-	ders := b.dersBasisFuns(span, t, deriv)
-	copy(out[:k], ders[deriv])
+	b.dersBasisFuns(span, t, deriv, out[:k])
 	return span - degree
 }
 

@@ -201,3 +201,35 @@ func TestPipelineVersioning(t *testing.T) {
 		t.Fatal("negative version must fail")
 	}
 }
+
+// TestLoadPipelineJSONRejectsBadForestSplit: a saved iFor model whose
+// split names a feature the model does not have fails at load with the
+// detector's typed error, instead of loading and then panicking on
+// every score.
+func TestLoadPipelineJSONRejectsBadForestSplit(t *testing.T) {
+	p := quickPipeline(15)
+	if err := p.Fit(smallECG(t, 20, 15)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	model := raw["detector"].(map[string]any)["model"].(map[string]any)
+	root := model["trees"].([]any)[0].(map[string]any)
+	if _, ok := root["left"]; !ok {
+		t.Fatal("fixture forest's first tree is a single leaf")
+	}
+	root["attr"] = model["dim"]
+	bad, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPipelineJSON(bytes.NewReader(bad)); !errors.Is(err, iforest.ErrNotFitted) {
+		t.Fatalf("err = %v, want iforest.ErrNotFitted", err)
+	}
+}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -15,9 +16,11 @@ import (
 // Hotpath benchmarks the smoothing/scoring hot path — the inner loop every
 // experiment, the CLI and the serving subsystem pay for — in two
 // configurations: the sequential seed path (one worker, no basis cache)
-// and the optimized path (bounded worker pool + shared BasisCache). The
-// report is machine-readable so CI can archive it and fail the build when
-// the optimization regresses; see cmd/mfodbench -bench.
+// and the optimized path (bounded worker pool + shared BasisCache). It
+// also times the two refit paths a warm cache cannot serve: a stream
+// refit after every append, and scoring on a grid never seen before.
+// The report is machine-readable so CI can archive it and fail the
+// build when the optimization regresses; see cmd/mfodbench -bench.
 
 // HotpathOptions configures the hot-path benchmark.
 type HotpathOptions struct {
@@ -55,6 +58,13 @@ type HotpathReport struct {
 	ScoreSequential HotpathStage `json:"scoreSequential"`
 	ScoreOptimized  HotpathStage `json:"scoreOptimized"`
 	ScoreSpeedup    float64      `json:"scoreSpeedup"`
+
+	// StreamRefit is one curve arriving as streamAppend-point appends,
+	// each followed by Incremental.Fit and ScorePartialFit (one op per
+	// curve); FreshGridScore is one ScoreOne on a jittered grid the cache
+	// has not seen. Neither has a floor.
+	StreamRefit    HotpathStage `json:"streamRefit"`
+	FreshGridScore HotpathStage `json:"freshGridScore"`
 
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
@@ -162,6 +172,25 @@ func RunHotpath(opt HotpathOptions) (*HotpathReport, error) {
 		}
 	}))
 
+	// Stage 3: the refit paths, on the optimized pipeline.
+	rep.StreamRefit = stageOf(testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := streamCurve(optPipe, d.Samples[i%d.Len()]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	rng := rand.New(rand.NewSource(opt.Seed))
+	rep.FreshGridScore = stageOf(testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s := d.Samples[i%d.Len()]
+			s.Times = jitterGrid(s.Times, rng)
+			if _, err := optPipe.ScoreOne(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+
 	if rep.FitOptimized.NsPerOp > 0 {
 		rep.FitSpeedup = float64(rep.FitSequential.NsPerOp) / float64(rep.FitOptimized.NsPerOp)
 	}
@@ -181,4 +210,51 @@ func RunHotpath(opt HotpathOptions) (*HotpathReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// streamAppend is the points per append of the streamRefit stage, the
+// append size of the repository benchmark's stream workload.
+const streamAppend = 5
+
+// streamCurve feeds s to a fresh incremental fitter streamAppend points
+// at a time, refitting and partially scoring after every append: the
+// stream path's work for one curve.
+func streamCurve(p *core.Pipeline, s fda.Sample) error {
+	inc, err := p.NewIncremental(len(s.Values))
+	if err != nil {
+		return err
+	}
+	vals := make([]float64, len(s.Values))
+	for j, t := range s.Times {
+		for k := range vals {
+			vals[k] = s.Values[k][j]
+		}
+		if err := inc.Append(t, vals); err != nil {
+			return err
+		}
+		if (j+1)%streamAppend != 0 && j+1 < len(s.Times) {
+			continue
+		}
+		fit, err := inc.Fit()
+		if err != nil {
+			return err
+		}
+		lo, hi, _ := inc.Span()
+		if _, _, _, err := p.ScorePartialFit(fit, lo, hi); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// jitterGrid returns ts with every interior time moved by up to ±10% of
+// the mean spacing, so the grid is new to the basis cache; the
+// endpoints stay, so the curve keeps its domain.
+func jitterGrid(ts []float64, rng *rand.Rand) []float64 {
+	out := append([]float64(nil), ts...)
+	h := (ts[len(ts)-1] - ts[0]) / float64(len(ts)-1)
+	for j := 1; j < len(out)-1; j++ {
+		out[j] += (2*rng.Float64() - 1) * 0.1 * h
+	}
+	return out
 }

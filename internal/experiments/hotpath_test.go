@@ -22,7 +22,8 @@ func TestRunHotpathSmall(t *testing.T) {
 		t.Errorf("MaxAbsScoreDiff = %g, want <= 1e-12", rep.MaxAbsScoreDiff)
 	}
 	if rep.FitSequential.NsPerOp <= 0 || rep.FitOptimized.NsPerOp <= 0 ||
-		rep.ScoreSequential.NsPerOp <= 0 || rep.ScoreOptimized.NsPerOp <= 0 {
+		rep.ScoreSequential.NsPerOp <= 0 || rep.ScoreOptimized.NsPerOp <= 0 ||
+		rep.StreamRefit.NsPerOp <= 0 || rep.FreshGridScore.NsPerOp <= 0 {
 		t.Errorf("missing timings: %+v", rep)
 	}
 	if rep.CacheHits == 0 {

@@ -12,13 +12,17 @@ import (
 // BasisCache memoizes the sample-independent linear algebra of the
 // penalized smoother across fits: for every (basis size, order, penalty
 // order, domain, measurement grid) combination it keeps the basis, the
-// design matrix Φ, the Gram matrix ΦᵀΦ, the roughness penalty R of
-// Eq. 3, and — per candidate λ — the banded Cholesky factorization of
-// ΦᵀΦ + λR together with the hat-matrix diagonal H_jj and tr(H), none
-// of which depend on the observed values y. Cross-validating over basis
-// sizes and λ therefore stops re-deriving identical factorizations for
-// every sample and every parameter: the per-fit work shrinks to one Φᵀy
-// product, one O(L·k) solve per λ, and the residual scan.
+// design matrix Φ, the Gram matrix ΦᵀΦ, and — per candidate λ — the
+// banded Cholesky factorization of ΦᵀΦ + λR together with the
+// hat-matrix diagonal H_jj and tr(H), none of which depend on the
+// observed values y. The roughness penalty R of Eq. 3 does not depend
+// on the grid either, so the cache keeps one per (basis size, order,
+// penalty order, domain), shared by every grid's entry and by the
+// transient entries of the incremental fitter. Cross-validating over
+// basis sizes and λ therefore stops re-deriving identical
+// factorizations for every sample and every parameter: the per-fit work
+// shrinks to one Φᵀy product, one O(L·k) solve per λ, and the residual
+// scan.
 //
 // The cache also memoizes span-compact design matrices (SpanDesign) per
 // (basis, grid, derivative), which CurveFit.EvalGrid uses to evaluate
@@ -31,9 +35,10 @@ import (
 // construction is cacheable — fits with a custom Options.Basis factory
 // bypass the cache, because a factory closure cannot be keyed.
 type BasisCache struct {
-	mu      sync.Mutex
-	fits    map[fitKey]*fitEntry
-	designs map[designKey]*designEntry
+	mu        sync.Mutex
+	fits      map[fitKey]*fitEntry
+	designs   map[designKey]*designEntry
+	penalties map[penaltyKey]*penalty
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -43,8 +48,9 @@ type BasisCache struct {
 // (or per FitDataset call) is the intended granularity.
 func NewBasisCache() *BasisCache {
 	return &BasisCache{
-		fits:    make(map[fitKey]*fitEntry),
-		designs: make(map[designKey]*designEntry),
+		fits:      make(map[fitKey]*fitEntry),
+		designs:   make(map[designKey]*designEntry),
+		penalties: make(map[penaltyKey]*penalty),
 	}
 }
 
@@ -55,7 +61,7 @@ type CacheStats struct {
 }
 
 // Stats returns the cumulative lookup counters (fit entries and
-// span-design entries combined).
+// span-design entries combined; penalty lookups are not counted).
 func (c *BasisCache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
@@ -69,6 +75,13 @@ type fitKey struct {
 	lo, hi        float64
 	m             int
 	tsHash        uint64
+}
+
+// penaltyKey identifies one roughness penalty: the basis (size, order,
+// domain bits) and the penalty order, never the grid.
+type penaltyKey struct {
+	dim, order, q int
+	lo, hi        uint64
 }
 
 // designKey identifies one span-compact design matrix.
@@ -142,7 +155,7 @@ func (c *BasisCache) fitEntryFor(dim, order, q int, lo, hi float64, ts []float64
 		c.misses.Add(1)
 		return nil
 	}
-	e = newFitEntry(basis, ts, q)
+	e = newFitEntry(basis, ts, q, c.penaltyLocked(dim, order, q, lo, hi))
 	c.fits[key] = e
 	c.mu.Unlock()
 	c.misses.Add(1)
@@ -167,6 +180,25 @@ func (c *BasisCache) lookupFitEntry(dim, order, q int, lo, hi float64, ts []floa
 	}
 	c.misses.Add(1)
 	return nil
+}
+
+// penaltyFor returns the shared penalty slot of one basis and penalty
+// order; the matrix itself is built by its first user.
+func (c *BasisCache) penaltyFor(dim, order, q int, lo, hi float64) *penalty {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.penaltyLocked(dim, order, q, lo, hi)
+}
+
+// penaltyLocked is penaltyFor for a caller that holds c.mu.
+func (c *BasisCache) penaltyLocked(dim, order, q int, lo, hi float64) *penalty {
+	key := penaltyKey{dim: dim, order: order, q: q, lo: math.Float64bits(lo), hi: math.Float64bits(hi)}
+	pen, ok := c.penalties[key]
+	if !ok {
+		pen = new(penalty)
+		c.penalties[key] = pen
+	}
+	return pen
 }
 
 // spanDesign returns the memoized compact design of the basis on ts at
@@ -197,9 +229,10 @@ func (c *BasisCache) spanDesign(b *bspline.BSpline, ts []float64, deriv int) *bs
 }
 
 // fitEntry bundles the sample-independent pieces of one smoothing
-// system: basis, design Φ, Gram ΦᵀΦ, lazily the penalty R, and per-λ
+// system: basis, design Φ, Gram ΦᵀΦ, the penalty R (built lazily, and
+// shared through the cache between entries of one basis), and per-λ
 // factorizations with their hat diagonals. Entries are built once and
-// shared across goroutines; the mutex guards only the lazy members.
+// shared across goroutines; the mutex guards only the λ factorizations.
 type fitEntry struct {
 	basis     bspline.Basis
 	bandwidth int // band of ΦᵀΦ + λR; -1 means dense
@@ -207,12 +240,31 @@ type fitEntry struct {
 	phi       *linalg.Dense
 	gram      *linalg.Dense
 	q         int
+	pen       *penalty
 
-	mu         sync.Mutex
-	penalty    *linalg.Dense
-	penaltyErr error
-	penaltyUp  bool
-	lambdas    map[uint64]*lambdaFactor
+	mu      sync.Mutex
+	lambdas map[uint64]*lambdaFactor
+}
+
+// penalty is one roughness penalty R, built once on first use.
+type penalty struct {
+	once sync.Once
+	r    *linalg.Dense
+	err  error
+}
+
+// matrix returns R for the basis and penalty order, building it on the
+// first call with the seed path's quadrature order: order − q
+// Gauss–Legendre nodes per panel for a B-spline (exact), 8 otherwise.
+func (pen *penalty) matrix(basis bspline.Basis, q int) (*linalg.Dense, error) {
+	pen.once.Do(func() {
+		nodes := 8
+		if bs, ok := basis.(*bspline.BSpline); ok {
+			nodes = max(1, bs.Order()-q)
+		}
+		pen.r, pen.err = bspline.PenaltyMatrix(basis, q, nodes)
+	})
+	return pen.r, pen.err
 }
 
 // lambdaFactor is one factorized system ΦᵀΦ + λR plus the hat-matrix
@@ -230,9 +282,10 @@ type lambdaFactor struct {
 // newFitEntry builds the eager members (design and Gram matrices). ts is
 // retained; callers that reuse their grid slice must pass a stable one
 // (the cache passes the verified key grid, transient entries live only
-// for one FitSample call).
-func newFitEntry(basis bspline.Basis, ts []float64, q int) *fitEntry {
-	e := &fitEntry{basis: basis, ts: ts, q: q, bandwidth: -1}
+// for one FitSample call). pen is the cache's shared penalty slot, or a
+// fresh one for an uncached entry.
+func newFitEntry(basis bspline.Basis, ts []float64, q int, pen *penalty) *fitEntry {
+	e := &fitEntry{basis: basis, ts: ts, q: q, pen: pen, bandwidth: -1}
 	if bs, ok := basis.(*bspline.BSpline); ok {
 		// B-spline normal equations are banded with bandwidth order−1
 		// (local support), so the factorization and the hat-diagonal
@@ -245,34 +298,11 @@ func newFitEntry(basis bspline.Basis, ts []float64, q int) *fitEntry {
 	return e
 }
 
-// penaltyMatrix lazily builds the roughness Gram matrix R for the
-// entry's penalty order, with the same quadrature-order choice as the
-// seed path. Caller must hold e.mu.
-func (e *fitEntry) penaltyMatrix() (*linalg.Dense, error) {
-	if e.penaltyUp {
-		return e.penalty, e.penaltyErr
-	}
-	order := e.q + 1
-	if bs, ok := e.basis.(*bspline.BSpline); ok {
-		order = bs.Order() - e.q
-		if order < 1 {
-			order = 1
-		}
-	} else {
-		order = 8
-	}
-	e.penalty, e.penaltyErr = bspline.PenaltyMatrix(e.basis, e.q, order)
-	e.penaltyUp = true
-	return e.penalty, e.penaltyErr
-}
-
 // ensurePenalty forces the penalty build when any λ > 0 is in play, so a
 // penalty construction failure aborts the whole basis size exactly as
 // the sequential seed path did.
 func (e *fitEntry) ensurePenalty() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, err := e.penaltyMatrix()
+	_, err := e.pen.matrix(e.basis, e.q)
 	return err
 }
 
@@ -300,7 +330,7 @@ func (e *fitEntry) buildLambdaFactor(lambda float64) *lambdaFactor {
 	L := e.basis.Dim()
 	a := e.gram.Clone()
 	if lambda > 0 {
-		penalty, err := e.penaltyMatrix()
+		penalty, err := e.pen.matrix(e.basis, e.q)
 		if err != nil {
 			return &lambdaFactor{err: err}
 		}
@@ -326,19 +356,16 @@ func (e *fitEntry) buildLambdaFactor(lambda float64) *lambdaFactor {
 			return &lambdaFactor{err: err}
 		}
 	}
-	// Hat diagonal H_jj = φ(t_j)ᵀ (ΦᵀΦ + λR)⁻¹ φ(t_j): m banded solves,
-	// done once per (basis, λ) instead of once per sample.
-	m := len(e.ts)
-	hat := make([]float64, m)
-	sol := make([]float64, L)
+	// Hat diagonal H_jj = φ(t_j)ᵀ (ΦᵀΦ + λR)⁻¹ φ(t_j), done once per
+	// (basis, λ) instead of once per sample; a banded factor skips each
+	// design row's zeros (linalg.BandCholesky.HatDiag).
+	hat := make([]float64, len(e.ts))
+	if err := ch.HatDiag(e.phi, hat); err != nil {
+		return &lambdaFactor{err: err}
+	}
 	var trH float64
-	for j := 0; j < m; j++ {
-		row := e.phi.Row(j)
-		if err := ch.SolveInto(row, sol); err != nil {
-			return &lambdaFactor{err: err}
-		}
-		hat[j] = linalg.Dot(row, sol)
-		trH += hat[j]
+	for _, h := range hat {
+		trH += h
 	}
 	return &lambdaFactor{solver: ch, hat: hat, trH: trH}
 }

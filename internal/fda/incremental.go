@@ -71,10 +71,6 @@ type incAcc struct {
 	dim       int
 	slab      []float64 // row-major len(ts)×dim design rows
 	gram      *linalg.Dense
-
-	penalty    *linalg.Dense // harvested from the first fit; grid-independent
-	penaltyErr error
-	penaltyUp  bool
 }
 
 // NewIncremental starts an empty incremental fitter for a p-parameter
@@ -239,16 +235,7 @@ func (inc *Incremental) Fit() (*Fit, error) {
 			systems[i].entry, systems[i].err = inc.entryFor(acc, m)
 		}
 	}
-	fit, err := selectFit(systems, inc.ys, inc.opt)
-	if err != nil {
-		return nil, err
-	}
-	for i, acc := range accs {
-		if systems[i].entry != nil {
-			acc.harvestPenalty(systems[i].entry)
-		}
-	}
-	return fit, nil
+	return selectFit(systems, inc.ys, inc.opt)
 }
 
 func (inc *Incremental) pruneAccs(dims []int) {
@@ -297,12 +284,17 @@ func (inc *Incremental) ensureAcc(dim int) (*incAcc, error) {
 // factorizations are already memoized); otherwise the entry is
 // transient, viewing the accumulated rows without copying and cloning
 // the Gram so the mirror step cannot corrupt the running upper
-// triangle.
+// triangle. A transient entry reads the cache's penalty for its basis,
+// so the penalty is built once per basis size, not once per refit.
 func (inc *Incremental) entryFor(acc *incAcc, m int) (*fitEntry, error) {
+	var pen *penalty
 	if cache := inc.opt.basisCache(); cache != nil {
 		if e := cache.lookupFitEntry(acc.dim, inc.order, inc.q, inc.lo, inc.hi, inc.ts); e != nil {
 			return e, nil
 		}
+		pen = cache.penaltyFor(acc.dim, inc.order, inc.q, inc.lo, inc.hi)
+	} else {
+		pen = new(penalty)
 	}
 	phi, err := linalg.NewDenseData(m, acc.dim, acc.slab[:m*acc.dim])
 	if err != nil {
@@ -317,8 +309,8 @@ func (inc *Incremental) entryFor(acc *incAcc, m int) (*fitEntry, error) {
 		phi:       phi,
 		gram:      gram,
 		q:         inc.q,
+		pen:       pen,
 	}
-	e.penalty, e.penaltyErr, e.penaltyUp = acc.penalty, acc.penaltyErr, acc.penaltyUp
 	return e, nil
 }
 
@@ -338,20 +330,6 @@ func (acc *incAcc) rebuildGram(m int) {
 		// The row length always matches the Gram by construction.
 		_ = acc.gram.AddSymOuterUpper(acc.slab[j*acc.dim : (j+1)*acc.dim])
 	}
-}
-
-// harvestPenalty copies a lazily built roughness penalty back from a
-// transient entry so the next refit does not rebuild it. The penalty
-// depends only on (basis, q), never on the observed grid.
-func (acc *incAcc) harvestPenalty(e *fitEntry) {
-	if acc.penaltyUp {
-		return
-	}
-	e.mu.Lock()
-	if e.penaltyUp {
-		acc.penalty, acc.penaltyErr, acc.penaltyUp = e.penalty, e.penaltyErr, true
-	}
-	e.mu.Unlock()
 }
 
 func insertFloat(xs []float64, pos int, v float64) []float64 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -304,6 +305,106 @@ func TestIncrementalSharedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitwiseFit(t, got, plain)
+}
+
+// TestPenaltySharedAcrossGridsAndStreams: the cache keeps one penalty
+// per basis size, which every grid's entry and every stream refit read,
+// and streams refitting concurrently with batch fits on that cache stay
+// bitwise on the uncached batch path.
+func TestPenaltySharedAcrossGridsAndStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	samples := make([]Sample, 4)
+	for i := range samples {
+		samples[i] = randomSample(rng, 2, 24+3*i)
+	}
+	// A stream alone never inserts fit entries, yet builds its penalties
+	// in the cache, once per basis size.
+	cache := NewBasisCache()
+	opt := incTestOpts()
+	opt.Cache = cache
+	inc, err := NewIncremental(2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, len(samples[0].Times))
+	for j := range order {
+		order[j] = j
+	}
+	appendAll(t, inc, samples[0], order)
+	if _, err := inc.Fit(); err != nil {
+		t.Fatal(err)
+	}
+	if len(cache.fits) != 0 || len(cache.penalties) != len(opt.dims(len(samples[0].Times))) {
+		t.Fatalf("stream fit left %d fit entries and %d penalties", len(cache.fits), len(cache.penalties))
+	}
+	for _, pen := range cache.penalties {
+		if pen.r == nil {
+			t.Fatal("stream fit did not build its penalty in the cache")
+		}
+	}
+
+	type prefixFits struct{ stream, batch []*Fit }
+	results := make([]prefixFits, len(samples))
+	errs := make([]error, len(samples))
+	var wg sync.WaitGroup
+	for i, s := range samples {
+		wg.Add(1)
+		go func(i int, s Sample) {
+			defer wg.Done()
+			inc, err := NewIncremental(2, opt)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			for j, tj := range s.Times {
+				if err := inc.Append(tj, []float64{s.Values[0][j], s.Values[1][j]}); err != nil {
+					errs[i] = err
+					return
+				}
+				if j == 0 {
+					continue
+				}
+				got, err := inc.Fit()
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				prefix := Sample{Times: s.Times[:j+1], Values: [][]float64{s.Values[0][:j+1], s.Values[1][:j+1]}}
+				batch, err := FitSample(prefix, opt)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				results[i].stream = append(results[i].stream, got)
+				results[i].batch = append(results[i].batch, batch)
+			}
+		}(i, s)
+	}
+	wg.Wait()
+	for i, s := range samples {
+		if errs[i] != nil {
+			t.Fatalf("sample %d: %v", i, errs[i])
+		}
+		for j, got := range results[i].stream {
+			prefix := Sample{Times: s.Times[:j+2], Values: [][]float64{s.Values[0][:j+2], s.Values[1][:j+2]}}
+			plain, err := FitSample(prefix, incTestOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitwiseFit(t, got, plain)
+			requireBitwiseFit(t, results[i].batch[j], plain)
+		}
+	}
+	perDim := map[int]*penalty{}
+	for key, e := range cache.fits {
+		if pen, ok := perDim[key.dim]; ok && pen != e.pen {
+			t.Fatalf("two entries of basis size %d hold different penalties", key.dim)
+		}
+		perDim[key.dim] = e.pen
+	}
+	if len(cache.penalties) != len(perDim) {
+		t.Fatalf("cache holds %d penalties for %d basis sizes", len(cache.penalties), len(perDim))
+	}
 }
 
 // TestIncrementalValidation: rejected appends must leave the stream

@@ -295,7 +295,7 @@ func FitSample(s Sample, opt Options) (*Fit, error) {
 			systems[i].err = err
 			continue
 		}
-		systems[i].entry = newFitEntry(basis, ts, q)
+		systems[i].entry = newFitEntry(basis, ts, q, new(penalty))
 	}
 	return selectFit(systems, s.Values, opt)
 }
@@ -426,6 +426,7 @@ func fitWithEntry(e *fitEntry, ys []float64, lambdas []float64, crit Criterion) 
 // spdSolver abstracts the dense and banded Cholesky factorizations.
 type spdSolver interface {
 	SolveInto(b, x []float64) error
+	HatDiag(phi *linalg.Dense, h []float64) error
 }
 
 // factorSPD picks the banded factorization when the caller knows the

@@ -33,27 +33,31 @@ type Options struct {
 	MaxDepth int
 }
 
+// node is one node of a flat, pointer-free forest. An internal node
+// splits on feature attr at value; its two children sit side by side,
+// the left one (x[attr] < value) at child and the right one at child+1.
+// A leaf has attr −1, holds its c(size) path adjustment in value and its
+// training-point count in child.
 type node struct {
-	// Internal nodes: split attribute and value.
-	attr  int
 	value float64
-	left  *node
-	right *node
-	// Leaves: number of training points, pre-computed c(size) adjustment.
-	size int
-	adj  float64
+	attr  int32
+	child int32
 }
 
-func (nd *node) leaf() bool { return nd.left == nil }
+func leaf(size int) node {
+	return node{value: averagePathLength(size), attr: -1, child: int32(size)}
+}
 
 // Forest is a fitted isolation forest. Fit must be called before Score.
 //
-// All randomness is consumed at Fit time; Score, ScoreBatch and the
+// The whole ensemble is one []node; roots[t] indexes the root of tree
+// t. All randomness is consumed at Fit time; Score, ScoreBatch and the
 // tree walk they share only read the fitted ensemble, so a fitted Forest
 // is safe for concurrent scoring from multiple goroutines.
 type Forest struct {
 	opt   Options
-	trees []*node
+	nodes []node
+	roots []int32
 	dim   int
 	cPsi  float64
 }
@@ -113,8 +117,11 @@ func (f *Forest) Fit(x [][]float64) error {
 			maxDepth = 1
 		}
 	}
-	rng := rand.New(rand.NewSource(f.opt.Seed))
-	f.trees = make([]*node, f.opt.Trees)
+	if int64(f.opt.Trees)*(2*int64(psi)-1) > math.MaxInt32 {
+		return fmt.Errorf("iforest: %d trees of subsample %d exceed the node index range", f.opt.Trees, psi)
+	}
+	g := grower{x: x, maxDepth: maxDepth, rng: rand.New(rand.NewSource(f.opt.Seed))}
+	f.roots = make([]int32, f.opt.Trees)
 	f.dim = dim
 	f.cPsi = averagePathLength(psi)
 	if f.cPsi == 0 {
@@ -124,28 +131,46 @@ func (f *Forest) Fit(x [][]float64) error {
 	for i := range idxBuf {
 		idxBuf[i] = i
 	}
-	for t := range f.trees {
+	for t := range f.roots {
 		// Subsample ψ indices without replacement.
-		rng.Shuffle(n, func(i, j int) { idxBuf[i], idxBuf[j] = idxBuf[j], idxBuf[i] })
+		g.rng.Shuffle(n, func(i, j int) { idxBuf[i], idxBuf[j] = idxBuf[j], idxBuf[i] })
 		sub := make([]int, psi)
 		copy(sub, idxBuf[:psi])
-		f.trees[t] = growTree(x, sub, 0, maxDepth, rng)
+		f.roots[t] = int32(len(g.nodes))
+		g.nodes = append(g.nodes, node{})
+		g.grow(int(f.roots[t]), sub, 0)
 	}
+	// Keep an exact-size copy: the forest lives as long as the model,
+	// and append's growth slack would stay resident with it.
+	f.nodes = append(make([]node, 0, len(g.nodes)), g.nodes...)
 	return nil
 }
 
-func growTree(x [][]float64, idx []int, depth, maxDepth int, rng *rand.Rand) *node {
-	if len(idx) <= 1 || depth >= maxDepth {
-		return &node{size: len(idx), adj: averagePathLength(len(idx))}
+// grower grows isolation trees depth first into one node slice.
+type grower struct {
+	x        [][]float64
+	maxDepth int
+	rng      *rand.Rand
+	nodes    []node
+}
+
+// grow fills nodes[at] with the tree over the training rows idx. A split
+// reserves both child slots before either subtree grows, so siblings are
+// adjacent; the random draws come in the same order as a recursive
+// left-then-right construction.
+func (g *grower) grow(at int, idx []int, depth int) {
+	if len(idx) <= 1 || depth >= g.maxDepth {
+		g.nodes[at] = leaf(len(idx))
+		return
 	}
-	dim := len(x[0])
+	dim := len(g.x[0])
 	// Pick a random attribute with spread; give up after a few draws if
 	// the subsample is constant (then the node becomes a leaf).
 	for attempt := 0; attempt < dim; attempt++ {
-		attr := rng.Intn(dim)
-		lo, hi := x[idx[0]][attr], x[idx[0]][attr]
+		attr := g.rng.Intn(dim)
+		lo, hi := g.x[idx[0]][attr], g.x[idx[0]][attr]
 		for _, i := range idx[1:] {
-			v := x[i][attr]
+			v := g.x[i][attr]
 			if v < lo {
 				lo = v
 			}
@@ -156,10 +181,10 @@ func growTree(x [][]float64, idx []int, depth, maxDepth int, rng *rand.Rand) *no
 		if hi <= lo {
 			continue
 		}
-		split := lo + rng.Float64()*(hi-lo)
+		split := lo + g.rng.Float64()*(hi-lo)
 		var left, right []int
 		for _, i := range idx {
-			if x[i][attr] < split {
+			if g.x[i][attr] < split {
 				left = append(left, i)
 			} else {
 				right = append(right, i)
@@ -169,47 +194,80 @@ func growTree(x [][]float64, idx []int, depth, maxDepth int, rng *rand.Rand) *no
 			// Degenerate cut (can happen when split == lo); retry.
 			continue
 		}
-		return &node{
-			attr:  attr,
-			value: split,
-			left:  growTree(x, left, depth+1, maxDepth, rng),
-			right: growTree(x, right, depth+1, maxDepth, rng),
-		}
+		child := len(g.nodes)
+		g.nodes = append(g.nodes, node{}, node{})
+		g.nodes[at] = node{value: split, attr: int32(attr), child: int32(child)}
+		g.grow(child, left, depth+1)
+		g.grow(child+1, right, depth+1)
+		return
 	}
-	return &node{size: len(idx), adj: averagePathLength(len(idx))}
-}
-
-// pathLength walks xq down the tree, adding the c(size) adjustment at the
-// leaf as in the original algorithm.
-func pathLength(nd *node, xq []float64) float64 {
-	var depth float64
-	for !nd.leaf() {
-		if xq[nd.attr] < nd.value {
-			nd = nd.left
-		} else {
-			nd = nd.right
-		}
-		depth++
-	}
-	return depth + nd.adj
+	g.nodes[at] = leaf(len(idx))
 }
 
 // Score returns the anomaly score of xq in (0, 1); higher means more
 // outlying. It returns an error if the forest is unfitted or the feature
 // length disagrees with training.
 func (f *Forest) Score(xq []float64) (float64, error) {
-	if len(f.trees) == 0 {
+	if len(f.roots) == 0 {
 		return 0, ErrNotFitted
 	}
 	if len(xq) != f.dim {
 		return 0, fmt.Errorf("iforest: query has %d features, want %d", len(xq), f.dim)
 	}
+	nodes, roots := f.nodes, f.roots
 	var sum float64
-	for _, t := range f.trees {
-		sum += pathLength(t, xq)
+	t := 0
+	for ; t+4 <= len(roots); t += 4 {
+		// Four walks interleaved, so their node loads overlap. A walker
+		// on a leaf stays put until all four have reached one.
+		a, b, c, d := walker(roots[t]), walker(roots[t+1]), walker(roots[t+2]), walker(roots[t+3])
+		for nodes[a.at()].attr&nodes[b.at()].attr&nodes[c.at()].attr&nodes[d.at()].attr >= 0 {
+			a, b, c, d = a.step(nodes, xq), b.step(nodes, xq), c.step(nodes, xq), d.step(nodes, xq)
+		}
+		sum += a.length(nodes)
+		sum += b.length(nodes)
+		sum += c.length(nodes)
+		sum += d.length(nodes)
 	}
-	mean := sum / float64(len(f.trees))
+	for ; t < len(roots); t++ {
+		w := walker(roots[t])
+		for nodes[w.at()].attr >= 0 {
+			w = w.step(nodes, xq)
+		}
+		sum += w.length(nodes)
+	}
+	mean := sum / float64(len(roots))
 	return math.Pow(2, -mean/f.cPsi), nil
+}
+
+// walker is one walk down a tree packed in a register: the current node
+// index in the low 32 bits, the number of levels descended above them.
+type walker int64
+
+func (w walker) at() int32 { return int32(w) }
+
+// length is the walk's depth plus the c(size) adjustment of the leaf
+// it stands on (Liu et al.).
+func (w walker) length(nodes []node) float64 {
+	return float64(int32(w>>32)) + nodes[w.at()].value
+}
+
+// step moves the walker one level down — to the left child when
+// xq[attr] < value, else (NaN included) to the right — and counts the
+// level, by adding 1<<32 + (next − at). It has no data-dependent
+// branch: on a leaf the mask zeroes the increment and the walker stays.
+func (w walker) step(nodes []node, xq []float64) walker {
+	nd := &nodes[w.at()]
+	leafMask := nd.attr >> 31 // −1 on a leaf, 0 on an internal node
+	next := nd.child + 1 - b2i(xq[nd.attr&^leafMask] < nd.value)
+	return w + (1<<32+walker(next-w.at()))&^walker(leafMask)
+}
+
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ScoreBatch scores every row of x.

@@ -181,8 +181,8 @@ func TestSubsampleSmallerThanN(t *testing.T) {
 	if err := f.Fit(x); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.trees) != 50 {
-		t.Fatalf("tree count = %d want 50", len(f.trees))
+	if len(f.roots) != 50 {
+		t.Fatalf("tree count = %d want 50", len(f.roots))
 	}
 	s, err := f.Score([]float64{8, -8})
 	if err != nil {
@@ -242,5 +242,63 @@ func TestAnomalyScoreFormula(t *testing.T) {
 			t.Fatalf("score at %g = %g not decreasing toward the mass", q, s)
 		}
 		prev = s
+	}
+}
+
+// refScore is the reference walk: one tree at a time, a plain branch
+// per level, path lengths added in tree order.
+func refScore(f *Forest, xq []float64) float64 {
+	var sum float64
+	for _, root := range f.roots {
+		at, depth := root, 0.0
+		for f.nodes[at].attr >= 0 {
+			nd := f.nodes[at]
+			if xq[nd.attr] < nd.value {
+				at = nd.child
+			} else {
+				at = nd.child + 1
+			}
+			depth++
+		}
+		sum += depth + f.nodes[at].value
+	}
+	return math.Pow(2, -(sum/float64(len(f.roots)))/f.cPsi)
+}
+
+// TestScoreMatchesReferenceWalk pins the four-way branch-free walk to
+// the one-tree-at-a-time reference, bit for bit, for tree counts with
+// and without a tail of fewer than four trees, on queries with NaN
+// features (NaN compares false, so it goes right) and with far
+// outliers.
+func TestScoreMatchesReferenceWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	x := gaussianCloud(rng, 200, 5)
+	queries := gaussianCloud(rng, 40, 5)
+	for i, q := range queries {
+		switch i % 4 {
+		case 1:
+			q[i%5] = math.NaN()
+		case 2:
+			for j := range q {
+				q[j] = math.NaN()
+			}
+		case 3:
+			q[0] = 1e6
+		}
+	}
+	for _, trees := range []int{30, 50, 301} {
+		f := New(Options{Trees: trees, SampleSize: 64, Seed: int64(trees)})
+		if err := f.Fit(x); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			got, err := f.Score(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refScore(f, q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trees=%d query %d: Score %v, reference walk %v", trees, i, got, want)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package iforest
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // jsonForest is the serialized form of a fitted forest.
@@ -12,8 +13,8 @@ type jsonForest struct {
 	Trees []jsonNode `json:"trees"`
 }
 
-// jsonNode flattens a tree node; Left/Right are indices into a node pool
-// (−1 for none) so deep trees do not recurse the JSON encoder.
+// jsonNode is one tree node in nested form: an internal node carries
+// attr, value and one-element Left and Right lists, a leaf size and adj.
 type jsonNode struct {
 	Attr  int        `json:"attr"`
 	Value float64    `json:"value"`
@@ -23,45 +24,61 @@ type jsonNode struct {
 	Right []jsonNode `json:"right,omitempty"`
 }
 
-func encodeNode(nd *node) jsonNode {
-	out := jsonNode{Attr: nd.attr, Value: nd.value, Size: nd.size, Adj: nd.adj}
-	if nd.left != nil {
-		out.Left = []jsonNode{encodeNode(nd.left)}
+// encodeNode writes the subtree at nodes[at] in the nested JSON form:
+// an internal node carries attr and value, a leaf size and adj.
+func (f *Forest) encodeNode(at int32) jsonNode {
+	nd := f.nodes[at]
+	if nd.attr < 0 {
+		return jsonNode{Size: int(nd.child), Adj: nd.value}
 	}
-	if nd.right != nil {
-		out.Right = []jsonNode{encodeNode(nd.right)}
+	return jsonNode{
+		Attr:  int(nd.attr),
+		Value: nd.value,
+		Left:  []jsonNode{f.encodeNode(nd.child)},
+		Right: []jsonNode{f.encodeNode(nd.child + 1)},
 	}
-	return out
 }
 
-func decodeNode(jn jsonNode) *node {
-	nd := &node{attr: jn.Attr, value: jn.Value, size: jn.Size, adj: jn.Adj}
-	if len(jn.Left) > 0 {
-		nd.left = decodeNode(jn.Left[0])
+// decodeNode places the subtree of jn at nodes[at], appending children
+// in sibling pairs. A node with one child is corrupt and degrades to a
+// leaf so scoring stays safe; an internal node must split on a feature
+// in [0, dim).
+func (f *Forest) decodeNode(at int, jn jsonNode) error {
+	if len(jn.Left) == 0 || len(jn.Right) == 0 {
+		if jn.Size < math.MinInt32 || jn.Size > math.MaxInt32 {
+			return fmt.Errorf("iforest: unmarshal leaf size %d out of range: %w", jn.Size, ErrNotFitted)
+		}
+		f.nodes[at] = node{value: jn.Adj, attr: -1, child: int32(jn.Size)}
+		return nil
 	}
-	if len(jn.Right) > 0 {
-		nd.right = decodeNode(jn.Right[0])
+	if jn.Attr < 0 || jn.Attr >= f.dim {
+		return fmt.Errorf("iforest: unmarshal split attribute %d outside [0, %d): %w", jn.Attr, f.dim, ErrNotFitted)
 	}
-	if (nd.left == nil) != (nd.right == nil) {
-		// Repair asymmetric corruption into a leaf so scoring stays safe.
-		nd.left, nd.right = nil, nil
+	child := len(f.nodes)
+	f.nodes = append(f.nodes, node{}, node{})
+	f.nodes[at] = node{value: jn.Value, attr: int32(jn.Attr), child: int32(child)}
+	if err := f.decodeNode(child, jn.Left[0]); err != nil {
+		return err
 	}
-	return nd
+	return f.decodeNode(child+1, jn.Right[0])
 }
 
 // MarshalJSON serializes a fitted forest; it fails on an unfitted one.
 func (f *Forest) MarshalJSON() ([]byte, error) {
-	if len(f.trees) == 0 {
+	if len(f.roots) == 0 {
 		return nil, fmt.Errorf("iforest: marshal unfitted forest: %w", ErrNotFitted)
 	}
-	jf := jsonForest{Dim: f.dim, CPsi: f.cPsi, Trees: make([]jsonNode, len(f.trees))}
-	for i, t := range f.trees {
-		jf.Trees[i] = encodeNode(t)
+	jf := jsonForest{Dim: f.dim, CPsi: f.cPsi, Trees: make([]jsonNode, len(f.roots))}
+	for i, root := range f.roots {
+		jf.Trees[i] = f.encodeNode(root)
 	}
 	return json.Marshal(jf)
 }
 
-// UnmarshalJSON restores a fitted forest serialized by MarshalJSON.
+// UnmarshalJSON restores a fitted forest serialized by MarshalJSON. A
+// model that would fail at score time — no trees, or a split on a
+// feature the forest does not have — is rejected here, wrapping
+// ErrNotFitted.
 func (f *Forest) UnmarshalJSON(data []byte) error {
 	var jf jsonForest
 	if err := json.Unmarshal(data, &jf); err != nil {
@@ -70,11 +87,15 @@ func (f *Forest) UnmarshalJSON(data []byte) error {
 	if jf.Dim <= 0 || len(jf.Trees) == 0 || jf.CPsi <= 0 {
 		return fmt.Errorf("iforest: unmarshal incomplete model: %w", ErrNotFitted)
 	}
-	f.dim = jf.Dim
-	f.cPsi = jf.CPsi
-	f.trees = make([]*node, len(jf.Trees))
+	dec := Forest{opt: f.opt, dim: jf.Dim, cPsi: jf.CPsi, roots: make([]int32, len(jf.Trees))}
 	for i, jn := range jf.Trees {
-		f.trees[i] = decodeNode(jn)
+		dec.roots[i] = int32(len(dec.nodes))
+		dec.nodes = append(dec.nodes, node{})
+		if err := dec.decodeNode(int(dec.roots[i]), jn); err != nil {
+			return err
+		}
 	}
+	dec.nodes = append(make([]node, 0, len(dec.nodes)), dec.nodes...) // exact size, as in Fit
+	*f = dec
 	return nil
 }

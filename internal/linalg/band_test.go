@@ -238,3 +238,126 @@ func TestBandSolveIntoMatchesSolve(t *testing.T) {
 		t.Fatal("SolveInto accepted short rhs")
 	}
 }
+
+// solveDotHat is the reference HatDiag is pinned to: one SolveInto and
+// one Dot per design row.
+func solveDotHat(t *testing.T, bc *BandCholesky, phi *Dense) []float64 {
+	t.Helper()
+	m, n := phi.Dims()
+	h := make([]float64, m)
+	sol := make([]float64, n)
+	for j := range h {
+		if err := bc.SolveInto(phi.Row(j), sol); err != nil {
+			t.Fatal(err)
+		}
+		h[j] = Dot(phi.Row(j), sol)
+	}
+	return h
+}
+
+func assertHatBitwise(t *testing.T, bc *BandCholesky, phi *Dense, what string) {
+	t.Helper()
+	want := solveDotHat(t, bc, phi)
+	got := make([]float64, len(want))
+	if err := bc.HatDiag(phi, got); err != nil {
+		t.Fatal(err)
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s: h[%d] = %v (%#x), SolveInto+Dot %v (%#x)", what, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+// TestHatDiagMatchesSolveDotBitwise drives the hat kernel with random
+// banded SPD factors and sparse rows: a random support window with
+// zeros of either sign inside and outside it, every row count 1–9 (full
+// groups of four and every tail), and bandwidths clamped to n−1.
+func TestHatDiagMatchesSolveDotBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(24)
+		k := rng.Intn(6) // k >= n exercises the clamp to n−1
+		bc, err := NewBandCholesky(randomBandedSPD(rng, n, min(k, n-1)), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := 1 + trial%9
+		phi := NewDense(m, n)
+		for j := 0; j < m; j++ {
+			f := rng.Intn(n)
+			e := min(n-1, f+rng.Intn(5))
+			row := phi.Row(j)
+			for i := range row {
+				switch {
+				case i >= f && i <= e && rng.Intn(4) > 0:
+					row[i] = rng.NormFloat64()
+				case rng.Intn(3) == 0:
+					row[i] = math.Copysign(0, -1)
+				}
+			}
+		}
+		assertHatBitwise(t, bc, phi, "random")
+	}
+}
+
+// TestHatDiagFallsBackWhereSkippingIsNotExact covers the rows and
+// factors the support shortcut cannot take — an all-zero row, a
+// non-finite row entry, a non-finite factor, and a factor whose back
+// pass overflows below the support (the reference then gets 0·Inf =
+// NaN, and so must the kernel) — next to rows with −0 entries, which it
+// can.
+func TestHatDiagFallsBackWhereSkippingIsNotExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	bc, err := NewBandCholesky(randomBandedSPD(rng, 9, 2), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi := NewDense(6, 9)
+	copy(phi.Row(0), []float64{0, 0, 0.5, math.Copysign(0, -1), 0.25, 0, 0, 0, 0})
+	copy(phi.Row(2), []float64{math.Copysign(0, -1), 0, 0, 0, 0, 0, 1, 0.5, 0})
+	copy(phi.Row(3), []float64{0, 0, 0, 0, math.Inf(1), 0.5, 0, 0, 0})
+	copy(phi.Row(4), []float64{0, 0, 0, 0, 0, math.NaN(), 1, 0, 0})
+	copy(phi.Row(5), []float64{0, 0, 0, 0, 0, 0, 0, 0.75, 0.25})
+	assertHatBitwise(t, bc, phi, "unclean rows")
+
+	// Hand-built factor: tiny leading pivots with unit couplings make
+	// the back pass grow by 1e200 per step below the support.
+	const n, k = 6, 1
+	tiny := &BandCholesky{n: n, k: k, l: make([]float64, n*(k+1))}
+	for i := 0; i < n; i++ {
+		tiny.l[i*(k+1)+k] = 1
+		if i < 3 {
+			tiny.l[i*(k+1)+k] = 1e-200
+		}
+		if i > 0 {
+			tiny.l[i*(k+1)] = 1
+		}
+	}
+	tail := NewDense(1, n)
+	tail.Set(0, n-1, 1)
+	assertHatBitwise(t, tiny, tail, "overflow below the support")
+	if h := solveDotHat(t, tiny, tail); !math.IsNaN(h[0]) {
+		t.Fatalf("fixture does not overflow: reference h = %v", h[0])
+	}
+
+	inf := &BandCholesky{n: tiny.n, k: tiny.k, l: append([]float64(nil), tiny.l...)}
+	for i := range inf.l {
+		inf.l[i] = 1
+	}
+	inf.l[0] = math.Inf(1)
+	assertHatBitwise(t, inf, tail, "non-finite factor")
+}
+
+func TestHatDiagShapeErrors(t *testing.T) {
+	bc, err := NewBandCholesky(Identity(3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bc.HatDiag(NewDense(2, 4), make([]float64, 2)); !errors.Is(err, ErrShape) {
+		t.Fatalf("column mismatch err = %v, want ErrShape", err)
+	}
+	if err := bc.HatDiag(NewDense(2, 3), make([]float64, 3)); !errors.Is(err, ErrShape) {
+		t.Fatalf("dst mismatch err = %v, want ErrShape", err)
+	}
+}

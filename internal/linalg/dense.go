@@ -89,18 +89,6 @@ func (m *Dense) Row(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("linalg: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of the matrix.
 func (m *Dense) Clone() *Dense {
 	c := NewDense(m.rows, m.cols)
@@ -118,27 +106,6 @@ func (m *Dense) T() *Dense {
 		}
 	}
 	return t
-}
-
-// Add returns m + b.
-func (m *Dense) Add(b *Dense) (*Dense, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("linalg: add %dx%d with %dx%d: %w", m.rows, m.cols, b.rows, b.cols, ErrShape)
-	}
-	out := NewDense(m.rows, m.cols)
-	for i, v := range m.data {
-		out.data[i] = v + b.data[i]
-	}
-	return out, nil
-}
-
-// Scale returns s*m as a new matrix.
-func (m *Dense) Scale(s float64) *Dense {
-	out := NewDense(m.rows, m.cols)
-	for i, v := range m.data {
-		out.data[i] = s * v
-	}
-	return out
 }
 
 // Mul returns the matrix product m * b.

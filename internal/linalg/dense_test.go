@@ -90,20 +90,6 @@ func TestRowAliases(t *testing.T) {
 	}
 }
 
-func TestColCopies(t *testing.T) {
-	m := NewDense(2, 2)
-	m.Set(0, 1, 3)
-	m.Set(1, 1, 4)
-	col := m.Col(1)
-	if col[0] != 3 || col[1] != 4 {
-		t.Fatalf("Col(1) = %v want [3 4]", col)
-	}
-	col[0] = 99
-	if m.At(0, 1) != 3 {
-		t.Fatal("Col must not alias matrix storage")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	m := NewDense(2, 2)
 	m.Set(0, 0, 1)
@@ -134,34 +120,12 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestAddAndScale(t *testing.T) {
-	a, _ := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	b, _ := NewDenseData(2, 2, []float64{4, 3, 2, 1})
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := NewDenseData(2, 2, []float64{5, 5, 5, 5})
-	if !sum.Equal(want, 0) {
-		t.Fatalf("Add = %v", sum)
-	}
-	if !a.Scale(2).Equal(mustDense(2, 2, 2, 4, 6, 8), 0) {
-		t.Fatal("Scale wrong")
-	}
-}
-
 func mustDense(r, c int, vals ...float64) *Dense {
 	m, err := NewDenseData(r, c, vals)
 	if err != nil {
 		panic(err)
 	}
 	return m
-}
-
-func TestAddShapeMismatch(t *testing.T) {
-	if _, err := NewDense(2, 2).Add(NewDense(3, 2)); err == nil {
-		t.Fatal("expected shape error")
-	}
 }
 
 func TestMulKnown(t *testing.T) {

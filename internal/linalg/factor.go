@@ -83,6 +83,28 @@ func (ch *Cholesky) SolveInto(b, x []float64) error {
 	return nil
 }
 
+// HatDiag writes h[j] = φⱼᵀ A⁻¹ φⱼ for every row φⱼ of phi (m×n) into
+// h (length m): one SolveInto and one Dot per row. BandCholesky.HatDiag
+// is the banded counterpart that skips each row's zeros.
+func (ch *Cholesky) HatDiag(phi *Dense, h []float64) error {
+	m, c := phi.Dims()
+	if c != ch.n {
+		return fmt.Errorf("linalg: hat diagonal of %dx%d design, factor is %d: %w", m, c, ch.n, ErrShape)
+	}
+	if len(h) != m {
+		return fmt.Errorf("linalg: hat diagonal dst %d want %d: %w", len(h), m, ErrShape)
+	}
+	sol := make([]float64, ch.n)
+	for j := range h {
+		row := phi.Row(j)
+		if err := ch.SolveInto(row, sol); err != nil {
+			return err
+		}
+		h[j] = Dot(row, sol)
+	}
+	return nil
+}
+
 // SolveMatrix solves A X = B column by column.
 func (ch *Cholesky) SolveMatrix(b *Dense) (*Dense, error) {
 	br, bc := b.Dims()

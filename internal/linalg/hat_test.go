@@ -1,0 +1,119 @@
+package linalg_test
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/bspline"
+	"repro/internal/linalg"
+)
+
+// smoothingSystem returns the design Φ of a clamped B-spline basis on ts
+// and the banded factor of ΦᵀΦ + λR + 1e-6·I, the system the smoother's
+// hat diagonal is taken over.
+func smoothingSystem(t testing.TB, dim, order int, ts []float64, lambda float64) (*linalg.Dense, *linalg.BandCholesky) {
+	t.Helper()
+	b, err := bspline.New(dim, order, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi := bspline.DesignMatrix(b, ts, 0)
+	a := phi.AtA()
+	r, err := bspline.PenaltyMatrix(b, min(2, order-1), max(1, order-2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < dim; i++ {
+		for j := 0; j < dim; j++ {
+			a.Set(i, j, a.At(i, j)+lambda*r.At(i, j))
+		}
+		a.Set(i, i, a.At(i, i)+1e-6)
+	}
+	bc, err := linalg.NewBandCholesky(a, order-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return phi, bc
+}
+
+// TestHatDiagBSplineDesignsBitwise: on real B-spline designs, with grid
+// points on every knot (where a row's span carries exact zeros) and
+// between them, HatDiag equals SolveInto+Dot bit for bit for every row
+// count 1–9 and the sizes the smoother's default ladder picks.
+func TestHatDiagBSplineDesignsBitwise(t *testing.T) {
+	for _, order := range []int{1, 2, 4, 6} {
+		for _, dim := range []int{order, order + 3, 21} {
+			knots := make([]float64, 0, dim)
+			for i := 0; i <= dim-order+1; i++ {
+				knots = append(knots, float64(i)/float64(dim-order+1))
+			}
+			for m := 1; m <= 9; m++ {
+				ts := make([]float64, m)
+				for j := range ts {
+					if j%2 == 0 {
+						ts[j] = knots[(j/2)%len(knots)]
+					} else {
+						ts[j] = math.Mod(0.137*float64(j*j+1), 1)
+					}
+				}
+				phi, bc := smoothingSystem(t, dim, order, ts, 1e-4)
+				checkHat(t, phi, bc)
+			}
+			ts := make([]float64, 85)
+			for j := range ts {
+				ts[j] = float64(j) / 84
+			}
+			phi, bc := smoothingSystem(t, dim, order, ts, 1e-2)
+			checkHat(t, phi, bc)
+		}
+	}
+}
+
+func checkHat(t *testing.T, phi *linalg.Dense, bc *linalg.BandCholesky) {
+	t.Helper()
+	m, n := phi.Dims()
+	got := make([]float64, m)
+	if err := bc.HatDiag(phi, got); err != nil {
+		t.Fatal(err)
+	}
+	sol := make([]float64, n)
+	for j := range got {
+		if err := bc.SolveInto(phi.Row(j), sol); err != nil {
+			t.Fatal(err)
+		}
+		if want := linalg.Dot(phi.Row(j), sol); math.Float64bits(got[j]) != math.Float64bits(want) {
+			t.Fatalf("%dx%d design row %d: HatDiag %v, SolveInto+Dot %v", m, n, j, got[j], want)
+		}
+	}
+}
+
+// BenchmarkHatDiag times the hat diagonal of the largest system of the
+// benchmark model's default ladder (21 cubic functions, 85 points)
+// through the kernel and through the per-row SolveInto+Dot loop it
+// replaced.
+func BenchmarkHatDiag(b *testing.B) {
+	ts := make([]float64, 85)
+	for j := range ts {
+		ts[j] = float64(j) / 84
+	}
+	phi, bc := smoothingSystem(b, 21, 4, ts, 1e-4)
+	h := make([]float64, len(ts))
+	b.Run("kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := bc.HatDiag(phi, h); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("solveDot", func(b *testing.B) {
+		sol := make([]float64, 21)
+		for i := 0; i < b.N; i++ {
+			for j := range h {
+				if err := bc.SolveInto(phi.Row(j), sol); err != nil {
+					b.Fatal(err)
+				}
+				h[j] = linalg.Dot(phi.Row(j), sol)
+			}
+		}
+	})
+}
