@@ -35,13 +35,17 @@ test:
 # the gateway tier (hedged legs, topology watcher, health prober), the
 # shared-pipeline scoring guarantee, the server binary, the
 # smoothing/mapping hot path (worker pool + shared basis cache), the
-# metrics registry (observed and scraped concurrently), and the
-# analyzer suite (whose repo-clean test loads and checks the whole tree).
+# metrics registry (observed and scraped concurrently), the job manager
+# (a supervisor goroutine per job, token-bounded chunk workers), the
+# retrying job and stream clients, the load generator's paced senders,
+# and the analyzer suite (whose repo-clean test loads and checks the
+# whole tree).
 test-race:
 	$(GO) test -race ./internal/serve ./internal/gate ./internal/resilience \
 		./internal/core ./cmd/mfodserve ./cmd/mfodgate \
 		./internal/fda ./internal/geometry ./internal/parallel \
-		./internal/stream ./internal/analysis ./internal/metrics
+		./internal/stream ./internal/analysis ./internal/metrics \
+		./internal/jobs ./internal/client ./cmd/mfodload
 
 # Chaos gate: the fault-injection and resilience packages plus the serve
 # chaos suite (Chaos* tests arm faultinject points), under the race

@@ -32,7 +32,6 @@ var deadCodeAllow = map[string]string{
 	"resilience.Budget.Deadline":    "observation hook on the live budget",
 	"resilience.RetryBudget.Tokens": "observation hook on the live retry budget",
 	"serve.AIMD.Inflight":           "observation hook on the live concurrency limiter",
-	"fda.Incremental.Rebuilds":      "observation hook on the live incremental fitter",
 	"ocsvm.Model.SupportVectors":    "observation hook: nu lower-bounds the support-vector fraction",
 
 	"analysis.LoadDir":   "test support: loads the analyzer fixture packages",
@@ -46,8 +45,6 @@ var deadCodeAllow = map[string]string{
 	"linalg.LeastSquares":            pendingDeletion,
 	"linalg.LU.Det":                  pendingDeletion,
 	"linalg.SolveSPD":                pendingDeletion,
-	"linalg.Cholesky.SolveMatrix":    pendingDeletion,
-	"linalg.Cholesky.LogDet":         pendingDeletion,
 	"linalg.Normalize":               pendingDeletion,
 	"stats.Shuffle":                  pendingDeletion,
 	"stats.SampleWithoutReplacement": pendingDeletion,
@@ -59,7 +56,6 @@ var deadCodeAllow = map[string]string{
 	"eval.AveragePrecision":          pendingDeletion,
 	"eval.PrecisionAtK":              pendingDeletion,
 	"ocsvm.GammaGrid":                pendingDeletion,
-	"fda.Sample.Parameter":           pendingDeletion,
 }
 
 const pendingDeletion = "pending deletion: only its own tests call it"

@@ -17,12 +17,12 @@ import (
 // hat-matrix diagonal H_jj and tr(H), none of which depend on the
 // observed values y. The roughness penalty R of Eq. 3 does not depend
 // on the grid either, so the cache keeps one per (basis size, order,
-// penalty order, domain), shared by every grid's entry and by the
-// transient entries of the incremental fitter. Cross-validating over
-// basis sizes and λ therefore stops re-deriving identical
-// factorizations for every sample and every parameter: the per-fit work
-// shrinks to one Φᵀy product, one O(L·k) solve per λ, and the residual
-// scan.
+// penalty order, domain), shared by every grid's entry and by every
+// entry built for a single fit (a stream's prefix grid, a key
+// collision). Cross-validating over basis sizes and λ therefore stops
+// re-deriving identical factorizations for every sample and every
+// parameter: the per-fit work shrinks to one Φᵀy product, one O(L·k)
+// solve per λ, and the residual scan.
 //
 // The cache also memoizes span-compact design matrices (SpanDesign) per
 // (basis, grid, derivative), which CurveFit.EvalGrid uses to evaluate
@@ -131,8 +131,8 @@ func sameFloats(a, b []float64) bool {
 // fitEntryFor returns the shared entry for the default clamped B-spline
 // system of the given size on the given grid, building it on first use.
 // It returns nil when the basis cannot be constructed or the key
-// collides with a different grid; the caller then falls back to an
-// uncached transient entry, which runs the exact same arithmetic.
+// collides with a different grid; the caller then builds an entry for
+// the one fit, which runs the exact same arithmetic.
 func (c *BasisCache) fitEntryFor(dim, order, q int, lo, hi float64, ts []float64) *fitEntry {
 	key := fitKey{dim: dim, order: order, q: q, lo: lo, hi: hi, m: len(ts), tsHash: hashFloats(ts)}
 	c.mu.Lock()
@@ -166,9 +166,9 @@ func (c *BasisCache) fitEntryFor(dim, order, q int, lo, hi float64, ts []float64
 // is already cached, or nil. Unlike fitEntryFor it never populates the
 // cache: a growing stream passes through a different prefix grid on
 // every refit, and inserting each one would grow the cache without
-// bound. The incremental fitter uses this to ride entries the batch
-// path already built (identical grids share λ factorizations) while
-// keeping its own transient Gram state for everything else.
+// bound. Incremental.Fit uses it to reuse the entries the batch path
+// already built (identical grids share λ factorizations) and builds
+// any other system for the one refit.
 func (c *BasisCache) lookupFitEntry(dim, order, q int, lo, hi float64, ts []float64) *fitEntry {
 	key := fitKey{dim: dim, order: order, q: q, lo: lo, hi: hi, m: len(ts), tsHash: hashFloats(ts)}
 	c.mu.Lock()
@@ -282,8 +282,8 @@ type lambdaFactor struct {
 // newFitEntry builds the eager members (design and Gram matrices). ts is
 // retained; callers that reuse their grid slice must pass a stable one
 // (the cache passes the verified key grid, transient entries live only
-// for one FitSample call). pen is the cache's shared penalty slot, or a
-// fresh one for an uncached entry.
+// for one fit). pen is the cache's shared penalty slot, or a fresh one
+// when no cache is in play.
 func newFitEntry(basis bspline.Basis, ts []float64, q int, pen *penalty) *fitEntry {
 	e := &fitEntry{basis: basis, ts: ts, q: q, pen: pen, bandwidth: -1}
 	if bs, ok := basis.(*bspline.BSpline); ok {

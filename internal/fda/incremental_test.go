@@ -95,8 +95,7 @@ func appendAll(t *testing.T, inc *Incremental, s Sample, order []int) {
 }
 
 // TestIncrementalMatchesBatchInOrder: observations arriving in time
-// order ride the pure rank-1 fast path (zero canonical rebuilds) and
-// still land bitwise on the batch fit.
+// order land bitwise on the batch fit.
 func TestIncrementalMatchesBatchInOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 6; trial++ {
@@ -112,15 +111,9 @@ func TestIncrementalMatchesBatchInOrder(t *testing.T) {
 			order[j] = j
 		}
 		appendAll(t, inc, s, order)
-		if got := inc.Rebuilds(); got != 0 {
-			t.Fatalf("in-order appends forced %d rebuilds before fit", got)
-		}
 		got, err := inc.Fit()
 		if err != nil {
 			t.Fatal(err)
-		}
-		if inc.Rebuilds() != 0 {
-			t.Fatalf("in-order fit still rebuilt %d times", inc.Rebuilds())
 		}
 		want, err := FitSample(s, incTestOpts())
 		if err != nil {
@@ -133,7 +126,7 @@ func TestIncrementalMatchesBatchInOrder(t *testing.T) {
 // TestIncrementalMatchesBatchAnyOrder: the property at the heart of the
 // suite — for ANY append order and chunking, the completed stream fits
 // bitwise identically to batch FitSample. Shuffled orders force
-// mid-grid inserts and therefore canonical Gram refactors.
+// mid-grid inserts.
 func TestIncrementalMatchesBatchAnyOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 8; trial++ {
@@ -196,7 +189,7 @@ func TestIncrementalPrefixFitsMatchBatch(t *testing.T) {
 }
 
 // TestIncrementalDuplicateTimes: re-observing a timestamp replaces the
-// value (last write wins) without disturbing the Gram; the stream must
+// value (last write wins) without growing the grid; the stream must
 // match the batch fit of the de-duplicated sample.
 func TestIncrementalDuplicateTimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
@@ -262,9 +255,6 @@ func TestIncrementalSlidingWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitwiseFit(t, got, want)
-	if inc.Rebuilds() == 0 {
-		t.Fatal("a trim must force a canonical rebuild")
-	}
 }
 
 // TestIncrementalSharedCache: a stream fit over a BasisCache that

@@ -267,7 +267,19 @@ func FitSample(s Sample, opt Options) (*Fit, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	ts := s.Times
+	return fitGrid(s.Times, s.Values, opt, (*BasisCache).fitEntryFor)
+}
+
+// fitGrid is the fit shared by FitSample and Incremental.Fit: it builds
+// the smoothing system of every candidate basis size on the grid ts and
+// lets selectFit pick, per parameter row of ys. cached is how a system
+// is taken from the cache — FitSample inserts its grid (fitEntryFor), a
+// stream only looks its prefix grid up (lookupFitEntry). A system the
+// cache does not supply is built for this call alone, reading the
+// cache's shared penalty; without a cache, or with a custom Basis
+// factory, it gets a private one.
+func fitGrid(ts []float64, ys [][]float64, opt Options,
+	cached func(c *BasisCache, dim, order, q int, lo, hi float64, ts []float64) *fitEntry) (*Fit, error) {
 	if len(ts) < 2 {
 		return nil, fmt.Errorf("fda: need at least 2 points, got %d: %w", len(ts), ErrData)
 	}
@@ -279,13 +291,13 @@ func FitSample(s Sample, opt Options) (*Fit, error) {
 		return nil, fmt.Errorf("fda: degenerate domain [%g, %g]: %w", lo, hi, ErrData)
 	}
 	factory := opt.factory()
-	q := opt.penaltyDeriv()
+	order, q := opt.order(), opt.penaltyDeriv()
 	cache := opt.basisCache()
 	dims := opt.dims(len(ts))
 	systems := make([]system, len(dims))
 	for i, dim := range dims {
 		if cache != nil {
-			if e := cache.fitEntryFor(dim, opt.order(), q, lo, hi, ts); e != nil {
+			if e := cached(cache, dim, order, q, lo, hi, ts); e != nil {
 				systems[i].entry = e
 				continue
 			}
@@ -295,9 +307,15 @@ func FitSample(s Sample, opt Options) (*Fit, error) {
 			systems[i].err = err
 			continue
 		}
-		systems[i].entry = newFitEntry(basis, ts, q, new(penalty))
+		var pen *penalty
+		if cache != nil {
+			pen = cache.penaltyFor(dim, order, q, lo, hi)
+		} else {
+			pen = new(penalty)
+		}
+		systems[i].entry = newFitEntry(basis, ts, q, pen)
 	}
-	return selectFit(systems, s.Values, opt)
+	return selectFit(systems, ys, opt)
 }
 
 // system is the smoothing system of one candidate basis size, or the
@@ -307,11 +325,10 @@ type system struct {
 	err   error
 }
 
-// selectFit is the model selection shared by FitSample and
-// Incremental.Fit: each parameter row of ys is fit against every
-// candidate system in ladder order, and the criterion minimiser wins
-// (strict <, so the earlier candidate keeps a tie). A parameter that no
-// candidate fits reports the first candidate error.
+// selectFit is fitGrid's model selection: each parameter row of ys is
+// fit against every candidate system in ladder order, and the criterion
+// minimiser wins (strict <, so the earlier candidate keeps a tie). A
+// parameter that no candidate fits reports the first candidate error.
 func selectFit(systems []system, ys [][]float64, opt Options) (*Fit, error) {
 	fit := &Fit{Params: make([]*CurveFit, len(ys))}
 	for k, y := range ys {

@@ -70,9 +70,6 @@ func (s Sample) Validate() error {
 	return nil
 }
 
-// Parameter returns the UFD view of parameter k.
-func (s Sample) Parameter(k int) []float64 { return s.Values[k] }
-
 // Dataset is a collection of MFD samples with optional binary labels
 // (1 = outlier, 0 = inlier) used only for evaluation, never during fitting,
 // matching the unsupervised protocol of Sec. 4.2.

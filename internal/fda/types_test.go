@@ -43,14 +43,6 @@ func TestSampleValidateErrors(t *testing.T) {
 	}
 }
 
-func TestParameterView(t *testing.T) {
-	s := validSample()
-	p := s.Parameter(1)
-	if p[0] != 4 {
-		t.Fatalf("Parameter(1) = %v", p)
-	}
-}
-
 func TestDatasetValidate(t *testing.T) {
 	d := Dataset{Samples: []Sample{validSample(), validSample()}, Labels: []int{0, 1}}
 	if err := d.Validate(); err != nil {

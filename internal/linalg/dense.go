@@ -41,16 +41,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// NewDenseData wraps data (row-major, length r*c) in a Dense without
-// copying. The caller must not modify data afterwards except through the
-// returned matrix.
-func NewDenseData(r, c int, data []float64) (*Dense, error) {
-	if r < 0 || c < 0 || len(data) != r*c {
-		return nil, fmt.Errorf("linalg: data length %d does not match %dx%d: %w", len(data), r, c, ErrShape)
-	}
-	return &Dense{rows: r, cols: c, data: data}, nil
-}
-
 // Identity returns the n-by-n identity matrix.
 func Identity(n int) *Dense {
 	m := NewDense(n, n)
@@ -169,42 +159,6 @@ func (m *Dense) AtA() *Dense {
 		}
 	}
 	return out
-}
-
-// AddSymOuterUpper accumulates row·rowᵀ into the upper triangle of m,
-// which must be square with len(row) columns. The inner loops are the
-// exact loops AtA runs per design row — same zero skip, same index
-// order — so feeding rows one at a time, in row order, produces
-// bit-identical partial sums to a single AtA over the stacked rows.
-// That equivalence is what lets the incremental fitter in internal/fda
-// grow a Gram matrix per appended observation and still match the
-// batch path bitwise. The lower triangle is left untouched; call
-// MirrorUpper before handing the matrix to a solver.
-func (m *Dense) AddSymOuterUpper(row []float64) error {
-	if m.rows != m.cols || m.cols != len(row) {
-		return fmt.Errorf("linalg: sym outer %dx%d by row %d: %w", m.rows, m.cols, len(row), ErrShape)
-	}
-	for i, ri := range row {
-		if ri == 0 {
-			continue
-		}
-		oi := m.data[i*m.cols:]
-		for j := i; j < m.cols; j++ {
-			oi[j] += ri * row[j]
-		}
-	}
-	return nil
-}
-
-// MirrorUpper copies the upper triangle of a square matrix into the
-// lower, exactly as AtA finishes its accumulation. Bits are copied, not
-// recomputed, so symmetry is exact.
-func (m *Dense) MirrorUpper() {
-	for i := 1; i < m.rows; i++ {
-		for j := 0; j < i; j++ {
-			m.data[i*m.cols+j] = m.data[j*m.cols+i]
-		}
-	}
 }
 
 // AtVec returns mᵀ x.

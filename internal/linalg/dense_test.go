@@ -34,22 +34,6 @@ func TestNewDenseZeroed(t *testing.T) {
 	}
 }
 
-func TestNewDenseDataLengthMismatch(t *testing.T) {
-	if _, err := NewDenseData(2, 2, []float64{1, 2, 3}); err == nil {
-		t.Fatal("expected shape error for bad data length")
-	}
-}
-
-func TestNewDenseDataWraps(t *testing.T) {
-	m, err := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 0) != 3 {
-		t.Fatalf("At(1,0) = %g want 3", m.At(1, 0))
-	}
-}
-
 func TestIdentity(t *testing.T) {
 	id := Identity(3)
 	for i := 0; i < 3; i++ {
@@ -101,7 +85,7 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	m, _ := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	m := mustDense(2, 3, 1, 2, 3, 4, 5, 6)
 	tr := m.T()
 	r, c := tr.Dims()
 	if r != 3 || c != 2 {
@@ -120,11 +104,14 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
+// mustDense builds an r-by-c matrix from row-major values; a value
+// count that does not match the shape is a fixture bug and panics.
 func mustDense(r, c int, vals ...float64) *Dense {
-	m, err := NewDenseData(r, c, vals)
-	if err != nil {
-		panic(err)
+	if len(vals) != r*c {
+		panic("mustDense: value count does not match the shape")
 	}
+	m := NewDense(r, c)
+	copy(m.data, vals)
 	return m
 }
 

@@ -105,38 +105,6 @@ func (ch *Cholesky) HatDiag(phi *Dense, h []float64) error {
 	return nil
 }
 
-// SolveMatrix solves A X = B column by column.
-func (ch *Cholesky) SolveMatrix(b *Dense) (*Dense, error) {
-	br, bc := b.Dims()
-	if br != ch.n {
-		return nil, fmt.Errorf("linalg: cholesky solve %dx%d rhs, want %d rows: %w", br, bc, ch.n, ErrShape)
-	}
-	out := NewDense(br, bc)
-	col := make([]float64, br)
-	for j := 0; j < bc; j++ {
-		for i := 0; i < br; i++ {
-			col[i] = b.At(i, j)
-		}
-		x, err := ch.Solve(col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < br; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out, nil
-}
-
-// LogDet returns log(det A) = 2 Σ log L_ii.
-func (ch *Cholesky) LogDet() float64 {
-	var s float64
-	for i := 0; i < ch.n; i++ {
-		s += math.Log(ch.l[i*ch.n+i])
-	}
-	return 2 * s
-}
-
 // LU holds an LU factorization with partial pivoting: P A = L U.
 type LU struct {
 	n    int

@@ -80,39 +80,6 @@ func TestCholeskySolveResidualProperty(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randomSPD(rng, 4)
-	b := randomDense(rng, 4, 3)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := ch.SolveMatrix(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ax, err := a.Mul(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ax.Equal(b, 1e-8) {
-		t.Fatal("A X != B")
-	}
-}
-
-func TestCholeskyLogDet(t *testing.T) {
-	// det([[4,0],[0,9]]) = 36.
-	a := mustDense(2, 2, 4, 0, 0, 9)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(ch.LogDet(), math.Log(36), 1e-12) {
-		t.Fatalf("LogDet = %g want %g", ch.LogDet(), math.Log(36))
-	}
-}
-
 func TestCholeskySolveRHSLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ch, err := NewCholesky(randomSPD(rng, 3))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fda"
+	"repro/internal/stream"
 )
 
 // Default request limits applied when Config leaves them zero. They are
@@ -12,8 +13,10 @@ import (
 const (
 	// DefaultMaxSamples caps curves per /v1/score request.
 	DefaultMaxSamples = 1024
-	// DefaultMaxPoints caps measurement points per curve.
-	DefaultMaxPoints = 16384
+	// DefaultMaxPoints caps measurement points per curve, at the bound
+	// a stream's held points share: a fit's cost grows with the square
+	// of its points (see stream.MaxPoints).
+	DefaultMaxPoints = stream.MaxPoints
 	// jobsMaxSamples caps samples per bulk submission. The interactive
 	// MaxSamples cap does not apply to jobs — bulk is the point — but
 	// curves are still sanitized per submission.

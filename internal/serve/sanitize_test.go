@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/fda"
+	"repro/internal/stream"
 )
 
 func TestSanitizeDataset(t *testing.T) {
@@ -120,5 +121,24 @@ func TestServerRequestLimits400(t *testing.T) {
 	}
 	if !strings.Contains(string(out2), "limit 5") {
 		t.Fatalf("400 body %s", out2)
+	}
+}
+
+// TestServerDefaultPointLimit400: with default limits a curve one point
+// past stream.MaxPoints is rejected before any smoothing runs.
+func TestServerDefaultPointLimit400(t *testing.T) {
+	ts, ds := limitedStack(t, 0, 0, 0)
+	n := stream.MaxPoints + 1
+	lo, hi := ds.Domain()
+	big := fda.Sample{Times: make([]float64, n), Values: make([][]float64, len(ds.Samples[0].Values))}
+	for k := range big.Values {
+		big.Values[k] = make([]float64, n)
+	}
+	for j := range big.Times {
+		big.Times[j] = lo + (hi-lo)*float64(j)/float64(n-1)
+	}
+	resp, out := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, fda.Dataset{Samples: []fda.Sample{big}}, []int{0}, 0))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%d-point curve: status = %d, want 400 (body %s)", n, resp.StatusCode, out)
 	}
 }

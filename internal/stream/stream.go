@@ -1,11 +1,11 @@
 // Package stream is the append-only ingestion tier: per-stream state
 // machines that accept (t, value-vector) observations one at a time,
-// keep the running B-spline normal equations current via
-// fda.Incremental, and emit early-warning partial-curve scores over the
-// observed sub-domain — the score window widens as data lands, and once
-// a stream covers the training grid its score is bitwise the batch
-// score (see core.Pipeline.ScorePartialFit and the equivalence contract
-// on fda.Incremental).
+// hold them in an fda.Incremental, and emit early-warning partial-curve
+// scores over the observed sub-domain. Each score refits the held
+// points through the batch smoother's own systems, so the score window
+// widens as data lands, and once a stream covers the training grid its
+// score is bitwise the batch score (see core.Pipeline.ScorePartialFit
+// and the equivalence contract on fda.Incremental).
 //
 // A Manager owns the stream table: streams are created implicitly by
 // the first append naming a model, evicted when idle past the TTL
@@ -31,6 +31,15 @@ type Model interface {
 	ScorePartialFit(fit *fda.Fit, lo, hi float64) (score float64, gridFrom, gridTo int, err error)
 	Grid() []float64
 }
+
+// MaxPoints bounds the points one curve may carry: the distinct times a
+// stream holds, and (as serve.DefaultMaxPoints) the points of one curve
+// a replica scores. The default basis ladder sizes a fit at 8–25% of
+// its points and the design, Gram and penalty are dense, so a fit's
+// time and memory grow with the square of its points. Scoring one
+// bivariate curve with the Fig. 3 model on a 2-vCPU host takes 0.18 s
+// and 49 MB at 2,048 points, but 4.5 s and 777 MB at 8,192.
+const MaxPoints = 2048
 
 // Sentinel errors of the streaming tier; the HTTP layer maps them onto
 // the v1 envelope.
@@ -87,9 +96,9 @@ type ScoreEvent struct {
 }
 
 // Stream is one append-only curve. All state is guarded by mu; the
-// incremental refit runs under it too, so appends observed by a score
-// are complete by construction (the documented cost: a slow refit
-// blocks that stream's appends, never other streams).
+// refit runs under it too, so appends observed by a score are complete
+// by construction (the documented cost: a slow refit blocks that
+// stream's appends, never other streams).
 type Stream struct {
 	id        string
 	modelName string
@@ -116,8 +125,8 @@ type Options struct {
 	// MaxStreams caps the table; 0 means 1024. Full => ErrTooManyStreams.
 	MaxStreams int
 	// Window is the sliding-window size in observations (drifting
-	// baselines); 0 keeps every observation. Trims force a canonical
-	// Gram refactor on the next fit.
+	// baselines); 0 keeps every observation. The next fit is the batch
+	// fit of the points the window keeps.
 	Window int
 	// MaxAppend caps points per append request; 0 means 1024.
 	MaxAppend int
@@ -388,6 +397,16 @@ func (s *Stream) append(pts []Point, withScore bool, m *Manager) (AppendResult, 
 	defer s.mu.Unlock()
 	if s.closed {
 		return AppendResult{}, fmt.Errorf("%w: %q", ErrUnknownStream, s.id)
+	}
+	// Bound the points the stream could hold after this batch. A
+	// re-observed time counts as new, so the check needs no state change.
+	held := s.inc.Len() + len(pts)
+	if w := m.opt.Window; w > 0 && held > w {
+		held = w
+	}
+	if held > MaxPoints {
+		return AppendResult{}, fmt.Errorf("stream: %q would hold up to %d points, limit %d: %w",
+			s.id, held, MaxPoints, fda.ErrData)
 	}
 	// Validate the whole batch before touching state: an append is
 	// all-or-nothing, so a poisoned point can never leave a half-applied

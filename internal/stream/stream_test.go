@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -170,6 +171,82 @@ func TestManagerCaps(t *testing.T) {
 	}
 	if _, err := m.Append("s0", "ecg", samplePoints(d.Samples[0], 0, 5), false); err == nil {
 		t.Fatal("per-append cap not enforced")
+	}
+}
+
+// TestManagerPointLimit: a stream holds at most stream.MaxPoints
+// distinct times; the append that would pass the bound fails whole,
+// with fda.ErrData, and leaves the stream as it was. A window at the
+// bound counts the append after its trim, so that stream keeps going.
+func TestManagerPointLimit(t *testing.T) {
+	p, _ := fitTestModel(t)
+	lo, hi := p.Domain()
+	n := stream.MaxPoints + 1
+	pts := make([]stream.Point, n)
+	for j := range pts {
+		pts[j] = stream.Point{T: lo + (hi-lo)*float64(j)/float64(n-1), V: []float64{1, 2}}
+	}
+	for _, window := range []int{0, stream.MaxPoints} {
+		m := newTestManager(t, p, stream.Options{Window: window})
+		for from := 0; from < stream.MaxPoints; from += 1024 {
+			if _, err := m.Append("big", "ecg", pts[from:from+1024], false); err != nil {
+				t.Fatalf("window %d: append from %d: %v", window, from, err)
+			}
+		}
+		_, err := m.Append("big", "ecg", pts[stream.MaxPoints:], false)
+		if window == 0 && !errors.Is(err, fda.ErrData) {
+			t.Fatalf("append past the point limit: %v", err)
+		}
+		if window > 0 && err != nil {
+			t.Fatalf("window %d: append after the window fills: %v", window, err)
+		}
+		s, ok := m.Get("big")
+		if !ok {
+			t.Fatal("stream vanished")
+		}
+		if got := s.Status().Points; got != stream.MaxPoints {
+			t.Fatalf("window %d: stream holds %d points, want %d", window, got, stream.MaxPoints)
+		}
+	}
+}
+
+// TestManagerSlidingWindow: with a Window the stream keeps the newest
+// points, and every score is bitwise the partial score of a batch fit
+// over exactly those points.
+func TestManagerSlidingWindow(t *testing.T) {
+	const window, batch = 12, 5
+	p, d := fitTestModel(t)
+	m := newTestManager(t, p, stream.Options{Window: window})
+	s := d.Samples[0]
+	opt := p.Smooth
+	opt.Lo, opt.Hi = p.Domain()
+	for seen := batch; seen <= len(s.Times); seen += batch {
+		res, err := m.Append("w", "ecg", samplePoints(s, seen-batch, seen), true)
+		if err != nil {
+			t.Fatalf("append through %d: %v", seen, err)
+		}
+		from := max(0, seen-window)
+		if res.Points != seen-from {
+			t.Fatalf("after %d points the stream holds %d, want %d", seen, res.Points, seen-from)
+		}
+		if res.From != s.Times[from] {
+			t.Fatalf("after %d points From = %v, want the oldest kept time %v", seen, res.From, s.Times[from])
+		}
+		kept := fda.Sample{Times: s.Times[from:seen], Values: make([][]float64, len(s.Values))}
+		for k := range s.Values {
+			kept.Values[k] = s.Values[k][from:seen]
+		}
+		fit, err := fda.FitSample(kept, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _, err := p.ScorePartialFit(fit, kept.Times[0], kept.Times[len(kept.Times)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Score == nil || math.Float64bits(res.Score.Score) != math.Float64bits(want) {
+			t.Fatalf("after %d points: stream score %+v, batch score over the window %v", seen, res.Score, want)
+		}
 	}
 }
 
