@@ -109,14 +109,19 @@ bench-streaming:
 
 # 30-second fuzz smoke on the B-spline evaluator (knot-boundary and
 # derivative edge cases); the corpus lives in internal/bspline/testdata.
-# The stream-append fuzzer throws hostile HTTP bodies (NaN/Inf,
-# out-of-order, oversized, garbage) at the streaming surface and checks
-# envelope discipline plus a state-corruption oracle. The wire-decode
-# fuzzer feeds untrusted binary frames to the request decoder: it must
-# fail with ErrWire, never panic or over-allocate, and a frame that
-# decodes must re-encode to the same bytes.
+# The span-fit fuzzer holds the smoother, whose design products skip
+# each row's zeros, bitwise to the same fit on a dense design (knot and
+# one-ulp grids, orders 1–8, signed zeros, subnormals, huge values and
+# λ, Fourier bases). The stream-append fuzzer throws hostile HTTP
+# bodies (NaN/Inf, out-of-order, oversized, garbage) at the streaming
+# surface and checks envelope discipline plus a state-corruption
+# oracle. The wire-decode fuzzer feeds untrusted binary frames to the
+# request decoder: it must fail with ErrWire, never panic or
+# over-allocate, and a frame that decodes must re-encode to the same
+# bytes.
 fuzz:
 	$(GO) test -fuzz=FuzzBSplineEval -fuzztime=30s -run=^$$ ./internal/bspline
+	$(GO) test -fuzz=FuzzSpanFit -fuzztime=30s -run=^$$ ./internal/fda
 	$(GO) test -fuzz=FuzzStreamAppend -fuzztime=30s -run=^$$ ./internal/stream
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s -run=^$$ ./internal/wire
 

@@ -13,10 +13,10 @@ import (
 var deadCodeAllow = map[string]string{
 	"core.Pipeline.Domain": "called by the benchmark module, which the loader does not see",
 
-	"linalg.Dense.T":            "oracle: reference transpose for AtA/AtVec and the solver residuals",
-	"linalg.Dense.Mul":          "oracle: reference product for AtA and the solver residuals",
-	"linalg.Dense.MulVec":       "oracle: reference product for AtVec and the solver residuals",
-	"linalg.Dense.Equal":        "oracle: exact comparison of reference and fast products",
+	"linalg.Dense.T":            "oracle: reference transpose for the span products and the solver residuals",
+	"linalg.Dense.Mul":          "oracle: reference product for SpanMatrix.AtA and the solver residuals",
+	"linalg.Dense.MulVec":       "oracle: reference product for SpanMatrix.AtVec and the solver residuals",
+	"linalg.Dense.Equal":        "oracle: compares reference and computed matrices in the Dense tests",
 	"linalg.Identity":           "fixture builder for the solver tests",
 	"linalg.Bandwidth":          "fixture check for the banded solver tests",
 	"linalg.BandCholesky.Solve": "the call the banded solver tests make",
@@ -45,7 +45,6 @@ var deadCodeAllow = map[string]string{
 	"linalg.LeastSquares":            pendingDeletion,
 	"linalg.LU.Det":                  pendingDeletion,
 	"linalg.SolveSPD":                pendingDeletion,
-	"linalg.Normalize":               pendingDeletion,
 	"stats.Shuffle":                  pendingDeletion,
 	"stats.SampleWithoutReplacement": pendingDeletion,
 	"stats.Bootstrap":                pendingDeletion,
@@ -55,7 +54,6 @@ var deadCodeAllow = map[string]string{
 	"stats.Standardize":              pendingDeletion,
 	"eval.AveragePrecision":          pendingDeletion,
 	"eval.PrecisionAtK":              pendingDeletion,
-	"ocsvm.GammaGrid":                pendingDeletion,
 }
 
 const pendingDeletion = "pending deletion: only its own tests call it"

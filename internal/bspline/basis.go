@@ -1,9 +1,9 @@
 // Package bspline implements the basis-function machinery behind the
 // functional approximation of Sec. 2 of the paper: clamped B-spline bases
 // evaluated with the Cox–de Boor recursion (values and derivatives of any
-// order), a Fourier basis for periodic data, design matrices, and the
-// roughness-penalty Gram matrices R = ∫ D^q φ_i D^q φ_j dt computed exactly
-// with composite Gauss–Legendre quadrature.
+// order), a Fourier basis for periodic data, span-compact design matrices,
+// and the roughness-penalty Gram matrices R = ∫ D^q φ_i D^q φ_j dt
+// computed exactly with composite Gauss–Legendre quadrature.
 package bspline
 
 import (
@@ -33,17 +33,6 @@ type Basis interface {
 	// covering the domain on which every basis function is smooth; the
 	// quadrature in PenaltyMatrix integrates panel by panel.
 	Breakpoints() []float64
-}
-
-// DesignMatrix returns the m-by-L matrix Φ with Φ[j][l] = D^deriv φ_l(t_j)
-// (Eq. 3 of the paper uses deriv = 0).
-func DesignMatrix(b Basis, ts []float64, deriv int) *linalg.Dense {
-	L := b.Dim()
-	m := linalg.NewDense(len(ts), L)
-	for j, t := range ts {
-		b.Eval(t, deriv, m.Row(j))
-	}
-	return m
 }
 
 // PenaltyMatrix returns the L-by-L Gram matrix

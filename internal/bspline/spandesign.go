@@ -1,6 +1,10 @@
 package bspline
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/linalg"
+)
 
 // EvalNonzero computes the deriv-th derivative of the basis functions
 // that do not vanish at t — at most Order of them, by local support —
@@ -35,40 +39,29 @@ func (b *BSpline) EvalNonzero(t float64, deriv int, out []float64) (start int) {
 	return span - degree
 }
 
-// SpanDesign is the span-compact form of a design matrix over a fixed
-// grid: row j stores only the Order basis values that are non-zero at
-// ts[j] plus the index of the first, so a dot product against a
-// coefficient vector costs O(order) instead of O(dim). The compact dot
-// accumulates the surviving terms in the same index order as the full
-// dot over all Dim entries, so it is numerically identical to it
-// (dropped terms contribute exact zeros).
-type SpanDesign struct {
-	k     int
-	start []int
-	vals  []float64 // row-major, len(ts) * k
-}
-
-// NewSpanDesign evaluates the deriv-th derivative of the basis on every
-// grid point in compact form. The internal/fda basis cache memoizes
-// these per (basis, grid, deriv), which is what makes repeated
-// EvalGrid calls across samples allocation-free.
-func NewSpanDesign(b *BSpline, ts []float64, deriv int) *SpanDesign {
-	k := b.order
-	d := &SpanDesign{k: k, start: make([]int, len(ts)), vals: make([]float64, len(ts)*k)}
+// NewSpanDesign returns the design matrix Φ[j][l] = D^deriv φ_l(ts[j])
+// (Eq. 3 of the paper uses deriv = 0) in span-compact form. A B-spline
+// row keeps only the Order values that can be nonzero at ts[j], by
+// local support, starting at the first one's column; any other basis
+// keeps its full row. Every entry outside a row's window is +0, as in
+// the dense matrix. The internal/fda smoother builds its systems on
+// these designs, and its basis cache memoizes the ones EvalGrid uses
+// per (basis, grid, deriv).
+func NewSpanDesign(b Basis, ts []float64, deriv int) *linalg.SpanMatrix {
+	bs, spline := b.(*BSpline)
+	w := b.Dim()
+	if spline {
+		w = bs.order
+	}
+	start := make([]int, len(ts))
+	vals := make([]float64, len(ts)*w)
 	for j, t := range ts {
-		d.start[j] = b.EvalNonzero(t, deriv, d.vals[j*k:(j+1)*k])
+		row := vals[j*w : (j+1)*w]
+		if spline {
+			start[j] = bs.EvalNonzero(t, deriv, row)
+		} else {
+			b.Eval(t, deriv, row)
+		}
 	}
-	return d
-}
-
-// Dot returns the dot product of design row j with coef, the fitted
-// value Σ_l coef_l · D^deriv φ_l(ts[j]) of Eq. 2.
-func (d *SpanDesign) Dot(j int, coef []float64) float64 {
-	base := d.start[j]
-	row := d.vals[j*d.k : (j+1)*d.k]
-	var s float64
-	for r, v := range row {
-		s += coef[base+r] * v
-	}
-	return s
+	return linalg.NewSpanMatrix(b.Dim(), w, start, vals)
 }

@@ -50,7 +50,8 @@ func TestEvalNonzeroMatchesEval(t *testing.T) {
 
 // TestSpanDesignDotMatchesFullDot checks that the compact dot equals the
 // full-length dot bit for bit on realistic coefficient vectors: the
-// equivalence CurveFit.EvalGrid's batched path relies on.
+// equivalence CurveFit.EvalGrid's batched path and the smoother's
+// residual scan rely on. A Fourier design keeps full rows.
 func TestSpanDesignDotMatchesFullDot(t *testing.T) {
 	const dim, order = 17, 4
 	b, err := New(dim, order, 0, 1)
@@ -66,19 +67,25 @@ func TestSpanDesignDotMatchesFullDot(t *testing.T) {
 	for i := range ts {
 		ts[i] = float64(i) / float64(len(ts)-1)
 	}
+	fb, err := NewFourier(dim, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	full := make([]float64, dim)
-	for deriv := 0; deriv <= 2; deriv++ {
-		sd := NewSpanDesign(b, ts, deriv)
-		for j, x := range ts {
-			b.Eval(x, deriv, full)
-			var want float64
-			for l, c := range coef {
-				want += c * full[l]
-			}
-			got := sd.Dot(j, coef)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("deriv=%d t=%g: compact dot %g (%x), full dot %g (%x)",
-					deriv, x, got, math.Float64bits(got), want, math.Float64bits(want))
+	for _, basis := range []Basis{b, fb} {
+		for deriv := 0; deriv <= 2; deriv++ {
+			sd := NewSpanDesign(basis, ts, deriv)
+			for j, x := range ts {
+				basis.Eval(x, deriv, full)
+				var want float64
+				for l, c := range coef {
+					want += c * full[l]
+				}
+				got := sd.Dot(j, coef)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%T deriv=%d t=%g: compact dot %g (%x), full dot %g (%x)",
+						basis, deriv, x, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
 			}
 		}
 	}

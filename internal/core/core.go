@@ -132,9 +132,17 @@ func (p *Pipeline) Fit(train fda.Dataset) error {
 	if err != nil {
 		return err
 	}
+	// Checked before standardizing too, so the error names the sample
+	// whose mapping failed rather than every row its statistics spoil.
+	if err := finiteFeatures(feats); err != nil {
+		return err
+	}
 	if p.Standardize {
 		p.featMean, p.featScale = featureStats(feats)
 		if err := p.standardize(feats, 0, len(p.grid)-1); err != nil {
+			return err
+		}
+		if err := finiteFeatures(feats); err != nil {
 			return err
 		}
 	} else {
@@ -218,12 +226,16 @@ func (p *Pipeline) ScoreOne(s fda.Sample) (float64, error) {
 // detect is the step every scoring path ends in: standardize the
 // feature rows with the training statistics, pinning features outside
 // the observed grid window [from, to] to the training mean (see
-// standardize), then score them with the detector.
+// standardize), then score them with the detector. A non-finite
+// feature fails with geometry.ErrMapping instead of reaching it.
 func (p *Pipeline) detect(feats [][]float64, from, to int) ([]float64, error) {
 	if p.featMean != nil {
 		if err := p.standardize(feats, from, to); err != nil {
 			return nil, err
 		}
+	}
+	if err := finiteFeatures(feats); err != nil {
+		return nil, err
 	}
 	scores, err := p.Detector.ScoreBatch(feats)
 	if err != nil {
@@ -319,6 +331,20 @@ func (p *Pipeline) ScorePartialFit(fit *fda.Fit, lo, hi float64) (score float64,
 		return 0, 0, 0, err
 	}
 	return scores[0], gridFrom, gridTo, nil
+}
+
+// finiteFeatures fails on the first non-finite feature: a curve the
+// mapping cannot represent in floating point (a curvature that
+// overflows at extreme scale) gets a typed error, never a score.
+func finiteFeatures(feats [][]float64) error {
+	for i, row := range feats {
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: sample %d: feature %d is %g: %w", i, j, v, geometry.ErrMapping)
+			}
+		}
+	}
+	return nil
 }
 
 // featureStats returns per-column means and scales (standard deviation,

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -166,5 +167,74 @@ func TestNaNGuard(t *testing.T) {
 	}
 	if err := NaNGuard([]float64{math.Inf(1)}); !errors.Is(err, ErrPipeline) {
 		t.Fatal("Inf must fail")
+	}
+}
+
+// TestNonFiniteFeaturesAreTypedErrors: Fig. 3 curve 3 scaled by 1e100
+// passes every input check, but its curvature is NaN on the whole grid.
+// Scoring it, whole or partial, fails with geometry.ErrMapping instead
+// of returning the detector's score of a NaN feature row; so does
+// fitting on a training set that holds it, naming the sample.
+func TestNonFiniteFeaturesAreTypedErrors(t *testing.T) {
+	d, err := dataset.ECGBivariate(dataset.ECGOptions{N: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Pipeline{
+		Mapping:     geometry.LogCurvature{},
+		Detector:    iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: 1}),
+		Standardize: true,
+	}
+	if err := p.Fit(d); err != nil {
+		t.Fatal(err)
+	}
+	s := fda.Sample{Times: d.Samples[3].Times}
+	for _, row := range d.Samples[3].Values {
+		scaled := make([]float64, len(row))
+		for j, v := range row {
+			scaled[j] = v * 1e100
+		}
+		s.Values = append(s.Values, scaled)
+	}
+	if score, err := p.ScoreOne(s); !errors.Is(err, geometry.ErrMapping) {
+		t.Errorf("ScoreOne = %v, %v; want a geometry.ErrMapping error", score, err)
+	}
+	fit, err := fda.FitSample(s, p.smoothOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := p.Domain()
+	if score, _, _, err := p.ScorePartialFit(fit, lo, hi); !errors.Is(err, geometry.ErrMapping) {
+		t.Errorf("ScorePartialFit = %v, %v; want a geometry.ErrMapping error", score, err)
+	}
+	train := fda.Dataset{Samples: append([]fda.Sample(nil), d.Samples[:20]...)}
+	train.Samples[3] = s
+	q := &Pipeline{
+		Mapping:     geometry.LogCurvature{},
+		Detector:    iforest.New(iforest.Options{Trees: 30, Seed: 1}),
+		Standardize: true,
+	}
+	if err := q.Fit(train); !errors.Is(err, geometry.ErrMapping) || !strings.Contains(err.Error(), "sample 3") {
+		t.Errorf("Fit = %v, want a geometry.ErrMapping error naming sample 3", err)
+	}
+
+	// Finite features whose training mean overflows: standardizing
+	// them is what turns them non-finite.
+	huge := smallECG(t, 20, 2)
+	for _, s := range huge.Samples {
+		for _, row := range s.Values {
+			for j := range row {
+				row[j] = 1e307 * (1 + row[j]*row[j])
+			}
+		}
+	}
+	raw := &Pipeline{
+		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:     geometry.Raw{},
+		Detector:    iforest.New(iforest.Options{Trees: 30, Seed: 1}),
+		Standardize: true,
+	}
+	if err := raw.Fit(huge); !errors.Is(err, geometry.ErrMapping) {
+		t.Errorf("Fit on features whose mean overflows = %v, want a geometry.ErrMapping error", err)
 	}
 }

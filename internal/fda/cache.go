@@ -2,6 +2,7 @@ package fda
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -12,10 +13,10 @@ import (
 // BasisCache memoizes the sample-independent linear algebra of the
 // penalized smoother across fits: for every (basis size, order, penalty
 // order, domain, measurement grid) combination it keeps the basis, the
-// design matrix Φ, the Gram matrix ΦᵀΦ, and — per candidate λ — the
-// banded Cholesky factorization of ΦᵀΦ + λR together with the
-// hat-matrix diagonal H_jj and tr(H), none of which depend on the
-// observed values y. The roughness penalty R of Eq. 3 does not depend
+// span-compact design matrix Φ, the Gram matrix ΦᵀΦ, and — per
+// candidate λ — the banded Cholesky factorization of ΦᵀΦ + λR together
+// with the hat-matrix diagonal H_jj and tr(H), none of which depend on
+// the observed values y. The roughness penalty R of Eq. 3 does not depend
 // on the grid either, so the cache keeps one per (basis size, order,
 // penalty order, domain), shared by every grid's entry and by every
 // entry built for a single fit (a stream's prefix grid, a key
@@ -24,8 +25,8 @@ import (
 // parameter: the per-fit work shrinks to one Φᵀy product, one O(L·k)
 // solve per λ, and the residual scan.
 //
-// The cache also memoizes span-compact design matrices (SpanDesign) per
-// (basis, grid, derivative), which CurveFit.EvalGrid uses to evaluate
+// The cache also memoizes span-compact design matrices per (basis,
+// grid, derivative), which CurveFit.EvalGrid uses to evaluate
 // fitted curves and their derivatives without re-running the Cox–de
 // Boor recursion per sample.
 //
@@ -69,7 +70,8 @@ func (c *BasisCache) Stats() CacheStats {
 // fitKey identifies one smoothing system. The grid is keyed by a hash of
 // its float bits plus its length; the entry keeps the grid itself and
 // lookups verify exact equality, so a collision degrades to a cache
-// bypass, never to a wrong matrix.
+// bypass, never to a wrong matrix. fitGrid hashes its grid once and
+// looks every basis size up under the same hash.
 type fitKey struct {
 	dim, order, q int
 	lo, hi        float64
@@ -96,10 +98,12 @@ type designKey struct {
 // built on, for exact-equality verification.
 type designEntry struct {
 	ts []float64
-	sd *bspline.SpanDesign
+	sd *linalg.SpanMatrix
 }
 
-// hashFloats is FNV-1a over the IEEE-754 bit patterns of xs.
+// hashFloats hashes the IEEE-754 bit patterns of xs a word at a time:
+// FNV-1a's xor-multiply step on each 64-bit word, with a rotation so
+// that high bits reach the low ones.
 func hashFloats(xs []float64) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -107,11 +111,7 @@ func hashFloats(xs []float64) uint64 {
 	)
 	h := uint64(offset64)
 	for _, x := range xs {
-		b := math.Float64bits(x)
-		for s := 0; s < 64; s += 8 {
-			h ^= (b >> s) & 0xff
-			h *= prime64
-		}
+		h = bits.RotateLeft64((h^math.Float64bits(x))*prime64, 29)
 	}
 	return h
 }
@@ -129,12 +129,11 @@ func sameFloats(a, b []float64) bool {
 }
 
 // fitEntryFor returns the shared entry for the default clamped B-spline
-// system of the given size on the given grid, building it on first use.
+// system of the key's size on the grid ts, building it on first use.
 // It returns nil when the basis cannot be constructed or the key
 // collides with a different grid; the caller then builds an entry for
 // the one fit, which runs the exact same arithmetic.
-func (c *BasisCache) fitEntryFor(dim, order, q int, lo, hi float64, ts []float64) *fitEntry {
-	key := fitKey{dim: dim, order: order, q: q, lo: lo, hi: hi, m: len(ts), tsHash: hashFloats(ts)}
+func (c *BasisCache) fitEntryFor(key fitKey, ts []float64) *fitEntry {
 	c.mu.Lock()
 	e, ok := c.fits[key]
 	if ok && sameFloats(e.ts, ts) {
@@ -149,13 +148,13 @@ func (c *BasisCache) fitEntryFor(dim, order, q int, lo, hi float64, ts []float64
 		c.misses.Add(1)
 		return nil
 	}
-	basis, err := bspline.New(dim, order, lo, hi)
+	basis, err := bspline.New(key.dim, key.order, key.lo, key.hi)
 	if err != nil {
 		c.mu.Unlock()
 		c.misses.Add(1)
 		return nil
 	}
-	e = newFitEntry(basis, ts, q, c.penaltyLocked(dim, order, q, lo, hi))
+	e = newFitEntry(basis, ts, key.q, c.penaltyLocked(key.dim, key.order, key.q, key.lo, key.hi))
 	c.fits[key] = e
 	c.mu.Unlock()
 	c.misses.Add(1)
@@ -169,8 +168,7 @@ func (c *BasisCache) fitEntryFor(dim, order, q int, lo, hi float64, ts []float64
 // bound. Incremental.Fit uses it to reuse the entries the batch path
 // already built (identical grids share λ factorizations) and builds
 // any other system for the one refit.
-func (c *BasisCache) lookupFitEntry(dim, order, q int, lo, hi float64, ts []float64) *fitEntry {
-	key := fitKey{dim: dim, order: order, q: q, lo: lo, hi: hi, m: len(ts), tsHash: hashFloats(ts)}
+func (c *BasisCache) lookupFitEntry(key fitKey, ts []float64) *fitEntry {
 	c.mu.Lock()
 	e, ok := c.fits[key]
 	c.mu.Unlock()
@@ -204,7 +202,7 @@ func (c *BasisCache) penaltyLocked(dim, order, q int, lo, hi float64) *penalty {
 // spanDesign returns the memoized compact design of the basis on ts at
 // the given derivative order, building it on first use. A key collision
 // returns nil and the caller evaluates transiently.
-func (c *BasisCache) spanDesign(b *bspline.BSpline, ts []float64, deriv int) *bspline.SpanDesign {
+func (c *BasisCache) spanDesign(b *bspline.BSpline, ts []float64, deriv int) *linalg.SpanMatrix {
 	lo, hi := b.Domain()
 	key := designKey{dim: b.Dim(), order: b.Order(), deriv: deriv, lo: lo, hi: hi, m: len(ts), tsHash: hashFloats(ts)}
 	c.mu.Lock()
@@ -229,15 +227,16 @@ func (c *BasisCache) spanDesign(b *bspline.BSpline, ts []float64, deriv int) *bs
 }
 
 // fitEntry bundles the sample-independent pieces of one smoothing
-// system: basis, design Φ, Gram ΦᵀΦ, the penalty R (built lazily, and
-// shared through the cache between entries of one basis), and per-λ
-// factorizations with their hat diagonals. Entries are built once and
-// shared across goroutines; the mutex guards only the λ factorizations.
+// system: basis, span-compact design Φ, Gram ΦᵀΦ, the penalty R (built
+// lazily, and shared through the cache between entries of one basis),
+// and per-λ factorizations with their hat diagonals. Entries are built
+// once and shared across goroutines; the mutex guards only the λ
+// factorizations.
 type fitEntry struct {
 	basis     bspline.Basis
 	bandwidth int // band of ΦᵀΦ + λR; -1 means dense
 	ts        []float64
-	phi       *linalg.Dense
+	phi       *linalg.SpanMatrix
 	gram      *linalg.Dense
 	q         int
 	pen       *penalty
@@ -293,7 +292,10 @@ func newFitEntry(basis bspline.Basis, ts []float64, q int, pen *penalty) *fitEnt
 		// O(m·L²).
 		e.bandwidth = bs.Order() - 1
 	}
-	e.phi = bspline.DesignMatrix(basis, ts, 0)
+	// Each design row keeps only its k = order nonzero values, so the
+	// Gram costs O(m·k²) instead of O(m·L²); a custom basis keeps its
+	// full rows.
+	e.phi = bspline.NewSpanDesign(basis, ts, 0)
 	e.gram = e.phi.AtA()
 	return e
 }
@@ -357,8 +359,8 @@ func (e *fitEntry) buildLambdaFactor(lambda float64) *lambdaFactor {
 		}
 	}
 	// Hat diagonal H_jj = φ(t_j)ᵀ (ΦᵀΦ + λR)⁻¹ φ(t_j), done once per
-	// (basis, λ) instead of once per sample; a banded factor skips each
-	// design row's zeros (linalg.BandCholesky.HatDiag).
+	// (basis, λ) instead of once per sample; a banded factor works over
+	// each design row's support (linalg.BandCholesky.HatDiag).
 	hat := make([]float64, len(e.ts))
 	if err := ch.HatDiag(e.phi, hat); err != nil {
 		return &lambdaFactor{err: err}

@@ -198,33 +198,24 @@ func (f *CurveFit) Eval(t float64, deriv int) float64 {
 	return linalg.Dot(f.Coef, buf)
 }
 
-// EvalGrid evaluates the deriv-th derivative on all grid points. For
-// B-spline bases the evaluation is batched per knot span: only the
-// Order basis functions alive at each point are touched (and, with a
-// cache, their values are shared across every fit on the same grid),
-// instead of re-evaluating and dotting all Dim functions point by
-// point. The compact accumulation keeps the surviving terms in index
-// order, so the result is numerically identical to the point-by-point
-// path.
+// EvalGrid evaluates the deriv-th derivative on all grid points through
+// a span-compact design: for a B-spline basis each point touches only
+// the Order basis functions alive there (and, with a cache, the design
+// is shared across every fit on the same grid) instead of evaluating
+// and dotting all Dim functions point by point. The compact dot keeps
+// the surviving terms in index order and a fit's coefficients are
+// finite, so the result is bitwise the point-by-point one.
 func (f *CurveFit) EvalGrid(ts []float64, deriv int) []float64 {
-	out := make([]float64, len(ts))
-	if bs, ok := f.Basis.(*bspline.BSpline); ok {
-		var sd *bspline.SpanDesign
-		if f.cache != nil {
-			sd = f.cache.spanDesign(bs, ts, deriv)
-		}
-		if sd == nil {
-			sd = bspline.NewSpanDesign(bs, ts, deriv)
-		}
-		for j := range ts {
-			out[j] = sd.Dot(j, f.Coef)
-		}
-		return out
+	var sd *linalg.SpanMatrix
+	if bs, ok := f.Basis.(*bspline.BSpline); ok && f.cache != nil {
+		sd = f.cache.spanDesign(bs, ts, deriv)
 	}
-	buf := make([]float64, f.Basis.Dim())
-	for i, t := range ts {
-		f.Basis.Eval(t, deriv, buf)
-		out[i] = linalg.Dot(f.Coef, buf)
+	if sd == nil {
+		sd = bspline.NewSpanDesign(f.Basis, ts, deriv)
+	}
+	out := make([]float64, len(ts))
+	for j := range ts {
+		out[j] = sd.Dot(j, f.Coef)
 	}
 	return out
 }
@@ -274,12 +265,14 @@ func FitSample(s Sample, opt Options) (*Fit, error) {
 // the smoothing system of every candidate basis size on the grid ts and
 // lets selectFit pick, per parameter row of ys. cached is how a system
 // is taken from the cache — FitSample inserts its grid (fitEntryFor), a
-// stream only looks its prefix grid up (lookupFitEntry). A system the
-// cache does not supply is built for this call alone, reading the
-// cache's shared penalty; without a cache, or with a custom Basis
-// factory, it gets a private one.
+// stream only looks its prefix grid up (lookupFitEntry); the grid is
+// hashed once for every size. A system the cache does not supply is
+// built for this call alone, reading the cache's shared penalty;
+// without a cache, or with a custom Basis factory, it gets a private
+// one. Every value in ys must be finite: the span-compact design
+// products skip zero terms, which is exact only against finite values.
 func fitGrid(ts []float64, ys [][]float64, opt Options,
-	cached func(c *BasisCache, dim, order, q int, lo, hi float64, ts []float64) *fitEntry) (*Fit, error) {
+	cached func(c *BasisCache, key fitKey, ts []float64) *fitEntry) (*Fit, error) {
 	if len(ts) < 2 {
 		return nil, fmt.Errorf("fda: need at least 2 points, got %d: %w", len(ts), ErrData)
 	}
@@ -294,10 +287,15 @@ func fitGrid(ts []float64, ys [][]float64, opt Options,
 	order, q := opt.order(), opt.penaltyDeriv()
 	cache := opt.basisCache()
 	dims := opt.dims(len(ts))
+	var key fitKey
+	if cache != nil {
+		key = fitKey{order: order, q: q, lo: lo, hi: hi, m: len(ts), tsHash: hashFloats(ts)}
+	}
 	systems := make([]system, len(dims))
 	for i, dim := range dims {
 		if cache != nil {
-			if e := cached(cache, dim, order, q, lo, hi, ts); e != nil {
+			key.dim = dim
+			if e := cached(cache, key, ts); e != nil {
 				systems[i].entry = e
 				continue
 			}
@@ -330,6 +328,7 @@ type system struct {
 // minimiser wins (strict <, so the earlier candidate keeps a tie). A
 // parameter that no candidate fits reports the first candidate error.
 func selectFit(systems []system, ys [][]float64, opt Options) (*Fit, error) {
+	lambdas, cache := opt.lambdas(), opt.basisCache()
 	fit := &Fit{Params: make([]*CurveFit, len(ys))}
 	for k, y := range ys {
 		var best *CurveFit
@@ -341,7 +340,7 @@ func selectFit(systems []system, ys [][]float64, opt Options) (*Fit, error) {
 				}
 				continue
 			}
-			cf, err := fitWithEntry(sys.entry, y, opt.lambdas(), opt.Criterion)
+			cf, err := fitWithEntry(sys.entry, y, lambdas, opt.Criterion)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
@@ -359,7 +358,7 @@ func selectFit(systems []system, ys [][]float64, opt Options) (*Fit, error) {
 			}
 			return nil, fmt.Errorf("fda: parameter %d: %w", k, inner)
 		}
-		best.cache = opt.basisCache()
+		best.cache = cache
 		fit.Params[k] = best
 	}
 	return fit, nil
@@ -371,9 +370,12 @@ func selectFit(systems []system, ys [][]float64, opt Options) (*Fit, error) {
 // Σ_j ((y_j − ŷ_j)/(1 − H_jj))², avoiding m refits; the hat diagonal
 // H_jj comes factored and precomputed from the entry, so the per-sample
 // work is one Φᵀy product, one O(L·k) solve per λ and the residual
-// scan. The λ iteration order, the ridge retry and the strict
-// score-minimisation tie-break are exactly those of the sequential seed
-// path, so results are bitwise identical to it.
+// scan, both over each design row's k nonzero values. The λ iteration
+// order, the ridge retry and the strict score-minimisation tie-break
+// are exactly those of the sequential seed path. A λ whose solve yields
+// a non-finite coefficient is skipped like a failed factorization: the
+// residual scan skips each row's zero terms, which is exact only
+// against finite coefficients (DESIGN.md §6).
 func fitWithEntry(e *fitEntry, ys []float64, lambdas []float64, crit Criterion) (*CurveFit, error) {
 	phiTy, err := e.phi.AtVec(ys)
 	if err != nil {
@@ -400,14 +402,12 @@ func fitWithEntry(e *fitEntry, ys []float64, lambdas []float64, crit Criterion) 
 		if lf.err != nil {
 			continue
 		}
-		if err := lf.solver.SolveInto(phiTy, coefBuf); err != nil {
+		if err := lf.solver.SolveInto(phiTy, coefBuf); err != nil || !finite(coefBuf) {
 			continue
 		}
 		var loocv, rss float64
 		for j := 0; j < m; j++ {
-			row := e.phi.Row(j)
-			fitted := linalg.Dot(row, coefBuf)
-			res := ys[j] - fitted
+			res := ys[j] - e.phi.Dot(j, coefBuf)
 			rss += res * res
 			den := 1 - lf.hat[j]
 			if den < 1e-10 {
@@ -440,10 +440,20 @@ func fitWithEntry(e *fitEntry, ys []float64, lambdas []float64, crit Criterion) 
 	return best, nil
 }
 
+// finite reports whether every value of xs is finite.
+func finite(xs []float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // spdSolver abstracts the dense and banded Cholesky factorizations.
 type spdSolver interface {
 	SolveInto(b, x []float64) error
-	HatDiag(phi *linalg.Dense, h []float64) error
+	HatDiag(phi *linalg.SpanMatrix, h []float64) error
 }
 
 // factorSPD picks the banded factorization when the caller knows the

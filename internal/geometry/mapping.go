@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"repro/internal/fda"
+	"repro/internal/linalg"
 )
 
 // ErrMapping reports a mapping that cannot be applied to the given fit
@@ -156,12 +157,7 @@ func (Speed) MinDim() int { return 1 }
 func (Speed) Map(fit *fda.Fit, ts []float64) ([]float64, error) {
 	out := make([]float64, len(ts))
 	for i, t := range ts {
-		v := fit.Eval(t, 1)
-		var s float64
-		for _, vi := range v {
-			s += vi * vi
-		}
-		out[i] = math.Sqrt(s)
+		out[i] = linalg.Norm2(fit.Eval(t, 1))
 	}
 	return out, nil
 }

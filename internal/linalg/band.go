@@ -136,17 +136,17 @@ func (bc *BandCholesky) SolveInto(b, x []float64) error {
 
 // HatDiag writes h[j] = φⱼᵀ A⁻¹ φⱼ for every row φⱼ of phi (m×n) into h
 // (length m): the hat-matrix diagonal of the smoother whose normal
-// matrix A this factors. Every h[j] is bitwise what SolveInto on the row
-// followed by Dot of the row with the solution gives, at a fraction of
-// the cost:
+// matrix A this factors. Every h[j] is bitwise what SolveInto on the
+// dense row followed by Dot of the row with the solution gives, at a
+// fraction of the cost:
 //
 //   - the work follows the row's support [f, e], its first and last
-//     nonzero entry: the forward pass starts at f, the back pass stops
-//     there, and the dot runs over [f, e]. Every term this skips is a
-//     ±0 product of finite numbers (a +0 one for a B-spline design,
-//     whose values are never −0). Skipping it can change only the sign
-//     of a zero intermediate, and no such sign reaches h: the dot's
-//     running sum starts at +0, so it is never −0;
+//     nonzero entry, read from the row's window: the forward pass starts
+//     at f, the back pass stops there, and the dot runs over [f, e].
+//     Every term this skips is a ±0 product of finite numbers (a +0 one
+//     for a B-spline design, whose values are never −0). Skipping it can
+//     change only the sign of a zero intermediate, and no such sign
+//     reaches h: the dot's running sum starts at +0, so it is never −0;
 //   - four rows share one pass, so their division chains overlap; a
 //     tail of fewer than four rows repeats its last row.
 //
@@ -154,7 +154,7 @@ func (bc *BandCholesky) SolveInto(b, x []float64) error {
 // overflow below f, which hatRoom bounds from the factor's column sums.
 // A group that fails the bound, or holds an all-zero row, runs the full
 // passes and the full dot, which are SolveInto and Dot term for term.
-func (bc *BandCholesky) HatDiag(phi *Dense, h []float64) error {
+func (bc *BandCholesky) HatDiag(phi *SpanMatrix, h []float64) error {
 	m, c := phi.Dims()
 	if c != bc.n {
 		return fmt.Errorf("linalg: hat diagonal of %dx%d design, factor is %d: %w", m, c, bc.n, ErrShape)
@@ -163,21 +163,26 @@ func (bc *BandCholesky) HatDiag(phi *Dense, h []float64) error {
 		return fmt.Errorf("linalg: hat diagonal dst %d want %d: %w", len(h), m, ErrShape)
 	}
 	n := bc.n
-	buf := make([]float64, 5*n+1)
-	room := buf[4*n:]
+	buf := make([]float64, 9*n+1)
+	room := buf[8*n:]
 	bc.hatRoom(room)
-	var x [4][]float64
+	// b holds the group's rows in full: each window is written in
+	// before the pass and zeroed after it.
+	var b, x [4][]float64
 	for r := range x {
-		x[r] = buf[r*n : (r+1)*n]
+		b[r] = buf[r*n : (r+1)*n]
+		x[r] = buf[(4+r)*n : (5+r)*n]
 	}
 	for j := 0; j < m; j += 4 {
-		var b [4][]float64
 		var f, e [4]int
 		lo, exact := n, true
 		for r := range b {
-			b[r] = phi.Row(min(j+r, m-1))
+			start, vals := phi.Row(min(j+r, m-1))
+			copy(b[r][start:], vals)
 			var ok bool
-			f[r], e[r], ok = support(b[r])
+			f[r], e[r], ok = support(vals)
+			f[r] += start
+			e[r] += start
 			exact = exact && ok
 			lo = min(lo, f[r])
 		}
@@ -196,6 +201,10 @@ func (bc *BandCholesky) HatDiag(phi *Dense, h []float64) error {
 				s += b[r][i] * x[r][i]
 			}
 			h[j+r] = s
+		}
+		for r := range b {
+			start, vals := phi.Row(min(j+r, m-1))
+			clear(b[r][start : start+len(vals)])
 		}
 	}
 	return nil

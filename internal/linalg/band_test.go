@@ -21,7 +21,7 @@ func randomBandedSPD(rng *rand.Rand, n, k int) *Dense {
 			}
 		}
 	}
-	spd := b.AtA()
+	spd, _ := b.T().Mul(b)
 	for i := 0; i < n; i++ {
 		spd.Set(i, i, spd.At(i, i)+float64(n))
 	}
@@ -255,16 +255,23 @@ func solveDotHat(t *testing.T, bc *BandCholesky, phi *Dense) []float64 {
 	return h
 }
 
+// assertHatBitwise checks HatDiag on the rows of phi, stored in full
+// and in the narrowest common windows, against solveDotHat.
 func assertHatBitwise(t *testing.T, bc *BandCholesky, phi *Dense, what string) {
 	t.Helper()
 	want := solveDotHat(t, bc, phi)
-	got := make([]float64, len(want))
-	if err := bc.HatDiag(phi, got); err != nil {
-		t.Fatal(err)
-	}
-	for j := range want {
-		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-			t.Fatalf("%s: h[%d] = %v (%#x), SolveInto+Dot %v (%#x)", what, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+	for _, form := range []struct {
+		name string
+		span *SpanMatrix
+	}{{"full rows", fullSpan(phi)}, {"windows", narrowSpan(phi)}} {
+		got := make([]float64, len(want))
+		if err := bc.HatDiag(form.span, got); err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s, %s: h[%d] = %v (%#x), SolveInto+Dot %v (%#x)", what, form.name, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+			}
 		}
 	}
 }
@@ -354,10 +361,10 @@ func TestHatDiagShapeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.HatDiag(NewDense(2, 4), make([]float64, 2)); !errors.Is(err, ErrShape) {
+	if err := bc.HatDiag(fullSpan(NewDense(2, 4)), make([]float64, 2)); !errors.Is(err, ErrShape) {
 		t.Fatalf("column mismatch err = %v, want ErrShape", err)
 	}
-	if err := bc.HatDiag(NewDense(2, 3), make([]float64, 3)); !errors.Is(err, ErrShape) {
+	if err := bc.HatDiag(fullSpan(NewDense(2, 3)), make([]float64, 3)); !errors.Is(err, ErrShape) {
 		t.Fatalf("dst mismatch err = %v, want ErrShape", err)
 	}
 }

@@ -5,8 +5,9 @@
 //
 // The package is deliberately small and allocation-conscious rather than a
 // general BLAS replacement: every routine exists because a caller in
-// internal/fda, internal/ocsvm or internal/depth needs it. All matrices are
-// dense and stored in row-major order.
+// internal/fda, internal/ocsvm or internal/depth needs it. Matrices are
+// dense and row-major, except SpanMatrix, which keeps one window of
+// consecutive columns per row: the form of a B-spline design.
 package linalg
 
 import (
@@ -133,49 +134,6 @@ func (m *Dense) MulVec(x []float64) ([]float64, error) {
 			s += v * x[j]
 		}
 		out[i] = s
-	}
-	return out, nil
-}
-
-// AtA returns the Gram matrix mᵀm, exploiting symmetry.
-func (m *Dense) AtA() *Dense {
-	out := NewDense(m.cols, m.cols)
-	for k := 0; k < m.rows; k++ {
-		rk := m.data[k*m.cols : (k+1)*m.cols]
-		for i, rki := range rk {
-			if rki == 0 {
-				continue
-			}
-			oi := out.data[i*out.cols:]
-			for j := i; j < m.cols; j++ {
-				oi[j] += rki * rk[j]
-			}
-		}
-	}
-	// Mirror the upper triangle into the lower.
-	for i := 1; i < m.cols; i++ {
-		for j := 0; j < i; j++ {
-			out.data[i*out.cols+j] = out.data[j*out.cols+i]
-		}
-	}
-	return out
-}
-
-// AtVec returns mᵀ x.
-func (m *Dense) AtVec(x []float64) ([]float64, error) {
-	if m.rows != len(x) {
-		return nil, fmt.Errorf("linalg: atvec %dx%d by vector %d: %w", m.rows, m.cols, len(x), ErrShape)
-	}
-	out := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range mi {
-			out[j] += v * xi
-		}
 	}
 	return out, nil
 }

@@ -151,38 +151,6 @@ func TestMulVecShapeMismatch(t *testing.T) {
 	}
 }
 
-func TestAtAMatchesExplicit(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randomDense(rng, 6, 4)
-	gram := a.AtA()
-	explicit, err := a.T().Mul(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gram.Equal(explicit, 1e-10) {
-		t.Fatal("AtA != AᵀA")
-	}
-}
-
-func TestAtVecMatchesExplicit(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomDense(rng, 5, 3)
-	x := []float64{1, -2, 0.5, 3, -1}
-	got, err := a.AtVec(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := a.T().MulVec(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("AtVec[%d] = %g want %g", i, got[i], want[i])
-		}
-	}
-}
-
 func TestMaxAbs(t *testing.T) {
 	m := mustDense(2, 2, 1, -5, 3, 2)
 	if m.MaxAbs() != 5 {

@@ -84,9 +84,10 @@ func (ch *Cholesky) SolveInto(b, x []float64) error {
 }
 
 // HatDiag writes h[j] = φⱼᵀ A⁻¹ φⱼ for every row φⱼ of phi (m×n) into
-// h (length m): one SolveInto and one Dot per row. BandCholesky.HatDiag
-// is the banded counterpart that skips each row's zeros.
-func (ch *Cholesky) HatDiag(phi *Dense, h []float64) error {
+// h (length m): one SolveInto and one Dot per dense row.
+// BandCholesky.HatDiag is the banded counterpart that skips each row's
+// zeros.
+func (ch *Cholesky) HatDiag(phi *SpanMatrix, h []float64) error {
 	m, c := phi.Dims()
 	if c != ch.n {
 		return fmt.Errorf("linalg: hat diagonal of %dx%d design, factor is %d: %w", m, c, ch.n, ErrShape)
@@ -94,13 +95,16 @@ func (ch *Cholesky) HatDiag(phi *Dense, h []float64) error {
 	if len(h) != m {
 		return fmt.Errorf("linalg: hat diagonal dst %d want %d: %w", len(h), m, ErrShape)
 	}
-	sol := make([]float64, ch.n)
+	row := make([]float64, 2*ch.n)
+	row, sol := row[:ch.n], row[ch.n:]
 	for j := range h {
-		row := phi.Row(j)
+		start, vals := phi.Row(j)
+		copy(row[start:], vals)
 		if err := ch.SolveInto(row, sol); err != nil {
 			return err
 		}
 		h[j] = Dot(row, sol)
+		clear(row[start : start+len(vals)])
 	}
 	return nil
 }

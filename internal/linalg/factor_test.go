@@ -11,7 +11,7 @@ import (
 // randomSPD builds a random symmetric positive-definite matrix AᵀA + I.
 func randomSPD(rng *rand.Rand, n int) *Dense {
 	a := randomDense(rng, n, n)
-	spd := a.AtA()
+	spd, _ := a.T().Mul(a)
 	for i := 0; i < n; i++ {
 		spd.Set(i, i, spd.At(i, i)+1)
 	}

@@ -11,13 +11,13 @@ import (
 // smoothingSystem returns the design Φ of a clamped B-spline basis on ts
 // and the banded factor of ΦᵀΦ + λR + 1e-6·I, the system the smoother's
 // hat diagonal is taken over.
-func smoothingSystem(t testing.TB, dim, order int, ts []float64, lambda float64) (*linalg.Dense, *linalg.BandCholesky) {
+func smoothingSystem(t testing.TB, dim, order int, ts []float64, lambda float64) (*linalg.SpanMatrix, *linalg.BandCholesky) {
 	t.Helper()
 	b, err := bspline.New(dim, order, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi := bspline.DesignMatrix(b, ts, 0)
+	phi := bspline.NewSpanDesign(b, ts, 0)
 	a := phi.AtA()
 	r, err := bspline.PenaltyMatrix(b, min(2, order-1), max(1, order-2))
 	if err != nil {
@@ -69,7 +69,16 @@ func TestHatDiagBSplineDesignsBitwise(t *testing.T) {
 	}
 }
 
-func checkHat(t *testing.T, phi *linalg.Dense, bc *linalg.BandCholesky) {
+// denseRow returns row j of phi with its zeros written out.
+func denseRow(phi *linalg.SpanMatrix, j int) []float64 {
+	_, n := phi.Dims()
+	row := make([]float64, n)
+	start, vals := phi.Row(j)
+	copy(row[start:], vals)
+	return row
+}
+
+func checkHat(t *testing.T, phi *linalg.SpanMatrix, bc *linalg.BandCholesky) {
 	t.Helper()
 	m, n := phi.Dims()
 	got := make([]float64, m)
@@ -78,10 +87,11 @@ func checkHat(t *testing.T, phi *linalg.Dense, bc *linalg.BandCholesky) {
 	}
 	sol := make([]float64, n)
 	for j := range got {
-		if err := bc.SolveInto(phi.Row(j), sol); err != nil {
+		row := denseRow(phi, j)
+		if err := bc.SolveInto(row, sol); err != nil {
 			t.Fatal(err)
 		}
-		if want := linalg.Dot(phi.Row(j), sol); math.Float64bits(got[j]) != math.Float64bits(want) {
+		if want := linalg.Dot(row, sol); math.Float64bits(got[j]) != math.Float64bits(want) {
 			t.Fatalf("%dx%d design row %d: HatDiag %v, SolveInto+Dot %v", m, n, j, got[j], want)
 		}
 	}
@@ -106,13 +116,17 @@ func BenchmarkHatDiag(b *testing.B) {
 		}
 	})
 	b.Run("solveDot", func(b *testing.B) {
+		rows := make([][]float64, len(h))
+		for j := range rows {
+			rows[j] = denseRow(phi, j)
+		}
 		sol := make([]float64, 21)
 		for i := 0; i < b.N; i++ {
-			for j := range h {
-				if err := bc.SolveInto(phi.Row(j), sol); err != nil {
+			for j, row := range rows {
+				if err := bc.SolveInto(row, sol); err != nil {
 					b.Fatal(err)
 				}
-				h[j] = linalg.Dot(phi.Row(j), sol)
+				h[j] = linalg.Dot(row, sol)
 			}
 		}
 	})

@@ -85,7 +85,7 @@ func TestQRNormalEquationsProperty(t *testing.T) {
 		for i := range res {
 			res[i] = b[i] - ax[i]
 		}
-		atr, err := a.AtVec(res)
+		atr, err := a.T().MulVec(res)
 		if err != nil {
 			return false
 		}
@@ -124,8 +124,11 @@ func TestQRAgreesWithCholeskyOnSPDSystems(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Normal equations route.
-	gram := a.AtA()
-	atb, err := a.AtVec(b)
+	gram, err := a.T().Mul(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atb, err := a.T().MulVec(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,16 +49,3 @@ func SqDist2(x, y []float64) float64 {
 	}
 	return s
 }
-
-// Normalize scales x to unit Euclidean norm in place and returns its
-// original norm. A zero vector is left unchanged and 0 is returned.
-func Normalize(x []float64) float64 {
-	n := Norm2(x)
-	if n == 0 {
-		return 0
-	}
-	for i := range x {
-		x[i] /= n
-	}
-	return n
-}

@@ -39,21 +39,6 @@ func TestSubAndDist(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	x := []float64{3, 4}
-	n := Normalize(x)
-	if n != 5 {
-		t.Fatalf("returned norm = %g want 5", n)
-	}
-	if !almostEqual(Norm2(x), 1, 1e-12) {
-		t.Fatalf("normalized norm = %g want 1", Norm2(x))
-	}
-	zero := []float64{0, 0}
-	if Normalize(zero) != 0 || zero[0] != 0 {
-		t.Fatal("zero vector must be left unchanged")
-	}
-}
-
 // Property: Cauchy–Schwarz |x·y| ≤ ‖x‖‖y‖.
 func TestCauchySchwarzProperty(t *testing.T) {
 	f := func(x, y []float64) bool {

@@ -49,20 +49,6 @@ type Params struct {
 	Kernel Kernel
 }
 
-// GammaGrid returns RBF kernels at the GammaScale heuristic multiplied by
-// the given factors — the γ search space for joint (ν, γ) tuning.
-func GammaGrid(x [][]float64, factors []float64) []Kernel {
-	if len(factors) == 0 {
-		factors = []float64{0.25, 1, 4}
-	}
-	base := GammaScale(x)
-	out := make([]Kernel, len(factors))
-	for i, f := range factors {
-		out[i] = RBF{Gamma: base * f}
-	}
-	return out
-}
-
 // TuneGrid evaluates every (ν, kernel) candidate with k-fold
 // cross-validation under the same self-consistency criterion as TuneNu
 // and returns the winner. It generalises the paper's ν search to the

@@ -86,9 +86,9 @@ func TestTuneGridJoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := cloud(rng, 60, 2, 1)
 	var grid []Params
-	for _, k := range GammaGrid(x, []float64{0.5, 2}) {
+	for _, f := range []float64{0.5, 2} {
 		for _, nu := range []float64{0.1, 0.2} {
-			grid = append(grid, Params{Nu: nu, Kernel: k})
+			grid = append(grid, Params{Nu: nu, Kernel: RBF{Gamma: GammaScale(x) * f}})
 		}
 	}
 	if len(grid) != 4 {
@@ -116,18 +116,5 @@ func TestTuneGridEmpty(t *testing.T) {
 	x := cloud(rng, 20, 2, 1)
 	if _, _, err := TuneGrid(x, nil, 3, 1); !errors.Is(err, ErrOptions) {
 		t.Fatal("empty grid must fail")
-	}
-}
-
-func TestGammaGridDefaults(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	x := cloud(rng, 20, 3, 1)
-	ks := GammaGrid(x, nil)
-	if len(ks) != 3 {
-		t.Fatalf("default gamma grid size = %d want 3", len(ks))
-	}
-	base := GammaScale(x)
-	if rbf, ok := ks[1].(RBF); !ok || rbf.Gamma != base {
-		t.Fatalf("middle kernel should be the heuristic gamma")
 	}
 }

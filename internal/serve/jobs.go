@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/fda"
-	"repro/internal/geometry"
 	"repro/internal/jobs"
 )
 
@@ -45,8 +42,7 @@ func (jr *JobRunner) ScoreChunk(ctx context.Context, model string, c jobs.Chunk)
 		return nil, ctx.Err()
 	}
 	if res.Err != nil {
-		if errors.Is(res.Err, fda.ErrData) || errors.Is(res.Err, core.ErrPipeline) ||
-			errors.Is(res.Err, geometry.ErrMapping) {
+		if unscorable(res.Err) {
 			return nil, jobs.Fatal(res.Err)
 		}
 		return nil, res.Err

@@ -387,6 +387,16 @@ func (s *Server) shed(w http.ResponseWriter) int {
 	return http.StatusTooManyRequests
 }
 
+// unscorable reports whether a scoring error says the model cannot
+// score the request's curves — wrong dimension, a failed smoothing
+// fit, a mapping that does not apply, explain without Standardize —
+// so the request is at fault (422), and a retry elsewhere would fail
+// the same way.
+func unscorable(err error) bool {
+	return errors.Is(err, fda.ErrData) || errors.Is(err, fda.ErrFit) ||
+		errors.Is(err, core.ErrPipeline) || errors.Is(err, geometry.ErrMapping)
+}
+
 // wantsScoresFrame reports whether the client asked for the binary
 // partial-scores frame instead of the JSON response body.
 func wantsScoresFrame(r *http.Request) bool {
@@ -477,10 +487,7 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, star
 	}
 	if res.Err != nil {
 		code := http.StatusInternalServerError
-		if errors.Is(res.Err, fda.ErrData) || errors.Is(res.Err, core.ErrPipeline) ||
-			errors.Is(res.Err, geometry.ErrMapping) {
-			// The model cannot score these curves (wrong dimension,
-			// explain without Standardize, …): the request is at fault.
+		if unscorable(res.Err) {
 			code = http.StatusUnprocessableEntity
 		}
 		httpapi.Error(w, code, "score: %v", res.Err)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/fda"
 )
 
@@ -409,6 +410,48 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// scaledSample returns s with every value multiplied by c.
+func scaledSample(s fda.Sample, c float64) fda.Sample {
+	out := fda.Sample{Times: s.Times, Values: make([][]float64, len(s.Values))}
+	for k, row := range s.Values {
+		out.Values[k] = make([]float64, len(row))
+		for j, v := range row {
+			out.Values[k][j] = v * c
+		}
+	}
+	return out
+}
+
+// TestServerUnscorableCurves422: finite curves the model cannot score
+// get a 422, never a score, on /v1/score and on a scored stream append.
+// Scaled by 1e100, a Fig. 3 curve's curvature is NaN on the whole grid
+// (geometry.ErrMapping); scaled by 1e308, every λ's smoothing
+// coefficients overflow (fda.ErrFit).
+func TestServerUnscorableCurves422(t *testing.T) {
+	ts, _, _, _, _ := streamStack(t, StreamOptions{}, 3)
+	fig3, err := experiments.Fig3Dataset(200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []float64{1e100, 1e308} {
+		s := scaledSample(fig3.Samples[3], c)
+		ds := fda.Dataset{Samples: []fda.Sample{s}}
+		resp, body := postScore(t, ts.URL+"/v1/score?model=ecg", scoreBody(t, ds, []int{0}, 0))
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("scale %g: /v1/score status = %d, want 422 (body %s)", c, resp.StatusCode, body)
+		}
+		idx := make([]int, len(s.Times))
+		for j := range idx {
+			idx[j] = j
+		}
+		url := fmt.Sprintf("%s/v1/streams/s%d/append?score=1", ts.URL, i)
+		resp, body = postScore(t, url, streamAppendBody(t, s, idx))
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("scale %g: scored append status = %d, want 422 (body %s)", c, resp.StatusCode, body)
 		}
 	}
 }
