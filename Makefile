@@ -118,11 +118,15 @@ bench-streaming:
 # oracle. The wire-decode fuzzer feeds untrusted binary frames to the
 # request decoder: it must fail with ErrWire, never panic or
 # over-allocate, and a frame that decodes must re-encode to the same
-# bytes.
+# bytes. The request-decode fuzzer feeds untrusted JSON bodies to the
+# shared body decoder: it must fail with ErrJSON or decode, and a body
+# that decodes must come back bitwise through its frame and through its
+# JSON re-encoding.
 fuzz:
 	$(GO) test -fuzz=FuzzBSplineEval -fuzztime=30s -run=^$$ ./internal/bspline
 	$(GO) test -fuzz=FuzzSpanFit -fuzztime=30s -run=^$$ ./internal/fda
 	$(GO) test -fuzz=FuzzStreamAppend -fuzztime=30s -run=^$$ ./internal/stream
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s -run=^$$ ./internal/wire
+	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=30s -run=^$$ ./internal/wire
 
 check: build vet lint test test-race test-chaos bench-smoke

@@ -42,18 +42,15 @@ var deadCodeAllow = map[string]string{
 
 	// Called only by their own tests; each goes together with those
 	// tests in a later change (ROADMAP.md lists the order).
-	"linalg.LeastSquares":            pendingDeletion,
-	"linalg.LU.Det":                  pendingDeletion,
-	"linalg.SolveSPD":                pendingDeletion,
-	"stats.Shuffle":                  pendingDeletion,
-	"stats.SampleWithoutReplacement": pendingDeletion,
-	"stats.Bootstrap":                pendingDeletion,
-	"stats.Quantile":                 pendingDeletion,
-	"stats.Ranks":                    pendingDeletion,
-	"stats.Covariance":               pendingDeletion,
-	"stats.Standardize":              pendingDeletion,
-	"eval.AveragePrecision":          pendingDeletion,
-	"eval.PrecisionAtK":              pendingDeletion,
+	"linalg.LeastSquares":   pendingDeletion,
+	"linalg.LU.Det":         pendingDeletion,
+	"linalg.SolveSPD":       pendingDeletion,
+	"stats.Quantile":        pendingDeletion,
+	"stats.Ranks":           pendingDeletion,
+	"stats.Covariance":      pendingDeletion,
+	"stats.Standardize":     pendingDeletion,
+	"eval.AveragePrecision": pendingDeletion,
+	"eval.PrecisionAtK":     pendingDeletion,
 }
 
 const pendingDeletion = "pending deletion: only its own tests call it"

@@ -123,18 +123,7 @@ func (c *Client) encodeBody(ds fda.Dataset, explain int) (body []byte, contentTy
 	case "wire":
 		return wire.EncodeRequest(wire.Request{Dataset: ds, Explain: explain}), wire.ContentType, nil
 	case "json":
-		type jsonSample struct {
-			Times  []float64   `json:"times"`
-			Values [][]float64 `json:"values"`
-		}
-		req := struct {
-			Samples []jsonSample `json:"samples"`
-			Explain int          `json:"explain,omitempty"`
-		}{Explain: explain}
-		for _, s := range ds.Samples {
-			req.Samples = append(req.Samples, jsonSample{Times: s.Times, Values: s.Values})
-		}
-		body, err = json.Marshal(req)
+		body, err = wire.EncodeJSON(wire.Body{Request: wire.Request{Dataset: ds, Explain: explain}})
 		return body, "application/json", err
 	default:
 		return nil, "", fmt.Errorf("client: bad codec %q, want wire or json", c.opt.Codec)

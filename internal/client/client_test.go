@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -59,35 +58,17 @@ func testBackend(t *testing.T) *httptest.Server {
 			httpapi.Error(w, http.StatusNotFound, "unknown model")
 			return
 		}
-		var ds fda.Dataset
-		ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
-		if strings.TrimSpace(ct) == wire.ContentType {
-			raw, err := io.ReadAll(r.Body)
-			if err != nil {
-				httpapi.Error(w, http.StatusBadRequest, "read: %v", err)
-				return
-			}
-			req, err := wire.DecodeRequest(raw)
-			if err != nil {
-				httpapi.Error(w, http.StatusBadRequest, "decode: %v", err)
-				return
-			}
-			ds = req.Dataset
-		} else {
-			var req struct {
-				Samples []struct {
-					Times  []float64   `json:"times"`
-					Values [][]float64 `json:"values"`
-				} `json:"samples"`
-			}
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				httpapi.Error(w, http.StatusBadRequest, "decode: %v", err)
-				return
-			}
-			for _, s := range req.Samples {
-				ds.Samples = append(ds.Samples, fda.Sample{Times: s.Times, Values: s.Values})
-			}
+		raw, err := io.ReadAll(r.Body)
+		if err != nil {
+			httpapi.Error(w, http.StatusBadRequest, "read: %v", err)
+			return
 		}
+		body, err := wire.DecodeBody(r.Header.Get("Content-Type"), raw)
+		if err != nil {
+			httpapi.Error(w, http.StatusBadRequest, "decode: %v", err)
+			return
+		}
+		ds := body.Dataset
 		scores := make([]float64, len(ds.Samples))
 		for i, s := range ds.Samples {
 			scores[i] = scoreOf(s)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -71,8 +70,8 @@ func fitModelFile(t *testing.T) (string, fda.Dataset) {
 
 // bootReplica starts one in-process mfodserve replica holding every
 // model name, optionally wrapping /v1/score in the slow-score fault
-// point.
-func bootReplica(t *testing.T, modelPath string, slow bool) *httptest.Server {
+// point. Its log and every request that reaches it go to tr.
+func bootReplica(t *testing.T, modelPath string, slow bool, tr *tier) *httptest.Server {
 	t.Helper()
 	reg := serve.NewRegistry()
 	for _, name := range modelNames {
@@ -90,8 +89,9 @@ func bootReplica(t *testing.T, modelPath string, slow bool) *httptest.Server {
 	srv, err := serve.NewServer(serve.Config{
 		Registry: reg,
 		Pool:     pool,
+		Metrics:  serve.NewMetrics(),
 		Streams:  streams,
-		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Logger:   tr.logger(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func bootReplica(t *testing.T, modelPath string, slow bool) *httptest.Server {
 			inner.ServeHTTP(w, r)
 		})
 	}
-	ts := httptest.NewServer(h)
+	ts := httptest.NewServer(tr.tap(h))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -202,14 +202,18 @@ type gateHarness struct {
 	health   *gate.Health
 	metrics  *gate.Metrics
 	replicas map[string]*httptest.Server
+	// tiers holds what each server ("gate", "r1", "r2", "r3") logged
+	// and every request that reached it.
+	tiers map[string]*tier
 }
 
 func bootGate(t *testing.T, modelPath string) *gateHarness {
 	t.Helper()
+	tiers := map[string]*tier{"gate": {}, "r1": {}, "r2": {}, "r3": {}}
 	replicas := map[string]*httptest.Server{
-		"r1": bootReplica(t, modelPath, false),
-		"r2": bootReplica(t, modelPath, true), // r2 carries the latency fault point
-		"r3": bootReplica(t, modelPath, false),
+		"r1": bootReplica(t, modelPath, false, tiers["r1"]),
+		"r2": bootReplica(t, modelPath, true, tiers["r2"]), // r2 carries the latency fault point
+		"r3": bootReplica(t, modelPath, false, tiers["r3"]),
 	}
 	topoPath := filepath.Join(t.TempDir(), "topology.json")
 	urls := map[string]string{}
@@ -231,6 +235,7 @@ func bootGate(t *testing.T, modelPath string) *gateHarness {
 		Table:      table,
 		Health:     health,
 		Metrics:    metrics,
+		Logger:     tiers["gate"].logger(),
 		HedgeDelay: 30 * time.Millisecond,
 		Timeout:    10 * time.Second,
 		EnableJobs: true,
@@ -239,11 +244,11 @@ func bootGate(t *testing.T, modelPath string) *gateHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(g.Handler())
+	front := httptest.NewServer(tiers["gate"].tap(g.Handler()))
 	t.Cleanup(front.Close)
 	return &gateHarness{
 		g: g, base: front.URL, topoPath: topoPath,
-		table: table, health: health, metrics: metrics, replicas: replicas,
+		table: table, health: health, metrics: metrics, replicas: replicas, tiers: tiers,
 	}
 }
 

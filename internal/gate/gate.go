@@ -235,7 +235,8 @@ func (g *Gate) rankedOrder(key string) []string {
 	return healthy
 }
 
-// Handler returns the routing handler.
+// Handler returns the routing handler. Every /v1 request is counted
+// under mfodgate_requests_total and logged by httpapi.Observe.
 func (g *Gate) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -262,9 +263,9 @@ func (g *Gate) Handler() http.Handler {
 	mux.HandleFunc("/v1/topology", httpapi.MethodNotAllowed("GET"))
 	mux.HandleFunc("GET /v1/models", g.handleList)
 	mux.HandleFunc("/v1/models", httpapi.MethodNotAllowed("GET"))
-	mux.HandleFunc("POST /v1/score", g.handleScoreV1)
+	mux.HandleFunc("POST /v1/score", g.handleScore)
 	mux.HandleFunc("/v1/score", httpapi.MethodNotAllowed("POST"))
-	mux.HandleFunc("POST /v1/reload", g.handleReloadV1)
+	mux.HandleFunc("POST /v1/reload", g.handleReload)
 	mux.HandleFunc("/v1/reload", httpapi.MethodNotAllowed("POST"))
 	g.registerStreams(mux)
 	if g.jobs != nil {
@@ -277,7 +278,7 @@ func (g *Gate) Handler() http.Handler {
 		api.Register(mux)
 	}
 	mux.HandleFunc("/", httpapi.NotFound)
-	return mux
+	return httpapi.Observe(mux, g.cfg.Logger, g.cfg.Metrics.ObserveRequest)
 }
 
 func (g *Gate) anyReplicaUp() bool {
@@ -348,53 +349,38 @@ func (g *Gate) handleList(w http.ResponseWriter, r *http.Request) {
 	httpapi.Error(w, http.StatusBadGateway, "no healthy replica answered the model listing")
 }
 
-// handleScoreV1 is the canonical scoring route POST /v1/score?model=.
-func (g *Gate) handleScoreV1(w http.ResponseWriter, r *http.Request) {
-	model := r.URL.Query().Get("model")
-	if model == "" {
-		httpapi.Error(w, http.StatusBadRequest, "missing ?model= parameter")
-		return
-	}
-	g.handleScore(w, r, model)
-}
-
-// handleReloadV1 is the canonical reload route POST /v1/reload?model=.
-func (g *Gate) handleReloadV1(w http.ResponseWriter, r *http.Request) {
-	model := r.URL.Query().Get("model")
-	if model == "" {
-		httpapi.Error(w, http.StatusBadRequest, "missing ?model= parameter")
-		return
-	}
-	g.handleReload(w, r, model)
-}
-
 // handleReload broadcasts a model reload to every replica — a sharded
 // deployment does not know which replica holds the model, and reloading
 // a model a replica does not serve is that replica's 404 to report.
-func (g *Gate) handleReload(w http.ResponseWriter, r *http.Request, model string) {
+// Any replica that does not answer 200 makes the broadcast a 502
+// upstream_error naming each failing replica and its status.
+func (g *Gate) handleReload(w http.ResponseWriter, r *http.Request) {
+	model, ok := httpapi.ModelParam(w, r)
+	if !ok {
+		return
+	}
 	f := g.cfg.Table.Fleet()
 	results := make(map[string]string, f.ring.Len())
-	failures := 0
+	var failed []string
 	for _, name := range f.ring.Names() {
 		resp, err := g.client(name).Do(r.Context(), http.MethodPost, scoreURL(f.urls[name], "/v1/reload", model, nil), "application/json", "", nil)
 		if err != nil {
-			results[name] = err.Error()
-			failures++
+			failed = append(failed, name+": "+err.Error())
 			continue
 		}
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
 		results[name] = resp.Status
 		if resp.StatusCode != http.StatusOK {
-			failures++
+			failed = append(failed, name+": "+resp.Status)
 		}
 	}
-	code := http.StatusOK
-	if failures > 0 {
-		code = http.StatusBadGateway
+	if len(failed) > 0 {
+		httpapi.ErrorCode(w, http.StatusBadGateway, httpapi.CodeUpstream,
+			"reload of %q failed on %d of %d replicas: %s", model, len(failed), f.ring.Len(), strings.Join(failed, "; "))
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]any{"model": model, "replicas": results})
 }
 
@@ -421,53 +407,32 @@ func (g *Gate) inboundBody(w http.ResponseWriter, r *http.Request) (body []byte,
 	if err != nil {
 		return nil, httpapi.BodyError(w, err)
 	}
-	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
-	if strings.TrimSpace(ct) == wire.ContentType {
+	ct := r.Header.Get("Content-Type")
+	if wire.IsFrame(ct) {
 		return raw, 0
 	}
 	// Transcode JSON → wire so the fleet's internal traffic rides the
-	// compact codec even for JSON clients. A body the gate cannot parse
-	// would only 400 at the replica; failing here is cheaper and blames
-	// the right hop.
-	var req struct {
-		Samples []struct {
-			Times  []float64   `json:"times"`
-			Values [][]float64 `json:"values"`
-		} `json:"samples"`
-		Explain int `json:"explain,omitempty"`
-	}
-	if err := json.Unmarshal(raw, &req); err != nil {
+	// compact codec even for JSON clients. The replicas' own decoder
+	// rules apply here, so a body the gate cannot parse fails with the
+	// 400 a replica would give, at the hop that is to blame.
+	req, err := wire.DecodeBody(ct, raw)
+	if err != nil {
 		httpapi.Error(w, http.StatusBadRequest, "decode body: %v", err)
 		return nil, http.StatusBadRequest
 	}
-	ds := fda.Dataset{Samples: make([]fda.Sample, len(req.Samples))}
-	for i, sm := range req.Samples {
-		// The wire frame writes len(times) as the length prefix of every
-		// column, so a ragged sample would encode to a misaligned frame
-		// the replica decodes into well-shaped but wrong curves. Reject
-		// it here with the 400 a direct-to-replica sanitizer would give.
-		for k, col := range sm.Values {
-			if len(col) != len(sm.Times) {
-				httpapi.Error(w, http.StatusBadRequest,
-					"sample %d: values[%d] has %d points but times has %d", i, k, len(col), len(sm.Times))
-				return nil, http.StatusBadRequest
-			}
-		}
-		ds.Samples[i] = fda.Sample{Times: sm.Times, Values: sm.Values}
-	}
-	return wire.EncodeRequest(wire.Request{Dataset: ds, Explain: req.Explain}), 0
+	return wire.EncodeRequest(req.Request), 0
 }
 
-// handleScore is the hot path: resolve the model's shard, race the
-// hedged legs, relay the winning replica answer.
-func (g *Gate) handleScore(w http.ResponseWriter, r *http.Request, model string) {
+// handleScore is the hot path POST /v1/score?model=: resolve the
+// model's shard, race the hedged legs, relay the winning replica answer.
+func (g *Gate) handleScore(w http.ResponseWriter, r *http.Request) {
+	model, ok := httpapi.ModelParam(w, r)
+	if !ok {
+		return
+	}
 	start := time.Now()
 	code := g.score(w, r, model)
 	g.cfg.Brownout.Observe(code, time.Since(start))
-	g.cfg.Metrics.ObserveRequest(model, code, time.Since(start).Seconds())
-	g.cfg.Logger.Info("request",
-		"method", r.Method, "path", r.URL.Path, "model", model, "code", code,
-		"durMs", float64(time.Since(start).Microseconds())/1000)
 }
 
 func (g *Gate) score(w http.ResponseWriter, r *http.Request, model string) int {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"time"
 
 	"repro/internal/httpapi"
 )
@@ -27,32 +26,16 @@ import (
 // there transparently (losing only the dead replica's buffered points,
 // which the writer's next appends refill).
 func (g *Gate) registerStreams(mux *http.ServeMux) {
-	handle := func(pattern string, h func(http.ResponseWriter, *http.Request) int) {
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			code := h(w, r)
-			g.cfg.Metrics.ObserveRequest("(stream)", code, time.Since(start).Seconds())
-			g.cfg.Logger.Info("request",
-				"method", r.Method, "path", r.URL.Path, "code", code,
-				"durMs", float64(time.Since(start).Microseconds())/1000)
-		})
-	}
-	notAllowed := func(allow string) func(http.ResponseWriter, *http.Request) int {
-		return func(w http.ResponseWriter, r *http.Request) int {
-			httpapi.MethodNotAllowed(allow)(w, r)
-			return http.StatusMethodNotAllowed
-		}
-	}
-	handle("POST /v1/streams/{id}/append", g.streamForward)
-	handle("/v1/streams/{id}/append", notAllowed("POST"))
-	handle("GET /v1/streams/{id}/score", g.streamScore)
-	handle("/v1/streams/{id}/score", notAllowed("GET"))
-	handle("GET /v1/streams/{id}", g.streamForward)
-	handle("DELETE /v1/streams/{id}", g.streamForward)
-	handle("/v1/streams/{id}", notAllowed("GET, DELETE"))
-	handle("GET /v1/streams", g.streamList)
-	handle("GET /v1/streams/{$}", g.streamList)
-	handle("/v1/streams", notAllowed("GET"))
+	mux.HandleFunc("POST /v1/streams/{id}/append", g.streamForward)
+	mux.HandleFunc("/v1/streams/{id}/append", httpapi.MethodNotAllowed("POST"))
+	mux.HandleFunc("GET /v1/streams/{id}/score", g.streamScore)
+	mux.HandleFunc("/v1/streams/{id}/score", httpapi.MethodNotAllowed("GET"))
+	mux.HandleFunc("GET /v1/streams/{id}", g.streamForward)
+	mux.HandleFunc("DELETE /v1/streams/{id}", g.streamForward)
+	mux.HandleFunc("/v1/streams/{id}", httpapi.MethodNotAllowed("GET, DELETE"))
+	mux.HandleFunc("GET /v1/streams", g.streamList)
+	mux.HandleFunc("GET /v1/streams/{$}", g.streamList)
+	mux.HandleFunc("/v1/streams", httpapi.MethodNotAllowed("GET"))
 }
 
 // streamTarget is r's path and query on the named replica.
@@ -66,22 +49,24 @@ func streamTarget(f *fleet, name string, r *http.Request) string {
 
 // streamScore serves GET /v1/streams/{id}/score: a watch is relayed
 // line by line, a plain score forwarded.
-func (g *Gate) streamScore(w http.ResponseWriter, r *http.Request) int {
+func (g *Gate) streamScore(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("watch") != "" {
-		return g.streamWatch(w, r)
+		g.streamWatch(w, r)
+		return
 	}
-	return g.streamForward(w, r)
+	g.streamForward(w, r)
 }
 
 // streamForward sends the request to the stream's home replica, walking
 // the ring order on transport failures, and relays the answer.
-func (g *Gate) streamForward(w http.ResponseWriter, r *http.Request) int {
+func (g *Gate) streamForward(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var body []byte
 	if r.Method == http.MethodPost {
 		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 		if err != nil {
-			return httpapi.BodyError(w, err)
+			httpapi.BodyError(w, err)
+			return
 		}
 		body = raw
 	}
@@ -99,7 +84,7 @@ func (g *Gate) streamForward(w http.ResponseWriter, r *http.Request) int {
 		if err != nil {
 			if ctx.Err() != nil {
 				httpapi.Error(w, http.StatusGatewayTimeout, "fleet did not answer within %v", g.cfg.Timeout)
-				return http.StatusGatewayTimeout
+				return
 			}
 			// Transport-level failure only: an HTTP answer — any status —
 			// is authoritative for this stream's home and is relayed as-is.
@@ -107,11 +92,10 @@ func (g *Gate) streamForward(w http.ResponseWriter, r *http.Request) int {
 			continue
 		}
 		relay(w, resp)
-		return resp.StatusCode
+		return
 	}
 	httpapi.ErrorCode(w, http.StatusBadGateway, httpapi.CodeUpstream,
 		"stream %q: no replica answered: %v", id, lastErr)
-	return http.StatusBadGateway
 }
 
 // streamWatch relays an NDJSON watch. The request context (not the gate
@@ -121,7 +105,7 @@ func (g *Gate) streamForward(w http.ResponseWriter, r *http.Request) int {
 // initial connect; once bytes have flowed, a broken upstream ends the
 // watch and the client reconnects (through the gate, which routes the
 // reconnect to the stream's new home).
-func (g *Gate) streamWatch(w http.ResponseWriter, r *http.Request) int {
+func (g *Gate) streamWatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	f := g.cfg.Table.Fleet()
 	var lastErr error
@@ -148,27 +132,26 @@ func (g *Gate) streamWatch(w http.ResponseWriter, r *http.Request) int {
 			n, rerr := resp.Body.Read(buf)
 			if n > 0 {
 				if _, werr := w.Write(buf[:n]); werr != nil {
-					return resp.StatusCode
+					return
 				}
 				if flusher != nil {
 					flusher.Flush()
 				}
 			}
 			if rerr != nil {
-				return resp.StatusCode
+				return
 			}
 		}
 	}
 	httpapi.ErrorCode(w, http.StatusBadGateway, httpapi.CodeUpstream,
 		"stream %q: no replica answered the watch: %v", id, lastErr)
-	return http.StatusBadGateway
 }
 
 // streamList gathers the live stream ids across the whole fleet:
 // streams shard by id, so no single replica knows the full set.
 // Replicas that fail to answer are skipped — the list is a best-effort
 // operator view, not a transactional one.
-func (g *Gate) streamList(w http.ResponseWriter, r *http.Request) int {
+func (g *Gate) streamList(w http.ResponseWriter, r *http.Request) {
 	f := g.cfg.Table.Fleet()
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
 	defer cancel()
@@ -199,7 +182,7 @@ func (g *Gate) streamList(w http.ResponseWriter, r *http.Request) int {
 	if answered == 0 {
 		httpapi.ErrorCode(w, http.StatusBadGateway, httpapi.CodeUpstream,
 			"no replica answered the stream listing")
-		return http.StatusBadGateway
+		return
 	}
 	ids := make([]string, 0, len(seen))
 	for id := range seen {
@@ -208,5 +191,4 @@ func (g *Gate) streamList(w http.ResponseWriter, r *http.Request) int {
 	sort.Strings(ids)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{"streams": ids, "active": len(ids)})
-	return http.StatusOK
 }

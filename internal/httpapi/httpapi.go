@@ -14,6 +14,10 @@
 // explanation, and `retry_after_ms` appears exactly when the response
 // also carries a Retry-After header — same value, finer unit, so
 // clients that only read bodies still see honest backpressure hints.
+//
+// Its other half is Observe (observe.go), the middleware both tiers
+// install once: every /v1 request is counted and logged there and
+// nowhere else.
 package httpapi
 
 import (
@@ -172,6 +176,17 @@ func BodyError(w http.ResponseWriter, err error) int {
 	}
 	Error(w, http.StatusBadRequest, "request body: %v", err)
 	return http.StatusBadRequest
+}
+
+// ModelParam returns the ?model= parameter of the routes that require
+// one (/v1/score, /v1/reload); when it is missing it writes the 400 and
+// reports false.
+func ModelParam(w http.ResponseWriter, r *http.Request) (string, bool) {
+	name := r.URL.Query().Get("model")
+	if name == "" {
+		Error(w, http.StatusBadRequest, "missing ?model= parameter")
+	}
+	return name, name != ""
 }
 
 // NDJSONContentType is the content type of the line-delimited JSON

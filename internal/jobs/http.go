@@ -53,18 +53,6 @@ func (a *API) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/jobs/{id}/results", httpapi.MethodNotAllowed("GET"))
 }
 
-// submitRequest is the JSON submit body. Samples use the same shape as
-// the synchronous scoring request; Chunk optionally overrides the
-// manager's chunk size.
-type submitRequest struct {
-	Model   string `json:"model"`
-	Chunk   int    `json:"chunk,omitempty"`
-	Samples []struct {
-		Times  []float64   `json:"times"`
-		Values [][]float64 `json:"values"`
-	} `json:"samples"`
-}
-
 // submitResponse is the 202 body: the handle plus the two URLs a client
 // needs next.
 type submitResponse struct {
@@ -91,68 +79,36 @@ type ResultEnd struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// decodeSubmit negotiates the submit codec the same way the synchronous
-// scoring endpoint does: application/x-mfod-wire is the binary curve
-// frame (model and chunk ride the query string, the frame has no room
-// for them), anything else is the JSON body.
-func (a *API) decodeSubmit(w http.ResponseWriter, r *http.Request) (model string, ds fda.Dataset, chunk int, ok bool) {
+// handleSubmit accepts a job. The body is a curve body of either codec
+// (wire.DecodeBody). A JSON body may name the model and chunk size
+// itself; otherwise, and always for a frame, which has no room for
+// them, they ride the query string.
+func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	maxBytes := a.MaxBodyBytes
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
 	}
-	body := http.MaxBytesReader(w, r.Body, maxBytes)
-	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
-	if strings.TrimSpace(ct) == wire.ContentType {
-		raw, err := io.ReadAll(body)
-		if err != nil {
-			httpapi.BodyError(w, err)
-			return "", ds, 0, false
-		}
-		req, err := wire.DecodeRequest(raw)
-		if err != nil {
-			httpapi.Error(w, http.StatusBadRequest, "decode body: %v", err)
-			return "", ds, 0, false
-		}
-		model = r.URL.Query().Get("model")
-		if cs := r.URL.Query().Get("chunk"); cs != "" {
-			n, err := strconv.Atoi(cs)
-			if err != nil || n < 0 {
-				httpapi.Error(w, http.StatusBadRequest, "bad chunk %q", cs)
-				return "", ds, 0, false
-			}
-			chunk = n
-		}
-		return model, req.Dataset, chunk, true
-	}
-	var req submitRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	if err != nil {
 		httpapi.BodyError(w, err)
-		return "", ds, 0, false
+		return
 	}
-	ds = fda.Dataset{Samples: make([]fda.Sample, len(req.Samples))}
-	for i, sm := range req.Samples {
-		ds.Samples[i] = fda.Sample{Times: sm.Times, Values: sm.Values}
+	body, err := wire.DecodeBody(r.Header.Get("Content-Type"), raw)
+	if err != nil {
+		httpapi.Error(w, http.StatusBadRequest, "decode body: %v", err)
+		return
 	}
-	model = req.Model
+	model, chunk, ds := body.Model, body.Chunk, body.Dataset
 	if model == "" {
 		model = r.URL.Query().Get("model")
 	}
-	chunk = req.Chunk
 	if cs := r.URL.Query().Get("chunk"); chunk == 0 && cs != "" {
 		n, err := strconv.Atoi(cs)
 		if err != nil || n < 0 {
 			httpapi.Error(w, http.StatusBadRequest, "bad chunk %q", cs)
-			return "", ds, 0, false
+			return
 		}
 		chunk = n
-	}
-	return model, ds, chunk, true
-}
-
-func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	model, ds, chunk, ok := a.decodeSubmit(w, r)
-	if !ok {
-		return
 	}
 	if model == "" {
 		httpapi.Error(w, http.StatusBadRequest, "missing model (body field or ?model=)")

@@ -35,16 +35,7 @@ func bootAPI(t *testing.T, opt Options, api *API) *httptest.Server {
 
 func jsonSubmitBody(t *testing.T, model string, ds fda.Dataset, chunk int) *bytes.Reader {
 	t.Helper()
-	req := submitRequest{Model: model, Chunk: chunk}
-	req.Samples = make([]struct {
-		Times  []float64   `json:"times"`
-		Values [][]float64 `json:"values"`
-	}, len(ds.Samples))
-	for i, s := range ds.Samples {
-		req.Samples[i].Times = s.Times
-		req.Samples[i].Values = s.Values
-	}
-	b, err := json.Marshal(req)
+	b, err := wire.EncodeJSON(wire.Body{Request: wire.Request{Dataset: ds}, Model: model, Chunk: chunk})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,13 @@
 //     the whole set, regardless of chunking, interleaving or retries.
 //
 //   - Bounded appetite. A job holds at most Options.Tokens chunks in
-//     flight, so a million-curve job trickles through the same
-//     pool/batcher as interactive traffic instead of flooding it; the
-//     AIMD limiter and bounded queue stay in charge, and a shed chunk
-//     (429) is simply retried with backoff.
+//     flight, so a million-curve job trickles through the serving tier
+//     instead of flooding it. On a replica, each chunk of its own jobs
+//     enters the worker pool's bounded queue directly; a full queue is
+//     transient and the chunk is retried with backoff. On the gate,
+//     chunks are scattered to the replicas as /v1/score requests, so
+//     they meet each replica's AIMD limiter and queue like interactive
+//     traffic, and a shed chunk (429) is likewise retried.
 //
 // Results stream incrementally: scores[:frontier] — the contiguous
 // prefix of finished chunks — is final the moment it exists, which is

@@ -114,7 +114,8 @@ func NewServer(cfg Config) (*Server, error) {
 // sequence: Drain → http.Server.Shutdown → Pool.Close.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Handler returns the routing handler.
+// Handler returns the routing handler. Every /v1 request is counted
+// under mfod_requests_total and logged by httpapi.Observe.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -139,9 +140,9 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/models", s.handleList)
 	mux.HandleFunc("/v1/models", httpapi.MethodNotAllowed("GET"))
-	mux.HandleFunc("POST /v1/score", s.handleScoreV1)
+	mux.HandleFunc("POST /v1/score", s.handleScore)
 	mux.HandleFunc("/v1/score", httpapi.MethodNotAllowed("POST"))
-	mux.HandleFunc("POST /v1/reload", s.handleReloadV1)
+	mux.HandleFunc("POST /v1/reload", s.handleReload)
 	mux.HandleFunc("/v1/reload", httpapi.MethodNotAllowed("POST"))
 	mux.HandleFunc("GET /v1/models/{name}", s.handleModel)
 	mux.HandleFunc("/v1/models/{name}", httpapi.MethodNotAllowed("GET"))
@@ -161,19 +162,11 @@ func (s *Server) Handler() http.Handler {
 		api.Register(mux)
 	}
 	if s.cfg.Streams != nil {
-		api := &stream.API{
-			Manager: s.cfg.Streams,
-			Admit:   s.streamAdmit,
-			Observe: func(code int, dur time.Duration) {
-				// One constant label keeps the per-model cardinality of
-				// mfod_requests_total away from per-stream explosion.
-				s.cfg.Metrics.ObserveRequest("(stream)", code, dur.Seconds())
-			},
-		}
+		api := &stream.API{Manager: s.cfg.Streams, Admit: s.streamAdmit}
 		api.Register(mux)
 	}
 	mux.HandleFunc("/", httpapi.NotFound)
-	return mux
+	return httpapi.Observe(mux, s.cfg.Logger, s.cfg.Metrics.ObserveRequest)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -214,34 +207,6 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string][]modelInfo{"models": infos})
 }
 
-// modelParam extracts the canonical routes' ?model= parameter.
-func modelParam(w http.ResponseWriter, r *http.Request) (string, bool) {
-	name := r.URL.Query().Get("model")
-	if name == "" {
-		httpapi.Error(w, http.StatusBadRequest, "missing ?model= parameter")
-		return "", false
-	}
-	return name, true
-}
-
-// handleScoreV1 is the canonical scoring route POST /v1/score?model=.
-func (s *Server) handleScoreV1(w http.ResponseWriter, r *http.Request) {
-	name, ok := modelParam(w, r)
-	if !ok {
-		return
-	}
-	s.handleScore(w, r, name)
-}
-
-// handleReloadV1 is the canonical reload route POST /v1/reload?model=.
-func (s *Server) handleReloadV1(w http.ResponseWriter, r *http.Request) {
-	name, ok := modelParam(w, r)
-	if !ok {
-		return
-	}
-	s.handleReload(w, r, name)
-}
-
 // handleModel serves one model's metadata, GET /v1/models/{name}.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
@@ -253,37 +218,24 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, describe(m))
 }
 
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request, name string) {
-	start := time.Now()
-	code := http.StatusOK
+// handleReload is the hot-reload route POST /v1/reload?model=.
+func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+	name, ok := httpapi.ModelParam(w, r)
+	if !ok {
+		return
+	}
 	err := s.cfg.Registry.Reload(name)
 	switch {
 	case errors.Is(err, ErrUnknownModel):
-		code = http.StatusNotFound
-		httpapi.Error(w, code, "unknown model %q", name)
+		httpapi.Error(w, http.StatusNotFound, "unknown model %q", name)
 	case err != nil:
 		// The previous snapshot keeps serving; tell the operator why the
 		// swap was refused.
-		code = http.StatusInternalServerError
-		httpapi.Error(w, code, "reload failed, previous model still serving: %v", err)
+		httpapi.Error(w, http.StatusInternalServerError, "reload failed, previous model still serving: %v", err)
 	default:
 		s.cfg.Metrics.ObserveReload(name)
 		writeJSON(w, map[string]string{"reloaded": name})
 	}
-	s.cfg.Metrics.ObserveRequest(name, code, time.Since(start).Seconds())
-	s.log(r, name, code, start, 0)
-}
-
-// scoreRequest is the body of the scoring routes. Samples use the same
-// shape as the dataset JSON files written by this repository.
-type scoreRequest struct {
-	Samples []struct {
-		Times  []float64   `json:"times"`
-		Values [][]float64 `json:"values"`
-	} `json:"samples"`
-	// Explain asks for the top-k most deviating grid positions per
-	// sample; 0 disables. Requires a model fitted with Standardize.
-	Explain int `json:"explain,omitempty"`
 }
 
 type jsonExplanation struct {
@@ -299,92 +251,62 @@ type scoreResponse struct {
 	ElapsedMs    float64             `json:"elapsedMs"`
 }
 
-// countingReader counts the bytes a JSON decode actually consumed, so
-// the request-size histogram reflects wire traffic, not Content-Length
-// headers that chunked clients omit.
-type countingReader struct {
-	r io.Reader
-	n int
+// decodeScoreBody reads the request body and decodes its curves under
+// the codec its Content-Type names (wire.DecodeBody). A zero return
+// code means success; otherwise the error response has already been
+// written. The body size is recorded under its codec label, and the
+// X-Mfod-Codec response header echoes which codec this hop decoded.
+func (s *Server) decodeScoreBody(w http.ResponseWriter, r *http.Request) (wire.Body, int) {
+	ct := r.Header.Get("Content-Type")
+	codec := "json"
+	if wire.IsFrame(ct) {
+		codec = "wire"
+	}
+	w.Header().Set(httpapi.CodecHeader, codec)
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		return wire.Body{}, httpapi.BodyError(w, err)
+	}
+	s.cfg.Metrics.ObserveRequestBytes(codec, len(raw))
+	body, err := wire.DecodeBody(ct, raw)
+	if err != nil {
+		httpapi.Error(w, http.StatusBadRequest, "decode body: %v", err)
+		return wire.Body{}, http.StatusBadRequest
+	}
+	return body, 0
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += n
-	return n, err
-}
-
-// decodeScoreBody negotiates the request codec by Content-Type —
-// application/x-mfod-wire selects the internal/wire binary frame,
-// anything else is the JSON body documented on scoreRequest — and
-// decodes the curves. A zero return code means success; otherwise the
-// error response has already been written. Either way the body size is
-// recorded under its codec label, and the X-Mfod-Codec response header
-// echoes which codec this hop actually decoded.
-func (s *Server) decodeScoreBody(w http.ResponseWriter, r *http.Request) (ds fda.Dataset, explain, code int) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
-	if strings.TrimSpace(ct) == wire.ContentType {
-		w.Header().Set(httpapi.CodecHeader, "wire")
-		raw, err := io.ReadAll(body)
-		if err != nil {
-			return ds, 0, httpapi.BodyError(w, err)
-		}
-		s.cfg.Metrics.ObserveRequestBytes("wire", len(raw))
-		req, err := wire.DecodeRequest(raw)
-		if err != nil {
-			httpapi.Error(w, http.StatusBadRequest, "decode body: %v", err)
-			return ds, 0, http.StatusBadRequest
-		}
-		return req.Dataset, req.Explain, 0
+// handleScore is the scoring route POST /v1/score?model=.
+func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
+	name, ok := httpapi.ModelParam(w, r)
+	if !ok {
+		return
 	}
-	w.Header().Set(httpapi.CodecHeader, "json")
-	cr := &countingReader{r: body}
-	var req scoreRequest
-	if err := json.NewDecoder(cr).Decode(&req); err != nil {
-		return ds, 0, httpapi.BodyError(w, err)
-	}
-	s.cfg.Metrics.ObserveRequestBytes("json", cr.n)
-	ds = fda.Dataset{Samples: make([]fda.Sample, len(req.Samples))}
-	for i, sm := range req.Samples {
-		ds.Samples[i] = fda.Sample{Times: sm.Times, Values: sm.Values}
-	}
-	return ds, req.Explain, 0
-}
-
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, name string) {
 	start := time.Now()
 	s.cfg.Metrics.IncInflight()
 	defer s.cfg.Metrics.DecInflight()
-	code, samples := 0, 0
-	defer func() {
-		s.cfg.Metrics.ObserveRequest(name, code, time.Since(start).Seconds())
-		s.log(r, name, code, start, samples)
-	}()
 	// Admission control runs before any body is read: shedding is only
 	// cheap if it spends no decode or scoring work on the shed request.
 	forced := faultinject.Hit(FaultShed) != nil
 	if forced || (s.cfg.Limiter != nil && !s.cfg.Limiter.Acquire()) {
-		code = s.shed(w)
+		s.shed(w)
 		return
 	}
+	code := s.score(w, r, name, start)
 	if s.cfg.Limiter != nil {
-		defer func() {
-			s.cfg.Limiter.Release(time.Since(start),
-				code == http.StatusGatewayTimeout || code == http.StatusTooManyRequests)
-		}()
+		s.cfg.Limiter.Release(time.Since(start),
+			code == http.StatusGatewayTimeout || code == http.StatusTooManyRequests)
 	}
-	code, samples = s.score(w, r, name, start)
 }
 
 // shed rejects one request at admission with a 429 whose Retry-After
-// reflects measured queue pressure, and returns the status written.
-func (s *Server) shed(w http.ResponseWriter) int {
+// reflects measured queue pressure.
+func (s *Server) shed(w http.ResponseWriter) {
 	retryAfter := s.cfg.Pool.RetryAfter()
 	httpapi.ErrorRetry(w, http.StatusTooManyRequests, httpapi.CodeOverloaded,
 		time.Duration(retryAfter)*time.Second,
 		"server overloaded (adaptive concurrency limit), retry in ~%ds", retryAfter)
 	s.cfg.Metrics.IncShed()
-	return http.StatusTooManyRequests
 }
 
 // unscorable reports whether a scoring error says the model cannot
@@ -412,41 +334,42 @@ func wantsScoresFrame(r *http.Request) bool {
 }
 
 // score runs one scoring request and returns the status code it wrote.
-func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, start time.Time) (code, samples int) {
+func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, start time.Time) int {
 	// Parse the propagated deadline before touching the body: a request
 	// whose caller has already given up must cost nothing further.
 	budget, berr := resilience.BudgetFromHeader(r.Header)
 	if berr != nil {
 		httpapi.Error(w, http.StatusBadRequest, "%v", berr)
-		return http.StatusBadRequest, 0
+		return http.StatusBadRequest
 	}
 	if budget != nil && budget.Expired() {
 		httpapi.Error(w, http.StatusGatewayTimeout, "deadline in %s already expired", resilience.DeadlineHeader)
-		return http.StatusGatewayTimeout, 0
+		return http.StatusGatewayTimeout
 	}
 	m, ok := s.cfg.Registry.Get(name)
 	if !ok {
 		httpapi.Error(w, http.StatusNotFound, "unknown model %q", name)
-		return http.StatusNotFound, 0
+		return http.StatusNotFound
 	}
-	ds, explain, code := s.decodeScoreBody(w, r)
+	body, code := s.decodeScoreBody(w, r)
 	if code != 0 {
-		return code, len(ds.Samples)
+		return code
 	}
+	ds := body.Dataset
 	// Sanitize before any numeric work: NaN/Inf samples, ragged or empty
 	// grids and oversized requests never reach the smoothing layer. Both
 	// codecs pass through here — the binary decoder checks frame shape,
 	// not curve invariants.
 	if verr := sanitizeDataset(ds, s.cfg.MaxSamples, s.cfg.MaxPoints); verr != nil {
 		httpapi.Error(w, http.StatusBadRequest, "%v", verr)
-		return http.StatusBadRequest, len(ds.Samples)
+		return http.StatusBadRequest
 	}
 	timeout := s.cfg.Timeout
 	if qs := r.URL.Query().Get("timeout"); qs != "" {
 		d, err := time.ParseDuration(qs)
 		if err != nil || d <= 0 {
 			httpapi.Error(w, http.StatusBadRequest, "bad timeout %q", qs)
-			return http.StatusBadRequest, len(ds.Samples)
+			return http.StatusBadRequest
 		}
 		if d < timeout {
 			timeout = d
@@ -461,7 +384,7 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, star
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	job, err := s.cfg.Pool.Enqueue(ctx, m, ds, explain)
+	job, err := s.cfg.Pool.Enqueue(ctx, m, ds, body.Explain)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Retry-After reflects measured queue pressure — depth over drain
@@ -469,21 +392,21 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, star
 		ra := s.cfg.Pool.RetryAfter()
 		httpapi.ErrorRetry(w, http.StatusTooManyRequests, httpapi.CodeOverloaded,
 			time.Duration(ra)*time.Second, "scoring queue full, retry later")
-		return http.StatusTooManyRequests, len(ds.Samples)
+		return http.StatusTooManyRequests
 	case errors.Is(err, ErrPoolClosed):
 		httpapi.Error(w, http.StatusServiceUnavailable, "server shutting down")
-		return http.StatusServiceUnavailable, len(ds.Samples)
+		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		httpapi.Error(w, http.StatusGatewayTimeout, "deadline expired before scoring started")
-		return http.StatusGatewayTimeout, len(ds.Samples)
+		return http.StatusGatewayTimeout
 	case err != nil:
 		httpapi.Error(w, http.StatusInternalServerError, "enqueue: %v", err)
-		return http.StatusInternalServerError, len(ds.Samples)
+		return http.StatusInternalServerError
 	}
 	res, done := job.Wait(ctx)
 	if !done || errors.Is(res.Err, context.DeadlineExceeded) {
 		httpapi.Error(w, http.StatusGatewayTimeout, "scoring did not finish within %v", timeout)
-		return http.StatusGatewayTimeout, len(ds.Samples)
+		return http.StatusGatewayTimeout
 	}
 	if res.Err != nil {
 		code := http.StatusInternalServerError
@@ -491,7 +414,7 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, star
 			code = http.StatusUnprocessableEntity
 		}
 		httpapi.Error(w, code, "score: %v", res.Err)
-		return code, len(ds.Samples)
+		return code
 	}
 	if res.Explanations == nil && wantsScoresFrame(r) {
 		// Binary response path for the scatter/gather inner hop: the
@@ -502,13 +425,13 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, star
 			n, err := strconv.Atoi(qs)
 			if err != nil || n < 0 {
 				httpapi.Error(w, http.StatusBadRequest, "bad start %q", qs)
-				return http.StatusBadRequest, len(ds.Samples)
+				return http.StatusBadRequest
 			}
 			frameStart = n
 		}
 		w.Header().Set("Content-Type", wire.ScoresContentType)
 		w.Write(wire.EncodeScores(wire.Scores{Start: frameStart, Values: res.Scores}))
-		return http.StatusOK, len(ds.Samples)
+		return http.StatusOK
 	}
 	resp := scoreResponse{
 		Model:     name,
@@ -526,16 +449,5 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, star
 		}
 	}
 	writeJSON(w, resp)
-	return http.StatusOK, len(ds.Samples)
-}
-
-func (s *Server) log(r *http.Request, model string, code int, start time.Time, samples int) {
-	s.cfg.Logger.Info("request",
-		"method", r.Method,
-		"path", r.URL.Path,
-		"model", model,
-		"code", code,
-		"samples", samples,
-		"durMs", float64(time.Since(start).Microseconds())/1000,
-	)
+	return http.StatusOK
 }

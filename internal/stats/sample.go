@@ -2,37 +2,6 @@ package stats
 
 import "math/rand"
 
-// Shuffle permutes idx in place using rng.
-func Shuffle(rng *rand.Rand, idx []int) {
-	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-}
-
-// SampleWithoutReplacement returns k distinct indices drawn uniformly from
-// 0..n-1. It returns all n indices (shuffled) when k >= n and nil when
-// k <= 0.
-func SampleWithoutReplacement(rng *rand.Rand, n, k int) []int {
-	if k <= 0 || n <= 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	perm := rng.Perm(n)
-	return perm[:k]
-}
-
-// Bootstrap returns k indices drawn uniformly with replacement from 0..n-1.
-func Bootstrap(rng *rand.Rand, n, k int) []int {
-	if k <= 0 || n <= 0 {
-		return nil
-	}
-	out := make([]int, k)
-	for i := range out {
-		out[i] = rng.Intn(n)
-	}
-	return out
-}
-
 // SplitSeed derives a stream of independent sub-seeds from one master seed,
 // so parallel experiment repetitions are reproducible regardless of
 // scheduling. It uses the SplitMix64 finalizer.

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -188,53 +187,6 @@ func TestStandardize(t *testing.T) {
 	for _, v := range z {
 		if v != 0 {
 			t.Fatalf("constant standardize = %v", z)
-		}
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	idx := []int{0, 1, 2, 3, 4, 5}
-	Shuffle(rng, idx)
-	sorted := append([]int{}, idx...)
-	sort.Ints(sorted)
-	for i, v := range sorted {
-		if v != i {
-			t.Fatalf("Shuffle is not a permutation: %v", idx)
-		}
-	}
-}
-
-func TestSampleWithoutReplacement(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	got := SampleWithoutReplacement(rng, 10, 4)
-	if len(got) != 4 {
-		t.Fatalf("len = %d want 4", len(got))
-	}
-	seen := map[int]bool{}
-	for _, v := range got {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid or duplicate index %d in %v", v, got)
-		}
-		seen[v] = true
-	}
-	if got := SampleWithoutReplacement(rng, 3, 10); len(got) != 3 {
-		t.Fatalf("oversized k should clamp to n, got %d", len(got))
-	}
-	if SampleWithoutReplacement(rng, 3, 0) != nil {
-		t.Fatal("k<=0 should give nil")
-	}
-}
-
-func TestBootstrapRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	got := Bootstrap(rng, 5, 20)
-	if len(got) != 20 {
-		t.Fatalf("len = %d want 20", len(got))
-	}
-	for _, v := range got {
-		if v < 0 || v >= 5 {
-			t.Fatalf("index %d out of range", v)
 		}
 	}
 }

@@ -28,8 +28,6 @@ type API struct {
 	// request with a 429 envelope (internal/serve wires the serve.shed
 	// fault point and overload control here).
 	Admit func() error
-	// Observe, when set, sees every response's status code and latency.
-	Observe func(code int, dur time.Duration)
 }
 
 func (a *API) maxBody() int64 {
@@ -42,47 +40,16 @@ func (a *API) maxBody() int64 {
 // Register mounts the routes. Method-less patterns answer 405 with an
 // Allow header, matching the rest of the v1 surface.
 func (a *API) Register(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/streams/{id}/append", a.observed(a.handleAppend))
+	mux.HandleFunc("POST /v1/streams/{id}/append", a.handleAppend)
 	mux.HandleFunc("/v1/streams/{id}/append", httpapi.MethodNotAllowed("POST"))
-	mux.HandleFunc("GET /v1/streams/{id}/score", a.observed(a.handleScore))
+	mux.HandleFunc("GET /v1/streams/{id}/score", a.handleScore)
 	mux.HandleFunc("/v1/streams/{id}/score", httpapi.MethodNotAllowed("GET"))
-	mux.HandleFunc("GET /v1/streams/{id}", a.observed(a.handleStatus))
-	mux.HandleFunc("DELETE /v1/streams/{id}", a.observed(a.handleDelete))
+	mux.HandleFunc("GET /v1/streams/{id}", a.handleStatus)
+	mux.HandleFunc("DELETE /v1/streams/{id}", a.handleDelete)
 	mux.HandleFunc("/v1/streams/{id}", httpapi.MethodNotAllowed("GET, DELETE"))
-	mux.HandleFunc("GET /v1/streams", a.observed(a.handleList))
-	mux.HandleFunc("GET /v1/streams/{$}", a.observed(a.handleList))
+	mux.HandleFunc("GET /v1/streams", a.handleList)
+	mux.HandleFunc("GET /v1/streams/{$}", a.handleList)
 	mux.HandleFunc("/v1/streams", httpapi.MethodNotAllowed("GET"))
-}
-
-// statusWriter records the status code for the Observe hook.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the wrapped writer so NDJSON watches stay
-// per-line-flushed through the wrapper.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (a *API) observed(h http.HandlerFunc) http.HandlerFunc {
-	if a.Observe == nil {
-		return h
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
-		h(sw, r)
-		a.Observe(sw.code, time.Since(start))
-	}
 }
 
 // appendRequest is the append body. Model is required on the stream's

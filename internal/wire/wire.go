@@ -1,6 +1,8 @@
-// Package wire implements the binary curve encoding spoken on the hot
-// wire between scoring clients, the mfodgate front tier and mfodserve
-// replicas. JSON number formatting costs ~2.5 bytes per digit of every
+// Package wire owns the curve body of the scoring and jobs routes in
+// both codecs: the JSON body and its validating decode (body.go), and
+// the binary curve encoding spoken on the hot wire between scoring
+// clients, the mfodgate front tier and mfodserve replicas (this file).
+// JSON number formatting costs ~2.5 bytes per digit of every
 // float64; the binary frame carries the same curves as raw
 // little-endian IEEE-754 columns at a fixed 8 bytes per value, cutting
 // request bodies to well under half their JSON size (see
