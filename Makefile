@@ -110,12 +110,13 @@ bench-streaming:
 # 30-second fuzz smoke on the B-spline evaluator (knot-boundary and
 # derivative edge cases); the corpus lives in internal/bspline/testdata.
 # The span-fit fuzzer holds the smoother, whose design products skip
-# each row's zeros, bitwise to the same fit on a dense design (knot and
-# one-ulp grids, orders 1–8, signed zeros, subnormals, huge values and
-# λ, Fourier bases). The stream-append fuzzer throws hostile HTTP
-# bodies (NaN/Inf, out-of-order, oversized, garbage) at the streaming
-# surface and checks envelope discipline plus a state-corruption
-# oracle. The wire-decode fuzzer feeds untrusted binary frames to the
+# each row's zeros, bitwise to the same fit on a dense design whose hat
+# diagonal comes from a plain reference of the selected-inverse
+# recursion (knot and one-ulp grids, orders 1–8, signed zeros,
+# subnormals, huge values and λ, Fourier bases). The stream-append
+# fuzzer throws hostile HTTP bodies (NaN/Inf, out-of-order, oversized,
+# garbage, junk after the value) at the streaming surface and checks
+# envelope discipline plus a state-corruption oracle. The wire-decode fuzzer feeds untrusted binary frames to the
 # request decoder: it must fail with ErrWire, never panic or
 # over-allocate, and a frame that decodes must re-encode to the same
 # bytes. The request-decode fuzzer feeds untrusted JSON bodies to the

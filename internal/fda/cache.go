@@ -1,6 +1,7 @@
 package fda
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -234,7 +235,7 @@ func (c *BasisCache) spanDesign(b *bspline.BSpline, ts []float64, deriv int) *li
 // factorizations.
 type fitEntry struct {
 	basis     bspline.Basis
-	bandwidth int // band of ΦᵀΦ + λR; -1 means dense
+	bandwidth int // band of ΦᵀΦ + λR
 	ts        []float64
 	phi       *linalg.SpanMatrix
 	gram      *linalg.Dense
@@ -269,10 +270,10 @@ func (pen *penalty) matrix(basis bspline.Basis, q int) (*linalg.Dense, error) {
 // lambdaFactor is one factorized system ΦᵀΦ + λR plus the hat-matrix
 // diagonal H_jj = φ(t_j)ᵀ (ΦᵀΦ + λR)⁻¹ φ(t_j) and its trace, which
 // depend only on the design, never on the fitted sample. err records a
-// factorization that failed even after the ridge retry; the λ candidate
-// is then skipped exactly as in the sequential seed path.
+// factorization that failed even after the ridge retry, or a hat
+// diagonal that is not finite; the λ candidate is then skipped.
 type lambdaFactor struct {
-	solver spdSolver
+	solver *linalg.BandCholesky
 	hat    []float64
 	trH    float64
 	err    error
@@ -284,12 +285,12 @@ type lambdaFactor struct {
 // for one fit). pen is the cache's shared penalty slot, or a fresh one
 // when no cache is in play.
 func newFitEntry(basis bspline.Basis, ts []float64, q int, pen *penalty) *fitEntry {
-	e := &fitEntry{basis: basis, ts: ts, q: q, pen: pen, bandwidth: -1}
+	// Any other basis fills the whole lower triangle (bandwidth L−1).
+	e := &fitEntry{basis: basis, ts: ts, q: q, pen: pen, bandwidth: basis.Dim() - 1}
 	if bs, ok := basis.(*bspline.BSpline); ok {
 		// B-spline normal equations are banded with bandwidth order−1
-		// (local support), so the factorization and the hat-diagonal
-		// solves run in O(L·k²) and O(m·L·k) instead of O(L³) and
-		// O(m·L²).
+		// (local support), so the factorization and the hat diagonal
+		// run in O(L·k²) instead of O(L³).
 		e.bandwidth = bs.Order() - 1
 	}
 	// Each design row keeps only its k = order nonzero values, so the
@@ -325,49 +326,77 @@ func (e *fitEntry) lambdaFactorFor(lambda float64) *lambdaFactor {
 	return lf
 }
 
-// buildLambdaFactor assembles ΦᵀΦ + λR, factors it (with the seed
-// path's tiny-ridge retry on semi-definite systems), and precomputes the
-// hat diagonal. Caller must hold e.mu.
+// buildLambdaFactor factors ΦᵀΦ + λR and precomputes the hat
+// diagonal. A λ whose hat diagonal is not finite fails like a failed
+// factorization. Caller must hold e.mu.
 func (e *fitEntry) buildLambdaFactor(lambda float64) *lambdaFactor {
-	L := e.basis.Dim()
-	a := e.gram.Clone()
-	if lambda > 0 {
-		penalty, err := e.pen.matrix(e.basis, e.q)
-		if err != nil {
-			return &lambdaFactor{err: err}
-		}
-		for i := 0; i < L; i++ {
-			ai := a.Row(i)
-			pi := penalty.Row(i)
-			for j := 0; j < L; j++ {
-				ai[j] += lambda * pi[j]
-			}
-		}
-	}
-	ch, err := factorSPD(a, e.bandwidth)
+	ch, err := e.factor(lambda)
 	if err != nil {
-		// Semi-definite system (e.g. λ = 0 with near-collinear columns);
-		// add a tiny ridge and retry once.
-		ridged := a.Clone()
-		eps := 1e-9 * (1 + a.MaxAbs())
-		for i := 0; i < L; i++ {
-			ridged.Set(i, i, ridged.At(i, i)+eps)
-		}
-		ch, err = factorSPD(ridged, e.bandwidth)
-		if err != nil {
-			return &lambdaFactor{err: err}
-		}
+		return &lambdaFactor{err: err}
 	}
 	// Hat diagonal H_jj = φ(t_j)ᵀ (ΦᵀΦ + λR)⁻¹ φ(t_j), done once per
-	// (basis, λ) instead of once per sample; a banded factor works over
-	// each design row's support (linalg.BandCholesky.HatDiag).
+	// (basis, λ) instead of once per sample.
 	hat := make([]float64, len(e.ts))
 	if err := ch.HatDiag(e.phi, hat); err != nil {
 		return &lambdaFactor{err: err}
+	}
+	if !finite(hat) {
+		return &lambdaFactor{err: fmt.Errorf("fda: hat diagonal for λ = %g is not finite: %w", lambda, ErrFit)}
 	}
 	var trH float64
 	for _, h := range hat {
 		trH += h
 	}
 	return &lambdaFactor{solver: ch, hat: hat, trH: trH}
+}
+
+// factor assembles ΦᵀΦ + λR straight into band storage and factors it
+// in place, with the seed path's tiny-ridge retry on semi-definite
+// systems.
+func (e *fitEntry) factor(lambda float64) (*linalg.BandCholesky, error) {
+	var r *linalg.Dense
+	if lambda > 0 {
+		var err error
+		if r, err = e.pen.matrix(e.basis, e.q); err != nil {
+			return nil, err
+		}
+	}
+	L, k := e.basis.Dim(), e.bandwidth
+	band := make([]float64, L*(k+1))
+	peak := e.assemble(band, lambda, r)
+	ch, err := linalg.NewBandCholesky(L, k, band)
+	if err == nil {
+		return ch, nil
+	}
+	// Semi-definite system (e.g. λ = 0 with near-collinear columns); add
+	// a tiny ridge and retry once.
+	e.assemble(band, lambda, r)
+	eps := 1e-9 * (1 + peak)
+	for i := 0; i < L; i++ {
+		band[i*(k+1)+k] += eps
+	}
+	return linalg.NewBandCholesky(L, k, band)
+}
+
+// assemble writes the lower band of ΦᵀΦ + λR into band (r is R, or nil
+// when λ = 0) and returns its largest magnitude. That is the largest
+// magnitude of the whole matrix: both terms are symmetric, and off the
+// band of a B-spline system they are exact +0.
+func (e *fitEntry) assemble(band []float64, lambda float64, r *linalg.Dense) float64 {
+	L, k := e.basis.Dim(), e.bandwidth
+	var peak float64
+	for i := 0; i < L; i++ {
+		gi, row := e.gram.Row(i), band[i*(k+1):(i+1)*(k+1)]
+		for j := max(0, i-k); j <= i; j++ {
+			v := gi[j]
+			if r != nil {
+				v += lambda * r.At(i, j)
+			}
+			row[j-i+k] = v
+			if a := math.Abs(v); a > peak {
+				peak = a
+			}
+		}
+	}
+	return peak
 }

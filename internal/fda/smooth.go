@@ -450,21 +450,6 @@ func finite(xs []float64) bool {
 	return true
 }
 
-// spdSolver abstracts the dense and banded Cholesky factorizations.
-type spdSolver interface {
-	SolveInto(b, x []float64) error
-	HatDiag(phi *linalg.SpanMatrix, h []float64) error
-}
-
-// factorSPD picks the banded factorization when the caller knows the
-// matrix bandwidth (B-spline bases) and the dense one otherwise.
-func factorSPD(a *linalg.Dense, bandwidth int) (spdSolver, error) {
-	if bandwidth >= 0 {
-		return linalg.NewBandCholesky(a, bandwidth)
-	}
-	return linalg.NewCholesky(a)
-}
-
 // FitDataset fits every sample of the dataset, fixing the basis domain to
 // the dataset's global domain so all fits are comparable on one grid.
 //

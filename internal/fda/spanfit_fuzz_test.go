@@ -13,7 +13,9 @@ import (
 
 // FuzzSpanFit holds FitSample, which runs every design product over
 // span-compact rows, to denseFit, the same fit on a dense design: the
-// oracle for "skipping each row's zeros changes no bit". Inputs:
+// oracle for "skipping each row's zeros changes no bit". denseFit takes
+// each hat diagonal with refHatDiag, the plain form of the hat kernel's
+// recursion, from its own factor. Inputs:
 //
 //   - grids with points on the knots of the first candidate basis and
 //     one ulp to either side of them, including just outside [0, 1];
@@ -40,6 +42,11 @@ func FuzzSpanFit(f *testing.F) {
 	f.Add(uint8(0x83), uint8(5), false, []byte{12, 0, 11, 10},
 		[]byte{0, 2, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41},
 		binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e300)), math.Float64bits(-5e-324)))
+	// A finite factor whose inverse overflows: λ = 5e-324 leaves the
+	// middle basis function, which no point reaches, a pivot near
+	// 1e-161, so S₁₁ is +Inf and 0·Inf makes the hat diagonal NaN. That
+	// λ must be skipped, not selected; 1e-4 fits.
+	f.Add(uint8(2), uint8(0), false, []byte{1, 6}, []byte{}, []byte{})
 	// Fourier: odd and even sizes, the latter failing to build.
 	f.Add(uint8(2), uint8(3+13*4), true, []byte{4, 6}, []byte{0, 6, 10, 16, 20, 26, 30, 36, 40, 46}, []byte{})
 	f.Add(uint8(4), uint8(6), true, []byte{12, 5}, []byte{1, 5, 9, 13, 17, 21, 25, 29}, []byte{})
@@ -196,11 +203,11 @@ func diffCurveFit(got, want *CurveFit) string {
 
 // denseFit is FitSample on a dense design, the arithmetic of the
 // smoother before designs were span-compact: the design holds every
-// row in full, Φᵀy and ΦᵀΦ are the dense products, the residual scan
-// dots full rows, and the hat diagonal is one SolveInto and one Dot per
-// row. Basis sizes, penalties, factorizations, the ridge retry, the
-// skip of a λ with a non-finite coefficient and the selection are the
-// smoother's own.
+// row in full, Φᵀy and ΦᵀΦ are the dense products, the ridge ε reads
+// the whole matrix, the residual scan dots full rows, and the hat
+// diagonal is refHatDiag over full rows. Basis sizes, penalties, the
+// factorization, the skip of a λ with a non-finite hat diagonal or
+// coefficient and the selection are the smoother's own.
 func denseFit(s Sample, opt Options) (*Fit, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -264,11 +271,13 @@ func denseFit(s Sample, opt Options) (*Fit, error) {
 	return fit, nil
 }
 
-// denseLambdaFactor factors ΦᵀΦ + λR with the smoother's ridge retry
-// and takes the hat diagonal row by row. A failed factorization is a
-// lambdaFactor with err set; a failed penalty is returned as the error.
+// denseLambdaFactor factors ΦᵀΦ + λR, taken from the dense design,
+// with the smoother's ridge retry, and takes the hat diagonal with
+// refHatDiag from its own factor's storage. A failed factorization or
+// a non-finite hat diagonal is a lambdaFactor with err set; a failed
+// penalty is returned as the error.
 func denseLambdaFactor(basis bspline.Basis, phi *linalg.Dense, lambda float64, q int) (*lambdaFactor, error) {
-	m, L := phi.Dims()
+	_, L := phi.Dims()
 	a := denseAtA(phi)
 	if lambda > 0 {
 		r, err := new(penalty).matrix(basis, q)
@@ -281,31 +290,76 @@ func denseLambdaFactor(basis bspline.Basis, phi *linalg.Dense, lambda float64, q
 			}
 		}
 	}
-	bandwidth := -1
+	k := L - 1
 	if bs, ok := basis.(*bspline.BSpline); ok {
-		bandwidth = bs.Order() - 1
+		k = bs.Order() - 1
 	}
-	ch, err := factorSPD(a, bandwidth)
+	factor := func(a *linalg.Dense) (*linalg.BandCholesky, []float64, error) {
+		band := make([]float64, L*(k+1))
+		for i := 0; i < L; i++ {
+			for j := max(0, i-k); j <= i; j++ {
+				band[i*(k+1)+j-i+k] = a.At(i, j)
+			}
+		}
+		ch, err := linalg.NewBandCholesky(L, k, band)
+		return ch, band, err
+	}
+	ch, l, err := factor(a)
 	if err != nil {
 		ridged := a.Clone()
 		eps := 1e-9 * (1 + a.MaxAbs())
 		for i := 0; i < L; i++ {
 			ridged.Set(i, i, ridged.At(i, i)+eps)
 		}
-		if ch, err = factorSPD(ridged, bandwidth); err != nil {
+		if ch, l, err = factor(ridged); err != nil {
 			return &lambdaFactor{err: err}, nil
 		}
 	}
-	lf := &lambdaFactor{solver: ch, hat: make([]float64, m)}
-	sol := make([]float64, L)
-	for j := range lf.hat {
-		if err := ch.SolveInto(phi.Row(j), sol); err != nil {
-			return &lambdaFactor{err: err}, nil
-		}
-		lf.hat[j] = linalg.Dot(phi.Row(j), sol)
-		lf.trH += lf.hat[j]
+	lf := &lambdaFactor{solver: ch, hat: refHatDiag(L, k, l, phi)}
+	if !finite(lf.hat) {
+		return &lambdaFactor{err: ErrFit}, nil
+	}
+	for _, h := range lf.hat {
+		lf.trH += h
 	}
 	return lf, nil
+}
+
+// refHatDiag is linalg's RefHatDiag, the plain reference of the hat
+// kernel's recursion: the band of S = A⁻¹ from the factor L stored as
+// NewBandCholesky leaves it (n rows of k+1), then φᵀSφ over every
+// in-band pair of each full row of phi, in column order.
+func refHatDiag(n, k int, l []float64, phi *linalg.Dense) []float64 {
+	L := func(i, j int) float64 { return l[i*(k+1)+j-i+k] } // j in [i−k, i]
+	S := make(map[[2]int]float64)
+	at := func(i, j int) float64 { return S[[2]int{min(i, j), max(i, j)}] }
+	for i := n - 1; i >= 0; i-- {
+		for j := i + 1; j <= min(i+k, n-1); j++ {
+			var v float64
+			for m := i + 1; m <= min(i+k, n-1); m++ {
+				v -= L(m, i) * at(m, j)
+			}
+			S[[2]int{i, j}] = v / L(i, i)
+		}
+		v := 1 / L(i, i)
+		for m := i + 1; m <= min(i+k, n-1); m++ {
+			v -= L(m, i) * at(m, i)
+		}
+		S[[2]int{i, i}] = v / L(i, i)
+	}
+	m, _ := phi.Dims()
+	h := make([]float64, m)
+	for j := range h {
+		row := phi.Row(j)
+		for a := range row {
+			var t float64
+			for b := max(0, a-k); b <= min(n-1, a+k); b++ {
+				t += at(a, b) * row[b]
+			}
+			h[j] += row[a] * t
+		}
+	}
+	return h
 }
 
 // denseSelectLambda is fitWithEntry on the dense design: nil when every

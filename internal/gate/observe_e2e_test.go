@@ -364,6 +364,25 @@ func TestGateJobsBodyRule(t *testing.T) {
 	}
 }
 
+// TestGateStreamAppendBodyRule: a stream append through the gate that
+// carries junk after its JSON value answers 400 bad_request, and the
+// stream is not created on its home replica.
+func TestGateStreamAppendBodyRule(t *testing.T) {
+	modelPath, d := fitModelFile(t)
+	h := bootGate(t, modelPath)
+	s := d.Samples[0]
+	body := append(streamChunkBody(t, s.Times, s.Values, 0, 3, "m0"), " }garbage{"...)
+	wantGateBadRequest(t, "trailing bytes", h.base+"/v1/streams/junk/append", body)
+	resp, err := http.Get(h.base + "/v1/streams/junk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("the refused append left a stream: status %d, want 404", resp.StatusCode)
+	}
+}
+
 // TestGateReloadFailureEnvelope: a broadcast reload that fails on the
 // replicas answers 502 with the v1 envelope, code upstream_error,
 // naming each failing replica and its status.

@@ -38,23 +38,23 @@ func Bandwidth(a *Dense) int {
 	return k
 }
 
-// NewBandCholesky factors the symmetric positive-definite matrix a,
-// reading only its band of the given bandwidth. It returns ErrSingular
-// when a pivot is not strictly positive (the same failure mode as the
-// dense factorization).
-func NewBandCholesky(a *Dense, k int) (*BandCholesky, error) {
-	n, c := a.Dims()
-	if n != c {
-		return nil, fmt.Errorf("linalg: band cholesky of %dx%d: %w", n, c, ErrShape)
-	}
-	if k < 0 || k >= n && n > 0 {
-		if k < 0 {
-			return nil, fmt.Errorf("linalg: negative bandwidth %d: %w", k, ErrShape)
-		}
-		k = n - 1
+// NewBandCholesky factors in place the symmetric positive-definite n×n
+// matrix A of bandwidth k whose lower band band holds row by row:
+// band[i*(k+1)+d] = A[i][i−k+d] for d = 0..k, where the slots with
+// i−k+d < 0 are never read. The factor keeps band as its storage and
+// overwrites it with L; a failed factorization leaves it partly
+// overwritten. A bandwidth of n−1 or more stores the whole lower
+// triangle and runs the dense Cholesky loops term for term. It returns
+// ErrSingular when a pivot is not strictly positive.
+func NewBandCholesky(n, k int, band []float64) (*BandCholesky, error) {
+	if k < 0 {
+		return nil, fmt.Errorf("linalg: negative bandwidth %d: %w", k, ErrShape)
 	}
 	w := k + 1
-	l := make([]float64, n*w)
+	if len(band) != n*w {
+		return nil, fmt.Errorf("linalg: band cholesky of %d values, want %d rows of %d: %w", len(band), n, w, ErrShape)
+	}
+	l := band
 	// band(i, j) accesses L[i][j] for j in [i−k, i].
 	idx := func(i, j int) int { return i*w + (j - i + k) }
 	for i := 0; i < n; i++ {
@@ -63,7 +63,7 @@ func NewBandCholesky(a *Dense, k int) (*BandCholesky, error) {
 			lo = 0
 		}
 		for j := lo; j <= i; j++ {
-			sum := a.At(i, j)
+			sum := l[idx(i, j)]
 			// Σ_m L[i][m]·L[j][m] over the overlap of both bands.
 			mLo := lo
 			if j-k > mLo {
@@ -136,167 +136,77 @@ func (bc *BandCholesky) SolveInto(b, x []float64) error {
 
 // HatDiag writes h[j] = φⱼᵀ A⁻¹ φⱼ for every row φⱼ of phi (m×n) into h
 // (length m): the hat-matrix diagonal of the smoother whose normal
-// matrix A this factors. Every h[j] is bitwise what SolveInto on the
-// dense row followed by Dot of the row with the solution gives, at a
-// fraction of the cost:
+// matrix A this factors. One backward sweep over the factor
+// (Hutchinson & de Hoog, 1985) gives the band of S = A⁻¹,
 //
-//   - the work follows the row's support [f, e], its first and last
-//     nonzero entry, read from the row's window: the forward pass starts
-//     at f, the back pass stops there, and the dot runs over [f, e].
-//     Every term this skips is a ±0 product of finite numbers (a +0 one
-//     for a B-spline design, whose values are never −0). Skipping it can
-//     change only the sign of a zero intermediate, and no such sign
-//     reaches h: the dot's running sum starts at +0, so it is never −0;
-//   - four rows share one pass, so their division chains overlap; a
-//     tail of fewer than four rows repeats its last row.
+//	S_ij = (δ_ij/L_ii − Σ_{m=i+1..i+k} L_mi S_mj) / L_ii,  i = n−1 … 0,
 //
-// The skipped terms are finite when the factor is and the solve cannot
-// overflow below f, which hatRoom bounds from the factor's column sums.
-// A group that fails the bound, or holds an all-zero row, runs the full
-// passes and the full dot, which are SolveInto and Dot term for term.
+// for j = i … i+k, in O(n·k²). Each h[j] is then the quadratic form
+// Σ_a φ_a Σ_b S_ab φ_b over the row's window, in column order. phi's
+// windows must be no wider than k+1, so that every pair of a window
+// lies inside the band: a B-spline design against its factor of
+// bandwidth order−1, or full rows against a factor of bandwidth n−1.
+// The values are not bitwise those of SolveInto and Dot per row;
+// DESIGN.md §6 states what stays bitwise.
 func (bc *BandCholesky) HatDiag(phi *SpanMatrix, h []float64) error {
 	m, c := phi.Dims()
-	if c != bc.n {
-		return fmt.Errorf("linalg: hat diagonal of %dx%d design, factor is %d: %w", m, c, bc.n, ErrShape)
+	if c != bc.n || phi.w > bc.k+1 {
+		return fmt.Errorf("linalg: hat diagonal of %dx%d design with %d-wide windows, factor is %d with bandwidth %d: %w", m, c, phi.w, bc.n, bc.k, ErrShape)
 	}
 	if len(h) != m {
 		return fmt.Errorf("linalg: hat diagonal dst %d want %d: %w", len(h), m, ErrShape)
 	}
-	n := bc.n
-	buf := make([]float64, 9*n+1)
-	room := buf[8*n:]
-	bc.hatRoom(room)
-	// b holds the group's rows in full: each window is written in
-	// before the pass and zeroed after it.
-	var b, x [4][]float64
-	for r := range x {
-		b[r] = buf[r*n : (r+1)*n]
-		x[r] = buf[(4+r)*n : (5+r)*n]
-	}
-	for j := 0; j < m; j += 4 {
-		var f, e [4]int
-		lo, exact := n, true
-		for r := range b {
-			start, vals := phi.Row(min(j+r, m-1))
-			copy(b[r][start:], vals)
-			var ok bool
-			f[r], e[r], ok = support(vals)
-			f[r] += start
-			e[r] += start
-			exact = exact && ok
-			lo = min(lo, f[r])
-		}
-		if exact && !(bc.hatPass(&b, &x, lo) <= room[lo]) {
-			exact = false
-		}
-		if !exact {
-			bc.hatPass(&b, &x, 0)
-			for r := range f {
-				f[r], e[r] = 0, n-1
+	k := bc.k
+	sw := 2*k + 1
+	s := bc.inverseBand()
+	for j := range h {
+		start, vals := phi.Row(j)
+		var hj float64
+		for a, va := range vals {
+			// si[b] = S[start+a][start+b].
+			si := s[(start+a)*sw+k-a:]
+			si = si[:len(vals)]
+			var t float64
+			for b, vb := range vals {
+				t += si[b] * vb
 			}
+			hj += va * t
 		}
-		for r := 0; r < len(b) && j+r < m; r++ {
-			var s float64
-			for i := f[r]; i <= e[r]; i++ {
-				s += b[r][i] * x[r][i]
-			}
-			h[j+r] = s
-		}
-		for r := range b {
-			start, vals := phi.Row(min(j+r, m-1))
-			clear(b[r][start : start+len(vals)])
-		}
+		h[j] = hj
 	}
 	return nil
 }
 
-// support returns the first and last nonzero entry of row; ok is false
-// when the row has none.
-func support(row []float64) (f, e int, ok bool) {
-	for f < len(row) && row[f] == 0 {
-		f++
-	}
-	if f == len(row) {
-		return 0, 0, false
-	}
-	for e = len(row) - 1; row[e] == 0; e-- {
-	}
-	return f, e, true
-}
-
-// hatPass solves A x_r = b_r for the four rows of one HatDiag group with
-// the forward pass started and the back pass stopped at lo, and returns
-// Σ |x_r[i]| over the solved entries i >= lo (NaN or +Inf when one of
-// them is not finite). With lo = 0 each solve is SolveInto term for
-// term. With lo > 0 and every row zero below lo, the entries [lo, n)
-// match SolveInto's up to the signs of zeros: the skipped forward terms
-// are ±0.
-func (bc *BandCholesky) hatPass(b, x *[4][]float64, lo int) float64 {
+// inverseBand returns the band of A⁻¹ in rows of 2k+1: entry
+// i*(2k+1) + (j−i+k) holds S_ij for |i−j| ≤ k, and the slots of
+// columns outside [0, n) hold 0.
+func (bc *BandCholesky) inverseBand() []float64 {
 	n, k, l := bc.n, bc.k, bc.l
-	w := k + 1
-	b0, b1, b2, b3 := b[0][:n], b[1][:n], b[2][:n], b[3][:n]
-	x0, x1, x2, x3 := x[0][:n], x[1][:n], x[2][:n], x[3][:n]
-	// Forward substitution L y = b, with y stored in x.
-	for i := lo; i < n; i++ {
-		s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
-		li := l[i*w : i*w+w] // li[d] = L[i][i−k+d]
-		for m := max(lo, i-k); m < i; m++ {
-			v := li[m-i+k]
-			s0 -= v * x0[m]
-			s1 -= v * x1[m]
-			s2 -= v * x2[m]
-			s3 -= v * x3[m]
-		}
-		d := li[k]
-		x0[i], x1[i], x2[i], x3[i] = s0/d, s1/d, s2/d, s3/d
-	}
-	// Back substitution Lᵀ x = y, in place.
-	var sum float64
-	for i := n - 1; i >= lo; i-- {
-		s0, s1, s2, s3 := x0[i], x1[i], x2[i], x3[i]
-		for m := i + 1; m <= min(i+k, n-1); m++ {
-			v := l[m*w+i-m+k]
-			s0 -= v * x0[m]
-			s1 -= v * x1[m]
-			s2 -= v * x2[m]
-			s3 -= v * x3[m]
+	w, sw := k+1, 2*k+1
+	buf := make([]float64, n*sw+k)
+	s, col := buf[:n*sw], buf[n*sw:]
+	for i := n - 1; i >= 0; i-- {
+		hi := min(i+k, n-1)
+		// col[m−i−1] = L[m][i], the column below the pivot.
+		for m := i + 1; m <= hi; m++ {
+			col[m-i-1] = l[m*w+i-m+k]
 		}
 		d := l[i*w+k]
-		x0[i], x1[i], x2[i], x3[i] = s0/d, s1/d, s2/d, s3/d
-		sum += math.Abs(x0[i]) + math.Abs(x1[i]) + math.Abs(x2[i]) + math.Abs(x3[i])
-	}
-	return sum
-}
-
-// hatRoom fills room[f] (f = 0..n) with a bound on Σ|x[i]|, i >= f,
-// under which the back pass over the entries below f cannot overflow:
-// each step down multiplies the largest magnitude by at most
-// max(1, c_i/L[i][i]), c_i = Σ_m |L[m][i]| the off-diagonal column sum,
-// and no product or partial sum exceeds max(1, max c_i) times it. The
-// bound keeps a factor of four for rounding. A factor with a
-// non-finite entry gets −1 everywhere: no shortcut is exact there.
-func (bc *BandCholesky) hatRoom(room []float64) {
-	n, k, l := bc.n, bc.k, bc.l
-	w := k + 1
-	grow, colMax := 1.0, 1.0
-	for i := 0; i < n; i++ {
-		room[i] = grow
-		var c float64
-		for m := i + 1; m <= min(i+k, n-1); m++ {
-			c += math.Abs(l[m*w+i-m+k])
-		}
-		d := l[i*w+k]
-		if !(c+d <= math.MaxFloat64) {
-			for f := range room {
-				room[f] = -1
+		si := s[i*sw : (i+1)*sw]
+		for j := i + 1; j <= hi; j++ {
+			var v float64
+			for m := i + 1; m <= hi; m++ {
+				v -= col[m-i-1] * s[m*sw+j-m+k]
 			}
-			return
+			v /= d
+			si[j-i+k] = v
+			s[j*sw+i-j+k] = v
 		}
-		grow *= max(1, c/d)
-		colMax = max(colMax, c)
+		v := 1 / d
+		for m := i + 1; m <= hi; m++ {
+			v -= col[m-i-1] * si[m-i+k]
+		}
+		si[k] = v / d
 	}
-	room[n] = grow
-	for f := range room {
-		room[f] = math.MaxFloat64 / 4 / (colMax * room[f])
-	}
+	return s
 }

@@ -8,6 +8,16 @@ import (
 	"testing/quick"
 )
 
+// randomSPD builds a random symmetric positive-definite matrix AᵀA + I.
+func randomSPD(rng *rand.Rand, n int) *Dense {
+	a := randomDense(rng, n, n)
+	spd, _ := a.T().Mul(a)
+	for i := 0; i < n; i++ {
+		spd.Set(i, i, spd.At(i, i)+1)
+	}
+	return spd
+}
+
 // randomBandedSPD builds an SPD matrix with the given bandwidth by forming
 // BᵀB + I where B is banded.
 func randomBandedSPD(rng *rand.Rand, n, k int) *Dense {
@@ -28,6 +38,141 @@ func randomBandedSPD(rng *rand.Rand, n, k int) *Dense {
 	return spd
 }
 
+// bandOf copies the lower band of a, of bandwidth k, into the storage
+// NewBandCholesky factors.
+func bandOf(a *Dense, k int) []float64 {
+	n, _ := a.Dims()
+	band := make([]float64, n*(k+1))
+	for i := 0; i < n; i++ {
+		for j := max(0, i-k); j <= i; j++ {
+			band[i*(k+1)+j-i+k] = a.At(i, j)
+		}
+	}
+	return band
+}
+
+// factorBand factors a at bandwidth k; k = n−1 is the dense
+// factorization.
+func factorBand(a *Dense, k int) (*BandCholesky, error) {
+	n, _ := a.Dims()
+	return NewBandCholesky(n, k, bandOf(a, k))
+}
+
+// factorDense factors a at bandwidth n−1, the whole lower triangle.
+func factorDense(a *Dense) (*BandCholesky, error) {
+	n, _ := a.Dims()
+	return factorBand(a, max(0, n-1))
+}
+
+func TestCholeskySolveKnown(t *testing.T) {
+	// A = [[4,2],[2,3]], b = [6,5] → x = [1,1].
+	a := mustDense(2, 2, 4, 2, 2, 3)
+	ch, err := factorDense(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := ch.Solve([]float64{6, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almostEqual(x[0], 1, 1e-12) || !almostEqual(x[1], 1, 1e-12) {
+		t.Fatalf("x = %v want [1 1]", x)
+	}
+}
+
+// TestCholeskyRejectsNonSquare: storage that is not n rows of k+1
+// values, as the band of a 2×3 matrix would be, fails with ErrShape.
+func TestCholeskyRejectsNonSquare(t *testing.T) {
+	if _, err := NewBandCholesky(2, 1, make([]float64, 6)); !errors.Is(err, ErrShape) {
+		t.Fatalf("err = %v want ErrShape", err)
+	}
+}
+
+func TestCholeskyRejectsIndefinite(t *testing.T) {
+	a := mustDense(2, 2, 1, 2, 2, 1) // eigenvalues 3 and −1
+	if _, err := factorDense(a); !errors.Is(err, ErrSingular) {
+		t.Fatalf("err = %v want ErrSingular", err)
+	}
+}
+
+func TestCholeskySolveResidualProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(8)
+		a := randomSPD(rng, n)
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		ch, err := factorDense(a)
+		if err != nil {
+			return false
+		}
+		x, err := ch.Solve(b)
+		if err != nil {
+			return false
+		}
+		ax, err := a.MulVec(x)
+		if err != nil {
+			return false
+		}
+		for i := range b {
+			if !almostEqual(ax[i], b[i], 1e-8*(1+math.Abs(b[i]))) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCholeskySolveRHSLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ch, err := factorDense(randomSPD(rng, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ch.Solve([]float64{1, 2}); !errors.Is(err, ErrShape) {
+		t.Fatalf("err = %v want ErrShape", err)
+	}
+}
+
+// TestCholeskySolveIntoMatchesSolve checks that the scratch-buffer form
+// is bitwise identical to the allocating one and validates lengths.
+func TestCholeskySolveIntoMatchesSolve(t *testing.T) {
+	a := NewDense(3, 3)
+	vals := [][]float64{{4, 2, 0.5}, {2, 5, 1}, {0.5, 1, 3}}
+	for i := range vals {
+		copy(a.Row(i), vals[i])
+	}
+	ch, err := factorDense(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := []float64{1, -2, 0.25}
+	want, err := ch.Solve(rhs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, 3)
+	if err := ch.SolveInto(rhs, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("x[%d]: SolveInto %g, Solve %g", i, got[i], want[i])
+		}
+	}
+	if err := ch.SolveInto(rhs, make([]float64, 2)); err == nil {
+		t.Fatal("SolveInto accepted short dst")
+	}
+	if err := ch.SolveInto(make([]float64, 2), got); err == nil {
+		t.Fatal("SolveInto accepted short rhs")
+	}
+}
+
 func TestBandwidthDetection(t *testing.T) {
 	a := NewDense(5, 5)
 	for i := 0; i < 5; i++ {
@@ -45,6 +190,9 @@ func TestBandwidthDetection(t *testing.T) {
 	}
 }
 
+// TestBandCholeskyMatchesDense: the factor at the matrix's own
+// bandwidth solves like the factor at bandwidth n−1, the dense
+// factorization.
 func TestBandCholeskyMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 3, 8, 20} {
@@ -54,11 +202,11 @@ func TestBandCholeskyMatchesDense(t *testing.T) {
 			}
 			a := randomBandedSPD(rng, n, k)
 			kb := Bandwidth(a)
-			bc, err := NewBandCholesky(a, kb)
+			bc, err := factorBand(a, kb)
 			if err != nil {
 				t.Fatalf("n=%d k=%d: %v", n, kb, err)
 			}
-			dense, err := NewCholesky(a)
+			dense, err := factorDense(a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +240,7 @@ func TestBandCholeskyResidualProperty(t *testing.T) {
 			k = n - 1
 		}
 		a := randomBandedSPD(rng, n, k)
-		bc, err := NewBandCholesky(a, Bandwidth(a))
+		bc, err := factorBand(a, Bandwidth(a))
 		if err != nil {
 			return false
 		}
@@ -121,17 +269,17 @@ func TestBandCholeskyResidualProperty(t *testing.T) {
 }
 
 func TestBandCholeskyErrors(t *testing.T) {
-	if _, err := NewBandCholesky(NewDense(2, 3), 1); !errors.Is(err, ErrShape) {
-		t.Fatal("non-square must fail")
+	if _, err := NewBandCholesky(3, 1, make([]float64, 5)); !errors.Is(err, ErrShape) {
+		t.Fatal("a band of the wrong length must fail")
 	}
-	if _, err := NewBandCholesky(Identity(3), -1); !errors.Is(err, ErrShape) {
+	if _, err := NewBandCholesky(3, -1, nil); !errors.Is(err, ErrShape) {
 		t.Fatal("negative bandwidth must fail")
 	}
 	indef := mustDense(2, 2, 1, 2, 2, 1)
-	if _, err := NewBandCholesky(indef, 1); !errors.Is(err, ErrSingular) {
+	if _, err := factorBand(indef, 1); !errors.Is(err, ErrSingular) {
 		t.Fatal("indefinite must fail")
 	}
-	bc, err := NewBandCholesky(Identity(3), 0)
+	bc, err := factorBand(Identity(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +288,17 @@ func TestBandCholeskyErrors(t *testing.T) {
 	}
 }
 
+// TestBandCholeskyOversizedBandwidthClamped: a bandwidth past n−1 reads
+// the same lower triangle and runs the same loops as n−1, so its
+// solutions are bitwise the dense factor's.
 func TestBandCholeskyOversizedBandwidthClamped(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randomBandedSPD(rng, 6, 2)
-	bc, err := NewBandCholesky(a, 99)
+	bc, err := factorBand(a, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := factorDense(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +307,16 @@ func TestBandCholeskyOversizedBandwidthClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	xd, err := dense.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ax, err := a.MulVec(x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range b {
-		if !almostEqual(ax[i], b[i], 1e-8) {
+		if !almostEqual(ax[i], b[i], 1e-8) || math.Float64bits(x[i]) != math.Float64bits(xd[i]) {
 			t.Fatal("oversized bandwidth solve wrong")
 		}
 	}
@@ -172,7 +331,7 @@ func BenchmarkCholeskyDense21(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch, err := NewCholesky(a)
+		ch, err := factorDense(a)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,7 +352,7 @@ func BenchmarkCholeskyBanded21(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bc, err := NewBandCholesky(a, 3)
+		bc, err := factorBand(a, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +369,7 @@ func BenchmarkCholeskyBanded21(b *testing.B) {
 func TestBandSolveIntoMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randomBandedSPD(rng, 17, 3)
-	bc, err := NewBandCholesky(a, 3)
+	bc, err := factorBand(a, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,125 +398,113 @@ func TestBandSolveIntoMatchesSolve(t *testing.T) {
 	}
 }
 
-// solveDotHat is the reference HatDiag is pinned to: one SolveInto and
-// one Dot per design row.
-func solveDotHat(t *testing.T, bc *BandCholesky, phi *Dense) []float64 {
-	t.Helper()
-	m, n := phi.Dims()
-	h := make([]float64, m)
-	sol := make([]float64, n)
-	for j := range h {
-		if err := bc.SolveInto(phi.Row(j), sol); err != nil {
-			t.Fatal(err)
+// RefHatDiag is the plain reference HatDiag is pinned to: the same
+// recursion for the band of S = A⁻¹, read from the factor L stored as
+// NewBandCholesky leaves it (n rows of k+1), then φᵀSφ over every
+// in-band pair of each full row of phi, in column order. It shares
+// nothing with the kernel but the arithmetic; hat_test.go, an external
+// test, uses it too.
+func RefHatDiag(n, k int, l []float64, phi *Dense) []float64 {
+	L := func(i, j int) float64 { return l[i*(k+1)+j-i+k] } // j in [i−k, i]
+	S := make(map[[2]int]float64)
+	at := func(i, j int) float64 { return S[[2]int{min(i, j), max(i, j)}] }
+	for i := n - 1; i >= 0; i-- {
+		for j := i + 1; j <= min(i+k, n-1); j++ {
+			var v float64
+			for m := i + 1; m <= min(i+k, n-1); m++ {
+				v -= L(m, i) * at(m, j)
+			}
+			S[[2]int{i, j}] = v / L(i, i)
 		}
-		h[j] = Dot(phi.Row(j), sol)
+		v := 1 / L(i, i)
+		for m := i + 1; m <= min(i+k, n-1); m++ {
+			v -= L(m, i) * at(m, i)
+		}
+		S[[2]int{i, i}] = v / L(i, i)
+	}
+	m, _ := phi.Dims()
+	h := make([]float64, m)
+	for j := range h {
+		row := phi.Row(j)
+		for a := range row {
+			var t float64
+			for b := max(0, a-k); b <= min(n-1, a+k); b++ {
+				t += at(a, b) * row[b]
+			}
+			h[j] += row[a] * t
+		}
 	}
 	return h
 }
 
-// assertHatBitwise checks HatDiag on the rows of phi, stored in full
-// and in the narrowest common windows, against solveDotHat.
-func assertHatBitwise(t *testing.T, bc *BandCholesky, phi *Dense, what string) {
+// assertHatBitwise checks HatDiag against RefHatDiag on the rows of
+// phi twice: in their narrowest common window against the factor of a
+// at bandwidth k, and in full against the factor at bandwidth n−1. It
+// also holds the reference to one SolveInto and one Dot per row, the
+// hat value computed in another order.
+func assertHatBitwise(t *testing.T, a *Dense, k int, phi *Dense, what string) {
 	t.Helper()
-	want := solveDotHat(t, bc, phi)
+	n, _ := a.Dims()
 	for _, form := range []struct {
 		name string
+		k    int
 		span *SpanMatrix
-	}{{"full rows", fullSpan(phi)}, {"windows", narrowSpan(phi)}} {
+	}{{"windows", k, narrowSpan(phi)}, {"full rows", max(0, n-1), fullSpan(phi)}} {
+		bc, err := factorBand(a, form.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := RefHatDiag(n, form.k, bc.l, phi)
 		got := make([]float64, len(want))
 		if err := bc.HatDiag(form.span, got); err != nil {
 			t.Fatal(err)
 		}
+		sol := make([]float64, n)
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("%s, %s: h[%d] = %v (%#x), SolveInto+Dot %v (%#x)", what, form.name, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+				t.Fatalf("%s, %s: h[%d] = %v (%#x), reference %v (%#x)", what, form.name, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+			}
+			if err := bc.SolveInto(phi.Row(j), sol); err != nil {
+				t.Fatal(err)
+			}
+			if d := Dot(phi.Row(j), sol); !almostEqual(want[j], d, 1e-10*(1+math.Abs(d))) {
+				t.Fatalf("%s, %s: reference h[%d] = %v, SolveInto+Dot %v", what, form.name, j, want[j], d)
 			}
 		}
 	}
 }
 
-// TestHatDiagMatchesSolveDotBitwise drives the hat kernel with random
-// banded SPD factors and sparse rows: a random support window with
-// zeros of either sign inside and outside it, every row count 1–9 (full
-// groups of four and every tail), and bandwidths clamped to n−1.
-func TestHatDiagMatchesSolveDotBitwise(t *testing.T) {
+// TestHatDiagMatchesReferenceBitwise drives the hat kernel with random
+// banded SPD factors and sparse rows: in each row a run of k+1
+// consecutive columns holds normal draws and zeros of either sign, and
+// +0 fills the rest; every row count 1–9, and bandwidths past n−1.
+func TestHatDiagMatchesReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(24)
-		k := rng.Intn(6) // k >= n exercises the clamp to n−1
-		bc, err := NewBandCholesky(randomBandedSPD(rng, n, min(k, n-1)), k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := rng.Intn(6) // k >= n reads the whole lower triangle
+		a := randomBandedSPD(rng, n, min(k, n-1))
 		m := 1 + trial%9
 		phi := NewDense(m, n)
 		for j := 0; j < m; j++ {
 			f := rng.Intn(n)
-			e := min(n-1, f+rng.Intn(5))
 			row := phi.Row(j)
-			for i := range row {
-				switch {
-				case i >= f && i <= e && rng.Intn(4) > 0:
-					row[i] = rng.NormFloat64()
-				case rng.Intn(3) == 0:
+			for i := f; i <= min(n-1, f+k); i++ {
+				switch rng.Intn(4) {
+				case 0:
 					row[i] = math.Copysign(0, -1)
+				case 1: // +0
+				default:
+					row[i] = rng.NormFloat64()
 				}
 			}
 		}
-		assertHatBitwise(t, bc, phi, "random")
+		assertHatBitwise(t, a, k, phi, "random")
 	}
-}
-
-// TestHatDiagFallsBackWhereSkippingIsNotExact covers the rows and
-// factors the support shortcut cannot take — an all-zero row, a
-// non-finite row entry, a non-finite factor, and a factor whose back
-// pass overflows below the support (the reference then gets 0·Inf =
-// NaN, and so must the kernel) — next to rows with −0 entries, which it
-// can.
-func TestHatDiagFallsBackWhereSkippingIsNotExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	bc, err := NewBandCholesky(randomBandedSPD(rng, 9, 2), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phi := NewDense(6, 9)
-	copy(phi.Row(0), []float64{0, 0, 0.5, math.Copysign(0, -1), 0.25, 0, 0, 0, 0})
-	copy(phi.Row(2), []float64{math.Copysign(0, -1), 0, 0, 0, 0, 0, 1, 0.5, 0})
-	copy(phi.Row(3), []float64{0, 0, 0, 0, math.Inf(1), 0.5, 0, 0, 0})
-	copy(phi.Row(4), []float64{0, 0, 0, 0, 0, math.NaN(), 1, 0, 0})
-	copy(phi.Row(5), []float64{0, 0, 0, 0, 0, 0, 0, 0.75, 0.25})
-	assertHatBitwise(t, bc, phi, "unclean rows")
-
-	// Hand-built factor: tiny leading pivots with unit couplings make
-	// the back pass grow by 1e200 per step below the support.
-	const n, k = 6, 1
-	tiny := &BandCholesky{n: n, k: k, l: make([]float64, n*(k+1))}
-	for i := 0; i < n; i++ {
-		tiny.l[i*(k+1)+k] = 1
-		if i < 3 {
-			tiny.l[i*(k+1)+k] = 1e-200
-		}
-		if i > 0 {
-			tiny.l[i*(k+1)] = 1
-		}
-	}
-	tail := NewDense(1, n)
-	tail.Set(0, n-1, 1)
-	assertHatBitwise(t, tiny, tail, "overflow below the support")
-	if h := solveDotHat(t, tiny, tail); !math.IsNaN(h[0]) {
-		t.Fatalf("fixture does not overflow: reference h = %v", h[0])
-	}
-
-	inf := &BandCholesky{n: tiny.n, k: tiny.k, l: append([]float64(nil), tiny.l...)}
-	for i := range inf.l {
-		inf.l[i] = 1
-	}
-	inf.l[0] = math.Inf(1)
-	assertHatBitwise(t, inf, tail, "non-finite factor")
 }
 
 func TestHatDiagShapeErrors(t *testing.T) {
-	bc, err := NewBandCholesky(Identity(3), 0)
+	bc, err := factorBand(Identity(3), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,5 +513,12 @@ func TestHatDiagShapeErrors(t *testing.T) {
 	}
 	if err := bc.HatDiag(fullSpan(NewDense(2, 3)), make([]float64, 3)); !errors.Is(err, ErrShape) {
 		t.Fatalf("dst mismatch err = %v, want ErrShape", err)
+	}
+	narrow, err := factorBand(Identity(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := narrow.HatDiag(fullSpan(NewDense(2, 3)), make([]float64, 2)); !errors.Is(err, ErrShape) {
+		t.Fatalf("window wider than the band err = %v, want ErrShape", err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package linalg provides the dense linear-algebra substrate used by the
 // functional-data smoothing and outlier-detection algorithms in this
-// repository: matrices and vectors, factorizations (Cholesky, LU, QR) and
-// the associated linear solvers.
+// repository: matrices and vectors, factorizations (banded Cholesky, QR)
+// and the associated linear solvers.
 //
 // The package is deliberately small and allocation-conscious rather than a
 // general BLAS replacement: every routine exists because a caller in

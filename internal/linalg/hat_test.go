@@ -10,8 +10,8 @@ import (
 
 // smoothingSystem returns the design Φ of a clamped B-spline basis on ts
 // and the banded factor of ΦᵀΦ + λR + 1e-6·I, the system the smoother's
-// hat diagonal is taken over.
-func smoothingSystem(t testing.TB, dim, order int, ts []float64, lambda float64) (*linalg.SpanMatrix, *linalg.BandCholesky) {
+// hat diagonal is taken over, with the factor's storage.
+func smoothingSystem(t testing.TB, dim, order int, ts []float64, lambda float64) (*linalg.SpanMatrix, *linalg.BandCholesky, []float64) {
 	t.Helper()
 	b, err := bspline.New(dim, order, 0, 1)
 	if err != nil {
@@ -23,23 +23,26 @@ func smoothingSystem(t testing.TB, dim, order int, ts []float64, lambda float64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	k := order - 1
+	band := make([]float64, dim*(k+1))
 	for i := 0; i < dim; i++ {
-		for j := 0; j < dim; j++ {
-			a.Set(i, j, a.At(i, j)+lambda*r.At(i, j))
+		for j := max(0, i-k); j <= i; j++ {
+			band[i*(k+1)+j-i+k] = a.At(i, j) + lambda*r.At(i, j)
 		}
-		a.Set(i, i, a.At(i, i)+1e-6)
+		band[i*(k+1)+k] += 1e-6
 	}
-	bc, err := linalg.NewBandCholesky(a, order-1)
+	bc, err := linalg.NewBandCholesky(dim, k, band)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return phi, bc
+	return phi, bc, band
 }
 
 // TestHatDiagBSplineDesignsBitwise: on real B-spline designs, with grid
 // points on every knot (where a row's span carries exact zeros) and
-// between them, HatDiag equals SolveInto+Dot bit for bit for every row
-// count 1–9 and the sizes the smoother's default ladder picks.
+// between them, HatDiag equals the reference recursion on the dense
+// rows bit for bit, for every row count 1–9 and the sizes the
+// smoother's default ladder picks.
 func TestHatDiagBSplineDesignsBitwise(t *testing.T) {
 	for _, order := range []int{1, 2, 4, 6} {
 		for _, dim := range []int{order, order + 3, 21} {
@@ -56,15 +59,15 @@ func TestHatDiagBSplineDesignsBitwise(t *testing.T) {
 						ts[j] = math.Mod(0.137*float64(j*j+1), 1)
 					}
 				}
-				phi, bc := smoothingSystem(t, dim, order, ts, 1e-4)
-				checkHat(t, phi, bc)
+				phi, bc, l := smoothingSystem(t, dim, order, ts, 1e-4)
+				checkHat(t, order-1, phi, bc, l)
 			}
 			ts := make([]float64, 85)
 			for j := range ts {
 				ts[j] = float64(j) / 84
 			}
-			phi, bc := smoothingSystem(t, dim, order, ts, 1e-2)
-			checkHat(t, phi, bc)
+			phi, bc, l := smoothingSystem(t, dim, order, ts, 1e-2)
+			checkHat(t, order-1, phi, bc, l)
 		}
 	}
 }
@@ -78,21 +81,24 @@ func denseRow(phi *linalg.SpanMatrix, j int) []float64 {
 	return row
 }
 
-func checkHat(t *testing.T, phi *linalg.SpanMatrix, bc *linalg.BandCholesky) {
+// checkHat checks HatDiag on one system of bandwidth k against
+// linalg.RefHatDiag on the dense rows, which reads the factor from its
+// storage l.
+func checkHat(t *testing.T, k int, phi *linalg.SpanMatrix, bc *linalg.BandCholesky, l []float64) {
 	t.Helper()
 	m, n := phi.Dims()
 	got := make([]float64, m)
 	if err := bc.HatDiag(phi, got); err != nil {
 		t.Fatal(err)
 	}
-	sol := make([]float64, n)
+	dense := linalg.NewDense(m, n)
+	for j := 0; j < m; j++ {
+		copy(dense.Row(j), denseRow(phi, j))
+	}
+	want := linalg.RefHatDiag(n, k, l, dense)
 	for j := range got {
-		row := denseRow(phi, j)
-		if err := bc.SolveInto(row, sol); err != nil {
-			t.Fatal(err)
-		}
-		if want := linalg.Dot(row, sol); math.Float64bits(got[j]) != math.Float64bits(want) {
-			t.Fatalf("%dx%d design row %d: HatDiag %v, SolveInto+Dot %v", m, n, j, got[j], want)
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%dx%d design row %d: HatDiag %v, reference %v", m, n, j, got[j], want[j])
 		}
 	}
 }
@@ -106,7 +112,7 @@ func BenchmarkHatDiag(b *testing.B) {
 	for j := range ts {
 		ts[j] = float64(j) / 84
 	}
-	phi, bc := smoothingSystem(b, 21, 4, ts, 1e-4)
+	phi, bc, _ := smoothingSystem(b, 21, 4, ts, 1e-4)
 	h := make([]float64, len(ts))
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -132,7 +132,7 @@ func TestQRAgreesWithCholeskyOnSPDSystems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewCholesky(gram)
+	ch, err := factorDense(gram)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,3 +55,23 @@ func TestJobsBodyRule(t *testing.T) {
 		wantBadRequest(t, name, ts.URL+"/v1/jobs?model=ecg", body)
 	}
 }
+
+// TestStreamAppendBodyRule: a replica's stream append refuses a valid
+// body followed by junk with 400 bad_request, as /v1/score does, and
+// appends none of its points; trailing whitespace is accepted.
+func TestStreamAppendBodyRule(t *testing.T) {
+	ts, mgr, _, _, ds := streamStack(t, StreamOptions{}, 5)
+	body := streamAppendBody(t, ds.Samples[0], []int{0, 1, 2})
+	wantBadRequest(t, "trailing bytes", ts.URL+"/v1/streams/junk/append", append(body, " }garbage{"...))
+	if _, ok := mgr.Get("junk"); ok {
+		t.Error("the refused append created its stream")
+	}
+	resp, err := http.Post(ts.URL+"/v1/streams/spaced/append", "application/json", bytes.NewReader(append(body, " \n\t"...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: %d, want 200", resp.StatusCode)
+	}
+}

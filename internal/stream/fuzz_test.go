@@ -81,6 +81,7 @@ func FuzzStreamAppend(f *testing.F) {
 	f.Add([]byte(`{"model":"nope","points":[{"t":0.5,"v":[1,2]}]}`))
 	f.Add([]byte(`{"model":"ecg","points":[]}`))
 	f.Add([]byte(`{"model":"ecg"`))
+	f.Add([]byte(`{"model":"ecg","points":[{"t":0.5,"v":[1,2]}]} }garbage{`)) // junk after the value
 	f.Add([]byte(`{"unknown":1,"model":"ecg","points":[{"t":0.5,"v":[1,2]}]}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))

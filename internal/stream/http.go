@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"time"
 
@@ -76,6 +77,14 @@ func (a *API) handleAppend(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		httpapi.BodyError(w, err)
+		return
+	}
+	// Nothing but whitespace may follow the value, as on /v1/score.
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("invalid data after top-level value")
+		}
 		httpapi.BodyError(w, err)
 		return
 	}
