@@ -15,9 +15,9 @@ vet:
 # Custom static analysis (internal/analysis via cmd/mfodlint): the
 # numeric-core invariants (nodeterminism / floateq / mutafterfit /
 # poolmisuse) plus the distributed-tier invariants (ctxpropagate /
-# envelopediscipline / lockio / wirebounds / metricshygiene — the last
-# keeps # HELP / # TYPE exposition literals inside internal/metrics,
-# whose typed registry enforces the metric naming rules), with
+# lockio / wirebounds / metricshygiene — the last keeps # HELP /
+# # TYPE exposition literals inside internal/metrics, whose typed
+# registry enforces the metric naming rules), with
 # //mfodlint:allow escape hatches that must carry a reason. See the
 # README "Static analysis" section and the DESIGN.md invariant table.
 lint:
@@ -33,15 +33,17 @@ test:
 
 # The race suite focuses on the concurrent paths: the serving subsystem,
 # the gateway tier (hedged legs, topology watcher, health prober), the
-# shared-pipeline scoring guarantee, the server binary, the
-# smoothing/mapping hot path (worker pool + shared basis cache), the
-# metrics registry (observed and scraped concurrently), the job manager
-# (a supervisor goroutine per job, token-bounded chunk workers), the
-# retrying job and stream clients, the load generator's paced senders,
-# and the analyzer suite (whose repo-clean test loads and checks the
-# whole tree).
+# route table and the body decoder that sit in front of every
+# concurrent request on both tiers, the shared-pipeline scoring
+# guarantee, the server binary, the smoothing/mapping hot path (worker
+# pool + shared basis cache), the metrics registry (observed and
+# scraped concurrently), the job manager (a supervisor goroutine per
+# job, token-bounded chunk workers), the retrying job and stream
+# clients, the load generator's paced senders, and the analyzer suite
+# (whose repo-clean test loads and checks the whole tree).
 test-race:
 	$(GO) test -race ./internal/serve ./internal/gate ./internal/resilience \
+		./internal/httpapi ./internal/wire \
 		./internal/core ./cmd/mfodserve ./cmd/mfodgate \
 		./internal/fda ./internal/geometry ./internal/parallel \
 		./internal/stream ./internal/analysis ./internal/metrics \
@@ -115,8 +117,9 @@ bench-streaming:
 # recursion (knot and one-ulp grids, orders 1–8, signed zeros,
 # subnormals, huge values and λ, Fourier bases). The stream-append
 # fuzzer throws hostile HTTP bodies (NaN/Inf, out-of-order, oversized,
-# garbage, junk after the value) at the streaming surface and checks
-# envelope discipline plus a state-corruption oracle. The wire-decode fuzzer feeds untrusted binary frames to the
+# garbage, junk after the value) at the streaming routes, mounted on
+# the route table as the replica mounts them, and checks that every
+# refusal is an envelope, plus a state-corruption oracle. The wire-decode fuzzer feeds untrusted binary frames to the
 # request decoder: it must fail with ErrWire, never panic or
 # over-allocate, and a frame that decodes must re-encode to the same
 # bytes. The request-decode fuzzer feeds untrusted JSON bodies to the

@@ -28,6 +28,7 @@
 //	                               hedged; transport failures fail over along the ring
 //	GET  /v1/streams               live stream ids gathered across the whole fleet
 //	GET  /v1/models                proxied model listing
+//	GET  /v1/models/{name}         one model's metadata, from the model's shard
 //	GET  /v1/topology              fleet, health and routing view
 //	GET  /healthz, /readyz         liveness / readiness
 //	GET  /metrics                  Prometheus text metrics
@@ -99,7 +100,7 @@ func main() {
 	flag.Float64Var(&o.brownoutEnter, "brownout-enter", 0.3, "bad-outcome fraction that enters brownout (hedges suppressed)")
 	flag.Float64Var(&o.brownoutExit, "brownout-exit", 0.1, "bad-outcome fraction below which brownout exits")
 	flag.DurationVar(&o.slowAfter, "slow-after", 0, "latency counted as a bad outcome by the brownout window (0 = timeout/2)")
-	flag.Int64Var(&o.maxBody, "max-body", 0, "request-body byte cap, exceeded => JSON 413 (0 = 32 MiB)")
+	flag.Int64Var(&o.maxBody, "max-body", 0, "byte cap on every request body, /v1/jobs and stream appends included; exceeded => JSON 413 (0 = 32 MiB)")
 	flag.BoolVar(&o.jobsEnable, "jobs", true, "serve the async bulk-scoring jobs API, scatter/gathered across the fleet")
 	flag.IntVar(&o.jobsChunk, "jobs-chunk", 0, "default samples per bulk-job chunk (0 = 256)")
 	flag.IntVar(&o.jobsTokens, "jobs-tokens", 0, "concurrent chunks one bulk job may have in flight (0 = 4)")

@@ -17,7 +17,7 @@ func TestListAnalyzers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"nodeterminism", "floateq", "mutafterfit", "poolmisuse",
-		"ctxpropagate", "envelopediscipline", "lockio", "wirebounds", "metricshygiene",
+		"ctxpropagate", "lockio", "wirebounds", "metricshygiene",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())

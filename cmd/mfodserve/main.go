@@ -107,7 +107,7 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&o.workers, "workers", 0, "scoring goroutines (0 = GOMAXPROCS)")
 	flag.IntVar(&o.queue, "queue", 256, "bounded scoring-queue capacity (full queue => 429)")
-	flag.Int64Var(&o.maxBody, "max-body", 0, "request-body byte cap, exceeded => JSON 413 (0 = 32 MiB)")
+	flag.Int64Var(&o.maxBody, "max-body", 0, "byte cap on every request body, /v1/jobs and stream appends included; exceeded => JSON 413 (0 = 32 MiB)")
 	flag.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request deadline (exceeded => 504)")
 	flag.IntVar(&o.limitMax, "limit-max", 0, "adaptive concurrency limit ceiling (AIMD); 0 disables the limiter")
 	flag.IntVar(&o.limitMin, "limit-min", 1, "adaptive concurrency limit floor")

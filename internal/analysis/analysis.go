@@ -20,9 +20,6 @@
 //   - ctxpropagate: the serving packages derive every context from the
 //     inbound request or a resilience.Budget — no fresh roots and no
 //     context-free outbound HTTP on a request path (DESIGN.md §8).
-//   - envelopediscipline: handler packages send every error response
-//     through the internal/httpapi v1 envelope — no http.Error, raw
-//     WriteHeader(4xx|5xx), or free-text error bodies.
 //   - lockio: no blocking operation — channel traffic, selects without
 //     default, sleeps, WaitGroup joins, network calls, abstract-stream
 //     I/O — while a sync.Mutex or RWMutex is held.

@@ -2,7 +2,7 @@ package analysis
 
 // All returns the full analyzer suite in the order diagnostics are
 // documented in README ("Static analysis"): the four numeric-core
-// analyzers from the original mfodlint, then the five distributed-tier
+// analyzers from the original mfodlint, then the four distributed-tier
 // analyzers that extend the same guarantees to the serving stack.
 func All() []*Analyzer {
 	return []*Analyzer{
@@ -11,7 +11,6 @@ func All() []*Analyzer {
 		Mutafterfit,
 		Poolmisuse,
 		Ctxpropagate,
-		Envelopediscipline,
 		Lockio,
 		Wirebounds,
 		Metricshygiene,

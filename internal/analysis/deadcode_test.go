@@ -47,8 +47,6 @@ var deadCodeAllow = map[string]string{
 	"linalg.LeastSquares":   pendingDeletion,
 	"stats.Quantile":        pendingDeletion,
 	"stats.Ranks":           pendingDeletion,
-	"stats.Covariance":      pendingDeletion,
-	"stats.Standardize":     pendingDeletion,
 	"eval.AveragePrecision": pendingDeletion,
 	"eval.PrecisionAtK":     pendingDeletion,
 }

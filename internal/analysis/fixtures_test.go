@@ -147,11 +147,6 @@ func TestCtxpropagateSkipsNonServingPackages(t *testing.T) {
 	}
 }
 
-func TestEnvelopedisciplineFixture(t *testing.T) {
-	findings := checkFixture(t, "stream", Envelopediscipline)
-	wantSuppressed(t, findings, 1) // Probe raw status
-}
-
 func TestLockioFixture(t *testing.T) {
 	findings := checkFixture(t, "locks", Lockio)
 	wantSuppressed(t, findings, 1) // AllowedHandoff buffered send

@@ -2,9 +2,7 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -51,32 +49,24 @@ func testBackend(t *testing.T) *httptest.Server {
 		}
 		return nil
 	}}
-	mux := http.NewServeMux()
-	api.Register(mux)
-	mux.HandleFunc("POST /v1/score", func(w http.ResponseWriter, r *http.Request) {
+	table := httpapi.NewTable(1<<20, nil, nil)
+	api.Mount(table)
+	table.Handle(httpapi.Score, func(r *http.Request, raw []byte) httpapi.Reply {
 		if r.URL.Query().Get("model") != "m" {
-			httpapi.Error(w, http.StatusNotFound, "unknown model")
-			return
-		}
-		raw, err := io.ReadAll(r.Body)
-		if err != nil {
-			httpapi.Error(w, http.StatusBadRequest, "read: %v", err)
-			return
+			return httpapi.Errorf(http.StatusNotFound, "unknown model")
 		}
 		body, err := wire.DecodeBody(r.Header.Get("Content-Type"), raw)
 		if err != nil {
-			httpapi.Error(w, http.StatusBadRequest, "decode: %v", err)
-			return
+			return httpapi.Errorf(http.StatusBadRequest, "decode: %v", err)
 		}
 		ds := body.Dataset
 		scores := make([]float64, len(ds.Samples))
 		for i, s := range ds.Samples {
 			scores[i] = scoreOf(s)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"scores": scores})
+		return httpapi.JSON(map[string]any{"scores": scores})
 	})
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(table.Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }

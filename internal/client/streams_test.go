@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -44,9 +43,9 @@ func streamBackend(t *testing.T) (*httptest.Server, *core.Pipeline, fda.Dataset)
 		t.Fatal(err)
 	}
 	t.Cleanup(mgr.Close)
-	mux := http.NewServeMux()
-	(&stream.API{Manager: mgr}).Register(mux)
-	ts := httptest.NewServer(mux)
+	table := httpapi.NewTable(1<<20, nil, nil)
+	(&stream.API{Manager: mgr}).Mount(table)
+	ts := httptest.NewServer(table.Handler())
 	t.Cleanup(ts.Close)
 	return ts, p, d
 }

@@ -207,7 +207,9 @@ type gateHarness struct {
 	tiers map[string]*tier
 }
 
-func bootGate(t *testing.T, modelPath string) *gateHarness {
+// bootGate boots three replicas and the gate over them; each option
+// edits the gate's config before it starts.
+func bootGate(t *testing.T, modelPath string, options ...func(*gate.Config)) *gateHarness {
 	t.Helper()
 	tiers := map[string]*tier{"gate": {}, "r1": {}, "r2": {}, "r3": {}}
 	replicas := map[string]*httptest.Server{
@@ -231,7 +233,7 @@ func bootGate(t *testing.T, modelPath string) *gateHarness {
 	health := &gate.Health{Interval: 25 * time.Millisecond, Threshold: 2}
 	health.Run(table, stop)
 	metrics := gate.NewMetrics()
-	g, err := gate.New(gate.Config{
+	cfg := gate.Config{
 		Table:      table,
 		Health:     health,
 		Metrics:    metrics,
@@ -240,7 +242,11 @@ func bootGate(t *testing.T, modelPath string) *gateHarness {
 		Timeout:    10 * time.Second,
 		EnableJobs: true,
 		JobOptions: jobs.Options{ChunkSize: 16, Tokens: 4, MaxAttempts: 8, Backoff: 20 * time.Millisecond},
-	})
+	}
+	for _, opt := range options {
+		opt(&cfg)
+	}
+	g, err := gate.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

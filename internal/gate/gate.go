@@ -2,9 +2,7 @@ package gate
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -41,7 +39,8 @@ type Config struct {
 	HedgeDelay time.Duration
 	// Timeout bounds one gateway request end to end; 0 means 30s.
 	Timeout time.Duration
-	// MaxBodyBytes caps the inbound request body; 0 means 32 MiB.
+	// MaxBodyBytes caps every inbound request body, /v1/jobs submits and
+	// stream appends included; 0 means 32 MiB.
 	MaxBodyBytes int64
 	// Attempts is the per-leg retry count (resilience.Client); 0 means 2
 	// — the hedge, not deep retry stacks, owns availability.
@@ -76,6 +75,7 @@ type Config struct {
 //	POST /v1/score?model={name}     forwarded to the model's shard (hedged)
 //	POST /v1/reload?model={name}    broadcast to every replica
 //	GET  /v1/models                 proxied to the first healthy replica
+//	GET  /v1/models/{name}          forwarded to the model's shard
 //	GET  /v1/topology               current fleet, routing and health view
 //	POST /v1/jobs                   async bulk scoring, scatter/gathered (EnableJobs)
 //	GET  /v1/jobs/{id}[/results]    poll / stream a job
@@ -85,7 +85,10 @@ type Config struct {
 //	GET  /readyz                    503 until a replica is healthy / while draining
 //	GET  /metrics                   Prometheus text exposition
 //
-// Every 4xx/5xx carries the v1 error envelope.
+// Every route but /v1/topology is a replica route too: both tiers mount
+// the shared entries of internal/httpapi on their route tables, so the
+// gate answers the same 405s and the same envelopes, and caps every
+// body at Config.MaxBodyBytes.
 type Gate struct {
 	cfg      Config
 	hedge    resilience.Hedge
@@ -235,39 +238,17 @@ func (g *Gate) rankedOrder(key string) []string {
 	return healthy
 }
 
-// Handler returns the routing handler. Every /v1 request is counted
-// under mfodgate_requests_total and logged by httpapi.Observe.
+// Handler returns the routing handler: the tier's route table, which
+// counts every /v1 request under mfodgate_requests_total and logs it.
 func (g *Gate) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if g.draining.Load() {
-			httpapi.Error(w, http.StatusServiceUnavailable, "draining")
-			return
-		}
-		if !g.anyReplicaUp() {
-			httpapi.Error(w, http.StatusServiceUnavailable, "no healthy replicas")
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ready")
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		g.cfg.Metrics.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /v1/topology", g.handleTopology)
-	mux.HandleFunc("/v1/topology", httpapi.MethodNotAllowed("GET"))
-	mux.HandleFunc("GET /v1/models", g.handleList)
-	mux.HandleFunc("/v1/models", httpapi.MethodNotAllowed("GET"))
-	mux.HandleFunc("POST /v1/score", g.handleScore)
-	mux.HandleFunc("/v1/score", httpapi.MethodNotAllowed("POST"))
-	mux.HandleFunc("POST /v1/reload", g.handleReload)
-	mux.HandleFunc("/v1/reload", httpapi.MethodNotAllowed("POST"))
-	g.registerStreams(mux)
+	t := httpapi.NewTable(g.cfg.MaxBodyBytes, g.cfg.Logger, g.cfg.Metrics.ObserveRequest)
+	t.Probes(g.ready, g.cfg.Metrics.WritePrometheus)
+	t.Handle(httpapi.Score, g.handleScore)
+	t.Handle(httpapi.Reload, g.handleReload)
+	t.Handle(httpapi.Models, g.handleList)
+	t.Handle(httpapi.ModelInfo, g.forward("name"))
+	t.Handle(httpapi.Topology, g.handleTopology)
+	g.mountStreams(t)
 	if g.jobs != nil {
 		api := &jobs.API{
 			Manager: g.jobs,
@@ -275,25 +256,29 @@ func (g *Gate) Handler() http.Handler {
 			// through the replicas' full sanitizer anyway.
 			Validate: func(ds fda.Dataset) error { return ds.Validate() },
 		}
-		api.Register(mux)
+		api.Mount(t)
 	}
-	mux.HandleFunc("/", httpapi.NotFound)
-	return httpapi.Observe(mux, g.cfg.Logger, g.cfg.Metrics.ObserveRequest)
+	return t.Handler()
 }
 
-func (g *Gate) anyReplicaUp() bool {
+// ready is the readiness check: not while draining, and not before a
+// replica is healthy.
+func (g *Gate) ready() error {
+	if g.draining.Load() {
+		return errors.New("draining")
+	}
 	for _, name := range g.cfg.Table.Fleet().ring.Names() {
 		if g.cfg.Health.Up(name) {
-			return true
+			return nil
 		}
 	}
-	return false
+	return errors.New("no healthy replicas")
 }
 
 // handleTopology renders the operator view: replicas, health and the
 // route every loaded model would take is left to the client (routes are
 // a pure function of the model name via /v1/topology?route=<model>).
-func (g *Gate) handleTopology(w http.ResponseWriter, r *http.Request) {
+func (g *Gate) handleTopology(r *http.Request, _ []byte) httpapi.Reply {
 	f := g.cfg.Table.Fleet()
 	down := g.cfg.Health.Snapshot()
 	type replicaView struct {
@@ -322,14 +307,13 @@ func (g *Gate) handleTopology(w http.ResponseWriter, r *http.Request) {
 			out.Route = append(out.Route, secondary)
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
+	return httpapi.JSON(out)
 }
 
 // handleList proxies the model listing to the first healthy replica:
 // every replica of a uniform fleet answers identically, and a sharded
 // fleet's union view is an operator concern /v1/topology covers better.
-func (g *Gate) handleList(w http.ResponseWriter, r *http.Request) {
+func (g *Gate) handleList(r *http.Request, _ []byte) httpapi.Reply {
 	f := g.cfg.Table.Fleet()
 	for _, name := range f.ring.Names() {
 		if !g.cfg.Health.Up(name) {
@@ -343,10 +327,9 @@ func (g *Gate) handleList(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		relay(w, resp)
-		return
+		return httpapi.Relay(resp, nil)
 	}
-	httpapi.Error(w, http.StatusBadGateway, "no healthy replica answered the model listing")
+	return httpapi.Errorf(http.StatusBadGateway, "no healthy replica answered the model listing")
 }
 
 // handleReload broadcasts a model reload to every replica — a sharded
@@ -354,10 +337,10 @@ func (g *Gate) handleList(w http.ResponseWriter, r *http.Request) {
 // a model a replica does not serve is that replica's 404 to report.
 // Any replica that does not answer 200 makes the broadcast a 502
 // upstream_error naming each failing replica and its status.
-func (g *Gate) handleReload(w http.ResponseWriter, r *http.Request) {
-	model, ok := httpapi.ModelParam(w, r)
-	if !ok {
-		return
+func (g *Gate) handleReload(r *http.Request, _ []byte) httpapi.Reply {
+	model, perr := httpapi.ModelParam(r)
+	if perr != nil {
+		return perr
 	}
 	f := g.cfg.Table.Fleet()
 	results := make(map[string]string, f.ring.Len())
@@ -376,12 +359,10 @@ func (g *Gate) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(failed) > 0 {
-		httpapi.ErrorCode(w, http.StatusBadGateway, httpapi.CodeUpstream,
+		return httpapi.Errorf(http.StatusBadGateway,
 			"reload of %q failed on %d of %d replicas: %s", model, len(failed), f.ring.Len(), strings.Join(failed, "; "))
-		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"model": model, "replicas": results})
+	return httpapi.JSON(map[string]any{"model": model, "replicas": results})
 }
 
 // scoreURL builds a canonical upstream URL: base + path with model (and
@@ -398,18 +379,13 @@ func scoreURL(base, path, model string, passthrough map[string][]string) string 
 	return base + path + "?" + q.Encode()
 }
 
-// inboundBody reads and caps the request body, returning the upstream
-// payload as a binary wire frame. JSON bodies are transcoded; wire
-// bodies pass through untouched — the gate never decodes what it can
-// forward.
-func (g *Gate) inboundBody(w http.ResponseWriter, r *http.Request) (body []byte, code int) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		return nil, httpapi.BodyError(w, err)
-	}
+// upstreamBody returns the upstream payload of a scoring body as a
+// binary wire frame. JSON bodies are transcoded; wire bodies pass
+// through untouched — the gate never decodes what it can forward.
+func upstreamBody(r *http.Request, raw []byte) ([]byte, *httpapi.Error) {
 	ct := r.Header.Get("Content-Type")
 	if wire.IsFrame(ct) {
-		return raw, 0
+		return raw, nil
 	}
 	// Transcode JSON → wire so the fleet's internal traffic rides the
 	// compact codec even for JSON clients. The replicas' own decoder
@@ -417,36 +393,35 @@ func (g *Gate) inboundBody(w http.ResponseWriter, r *http.Request) (body []byte,
 	// 400 a replica would give, at the hop that is to blame.
 	req, err := wire.DecodeBody(ct, raw)
 	if err != nil {
-		httpapi.Error(w, http.StatusBadRequest, "decode body: %v", err)
-		return nil, http.StatusBadRequest
+		return nil, httpapi.Errorf(http.StatusBadRequest, "decode body: %v", err)
 	}
-	return wire.EncodeRequest(req.Request), 0
+	return wire.EncodeRequest(req.Request), nil
 }
 
 // handleScore is the hot path POST /v1/score?model=: resolve the
 // model's shard, race the hedged legs, relay the winning replica answer.
-func (g *Gate) handleScore(w http.ResponseWriter, r *http.Request) {
-	model, ok := httpapi.ModelParam(w, r)
-	if !ok {
-		return
+func (g *Gate) handleScore(r *http.Request, raw []byte) httpapi.Reply {
+	model, perr := httpapi.ModelParam(r)
+	if perr != nil {
+		return perr
 	}
 	start := time.Now()
-	code := g.score(w, r, model)
-	g.cfg.Brownout.Observe(code, time.Since(start))
+	reply := g.score(r, raw, model)
+	g.cfg.Brownout.Observe(httpapi.StatusOf(reply), time.Since(start))
+	return reply
 }
 
-func (g *Gate) score(w http.ResponseWriter, r *http.Request, model string) int {
-	// Resolve the request's time budget before reading any body bytes: a
-	// caller that already gave up costs nothing, and a malformed header
-	// is the sender's bug to hear about immediately.
+func (g *Gate) score(r *http.Request, raw []byte, model string) httpapi.Reply {
+	// Resolve the request's time budget before decoding the body: a
+	// caller that already gave up costs nothing further, and a malformed
+	// header is the sender's bug to hear about immediately.
 	budget, berr := resilience.BudgetFromHeader(r.Header)
 	if ferr := faultinject.Hit(FaultBudgetInbound); ferr != nil {
 		budget, berr = nil, ferr
 	}
 	if berr != nil {
 		g.cfg.Metrics.ObserveDeadlineRejected()
-		httpapi.Error(w, http.StatusBadRequest, "%v", berr)
-		return http.StatusBadRequest
+		return httpapi.Errorf(http.StatusBadRequest, "%v", berr)
 	}
 	if budget == nil {
 		// No propagated deadline: the gate's own timeout is the edge
@@ -455,12 +430,11 @@ func (g *Gate) score(w http.ResponseWriter, r *http.Request, model string) int {
 	}
 	if budget.Expired() {
 		g.cfg.Metrics.ObserveDeadlineExpired()
-		httpapi.Error(w, http.StatusGatewayTimeout, "deadline in %s already expired", resilience.DeadlineHeader)
-		return http.StatusGatewayTimeout
+		return httpapi.Errorf(http.StatusGatewayTimeout, "deadline in %s already expired", resilience.DeadlineHeader)
 	}
-	body, errCode := g.inboundBody(w, r)
-	if errCode != 0 {
-		return errCode
+	body, uerr := upstreamBody(r, raw)
+	if uerr != nil {
+		return uerr
 	}
 	f := g.cfg.Table.Fleet()
 	primary, secondary := g.Route(model)
@@ -494,12 +468,13 @@ func (g *Gate) score(w http.ResponseWriter, r *http.Request, model string) int {
 	// The per-hop timeout is capped at the remaining budget: this hop
 	// never works past the moment the caller walks away. The budget
 	// rides the context so retry and hedge layers spend it honestly.
+	// The context outlives this function: the relay copies the winning
+	// answer's body under it, then cancels it.
 	timeout := g.cfg.Timeout
 	if rem := budget.Remaining(); rem < timeout {
 		timeout = rem
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
 	ctx = resilience.WithBudget(ctx, budget)
 	race := g.hedge.Do
 	if suppressed {
@@ -508,61 +483,38 @@ func (g *Gate) score(w http.ResponseWriter, r *http.Request, model string) int {
 	resp, winner, err := race(ctx, leg(primary), secondaryLeg)
 	g.cfg.Metrics.ObserveHedge(winner == resilience.Secondary, winner.String())
 	if err != nil {
+		cancel()
 		// Both legs failed (or the only leg did): the fleet could not
 		// answer. 504 on a spent deadline or budget, 502 otherwise.
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, resilience.ErrBudgetExhausted) {
 			g.cfg.Metrics.ObserveDeadlineExpired()
-			httpapi.Error(w, http.StatusGatewayTimeout, "fleet did not answer within %v", timeout)
-			return http.StatusGatewayTimeout
+			return httpapi.Errorf(http.StatusGatewayTimeout, "fleet did not answer within %v", timeout)
 		}
-		httpapi.Error(w, http.StatusBadGateway, "fleet error via %s: %v", primary, err)
-		return http.StatusBadGateway
+		return httpapi.Errorf(http.StatusBadGateway, "fleet error via %s: %v", primary, err)
 	}
-	g.relayScore(w, resp)
-	return resp.StatusCode
+	return g.relayScore(resp, cancel)
 }
 
-// relayScore relays a replica's scoring answer. Backpressure responses
-// (429/503) get a Retry-After derived from the gate's own pressure
-// window when that is more conservative than the replica's hint — the
-// gate sees the whole fleet's distress, one replica only its own.
-// Rewriting the header obligates rewriting the envelope body: the
-// relayed retry_after_ms must never contradict the relayed Retry-After.
-func (g *Gate) relayScore(w http.ResponseWriter, resp *http.Response) {
-	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-		hint := 0
-		if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-			hint = s
-		}
-		if derived := g.cfg.Brownout.RetryAfter(); derived > hint {
-			hint = derived
-		}
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		ae := httpapi.ParseError(resp.StatusCode, raw)
-		if codec := resp.Header.Get(httpapi.CodecHeader); codec != "" {
-			w.Header().Set(httpapi.CodecHeader, codec)
-		}
-		httpapi.ErrorRetry(w, resp.StatusCode, ae.Code,
-			time.Duration(hint)*time.Second, "%s", ae.Message)
-		return
+// relayScore relays a replica's scoring answer, then calls done.
+// Backpressure responses (429/503) get a Retry-After derived from the
+// gate's own pressure window when that is more conservative than the
+// replica's hint — the gate sees the whole fleet's distress, one
+// replica only its own. The envelope is rewritten with the header, so
+// the relayed retry_after_ms never contradicts the relayed Retry-After.
+func (g *Gate) relayScore(resp *http.Response, done func()) httpapi.Reply {
+	if resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusServiceUnavailable {
+		return httpapi.Relay(resp, done)
 	}
-	relay(w, resp)
-}
-
-// relay copies a replica response — status, content type, codec echo,
-// body — to the client and closes it.
-func relay(w http.ResponseWriter, resp *http.Response) {
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	defer done()
+	hint := 0
+	if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
+		hint = s
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
+	if derived := g.cfg.Brownout.RetryAfter(); derived > hint {
+		hint = derived
 	}
-	if codec := resp.Header.Get(httpapi.CodecHeader); codec != "" {
-		w.Header().Set(httpapi.CodecHeader, codec)
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	resp.Body.Close()
+	ae := httpapi.ParseError(resp.StatusCode, raw)
+	return httpapi.Errorf(resp.StatusCode, "%s", ae.Message).Retry(time.Duration(hint) * time.Second)
 }

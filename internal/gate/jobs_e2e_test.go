@@ -198,8 +198,9 @@ func TestGateV1Envelope(t *testing.T) {
 		{"score without model", "POST", "/v1/score", body, 400, httpapi.CodeBadRequest, ""},
 		{"score wrong method", "GET", "/v1/score?model=m0", nil, 405, httpapi.CodeMethodNotAllowed, "POST"},
 		{"relayed unknown model", "POST", "/v1/score?model=zz-unknown", body, 404, httpapi.CodeNotFound, ""},
-		// The retired colon-verb alias paths now answer an enveloped 404.
-		{"alias unknown action", "POST", "/v1/models/m0:frobnicate", body, 404, httpapi.CodeNotFound, ""},
+		// The retired colon-verb alias paths answer what a replica does:
+		// a model-info path that allows GET only, naming no model.
+		{"alias unknown action", "POST", "/v1/models/m0:frobnicate", body, 405, httpapi.CodeMethodNotAllowed, "GET"},
 		{"alias wrong method", "GET", "/v1/models/m0:score", nil, 404, httpapi.CodeNotFound, ""},
 		{"job submit wrong method", "GET", "/v1/jobs", nil, 405, httpapi.CodeMethodNotAllowed, "POST"},
 		{"unknown job", "GET", "/v1/jobs/j-nope", nil, 404, httpapi.CodeNotFound, ""},
@@ -209,6 +210,7 @@ func TestGateV1Envelope(t *testing.T) {
 		// and never proxies it.
 		{"stream method substring", "ET", "/v1/streams/s1", nil, 405, httpapi.CodeMethodNotAllowed, "GET, DELETE"},
 		{"stream append method substring", "P", "/v1/streams/s1/append", nil, 405, httpapi.CodeMethodNotAllowed, "POST"},
+		{"stream list trailing slash wrong method", "POST", "/v1/streams/", nil, 405, httpapi.CodeMethodNotAllowed, "GET"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

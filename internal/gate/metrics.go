@@ -55,7 +55,8 @@ func NewMetrics() *Metrics {
 }
 
 // ObserveRequest records one finished /v1 request at the gate. It is
-// the httpapi.Observe callback, the gate's one observation site.
+// the record callback of the gate's route table, its one observation
+// site.
 func (m *Metrics) ObserveRequest(model string, code int, seconds float64) {
 	if m != nil {
 		m.requests.Inc(model, strconv.Itoa(code))

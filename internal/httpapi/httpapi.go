@@ -1,7 +1,7 @@
 // Package httpapi defines the v1 HTTP contract shared by every service
 // surface of the repository — the mfodserve replicas, the mfodgate
 // front tier and the async jobs API: `/v1/score`, `/v1/reload`,
-// `/v1/models`, `/v1/topology`, `/v1/jobs…` and `/v1/streams…`.
+// `/v1/models…`, `/v1/topology`, `/v1/jobs…` and `/v1/streams…`.
 //
 // Its core is the error envelope. Every 4xx/5xx response body repo-wide
 // is exactly one shape:
@@ -15,18 +15,18 @@
 // also carries a Retry-After header — same value, finer unit, so
 // clients that only read bodies still see honest backpressure hints.
 //
-// Its other half is Observe (observe.go), the middleware both tiers
-// install once: every /v1 request is counted and logged there and
-// nowhere else.
+// Its other half is the route table (table.go): each v1 route is
+// declared once here, both tiers attach handlers to the same entries,
+// and a handler returns a Reply (reply.go) instead of writing one. The
+// table is the only writer of responses, so an error can only leave as
+// the envelope, and the body cap, the 405s and the observation of each
+// request follow from the table.
 package httpapi
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 )
 
 // Stable machine-readable error codes of the v1 envelope. Codes name the
@@ -100,38 +100,6 @@ func CodeForStatus(status int) string {
 	}
 }
 
-// Error writes a v1 error envelope with the default code for status.
-func Error(w http.ResponseWriter, status int, format string, args ...any) {
-	ErrorCode(w, status, CodeForStatus(status), format, args...)
-}
-
-// ErrorCode writes a v1 error envelope with an explicit code.
-func ErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeEnvelope(w, status, ErrorDetail{Code: code, Message: fmt.Sprintf(format, args...)})
-}
-
-// ErrorRetry writes a v1 error envelope carrying a retry hint: the
-// Retry-After header (whole seconds, rounded up, at least 1) and the
-// same hint as retry_after_ms in the body.
-func ErrorRetry(w http.ResponseWriter, status int, code string, retryAfter time.Duration, format string, args ...any) {
-	if retryAfter < time.Second {
-		retryAfter = time.Second
-	}
-	secs := int64((retryAfter + time.Second - 1) / time.Second)
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeEnvelope(w, status, ErrorDetail{
-		Code:         code,
-		Message:      fmt.Sprintf(format, args...),
-		RetryAfterMs: secs * 1000,
-	})
-}
-
-func writeEnvelope(w http.ResponseWriter, status int, d ErrorDetail) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(ErrorBody{Error: d})
-}
-
 // APIError is the client-side decoding of a v1 error envelope: the
 // error type returned by internal/client (and any other consumer) for a
 // non-2xx response whose body parses as the envelope.
@@ -163,52 +131,9 @@ func ParseError(status int, body []byte) *APIError {
 	return &APIError{Status: status, Code: CodeForStatus(status), Message: string(body)}
 }
 
-// BodyError writes the envelope for a request body that could not be
-// read or decoded and returns the status it chose: 413
-// payload_too_large when the read ran into an http.MaxBytesReader cap,
-// so the client hears about the cap rather than a decode error or a
-// connection reset, and 400 bad_request for anything else.
-func BodyError(w http.ResponseWriter, err error) int {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		Error(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-		return http.StatusRequestEntityTooLarge
-	}
-	Error(w, http.StatusBadRequest, "request body: %v", err)
-	return http.StatusBadRequest
-}
-
-// ModelParam returns the ?model= parameter of the routes that require
-// one (/v1/score, /v1/reload); when it is missing it writes the 400 and
-// reports false.
-func ModelParam(w http.ResponseWriter, r *http.Request) (string, bool) {
-	name := r.URL.Query().Get("model")
-	if name == "" {
-		Error(w, http.StatusBadRequest, "missing ?model= parameter")
-	}
-	return name, name != ""
-}
-
 // NDJSONContentType is the content type of the line-delimited JSON
 // streaming responses (bulk-job results, stream score-event watches).
 const NDJSONContentType = "application/x-ndjson"
-
-// NotFound is the catch-all handler for unmatched routes, so even a
-// typo'd path gets the v1 envelope instead of the mux's plain text.
-func NotFound(w http.ResponseWriter, r *http.Request) {
-	Error(w, http.StatusNotFound, "no such route %q", r.URL.Path)
-}
-
-// MethodNotAllowed returns a handler for method-less route patterns
-// registered alongside their method-ful canonical forms: a request that
-// matches the path but not the method lands here and gets an enveloped
-// 405 with the Allow header, instead of the mux's plain-text default.
-func MethodNotAllowed(allow string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		Error(w, http.StatusMethodNotAllowed, "%s does not allow %s", r.URL.Path, r.Method)
-	}
-}
 
 // CodecHeader names the response header echoing which request codec the
 // serving hop actually decoded ("json" or "wire"). The gate relays it,

@@ -9,6 +9,13 @@ import (
 	"time"
 )
 
+// written is the response a reply writes.
+func written(reply Reply) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	reply.write(rec)
+	return rec
+}
+
 func decode(t *testing.T, body []byte) ErrorBody {
 	t.Helper()
 	var eb ErrorBody
@@ -43,8 +50,7 @@ func TestCodeForStatus(t *testing.T) {
 }
 
 func TestErrorWritesEnvelope(t *testing.T) {
-	rec := httptest.NewRecorder()
-	Error(rec, http.StatusUnprocessableEntity, "dimension %d != %d", 2, 3)
+	rec := written(Errorf(http.StatusUnprocessableEntity, "dimension %d != %d", 2, 3))
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -64,8 +70,7 @@ func TestErrorWritesEnvelope(t *testing.T) {
 }
 
 func TestErrorRetrySetsHeaderAndBody(t *testing.T) {
-	rec := httptest.NewRecorder()
-	ErrorRetry(rec, http.StatusTooManyRequests, CodeOverloaded, 1500*time.Millisecond, "queue full")
+	rec := written(Errorf(http.StatusTooManyRequests, "queue full").Retry(1500 * time.Millisecond))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -80,8 +85,7 @@ func TestErrorRetrySetsHeaderAndBody(t *testing.T) {
 	}
 
 	// Sub-second hints are clamped to the 1-second floor of the header.
-	rec = httptest.NewRecorder()
-	ErrorRetry(rec, http.StatusServiceUnavailable, CodeUnavailable, 10*time.Millisecond, "draining")
+	rec = written(Errorf(http.StatusServiceUnavailable, "draining").Retry(10 * time.Millisecond))
 	if ra := rec.Header().Get("Retry-After"); ra != "1" {
 		t.Fatalf("Retry-After = %q, want 1", ra)
 	}
@@ -91,8 +95,7 @@ func TestErrorRetrySetsHeaderAndBody(t *testing.T) {
 }
 
 func TestParseErrorRoundTrip(t *testing.T) {
-	rec := httptest.NewRecorder()
-	ErrorRetry(rec, http.StatusTooManyRequests, CodeOverloaded, 3*time.Second, "shed")
+	rec := written(Errorf(http.StatusTooManyRequests, "shed").Retry(3 * time.Second))
 	ae := ParseError(rec.Code, rec.Body.Bytes())
 	if ae.Status != http.StatusTooManyRequests || ae.Code != CodeOverloaded ||
 		ae.Message != "shed" || ae.RetryAfterMs != 3000 {
@@ -114,19 +117,19 @@ func TestParseErrorNonEnvelope(t *testing.T) {
 }
 
 // TestEveryCodeRoundTrips drives every machine code the serve, gate,
-// jobs and stream tiers emit through the full envelope cycle — write
-// with ErrorCode/ErrorRetry, decode with ParseError — and pins the wire
-// strings themselves. The wire literal is asserted against the raw JSON
-// too, so renaming a Code* constant (which clients switch on) cannot
-// slip through as a "refactor". This is the data-side contract behind
-// the envelopediscipline analyzer: handlers are forced through these
-// helpers, and these helpers are proven to round-trip.
+// jobs and stream tiers emit through the full envelope cycle — write an
+// Errorf reply, decode with ParseError — and pins the wire strings
+// themselves. The wire literal is asserted against the raw JSON too, so
+// renaming a Code* constant (which clients switch on) cannot slip
+// through as a "refactor". This is the data-side contract behind the
+// route table: handlers can only answer an error as an *Error, and an
+// *Error is proven to round-trip.
 func TestEveryCodeRoundTrips(t *testing.T) {
 	cases := []struct {
 		code   string
 		wire   string // frozen v1 wire literal, asserted byte-for-byte
 		status int
-		retry  time.Duration // 0 = written with ErrorCode, no hint
+		retry  time.Duration // 0 = no hint
 	}{
 		{CodeBadRequest, "bad_request", http.StatusBadRequest, 0},
 		{CodeNotFound, "not_found", http.StatusNotFound, 0},
@@ -144,12 +147,14 @@ func TestEveryCodeRoundTrips(t *testing.T) {
 			if c.code != c.wire {
 				t.Fatalf("wire literal drifted: constant = %q, frozen v1 value = %q", c.code, c.wire)
 			}
-			rec := httptest.NewRecorder()
+			reply := Errorf(c.status, "tier says no")
 			if c.retry > 0 {
-				ErrorRetry(rec, c.status, c.code, c.retry, "tier says no")
-			} else {
-				ErrorCode(rec, c.status, c.code, "tier says no")
+				reply.Retry(c.retry)
 			}
+			if got := StatusOf(reply); got != c.status {
+				t.Fatalf("StatusOf = %d, want %d", got, c.status)
+			}
+			rec := written(reply)
 			if rec.Code != c.status {
 				t.Fatalf("status = %d, want %d", rec.Code, c.status)
 			}
@@ -181,15 +186,6 @@ func TestEveryCodeRoundTrips(t *testing.T) {
 				if header != "" || ae.RetryAfterMs != 0 {
 					t.Errorf("no-hint case grew a retry hint: header %q, body %d", header, ae.RetryAfterMs)
 				}
-			}
-
-			// Error (the default-code writer) must pick the same code for
-			// this status that the explicit writer used, for every status
-			// with a canonical code.
-			rec2 := httptest.NewRecorder()
-			Error(rec2, c.status, "default writer")
-			if got := decode(t, rec2.Body.Bytes()); got.Error.Code != CodeForStatus(c.status) {
-				t.Errorf("Error(%d) code = %q, want %q", c.status, got.Error.Code, CodeForStatus(c.status))
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -15,9 +14,9 @@ import (
 	"repro/internal/wire"
 )
 
-// API mounts the jobs endpoints on a mux. serve and gate both embed it,
-// so the bulk-scoring surface is identical whether a client talks to a
-// single replica or to the front tier:
+// API holds the jobs handlers. serve and gate both mount it, so the
+// bulk-scoring surface is identical whether a client talks to a single
+// replica or to the front tier:
 //
 //	POST   /v1/jobs               submit curves (JSON or wire frame) → 202 + handle
 //	GET    /v1/jobs/{id}          poll the job snapshot
@@ -25,9 +24,6 @@ import (
 //	DELETE /v1/jobs/{id}          cancel
 type API struct {
 	Manager *Manager
-	// MaxBodyBytes caps the submit body; 0 means 256 MiB (bulk jobs are
-	// the whole point — the interactive cap would defeat them).
-	MaxBodyBytes int64
 	// Validate, when non-nil, vets the decoded dataset before the job
 	// is accepted; a ValidationError-style failure becomes a 400.
 	Validate func(ds fda.Dataset) error
@@ -40,17 +36,12 @@ type API struct {
 // not serialize an arbitrarily large finished prefix into one line.
 const maxLineScores = 4096
 
-// Register mounts the endpoints. The method-less patterns catch
-// wrong-method requests so they get the v1 envelope, not the mux's
-// plain-text 405.
-func (a *API) Register(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/jobs", a.handleSubmit)
-	mux.HandleFunc("/v1/jobs", httpapi.MethodNotAllowed("POST"))
-	mux.HandleFunc("GET /v1/jobs/{id}", a.handleStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", a.handleCancel)
-	mux.HandleFunc("/v1/jobs/{id}", httpapi.MethodNotAllowed("GET, DELETE"))
-	mux.HandleFunc("GET /v1/jobs/{id}/results", a.handleResults)
-	mux.HandleFunc("/v1/jobs/{id}/results", httpapi.MethodNotAllowed("GET"))
+// Mount attaches the jobs handlers to their routes of t.
+func (a *API) Mount(t *httpapi.Table) {
+	t.Handle(httpapi.JobSubmit, a.submit)
+	t.Handle(httpapi.JobStatus, a.status)
+	t.Handle(httpapi.JobCancel, a.cancel)
+	t.Handle(httpapi.JobResults, a.results)
 }
 
 // submitResponse is the 202 body: the handle plus the two URLs a client
@@ -79,24 +70,14 @@ type ResultEnd struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// handleSubmit accepts a job. The body is a curve body of either codec
+// submit accepts a job. The body is a curve body of either codec
 // (wire.DecodeBody). A JSON body may name the model and chunk size
 // itself; otherwise, and always for a frame, which has no room for
 // them, they ride the query string.
-func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	maxBytes := a.MaxBodyBytes
-	if maxBytes <= 0 {
-		maxBytes = 256 << 20
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
-	if err != nil {
-		httpapi.BodyError(w, err)
-		return
-	}
+func (a *API) submit(r *http.Request, raw []byte) httpapi.Reply {
 	body, err := wire.DecodeBody(r.Header.Get("Content-Type"), raw)
 	if err != nil {
-		httpapi.Error(w, http.StatusBadRequest, "decode body: %v", err)
-		return
+		return httpapi.Errorf(http.StatusBadRequest, "decode body: %v", err)
 	}
 	model, chunk, ds := body.Model, body.Chunk, body.Dataset
 	if model == "" {
@@ -105,49 +86,37 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if cs := r.URL.Query().Get("chunk"); chunk == 0 && cs != "" {
 		n, err := strconv.Atoi(cs)
 		if err != nil || n < 0 {
-			httpapi.Error(w, http.StatusBadRequest, "bad chunk %q", cs)
-			return
+			return httpapi.Errorf(http.StatusBadRequest, "bad chunk %q", cs)
 		}
 		chunk = n
 	}
 	if model == "" {
-		httpapi.Error(w, http.StatusBadRequest, "missing model (body field or ?model=)")
-		return
+		return httpapi.Errorf(http.StatusBadRequest, "missing model (body field or ?model=)")
 	}
 	if len(ds.Samples) == 0 {
-		httpapi.Error(w, http.StatusBadRequest, "empty dataset")
-		return
+		return httpapi.Errorf(http.StatusBadRequest, "empty dataset")
 	}
 	if a.CheckModel != nil {
 		if err := a.CheckModel(model); err != nil {
-			httpapi.Error(w, http.StatusNotFound, "unknown model %q", model)
-			return
+			return httpapi.Errorf(http.StatusNotFound, "unknown model %q", model)
 		}
 	}
 	if a.Validate != nil {
 		if err := a.Validate(ds); err != nil {
-			httpapi.Error(w, http.StatusBadRequest, "%v", err)
-			return
+			return httpapi.Errorf(http.StatusBadRequest, "%v", err)
 		}
 	}
 	j, err := a.Manager.Submit(model, ds, chunk)
 	switch {
 	case errors.Is(err, ErrTooManyJobs):
-		httpapi.ErrorRetry(w, http.StatusTooManyRequests, httpapi.CodeOverloaded,
-			2*time.Second, "job table full, retry later")
-		return
+		return httpapi.Errorf(http.StatusTooManyRequests, "job table full, retry later").Retry(2 * time.Second)
 	case errors.Is(err, ErrClosed):
-		httpapi.Error(w, http.StatusServiceUnavailable, "server shutting down")
-		return
+		return httpapi.Errorf(http.StatusServiceUnavailable, "server shutting down")
 	case err != nil:
-		httpapi.Error(w, http.StatusInternalServerError, "submit: %v", err)
-		return
+		return httpapi.Errorf(http.StatusInternalServerError, "submit: %v", err)
 	}
 	st := j.Status()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Location", "/v1/jobs/"+j.ID())
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(submitResponse{
+	return httpapi.Accepted("/v1/jobs/"+j.ID(), submitResponse{
 		Job:        j.ID(),
 		Samples:    st.Samples,
 		Chunk:      st.ChunkSize,
@@ -156,93 +125,78 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// job resolves {id} or writes the 404.
-func (a *API) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+// job resolves {id}, or answers the 404.
+func (a *API) job(r *http.Request) (*Job, *httpapi.Error) {
 	id := r.PathValue("id")
 	j, ok := a.Manager.Get(id)
 	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "unknown job %q", id)
-		return nil, false
+		return nil, httpapi.Errorf(http.StatusNotFound, "unknown job %q", id)
 	}
-	return j, true
+	return j, nil
 }
 
-func (a *API) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := a.job(w, r)
-	if !ok {
-		return
+func (a *API) status(r *http.Request, _ []byte) httpapi.Reply {
+	j, err := a.job(r)
+	if err != nil {
+		return err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(j.Status())
+	return httpapi.JSON(j.Status())
 }
 
-func (a *API) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := a.job(w, r)
-	if !ok {
-		return
+func (a *API) cancel(r *http.Request, _ []byte) httpapi.Reply {
+	j, err := a.job(r)
+	if err != nil {
+		return err
 	}
 	j.Cancel()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]string{"job": j.ID(), "state": "cancelling"})
+	return httpapi.JSON(map[string]string{"job": j.ID(), "state": "cancelling"})
 }
 
-// handleResults streams final scores as NDJSON from ?cursor= (default
-// 0): lines of {"start","scores"} in sample order, then one terminal
+// results streams final scores as NDJSON from ?cursor= (default 0):
+// lines of {"start","scores"} in sample order, then one terminal
 // {"done":true,...} line. The cursor makes the stream resumable — a
 // client that lost its connection after absorbing N scores reconnects
 // with ?cursor=N and misses nothing, duplicates nothing.
-func (a *API) handleResults(w http.ResponseWriter, r *http.Request) {
-	j, ok := a.job(w, r)
-	if !ok {
-		return
+func (a *API) results(r *http.Request, _ []byte) httpapi.Reply {
+	j, jerr := a.job(r)
+	if jerr != nil {
+		return jerr
 	}
 	cursor := 0
 	if cs := r.URL.Query().Get("cursor"); cs != "" {
 		n, err := strconv.Atoi(cs)
 		if err != nil || n < 0 {
-			httpapi.Error(w, http.StatusBadRequest, "bad cursor %q", cs)
-			return
+			return httpapi.Errorf(http.StatusBadRequest, "bad cursor %q", cs)
 		}
 		cursor = n
 	}
-	w.Header().Set("Content-Type", httpapi.NDJSONContentType)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	for {
-		vals, next, final, err := j.WaitResults(r.Context(), cursor)
-		if err != nil {
-			st := j.Status()
-			if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
-				// Client gone; nothing useful to write.
+	return httpapi.Lines(func(emit func(any) error) {
+		for {
+			vals, next, final, err := j.WaitResults(r.Context(), cursor)
+			if err != nil {
+				if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
+					// Client gone; nothing useful to write.
+					return
+				}
+				st := j.Status()
+				emit(ResultEnd{Done: true, State: st.State, Samples: st.Samples,
+					Retries: st.Retries, Error: firstLine(err.Error())})
 				return
 			}
-			enc.Encode(ResultEnd{Done: true, State: st.State, Samples: st.Samples,
-				Retries: st.Retries, Error: firstLine(err.Error())})
-			flush()
-			return
-		}
-		for off := 0; off < len(vals); off += maxLineScores {
-			end := min(off+maxLineScores, len(vals))
-			if err := enc.Encode(ResultLine{Start: cursor + off, Scores: vals[off:end]}); err != nil {
+			for off := 0; off < len(vals); off += maxLineScores {
+				end := min(off+maxLineScores, len(vals))
+				if emit(ResultLine{Start: cursor + off, Scores: vals[off:end]}) != nil {
+					return
+				}
+			}
+			cursor = next
+			if final {
+				st := j.Status()
+				emit(ResultEnd{Done: true, State: st.State, Samples: st.Samples, Retries: st.Retries})
 				return
 			}
 		}
-		if len(vals) > 0 {
-			flush()
-		}
-		cursor = next
-		if final {
-			st := j.Status()
-			enc.Encode(ResultEnd{Done: true, State: st.State, Samples: st.Samples, Retries: st.Retries})
-			flush()
-			return
-		}
-	}
+	})
 }
 
 // firstLine trims an error message to its first line so the NDJSON

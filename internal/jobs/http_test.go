@@ -18,7 +18,8 @@ import (
 	"repro/internal/wire"
 )
 
-func bootAPI(t *testing.T, opt Options, api *API) *httptest.Server {
+// bootAPI serves api on a route table whose body cap is maxBody.
+func bootAPI(t *testing.T, opt Options, api *API, maxBody int64) *httptest.Server {
 	t.Helper()
 	m, err := NewManager(opt)
 	if err != nil {
@@ -26,9 +27,9 @@ func bootAPI(t *testing.T, opt Options, api *API) *httptest.Server {
 	}
 	t.Cleanup(m.Close)
 	api.Manager = m
-	mux := http.NewServeMux()
-	api.Register(mux)
-	srv := httptest.NewServer(mux)
+	table := httpapi.NewTable(maxBody, nil, nil)
+	api.Mount(table)
+	srv := httptest.NewServer(table.Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -103,7 +104,7 @@ func streamResults(t *testing.T, url string) (map[int][]float64, ResultEnd) {
 func TestHTTPSubmitPollStream(t *testing.T) {
 	for _, codec := range []string{"json", "wire"} {
 		t.Run(codec, func(t *testing.T) {
-			srv := bootAPI(t, Options{Runner: &echoRunner{}}, &API{})
+			srv := bootAPI(t, Options{Runner: &echoRunner{}}, &API{}, 1<<20)
 			ds := testDataset(18)
 			sr := submitJob(t, srv.URL, "m", ds, codec == "wire")
 			if sr.Samples != 18 || sr.Chunk != 4 {
@@ -144,7 +145,7 @@ func TestHTTPSubmitPollStream(t *testing.T) {
 }
 
 func TestHTTPResumeWithCursor(t *testing.T) {
-	srv := bootAPI(t, Options{Runner: &echoRunner{}}, &API{})
+	srv := bootAPI(t, Options{Runner: &echoRunner{}}, &API{}, 1<<20)
 	sr := submitJob(t, srv.URL, "m", testDataset(12), false)
 
 	// Wait for completion, then read the tail only: cursor=8 must yield
@@ -178,7 +179,7 @@ func TestHTTPResumeWithCursor(t *testing.T) {
 }
 
 func TestHTTPFailedJobStream(t *testing.T) {
-	srv := bootAPI(t, Options{Runner: &echoRunner{fatalOn: 1}, Backoff: time.Millisecond}, &API{})
+	srv := bootAPI(t, Options{Runner: &echoRunner{fatalOn: 1}, Backoff: time.Millisecond}, &API{}, 1<<20)
 	sr := submitJob(t, srv.URL, "m", testDataset(8), false)
 	_, end := streamResults(t, srv.URL+sr.ResultsURL)
 	if !end.Done || end.State != StateFailed || end.Error == "" {
@@ -187,7 +188,7 @@ func TestHTTPFailedJobStream(t *testing.T) {
 }
 
 func TestHTTPCancel(t *testing.T) {
-	srv := bootAPI(t, Options{Runner: &echoRunner{delay: 20 * time.Millisecond}, ChunkSize: 1, Tokens: 1}, &API{})
+	srv := bootAPI(t, Options{Runner: &echoRunner{delay: 20 * time.Millisecond}, ChunkSize: 1, Tokens: 1}, &API{}, 1<<20)
 	sr := submitJob(t, srv.URL, "m", testDataset(50), false)
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+sr.StatusURL, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -208,7 +209,6 @@ func TestHTTPCancel(t *testing.T) {
 func TestHTTPErrors(t *testing.T) {
 	srv := bootAPI(t, Options{Runner: &echoRunner{}, MaxJobs: 1},
 		&API{
-			MaxBodyBytes: 512,
 			Validate: func(ds fda.Dataset) error {
 				if len(ds.Samples) > 4 {
 					return errors.New("too many samples")
@@ -221,7 +221,7 @@ func TestHTTPErrors(t *testing.T) {
 				}
 				return nil
 			},
-		})
+		}, 512)
 
 	post := func(path, ct, body string) *http.Response {
 		resp, err := http.Post(srv.URL+path, ct, strings.NewReader(body))

@@ -74,7 +74,8 @@ func NewMetrics() *Metrics {
 
 // ObserveRequest records one finished /v1 request: its model label,
 // HTTP status code and wall-clock duration in seconds. It is the
-// httpapi.Observe callback, the replica's one observation site.
+// record callback of the replica's route table, its one observation
+// site.
 func (m *Metrics) ObserveRequest(model string, code int, seconds float64) {
 	if m != nil {
 		m.requests.Inc(model, strconv.Itoa(code))

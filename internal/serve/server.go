@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -40,8 +38,9 @@ type Config struct {
 	// 0 means 30s. Requests may shorten it per call with ?timeout=500ms
 	// but never exceed it.
 	Timeout time.Duration
-	// MaxBodyBytes caps the request body; 0 means 32 MiB. Oversized
-	// bodies are rejected with a JSON 413, not a connection reset.
+	// MaxBodyBytes caps every request body, /v1/jobs submits and stream
+	// appends included; 0 means 32 MiB. Oversized bodies are rejected
+	// with a JSON 413, not a connection reset.
 	MaxBodyBytes int64
 	// MaxSamples caps curves per /v1/score request; 0 means
 	// DefaultMaxSamples. Exceeding it is a 400.
@@ -75,12 +74,16 @@ type Config struct {
 //	GET  /v1/jobs/{id}              poll a job
 //	GET  /v1/jobs/{id}/results      stream job scores (resumable NDJSON)
 //	DELETE /v1/jobs/{id}            cancel a job
+//	/v1/streams/{id}/...            streaming ingestion (when Config.Streams set)
+//	GET  /v1/streams                live stream ids
 //	GET  /healthz                   liveness (always 200 while up)
 //	GET  /readyz                    readiness (503 before models / while draining)
 //	GET  /metrics                   Prometheus text exposition
 //
-// Every 4xx/5xx on every route carries the v1 error envelope
-// (internal/httpapi).
+// The routes are the shared entries of internal/httpapi, mounted on the
+// tier's route table: it writes every response, so every 4xx/5xx
+// carries the v1 error envelope, and every body is capped by
+// Config.MaxBodyBytes.
 type Server struct {
 	cfg      Config
 	draining atomic.Bool
@@ -114,38 +117,15 @@ func NewServer(cfg Config) (*Server, error) {
 // sequence: Drain → http.Server.Shutdown → Pool.Close.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Handler returns the routing handler. Every /v1 request is counted
-// under mfod_requests_total and logged by httpapi.Observe.
+// Handler returns the routing handler: the tier's route table, which
+// counts every /v1 request under mfod_requests_total and logs it.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if s.draining.Load() {
-			httpapi.Error(w, http.StatusServiceUnavailable, "draining")
-			return
-		}
-		if s.cfg.Registry.Len() == 0 {
-			httpapi.Error(w, http.StatusServiceUnavailable, "no models loaded")
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ready")
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.cfg.Metrics.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /v1/models", s.handleList)
-	mux.HandleFunc("/v1/models", httpapi.MethodNotAllowed("GET"))
-	mux.HandleFunc("POST /v1/score", s.handleScore)
-	mux.HandleFunc("/v1/score", httpapi.MethodNotAllowed("POST"))
-	mux.HandleFunc("POST /v1/reload", s.handleReload)
-	mux.HandleFunc("/v1/reload", httpapi.MethodNotAllowed("POST"))
-	mux.HandleFunc("GET /v1/models/{name}", s.handleModel)
-	mux.HandleFunc("/v1/models/{name}", httpapi.MethodNotAllowed("GET"))
+	t := httpapi.NewTable(s.cfg.MaxBodyBytes, s.cfg.Logger, s.cfg.Metrics.ObserveRequest)
+	t.Probes(s.ready, s.cfg.Metrics.WritePrometheus)
+	t.Handle(httpapi.Score, s.handleScore)
+	t.Handle(httpapi.Reload, s.handleReload)
+	t.Handle(httpapi.Models, s.handleList)
+	t.Handle(httpapi.ModelInfo, s.handleModel)
 	if s.cfg.Jobs != nil {
 		api := &jobs.API{
 			Manager: s.cfg.Jobs,
@@ -159,19 +139,25 @@ func (s *Server) Handler() http.Handler {
 				return nil
 			},
 		}
-		api.Register(mux)
+		api.Mount(t)
 	}
 	if s.cfg.Streams != nil {
 		api := &stream.API{Manager: s.cfg.Streams, Admit: s.streamAdmit}
-		api.Register(mux)
+		api.Mount(t)
 	}
-	mux.HandleFunc("/", httpapi.NotFound)
-	return httpapi.Observe(mux, s.cfg.Logger, s.cfg.Metrics.ObserveRequest)
+	return t.Handler()
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+// ready is the readiness check: not while draining, and not before a
+// model is loaded.
+func (s *Server) ready() error {
+	switch {
+	case s.draining.Load():
+		return errors.New("draining")
+	case s.cfg.Registry.Len() == 0:
+		return errors.New("no models loaded")
+	}
+	return nil
 }
 
 // modelInfo is the metadata shape of the list and get endpoints.
@@ -196,7 +182,7 @@ func describe(m *Model) modelInfo {
 	}
 }
 
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleList(*http.Request, []byte) httpapi.Reply {
 	names := s.cfg.Registry.Names()
 	infos := make([]modelInfo, 0, len(names))
 	for _, n := range names {
@@ -204,38 +190,36 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 			infos = append(infos, describe(m))
 		}
 	}
-	writeJSON(w, map[string][]modelInfo{"models": infos})
+	return httpapi.JSON(map[string][]modelInfo{"models": infos})
 }
 
 // handleModel serves one model's metadata, GET /v1/models/{name}.
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleModel(r *http.Request, _ []byte) httpapi.Reply {
 	name := r.PathValue("name")
 	m, ok := s.cfg.Registry.Get(name)
 	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "unknown model %q", name)
-		return
+		return httpapi.Errorf(http.StatusNotFound, "unknown model %q", name)
 	}
-	writeJSON(w, describe(m))
+	return httpapi.JSON(describe(m))
 }
 
 // handleReload is the hot-reload route POST /v1/reload?model=.
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	name, ok := httpapi.ModelParam(w, r)
-	if !ok {
-		return
+func (s *Server) handleReload(r *http.Request, _ []byte) httpapi.Reply {
+	name, perr := httpapi.ModelParam(r)
+	if perr != nil {
+		return perr
 	}
 	err := s.cfg.Registry.Reload(name)
 	switch {
 	case errors.Is(err, ErrUnknownModel):
-		httpapi.Error(w, http.StatusNotFound, "unknown model %q", name)
+		return httpapi.Errorf(http.StatusNotFound, "unknown model %q", name)
 	case err != nil:
 		// The previous snapshot keeps serving; tell the operator why the
 		// swap was refused.
-		httpapi.Error(w, http.StatusInternalServerError, "reload failed, previous model still serving: %v", err)
-	default:
-		s.cfg.Metrics.ObserveReload(name)
-		writeJSON(w, map[string]string{"reloaded": name})
+		return httpapi.Errorf(http.StatusInternalServerError, "reload failed, previous model still serving: %v", err)
 	}
+	s.cfg.Metrics.ObserveReload(name)
+	return httpapi.JSON(map[string]string{"reloaded": name})
 }
 
 type jsonExplanation struct {
@@ -251,62 +235,33 @@ type scoreResponse struct {
 	ElapsedMs    float64             `json:"elapsedMs"`
 }
 
-// decodeScoreBody reads the request body and decodes its curves under
-// the codec its Content-Type names (wire.DecodeBody). A zero return
-// code means success; otherwise the error response has already been
-// written. The body size is recorded under its codec label, and the
-// X-Mfod-Codec response header echoes which codec this hop decoded.
-func (s *Server) decodeScoreBody(w http.ResponseWriter, r *http.Request) (wire.Body, int) {
-	ct := r.Header.Get("Content-Type")
-	codec := "json"
-	if wire.IsFrame(ct) {
-		codec = "wire"
-	}
-	w.Header().Set(httpapi.CodecHeader, codec)
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		return wire.Body{}, httpapi.BodyError(w, err)
-	}
-	s.cfg.Metrics.ObserveRequestBytes(codec, len(raw))
-	body, err := wire.DecodeBody(ct, raw)
-	if err != nil {
-		httpapi.Error(w, http.StatusBadRequest, "decode body: %v", err)
-		return wire.Body{}, http.StatusBadRequest
-	}
-	return body, 0
-}
-
 // handleScore is the scoring route POST /v1/score?model=.
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	name, ok := httpapi.ModelParam(w, r)
-	if !ok {
-		return
+func (s *Server) handleScore(r *http.Request, raw []byte) httpapi.Reply {
+	name, perr := httpapi.ModelParam(r)
+	if perr != nil {
+		return perr
 	}
 	start := time.Now()
 	s.cfg.Metrics.IncInflight()
 	defer s.cfg.Metrics.DecInflight()
-	// Admission control runs before any body is read: shedding is only
-	// cheap if it spends no decode or scoring work on the shed request.
+	// Admission control runs before the body is decoded: shedding is
+	// only cheap if it spends no decode or scoring work on the shed
+	// request.
 	forced := faultinject.Hit(FaultShed) != nil
 	if forced || (s.cfg.Limiter != nil && !s.cfg.Limiter.Acquire()) {
-		s.shed(w)
-		return
+		s.cfg.Metrics.IncShed()
+		retryAfter := s.cfg.Pool.RetryAfter()
+		return httpapi.Errorf(http.StatusTooManyRequests,
+			"server overloaded (adaptive concurrency limit), retry in ~%ds", retryAfter).
+			Retry(time.Duration(retryAfter) * time.Second)
 	}
-	code := s.score(w, r, name, start)
+	reply := s.score(r, raw, name, start)
 	if s.cfg.Limiter != nil {
+		code := httpapi.StatusOf(reply)
 		s.cfg.Limiter.Release(time.Since(start),
 			code == http.StatusGatewayTimeout || code == http.StatusTooManyRequests)
 	}
-}
-
-// shed rejects one request at admission with a 429 whose Retry-After
-// reflects measured queue pressure.
-func (s *Server) shed(w http.ResponseWriter) {
-	retryAfter := s.cfg.Pool.RetryAfter()
-	httpapi.ErrorRetry(w, http.StatusTooManyRequests, httpapi.CodeOverloaded,
-		time.Duration(retryAfter)*time.Second,
-		"server overloaded (adaptive concurrency limit), retry in ~%ds", retryAfter)
-	s.cfg.Metrics.IncShed()
+	return reply
 }
 
 // unscorable reports whether a scoring error says the model cannot
@@ -333,27 +288,33 @@ func wantsScoresFrame(r *http.Request) bool {
 	return false
 }
 
-// score runs one scoring request and returns the status code it wrote.
-func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, start time.Time) int {
-	// Parse the propagated deadline before touching the body: a request
+// score runs one scoring request on its raw body.
+func (s *Server) score(r *http.Request, raw []byte, name string, start time.Time) httpapi.Reply {
+	// Parse the propagated deadline before decoding the body: a request
 	// whose caller has already given up must cost nothing further.
 	budget, berr := resilience.BudgetFromHeader(r.Header)
 	if berr != nil {
-		httpapi.Error(w, http.StatusBadRequest, "%v", berr)
-		return http.StatusBadRequest
+		return httpapi.Errorf(http.StatusBadRequest, "%v", berr)
 	}
 	if budget != nil && budget.Expired() {
-		httpapi.Error(w, http.StatusGatewayTimeout, "deadline in %s already expired", resilience.DeadlineHeader)
-		return http.StatusGatewayTimeout
+		return httpapi.Errorf(http.StatusGatewayTimeout, "deadline in %s already expired", resilience.DeadlineHeader)
 	}
 	m, ok := s.cfg.Registry.Get(name)
 	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "unknown model %q", name)
-		return http.StatusNotFound
+		return httpapi.Errorf(http.StatusNotFound, "unknown model %q", name)
 	}
-	body, code := s.decodeScoreBody(w, r)
-	if code != 0 {
-		return code
+	// The body decodes under the codec its Content-Type names; its size
+	// is recorded under that codec's label, and the X-Mfod-Codec header
+	// of the answer echoes which codec this hop decoded.
+	ct := r.Header.Get("Content-Type")
+	codec := "json"
+	if wire.IsFrame(ct) {
+		codec = "wire"
+	}
+	s.cfg.Metrics.ObserveRequestBytes(codec, len(raw))
+	body, err := wire.DecodeBody(ct, raw)
+	if err != nil {
+		return httpapi.Errorf(http.StatusBadRequest, "decode body: %v", err)
 	}
 	ds := body.Dataset
 	// Sanitize before any numeric work: NaN/Inf samples, ragged or empty
@@ -361,15 +322,13 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, star
 	// codecs pass through here — the binary decoder checks frame shape,
 	// not curve invariants.
 	if verr := sanitizeDataset(ds, s.cfg.MaxSamples, s.cfg.MaxPoints); verr != nil {
-		httpapi.Error(w, http.StatusBadRequest, "%v", verr)
-		return http.StatusBadRequest
+		return httpapi.Errorf(http.StatusBadRequest, "%v", verr)
 	}
 	timeout := s.cfg.Timeout
 	if qs := r.URL.Query().Get("timeout"); qs != "" {
 		d, err := time.ParseDuration(qs)
 		if err != nil || d <= 0 {
-			httpapi.Error(w, http.StatusBadRequest, "bad timeout %q", qs)
-			return http.StatusBadRequest
+			return httpapi.Errorf(http.StatusBadRequest, "bad timeout %q", qs)
 		}
 		if d < timeout {
 			timeout = d
@@ -390,31 +349,25 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, star
 		// Retry-After reflects measured queue pressure — depth over drain
 		// rate — not a constant the client has no reason to trust.
 		ra := s.cfg.Pool.RetryAfter()
-		httpapi.ErrorRetry(w, http.StatusTooManyRequests, httpapi.CodeOverloaded,
-			time.Duration(ra)*time.Second, "scoring queue full, retry later")
-		return http.StatusTooManyRequests
+		return httpapi.Errorf(http.StatusTooManyRequests, "scoring queue full, retry later").
+			Retry(time.Duration(ra) * time.Second)
 	case errors.Is(err, ErrPoolClosed):
-		httpapi.Error(w, http.StatusServiceUnavailable, "server shutting down")
-		return http.StatusServiceUnavailable
+		return httpapi.Errorf(http.StatusServiceUnavailable, "server shutting down")
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		httpapi.Error(w, http.StatusGatewayTimeout, "deadline expired before scoring started")
-		return http.StatusGatewayTimeout
+		return httpapi.Errorf(http.StatusGatewayTimeout, "deadline expired before scoring started")
 	case err != nil:
-		httpapi.Error(w, http.StatusInternalServerError, "enqueue: %v", err)
-		return http.StatusInternalServerError
+		return httpapi.Errorf(http.StatusInternalServerError, "enqueue: %v", err)
 	}
 	res, done := job.Wait(ctx)
 	if !done || errors.Is(res.Err, context.DeadlineExceeded) {
-		httpapi.Error(w, http.StatusGatewayTimeout, "scoring did not finish within %v", timeout)
-		return http.StatusGatewayTimeout
+		return httpapi.Errorf(http.StatusGatewayTimeout, "scoring did not finish within %v", timeout)
 	}
 	if res.Err != nil {
 		code := http.StatusInternalServerError
 		if unscorable(res.Err) {
 			code = http.StatusUnprocessableEntity
 		}
-		httpapi.Error(w, code, "score: %v", res.Err)
-		return code
+		return httpapi.Errorf(code, "score: %v", res.Err)
 	}
 	if res.Explanations == nil && wantsScoresFrame(r) {
 		// Binary response path for the scatter/gather inner hop: the
@@ -424,14 +377,11 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, star
 		if qs := r.URL.Query().Get("start"); qs != "" {
 			n, err := strconv.Atoi(qs)
 			if err != nil || n < 0 {
-				httpapi.Error(w, http.StatusBadRequest, "bad start %q", qs)
-				return http.StatusBadRequest
+				return httpapi.Errorf(http.StatusBadRequest, "bad start %q", qs)
 			}
 			frameStart = n
 		}
-		w.Header().Set("Content-Type", wire.ScoresContentType)
-		w.Write(wire.EncodeScores(wire.Scores{Start: frameStart, Values: res.Scores}))
-		return http.StatusOK
+		return httpapi.Bytes(wire.ScoresContentType, wire.EncodeScores(wire.Scores{Start: frameStart, Values: res.Scores}))
 	}
 	resp := scoreResponse{
 		Model:     name,
@@ -448,6 +398,5 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, name string, star
 			resp.Explanations[i] = out
 		}
 	}
-	writeJSON(w, resp)
-	return http.StatusOK
+	return httpapi.JSON(resp).WithHeader(httpapi.CodecHeader, codec)
 }

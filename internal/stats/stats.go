@@ -158,59 +158,3 @@ func Ranks(xs []float64) []float64 {
 	}
 	return ranks
 }
-
-// Covariance returns the p-by-p unbiased sample covariance matrix of the
-// rows of x (n samples, p variables), flattened row-major, together with
-// the column means. It returns nil means and covariance for n < 2.
-func Covariance(x [][]float64) (cov []float64, means []float64) {
-	n := len(x)
-	if n < 2 {
-		return nil, nil
-	}
-	p := len(x[0])
-	means = make([]float64, p)
-	for _, row := range x {
-		for j, v := range row {
-			means[j] += v
-		}
-	}
-	for j := range means {
-		means[j] /= float64(n)
-	}
-	cov = make([]float64, p*p)
-	for _, row := range x {
-		for a := 0; a < p; a++ {
-			da := row[a] - means[a]
-			for b := a; b < p; b++ {
-				cov[a*p+b] += da * (row[b] - means[b])
-			}
-		}
-	}
-	den := float64(n - 1)
-	for a := 0; a < p; a++ {
-		for b := a; b < p; b++ {
-			cov[a*p+b] /= den
-			cov[b*p+a] = cov[a*p+b]
-		}
-	}
-	return cov, means
-}
-
-// Standardize returns (xs − mean) / std as a new slice. When the standard
-// deviation is zero or not finite, the centred values are returned
-// unscaled.
-func Standardize(xs []float64) []float64 {
-	m := Mean(xs)
-	sd := StdDev(xs)
-	out := make([]float64, len(xs))
-	if sd == 0 || math.IsNaN(sd) || math.IsInf(sd, 0) {
-		for i, v := range xs {
-			out[i] = v - m
-		}
-		return out
-	}
-	for i, v := range xs {
-		out[i] = (v - m) / sd
-	}
-	return out
-}

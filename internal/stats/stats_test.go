@@ -159,38 +159,6 @@ func TestRanksArePermutationProperty(t *testing.T) {
 	}
 }
 
-func TestCovarianceKnown(t *testing.T) {
-	x := [][]float64{{1, 2}, {2, 4}, {3, 6}}
-	cov, means := Covariance(x)
-	if means[0] != 2 || means[1] != 4 {
-		t.Fatalf("means = %v", means)
-	}
-	// Var(x1)=1, Cov=2, Var(x2)=4.
-	want := []float64{1, 2, 2, 4}
-	for i := range want {
-		if !almostEqual(cov[i], want[i], 1e-12) {
-			t.Fatalf("cov = %v want %v", cov, want)
-		}
-	}
-	if c, m := Covariance([][]float64{{1}}); c != nil || m != nil {
-		t.Fatal("n<2 should yield nil")
-	}
-}
-
-func TestStandardize(t *testing.T) {
-	z := Standardize([]float64{1, 2, 3})
-	if !almostEqual(Mean(z), 0, 1e-12) || !almostEqual(StdDev(z), 1, 1e-12) {
-		t.Fatalf("standardized mean/sd = %g/%g", Mean(z), StdDev(z))
-	}
-	// Constant data: centred, unscaled.
-	z = Standardize([]float64{5, 5, 5})
-	for _, v := range z {
-		if v != 0 {
-			t.Fatalf("constant standardize = %v", z)
-		}
-	}
-}
-
 func TestSplitSeedDistinctStreams(t *testing.T) {
 	seen := map[int64]bool{}
 	for s := 0; s < 1000; s++ {

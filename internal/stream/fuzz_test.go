@@ -42,16 +42,13 @@ func fuzzSetup(tb testing.TB) *fuzzHarness {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		mux := http.NewServeMux()
-		api := &stream.API{Manager: m, MaxBodyBytes: 1 << 16}
-		api.Register(mux)
 		s := d.Samples[0]
 		want, err := p.ScoreOne(s)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		fuzzH = &fuzzHarness{
-			srv:       httptest.NewServer(mux),
+			srv:       httptest.NewServer(mount(&stream.API{Manager: m}, 1<<16)),
 			pipe:      p,
 			ctrlBody:  appendBody(tb, "ecg", samplePoints(s, 0, len(s.Times))),
 			ctrlScore: want,

@@ -17,6 +17,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fda"
 	"repro/internal/geometry"
+	"repro/internal/httpapi"
 	"repro/internal/iforest"
 	"repro/internal/stream"
 )
@@ -250,12 +251,16 @@ func TestManagerSlidingWindow(t *testing.T) {
 	}
 }
 
+// mount serves api on a route table whose body cap is maxBody.
+func mount(api *stream.API, maxBody int64) http.Handler {
+	table := httpapi.NewTable(maxBody, nil, nil)
+	api.Mount(table)
+	return table.Handler()
+}
+
 func bootAPI(t testing.TB, m *stream.Manager) *httptest.Server {
 	t.Helper()
-	mux := http.NewServeMux()
-	api := &stream.API{Manager: m, MaxBodyBytes: 1 << 16}
-	api.Register(mux)
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(mount(&stream.API{Manager: m}, 1<<16))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -379,10 +384,7 @@ func TestHTTPSurface(t *testing.T) {
 func TestHTTPBodyCap(t *testing.T) {
 	p, d := fitTestModel(t)
 	m := newTestManager(t, p, stream.Options{})
-	mux := http.NewServeMux()
-	api := &stream.API{Manager: m, MaxBodyBytes: 256}
-	api.Register(mux)
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(mount(&stream.API{Manager: m}, 256))
 	t.Cleanup(ts.Close)
 	body := appendBody(t, "ecg", samplePoints(d.Samples[0], 0, 30))
 	code, raw := doJSON(t, "POST", ts.URL+"/v1/streams/big/append", body)
@@ -398,11 +400,8 @@ func TestHTTPBodyCap(t *testing.T) {
 func TestHTTPAdmit(t *testing.T) {
 	p, d := fitTestModel(t)
 	m := newTestManager(t, p, stream.Options{})
-	mux := http.NewServeMux()
 	shed := fmt.Errorf("induced overload")
-	api := &stream.API{Manager: m, Admit: func() error { return shed }}
-	api.Register(mux)
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(mount(&stream.API{Manager: m, Admit: func() error { return shed }}, 1<<16))
 	t.Cleanup(ts.Close)
 	code, raw := doJSON(t, "POST", ts.URL+"/v1/streams/x/append", appendBody(t, "ecg", samplePoints(d.Samples[0], 0, 2)))
 	if code != http.StatusTooManyRequests {
