@@ -74,7 +74,7 @@ func runBench(n int, seed int64, parallel int, out string, minSpeedup float64) e
 		if werr := os.WriteFile(out, blob, 0o644); werr != nil {
 			return werr
 		}
-		fmt.Printf("hot path (%s, n=%d, m=%d, %d workers / %d cpus):\n", rep.Workload, rep.N, rep.M, rep.Workers, rep.CPUs)
+		fmt.Printf("hot path (%s, n=%d, m=%d, %d workers / %d cpus, median of %d passes):\n", rep.Workload, rep.N, rep.M, rep.Workers, rep.CPUs, rep.Passes)
 		fmt.Printf("  FitDataset      %12d ns/op seq  %12d ns/op opt  %.2fx\n",
 			rep.FitSequential.NsPerOp, rep.FitOptimized.NsPerOp, rep.FitSpeedup)
 		fmt.Printf("  Pipeline.Score  %12d ns/op seq  %12d ns/op opt  %.2fx\n",

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,6 +76,22 @@ func TestRunUnknownMethodFilter(t *testing.T) {
 	if err := runOne("fig3", 1, 1, 80, 0, "NotAMethod", ""); err == nil {
 		t.Fatal("unknown method filter must fail")
 	}
+}
+
+// TestMain shortens each testing.Benchmark pass of the hot-path harness
+// to 50 ms unless -test.benchtime is given: the tests here check the
+// report and its gates, not the timings, and RunHotpath times six
+// stages in five passes each.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	benchtime := false
+	flag.Visit(func(f *flag.Flag) { benchtime = benchtime || f.Name == "test.benchtime" })
+	if !benchtime {
+		if err := flag.Set("test.benchtime", "50ms"); err != nil {
+			panic(err)
+		}
+	}
+	os.Exit(m.Run())
 }
 
 func TestRunBenchWritesReport(t *testing.T) {

@@ -48,10 +48,10 @@ func TestEvalNonzeroMatchesEval(t *testing.T) {
 	}
 }
 
-// TestSpanDesignDotMatchesFullDot checks that the compact dot equals the
-// full-length dot bit for bit on realistic coefficient vectors: the
-// equivalence CurveFit.EvalGrid's batched path and the smoother's
-// residual scan rely on. A Fourier design keeps full rows.
+// TestSpanDesignDotMatchesFullDot checks that the compact product Φα
+// equals the full-length dot of every row bit for bit on realistic
+// coefficient vectors: the equivalence CurveFit.EvalGrid and the
+// smoother's residual scan rely on. A Fourier design keeps full rows.
 func TestSpanDesignDotMatchesFullDot(t *testing.T) {
 	const dim, order = 17, 4
 	b, err := New(dim, order, 0, 1)
@@ -75,13 +75,17 @@ func TestSpanDesignDotMatchesFullDot(t *testing.T) {
 	for _, basis := range []Basis{b, fb} {
 		for deriv := 0; deriv <= 2; deriv++ {
 			sd := NewSpanDesign(basis, ts, deriv)
+			compact := make([]float64, len(ts))
+			if err := sd.MulVecInto(coef, compact); err != nil {
+				t.Fatal(err)
+			}
 			for j, x := range ts {
 				basis.Eval(x, deriv, full)
 				var want float64
 				for l, c := range coef {
 					want += c * full[l]
 				}
-				got := sd.Dot(j, coef)
+				got := compact[j]
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%T deriv=%d t=%g: compact dot %g (%x), full dot %g (%x)",
 						basis, deriv, x, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -106,15 +110,14 @@ func BenchmarkSpanDesignDot(bm *testing.B) {
 		coef[i] = float64(i%5) - 2
 	}
 	sd := NewSpanDesign(b, ts, 1)
+	out := make([]float64, len(ts))
 	bm.ReportAllocs()
 	bm.ResetTimer()
-	var sink float64
 	for n := 0; n < bm.N; n++ {
-		for j := range ts {
-			sink += sd.Dot(j, coef)
+		if err := sd.MulVecInto(coef, out); err != nil {
+			bm.Fatal(err)
 		}
 	}
-	_ = sink
 }
 
 func BenchmarkFullEvalDot(bm *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -36,7 +37,8 @@ type HotpathOptions struct {
 	MinSpeedup float64
 }
 
-// HotpathStage holds one benchmarked configuration of one stage.
+// HotpathStage holds one benchmarked configuration of one stage: the
+// median of its hotpathPasses passes.
 type HotpathStage struct {
 	NsPerOp     int64 `json:"nsPerOp"`
 	AllocsPerOp int64 `json:"allocsPerOp"`
@@ -51,6 +53,8 @@ type HotpathReport struct {
 	M        int    `json:"m"`
 	CPUs     int    `json:"cpus"`
 	Workers  int    `json:"workers"`
+	// Passes is how many testing.Benchmark passes time each stage.
+	Passes int `json:"passes"`
 
 	FitSequential   HotpathStage `json:"fitSequential"`
 	FitOptimized    HotpathStage `json:"fitOptimized"`
@@ -78,8 +82,23 @@ type HotpathReport struct {
 // see DESIGN.md for why it is 1e-12 rather than exactly zero.
 const hotpathTolerance = 1e-12
 
-func stageOf(r testing.BenchmarkResult) HotpathStage {
-	return HotpathStage{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp()}
+// hotpathPasses is the number of passes per stage. One pass on a shared
+// 2-vCPU host can read a stage 30% or more off its own previous pass;
+// the median of several is what the speedup floor and a before/after
+// comparison read. Allocation counts repeat from pass to pass.
+const hotpathPasses = 5
+
+// stage times f in hotpathPasses testing.Benchmark passes and reports
+// the median ns/op and allocs/op.
+func stage(f func(b *testing.B)) HotpathStage {
+	ns, allocs := make([]int64, hotpathPasses), make([]int64, hotpathPasses)
+	for i := range ns {
+		r := testing.Benchmark(f)
+		ns[i], allocs[i] = r.NsPerOp(), r.AllocsPerOp()
+	}
+	slices.Sort(ns)
+	slices.Sort(allocs)
+	return HotpathStage{NsPerOp: ns[hotpathPasses/2], AllocsPerOp: allocs[hotpathPasses/2]}
 }
 
 func hotpathPipeline(seed int64, workers int, noCache bool) *core.Pipeline {
@@ -105,6 +124,7 @@ func RunHotpath(opt HotpathOptions) (*HotpathReport, error) {
 		M:        d.Samples[0].Len(),
 		CPUs:     runtime.NumCPU(),
 		Workers:  workers,
+		Passes:   hotpathPasses,
 	}
 
 	// Equivalence first: a fast benchmark of a wrong answer is worthless.
@@ -138,50 +158,50 @@ func RunHotpath(opt HotpathOptions) (*HotpathReport, error) {
 	// across iterations — the steady state of repeated experiment splits
 	// and of a loaded serving model.
 	seqOpt := fda.Options{Parallel: 1, NoCache: true}
-	rep.FitSequential = stageOf(testing.Benchmark(func(b *testing.B) {
+	rep.FitSequential = stage(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := fda.FitDataset(d, seqOpt); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}))
+	})
 	cache := fda.NewBasisCache()
 	fitOpt := fda.Options{Parallel: opt.Parallel, Cache: cache}
-	rep.FitOptimized = stageOf(testing.Benchmark(func(b *testing.B) {
+	rep.FitOptimized = stage(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := fda.FitDataset(d, fitOpt); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}))
+	})
 
 	// Stage 2: Pipeline.Score on the fitted pipelines from the
 	// equivalence check (the optimized one's cache is already warm).
-	rep.ScoreSequential = stageOf(testing.Benchmark(func(b *testing.B) {
+	rep.ScoreSequential = stage(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := seqPipe.Score(d); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}))
-	rep.ScoreOptimized = stageOf(testing.Benchmark(func(b *testing.B) {
+	})
+	rep.ScoreOptimized = stage(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := optPipe.Score(d); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}))
+	})
 
 	// Stage 3: the refit paths, on the optimized pipeline.
-	rep.StreamRefit = stageOf(testing.Benchmark(func(b *testing.B) {
+	rep.StreamRefit = stage(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if err := streamCurve(optPipe, d.Samples[i%d.Len()]); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}))
+	})
 	rng := rand.New(rand.NewSource(opt.Seed))
-	rep.FreshGridScore = stageOf(testing.Benchmark(func(b *testing.B) {
+	rep.FreshGridScore = stage(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := d.Samples[i%d.Len()]
 			s.Times = jitterGrid(s.Times, rng)
@@ -189,7 +209,7 @@ func RunHotpath(opt HotpathOptions) (*HotpathReport, error) {
 				b.Fatal(err)
 			}
 		}
-	}))
+	})
 
 	if rep.FitOptimized.NsPerOp > 0 {
 		rep.FitSpeedup = float64(rep.FitSequential.NsPerOp) / float64(rep.FitOptimized.NsPerOp)

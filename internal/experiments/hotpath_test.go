@@ -2,8 +2,26 @@ package experiments
 
 import (
 	"encoding/json"
+	"flag"
+	"os"
 	"testing"
 )
+
+// TestMain shortens each testing.Benchmark pass of the hot-path harness
+// to 50 ms unless -test.benchtime is given: the tests here check the
+// report and its gates, not the timings, and RunHotpath times six
+// stages in five passes each.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	benchtime := false
+	flag.Visit(func(f *flag.Flag) { benchtime = benchtime || f.Name == "test.benchtime" })
+	if !benchtime {
+		if err := flag.Set("test.benchtime", "50ms"); err != nil {
+			panic(err)
+		}
+	}
+	os.Exit(m.Run())
+}
 
 // TestRunHotpathSmall runs the benchmark harness on a tiny workload: the
 // point is the equivalence gate and the report shape, not the timings.

@@ -14,7 +14,7 @@ import (
 // BasisCache memoizes the sample-independent linear algebra of the
 // penalized smoother across fits: for every (basis size, order, penalty
 // order, domain, measurement grid) combination it keeps the basis, the
-// span-compact design matrix Φ, the Gram matrix ΦᵀΦ, and — per
+// span-compact design matrix Φ, the band of the Gram matrix ΦᵀΦ, and — per
 // candidate λ — the banded Cholesky factorization of ΦᵀΦ + λR together
 // with the hat-matrix diagonal H_jj and tr(H), none of which depend on
 // the observed values y. The roughness penalty R of Eq. 3 does not depend
@@ -23,8 +23,8 @@ import (
 // entry built for a single fit (a stream's prefix grid, a key
 // collision). Cross-validating over basis sizes and λ therefore stops
 // re-deriving identical factorizations for every sample and every
-// parameter: the per-fit work shrinks to one Φᵀy product, one O(L·k)
-// solve per λ, and the residual scan.
+// parameter: the per-fit work shrinks to one Φᵀy product, and per λ one
+// O(L·k) solve, one Φα product and the residual scan.
 //
 // The cache also memoizes span-compact design matrices per (basis,
 // grid, derivative), which CurveFit.EvalGrid uses to evaluate
@@ -228,17 +228,17 @@ func (c *BasisCache) spanDesign(b *bspline.BSpline, ts []float64, deriv int) *li
 }
 
 // fitEntry bundles the sample-independent pieces of one smoothing
-// system: basis, span-compact design Φ, Gram ΦᵀΦ, the penalty R (built
-// lazily, and shared through the cache between entries of one basis),
-// and per-λ factorizations with their hat diagonals. Entries are built
-// once and shared across goroutines; the mutex guards only the λ
-// factorizations.
+// system: basis, span-compact design Φ, the lower band of the Gram ΦᵀΦ,
+// the penalty R (built lazily, and shared through the cache between
+// entries of one basis), and per-λ factorizations with their hat
+// diagonals. Entries are built once and shared across goroutines; the
+// mutex guards only the λ factorizations.
 type fitEntry struct {
 	basis     bspline.Basis
 	bandwidth int // band of ΦᵀΦ + λR
 	ts        []float64
 	phi       *linalg.SpanMatrix
-	gram      *linalg.Dense
+	gram      []float64 // lower band of ΦᵀΦ, stored as NewBandCholesky reads it
 	q         int
 	pen       *penalty
 
@@ -279,7 +279,7 @@ type lambdaFactor struct {
 	err    error
 }
 
-// newFitEntry builds the eager members (design and Gram matrices). ts is
+// newFitEntry builds the eager members (design and Gram band). ts is
 // retained; callers that reuse their grid slice must pass a stable one
 // (the cache passes the verified key grid, transient entries live only
 // for one fit). pen is the cache's shared penalty slot, or a fresh one
@@ -294,10 +294,14 @@ func newFitEntry(basis bspline.Basis, ts []float64, q int, pen *penalty) *fitEnt
 		e.bandwidth = bs.Order() - 1
 	}
 	// Each design row keeps only its k = order nonzero values, so the
-	// Gram costs O(m·k²) instead of O(m·L²); a custom basis keeps its
-	// full rows.
+	// Gram costs O(m·k²) instead of O(m·L²) and keeps only the band the
+	// assembly reads; a custom basis keeps its full rows and the whole
+	// lower triangle.
 	e.phi = bspline.NewSpanDesign(basis, ts, 0)
-	e.gram = e.phi.AtA()
+	e.gram = make([]float64, basis.Dim()*(e.bandwidth+1))
+	if err := e.phi.GramBandInto(e.bandwidth, e.gram); err != nil {
+		panic(err) // the design's windows are order (or L) wide, within the band
+	}
 	return e
 }
 
@@ -309,21 +313,23 @@ func (e *fitEntry) ensurePenalty() error {
 	return err
 }
 
-// lambdaFactorFor returns the factorized system for one λ, building and
-// memoizing it on first use.
-func (e *fitEntry) lambdaFactorFor(lambda float64) *lambdaFactor {
-	key := math.Float64bits(lambda)
+// lambdaFactors writes the factorized system of each λ into dst, in
+// order, building and memoizing any not yet built.
+func (e *fitEntry) lambdaFactors(lambdas []float64, dst []*lambdaFactor) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.lambdas == nil {
 		e.lambdas = make(map[uint64]*lambdaFactor)
 	}
-	if lf, ok := e.lambdas[key]; ok {
-		return lf
+	for i, lambda := range lambdas {
+		key := math.Float64bits(lambda)
+		lf, ok := e.lambdas[key]
+		if !ok {
+			lf = e.buildLambdaFactor(lambda)
+			e.lambdas[key] = lf
+		}
+		dst[i] = lf
 	}
-	lf := e.buildLambdaFactor(lambda)
-	e.lambdas[key] = lf
-	return lf
 }
 
 // buildLambdaFactor factors ΦᵀΦ + λR and precomputes the hat
@@ -386,9 +392,9 @@ func (e *fitEntry) assemble(band []float64, lambda float64, r *linalg.Dense) flo
 	L, k := e.basis.Dim(), e.bandwidth
 	var peak float64
 	for i := 0; i < L; i++ {
-		gi, row := e.gram.Row(i), band[i*(k+1):(i+1)*(k+1)]
+		gi, row := e.gram[i*(k+1):(i+1)*(k+1)], band[i*(k+1):(i+1)*(k+1)]
 		for j := max(0, i-k); j <= i; j++ {
-			v := gi[j]
+			v := gi[j-i+k]
 			if r != nil {
 				v += lambda * r.At(i, j)
 			}

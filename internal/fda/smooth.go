@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bspline"
 	"repro/internal/linalg"
@@ -214,8 +215,8 @@ func (f *CurveFit) EvalGrid(ts []float64, deriv int) []float64 {
 		sd = bspline.NewSpanDesign(f.Basis, ts, deriv)
 	}
 	out := make([]float64, len(ts))
-	for j := range ts {
-		out[j] = sd.Dot(j, f.Coef)
+	if err := sd.MulVecInto(f.Coef, out); err != nil {
+		panic(err) // a fit holds one coefficient per basis function
 	}
 	return out
 }
@@ -321,95 +322,131 @@ func fitGrid(ts []float64, ys [][]float64, opt Options,
 type system struct {
 	entry *fitEntry
 	err   error
+	// factors are the entry's λ factorizations in candidate order,
+	// resolved once per fit by resolveSystems.
+	factors []*lambdaFactor
 }
 
 // selectFit is fitGrid's model selection: each parameter row of ys is
 // fit against every candidate system in ladder order, and the criterion
 // minimiser wins (strict <, so the earlier candidate keeps a tie). A
 // parameter that no candidate fits reports the first candidate error.
+// Each system's penalty and λ factorizations are resolved once, before
+// the first row, and every row is fit in one scratch buffer, so a
+// parameter allocates only its winning CurveFit.
 func selectFit(systems []system, ys [][]float64, opt Options) (*Fit, error) {
 	lambdas, cache := opt.lambdas(), opt.basisCache()
+	maxL := resolveSystems(systems, lambdas)
+	m := 0
+	if len(ys) > 0 {
+		m = len(ys[0])
+	}
+	buf := make([]float64, 4*maxL+m)
+	keep, work := buf[:maxL], buf[maxL:]
 	fit := &Fit{Params: make([]*CurveFit, len(ys))}
 	for k, y := range ys {
-		var best *CurveFit
+		var best CurveFit
 		var firstErr error
-		for _, sys := range systems {
+		for i := range systems {
+			sys := &systems[i]
 			if sys.entry == nil {
 				if firstErr == nil {
 					firstErr = sys.err
 				}
 				continue
 			}
-			cf, err := fitWithEntry(sys.entry, y, lambdas, opt.Criterion)
+			cf, err := fitWithEntry(sys, y, lambdas, opt.Criterion, work)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 				continue
 			}
-			if best == nil || cf.Score < best.Score {
+			if best.Basis == nil || cf.Score < best.Score {
 				best = cf
+				best.Coef = append(keep[:0], cf.Coef...)
 			}
 		}
-		if best == nil {
+		if best.Basis == nil {
 			inner := fmt.Errorf("fda: no candidate basis fit: %w", ErrFit)
 			if firstErr != nil {
 				inner = fmt.Errorf("fda: no candidate basis fit: %w", firstErr)
 			}
 			return nil, fmt.Errorf("fda: parameter %d: %w", k, inner)
 		}
+		best.Coef = slices.Clone(best.Coef)
 		best.cache = cache
-		fit.Params[k] = best
+		fit.Params[k] = &best
 	}
 	return fit, nil
 }
 
-// fitWithEntry solves Eq. 4 for every candidate λ of one (pre-built)
-// smoothing system and keeps the criterion minimiser. The LOOCV error of
-// a linear smoother ŷ = H y has the closed form
+// resolveSystems takes each built system's λ factorizations from its
+// entry, building any the entry lacks, after forcing the penalty when
+// any λ > 0 is in play: a penalty construction failure fails the whole
+// basis size, which then carries that error. It returns the largest
+// basis size.
+func resolveSystems(systems []system, lambdas []float64) int {
+	needPenalty := slices.ContainsFunc(lambdas, func(l float64) bool { return l > 0 })
+	factors := make([]*lambdaFactor, len(systems)*len(lambdas))
+	maxL := 0
+	for i := range systems {
+		sys := &systems[i]
+		if sys.entry == nil {
+			continue
+		}
+		if needPenalty {
+			if err := sys.entry.ensurePenalty(); err != nil {
+				sys.entry, sys.err = nil, err
+				continue
+			}
+		}
+		sys.factors = factors[i*len(lambdas) : (i+1)*len(lambdas)]
+		sys.entry.lambdaFactors(lambdas, sys.factors)
+		maxL = max(maxL, sys.entry.basis.Dim())
+	}
+	return maxL
+}
+
+// fitWithEntry solves Eq. 4 for every candidate λ of one smoothing
+// system and returns the criterion minimiser. The LOOCV error of a
+// linear smoother ŷ = H y has the closed form
 // Σ_j ((y_j − ŷ_j)/(1 − H_jj))², avoiding m refits; the hat diagonal
 // H_jj comes factored and precomputed from the entry, so the per-sample
-// work is one Φᵀy product, one O(L·k) solve per λ and the residual
-// scan, both over each design row's k nonzero values. The λ iteration
-// order, the ridge retry and the strict score-minimisation tie-break
-// are exactly those of the sequential seed path. A λ whose solve yields
-// a non-finite coefficient is skipped like a failed factorization: the
-// residual scan skips each row's zero terms, which is exact only
-// against finite coefficients (DESIGN.md §6).
-func fitWithEntry(e *fitEntry, ys []float64, lambdas []float64, crit Criterion) (*CurveFit, error) {
-	phiTy, err := e.phi.AtVec(ys)
-	if err != nil {
-		return nil, err
+// work is one Φᵀy product and, per λ, one O(L·k) solve, one ŷ = Φα
+// product and the residual scan, the products over each design row's k
+// nonzero values. The λ iteration order, the ridge retry and the strict
+// score-minimisation tie-break are exactly those of the sequential seed
+// path. A λ whose solve yields a non-finite coefficient is skipped like
+// a failed factorization: Φα skips each row's zero terms, which is
+// exact only against finite coefficients (DESIGN.md §6). work holds
+// at least 3L + m values: Φᵀy, two coefficient buffers that trade
+// places whenever a λ takes the lead, and ŷ. The returned Coef aliases
+// work and is overwritten by the next call.
+func fitWithEntry(sys *system, ys, lambdas []float64, crit Criterion, work []float64) (CurveFit, error) {
+	e := sys.entry
+	L, m := e.basis.Dim(), len(ys)
+	phiTy, coef, spare, yhat := work[:L], work[L:2*L], work[2*L:3*L], work[3*L:3*L+m]
+	if err := e.phi.AtVecInto(ys, phiTy); err != nil {
+		return CurveFit{}, err
 	}
-	needPenalty := false
-	for _, l := range lambdas {
-		if l > 0 {
-			needPenalty = true
-			break
-		}
-	}
-	if needPenalty {
-		if err := e.ensurePenalty(); err != nil {
-			return nil, err
-		}
-	}
-	L := e.basis.Dim()
-	m := len(e.ts)
-	coefBuf := make([]float64, L)
-	var best *CurveFit
-	for _, lambda := range lambdas {
-		lf := e.lambdaFactorFor(lambda)
+	var best CurveFit
+	for i, lf := range sys.factors {
 		if lf.err != nil {
 			continue
 		}
-		if err := lf.solver.SolveInto(phiTy, coefBuf); err != nil || !finite(coefBuf) {
+		if err := lf.solver.SolveInto(phiTy, coef); err != nil || !finite(coef) {
 			continue
 		}
+		if err := e.phi.MulVecInto(coef, yhat); err != nil {
+			return CurveFit{}, err
+		}
+		hat := lf.hat[:m]
 		var loocv, rss float64
-		for j := 0; j < m; j++ {
-			res := ys[j] - e.phi.Dot(j, coefBuf)
+		for j, y := range ys {
+			res := y - yhat[j]
 			rss += res * res
-			den := 1 - lf.hat[j]
+			den := 1 - hat[j]
 			if den < 1e-10 {
 				// Interpolating point: LOOCV blows up; score it with the
 				// raw residual so such models lose to genuinely smoother
@@ -428,14 +465,13 @@ func fitWithEntry(e *fitEntry, ys []float64, lambdas []float64, crit Criterion) 
 		if crit == GCV {
 			score = gcv
 		}
-		if best == nil || score < best.Score {
-			coef := make([]float64, L)
-			copy(coef, coefBuf)
-			best = &CurveFit{Basis: e.basis, Coef: coef, Lambda: lambda, LOOCV: loocv, GCV: gcv, DF: lf.trH, Score: score}
+		if best.Basis == nil || score < best.Score {
+			best = CurveFit{Basis: e.basis, Coef: coef, Lambda: lambdas[i], LOOCV: loocv, GCV: gcv, DF: lf.trH, Score: score}
+			coef, spare = spare, coef
 		}
 	}
-	if best == nil {
-		return nil, fmt.Errorf("fda: all λ candidates failed for dim %d: %w", L, ErrFit)
+	if best.Basis == nil {
+		return CurveFit{}, fmt.Errorf("fda: all λ candidates failed for dim %d: %w", L, ErrFit)
 	}
 	return best, nil
 }

@@ -18,16 +18,18 @@ func smoothingSystem(t testing.TB, dim, order int, ts []float64, lambda float64)
 		t.Fatal(err)
 	}
 	phi := bspline.NewSpanDesign(b, ts, 0)
-	a := phi.AtA()
 	r, err := bspline.PenaltyMatrix(b, min(2, order-1), max(1, order-2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := order - 1
 	band := make([]float64, dim*(k+1))
+	if err := phi.GramBandInto(k, band); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < dim; i++ {
 		for j := max(0, i-k); j <= i; j++ {
-			band[i*(k+1)+j-i+k] = a.At(i, j) + lambda*r.At(i, j)
+			band[i*(k+1)+j-i+k] += lambda * r.At(i, j)
 		}
 		band[i*(k+1)+k] += 1e-6
 	}

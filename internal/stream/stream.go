@@ -35,9 +35,9 @@ type Model interface {
 // MaxPoints bounds the points one curve may carry: the distinct times a
 // stream holds, and (as serve.DefaultMaxPoints) the points of one curve
 // a replica scores. The default basis ladder sizes a fit at 8–25% of
-// its points, and the L×L Gram and penalty matrices are dense (the
-// design is span-compact), so a fit's time and memory grow with the
-// square of its points. Scoring one
+// its points, and the L×L penalty matrix is dense (the design is
+// span-compact and the Gram is kept as its band), so a fit's time and
+// memory grow with the square of its points. Scoring one
 // bivariate curve with the Fig. 3 model on a 2-vCPU host takes 0.18 s
 // and 49 MB at 2,048 points, but 4.5 s and 777 MB at 8,192.
 const MaxPoints = 2048
