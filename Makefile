@@ -123,14 +123,19 @@ bench-streaming:
 # request decoder: it must fail with ErrWire, never panic or
 # over-allocate, and a frame that decodes must re-encode to the same
 # bytes. The request-decode fuzzer feeds untrusted JSON bodies to the
-# shared body decoder: it must fail with ErrJSON or decode, and a body
-# that decodes must come back bitwise through its frame and through its
-# JSON re-encoding.
+# shared body decoder's scanner: it must fail with ErrJSON or decode, a
+# body that decodes must come back bitwise through its frame and through
+# its JSON re-encoding, and the differential oracle holds it to
+# encoding/json, which it may only refuse beyond with a named refusal
+# (a null where a value belongs, a field given twice). The
+# append-decode fuzzer holds the stream append's scanner to the same
+# oracle, with a point without t as a third refusal.
 fuzz:
 	$(GO) test -fuzz=FuzzBSplineEval -fuzztime=30s -run=^$$ ./internal/bspline
 	$(GO) test -fuzz=FuzzSpanFit -fuzztime=30s -run=^$$ ./internal/fda
 	$(GO) test -fuzz=FuzzStreamAppend -fuzztime=30s -run=^$$ ./internal/stream
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=30s -run=^$$ ./internal/wire
+	$(GO) test -fuzz=FuzzAppendDecode -fuzztime=30s -run=^$$ ./internal/wire
 
 check: build vet lint test test-race test-chaos bench-smoke

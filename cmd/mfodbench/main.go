@@ -79,6 +79,8 @@ func runBench(n int, seed int64, parallel int, out string, minSpeedup float64) e
 			rep.FitSequential.NsPerOp, rep.FitOptimized.NsPerOp, rep.FitSpeedup)
 		fmt.Printf("  Pipeline.Score  %12d ns/op seq  %12d ns/op opt  %.2fx\n",
 			rep.ScoreSequential.NsPerOp, rep.ScoreOptimized.NsPerOp, rep.ScoreSpeedup)
+		fmt.Printf("  JSON decode     %12d ns/op  %d allocs/op (one curve's body)\n",
+			rep.DecodeJSON.NsPerOp, rep.DecodeJSON.AllocsPerOp)
 		fmt.Printf("  cache hits/misses %d/%d, max |Δscore| = %g\n", rep.CacheHits, rep.CacheMisses, rep.MaxAbsScoreDiff)
 		fmt.Printf("(report written to %s)\n", out)
 	}

@@ -80,7 +80,7 @@ func TestRunUnknownMethodFilter(t *testing.T) {
 
 // TestMain shortens each testing.Benchmark pass of the hot-path harness
 // to 50 ms unless -test.benchtime is given: the tests here check the
-// report and its gates, not the timings, and RunHotpath times six
+// report and its gates, not the timings, and RunHotpath times seven
 // stages in five passes each.
 func TestMain(m *testing.M) {
 	flag.Parse()

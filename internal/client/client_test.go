@@ -49,7 +49,7 @@ func testBackend(t *testing.T) *httptest.Server {
 		}
 		return nil
 	}}
-	table := httpapi.NewTable(1<<20, nil, nil)
+	table := httpapi.NewTable(1<<20, nil, nil, nil)
 	api.Mount(table)
 	table.Handle(httpapi.Score, func(r *http.Request, raw []byte) httpapi.Reply {
 		if r.URL.Query().Get("model") != "m" {

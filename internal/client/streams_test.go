@@ -43,7 +43,7 @@ func streamBackend(t *testing.T) (*httptest.Server, *core.Pipeline, fda.Dataset)
 		t.Fatal(err)
 	}
 	t.Cleanup(mgr.Close)
-	table := httpapi.NewTable(1<<20, nil, nil)
+	table := httpapi.NewTable(1<<20, nil, nil, nil)
 	(&stream.API{Manager: mgr}).Mount(table)
 	ts := httptest.NewServer(table.Handler())
 	t.Cleanup(ts.Close)

@@ -12,14 +12,17 @@ import (
 	"repro/internal/fda"
 	"repro/internal/iforest"
 	"repro/internal/parallel"
+	"repro/internal/wire"
 )
 
 // Hotpath benchmarks the smoothing/scoring hot path — the inner loop every
 // experiment, the CLI and the serving subsystem pay for — in two
 // configurations: the sequential seed path (one worker, no basis cache)
 // and the optimized path (bounded worker pool + shared BasisCache). It
-// also times the two refit paths a warm cache cannot serve: a stream
-// refit after every append, and scoring on a grid never seen before.
+// also times the two refit paths a warm cache cannot serve (a stream
+// refit after every append, and scoring on a grid never seen before),
+// and the decode of one curve's JSON request body, which the serving
+// tiers pay before any scoring.
 // The report is machine-readable so CI can archive it and fail the
 // build when the optimization regresses; see cmd/mfodbench -bench.
 
@@ -69,6 +72,10 @@ type HotpathReport struct {
 	// has not seen. Neither has a floor.
 	StreamRefit    HotpathStage `json:"streamRefit"`
 	FreshGridScore HotpathStage `json:"freshGridScore"`
+	// DecodeJSON is one wire.DecodeBody of the first curve's JSON body,
+	// as wire.EncodeJSON renders it: the decode a replica, or the gate's
+	// transcode, runs on every JSON scoring request.
+	DecodeJSON HotpathStage `json:"decodeJSON"`
 
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
@@ -206,6 +213,19 @@ func RunHotpath(opt HotpathOptions) (*HotpathReport, error) {
 			s := d.Samples[i%d.Len()]
 			s.Times = jitterGrid(s.Times, rng)
 			if _, err := optPipe.ScoreOne(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	// Stage 4: the JSON decode of one curve's request body.
+	body, err := wire.EncodeJSON(wire.Body{Request: wire.Request{Dataset: fda.Dataset{Samples: d.Samples[:1]}}})
+	if err != nil {
+		return nil, fmt.Errorf("hotpath: encode body: %w", err)
+	}
+	rep.DecodeJSON = stage(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := wire.DecodeBody("application/json", body); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,7 +9,7 @@ import (
 
 // TestMain shortens each testing.Benchmark pass of the hot-path harness
 // to 50 ms unless -test.benchtime is given: the tests here check the
-// report and its gates, not the timings, and RunHotpath times six
+// report and its gates, not the timings, and RunHotpath times seven
 // stages in five passes each.
 func TestMain(m *testing.M) {
 	flag.Parse()
@@ -41,7 +41,7 @@ func TestRunHotpathSmall(t *testing.T) {
 	}
 	if rep.FitSequential.NsPerOp <= 0 || rep.FitOptimized.NsPerOp <= 0 ||
 		rep.ScoreSequential.NsPerOp <= 0 || rep.ScoreOptimized.NsPerOp <= 0 ||
-		rep.StreamRefit.NsPerOp <= 0 || rep.FreshGridScore.NsPerOp <= 0 {
+		rep.StreamRefit.NsPerOp <= 0 || rep.FreshGridScore.NsPerOp <= 0 || rep.DecodeJSON.NsPerOp <= 0 {
 		t.Errorf("missing timings: %+v", rep)
 	}
 	if rep.CacheHits == 0 {

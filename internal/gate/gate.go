@@ -98,6 +98,11 @@ type Gate struct {
 
 	mu      sync.Mutex
 	clients map[string]*resilience.Client // per-replica breaker clients, by name
+
+	// served holds each model name a replica has answered for with
+	// anything but a 404 (replicas 404 an unknown model before anything
+	// else): the names that may label the gate's requests.
+	served sync.Map
 }
 
 // New validates the config and returns a Gate.
@@ -239,9 +244,13 @@ func (g *Gate) rankedOrder(key string) []string {
 }
 
 // Handler returns the routing handler: the tier's route table, which
-// counts every /v1 request under mfodgate_requests_total and logs it.
+// counts every /v1 request under mfodgate_requests_total and logs it,
+// under its ?model= only once a replica has answered for that model.
 func (g *Gate) Handler() http.Handler {
-	t := httpapi.NewTable(g.cfg.MaxBodyBytes, g.cfg.Logger, g.cfg.Metrics.ObserveRequest)
+	t := httpapi.NewTable(g.cfg.MaxBodyBytes, g.cfg.Logger, g.cfg.Metrics.ObserveRequest, func(model string) bool {
+		_, ok := g.served.Load(model)
+		return ok
+	})
 	t.Probes(g.ready, g.cfg.Metrics.WritePrometheus)
 	t.Handle(httpapi.Score, g.handleScore)
 	t.Handle(httpapi.Reload, g.handleReload)
@@ -259,6 +268,17 @@ func (g *Gate) Handler() http.Handler {
 		api.Mount(t)
 	}
 	return t.Handler()
+}
+
+// answered records a replica's answer for model: anything but a 404
+// says the replica serves it.
+func (g *Gate) answered(model string, resp *http.Response) {
+	if resp.StatusCode == http.StatusNotFound {
+		return
+	}
+	if _, ok := g.served.Load(model); !ok {
+		g.served.Store(model, struct{}{})
+	}
 }
 
 // ready is the readiness check: not while draining, and not before a
@@ -353,6 +373,7 @@ func (g *Gate) handleReload(r *http.Request, _ []byte) httpapi.Reply {
 		}
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
+		g.answered(model, resp)
 		results[name] = resp.Status
 		if resp.StatusCode != http.StatusOK {
 			failed = append(failed, name+": "+resp.Status)
@@ -447,6 +468,7 @@ func (g *Gate) score(r *http.Request, raw []byte, model string) httpapi.Reply {
 			g.cfg.Metrics.ObserveReplica(name, err == nil)
 			if err == nil {
 				g.cfg.Metrics.ObserveUpstreamBytes("wire", len(body))
+				g.answered(model, resp)
 			}
 			return resp, err
 		}

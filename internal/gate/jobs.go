@@ -49,6 +49,7 @@ func (g *Gate) ScoreChunk(ctx context.Context, model string, c jobs.Chunk) ([]fl
 			lastErr = fmt.Errorf("replica %s: %w", name, err)
 			continue
 		}
+		g.answered(model, resp)
 		scores, err := decodeChunkResponse(resp, c)
 		if err != nil {
 			if jobs.IsFatal(err) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/fda"
+	"repro/internal/gate"
 	"repro/internal/httpapi"
 	"repro/internal/jobs"
 	"repro/internal/wire"
@@ -34,7 +36,11 @@ type tier struct {
 }
 
 // reached is one /v1 request as the tap saw it, with the model label
-// the README's rule gives it.
+// the README's rule gives it: ?model= when the tier knows the model,
+// else the route family's label. Every replica of the harness loads
+// modelNames; the gate knows one from the first answer a replica gives
+// for it, and labels that answer too, so on both tiers a name is known
+// exactly when it is one of modelNames.
 type reached struct {
 	method, path, label string
 	code                int
@@ -76,7 +82,7 @@ func (tr *tier) tap(h http.Handler) http.Handler {
 		cw := &codeWriter{ResponseWriter: w, code: http.StatusOK}
 		h.ServeHTTP(cw, r)
 		label := r.URL.Query().Get("model")
-		if label == "" {
+		if !slices.Contains(modelNames, label) {
 			label = "(other)"
 			if l, ok := familyLabels[strings.Split(r.URL.Path, "/")[2]]; ok {
 				label = l
@@ -208,12 +214,12 @@ func compareTally(t *testing.T, what string, want, got map[string]int) {
 }
 
 // TestGateObservesEveryV1Route drives every /v1 route through the gate
-// harness — score in both codecs, reload, models, topology, a job and a
-// stream with a live watch — and requires each server's log and page to
-// record each request that reached it exactly once, under the label
-// rule, while probes and scrapes stay unrecorded. The watch must see an
-// append's event before the stream is deleted: lines stay flushed
-// through the middleware.
+// harness — score in both codecs and for a model no replica serves,
+// reload, models, topology, a job and a stream with a live watch — and
+// requires each server's log and page to record each request that
+// reached it exactly once, under the label rule, while probes and
+// scrapes stay unrecorded. The watch must see an append's event before
+// the stream is deleted: lines stay flushed through the middleware.
 func TestGateObservesEveryV1Route(t *testing.T) {
 	modelPath, d := fitModelFile(t)
 	h := bootGate(t, modelPath)
@@ -246,6 +252,7 @@ func TestGateObservesEveryV1Route(t *testing.T) {
 	do("GET", "/v1/models", "", nil, http.StatusOK)
 	do("GET", "/v1/topology", "", nil, http.StatusOK)
 	do("GET", "/v1/no-such-route", "", nil, http.StatusNotFound)
+	do("POST", "/v1/score?model=ghost", "application/json", jsonScoreBody(t, d, idx), http.StatusNotFound)
 
 	// A job: submit, status, results to the terminal line.
 	var sub struct{ Job string }
@@ -307,8 +314,8 @@ func TestGateObservesEveryV1Route(t *testing.T) {
 	for _, name := range []string{"r1", "r2", "r3"} {
 		h.tiers[name].check(t, name, h.replicas[name].URL, "mfod_")
 	}
-	if got := len(h.tiers["gate"].reached); got != 14 {
-		t.Errorf("the tap saw %d gate requests, the test sent 14", got)
+	if got := len(h.tiers["gate"].reached); got != 15 {
+		t.Errorf("the tap saw %d gate requests, the test sent 15", got)
 	}
 }
 
@@ -402,6 +409,106 @@ func TestGateReloadFailureEnvelope(t *testing.T) {
 	for _, name := range []string{"r1", "r2", "r3"} {
 		if !strings.Contains(eb.Error.Message, name+": 404 Not Found") {
 			t.Errorf("message %q does not name %s and its status", eb.Error.Message, name)
+		}
+	}
+}
+
+// requestSeries reads the prefix+"requests_total" series off a page:
+// labels → count.
+func requestSeries(t *testing.T, base, prefix string) map[string]string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	page, _ := io.ReadAll(resp.Body)
+	series := map[string]string{}
+	for _, line := range strings.Split(string(page), "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix+"requests_total{"); ok {
+			labels, val, _ := strings.Cut(rest, "} ")
+			series[labels] = val
+		}
+	}
+	return series
+}
+
+// TestGateRequestLabelsBounded: the gate labels a request with its
+// ?model= only once a replica has answered for the model with anything
+// but a 404. A thousand made-up names, each sent as a 404 (a valid body
+// the replicas refuse), a 400 (a malformed body, on /v1/score and on
+// /v1/jobs) and a 413 (a body over the cap), add no series past the
+// first name's, and label none on a replica; a served model keeps its
+// label on every status.
+func TestGateRequestLabelsBounded(t *testing.T) {
+	modelPath, d := fitModelFile(t)
+	valid := jsonScoreBody(t, d, []int{0})
+	maxBody := len(valid) + 1024
+	h := bootGate(t, modelPath, func(c *gate.Config) { c.MaxBodyBytes = int64(maxBody) })
+	malformed := []byte(`{"samples":[{"times":[0,1],"values":[[1,null]]}]}`)
+	big := append(append([]byte(nil), valid...), bytes.Repeat([]byte(" "), maxBody)...)
+	post := func(path string, body []byte, want int) {
+		t.Helper()
+		resp, err := http.Post(h.base+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s = %d, want %d: %s", path, resp.StatusCode, want, raw)
+		}
+	}
+
+	post("/v1/score?model=m0", valid, http.StatusOK)
+	post("/v1/score?model=m0", malformed, http.StatusBadRequest)
+	post("/v1/jobs?model=m0", malformed, http.StatusBadRequest)
+	post("/v1/score?model=m0", big, http.StatusRequestEntityTooLarge)
+	get, err := http.Get(h.base + "/v1/score?model=m0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get.Body.Close()
+	ghost := func(i int) {
+		name := fmt.Sprintf("ghost-%d", i)
+		post("/v1/score?model="+name, valid, http.StatusNotFound)
+		post("/v1/score?model="+name, malformed, http.StatusBadRequest)
+		post("/v1/jobs?model="+name, malformed, http.StatusBadRequest)
+		post("/v1/score?model="+name, big, http.StatusRequestEntityTooLarge)
+	}
+	ghost(0)
+	h.settle(t)
+	first := requestSeries(t, h.base, "mfodgate_")
+	for i := 1; i < 1000; i++ {
+		ghost(i)
+	}
+	h.settle(t)
+	if last := requestSeries(t, h.base, "mfodgate_"); len(last) != len(first) {
+		t.Errorf("%d mfodgate_requests_total series after one unknown model, %d after 1,000: %v", len(first), len(last), last)
+	}
+	// Each name reached one replica, which answered 404 and labels it
+	// "(other)".
+	for name, ts := range h.replicas {
+		for labels := range requestSeries(t, ts.URL, "mfod_") {
+			if strings.Contains(labels, "ghost") {
+				t.Errorf("%s: series %s", name, labels)
+			}
+		}
+	}
+	want := map[string]string{
+		`model="m0",code="200"`:      "1",
+		`model="m0",code="400"`:      "2",
+		`model="m0",code="405"`:      "1",
+		`model="m0",code="413"`:      "1",
+		`model="(jobs)",code="400"`:  "1000",
+		`model="(other)",code="404"`: "1000",
+		`model="(other)",code="400"`: "1000",
+		`model="(other)",code="413"`: "1000",
+	}
+	gatePage := requestSeries(t, h.base, "mfodgate_")
+	for labels, n := range want {
+		if gatePage[labels] != n {
+			t.Errorf("mfodgate_requests_total{%s} = %q, want %s", labels, gatePage[labels], n)
 		}
 	}
 }

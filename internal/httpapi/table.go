@@ -11,7 +11,8 @@ import (
 )
 
 // Route is one entry of the v1 route list: a method, a mux pattern, and
-// the label its requests are recorded under when they carry no ?model=.
+// the label its requests are recorded under when they carry no ?model=
+// the tier knows.
 type Route struct {
 	Method, Pattern, Label string
 }
@@ -46,7 +47,7 @@ var Routes = []Route{
 }
 
 // labelOther labels the requests of routes that need a ?model= but got
-// none, and of unknown /v1 paths.
+// none the tier knows, and of unknown /v1 paths.
 const labelOther = "(other)"
 
 // Handler answers one request. The table has already read the body
@@ -64,14 +65,16 @@ type Handler func(r *http.Request, body []byte) Reply
 //   - the observation: each /v1/ request — any route, 405s and unknown
 //     paths included — is recorded once (model label, status, seconds)
 //     and logged once as "request" with method, path, model, code and
-//     durMs. The label is the ?model= value when set, else the route's
-//     Label, and "(other)" for an unknown path; it never takes text
-//     from the path, so a path cannot mint a series. The probes and
-//     the scrape pass unobserved.
+//     durMs. The label is the ?model= value when the tier knows that
+//     model, else the route's Label, and "(other)" for an unknown path;
+//     it never takes text from the path, nor a model name the tier does
+//     not know, so neither a path nor a made-up name can mint a series.
+//     The probes and the scrape pass unobserved.
 type Table struct {
 	maxBody  int64
 	log      *slog.Logger
 	record   func(model string, code int, seconds float64)
+	known    func(model string) bool
 	bindings []binding
 }
 
@@ -82,11 +85,14 @@ type binding struct {
 
 // NewTable starts a tier's table. maxBody caps every request body;
 // record and log observe each /v1/ request, and either may be nil.
-func NewTable(maxBody int64, log *slog.Logger, record func(model string, code int, seconds float64)) *Table {
+// known reports whether the tier knows a model, whose name may then
+// label its requests; it is asked once the request is answered, and a
+// nil known knows none.
+func NewTable(maxBody int64, log *slog.Logger, record func(model string, code int, seconds float64), known func(model string) bool) *Table {
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	return &Table{maxBody: maxBody, log: log, record: record}
+	return &Table{maxBody: maxBody, log: log, record: record, known: known}
 }
 
 // Handle attaches h to rt.
@@ -167,7 +173,7 @@ func (t *Table) answer(w http.ResponseWriter, r *http.Request, label string, sta
 	if !strings.HasPrefix(r.URL.Path, "/v1/") {
 		return
 	}
-	if m := r.URL.Query().Get("model"); m != "" {
+	if m := r.URL.Query().Get("model"); m != "" && t.known != nil && t.known(m) {
 		label = m
 	}
 	code, dur := reply.status(), time.Since(start)

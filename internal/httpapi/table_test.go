@@ -21,7 +21,7 @@ type observed struct {
 }
 
 // observedTable is a table whose log goes to buf and whose record calls
-// are appended to recs.
+// are appended to recs; it knows the models ecg and m7.
 func observedTable(maxBody int64, buf *bytes.Buffer, recs *[]observed) *Table {
 	log := slog.New(slog.NewJSONHandler(buf, nil))
 	return NewTable(maxBody, log, func(model string, code int, seconds float64) {
@@ -29,7 +29,7 @@ func observedTable(maxBody int64, buf *bytes.Buffer, recs *[]observed) *Table {
 			panic("negative latency")
 		}
 		*recs = append(*recs, observed{model, code})
-	})
+	}, func(model string) bool { return model == "ecg" || model == "m7" })
 }
 
 func do(t *testing.T, h http.Handler, method, target string, body []byte) *httptest.ResponseRecorder {
@@ -40,9 +40,10 @@ func do(t *testing.T, h http.Handler, method, target string, body []byte) *httpt
 }
 
 // TestObserveLabelsAndCodes: every /v1 request is recorded and logged
-// once under the label rule — ?model= when set, else the route's label,
-// "(other)" for an unknown path, even under a route's path root — with
-// the status the table wrote; probes and the scrape pass unseen.
+// once under the label rule — ?model= when the tier knows the model,
+// else the route's label, "(other)" for an unknown path, even under a
+// route's path root — with the status the table wrote; probes and the
+// scrape pass unseen.
 func TestObserveLabelsAndCodes(t *testing.T) {
 	var buf bytes.Buffer
 	var recs []observed
@@ -63,6 +64,9 @@ func TestObserveLabelsAndCodes(t *testing.T) {
 		{"GET", "/v1/score?model=ecg", observed{"ecg", http.StatusMethodNotAllowed}},
 		{"GET", "/v1/jobs/j1", observed{"(jobs)", http.StatusOK}},
 		{"GET", "/v1/jobs/j1?model=m7", observed{"m7", http.StatusOK}},
+		{"POST", "/v1/score?model=ghost", observed{"(other)", http.StatusTeapot}},
+		{"GET", "/v1/jobs/j1?model=ghost", observed{"(jobs)", http.StatusOK}},
+		{"GET", "/v1/score?model=Ecg", observed{"(other)", http.StatusMethodNotAllowed}},
 		{"PUT", "/v1/jobs/j1", observed{"(jobs)", http.StatusMethodNotAllowed}},
 		{"GET", "/v1/topology", observed{"(topology)", http.StatusOK}},
 		{"GET", "/v1/streams/s1/score", observed{"(stream)", http.StatusOK}},
@@ -110,7 +114,7 @@ func TestObserveLabelsAndCodes(t *testing.T) {
 // first line and flushes each line as it is emitted.
 func TestObserveKeepsFlush(t *testing.T) {
 	release := make(chan struct{})
-	tb := NewTable(1<<10, nil, nil)
+	tb := NewTable(1<<10, nil, nil, nil)
 	tb.Handle(StreamScore, func(*http.Request, []byte) Reply {
 		return Lines(func(emit func(any) error) {
 			for i := 0; i < 2; i++ {
@@ -147,7 +151,7 @@ func TestObserveKeepsFlush(t *testing.T) {
 func TestTableDerivesMethodNotAllowed(t *testing.T) {
 	called := 0
 	h := func(*http.Request, []byte) Reply { called++; return JSON(struct{}{}) }
-	tb := NewTable(8, nil, nil)
+	tb := NewTable(8, nil, nil, nil)
 	for _, rt := range []Route{StreamStatus, StreamDelete, StreamList, StreamListSlash, JobResults} {
 		tb.Handle(rt, h)
 	}
@@ -178,7 +182,7 @@ func TestTableDerivesMethodNotAllowed(t *testing.T) {
 // reaches it whole.
 func TestTableBodyCap(t *testing.T) {
 	var got []byte
-	tb := NewTable(16, nil, nil)
+	tb := NewTable(16, nil, nil, nil)
 	tb.Handle(JobSubmit, func(_ *http.Request, body []byte) Reply { got = body; return Accepted("/v1/jobs/j1", struct{}{}) })
 	h := tb.Handler()
 	rec := do(t, h, "POST", "/v1/jobs", bytes.Repeat([]byte("x"), 17))
@@ -196,7 +200,7 @@ func TestTableBodyCap(t *testing.T) {
 // wrong method on a probe gets the derived 405.
 func TestProbes(t *testing.T) {
 	var notReady error
-	tb := NewTable(1<<10, nil, nil)
+	tb := NewTable(1<<10, nil, nil, nil)
 	tb.Probes(func() error { return notReady }, func(w io.Writer) { io.WriteString(w, "mfod_x 1\n") })
 	h := tb.Handler()
 	if rec := do(t, h, "GET", "/healthz", nil); rec.Code != http.StatusOK || rec.Body.String() != "ok\n" {
@@ -245,7 +249,7 @@ func TestRelay(t *testing.T) {
 	}))
 	defer upstream.Close()
 	done := make(chan string, 2)
-	tb := NewTable(1<<10, nil, nil)
+	tb := NewTable(1<<10, nil, nil, nil)
 	tb.Handle(StreamScore, func(r *http.Request, _ []byte) Reply {
 		resp, err := http.Get(upstream.URL + "/" + r.PathValue("id"))
 		if err != nil {

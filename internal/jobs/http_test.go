@@ -27,7 +27,7 @@ func bootAPI(t *testing.T, opt Options, api *API, maxBody int64) *httptest.Serve
 	}
 	t.Cleanup(m.Close)
 	api.Manager = m
-	table := httpapi.NewTable(maxBody, nil, nil)
+	table := httpapi.NewTable(maxBody, nil, nil, nil)
 	api.Mount(table)
 	srv := httptest.NewServer(table.Handler())
 	t.Cleanup(srv.Close)

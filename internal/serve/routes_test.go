@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,5 +123,80 @@ func TestStreamListTrailingSlashMethodNotAllowed(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET" ||
 		json.Unmarshal(raw, &eb) != nil || eb.Error.Code != httpapi.CodeMethodNotAllowed {
 		t.Fatalf("POST /v1/streams/ = %d Allow %q %s, want 405 Allow GET", resp.StatusCode, resp.Header.Get("Allow"), raw)
+	}
+}
+
+// requestSeries reads the mfod_requests_total series off a page:
+// labels → count.
+func requestSeries(t *testing.T, base string) map[string]string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	page, _ := io.ReadAll(resp.Body)
+	series := map[string]string{}
+	for _, line := range strings.Split(string(page), "\n") {
+		if rest, ok := strings.CutPrefix(line, "mfod_requests_total{"); ok {
+			labels, val, _ := strings.Cut(rest, "} ")
+			series[labels] = val
+		}
+	}
+	return series
+}
+
+// TestRequestLabelsBounded: a replica labels a request with its ?model=
+// only when its registry holds the model. A thousand made-up names, each
+// sent as a 404 (a valid score body), a 400 (a malformed jobs body) and
+// a 413 (a body over the cap), add no series past the first name's, and
+// the loaded model keeps its label on every status.
+func TestRequestLabelsBounded(t *testing.T) {
+	ds := testDataset(t, 8, 5)
+	valid := scoreBody(t, ds, []int{0}, 0)
+	maxBody := len(valid) + 1024
+	ts, _, _ := cappedStack(t, int64(maxBody))
+	malformed := []byte(`{"samples":[{"times":[0,1],"values":[[1,null]]}]}`)
+	big := append(append([]byte(nil), valid...), bytes.Repeat([]byte(" "), maxBody)...)
+
+	resp, body := postScore(t, ts.URL+"/v1/score?model=ecg", valid)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("score = %d: %s", resp.StatusCode, body)
+	}
+	wantStatus(t, "ecg jobs", ts.URL+"/v1/jobs?model=ecg", malformed, http.StatusBadRequest)
+	wantStatus(t, "ecg too large", ts.URL+"/v1/score?model=ecg", big, http.StatusRequestEntityTooLarge)
+	get, err := http.Get(ts.URL + "/v1/score?model=ecg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get.Body.Close()
+	ghost := func(i int) {
+		name := fmt.Sprintf("ghost-%d", i)
+		wantStatus(t, name+" score", ts.URL+"/v1/score?model="+name, valid, http.StatusNotFound)
+		wantStatus(t, name+" jobs", ts.URL+"/v1/jobs?model="+name, malformed, http.StatusBadRequest)
+		wantStatus(t, name+" too large", ts.URL+"/v1/score?model="+name, big, http.StatusRequestEntityTooLarge)
+	}
+	ghost(0)
+	first := requestSeries(t, ts.URL)
+	for i := 1; i < 1000 && !t.Failed(); i++ {
+		ghost(i)
+	}
+	last := requestSeries(t, ts.URL)
+	if len(last) != len(first) {
+		t.Errorf("%d mfod_requests_total series after one unknown model, %d after 1,000: %v", len(first), len(last), last)
+	}
+	want := map[string]string{
+		`model="ecg",code="200"`:     "1",
+		`model="ecg",code="400"`:     "1",
+		`model="ecg",code="405"`:     "1",
+		`model="ecg",code="413"`:     "1",
+		`model="(other)",code="404"`: "1000",
+		`model="(jobs)",code="400"`:  "1000",
+		`model="(other)",code="413"`: "1000",
+	}
+	for labels, n := range want {
+		if last[labels] != n {
+			t.Errorf("mfod_requests_total{%s} = %q, want %s", labels, last[labels], n)
+		}
 	}
 }

@@ -118,9 +118,13 @@ func NewServer(cfg Config) (*Server, error) {
 func (s *Server) Drain() { s.draining.Store(true) }
 
 // Handler returns the routing handler: the tier's route table, which
-// counts every /v1 request under mfod_requests_total and logs it.
+// counts every /v1 request under mfod_requests_total and logs it, under
+// its ?model= only when the registry holds that model.
 func (s *Server) Handler() http.Handler {
-	t := httpapi.NewTable(s.cfg.MaxBodyBytes, s.cfg.Logger, s.cfg.Metrics.ObserveRequest)
+	t := httpapi.NewTable(s.cfg.MaxBodyBytes, s.cfg.Logger, s.cfg.Metrics.ObserveRequest, func(name string) bool {
+		_, ok := s.cfg.Registry.Get(name)
+		return ok
+	})
 	t.Probes(s.ready, s.cfg.Metrics.WritePrometheus)
 	t.Handle(httpapi.Score, s.handleScore)
 	t.Handle(httpapi.Reload, s.handleReload)
@@ -235,11 +239,17 @@ type scoreResponse struct {
 	ElapsedMs    float64             `json:"elapsedMs"`
 }
 
-// handleScore is the scoring route POST /v1/score?model=.
+// handleScore is the scoring route POST /v1/score?model=. An unknown
+// model is a 404 before anything else, so any other answer says the
+// replica serves the model: the gate labels requests by that rule.
 func (s *Server) handleScore(r *http.Request, raw []byte) httpapi.Reply {
 	name, perr := httpapi.ModelParam(r)
 	if perr != nil {
 		return perr
+	}
+	m, ok := s.cfg.Registry.Get(name)
+	if !ok {
+		return httpapi.Errorf(http.StatusNotFound, "unknown model %q", name)
 	}
 	start := time.Now()
 	s.cfg.Metrics.IncInflight()
@@ -255,7 +265,7 @@ func (s *Server) handleScore(r *http.Request, raw []byte) httpapi.Reply {
 			"server overloaded (adaptive concurrency limit), retry in ~%ds", retryAfter).
 			Retry(time.Duration(retryAfter) * time.Second)
 	}
-	reply := s.score(r, raw, name, start)
+	reply := s.score(r, raw, m, start)
 	if s.cfg.Limiter != nil {
 		code := httpapi.StatusOf(reply)
 		s.cfg.Limiter.Release(time.Since(start),
@@ -288,8 +298,8 @@ func wantsScoresFrame(r *http.Request) bool {
 	return false
 }
 
-// score runs one scoring request on its raw body.
-func (s *Server) score(r *http.Request, raw []byte, name string, start time.Time) httpapi.Reply {
+// score runs one scoring request for model m on its raw body.
+func (s *Server) score(r *http.Request, raw []byte, m *Model, start time.Time) httpapi.Reply {
 	// Parse the propagated deadline before decoding the body: a request
 	// whose caller has already given up must cost nothing further.
 	budget, berr := resilience.BudgetFromHeader(r.Header)
@@ -298,10 +308,6 @@ func (s *Server) score(r *http.Request, raw []byte, name string, start time.Time
 	}
 	if budget != nil && budget.Expired() {
 		return httpapi.Errorf(http.StatusGatewayTimeout, "deadline in %s already expired", resilience.DeadlineHeader)
-	}
-	m, ok := s.cfg.Registry.Get(name)
-	if !ok {
-		return httpapi.Errorf(http.StatusNotFound, "unknown model %q", name)
 	}
 	// The body decodes under the codec its Content-Type names; its size
 	// is recorded under that codec's label, and the X-Mfod-Codec header
@@ -384,7 +390,7 @@ func (s *Server) score(r *http.Request, raw []byte, name string, start time.Time
 		return httpapi.Bytes(wire.ScoresContentType, wire.EncodeScores(wire.Scores{Start: frameStart, Values: res.Scores}))
 	}
 	resp := scoreResponse{
-		Model:     name,
+		Model:     m.Name(),
 		Scores:    res.Scores,
 		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
 	}

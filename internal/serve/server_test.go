@@ -388,7 +388,8 @@ func TestServerMetricsEndpoint(t *testing.T) {
 			t.Fatalf("score %d = %d, body %s", i, resp.StatusCode, body)
 		}
 	}
-	postScore(t, ts.URL+"/v1/score?model=nope", scoreBody(t, ds, []int{0}, 0)) // a 404
+	// A 404: a model the registry does not hold labels no series.
+	postScore(t, ts.URL+"/v1/score?model=nope", scoreBody(t, ds, []int{0}, 0))
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +402,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	text := string(raw)
 	for _, want := range []string{
 		`mfod_requests_total{model="ecg",code="200"} 3`,
-		`mfod_requests_total{model="nope",code="404"} 1`,
+		`mfod_requests_total{model="(other)",code="404"} 1`,
 		`mfod_request_duration_seconds_bucket{le="+Inf"} 4`,
 		"mfod_request_duration_seconds_count 4",
 		"mfod_panics_total 0",

@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/httpapi"
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 // fuzzHarness is built once per process: a fitted model behind the full
@@ -59,11 +61,13 @@ func fuzzSetup(tb testing.TB) *fuzzHarness {
 
 // FuzzStreamAppend throws hostile append bodies — NaN/Inf times and
 // values, out-of-order timestamps, oversized point lists, truncated and
-// garbage JSON — at the live HTTP surface. Every response must be a
-// sane status (2xx for valid data, enveloped 4xx otherwise; never 5xx,
-// never a hang), and a control stream scored after every input must
-// keep producing its known batch-equal score: hostile appends to one
-// stream id can never corrupt the tier's shared state.
+// garbage JSON, nulls and repeated fields — at the live HTTP surface.
+// Every response must be a sane status (2xx for valid data, enveloped
+// 4xx otherwise, 400 bad_request for a body under the cap that
+// wire.DecodeAppend refuses; never 5xx, never a hang), and a control
+// stream scored after every input must keep producing its known
+// batch-equal score: hostile appends to one stream id can never corrupt
+// the tier's shared state.
 func FuzzStreamAppend(f *testing.F) {
 	valid, _ := json.Marshal(map[string]any{"model": "ecg", "points": []stream.Point{
 		{T: 0.1, V: []float64{1, 2}}, {T: 0.9, V: []float64{3, 4}}}})
@@ -83,9 +87,16 @@ func FuzzStreamAppend(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
 	f.Add(bytes.Repeat([]byte(`{"t":0.5,"v":[1,2]},`), 512))
+	// Bodies encoding/json read as something else: t = 0 for a null or
+	// missing t, 0 for a null value, the last of a repeated t.
+	f.Add([]byte(`{"model":"ecg","points":[{"t":null,"v":[1,2]}]}`))
+	f.Add([]byte(`{"model":"ecg","points":[{"v":[1,2]}]}`))
+	f.Add([]byte(`{"model":"ecg","points":[{"t":0.5,"v":[null,2]}]}`))
+	f.Add([]byte(`{"model":"ecg","points":[{"t":0.5,"t":0.7,"v":[1,2]}]}`))
 
 	h := fuzzSetup(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
+		_, decodeErr := wire.DecodeAppend(body)
 		resp, err := http.Post(h.srv.URL+"/v1/streams/fuzz-target/append", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("transport error: %v", err)
@@ -96,18 +107,21 @@ func FuzzStreamAppend(f *testing.F) {
 			} `json:"error"`
 		}
 		dec := json.NewDecoder(resp.Body)
-		decodeErr := dec.Decode(&envelope)
+		envelopeErr := dec.Decode(&envelope)
 		resp.Body.Close()
 		switch {
+		case decodeErr != nil && resp.StatusCode != http.StatusRequestEntityTooLarge &&
+			(resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != httpapi.CodeBadRequest):
+			t.Fatalf("undecodable append (%v) answered %d %q, want 400 %s", decodeErr, resp.StatusCode, envelope.Error.Code, httpapi.CodeBadRequest)
 		case resp.StatusCode == http.StatusOK:
 			// Valid data; the ack decodes as JSON (envelope struct is a
 			// superset-tolerant decode of it).
-			if decodeErr != nil {
-				t.Fatalf("200 with undecodable body: %v", decodeErr)
+			if envelopeErr != nil {
+				t.Fatalf("200 with undecodable body: %v", envelopeErr)
 			}
 		case resp.StatusCode >= 400 && resp.StatusCode < 500:
-			if decodeErr != nil || envelope.Error.Code == "" {
-				t.Fatalf("status %d without a v1 envelope (decode: %v)", resp.StatusCode, decodeErr)
+			if envelopeErr != nil || envelope.Error.Code == "" {
+				t.Fatalf("status %d without a v1 envelope (decode: %v)", resp.StatusCode, envelopeErr)
 			}
 		default:
 			t.Fatalf("hostile append answered %d; the tier must never 5xx on input", resp.StatusCode)

@@ -1,15 +1,13 @@
 package stream
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/fda"
 	"repro/internal/httpapi"
+	"repro/internal/wire"
 )
 
 // API holds the streaming handlers:
@@ -37,33 +35,17 @@ func (a *API) Mount(t *httpapi.Table) {
 	t.Handle(httpapi.StreamListSlash, a.list)
 }
 
-// appendRequest is the append body. Model is required on the stream's
-// first append and optional afterwards (when present it must match —
-// and clients SHOULD send it every time, so a gate failover to a fresh
-// replica can recreate the stream transparently).
-type appendRequest struct {
-	Model  string  `json:"model"`
-	Points []Point `json:"points"`
-}
-
 func (a *API) append(r *http.Request, body []byte) httpapi.Reply {
 	if a.Admit != nil {
 		if err := a.Admit(); err != nil {
 			return httpapi.Errorf(http.StatusTooManyRequests, "stream appends shed: %v", err).Retry(time.Second)
 		}
 	}
-	var req appendRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	if err == nil {
-		// Nothing but whitespace may follow the value, as on /v1/score.
-		if _, err = dec.Token(); err == io.EOF {
-			err = nil
-		} else if err == nil {
-			err = errors.New("invalid data after top-level value")
-		}
-	}
+	// The model is required on the stream's first append and optional
+	// afterwards (when present it must match — and clients SHOULD send
+	// it every time, so a gate failover to a fresh replica can recreate
+	// the stream transparently).
+	req, err := wire.DecodeAppend(body)
 	if err != nil {
 		return httpapi.Errorf(http.StatusBadRequest, "request body: %v", err)
 	}

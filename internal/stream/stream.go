@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/fda"
+	"repro/internal/wire"
 )
 
 // Model is the scoring surface a stream needs from a fitted pipeline;
@@ -53,11 +54,9 @@ var (
 	ErrNotReady       = errors.New("stream: not enough observations to fit")
 )
 
-// Point is one observation: the p-vector V observed at time T.
-type Point struct {
-	T float64   `json:"t"`
-	V []float64 `json:"v"`
-}
+// Point is one observation: the p-vector V observed at time T, as a
+// stream append body carries it (wire.DecodeAppend).
+type Point = wire.Point
 
 // AppendResult acknowledges an append: the stream's total accepted
 // observation count (Seq, monotone across the stream's lifetime, never

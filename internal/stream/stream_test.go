@@ -253,7 +253,7 @@ func TestManagerSlidingWindow(t *testing.T) {
 
 // mount serves api on a route table whose body cap is maxBody.
 func mount(api *stream.API, maxBody int64) http.Handler {
-	table := httpapi.NewTable(maxBody, nil, nil)
+	table := httpapi.NewTable(maxBody, nil, nil, nil)
 	api.Mount(table)
 	return table.Handler()
 }

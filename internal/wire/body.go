@@ -28,9 +28,9 @@ type Body struct {
 }
 
 // jsonBody is the JSON form of a curve body, the body of POST /v1/score
-// and POST /v1/jobs. Samples use the shape of the repository's dataset
-// JSON files, so `mfodgen -json` output posts as is (unknown fields such
-// as its labels are ignored).
+// and POST /v1/jobs, as EncodeJSON renders it. Samples use the shape of
+// the repository's dataset JSON files, so `mfodgen -json` output posts
+// as is (unknown fields such as its labels are skipped).
 type jsonBody struct {
 	Samples []jsonSample `json:"samples"`
 	Explain int          `json:"explain,omitempty"`
@@ -52,46 +52,203 @@ func IsFrame(contentType string) bool {
 }
 
 // DecodeBody decodes a curve body under its Content-Type: a frame when
-// IsFrame says so, JSON otherwise. A JSON body decodes only if one frame
-// could carry it, so both codecs hand the same requests to the tiers:
-// nothing but whitespace may follow the JSON value, every value column
-// has exactly as many points as times, a sample with parameters has
-// points, and explain and chunk are not negative (explain also fits the
-// frame's uint32). Curve invariants (finite values, increasing times)
-// stay with the serving sanitizer, for both codecs.
+// IsFrame says so, JSON otherwise. JSON goes through the package's
+// scanner (scan.go): it reads what encoding/json reads, bit for bit,
+// and refuses a null where the schema expects a value (ErrNull) and a
+// field given twice (ErrDuplicate), the two inputs encoding/json
+// misreads. A JSON body decodes only if one frame could carry it, so
+// both codecs hand the same requests to the tiers: nothing but
+// whitespace may follow the JSON value, every value column has exactly
+// as many points as times, a sample with parameters has points, and
+// explain and chunk are not negative (explain also fits the frame's
+// uint32). Curve invariants (finite values, increasing times) stay with
+// the serving sanitizer, for both codecs.
 func DecodeBody(contentType string, data []byte) (Body, error) {
 	if IsFrame(contentType) {
 		req, err := DecodeRequest(data)
 		return Body{Request: req}, err
 	}
-	var j jsonBody
-	if err := json.Unmarshal(data, &j); err != nil {
-		return Body{}, fmt.Errorf("%v: %w", err, ErrJSON)
+	b, err := decodeJSON(data)
+	if err == nil {
+		err = b.check()
 	}
-	if j.Explain < 0 || uint64(j.Explain) > math.MaxUint32 {
-		return Body{}, fmt.Errorf("explain %d is outside the frame's 0..%d: %w", j.Explain, uint64(math.MaxUint32), ErrJSON)
+	if err != nil {
+		return Body{}, err
 	}
-	if j.Chunk < 0 {
-		return Body{}, fmt.Errorf("chunk %d is negative: %w", j.Chunk, ErrJSON)
+	return b, nil
+}
+
+// check holds a decoded JSON body to what one frame can carry.
+func (b Body) check() error {
+	if b.Explain < 0 || uint64(b.Explain) > math.MaxUint32 {
+		return fmt.Errorf("explain %d is outside the frame's 0..%d: %w", b.Explain, uint64(math.MaxUint32), ErrJSON)
 	}
-	b := Body{
-		Request: Request{Dataset: fda.Dataset{Samples: make([]fda.Sample, len(j.Samples))}, Explain: j.Explain},
-		Model:   j.Model,
-		Chunk:   j.Chunk,
+	if b.Chunk < 0 {
+		return fmt.Errorf("chunk %d is negative: %w", b.Chunk, ErrJSON)
 	}
-	for i, s := range j.Samples {
+	for i, s := range b.Dataset.Samples {
 		for k, col := range s.Values {
 			if len(col) != len(s.Times) {
-				return Body{}, fmt.Errorf("sample %d: values[%d] has %d points but times has %d: %w",
+				return fmt.Errorf("sample %d: values[%d] has %d points but times has %d: %w",
 					i, k, len(col), len(s.Times), ErrJSON)
 			}
 		}
 		if len(s.Times) == 0 && len(s.Values) > 0 {
-			return Body{}, fmt.Errorf("sample %d: %d parameters with zero measurement points: %w", i, len(s.Values), ErrJSON)
+			return fmt.Errorf("sample %d: %d parameters with zero measurement points: %w", i, len(s.Values), ErrJSON)
 		}
-		b.Dataset.Samples[i] = fda.Sample{Times: s.Times, Values: s.Values}
 	}
-	return b, nil
+	return nil
+}
+
+// The keys of each object the JSON bodies hold.
+var (
+	bodyFields   = fields{"samples", "explain", "model", "chunk"}
+	sampleFields = fields{"times", "values"}
+	appendFields = fields{"model", "points"}
+	pointFields  = fields{"t", "v"}
+)
+
+// decodeJSON scans a JSON curve body. Unknown keys are skipped, so
+// dataset files with labels post as they are. A sample without times or
+// values has them empty, not nil, so its JSON re-encoding is [] rather
+// than null.
+func decodeJSON(data []byte) (Body, error) {
+	// The number scratch starts on the stack, with room for a column
+	// three times the Fig. 3 grid's 85 points.
+	s := scanner{data: data, floats: make([]float64, 0, 256)}
+	b := Body{Request: Request{Dataset: fda.Dataset{Samples: []fda.Sample{}}}}
+	var seen uint32
+	err := s.object("the body object", func(key []byte) error {
+		i, err := s.field(bodyFields, key, &seen)
+		switch {
+		case err != nil:
+		case i == 0:
+			err = s.array("samples", func() error {
+				smp, err := s.sample()
+				b.Dataset.Samples = append(b.Dataset.Samples, smp)
+				return err
+			})
+		case i == 1:
+			b.Explain, err = s.int("explain")
+		case i == 2:
+			b.Model, err = s.string("model")
+		case i == 3:
+			b.Chunk, err = s.int("chunk")
+		default:
+			err = s.skip(1)
+		}
+		return err
+	})
+	if err == nil {
+		err = s.end()
+	}
+	return b, err
+}
+
+// sample scans one sample object of a curve body.
+func (s *scanner) sample() (fda.Sample, error) {
+	smp := fda.Sample{Times: []float64{}, Values: [][]float64{}}
+	var seen uint32
+	err := s.object("a sample object", func(key []byte) error {
+		i, err := s.field(sampleFields, key, &seen)
+		switch {
+		case err != nil:
+		case i == 0:
+			smp.Times, err = s.floatArray("times")
+		case i == 1:
+			err = s.array("values", func() error {
+				col, err := s.floatArray("a values column")
+				smp.Values = append(smp.Values, col)
+				return err
+			})
+		default:
+			err = s.skip(3)
+		}
+		return err
+	})
+	return smp, err
+}
+
+// Point is one observation of a stream append: the p-vector V observed
+// at time T.
+type Point struct {
+	T float64   `json:"t"`
+	V []float64 `json:"v"`
+}
+
+// Append is a decoded stream append body, the body of POST
+// /v1/streams/{id}/append.
+type Append struct {
+	// Model names the stream's model: required on a stream's first
+	// append, and checked against it on later ones when given.
+	Model  string
+	Points []Point
+}
+
+// ErrNoTime reports a stream append point without "t", which
+// encoding/json would read as t = 0.
+var ErrNoTime = fmt.Errorf("%w: point without \"t\"", ErrJSON)
+
+// DecodeAppend decodes a stream append body,
+//
+//	{"model": "ecg", "points": [{"t": 0.5, "v": [1, 2]}, ...]}
+//
+// through the same scanner as DecodeBody, with its two refusals
+// (ErrNull, ErrDuplicate), and two of its own: an unknown key at any
+// level, and a point without t (ErrNoTime). Nothing but whitespace may
+// follow the value. A point without v has none.
+func DecodeAppend(data []byte) (Append, error) {
+	s := scanner{data: data}
+	var a Append
+	var seen uint32
+	err := s.object("the append object", func(key []byte) error {
+		i, err := s.field(appendFields, key, &seen)
+		switch {
+		case err != nil:
+		case i == 0:
+			a.Model, err = s.string("model")
+		case i == 1:
+			a.Points = []Point{}
+			err = s.array("points", func() error {
+				p, err := s.point()
+				a.Points = append(a.Points, p)
+				return err
+			})
+		default:
+			err = s.errorf("unknown field %q", key)
+		}
+		return err
+	})
+	if err == nil {
+		err = s.end()
+	}
+	if err != nil {
+		return Append{}, err
+	}
+	return a, nil
+}
+
+// point scans one point object of a stream append.
+func (s *scanner) point() (Point, error) {
+	var p Point
+	var seen uint32
+	err := s.object("a point object", func(key []byte) error {
+		i, err := s.field(pointFields, key, &seen)
+		switch {
+		case err != nil:
+		case i == 0:
+			p.T, err = s.float("t")
+		case i == 1:
+			p.V, err = s.floatArray("v")
+		default:
+			err = s.errorf("unknown field %q", key)
+		}
+		return err
+	})
+	if err == nil && seen&1 == 0 {
+		err = fmt.Errorf("offset %d: %w", s.pos, ErrNoTime)
+	}
+	return p, err
 }
 
 // EncodeJSON renders b as a JSON curve body; DecodeBody gives b back.
