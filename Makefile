@@ -36,16 +36,20 @@ test:
 # route table and the body decoder that sit in front of every
 # concurrent request on both tiers, the shared-pipeline scoring
 # guarantee, the server binary, the smoothing/mapping hot path (worker
-# pool + shared basis cache), the metrics registry (observed and
+# pool + shared basis cache), the fitted models scored from every pool
+# worker at once (the depth baselines' and iForest's batch scores, the
+# experiment runner's repetitions), the metrics registry (observed and
 # scraped concurrently), the job manager (a supervisor goroutine per
-# job, token-bounded chunk workers), the retrying job and stream
-# clients, the load generator's paced senders, and the analyzer suite
-# (whose repo-clean test loads and checks the whole tree).
+# job, its chunks on the shared pool under the token budget), the
+# retrying job and stream clients, the load generator's paced senders,
+# and the analyzer suite (whose repo-clean test loads and checks the
+# whole tree).
 test-race:
 	$(GO) test -race ./internal/serve ./internal/gate ./internal/resilience \
 		./internal/httpapi ./internal/wire \
 		./internal/core ./cmd/mfodserve ./cmd/mfodgate \
 		./internal/fda ./internal/geometry ./internal/parallel \
+		./internal/depth ./internal/iforest ./internal/eval \
 		./internal/stream ./internal/analysis ./internal/metrics \
 		./internal/jobs ./internal/client ./cmd/mfodload
 

@@ -280,8 +280,8 @@ func BenchmarkDirOutScore(b *testing.B) {
 	for i, s := range d.Samples {
 		vals[i] = s.Values
 	}
-	do := depth.NewDirOut(depth.ProjectionOptions{Directions: 50, Seed: 1})
-	if err := do.Fit(vals); err != nil {
+	do, err := depth.FitDirOut(vals, depth.ProjectionOptions{Directions: 50, Seed: 1})
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -301,8 +301,8 @@ func BenchmarkFUNTAScore(b *testing.B) {
 	for i, s := range d.Samples {
 		vals[i] = s.Values
 	}
-	f := depth.NewFUNTA(nil)
-	if err := f.Fit(vals); err != nil {
+	f, err := depth.FitFUNTA(vals, nil)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

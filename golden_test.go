@@ -63,16 +63,21 @@ func goldenScores(t *testing.T) map[string][]float64 {
 	if err != nil {
 		t.Fatalf("grid values: %v", err)
 	}
+	funta, err := depth.FitFUNTA(vals, grid)
+	if err != nil {
+		t.Fatalf("FUNTA fit: %v", err)
+	}
+	dirout, err := depth.FitDirOut(vals, depth.ProjectionOptions{Directions: 50, Seed: 1})
+	if err != nil {
+		t.Fatalf("Dir.out fit: %v", err)
+	}
 	for _, c := range []struct {
 		name string
 		s    core.FunctionalScorer
 	}{
-		{"FUNTA", depth.NewFUNTA(grid)},
-		{"Dir.out", depth.NewDirOut(depth.ProjectionOptions{Directions: 50, Seed: 1})},
+		{"FUNTA", funta},
+		{"Dir.out", dirout},
 	} {
-		if err := c.s.Fit(vals); err != nil {
-			t.Fatalf("%s fit: %v", c.name, err)
-		}
 		scores, err := c.s.ScoreBatch(vals)
 		if err != nil {
 			t.Fatalf("%s score: %v", c.name, err)

@@ -79,8 +79,8 @@ func TestClaimFUNTABlindCurvmapNot(t *testing.T) {
 	for i, s := range d.Samples {
 		vals[i] = s.Values
 	}
-	f := depth.NewFUNTA(nil)
-	if err := f.Fit(vals); err != nil {
+	f, err := depth.FitFUNTA(vals, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	fs, err := f.ScoreBatch(vals)
@@ -91,8 +91,8 @@ func TestClaimFUNTABlindCurvmapNot(t *testing.T) {
 		t.Fatalf("FUNTA score of the non-crossing outlier = %g want 0", fs[0])
 	}
 	// Dir.out (pointwise) flags it immediately.
-	do := depth.NewDirOut(depth.ProjectionOptions{Directions: 20, Seed: 1})
-	if err := do.Fit(vals); err != nil {
+	do, err := depth.FitDirOut(vals, depth.ProjectionOptions{Directions: 20, Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	ds, err := do.ScoreBatch(vals)

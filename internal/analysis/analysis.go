@@ -15,8 +15,9 @@
 //     concurrent scoring safe (see internal/parallel/doc.go).
 //   - poolmisuse: goroutines are launched only inside
 //     internal/parallel, internal/serve and internal/resilience, and
-//     slices filled by a parallel.For worker are not consumed before
-//     the parallel.FirstError check.
+//     parallel.FirstError is used only inside internal/parallel: a
+//     fan-out with results goes through parallel.Map, which returns
+//     them only with a nil error.
 //   - ctxpropagate: the serving packages derive every context from the
 //     inbound request or a resilience.Budget — no fresh roots and no
 //     context-free outbound HTTP on a request path (DESIGN.md §8).

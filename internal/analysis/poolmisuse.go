@@ -19,10 +19,11 @@ var goroutinePkgs = map[string]bool{
 // Poolmisuse enforces the two concurrency rules from
 // internal/parallel/doc.go: goroutines are launched only inside the
 // dedicated concurrency packages (internal/parallel, internal/serve,
-// internal/resilience) — numeric code fans out via parallel.For — and
-// slices a parallel.For worker fills are not consumed between the For
-// call and the parallel.FirstError check, where they may hold partial
-// results from a failed run.
+// internal/resilience) — numeric code fans out via parallel.For or
+// parallel.Map — and parallel.FirstError is used only inside
+// internal/parallel. A fan-out that returns values goes through
+// parallel.Map, which hands its results back only with a nil error, so
+// no caller can read the partial results of a failed run.
 //
 // internal/gate and the cmd binaries are deliberately NOT on the
 // allowlist: their goroutines are lifecycle plumbing (accept loops, the
@@ -34,192 +35,35 @@ var goroutinePkgs = map[string]bool{
 var Poolmisuse = &Analyzer{
 	Name: "poolmisuse",
 	Doc: "forbid go statements outside internal/parallel, internal/serve and " +
-		"internal/resilience, and forbid consuming parallel.For result slices " +
-		"before the parallel.FirstError check (see internal/parallel/doc.go)",
+		"internal/resilience, and parallel.FirstError outside internal/parallel " +
+		"(see internal/parallel/doc.go)",
 	Run: runPoolmisuse,
 }
 
 func runPoolmisuse(p *Pass) {
 	base := pathBase(p.Path)
 	for _, f := range p.Files {
-		if !goroutinePkgs[base] {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					p.Reportf(g.Pos(),
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if !goroutinePkgs[base] {
+					p.Reportf(n.Pos(),
 						"goroutine launched outside internal/parallel, internal/serve and internal/resilience: numeric fan-out goes through parallel.For so results stay deterministic and panics are contained (see internal/parallel/doc.go)")
 				}
-				return true
-			})
-		}
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkPoolConsumption(p, fd.Body)
-			}
-		}
-	}
-}
-
-// checkPoolConsumption analyzes one function-body scope. Nested
-// function literals form their own scopes and are recursed into; the
-// scan of the current scope does not descend into them, so a use inside
-// a worker closure is attributed to the closure's own scope.
-func checkPoolConsumption(p *Pass, body *ast.BlockStmt) {
-	type forCall struct {
-		call    *ast.CallExpr
-		written map[types.Object]bool
-	}
-	var fors []forCall
-	var firstErrs []*ast.CallExpr
-
-	inspectScope(body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		switch {
-		case calleeFrom(p.Info, call, "parallel", "For"):
-			if len(call.Args) > 0 {
-				if lit := resolveFuncLit(p, body, call.Args[len(call.Args)-1]); lit != nil {
-					fors = append(fors, forCall{call: call, written: capturedWrites(p, lit)})
+			case *ast.Ident:
+				if base != "parallel" && isFirstError(p.Info.Uses[n]) {
+					p.Reportf(n.Pos(),
+						"parallel.FirstError outside internal/parallel: fan out through parallel.Map, which returns results only with a nil error, so a failed run's partial results cannot be read (see internal/parallel/doc.go)")
 				}
 			}
-		case calleeFrom(p.Info, call, "parallel", "FirstError"):
-			firstErrs = append(firstErrs, call)
-		}
-	})
-
-	// Recurse into nested scopes regardless of what this scope holds.
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			checkPoolConsumption(p, lit.Body)
-			return false
-		}
-		return true
-	})
-
-	for _, fc := range fors {
-		if len(fc.written) == 0 {
-			continue
-		}
-		// The error check the results must wait for: the first
-		// parallel.FirstError call after this For in the same scope.
-		var errCheck *ast.CallExpr
-		for _, fe := range firstErrs {
-			if fe.Pos() > fc.call.End() && (errCheck == nil || fe.Pos() < errCheck.Pos()) {
-				errCheck = fe
-			}
-		}
-		if errCheck == nil {
-			continue
-		}
-		lo, hi := fc.call.End(), errCheck.Pos()
-		inspectScope(body, func(n ast.Node) {
-			id, ok := n.(*ast.Ident)
-			if !ok || id.Pos() <= lo || id.End() >= hi {
-				return
-			}
-			if obj := p.Info.Uses[id]; obj != nil && fc.written[obj] {
-				p.Reportf(id.Pos(),
-					"%s is consumed before the parallel.FirstError check: on a failed run the pool leaves partial results in it; check the error first (see internal/parallel/doc.go)", id.Name)
-			}
+			return true
 		})
 	}
 }
 
-// resolveFuncLit resolves the worker argument of a parallel.For call to
-// its function literal: either written inline, or — the blind spot this
-// closes — bound to a local variable first (`worker := func(...){...};
-// parallel.For(n, w, worker)`). For a variable, the literal is found by
-// scanning the scope for the assignment or declaration that binds it.
-func resolveFuncLit(p *Pass, scope *ast.BlockStmt, e ast.Expr) *ast.FuncLit {
-	e = ast.Unparen(e)
-	if lit, ok := e.(*ast.FuncLit); ok {
-		return lit
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj := p.Info.Uses[id]
-	if obj == nil {
-		return nil
-	}
-	sameVar := func(bound *ast.Ident) bool {
-		return p.Info.Defs[bound] == obj || p.Info.Uses[bound] == obj
-	}
-	var found *ast.FuncLit
-	ast.Inspect(scope, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			if len(s.Lhs) != len(s.Rhs) {
-				return true
-			}
-			for i, lhs := range s.Lhs {
-				lid, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok || !sameVar(lid) {
-					continue
-				}
-				if lit, ok := ast.Unparen(s.Rhs[i]).(*ast.FuncLit); ok {
-					found = lit
-				}
-			}
-		case *ast.ValueSpec:
-			for i, name := range s.Names {
-				if i < len(s.Values) && sameVar(name) {
-					if lit, ok := ast.Unparen(s.Values[i]).(*ast.FuncLit); ok {
-						found = lit
-					}
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// inspectScope walks the statements of one function-body scope without
-// descending into nested function literals.
-func inspectScope(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
-}
-
-// capturedWrites collects the variables declared outside lit that the
-// worker body writes element-wise (out[i] = ..., errs[i] = ...): the
-// result slots of a parallel.For fan-out.
-func capturedWrites(p *Pass, lit *ast.FuncLit) map[types.Object]bool {
-	written := make(map[types.Object]bool)
-	record := func(lhs ast.Expr) {
-		if _, ok := ast.Unparen(lhs).(*ast.IndexExpr); !ok {
-			return
-		}
-		root, _ := rootIdent(lhs)
-		if root == nil {
-			return
-		}
-		obj := p.Info.Uses[root]
-		if obj == nil || !obj.Pos().IsValid() || obj.Pos() >= lit.Pos() {
-			return
-		}
-		written[obj] = true
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				record(lhs)
-			}
-		case *ast.IncDecStmt:
-			record(n.X)
-		}
-		return true
-	})
-	return written
+// isFirstError reports whether obj is the package-level
+// parallel.FirstError, called or taken as a value.
+func isFirstError(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	return ok && fn.Name() == "FirstError" && fn.Pkg() != nil && pathBase(fn.Pkg().Path()) == "parallel" && recvIsNil(fn)
 }

@@ -1,7 +1,6 @@
 // Package worker is an mfodlint fixture for the poolmisuse analyzer:
 // goroutine launches outside the sanctioned concurrency packages, and
-// parallel.For result slices consumed before the parallel.FirstError
-// check.
+// parallel.FirstError used outside internal/parallel.
 package worker
 
 import "repro/internal/parallel"
@@ -13,8 +12,9 @@ func Raw(n int) int {
 	return <-done
 }
 
-// Early reads a pool-written slice before checking the pool error: on a
-// failed run out[0] may be a partial result.
+// Early fills result and error slices by hand and checks them with
+// FirstError: nothing stops it reading out[0], a partial result on a
+// failed run, before the check.
 func Early(xs []float64) (float64, error) {
 	out := make([]float64, len(xs))
 	errs := make([]error, len(xs))
@@ -22,22 +22,20 @@ func Early(xs []float64) (float64, error) {
 		out[i] = xs[i] * 2
 		errs[i] = nil
 	})
-	first := out[0] // want "consumed before the parallel.FirstError check"
-	if err := parallel.FirstError(errs); err != nil {
+	first := out[0]
+	if err := parallel.FirstError(errs); err != nil { // want "FirstError outside internal/parallel"
 		return 0, err
 	}
 	return first, nil
 }
 
-// Clean is the sanctioned pattern: error check first, results after.
+// Clean is the sanctioned pattern: Map returns results only with a nil
+// error.
 func Clean(xs []float64) (float64, error) {
-	out := make([]float64, len(xs))
-	errs := make([]error, len(xs))
-	parallel.For(len(xs), 0, func(_, i int) {
-		out[i] = xs[i] * 2
-		errs[i] = nil
+	out, err := parallel.Map(len(xs), 0, func(i int) (float64, error) {
+		return xs[i] * 2, nil
 	})
-	if err := parallel.FirstError(errs); err != nil {
+	if err != nil {
 		return 0, err
 	}
 	return out[0], nil
@@ -76,9 +74,8 @@ func VarGo(n int) {
 	go body() // want "goroutine launched outside"
 }
 
-// EarlyVarWorker is the resolveFuncLit blind spot: the worker literal is
-// bound to a variable before the parallel.For call, and the result
-// slice it fills is still consumed before the error check.
+// EarlyVarWorker binds the worker literal to a variable and the check
+// to another: the check is still FirstError outside internal/parallel.
 func EarlyVarWorker(xs []float64) (float64, error) {
 	out := make([]float64, len(xs))
 	errs := make([]error, len(xs))
@@ -87,23 +84,20 @@ func EarlyVarWorker(xs []float64) (float64, error) {
 		errs[i] = nil
 	}
 	parallel.For(len(xs), 0, worker)
-	first := out[0] // want "consumed before the parallel.FirstError check"
-	if err := parallel.FirstError(errs); err != nil {
+	check := parallel.FirstError // want "FirstError outside internal/parallel"
+	first := out[0]
+	if err := check(errs); err != nil {
 		return 0, err
 	}
 	return first, nil
 }
 
-// CleanVarWorker is the same shape done right: error check first.
+// CleanVarWorker is the same shape done right: the worker bound to a
+// variable and run through Map.
 func CleanVarWorker(xs []float64) (float64, error) {
-	out := make([]float64, len(xs))
-	errs := make([]error, len(xs))
-	worker := func(_, i int) {
-		out[i] = xs[i] * 2
-		errs[i] = nil
-	}
-	parallel.For(len(xs), 0, worker)
-	if err := parallel.FirstError(errs); err != nil {
+	worker := func(i int) (float64, error) { return xs[i] * 2, nil }
+	out, err := parallel.Map(len(xs), 0, worker)
+	if err != nil {
 		return 0, err
 	}
 	return out[0], nil

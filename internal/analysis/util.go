@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"path"
-	"strings"
 )
 
 // pathBase returns the last element of an import path, the unit the
@@ -28,21 +27,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// calleeFrom reports whether call invokes the package-level function
-// pkgSuffix.name, matching the callee's package by import-path suffix
-// so both the real tree ("repro/internal/parallel") and fixtures match.
-func calleeFrom(info *types.Info, call *ast.CallExpr, pkgSuffix, name string) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Name() != name {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false
-	}
-	p := fn.Pkg().Path()
-	return p == pkgSuffix || strings.HasSuffix(p, "/"+pkgSuffix)
 }
 
 // recvIsNil reports whether fn is a package-level function (no

@@ -20,8 +20,9 @@ type DerivAugmentedDepthMethod struct {
 	Orders []int
 	// Smooth configures the smoother that produces the derivatives.
 	Smooth fda.Options
-	// Build constructs the depth scorer for one repetition.
-	Build func(seed int64) (FunctionalScorer, error)
+	// Fit builds the depth scorer for one repetition from the augmented
+	// training samples (n × p × m) on the common grid.
+	Fit func(seed int64, train [][][]float64) (FunctionalScorer, error)
 }
 
 // Name implements eval.Method.
@@ -41,6 +42,6 @@ func (m DerivAugmentedDepthMethod) Run(train, test fda.Dataset, seed int64) ([]f
 	if err != nil {
 		return nil, fmt.Errorf("core: %s test augmentation: %w", m.MethodName, err)
 	}
-	inner := DepthMethod{MethodName: m.MethodName, Build: m.Build}
+	inner := DepthMethod{MethodName: m.MethodName, Fit: m.Fit}
 	return inner.Run(augTrain, augTest, seed)
 }

@@ -163,22 +163,17 @@ func (p *Pipeline) Fit(train fda.Dataset) error {
 // lowest-index sample's error is returned.
 func (p *Pipeline) features(d fda.Dataset) ([][]float64, error) {
 	opt := p.smoothOptions()
-	feats := make([][]float64, d.Len())
-	errs := make([]error, d.Len())
-	parallel.For(d.Len(), p.Parallel, func(_, i int) {
+	return parallel.Map(d.Len(), p.Parallel, func(i int) ([]float64, error) {
 		fit, err := fda.FitSample(d.Samples[i], opt)
 		if err != nil {
-			errs[i] = fmt.Errorf("core: sample %d: smoothing: %w", i, err)
-			return
+			return nil, fmt.Errorf("core: sample %d: smoothing: %w", i, err)
 		}
-		if feats[i], err = p.Mapping.Map(fit, p.grid); err != nil {
-			errs[i] = fmt.Errorf("core: sample %d: mapping: %w", i, err)
+		row, err := p.Mapping.Map(fit, p.grid)
+		if err != nil {
+			return nil, fmt.Errorf("core: sample %d: mapping: %w", i, err)
 		}
+		return row, nil
 	})
-	if err := parallel.FirstError(errs); err != nil {
-		return nil, err
-	}
-	return feats, nil
 }
 
 // smoothOptions resolves the effective smoothing options for scoring:

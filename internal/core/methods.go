@@ -7,12 +7,10 @@ import (
 	"repro/internal/fda"
 )
 
-// FunctionalScorer is the contract of the depth-based baselines
+// FunctionalScorer is the contract of the fitted depth-based baselines
 // (internal/depth): they consume MFD samples discretised on a common grid
 // as p×m matrices, unlike Detector which consumes flat feature vectors.
 type FunctionalScorer interface {
-	// Fit builds the reference from training samples (n × p × m).
-	Fit(train [][][]float64) error
 	// ScoreBatch returns one outlyingness score per sample.
 	ScoreBatch(samples [][][]float64) ([]float64, error)
 }
@@ -43,14 +41,15 @@ func (m PipelineMethod) Run(train, test fda.Dataset, seed int64) ([]float64, err
 	return p.Score(test)
 }
 
-// DepthMethod adapts a FunctionalScorer factory to the eval.Method
+// DepthMethod adapts a depth baseline's fit to the eval.Method
 // contract. The raw measurements are passed to the baseline on a common
 // grid, as the paper feeds the MFD directly to FUNTA and Dir.out.
 type DepthMethod struct {
 	// MethodName is the label in result tables.
 	MethodName string
-	// Build constructs the scorer for one repetition.
-	Build func(seed int64) (FunctionalScorer, error)
+	// Fit builds the scorer for one repetition from the training
+	// samples (n × p × m) on the common grid.
+	Fit func(seed int64, train [][][]float64) (FunctionalScorer, error)
 }
 
 // Name implements eval.Method.
@@ -58,10 +57,6 @@ func (m DepthMethod) Name() string { return m.MethodName }
 
 // Run implements eval.Method.
 func (m DepthMethod) Run(train, test fda.Dataset, seed int64) ([]float64, error) {
-	s, err := m.Build(seed)
-	if err != nil {
-		return nil, fmt.Errorf("core: build %s: %w", m.MethodName, err)
-	}
 	lo, hi := train.Domain()
 	grid := commonGrid(train, test)
 	trainVals, err := GridValues(train, grid, lo, hi)
@@ -72,7 +67,8 @@ func (m DepthMethod) Run(train, test fda.Dataset, seed int64) ([]float64, error)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s test grid: %w", m.MethodName, err)
 	}
-	if err := s.Fit(trainVals); err != nil {
+	s, err := m.Fit(seed, trainVals)
+	if err != nil {
 		return nil, fmt.Errorf("core: fit %s: %w", m.MethodName, err)
 	}
 	return s.ScoreBatch(testVals)

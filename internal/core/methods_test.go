@@ -136,8 +136,8 @@ func TestDepthMethodRun(t *testing.T) {
 	d := smallECG(t, 30, 8)
 	m := DepthMethod{
 		MethodName: "Dir.out(test)",
-		Build: func(seed int64) (FunctionalScorer, error) {
-			return depth.NewDirOut(depth.ProjectionOptions{Directions: 10, Seed: seed}), nil
+		Fit: func(seed int64, train [][][]float64) (FunctionalScorer, error) {
+			return depth.FitDirOut(train, depth.ProjectionOptions{Directions: 10, Seed: seed})
 		},
 	}
 	scores, err := m.Run(d, d, 1)

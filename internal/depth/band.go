@@ -1,9 +1,6 @@
 package depth
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // BandDepth implements the modified band depth of López-Pintado & Romo
 // (with bands of j = 2 curves), the foundation of the simplicial band
@@ -17,55 +14,30 @@ import (
 // the curve at t is r(t)·(n−1−r(t)) + n − 1, summed over t and divided by
 // m·C(n,2).
 type BandDepth struct {
+	shape
 	train [][][]float64 // n × p × m
-	p, m  int
 }
 
-// NewBandDepth returns an unfitted band-depth scorer.
-func NewBandDepth() *BandDepth { return &BandDepth{} }
-
-// Fit memorises the reference curves.
-func (b *BandDepth) Fit(train [][][]float64) error {
-	if len(train) < 2 {
-		return fmt.Errorf("depth: band depth needs >= 2 training samples: %w", ErrNotFitted)
+// FitBandDepth returns the band-depth scorer of the reference curves
+// train (n ≥ 2 samples × p × m).
+func FitBandDepth(train [][][]float64) (*BandDepth, error) {
+	s, err := trainShape(train, 2, 1)
+	if err != nil {
+		return nil, err
 	}
-	p := len(train[0])
-	if p == 0 {
-		return fmt.Errorf("depth: band depth zero-parameter samples: %w", ErrDepth)
-	}
-	m := len(train[0][0])
-	for i, s := range train {
-		if len(s) != p {
-			return fmt.Errorf("depth: band sample %d has %d parameters, want %d: %w", i, len(s), p, ErrDepth)
-		}
-		for k := range s {
-			if len(s[k]) != m {
-				return fmt.Errorf("depth: band sample %d parameter %d has %d points, want %d: %w", i, k, len(s[k]), m, ErrDepth)
-			}
-		}
-	}
-	b.train = train
-	b.p = p
-	b.m = m
-	return nil
+	return &BandDepth{shape: s, train: train}, nil
 }
 
 // Score returns 1 − MBD: higher means more outlying.
 func (b *BandDepth) Score(sample [][]float64) (float64, error) {
-	if b.train == nil {
-		return 0, ErrNotFitted
-	}
-	if len(sample) != b.p {
-		return 0, fmt.Errorf("depth: band sample has %d parameters, want %d: %w", len(sample), b.p, ErrDepth)
+	if err := b.check(sample); err != nil {
+		return 0, err
 	}
 	n := len(b.train)
 	pairs := float64(n*(n-1)) / 2
 	var depth float64
 	col := make([]float64, n)
 	for k := 0; k < b.p; k++ {
-		if len(sample[k]) != b.m {
-			return 0, fmt.Errorf("depth: band sample parameter %d has %d points, want %d: %w", k, len(sample[k]), b.m, ErrDepth)
-		}
 		var total float64
 		for j := 0; j < b.m; j++ {
 			for i := 0; i < n; i++ {
@@ -92,15 +64,7 @@ func (b *BandDepth) Score(sample [][]float64) (float64, error) {
 
 // ScoreBatch scores every sample.
 func (b *BandDepth) ScoreBatch(samples [][][]float64) ([]float64, error) {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		v, err := b.Score(s)
-		if err != nil {
-			return nil, fmt.Errorf("depth: band sample %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return scoreBatch(samples, b.Score)
 }
 
 // FraimanMuniz implements the integrated univariate depth of Fraiman &
@@ -109,50 +73,28 @@ func (b *BandDepth) ScoreBatch(samples [][][]float64) ([]float64, error) {
 // empirical CDF of the reference curves, averaged over parameters for the
 // multivariate case.
 type FraimanMuniz struct {
+	shape
 	train [][][]float64
-	p, m  int
 }
 
-// NewFraimanMuniz returns an unfitted Fraiman–Muniz scorer.
-func NewFraimanMuniz() *FraimanMuniz { return &FraimanMuniz{} }
-
-// Fit memorises the reference curves.
-func (f *FraimanMuniz) Fit(train [][][]float64) error {
-	if len(train) < 2 {
-		return fmt.Errorf("depth: fraiman-muniz needs >= 2 training samples: %w", ErrNotFitted)
+// FitFraimanMuniz returns the Fraiman–Muniz scorer of the reference
+// curves train (n ≥ 2 samples × p × m).
+func FitFraimanMuniz(train [][][]float64) (*FraimanMuniz, error) {
+	s, err := trainShape(train, 2, 1)
+	if err != nil {
+		return nil, err
 	}
-	p := len(train[0])
-	m := len(train[0][0])
-	for i, s := range train {
-		if len(s) != p {
-			return fmt.Errorf("depth: fm sample %d has %d parameters, want %d: %w", i, len(s), p, ErrDepth)
-		}
-		for k := range s {
-			if len(s[k]) != m {
-				return fmt.Errorf("depth: fm sample %d parameter %d has %d points, want %d: %w", i, k, len(s[k]), m, ErrDepth)
-			}
-		}
-	}
-	f.train = train
-	f.p = p
-	f.m = m
-	return nil
+	return &FraimanMuniz{shape: s, train: train}, nil
 }
 
 // Score returns 1 − FM depth: higher means more outlying.
 func (f *FraimanMuniz) Score(sample [][]float64) (float64, error) {
-	if f.train == nil {
-		return 0, ErrNotFitted
-	}
-	if len(sample) != f.p {
-		return 0, fmt.Errorf("depth: fm sample has %d parameters, want %d: %w", len(sample), f.p, ErrDepth)
+	if err := f.check(sample); err != nil {
+		return 0, err
 	}
 	n := float64(len(f.train))
 	var depth float64
 	for k := 0; k < f.p; k++ {
-		if len(sample[k]) != f.m {
-			return 0, fmt.Errorf("depth: fm sample parameter %d has %d points, want %d: %w", k, len(sample[k]), f.m, ErrDepth)
-		}
 		var total float64
 		for j := 0; j < f.m; j++ {
 			v := sample[k][j]
@@ -177,13 +119,5 @@ func (f *FraimanMuniz) Score(sample [][]float64) (float64, error) {
 
 // ScoreBatch scores every sample.
 func (f *FraimanMuniz) ScoreBatch(samples [][][]float64) ([]float64, error) {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		v, err := f.Score(s)
-		if err != nil {
-			return nil, fmt.Errorf("depth: fm sample %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return scoreBatch(samples, f.Score)
 }

@@ -19,8 +19,8 @@ func TestBandDepthCenterOutwardOrdering(t *testing.T) {
 		}
 		train[i] = [][]float64{row}
 	}
-	b := NewBandDepth()
-	if err := b.Fit(train); err != nil {
+	b, err := FitBandDepth(train)
+	if err != nil {
 		t.Fatal(err)
 	}
 	scores, err := b.ScoreBatch(train)
@@ -42,8 +42,8 @@ func TestBandDepthExactSmallCase(t *testing.T) {
 	// curve as inside bands formed with itself: contained = below·above +
 	// equal·(n−1) − C(equal−… ) = 1·1 + 1·2 − 0 = 3 → depth 1.
 	train := [][][]float64{{{0}}, {{1}}, {{2}}}
-	b := NewBandDepth()
-	if err := b.Fit(train); err != nil {
+	b, err := FitBandDepth(train)
+	if err != nil {
 		t.Fatal(err)
 	}
 	mid, err := b.Score(train[1])
@@ -67,8 +67,8 @@ func TestBandDepthExactSmallCase(t *testing.T) {
 func TestBandDepthFlagsShiftOutlier(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	train := makeCurves(rng, 40, 30, 0.05)
-	b := NewBandDepth()
-	if err := b.Fit(train); err != nil {
+	b, err := FitBandDepth(train)
+	if err != nil {
 		t.Fatal(err)
 	}
 	normal := makeCurves(rng, 1, 30, 0.05)[0]
@@ -90,16 +90,13 @@ func TestBandDepthFlagsShiftOutlier(t *testing.T) {
 }
 
 func TestBandDepthValidation(t *testing.T) {
-	b := NewBandDepth()
-	if _, err := b.Score([][]float64{{1}}); !errors.Is(err, ErrNotFitted) {
-		t.Fatal("score before fit must fail")
-	}
-	if err := b.Fit([][][]float64{{{1}}}); !errors.Is(err, ErrNotFitted) {
+	if _, err := FitBandDepth([][][]float64{{{1}}}); !errors.Is(err, ErrDepth) {
 		t.Fatal("n < 2 must fail")
 	}
 	rng := rand.New(rand.NewSource(2))
 	train := makeCurves(rng, 10, 20, 0.05)
-	if err := b.Fit(train); err != nil {
+	b, err := FitBandDepth(train)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Score([][]float64{{1, 2}}); !errors.Is(err, ErrDepth) {
@@ -117,8 +114,8 @@ func TestFraimanMunizCenterOutward(t *testing.T) {
 		}
 		train[i] = [][]float64{row}
 	}
-	f := NewFraimanMuniz()
-	if err := f.Fit(train); err != nil {
+	f, err := FitFraimanMuniz(train)
+	if err != nil {
 		t.Fatal(err)
 	}
 	scores, err := f.ScoreBatch(train)
@@ -143,8 +140,8 @@ func TestFraimanMunizFlagsMagnitudeNotShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := 60
 	train := makeCurves(rng, 50, m, 0.05)
-	f := NewFraimanMuniz()
-	if err := f.Fit(train); err != nil {
+	f, err := FitFraimanMuniz(train)
+	if err != nil {
 		t.Fatal(err)
 	}
 	magnitude := shiftCurve(makeCurves(rng, 1, m, 0.05)[0], 4, 0, m)
@@ -170,16 +167,13 @@ func TestFraimanMunizFlagsMagnitudeNotShape(t *testing.T) {
 }
 
 func TestFraimanMunizValidation(t *testing.T) {
-	f := NewFraimanMuniz()
-	if _, err := f.Score([][]float64{{1}}); !errors.Is(err, ErrNotFitted) {
-		t.Fatal("score before fit must fail")
-	}
-	if err := f.Fit([][][]float64{{{1}}}); !errors.Is(err, ErrNotFitted) {
+	if _, err := FitFraimanMuniz([][][]float64{{{1}}}); !errors.Is(err, ErrDepth) {
 		t.Fatal("n < 2 must fail")
 	}
 	rng := rand.New(rand.NewSource(4))
 	train := makeCurves(rng, 10, 20, 0.05)
-	if err := f.Fit(train); err != nil {
+	f, err := FitFraimanMuniz(train)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Score(append(train[0], train[0][0])); !errors.Is(err, ErrDepth) {

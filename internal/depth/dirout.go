@@ -1,11 +1,6 @@
 package depth
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/parallel"
-)
+import "math"
 
 // DirOut is the directional outlyingness method of Dai & Genton (2019),
 // the strongest depth baseline in the paper's comparison. At each grid
@@ -20,49 +15,27 @@ import (
 // High ‖MO‖ flags isolated/magnitude outliers, high VO flags persistent
 // shape outliers, so FO targets both (Sec. 1.2, issue (3) discussion).
 type DirOut struct {
-	opt  ProjectionOptions
+	shape
 	dirs [][]float64
 	refs []pointwiseReference
-	p, m int
 }
 
-// NewDirOut returns an unfitted Dir.out scorer.
-func NewDirOut(opt ProjectionOptions) *DirOut { return &DirOut{opt: opt} }
-
-// Fit builds the pointwise robust references from the training samples
-// (n × p × m, all on one grid).
-func (d *DirOut) Fit(train [][][]float64) error {
-	if len(train) == 0 {
-		return fmt.Errorf("depth: dirout empty training set: %w", ErrNotFitted)
-	}
-	p := len(train[0])
-	if p == 0 {
-		return fmt.Errorf("depth: dirout zero-parameter samples: %w", ErrDepth)
-	}
-	d.dirs = directionSet(p, d.opt)
-	refs, err := buildReference(train, d.dirs)
+// FitDirOut builds the pointwise robust references of the training
+// samples train (n × p × m, all on one grid).
+func FitDirOut(train [][][]float64, opt ProjectionOptions) (*DirOut, error) {
+	s, err := trainShape(train, 1, 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	d.refs = refs
-	d.p = p
-	d.m = len(train[0][0])
-	return nil
+	dirs := directionSet(s.p, opt)
+	return &DirOut{shape: s, dirs: dirs, refs: buildReference(train, s, dirs)}, nil
 }
 
 // Components returns the (‖MO‖, VO) decomposition of one sample, the pair
 // Dai & Genton plot to classify outlier types.
 func (d *DirOut) Components(sample [][]float64) (mo []float64, vo float64, err error) {
-	if d.refs == nil {
-		return nil, 0, ErrNotFitted
-	}
-	if len(sample) != d.p {
-		return nil, 0, fmt.Errorf("depth: dirout sample has %d parameters, want %d: %w", len(sample), d.p, ErrDepth)
-	}
-	for k := range sample {
-		if len(sample[k]) != d.m {
-			return nil, 0, fmt.Errorf("depth: dirout sample parameter %d has %d points, want %d: %w", k, len(sample[k]), d.m, ErrDepth)
-		}
+	if err = d.check(sample); err != nil {
+		return nil, 0, err
 	}
 	// Directional outlyingness curve O(t) ∈ R^p.
 	o := make([][]float64, d.m)
@@ -124,23 +97,7 @@ func (d *DirOut) Score(sample [][]float64) (float64, error) {
 	return mo2 + vo, nil
 }
 
-// ScoreBatch scores every sample. Samples fan out over the shared
-// bounded pool: Score only reads the fitted pointwise references and
-// each result is written to its own slot, so the output is identical to
-// the sequential loop.
+// ScoreBatch scores every sample.
 func (d *DirOut) ScoreBatch(samples [][][]float64) ([]float64, error) {
-	out := make([]float64, len(samples))
-	errs := make([]error, len(samples))
-	parallel.For(len(samples), 0, func(_, i int) {
-		v, err := d.Score(samples[i])
-		if err != nil {
-			errs[i] = fmt.Errorf("depth: dirout sample %d: %w", i, err)
-			return
-		}
-		out[i] = v
-	})
-	if err := parallel.FirstError(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return scoreBatch(samples, d.Score)
 }

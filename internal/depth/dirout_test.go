@@ -39,8 +39,8 @@ func shiftCurve(base [][]float64, delta float64, from, to int) [][]float64 {
 func TestDirOutFlagsMagnitudeOutlier(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	train := makeCurves(rng, 60, 50, 0.05)
-	d := NewDirOut(ProjectionOptions{Directions: 20, Seed: 2})
-	if err := d.Fit(train); err != nil {
+	d, err := FitDirOut(train, ProjectionOptions{Directions: 20, Seed: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	normal := makeCurves(rng, 1, 50, 0.05)[0]
@@ -64,8 +64,8 @@ func TestDirOutComponentsSeparateClasses(t *testing.T) {
 	// MO) — the decomposition Dai & Genton use to classify outliers.
 	rng := rand.New(rand.NewSource(3))
 	train := makeCurves(rng, 80, 60, 0.05)
-	d := NewDirOut(ProjectionOptions{Directions: 20, Seed: 4})
-	if err := d.Fit(train); err != nil {
+	d, err := FitDirOut(train, ProjectionOptions{Directions: 20, Seed: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
 	base := makeCurves(rng, 1, 60, 0.05)[0]
@@ -100,14 +100,12 @@ func TestDirOutComponentsSeparateClasses(t *testing.T) {
 func TestDirOutScoreBatchAndValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	train := makeCurves(rng, 30, 40, 0.05)
-	d := NewDirOut(ProjectionOptions{Directions: 10, Seed: 6})
-	if _, err := d.Score(train[0]); !errors.Is(err, ErrNotFitted) {
-		t.Fatal("score before fit must fail")
-	}
-	if err := d.Fit(nil); !errors.Is(err, ErrNotFitted) {
+	opt := ProjectionOptions{Directions: 10, Seed: 6}
+	if _, err := FitDirOut(nil, opt); !errors.Is(err, ErrDepth) {
 		t.Fatal("empty fit must fail")
 	}
-	if err := d.Fit(train); err != nil {
+	d, err := FitDirOut(train, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
 	scores, err := d.ScoreBatch(train)
@@ -150,8 +148,8 @@ func TestDirOutBivariateCorrelationOutlier(t *testing.T) {
 	for i := range train {
 		train[i] = mk(1)
 	}
-	d := NewDirOut(ProjectionOptions{Directions: 100, Seed: 8})
-	if err := d.Fit(train); err != nil {
+	d, err := FitDirOut(train, ProjectionOptions{Directions: 100, Seed: 8})
+	if err != nil {
 		t.Fatal(err)
 	}
 	sIn, err := d.Score(mk(1))

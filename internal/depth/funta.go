@@ -3,8 +3,6 @@ package depth
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/parallel"
 )
 
 // FUNTA is the functional tangential angle pseudo-depth of Kuhnt & Rehage
@@ -18,45 +16,23 @@ import (
 // Multivariate samples are handled as in the paper's description: the
 // angles are averaged "over both their number and the parameters".
 type FUNTA struct {
+	shape
 	train [][][]float64 // n × p × m
 	times []float64
-	p, m  int
 }
 
-// NewFUNTA returns an unfitted FUNTA scorer. times may be nil, in which
-// case a unit-spaced grid is assumed.
-func NewFUNTA(times []float64) *FUNTA { return &FUNTA{times: times} }
-
-// Fit memorises the reference curves.
-func (f *FUNTA) Fit(train [][][]float64) error {
-	if len(train) == 0 {
-		return fmt.Errorf("depth: funta empty training set: %w", ErrNotFitted)
+// FitFUNTA returns the FUNTA scorer of the reference curves train
+// (n × p × m, m ≥ 2) on the grid times. times may be nil, in which case
+// a unit-spaced grid is assumed.
+func FitFUNTA(train [][][]float64, times []float64) (*FUNTA, error) {
+	s, err := trainShape(train, 1, 2)
+	if err != nil {
+		return nil, err
 	}
-	p := len(train[0])
-	if p == 0 {
-		return fmt.Errorf("depth: funta zero-parameter samples: %w", ErrDepth)
+	if times != nil && len(times) != s.m {
+		return nil, fmt.Errorf("depth: funta grid has %d times for %d points: %w", len(times), s.m, ErrDepth)
 	}
-	m := len(train[0][0])
-	if m < 2 {
-		return fmt.Errorf("depth: funta needs >= 2 grid points, got %d: %w", m, ErrDepth)
-	}
-	for i, s := range train {
-		if len(s) != p {
-			return fmt.Errorf("depth: funta sample %d has %d parameters, want %d: %w", i, len(s), p, ErrDepth)
-		}
-		for k := range s {
-			if len(s[k]) != m {
-				return fmt.Errorf("depth: funta sample %d parameter %d has %d points, want %d: %w", i, k, len(s[k]), m, ErrDepth)
-			}
-		}
-	}
-	if f.times != nil && len(f.times) != m {
-		return fmt.Errorf("depth: funta grid has %d times for %d points: %w", len(f.times), m, ErrDepth)
-	}
-	f.train = train
-	f.p = p
-	f.m = m
-	return nil
+	return &FUNTA{shape: s, train: train, times: times}, nil
 }
 
 // step returns the grid spacing before index j+1.
@@ -97,18 +73,12 @@ func (f *FUNTA) crossingAngles(a, b []float64) (sum float64, count int) {
 // [0, 1]) over all crossings with all training curves and all parameters.
 // A sample with no crossings at all scores 0 — apparently deep.
 func (f *FUNTA) Score(sample [][]float64) (float64, error) {
-	if f.train == nil {
-		return 0, ErrNotFitted
-	}
-	if len(sample) != f.p {
-		return 0, fmt.Errorf("depth: funta sample has %d parameters, want %d: %w", len(sample), f.p, ErrDepth)
+	if err := f.check(sample); err != nil {
+		return 0, err
 	}
 	var total float64
 	var params int
 	for k := 0; k < f.p; k++ {
-		if len(sample[k]) != f.m {
-			return 0, fmt.Errorf("depth: funta sample parameter %d has %d points, want %d: %w", k, len(sample[k]), f.m, ErrDepth)
-		}
 		var sum float64
 		var count int
 		for _, ref := range f.train {
@@ -127,23 +97,7 @@ func (f *FUNTA) Score(sample [][]float64) (float64, error) {
 	return total / float64(params), nil
 }
 
-// ScoreBatch scores every sample. Samples fan out over the shared
-// bounded pool: Score only reads the memorised training curves and each
-// result is written to its own slot, so the output is identical to the
-// sequential loop.
+// ScoreBatch scores every sample.
 func (f *FUNTA) ScoreBatch(samples [][][]float64) ([]float64, error) {
-	out := make([]float64, len(samples))
-	errs := make([]error, len(samples))
-	parallel.For(len(samples), 0, func(_, i int) {
-		v, err := f.Score(samples[i])
-		if err != nil {
-			errs[i] = fmt.Errorf("depth: funta sample %d: %w", i, err)
-			return
-		}
-		out[i] = v
-	})
-	if err := parallel.FirstError(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return scoreBatch(samples, f.Score)
 }

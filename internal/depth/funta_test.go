@@ -11,8 +11,8 @@ func TestFUNTAShapeOutlierScoresHigh(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := 60
 	train := makeCurves(rng, 40, m, 0.03)
-	f := NewFUNTA(nil)
-	if err := f.Fit(train); err != nil {
+	f, err := FitFUNTA(train, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Shape outlier: doubled frequency, same range — crosses the bundle
@@ -41,8 +41,8 @@ func TestFUNTABlindToPureShift(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := 50
 	train := makeCurves(rng, 30, m, 0.03)
-	f := NewFUNTA(nil)
-	if err := f.Fit(train); err != nil {
+	f, err := FitFUNTA(train, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	shifted := shiftCurve(makeCurves(rng, 1, m, 0.0)[0], 10, 0, m)
@@ -58,8 +58,8 @@ func TestFUNTABlindToPureShift(t *testing.T) {
 func TestFUNTAScoreRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	train := makeCurves(rng, 30, 40, 0.05)
-	f := NewFUNTA(nil)
-	if err := f.Fit(train); err != nil {
+	f, err := FitFUNTA(train, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	scores, err := f.ScoreBatch(train)
@@ -81,8 +81,8 @@ func TestFUNTAUsesGridSpacing(t *testing.T) {
 	train := makeCurves(rng, 20, m, 0.05)
 	query := makeCurves(rng, 1, m, 0.3)[0]
 
-	unit := NewFUNTA(nil)
-	if err := unit.Fit(train); err != nil {
+	unit, err := FitFUNTA(train, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sUnit, err := unit.Score(query)
@@ -93,8 +93,8 @@ func TestFUNTAUsesGridSpacing(t *testing.T) {
 	for j := range times {
 		times[j] = float64(j) * 100 // stretched grid: slopes ×1/100
 	}
-	stretched := NewFUNTA(times)
-	if err := stretched.Fit(train); err != nil {
+	stretched, err := FitFUNTA(train, times)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sStretched, err := stretched.Score(query)
@@ -107,23 +107,19 @@ func TestFUNTAUsesGridSpacing(t *testing.T) {
 }
 
 func TestFUNTAValidation(t *testing.T) {
-	f := NewFUNTA(nil)
-	if _, err := f.Score([][]float64{{1, 2}}); !errors.Is(err, ErrNotFitted) {
-		t.Fatal("score before fit must fail")
-	}
-	if err := f.Fit(nil); !errors.Is(err, ErrNotFitted) {
+	if _, err := FitFUNTA(nil, nil); !errors.Is(err, ErrDepth) {
 		t.Fatal("empty fit must fail")
 	}
-	if err := f.Fit([][][]float64{{{1}}}); !errors.Is(err, ErrDepth) {
+	if _, err := FitFUNTA([][][]float64{{{1}}}, nil); !errors.Is(err, ErrDepth) {
 		t.Fatal("single-point grid must fail")
 	}
 	rng := rand.New(rand.NewSource(5))
 	train := makeCurves(rng, 10, 20, 0.05)
-	bad := NewFUNTA(make([]float64, 7))
-	if err := bad.Fit(train); !errors.Is(err, ErrDepth) {
+	if _, err := FitFUNTA(train, make([]float64, 7)); !errors.Is(err, ErrDepth) {
 		t.Fatal("grid length mismatch must fail")
 	}
-	if err := f.Fit(train); err != nil {
+	f, err := FitFUNTA(train, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Score([][]float64{{1, 2}}); !errors.Is(err, ErrDepth) {
@@ -132,8 +128,8 @@ func TestFUNTAValidation(t *testing.T) {
 }
 
 func TestCrossingAnglesCountsTransversals(t *testing.T) {
-	f := NewFUNTA(nil)
-	if err := f.Fit([][][]float64{{{0, 0, 0, 0}}}); err != nil {
+	f, err := FitFUNTA([][][]float64{{{0, 0, 0, 0}}}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// One strict sign change between a rising and a flat curve.

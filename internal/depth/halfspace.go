@@ -1,9 +1,6 @@
 package depth
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // MFHD implements the multivariate functional halfspace depth of
 // Claeskens, Hubert, Slaets & Vakili (JASA 2014) — reference [2] of the
@@ -14,69 +11,46 @@ import (
 // p = 1), and the pointwise depths are integrated over the grid with
 // uniform weights.
 type MFHD struct {
-	opt   ProjectionOptions
-	dirs  [][]float64
-	train [][][]float64
+	shape
+	n    int
+	dirs [][]float64
 	// proj[j][d] holds the sorted projections of the training cloud at
 	// grid point j onto direction d.
 	proj [][][]float64
-	p, m int
 }
 
-// NewMFHD returns an unfitted multivariate functional halfspace depth
-// scorer.
-func NewMFHD(opt ProjectionOptions) *MFHD { return &MFHD{opt: opt} }
-
-// Fit precomputes sorted projections of the training cloud for every
-// (grid point, direction) pair.
-func (h *MFHD) Fit(train [][][]float64) error {
-	if len(train) == 0 {
-		return fmt.Errorf("depth: mfhd empty training set: %w", ErrNotFitted)
+// FitMFHD precomputes sorted projections of the training cloud train
+// (n × p × m) for every (grid point, direction) pair.
+func FitMFHD(train [][][]float64, opt ProjectionOptions) (*MFHD, error) {
+	s, err := trainShape(train, 1, 1)
+	if err != nil {
+		return nil, err
 	}
-	p := len(train[0])
-	if p == 0 {
-		return fmt.Errorf("depth: mfhd zero-parameter samples: %w", ErrDepth)
-	}
-	m := len(train[0][0])
-	for i, s := range train {
-		if len(s) != p {
-			return fmt.Errorf("depth: mfhd sample %d has %d parameters, want %d: %w", i, len(s), p, ErrDepth)
-		}
-		for k := range s {
-			if len(s[k]) != m {
-				return fmt.Errorf("depth: mfhd sample %d parameter %d has %d points, want %d: %w", i, k, len(s[k]), m, ErrDepth)
-			}
-		}
-	}
-	h.dirs = directionSet(p, h.opt)
-	h.train = train
-	h.p = p
-	h.m = m
-	n := len(train)
-	h.proj = make([][][]float64, m)
-	for j := 0; j < m; j++ {
+	h := &MFHD{shape: s, n: len(train), dirs: directionSet(s.p, opt)}
+	h.proj = make([][][]float64, s.m)
+	for j := 0; j < s.m; j++ {
 		h.proj[j] = make([][]float64, len(h.dirs))
 		for d, u := range h.dirs {
-			vals := make([]float64, n)
-			for i := 0; i < n; i++ {
-				var s float64
-				for k := 0; k < p; k++ {
-					s += u[k] * train[i][k][j]
+			vals := make([]float64, h.n)
+			for i := 0; i < h.n; i++ {
+				var v float64
+				for k := 0; k < s.p; k++ {
+					v += u[k] * train[i][k][j]
 				}
-				vals[i] = s
+				vals[i] = v
 			}
 			sort.Float64s(vals)
 			h.proj[j][d] = vals
 		}
 	}
-	return nil
+	return h, nil
 }
 
 // pointDepth returns the approximate halfspace depth of the p-vector x at
 // grid point j: the minimum over directions of the one-sided tail
 // fraction min(#{proj ≤ v}, #{proj ≥ v})/n.
 func (h *MFHD) pointDepth(x []float64, j int) float64 {
-	n := len(h.train)
+	n := h.n
 	min := 1.0
 	for d, u := range h.dirs {
 		var v float64
@@ -104,19 +78,13 @@ func (h *MFHD) pointDepth(x []float64, j int) float64 {
 // maximal possible depth is 1/2, reached at the pointwise median), so
 // higher means more outlying.
 func (h *MFHD) Score(sample [][]float64) (float64, error) {
-	if h.train == nil {
-		return 0, ErrNotFitted
-	}
-	if len(sample) != h.p {
-		return 0, fmt.Errorf("depth: mfhd sample has %d parameters, want %d: %w", len(sample), h.p, ErrDepth)
+	if err := h.check(sample); err != nil {
+		return 0, err
 	}
 	x := make([]float64, h.p)
 	var sum float64
 	for j := 0; j < h.m; j++ {
 		for k := 0; k < h.p; k++ {
-			if len(sample[k]) != h.m {
-				return 0, fmt.Errorf("depth: mfhd sample parameter %d has %d points, want %d: %w", k, len(sample[k]), h.m, ErrDepth)
-			}
 			x[k] = sample[k][j]
 		}
 		sum += h.pointDepth(x, j)
@@ -127,13 +95,5 @@ func (h *MFHD) Score(sample [][]float64) (float64, error) {
 
 // ScoreBatch scores every sample.
 func (h *MFHD) ScoreBatch(samples [][][]float64) ([]float64, error) {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		v, err := h.Score(s)
-		if err != nil {
-			return nil, fmt.Errorf("depth: mfhd sample %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return scoreBatch(samples, h.Score)
 }

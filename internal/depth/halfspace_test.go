@@ -11,8 +11,8 @@ func TestMFHDUnivariatePointDepthExact(t *testing.T) {
 	// For p = 1 the halfspace depth is the exact one-sided tail fraction.
 	// Constant curves at 1..5, m = 1 grid point.
 	train := [][][]float64{{{1}}, {{2}}, {{3}}, {{4}}, {{5}}}
-	h := NewMFHD(ProjectionOptions{Seed: 1})
-	if err := h.Fit(train); err != nil {
+	h, err := FitMFHD(train, ProjectionOptions{Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Depth of the median (3) is 3/5 one-sided min(3,3)/5; score 1−2·(3/5)?
@@ -40,8 +40,8 @@ func TestMFHDUnivariatePointDepthExact(t *testing.T) {
 func TestMFHDFlagsMagnitudeOutlier(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	train := makeCurves(rng, 50, 40, 0.05)
-	h := NewMFHD(ProjectionOptions{Directions: 20, Seed: 3})
-	if err := h.Fit(train); err != nil {
+	h, err := FitMFHD(train, ProjectionOptions{Directions: 20, Seed: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
 	normal := makeCurves(rng, 1, 40, 0.05)[0]
@@ -79,8 +79,8 @@ func TestMFHDBivariate(t *testing.T) {
 	for i := range train {
 		train[i] = mk(0)
 	}
-	h := NewMFHD(ProjectionOptions{Directions: 30, Seed: 5})
-	if err := h.Fit(train); err != nil {
+	h, err := FitMFHD(train, ProjectionOptions{Directions: 30, Seed: 5})
+	if err != nil {
 		t.Fatal(err)
 	}
 	sIn, err := h.Score(mk(0))
@@ -97,16 +97,13 @@ func TestMFHDBivariate(t *testing.T) {
 }
 
 func TestMFHDValidation(t *testing.T) {
-	h := NewMFHD(ProjectionOptions{})
-	if _, err := h.Score([][]float64{{1}}); !errors.Is(err, ErrNotFitted) {
-		t.Fatal("score before fit must fail")
-	}
-	if err := h.Fit(nil); !errors.Is(err, ErrNotFitted) {
+	if _, err := FitMFHD(nil, ProjectionOptions{}); !errors.Is(err, ErrDepth) {
 		t.Fatal("empty fit must fail")
 	}
 	rng := rand.New(rand.NewSource(6))
 	train := makeCurves(rng, 10, 20, 0.05)
-	if err := h.Fit(train); err != nil {
+	h, err := FitMFHD(train, ProjectionOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Score([][]float64{{1, 2}}); !errors.Is(err, ErrDepth) {

@@ -1,8 +1,6 @@
 package depth
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Aggregation selects how pointwise depth scores are combined into a
 // sample score (Sec. 1.2: the integral average masks isolated outliers —
@@ -37,48 +35,28 @@ func (a Aggregation) String() string {
 // baseline and as the concrete illustration of the issues the paper lists
 // in Sec. 1.2.
 type IntegratedDepth struct {
-	opt  ProjectionOptions
+	shape
 	agg  Aggregation
 	dirs [][]float64
 	refs []pointwiseReference
-	p, m int
 }
 
-// NewIntegratedDepth returns an unfitted pointwise-projection-depth scorer
-// with the given aggregation.
-func NewIntegratedDepth(agg Aggregation, opt ProjectionOptions) *IntegratedDepth {
-	return &IntegratedDepth{opt: opt, agg: agg}
-}
-
-// Fit builds the pointwise references.
-func (d *IntegratedDepth) Fit(train [][][]float64) error {
-	if len(train) == 0 {
-		return fmt.Errorf("depth: integrated depth empty training set: %w", ErrNotFitted)
-	}
-	p := len(train[0])
-	d.dirs = directionSet(p, d.opt)
-	refs, err := buildReference(train, d.dirs)
+// FitIntegratedDepth builds the pointwise references of the training
+// samples train (n × p × m) for a pointwise-projection-depth scorer with
+// the given aggregation.
+func FitIntegratedDepth(train [][][]float64, agg Aggregation, opt ProjectionOptions) (*IntegratedDepth, error) {
+	s, err := trainShape(train, 1, 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	d.refs = refs
-	d.p = p
-	d.m = len(train[0][0])
-	return nil
+	dirs := directionSet(s.p, opt)
+	return &IntegratedDepth{shape: s, agg: agg, dirs: dirs, refs: buildReference(train, s, dirs)}, nil
 }
 
 // Score returns 1 − aggregated depth, so higher means more outlying.
 func (d *IntegratedDepth) Score(sample [][]float64) (float64, error) {
-	if d.refs == nil {
-		return 0, ErrNotFitted
-	}
-	if len(sample) != d.p {
-		return 0, fmt.Errorf("depth: sample has %d parameters, want %d: %w", len(sample), d.p, ErrDepth)
-	}
-	for k := range sample {
-		if len(sample[k]) != d.m {
-			return 0, fmt.Errorf("depth: sample parameter %d has %d points, want %d: %w", k, len(sample[k]), d.m, ErrDepth)
-		}
+	if err := d.check(sample); err != nil {
+		return 0, err
 	}
 	x := make([]float64, d.p)
 	var sum float64
@@ -103,13 +81,5 @@ func (d *IntegratedDepth) Score(sample [][]float64) (float64, error) {
 
 // ScoreBatch scores every sample.
 func (d *IntegratedDepth) ScoreBatch(samples [][][]float64) ([]float64, error) {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		v, err := d.Score(s)
-		if err != nil {
-			return nil, fmt.Errorf("depth: sample %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return scoreBatch(samples, d.Score)
 }

@@ -9,8 +9,8 @@ import (
 func TestIntegratedDepthScoresMagnitudeOutlier(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	train := makeCurves(rng, 50, 40, 0.05)
-	d := NewIntegratedDepth(Integral, ProjectionOptions{Directions: 10, Seed: 2})
-	if err := d.Fit(train); err != nil {
+	d, err := FitIntegratedDepth(train, Integral, ProjectionOptions{Directions: 10, Seed: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	normal := makeCurves(rng, 1, 40, 0.05)[0]
@@ -35,12 +35,12 @@ func TestInfimumCatchesIsolatedOutlierIntegralMasks(t *testing.T) {
 	// integral score.
 	rng := rand.New(rand.NewSource(3))
 	train := makeCurves(rng, 60, 60, 0.05)
-	integral := NewIntegratedDepth(Integral, ProjectionOptions{Directions: 10, Seed: 4})
-	infimum := NewIntegratedDepth(Infimum, ProjectionOptions{Directions: 10, Seed: 4})
-	if err := integral.Fit(train); err != nil {
+	integral, err := FitIntegratedDepth(train, Integral, ProjectionOptions{Directions: 10, Seed: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := infimum.Fit(train); err != nil {
+	infimum, err := FitIntegratedDepth(train, Infimum, ProjectionOptions{Directions: 10, Seed: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
 	base := makeCurves(rng, 1, 60, 0.05)[0]
@@ -71,8 +71,8 @@ func TestIntegratedDepthScoresInUnitInterval(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	train := makeCurves(rng, 30, 30, 0.05)
 	for _, agg := range []Aggregation{Integral, Infimum} {
-		d := NewIntegratedDepth(agg, ProjectionOptions{Directions: 10, Seed: 6})
-		if err := d.Fit(train); err != nil {
+		d, err := FitIntegratedDepth(train, agg, ProjectionOptions{Directions: 10, Seed: 6})
+		if err != nil {
 			t.Fatal(err)
 		}
 		scores, err := d.ScoreBatch(train)
@@ -88,16 +88,13 @@ func TestIntegratedDepthScoresInUnitInterval(t *testing.T) {
 }
 
 func TestIntegratedDepthValidation(t *testing.T) {
-	d := NewIntegratedDepth(Integral, ProjectionOptions{})
-	if _, err := d.Score([][]float64{{1}}); !errors.Is(err, ErrNotFitted) {
-		t.Fatal("score before fit must fail")
-	}
-	if err := d.Fit(nil); !errors.Is(err, ErrNotFitted) {
+	if _, err := FitIntegratedDepth(nil, Integral, ProjectionOptions{}); !errors.Is(err, ErrDepth) {
 		t.Fatal("empty fit must fail")
 	}
 	rng := rand.New(rand.NewSource(7))
 	train := makeCurves(rng, 10, 20, 0.05)
-	if err := d.Fit(train); err != nil {
+	d, err := FitIntegratedDepth(train, Integral, ProjectionOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Score([][]float64{{1, 2}}); !errors.Is(err, ErrDepth) {

@@ -7,7 +7,10 @@
 //
 // All functional scorers consume MFD samples discretised on a common grid
 // as p×m matrices and return outlyingness scores where higher = more
-// outlying, the convention shared by the detector layer.
+// outlying, the convention shared by the detector layer. Each scorer is
+// a fitted value: a Fit… function checks the training set and returns
+// it, and it has no method that changes it afterwards, so there is no
+// unfitted scorer to call.
 package depth
 
 import (
@@ -16,14 +19,66 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
 // ErrDepth reports invalid input to a depth computation.
 var ErrDepth = errors.New("depth: invalid input")
 
-// ErrNotFitted is returned when Score precedes Fit.
-var ErrNotFitted = errors.New("depth: model not fitted")
+// shape is the common grid of a fitted training set: p parameters of m
+// points each.
+type shape struct{ p, m int }
+
+// trainShape checks that train holds at least minN ≥ 1 samples, all of
+// the same p ≥ 1 parameters of the same m ≥ minM points, and returns
+// that shape. Every Fit… function calls it before it reads train, so no
+// scorer is built on a ragged, zero-parameter or too-small training set.
+func trainShape(train [][][]float64, minN, minM int) (shape, error) {
+	if len(train) < minN {
+		return shape{}, fmt.Errorf("depth: need >= %d training samples, got %d: %w", minN, len(train), ErrDepth)
+	}
+	s := shape{p: len(train[0])}
+	if s.p == 0 {
+		return shape{}, fmt.Errorf("depth: zero-parameter training samples: %w", ErrDepth)
+	}
+	if s.m = len(train[0][0]); s.m < minM {
+		return shape{}, fmt.Errorf("depth: need >= %d grid points, got %d: %w", minM, s.m, ErrDepth)
+	}
+	for i, x := range train {
+		if err := s.check(x); err != nil {
+			return shape{}, fmt.Errorf("depth: training sample %d: %w", i, err)
+		}
+	}
+	return s, nil
+}
+
+// check reports a sample whose shape is not s.
+func (s shape) check(sample [][]float64) error {
+	if len(sample) != s.p {
+		return fmt.Errorf("depth: sample has %d parameters, want %d: %w", len(sample), s.p, ErrDepth)
+	}
+	for k, row := range sample {
+		if len(row) != s.m {
+			return fmt.Errorf("depth: sample parameter %d has %d points, want %d: %w", k, len(row), s.m, ErrDepth)
+		}
+	}
+	return nil
+}
+
+// scoreBatch scores every sample with score on the shared bounded pool.
+// The scorers' Score methods only read their fitted reference, so the
+// scores are bitwise those of a sequential loop, and on failure the
+// lowest-index sample's error is returned.
+func scoreBatch(samples [][][]float64, score func([][]float64) (float64, error)) ([]float64, error) {
+	return parallel.Map(len(samples), 0, func(i int) (float64, error) {
+		v, err := score(samples[i])
+		if err != nil {
+			return 0, fmt.Errorf("depth: sample %d: %w", i, err)
+		}
+		return v, nil
+	})
+}
 
 // ProjectionOptions configures the random-direction approximation of the
 // Stahel–Donoho outlyingness for p > 1.
@@ -81,25 +136,11 @@ type pointwiseReference struct {
 	center []float64 // coordinate-wise median, length p
 }
 
-// buildReference projects the training cloud {X_i(t_j)} at each grid point
-// onto every direction and records robust location/scale.
-func buildReference(train [][][]float64, dirs [][]float64) ([]pointwiseReference, error) {
-	n := len(train)
-	if n == 0 {
-		return nil, fmt.Errorf("depth: empty training set: %w", ErrDepth)
-	}
-	p := len(train[0])
-	m := len(train[0][0])
-	for i, s := range train {
-		if len(s) != p {
-			return nil, fmt.Errorf("depth: sample %d has %d parameters, want %d: %w", i, len(s), p, ErrDepth)
-		}
-		for k := range s {
-			if len(s[k]) != m {
-				return nil, fmt.Errorf("depth: sample %d parameter %d has %d points, want %d: %w", i, k, len(s[k]), m, ErrDepth)
-			}
-		}
-	}
+// buildReference projects the training cloud {X_i(t_j)} of shape s at
+// each grid point onto every direction and records robust
+// location/scale. train has passed trainShape.
+func buildReference(train [][][]float64, s shape, dirs [][]float64) []pointwiseReference {
+	n, p, m := len(train), s.p, s.m
 	refs := make([]pointwiseReference, m)
 	proj := make([]float64, n)
 	coord := make([]float64, n)
@@ -128,7 +169,7 @@ func buildReference(train [][][]float64, dirs [][]float64) ([]pointwiseReference
 		}
 		refs[j] = ref
 	}
-	return refs, nil
+	return refs
 }
 
 // sdoAt returns the Stahel–Donoho outlyingness of the p-vector x against
@@ -162,29 +203,22 @@ func sdoAt(x []float64, ref pointwiseReference, dirs [][]float64) float64 {
 // (each a p-vector) against the cloud itself — the building block used in
 // tests and by the pointwise depth aggregations.
 func SDO(points [][]float64, opt ProjectionOptions) ([]float64, error) {
-	n := len(points)
-	if n == 0 {
-		return nil, fmt.Errorf("depth: empty cloud: %w", ErrDepth)
-	}
-	p := len(points[0])
 	// Reuse the functional machinery with m = 1 grid point.
-	train := make([][][]float64, n)
+	train := make([][][]float64, len(points))
 	for i, pt := range points {
-		if len(pt) != p {
-			return nil, fmt.Errorf("depth: point %d has dim %d, want %d: %w", i, len(pt), p, ErrDepth)
-		}
-		s := make([][]float64, p)
-		for k := 0; k < p; k++ {
+		s := make([][]float64, len(pt))
+		for k := range pt {
 			s[k] = []float64{pt[k]}
 		}
 		train[i] = s
 	}
-	dirs := directionSet(p, opt)
-	refs, err := buildReference(train, dirs)
+	sh, err := trainShape(train, 1, 1)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
+	dirs := directionSet(sh.p, opt)
+	refs := buildReference(train, sh, dirs)
+	out := make([]float64, len(points))
 	for i, pt := range points {
 		out[i] = sdoAt(pt, refs[0], dirs)
 	}

@@ -80,6 +80,9 @@ func TestSDOErrors(t *testing.T) {
 	if _, err := SDO([][]float64{{1, 2}, {1}}, ProjectionOptions{}); !errors.Is(err, ErrDepth) {
 		t.Fatal("ragged cloud must fail")
 	}
+	if _, err := SDO([][]float64{{}, {}}, ProjectionOptions{}); !errors.Is(err, ErrDepth) {
+		t.Fatal("zero-dimension points must fail")
+	}
 }
 
 func TestProjectionDepthRange(t *testing.T) {

@@ -90,36 +90,31 @@ func RunExperiment(d fda.Dataset, methods []Method, conds []Condition, opt Exper
 			jobs = append(jobs, job{cond: cond, rep: r})
 		}
 	}
-	aucs := make([]map[string]float64, len(jobs))
-	errs := make([]error, len(jobs))
-	parallel.For(len(jobs), opt.Parallel, func(_, i int) {
+	aucs, err := parallel.Map(len(jobs), opt.Parallel, func(i int) (map[string]float64, error) {
 		jb := jobs[i]
 		// Derive a reproducible seed from (condition, repetition).
 		stream := jb.rep*10007 + int(jb.cond.Contamination*1000)
 		rng := stats.NewRand(opt.Seed, stream)
 		sp, err := MakeSplit(d.Labels, jb.cond.TrainSize, jb.cond.Contamination, rng)
 		if err != nil {
-			errs[i] = fmt.Errorf("eval: c=%.2f rep %d: %w", jb.cond.Contamination, jb.rep, err)
-			return
+			return nil, fmt.Errorf("eval: c=%.2f rep %d: %w", jb.cond.Contamination, jb.rep, err)
 		}
 		train, test := sp.Apply(d)
 		auc := make(map[string]float64, len(methods))
 		for _, m := range methods {
 			scores, err := m.Run(train, test, stats.SplitSeed(opt.Seed, stream))
 			if err != nil {
-				errs[i] = fmt.Errorf("eval: %s c=%.2f rep %d: %w", m.Name(), jb.cond.Contamination, jb.rep, err)
-				return
+				return nil, fmt.Errorf("eval: %s c=%.2f rep %d: %w", m.Name(), jb.cond.Contamination, jb.rep, err)
 			}
 			a, err := AUC(scores, test.Labels)
 			if err != nil {
-				errs[i] = fmt.Errorf("eval: %s c=%.2f rep %d: %w", m.Name(), jb.cond.Contamination, jb.rep, err)
-				return
+				return nil, fmt.Errorf("eval: %s c=%.2f rep %d: %w", m.Name(), jb.cond.Contamination, jb.rep, err)
 			}
 			auc[m.Name()] = a
 		}
-		aucs[i] = auc
+		return auc, nil
 	})
-	if err := parallel.FirstError(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	var out []Summary

@@ -40,8 +40,8 @@ func RunDirOutDecomposition(opt AblationOptions) ([]DirOutDecompRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		do := depth.NewDirOut(depth.ProjectionOptions{Directions: 50, Seed: opt.Seed})
-		if err := do.Fit(vals); err != nil {
+		do, err := depth.FitDirOut(vals, depth.ProjectionOptions{Directions: 50, Seed: opt.Seed})
+		if err != nil {
 			return nil, err
 		}
 		groups := map[string]struct{ mo2, vo []float64 }{}

@@ -61,14 +61,14 @@ func Fig3Methods() []eval.Method {
 	return []eval.Method{
 		core.DepthMethod{
 			MethodName: "Dir.out",
-			Build: func(seed int64) (core.FunctionalScorer, error) {
-				return depth.NewDirOut(depth.ProjectionOptions{Directions: 50, Seed: seed}), nil
+			Fit: func(seed int64, train [][][]float64) (core.FunctionalScorer, error) {
+				return depth.FitDirOut(train, depth.ProjectionOptions{Directions: 50, Seed: seed})
 			},
 		},
 		core.DepthMethod{
 			MethodName: "FUNTA",
-			Build: func(seed int64) (core.FunctionalScorer, error) {
-				return depth.NewFUNTA(nil), nil
+			Fit: func(seed int64, train [][][]float64) (core.FunctionalScorer, error) {
+				return depth.FitFUNTA(train, nil)
 			},
 		},
 		core.PipelineMethod{

@@ -95,17 +95,33 @@ const hotpathTolerance = 1e-12
 // comparison read. Allocation counts repeat from pass to pass.
 const hotpathPasses = 5
 
-// stage times f in hotpathPasses testing.Benchmark passes and reports
-// the median ns/op and allocs/op.
-func stage(f func(b *testing.B)) HotpathStage {
-	ns, allocs := make([]int64, hotpathPasses), make([]int64, hotpathPasses)
-	for i := range ns {
-		r := testing.Benchmark(f)
-		ns[i], allocs[i] = r.NsPerOp(), r.AllocsPerOp()
+// timedStage is one benchmarked stage and the report field its median
+// lands in.
+type timedStage struct {
+	out *HotpathStage
+	run func(b *testing.B)
+}
+
+// timeStages times every stage in hotpathPasses rounds of
+// testing.Benchmark passes and stores each stage's median ns/op and
+// allocs/op. Round k runs pass k of every stage, in order, before round
+// k+1 starts, so a host slowdown that outlasts a pass moves one pass of
+// each stage instead of every pass of one stage.
+func timeStages(stages []timedStage) {
+	ns := make([][]int64, len(stages))
+	allocs := make([][]int64, len(stages))
+	for pass := 0; pass < hotpathPasses; pass++ {
+		for i, st := range stages {
+			r := testing.Benchmark(st.run)
+			ns[i] = append(ns[i], r.NsPerOp())
+			allocs[i] = append(allocs[i], r.AllocsPerOp())
+		}
 	}
-	slices.Sort(ns)
-	slices.Sort(allocs)
-	return HotpathStage{NsPerOp: ns[hotpathPasses/2], AllocsPerOp: allocs[hotpathPasses/2]}
+	for i, st := range stages {
+		slices.Sort(ns[i])
+		slices.Sort(allocs[i])
+		*st.out = HotpathStage{NsPerOp: ns[i][hotpathPasses/2], AllocsPerOp: allocs[i][hotpathPasses/2]}
+	}
 }
 
 func hotpathPipeline(seed int64, workers int, noCache bool) *core.Pipeline {
@@ -161,74 +177,74 @@ func RunHotpath(opt HotpathOptions) (*HotpathReport, error) {
 			rep.MaxAbsScoreDiff, hotpathTolerance)
 	}
 
-	// Stage 1: FitDataset. The optimized configuration keeps one cache
-	// across iterations — the steady state of repeated experiment splits
-	// and of a loaded serving model.
-	seqOpt := fda.Options{Parallel: 1, NoCache: true}
-	rep.FitSequential = stage(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fda.FitDataset(d, seqOpt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	cache := fda.NewBasisCache()
-	fitOpt := fda.Options{Parallel: opt.Parallel, Cache: cache}
-	rep.FitOptimized = stage(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fda.FitDataset(d, fitOpt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// Stage 2: Pipeline.Score on the fitted pipelines from the
-	// equivalence check (the optimized one's cache is already warm).
-	rep.ScoreSequential = stage(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := seqPipe.Score(d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	rep.ScoreOptimized = stage(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := optPipe.Score(d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// Stage 3: the refit paths, on the optimized pipeline.
-	rep.StreamRefit = stage(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := streamCurve(optPipe, d.Samples[i%d.Len()]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	rng := rand.New(rand.NewSource(opt.Seed))
-	rep.FreshGridScore = stage(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := d.Samples[i%d.Len()]
-			s.Times = jitterGrid(s.Times, rng)
-			if _, err := optPipe.ScoreOne(s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// Stage 4: the JSON decode of one curve's request body.
+	// The JSON body of one curve, for the decode stage.
 	body, err := wire.EncodeJSON(wire.Body{Request: wire.Request{Dataset: fda.Dataset{Samples: d.Samples[:1]}}})
 	if err != nil {
 		return nil, fmt.Errorf("hotpath: encode body: %w", err)
 	}
-	rep.DecodeJSON = stage(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := wire.DecodeBody("application/json", body); err != nil {
-				b.Fatal(err)
+	seqOpt := fda.Options{Parallel: 1, NoCache: true}
+	cache := fda.NewBasisCache()
+	fitOpt := fda.Options{Parallel: opt.Parallel, Cache: cache}
+	rng := rand.New(rand.NewSource(opt.Seed))
+	timeStages([]timedStage{
+		// FitDataset. The optimized configuration keeps one cache across
+		// iterations — the steady state of repeated experiment splits and
+		// of a loaded serving model.
+		{&rep.FitSequential, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := fda.FitDataset(d, seqOpt); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+		}},
+		{&rep.FitOptimized, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := fda.FitDataset(d, fitOpt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		// Pipeline.Score on the fitted pipelines from the equivalence
+		// check (the optimized one's cache is already warm).
+		{&rep.ScoreSequential, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := seqPipe.Score(d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{&rep.ScoreOptimized, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := optPipe.Score(d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		// The refit paths, on the optimized pipeline.
+		{&rep.StreamRefit, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := streamCurve(optPipe, d.Samples[i%d.Len()]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{&rep.FreshGridScore, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s := d.Samples[i%d.Len()]
+				s.Times = jitterGrid(s.Times, rng)
+				if _, err := optPipe.ScoreOne(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		// The JSON decode of one curve's request body.
+		{&rep.DecodeJSON, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := wire.DecodeBody("application/json", body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 	})
 
 	if rep.FitOptimized.NsPerOp > 0 {

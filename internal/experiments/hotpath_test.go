@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -72,3 +73,37 @@ func TestRunHotpathMinSpeedupFail(t *testing.T) {
 		t.Fatal("report should accompany the speedup error")
 	}
 }
+
+// TestTimeStagesInterleavesPasses: pass k of every stage runs, in stage
+// order, before pass k+1 of any stage, and each stage's median lands in
+// its own report field.
+func TestTimeStagesInterleavesPasses(t *testing.T) {
+	var order []int
+	out := make([]HotpathStage, 3)
+	stages := make([]timedStage, len(out))
+	for i := range stages {
+		stages[i] = timedStage{out: &out[i], run: func(b *testing.B) {
+			if b.N == 1 { // the first call of each testing.Benchmark pass
+				order = append(order, i)
+			}
+			for j := 0; j < b.N; j++ {
+				benchSink = make([]byte, 8*(i+1))
+			}
+		}}
+	}
+	timeStages(stages)
+	var want []int
+	for pass := 0; pass < hotpathPasses; pass++ {
+		want = append(want, 0, 1, 2)
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("pass order %v, want %v", order, want)
+	}
+	for i, st := range out {
+		if st.NsPerOp <= 0 || st.AllocsPerOp != 1 {
+			t.Errorf("stage %d: %+v, want a timing and 1 alloc/op", i, st)
+		}
+	}
+}
+
+var benchSink []byte

@@ -33,51 +33,51 @@ func depthIssueMethods() []eval.Method {
 	return []eval.Method{
 		core.DepthMethod{
 			MethodName: "FM",
-			Build: func(seed int64) (core.FunctionalScorer, error) {
-				return depth.NewFraimanMuniz(), nil
+			Fit: func(seed int64, train [][][]float64) (core.FunctionalScorer, error) {
+				return depth.FitFraimanMuniz(train)
 			},
 		},
 		core.DepthMethod{
 			MethodName: "MBD",
-			Build: func(seed int64) (core.FunctionalScorer, error) {
-				return depth.NewBandDepth(), nil
+			Fit: func(seed int64, train [][][]float64) (core.FunctionalScorer, error) {
+				return depth.FitBandDepth(train)
 			},
 		},
 		core.DepthMethod{
 			MethodName: "MFHD",
-			Build: func(seed int64) (core.FunctionalScorer, error) {
-				return depth.NewMFHD(depth.ProjectionOptions{Directions: 30, Seed: seed}), nil
+			Fit: func(seed int64, train [][][]float64) (core.FunctionalScorer, error) {
+				return depth.FitMFHD(train, depth.ProjectionOptions{Directions: 30, Seed: seed})
 			},
 		},
 		core.DepthMethod{
 			MethodName: "IntDepth(integral)",
-			Build: func(seed int64) (core.FunctionalScorer, error) {
-				return depth.NewIntegratedDepth(depth.Integral, depth.ProjectionOptions{Directions: 30, Seed: seed}), nil
+			Fit: func(seed int64, train [][][]float64) (core.FunctionalScorer, error) {
+				return depth.FitIntegratedDepth(train, depth.Integral, depth.ProjectionOptions{Directions: 30, Seed: seed})
 			},
 		},
 		core.DepthMethod{
 			MethodName: "IntDepth(infimum)",
-			Build: func(seed int64) (core.FunctionalScorer, error) {
-				return depth.NewIntegratedDepth(depth.Infimum, depth.ProjectionOptions{Directions: 30, Seed: seed}), nil
+			Fit: func(seed int64, train [][][]float64) (core.FunctionalScorer, error) {
+				return depth.FitIntegratedDepth(train, depth.Infimum, depth.ProjectionOptions{Directions: 30, Seed: seed})
 			},
 		},
 		core.DerivAugmentedDepthMethod{
 			MethodName: "IntDepth(integral)+D1D2",
 			Orders:     []int{1, 2},
-			Build: func(seed int64) (core.FunctionalScorer, error) {
-				return depth.NewIntegratedDepth(depth.Integral, depth.ProjectionOptions{Directions: 30, Seed: seed}), nil
+			Fit: func(seed int64, train [][][]float64) (core.FunctionalScorer, error) {
+				return depth.FitIntegratedDepth(train, depth.Integral, depth.ProjectionOptions{Directions: 30, Seed: seed})
 			},
 		},
 		core.DepthMethod{
 			MethodName: "FUNTA",
-			Build: func(seed int64) (core.FunctionalScorer, error) {
-				return depth.NewFUNTA(nil), nil
+			Fit: func(seed int64, train [][][]float64) (core.FunctionalScorer, error) {
+				return depth.FitFUNTA(train, nil)
 			},
 		},
 		core.DepthMethod{
 			MethodName: "Dir.out",
-			Build: func(seed int64) (core.FunctionalScorer, error) {
-				return depth.NewDirOut(depth.ProjectionOptions{Directions: 30, Seed: seed}), nil
+			Fit: func(seed int64, train [][][]float64) (core.FunctionalScorer, error) {
+				return depth.FitDirOut(train, depth.ProjectionOptions{Directions: 30, Seed: seed})
 			},
 		},
 		core.PipelineMethod{

@@ -507,18 +507,11 @@ func FitDataset(d Dataset, opt Options) ([]*Fit, error) {
 	if opt.Cache == nil && !opt.NoCache && opt.Basis == nil {
 		opt.Cache = NewBasisCache()
 	}
-	fits := make([]*Fit, d.Len())
-	errs := make([]error, d.Len())
-	parallel.For(d.Len(), opt.Parallel, func(_, i int) {
+	return parallel.Map(d.Len(), opt.Parallel, func(i int) (*Fit, error) {
 		f, err := FitSample(d.Samples[i], opt)
 		if err != nil {
-			errs[i] = fmt.Errorf("fda: sample %d: %w", i, err)
-			return
+			return nil, fmt.Errorf("fda: sample %d: %w", i, err)
 		}
-		fits[i] = f
+		return f, nil
 	})
-	if err := parallel.FirstError(errs); err != nil {
-		return nil, err
-	}
-	return fits, nil
 }

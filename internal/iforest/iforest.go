@@ -273,20 +273,13 @@ func b2i(b bool) int32 {
 // ScoreBatch scores every row of x.
 func (f *Forest) ScoreBatch(x [][]float64) ([]float64, error) {
 	// Rows fan out over the shared bounded pool: Score only reads the
-	// fitted trees and each result lands in its own slot, so the output
-	// (and the surfaced error) is identical to the sequential loop.
-	out := make([]float64, len(x))
-	errs := make([]error, len(x))
-	parallel.For(len(x), 0, func(_, i int) {
+	// fitted trees, so the output (and the surfaced error) is identical
+	// to the sequential loop.
+	return parallel.Map(len(x), 0, func(i int) (float64, error) {
 		s, err := f.Score(x[i])
 		if err != nil {
-			errs[i] = fmt.Errorf("iforest: sample %d: %w", i, err)
-			return
+			return 0, fmt.Errorf("iforest: sample %d: %w", i, err)
 		}
-		out[i] = s
+		return s, nil
 	})
-	if err := parallel.FirstError(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

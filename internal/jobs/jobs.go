@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/fda"
+	"repro/internal/parallel"
 )
 
 // Chunk is one contiguous run of samples from a job's dataset. Start is
@@ -425,24 +426,11 @@ func (j *Job) run(m *Manager) {
 	j.broadcastLocked()
 	j.mu.Unlock()
 
-	sem := make(chan struct{}, m.opt.Tokens)
-	var wg sync.WaitGroup
-dispatch:
-	for _, c := range j.chunks {
-		select {
-		case <-j.ctx.Done():
-			break dispatch
-		case sem <- struct{}{}:
-		}
-		wg.Add(1)
-		//mfodlint:allow poolmisuse chunk workers are bounded by the per-job token budget (Options.Tokens)
-		go func(c Chunk) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			j.runChunk(m, c)
-		}(c)
-	}
-	wg.Wait()
+	// Options.Tokens workers claim chunks in index order; once the job
+	// is cancelled, each remaining chunk's runChunk returns at once.
+	parallel.For(len(j.chunks), m.opt.Tokens, func(_, i int) {
+		j.runChunk(m, j.chunks[i])
+	})
 
 	j.mu.Lock()
 	switch {

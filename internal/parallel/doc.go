@@ -1,9 +1,15 @@
-// Package parallel provides the bounded fan-out primitive shared by the
-// numeric hot paths (internal/fda smoothing, internal/geometry mapping,
-// the detector score loops). It is a lighter sibling of the
-// internal/serve worker pool: the same bounded-workers idea, but for
-// finite index spaces where results are written back by index, so the
-// output is bitwise identical regardless of worker count or scheduling.
+// Package parallel provides the bounded fan-out primitives shared by the
+// numeric hot paths (internal/fda smoothing, the internal/core feature
+// pass that smooths and maps each sample, the detector and depth score
+// loops, the experiment runner) and by the job manager's chunk
+// dispatch. It is a lighter sibling of the internal/serve worker pool:
+// the same bounded-workers idea, but for finite index spaces where
+// results are written back by index, so the output is bitwise identical
+// regardless of worker count or scheduling.
+//
+// For runs fn(worker, i) over an index space; Map runs a function that
+// returns a value and an error per index and hands back the results in
+// index order, or the lowest-index error and no results.
 //
 // # Invariants (enforced by mfodlint)
 //
@@ -13,20 +19,22 @@
 //
 //   - Goroutines are launched only inside internal/parallel,
 //     internal/serve and internal/resilience (poolmisuse). Numeric code
-//     fans out through For, which claims indices from a shared atomic
-//     counter, re-raises worker panics on the calling goroutine, and
-//     writes results only by index — hand-rolled goroutines would
+//     fans out through For or Map, which claim indices from a shared
+//     atomic counter, re-raise worker panics on the calling goroutine,
+//     and write results only by index — hand-rolled goroutines would
 //     reintroduce scheduling-dependent output and uncontained panics.
 //
-//   - Slices filled by a For worker are not consumed between the For
-//     call and the FirstError check (poolmisuse). On a failed run the
-//     result slice holds partial values for the indices that errored;
-//     the error must be observed before any result is.
+//   - FirstError is used only inside internal/parallel (poolmisuse). A
+//     fan-out that returns values goes through Map, which checks the
+//     errors itself and returns the results only when every call
+//     succeeded, so a failed run's partial results are never visible.
+//     This is a type rule, not a dataflow check: outside this package
+//     there is no result slice to read before the error.
 //
 //   - Score* and Transform* methods on fitted models are read-only
-//     (mutafterfit). For runs one fitted model from many goroutines at
-//     once with no locks; that is only sound because scoring never
-//     writes receiver state after Fit.
+//     (mutafterfit). For and Map run one fitted model from many
+//     goroutines at once with no locks; that is only sound because
+//     scoring never writes receiver state after Fit.
 //
 // FirstError returns the lowest-index non-nil error, matching the error
 // a sequential loop over the same work would have surfaced first — the

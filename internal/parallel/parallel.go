@@ -78,6 +78,23 @@ func For(n, workers int, fn func(worker, i int)) {
 	}
 }
 
+// Map runs fn(i) for every i in [0, n) through For and returns the
+// results in index order. On failure it returns the lowest-index error,
+// the one a sequential loop would have surfaced first, and no results:
+// the slots of a failed run are never visible to the caller. A panic in
+// fn is re-raised on the calling goroutine, as with For.
+func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	For(n, workers, func(_, i int) {
+		out[i], errs[i] = fn(i)
+	})
+	if err := FirstError(errs); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // FirstError returns the lowest-index non-nil error of errs, matching
 // the error a sequential loop over the same work would have surfaced
 // first — the determinism contract of the fan-out call sites.

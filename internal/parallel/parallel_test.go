@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -75,4 +77,69 @@ func TestFirstError(t *testing.T) {
 	if err := FirstError([]error{nil, e1, e2}); err != e1 {
 		t.Fatalf("FirstError = %v, want lowest-index error", err)
 	}
+}
+
+// mapValue is a per-index computation whose float result depends on the
+// order of its own arithmetic only.
+func mapValue(i int) float64 {
+	v := float64(i)
+	for k := 1; k <= 50; k++ {
+		v = math.Sin(v) + float64(k)/float64(i+1)
+	}
+	return v
+}
+
+func TestMapMatchesSequentialLoop(t *testing.T) {
+	const n = 301
+	want := make([]float64, n)
+	for i := range want {
+		want[i] = mapValue(i)
+	}
+	for _, workers := range []int{1, 2, 8, runtime.GOMAXPROCS(0)} {
+		got, err := Map(n, workers, func(i int) (float64, error) { return mapValue(i), nil })
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != n {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), n)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("workers=%d: index %d = %v, want %v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestMapLowestIndexErrorAndNoResults(t *testing.T) {
+	failing := map[int]bool{5: true, 37: true, 290: true}
+	for _, workers := range []int{1, 2, 8, runtime.GOMAXPROCS(0)} {
+		got, err := Map(301, workers, func(i int) (int, error) {
+			if failing[i] {
+				return i, fmt.Errorf("index %d", i)
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != "index 5" {
+			t.Fatalf("workers=%d: err = %v, want the index 5 error", workers, err)
+		}
+		if got != nil {
+			t.Fatalf("workers=%d: results %v returned with an error", workers, got)
+		}
+	}
+}
+
+func TestMapRepanicsOnCaller(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want boom", r)
+		}
+	}()
+	_, _ = Map(100, 4, func(i int) (int, error) {
+		if i == 17 {
+			panic("boom")
+		}
+		return i, nil
+	})
+	t.Fatal("Map returned instead of panicking")
 }
