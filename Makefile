@@ -123,11 +123,13 @@ bench-streaming:
 # fuzzer throws hostile HTTP bodies (NaN/Inf, out-of-order, oversized,
 # garbage, junk after the value) at the streaming routes, mounted on
 # the route table as the replica mounts them, and checks that every
-# refusal is an envelope, plus a state-corruption oracle. The wire-decode fuzzer feeds untrusted binary frames to the
-# request decoder: it must fail with ErrWire, never panic or
-# over-allocate, and a frame that decodes must re-encode to the same
-# bytes. The request-decode fuzzer feeds untrusted JSON bodies to the
-# shared body decoder's scanner: it must fail with ErrJSON or decode, a
+# refusal is an envelope, plus a state-corruption oracle. The
+# wire-decode fuzzer feeds each untrusted input to both binary frame
+# decoders, the request's and the job-chunk scores': each must fail with
+# ErrWire, never panic or over-allocate, and a frame that decodes must
+# re-encode to the same bytes. The request-decode fuzzer feeds
+# untrusted JSON bodies to the shared body decoder's scanner: it must
+# fail with ErrJSON or decode, a
 # body that decodes must come back bitwise through its frame and through
 # its JSON re-encoding, and the differential oracle holds it to
 # encoding/json, which it may only refuse beyond with a named refusal

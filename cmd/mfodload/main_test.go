@@ -120,6 +120,36 @@ func TestSLOMode(t *testing.T) {
 	}
 }
 
+// TestJudgeOverload holds the overload verdict on synthetic scenarios:
+// skipped ticks alone pass, while an error, a late answer, or a send rate
+// at or below the single-rate target fails.
+func TestJudgeOverload(t *testing.T) {
+	const rps = 100
+	healthy := scenario{Name: "overload-2x", TargetRPS: 2 * rps, ElapsedS: 1, Requests: 180, OK: 120, Shed: 60,
+		Skipped: 20, AchievedRPS: 180, Injected: 40}
+	for _, c := range []struct {
+		name string
+		edit func(*scenario)
+		pass bool
+	}{
+		{"skipped ticks, no errors", func(*scenario) {}, true},
+		{"one error", func(s *scenario) { s.Errors = 1 }, false},
+		{"one late answer", func(s *scenario) { s.Late = 1 }, false},
+		{"sent at the single rate", func(s *scenario) { s.Requests, s.Skipped, s.AchievedRPS = rps, 100, rps }, false},
+		{"sent below the single rate", func(s *scenario) { s.Requests, s.Skipped, s.AchievedRPS = 80, 120, 80 }, false},
+		{"nothing shed", func(s *scenario) { s.Shed = 0 }, false},
+		{"fault never fired", func(s *scenario) { s.Injected = 0 }, false},
+	} {
+		s := healthy
+		c.edit(&s)
+		rep := &report{}
+		judgeOverload(rep, s, rps)
+		if pass := len(rep.Failures) == 0; pass != c.pass {
+			t.Errorf("%s: pass = %v, want %v (failures %q)", c.name, pass, c.pass, rep.Failures)
+		}
+	}
+}
+
 // TestJobsMode runs bulk jobs beside interactive traffic at test size.
 func TestJobsMode(t *testing.T) {
 	o := fleetOptions()

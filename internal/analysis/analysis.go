@@ -24,9 +24,10 @@
 //   - lockio: no blocking operation — channel traffic, selects without
 //     default, sleeps, WaitGroup joins, network calls, abstract-stream
 //     I/O — while a sync.Mutex or RWMutex is held.
-//   - wirebounds: length-prefixed decoders bounds-check every decoded
-//     count before it sizes an allocation and do size arithmetic in a
-//     wide type (the wire.decodeSample wrap class from the PR 6 review).
+//   - wirebounds: no encoding/binary integer decode outside reader.go of
+//     internal/wire, whose count hands out a length only once it fits
+//     the bytes left, so no decoder can allocate from or wrap an
+//     unchecked prefix (the wire.decodeSample uint32 wrap class).
 //   - metricshygiene: no # HELP / # TYPE exposition literal outside
 //     internal/metrics, whose typed registry turns the naming, kind and
 //     suffix rules into construction-time panics.

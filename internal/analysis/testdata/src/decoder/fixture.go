@@ -1,77 +1,64 @@
 // Package decoder is an mfodlint fixture for the wirebounds analyzer:
-// length-prefixed decoding must bounds-check every decoded count before
-// it sizes an allocation, and must do size arithmetic in a wide type.
-// DecodeWrap reproduces the PR 6 wire.decodeSample wrap bug verbatim.
+// every encoding/binary integer decode outside reader.go of a package
+// named wire is a finding, whatever its byte order or form, and the
+// encoders are not. DecodeWrap is the old wire.decodeSample wrap bug,
+// caught now by where it reads rather than by what it computes.
 package decoder
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 )
 
 var errRange = errors.New("decoder: count out of range")
 
-const (
-	maxVars  = 1 << 10
-	maxTotal = 1 << 24
-)
+const maxVars = 1 << 10
 
-// DecodeUnchecked sizes an allocation from a decoded count that no
-// condition ever compares against anything.
-func DecodeUnchecked(b []byte) []float64 {
-	n := binary.LittleEndian.Uint32(b)
-	return make([]float64, n) // want "no dominating bounds check"
-}
-
-// DecodeDirect feeds the wire read straight into make.
-func DecodeDirect(b []byte) []byte {
-	return make([]byte, binary.LittleEndian.Uint32(b)) // want "sized directly from a wire read"
-}
-
-// DecodeWrap is the decodeSample bug: m and p are individually checked,
-// but the element count is computed in uint32, wraps for large inputs,
-// and sails under the stale checks into the allocation.
+// DecodeWrap is the decodeSample bug: m and p are checked one by one,
+// but the element count is computed in uint32 and wraps.
 func DecodeWrap(b []byte) ([]float64, error) {
-	m := binary.LittleEndian.Uint32(b)
-	p := binary.LittleEndian.Uint32(b[4:])
+	m := binary.LittleEndian.Uint32(b)     // want "integer decode outside internal/wire/reader.go"
+	p := binary.LittleEndian.Uint32(b[4:]) // want "integer decode outside internal/wire/reader.go"
 	if m == 0 || m > maxVars || p > maxVars {
 		return nil, errRange
 	}
-	total := (1 + p) * m               // want "arithmetic on a decoded value can wrap"
-	return make([]float64, total), nil // want "no dominating bounds check"
+	return make([]float64, (1+p)*m), nil
 }
 
-// DecodeGood is the sanctioned shape: widen first, bound the final
-// count against a declared cap, then allocate.
-func DecodeGood(b []byte) ([]float64, error) {
-	m := uint64(binary.LittleEndian.Uint32(b))
-	p := uint64(binary.LittleEndian.Uint32(b[4:]))
-	if m == 0 || m > maxVars || p > maxVars {
-		return nil, errRange
-	}
-	total := (1 + p) * m
-	if total > maxTotal {
-		return nil, errRange
-	}
-	return make([]float64, total), nil
+// BigEndian reads the same prefix in the other byte order.
+func BigEndian(b []byte) int {
+	return int(binary.BigEndian.Uint32(b)) // want "integer decode outside"
 }
 
-// CopyLoop derives offsets in a wide type from checked counts: clean.
-func CopyLoop(b []byte) ([]uint64, error) {
-	n := binary.LittleEndian.Uint32(b)
-	if uint64(n)*8 > uint64(len(b))-4 {
-		return nil, errRange
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[4+8*i:])
-	}
-	return out, nil
+// Stream decodes through binary.Read.
+func Stream(b []byte) (uint32, error) {
+	var n uint32
+	err := binary.Read(bytes.NewReader(b), binary.LittleEndian, &n) // want "integer decode outside"
+	return n, err
 }
 
-// AllowedProbe documents a deliberately unchecked scratch allocation.
-func AllowedProbe(b []byte) []byte {
-	n := binary.LittleEndian.Uint16(b)
-	//mfodlint:allow wirebounds fixture probe buffer is capped at 65535 by the uint16 read itself
-	return make([]byte, n)
+// Varint decodes a varint prefix.
+func Varint(b []byte) uint64 {
+	n, _ := binary.Uvarint(b) // want "integer decode outside"
+	return n
+}
+
+// Value takes a decode as a function value without calling it.
+func Value() func([]byte) uint64 {
+	return binary.LittleEndian.Uint64 // want "integer decode outside"
+}
+
+// Encode writes integers: the Append and Put encoders are not findings.
+func Encode(n uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, n)
+	b = binary.AppendUvarint(b, uint64(n))
+	binary.BigEndian.PutUint16(b, 7)
+	return b
+}
+
+// AllowedTag documents a tolerated decode.
+func AllowedTag(b []byte) bool {
+	//mfodlint:allow wirebounds fixture tag compared with a constant, never a length
+	return binary.BigEndian.Uint16(b) == 0xCAFE
 }

@@ -2,332 +2,52 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"path/filepath"
 )
 
-// Wirebounds guards length-prefixed decoders against the PR 6
-// wire.decodeSample class of bug: a count read off the wire was used in
-// uint32 arithmetic (`(1+p)*m`), wrapped, and passed a stale bounds
-// check before sizing an allocation. The rule has two halves, applied
-// to any function that reads integers through an encoding/binary byte
-// order (binary.LittleEndian.Uint32 and friends):
-//
-//  1. every make() whose length or capacity derives from a decoded
-//     value must be dominated by an if/for condition that compares that
-//     value (against a declared cap, the remaining body size, ...), and
-//  2. arithmetic (+ - * <<) on a decoded value must be carried out in a
-//     64-bit (or platform-word) type — narrow uint32/int32/uint16
-//     results can wrap below the very bound that was just checked.
-//
-// Taint propagates through assignments and conversions inside the
-// function; widening to uint64 satisfies rule 2 but not rule 1 (a
-// widened count still needs a cap check before it sizes a buffer).
+// Wirebounds keeps integer decoding of untrusted frames inside
+// internal/wire's reader (reader.go), whose count hands out a length
+// only as an int already checked against the bytes left (DESIGN.md §7).
+// Any encoding/binary integer decode elsewhere, called or taken as a
+// value, is a finding: outside the reader, a decoded length could size
+// an allocation or wrap in arithmetic before anything checks it (the
+// wire.decodeSample uint32 wrap class).
 var Wirebounds = &Analyzer{
 	Name: "wirebounds",
-	Doc: "in length-prefixed decoders, every allocation sized from decoded " +
-		"input must be dominated by a bounds check against a cap, and " +
-		"arithmetic on decoded values must be done in a wider type so it " +
-		"cannot wrap past the check (the wire.decodeSample wrap class)",
+	Doc: "encoding/binary integer decodes (byte-order Uint16/32/64, Read, Decode, " +
+		"varints) only in reader.go of internal/wire, whose count checks every " +
+		"length against the bytes left before a make can use it",
 	Run: runWirebounds,
 }
 
 func runWirebounds(p *Pass) {
 	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkDecoderFunc(p, fd.Body)
-			}
+		if pathBase(p.Path) == "wire" && filepath.Base(p.Fset.File(f.Pos()).Name()) == "reader.go" {
+			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				checkDecoderFunc(p, lit.Body)
+			if id, ok := n.(*ast.Ident); ok && isIntDecode(p.Info.Uses[id]) {
+				p.Reportf(id.Pos(), "encoding/binary integer decode outside internal/wire/reader.go: "+
+					"read frames through the wire reader, whose count checks a length against the bytes left before anything can allocate from it")
 			}
 			return true
 		})
 	}
 }
 
-// checkDecoderFunc analyzes one function body. Functions that never
-// read through a binary byte order are not decoders and are skipped.
-func checkDecoderFunc(p *Pass, body *ast.BlockStmt) {
-	reads := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isWireRead(p, call) {
-			reads = true
-		}
-		return true
-	})
-	if !reads {
-		return
-	}
-
-	tainted := taintedVars(p, body)
-	exprTainted := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.CallExpr:
-				if isWireRead(p, n) {
-					found = true
-				}
-			case *ast.Ident:
-				if v, ok := p.Info.Uses[n].(*types.Var); ok && tainted[v] {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
-	}
-
-	// Positions of conditions that compare each tainted var: a make
-	// after such a condition is considered bounds-checked.
-	checkPos := map[*types.Var][]token.Pos{}
-	recordChecks := func(cond ast.Expr) {
-		if cond == nil {
-			return
-		}
-		ast.Inspect(cond, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok {
-				return true
-			}
-			switch be.Op {
-			case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
-			default:
-				return true
-			}
-			for _, side := range []ast.Expr{be.X, be.Y} {
-				ast.Inspect(side, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok {
-						if v, ok := p.Info.Uses[id].(*types.Var); ok && tainted[v] {
-							checkPos[v] = append(checkPos[v], cond.Pos())
-						}
-					}
-					return true
-				})
-			}
-			return true
-		})
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.IfStmt:
-			recordChecks(s.Cond)
-		case *ast.ForStmt:
-			recordChecks(s.Cond)
-		case *ast.SwitchStmt:
-			recordChecks(s.Tag)
-		}
-		return true
-	})
-	checkedBefore := func(v *types.Var, pos token.Pos) bool {
-		for _, cp := range checkPos[v] {
-			if cp < pos {
-				return true
-			}
-		}
-		return false
-	}
-
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || id.Name != "make" || len(call.Args) < 2 {
-			return true
-		}
-		if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); !isBuiltin {
-			return true
-		}
-		for _, size := range call.Args[1:] {
-			if !exprTainted(size) {
-				continue
-			}
-			unchecked := false
-			ast.Inspect(size, func(m ast.Node) bool {
-				if mid, ok := m.(*ast.Ident); ok {
-					if v, ok := p.Info.Uses[mid].(*types.Var); ok && tainted[v] && !checkedBefore(v, call.Pos()) {
-						unchecked = true
-					}
-				}
-				return true
-			})
-			if unchecked {
-				p.Reportf(call.Pos(),
-					"allocation sized from decoded input with no dominating bounds check: compare the decoded count against a declared cap (or the remaining body size) before make, or a hostile length prefix allocates unbounded memory")
-			}
-			// Direct wire read inside the size expression: nothing to
-			// check a named variable against, inherently unbounded.
-			direct := false
-			ast.Inspect(size, func(m ast.Node) bool {
-				if c, ok := m.(*ast.CallExpr); ok && isWireRead(p, c) {
-					direct = true
-				}
-				return true
-			})
-			if direct {
-				p.Reportf(call.Pos(),
-					"allocation sized directly from a wire read: bind the decoded count to a variable and bounds-check it against a cap before allocating")
-			}
-		}
-		return true
-	})
-
-	flagNarrowArith(p, body, exprTainted)
-}
-
-// flagNarrowArith reports the outermost arithmetic expression whose
-// result type is narrower than 64 bits and whose operands carry decoded
-// input — the exact shape that wrapped in wire.decodeSample.
-func flagNarrowArith(p *Pass, body *ast.BlockStmt, exprTainted func(ast.Expr) bool) {
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok {
-			if _, isLit := n.(*ast.FuncLit); isLit {
-				return false
-			}
-			return true
-		}
-		switch be.Op {
-		case token.ADD, token.SUB, token.MUL, token.SHL:
-		default:
-			return true
-		}
-		if !narrowInt(p, be) {
-			return true
-		}
-		if exprTainted(be.X) || exprTainted(be.Y) {
-			p.Reportf(be.OpPos,
-				"%s-typed arithmetic on a decoded value can wrap past its bounds check: widen the operands (uint64(x)) before computing sizes or offsets (the wire.decodeSample wrap class)", types.ExprString(typeExpr(p, be)))
-			return false // don't double-report nested sub-expressions
-		}
-		return true
-	}
-	ast.Inspect(body, visit)
-}
-
-// typeExpr is a tiny shim so the diagnostic can name the narrow type.
-func typeExpr(p *Pass, e ast.Expr) ast.Expr {
-	if tv, ok := p.Info.Types[e]; ok && tv.Type != nil {
-		return ast.NewIdent(tv.Type.String())
-	}
-	return ast.NewIdent("narrow")
-}
-
-// narrowInt reports whether e's static type is an integer narrower than
-// 64 bits with an explicit size (uint32 and friends). Platform-word int
-// and uint are 64-bit on every target this repo builds for and are
-// treated as wide.
-func narrowInt(p *Pass, e ast.Expr) bool {
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	if !ok {
-		return false
-	}
-	switch b.Kind() {
-	case types.Int8, types.Int16, types.Int32, types.Uint8, types.Uint16, types.Uint32:
-		return true
-	}
-	return false
-}
-
-// taintedVars computes, to a fixpoint, the set of local variables whose
-// value derives from a wire read: direct assignment from a
-// binary.ByteOrder Uint* call, or assignment from an expression that
-// references an already-tainted variable (covering conversions like
-// int(n) and derived offsets).
-func taintedVars(p *Pass, body *ast.BlockStmt) map[*types.Var]bool {
-	tainted := map[*types.Var]bool{}
-	carries := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.CallExpr:
-				if isWireRead(p, n) {
-					found = true
-				}
-			case *ast.Ident:
-				if v, ok := p.Info.Uses[n].(*types.Var); ok && tainted[v] {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
-	}
-	mark := func(lhs ast.Expr) bool {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		var v *types.Var
-		if d, ok := p.Info.Defs[id].(*types.Var); ok {
-			v = d
-		} else if u, ok := p.Info.Uses[id].(*types.Var); ok {
-			v = u
-		}
-		if v == nil || tainted[v] {
-			return false
-		}
-		tainted[v] = true
-		return true
-	}
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				if len(s.Lhs) == len(s.Rhs) {
-					for i, rhs := range s.Rhs {
-						if carries(rhs) && mark(s.Lhs[i]) {
-							changed = true
-						}
-					}
-				} else if len(s.Rhs) == 1 && carries(s.Rhs[0]) {
-					for _, lhs := range s.Lhs {
-						if mark(lhs) {
-							changed = true
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				for i, val := range s.Values {
-					if i < len(s.Names) && carries(val) {
-						if mark(s.Names[i]) {
-							changed = true
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return tainted
-}
-
-// isWireRead reports whether call reads an integer through an
-// encoding/binary byte order (binary.LittleEndian.Uint16/32/64 etc.) —
-// the source of all decoded-input taint.
-func isWireRead(p *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(p.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/binary" {
+// isIntDecode reports whether obj is an encoding/binary function or
+// method that decodes an integer from bytes or a stream.
+func isIntDecode(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/binary" {
 		return false
 	}
 	switch fn.Name() {
 	case "Uint16", "Uint32", "Uint64":
 		return !recvIsNil(fn)
+	case "Read", "Decode", "Uvarint", "Varint", "ReadUvarint", "ReadVarint":
+		return recvIsNil(fn)
 	}
 	return false
 }

@@ -1,7 +1,7 @@
 // Package stats provides the descriptive and robust statistics shared by
 // the smoothing, depth and detection algorithms: means, variances,
-// medians, MAD, quantiles, ranks and covariance matrices, together with
-// small deterministic random-sampling helpers.
+// medians, MAD and ranges, together with small deterministic
+// random-sampling helpers.
 package stats
 
 import (
@@ -92,30 +92,6 @@ func MAD(xs []float64) float64 {
 	return MADConsistency * Median(dev)
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics (type-7, the R default).
-// It returns NaN for an empty slice or q outside [0,1].
-func Quantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	tmp := make([]float64, n)
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	if n == 1 {
-		return tmp[0]
-	}
-	h := q * float64(n-1)
-	lo := int(math.Floor(h))
-	hi := int(math.Ceil(h))
-	if lo == hi {
-		return tmp[lo]
-	}
-	frac := h - float64(lo)
-	return tmp[lo]*(1-frac) + tmp[hi]*frac
-}
-
 // MinMax returns the smallest and largest values of xs. It returns
 // (NaN, NaN) for an empty slice.
 func MinMax(xs []float64) (lo, hi float64) {
@@ -132,29 +108,4 @@ func MinMax(xs []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// Ranks returns the 0-based ascending ranks of xs with ties receiving the
-// average of the ranks they span (midranks).
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		//mfodlint:allow floateq tie-group detection over one computed slice: ties are exact duplicates; a tolerance would merge near-ties
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j) / 2
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
 }

@@ -2,9 +2,7 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -79,44 +77,6 @@ func TestMADRobustToOutlier(t *testing.T) {
 	}
 }
 
-func TestQuantileKnown(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {1.0 / 3, 2},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEqual(got, c.want, 1e-12) {
-			t.Fatalf("Quantile(%g) = %g want %g", c.q, got, c.want)
-		}
-	}
-	if !math.IsNaN(Quantile(xs, -0.1)) || !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("invalid quantile input should give NaN")
-	}
-}
-
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(20)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			v := Quantile(xs, q)
-			if v < prev-1e-12 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	lo, hi := MinMax([]float64{3, -1, 7, 2})
 	if lo != -1 || hi != 7 {
@@ -125,37 +85,6 @@ func TestMinMax(t *testing.T) {
 	lo, hi = MinMax(nil)
 	if !math.IsNaN(lo) || !math.IsNaN(hi) {
 		t.Fatal("MinMax(nil) should be NaN,NaN")
-	}
-}
-
-func TestRanksWithTies(t *testing.T) {
-	got := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{0, 1.5, 1.5, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ranks = %v want %v", got, want)
-		}
-	}
-}
-
-func TestRanksArePermutationProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(15)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = float64(rng.Intn(5)) // force ties
-		}
-		ranks := Ranks(xs)
-		// Rank sum must equal 0+1+…+(n−1) regardless of ties.
-		var sum float64
-		for _, r := range ranks {
-			sum += r
-		}
-		return almostEqual(sum, float64(n*(n-1))/2, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

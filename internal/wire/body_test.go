@@ -413,25 +413,32 @@ func FuzzAppendDecode(f *testing.F) {
 }
 
 // BenchmarkDecodeBody decodes one Fig. 3 curve body, as EncodeJSON
-// renders it, through the scanner and through encoding/json.
+// renders it, through the scanner and through encoding/json, and the
+// same curve as a frame.
 func BenchmarkDecodeBody(b *testing.B) {
 	d, err := dataset.ECGBivariate(dataset.ECGOptions{N: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	raw, err := EncodeJSON(Body{Request: Request{Dataset: fda.Dataset{Samples: d.Samples[:1]}}})
+	req := Request{Dataset: fda.Dataset{Samples: d.Samples[:1]}}
+	raw, err := EncodeJSON(Body{Request: req})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for name, decode := range map[string]func([]byte) (Body, error){
-		"scanner":       func(data []byte) (Body, error) { return DecodeBody("application/json", data) },
-		"encoding_json": referenceBody,
+	for _, c := range []struct {
+		name   string
+		body   []byte
+		decode func([]byte) (Body, error)
+	}{
+		{"scanner", raw, func(data []byte) (Body, error) { return DecodeBody("application/json", data) }},
+		{"encoding_json", raw, referenceBody},
+		{"frame", EncodeRequest(req), func(data []byte) (Body, error) { return DecodeBody(ContentType, data) }},
 	} {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := decode(raw); err != nil {
+				if _, err := c.decode(c.body); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 )
 
@@ -64,35 +65,29 @@ func AppendScores(dst []byte, s Scores) []byte {
 	return dst
 }
 
-// DecodeScores parses one scores frame, with the same discipline as
-// DecodeRequest: the count prefix is validated against the bytes
+// DecodeScores parses one scores frame through the reader DecodeRequest
+// uses (reader.go): the count prefix is checked against the bytes
 // actually present before the values slice is allocated, trailing bytes
 // are an error, and every failure wraps ErrWire.
 func DecodeScores(data []byte) (Scores, error) {
-	if len(data) < scoresHeaderSize {
-		return Scores{}, errf("scores frame of %d bytes is shorter than the %d-byte header", len(data), scoresHeaderSize)
+	r, err := newReader(data, scoresMagic, scoresHeaderSize)
+	if err != nil {
+		return Scores{}, fmt.Errorf("scores: %w", err)
 	}
-	if [4]byte(data[:4]) != scoresMagic {
-		return Scores{}, errf("bad scores magic % x (is the body really %s?)", data[:4], ScoresContentType)
+	start := r.u64()
+	n, err := r.count(8)
+	if err != nil {
+		return Scores{}, fmt.Errorf("scores count: %w", err)
 	}
-	if v := data[4]; v != Version {
-		return Scores{}, errf("unsupported scores frame version %d (this reader speaks %d)", v, Version)
-	}
-	if data[5] != 0 || data[6] != 0 || data[7] != 0 {
-		return Scores{}, errf("reserved scores header bytes are not zero")
-	}
-	start := binary.LittleEndian.Uint64(data[8:16])
-	count := binary.LittleEndian.Uint32(data[16:20])
-	rest := data[scoresHeaderSize:]
-	if uint64(count) != uint64(len(rest)/8) || len(rest)%8 != 0 {
-		return Scores{}, errf("scores frame claims %d values but carries %d trailing bytes", count, len(rest))
-	}
-	if start > math.MaxInt64 || uint64(int(start))+uint64(count) > math.MaxInt64 {
+	if start > math.MaxInt64-uint64(n) {
 		return Scores{}, errf("scores frame start %d overflows", start)
 	}
-	s := Scores{Start: int(start), Values: make([]float64, count)}
-	for i := range s.Values {
-		s.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i : 8*i+8]))
+	s := Scores{Start: int(start)}
+	if s.Values, err = r.floats(n); err != nil {
+		return Scores{}, err
+	}
+	if err := r.done(); err != nil {
+		return Scores{}, fmt.Errorf("scores: %w", err)
 	}
 	return s, nil
 }

@@ -8,6 +8,8 @@
 // request bodies to well under half their JSON size (see
 // BENCH_serve.json) while decoding in a single allocation-bounded walk
 // over the buffer — no reflection, no intermediate buffers, no unsafe.
+// Both frames of the package, this request frame and the scores frame
+// (scores.go), are decoded through one reader (reader.go).
 //
 // The frame layout is versioned and fully specified in DESIGN.md
 // ("Binary wire format"). In short (all integers little-endian):
@@ -28,12 +30,13 @@
 //	p × 8*m      value columns, float64 LE (parameter k contiguous)
 //
 // The m and p fields are the length prefixes of the float64 columns
-// that follow; every length is validated against the bytes actually
-// remaining before any slice is allocated, so a hostile frame can
-// neither over-allocate nor panic the decoder (FuzzWireDecode locks
-// this in). Unknown versions and trailing garbage are errors: the
-// format evolves by bumping the version byte, never by silently
-// tolerating mystery bytes.
+// that follow. The reader is the only code that decodes an integer off
+// a frame, and it gives out a length only through its count, as an int
+// already checked against the bytes remaining, so a hostile frame can
+// neither over-allocate nor panic a decoder (FuzzWireDecode locks this
+// in for both frames). Unknown versions and trailing garbage are
+// errors: the format evolves by bumping the version byte, never by
+// silently tolerating mystery bytes.
 package wire
 
 import (
@@ -117,90 +120,58 @@ func AppendRequest(dst []byte, req Request) []byte {
 	return dst
 }
 
-// errf wraps a decode failure in ErrWire.
-func errf(format string, args ...any) error {
-	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), ErrWire)
-}
-
-// DecodeRequest parses one frame. The decode is a single forward walk
-// over data: each length prefix is checked against the bytes remaining
-// before its column slice is allocated, so truncated or lying frames
-// error out without large allocations. The returned dataset owns fresh
-// slices; data may be reused afterwards.
+// DecodeRequest parses one frame in a single forward walk of a reader
+// (reader.go): every length comes out of its count, checked against the
+// bytes left before the slice it sizes is allocated, so truncated or
+// lying frames error out without large allocations. The returned dataset
+// owns fresh slices; data may be reused afterwards.
 //
 // Structural curve invariants (finite values, increasing times, uniform
 // dimension) are deliberately not enforced here — the serving layer's
 // sanitizer owns those rules for JSON and binary bodies alike.
 func DecodeRequest(data []byte) (Request, error) {
-	if len(data) < headerSize {
-		return Request{}, errf("frame of %d bytes is shorter than the %d-byte header", len(data), headerSize)
+	r, err := newReader(data, magic, headerSize)
+	if err != nil {
+		return Request{}, err
 	}
-	if [4]byte(data[:4]) != magic {
-		return Request{}, errf("bad magic % x (is the body really %s?)", data[:4], ContentType)
+	explain := r.u32()
+	// Each sample record is at least its 8 bytes of lengths.
+	n, err := r.count(8)
+	if err != nil {
+		return Request{}, fmt.Errorf("sample count: %w", err)
 	}
-	if v := data[4]; v != Version {
-		return Request{}, errf("unsupported frame version %d (this reader speaks %d)", v, Version)
-	}
-	if data[5] != 0 || data[6] != 0 || data[7] != 0 {
-		return Request{}, errf("reserved header bytes are not zero")
-	}
-	explain := binary.LittleEndian.Uint32(data[8:12])
-	nsamples := binary.LittleEndian.Uint32(data[12:16])
-	rest := data[headerSize:]
-	// Each sample record is at least 8 bytes of lengths, so a frame
-	// claiming more samples than rest/8 is lying — reject before
-	// allocating the sample slice it promises.
-	if uint64(nsamples) > uint64(len(rest)/8) {
-		return Request{}, errf("%d samples cannot fit in %d remaining bytes", nsamples, len(rest))
-	}
-	req := Request{
-		Explain: int(explain),
-		Dataset: fda.Dataset{Samples: make([]fda.Sample, nsamples)},
-	}
+	req := Request{Explain: int(explain), Dataset: fda.Dataset{Samples: make([]fda.Sample, n)}}
 	for i := range req.Dataset.Samples {
-		s, n, err := decodeSample(rest, i)
-		if err != nil {
-			return Request{}, err
+		if req.Dataset.Samples[i], err = decodeSample(&r); err != nil {
+			return Request{}, fmt.Errorf("sample %d: %w", i, err)
 		}
-		req.Dataset.Samples[i] = s
-		rest = rest[n:]
 	}
-	if len(rest) != 0 {
-		return Request{}, errf("%d trailing bytes after the last sample", len(rest))
+	if err := r.done(); err != nil {
+		return Request{}, err
 	}
 	return req, nil
 }
 
-// decodeSample parses one sample record from the front of data,
-// returning the sample and the bytes consumed.
-func decodeSample(data []byte, idx int) (fda.Sample, int, error) {
-	if len(data) < 8 {
-		return fda.Sample{}, 0, errf("sample %d: record truncated before its length prefixes", idx)
+// decodeSample reads one sample record: m, counted at 8 bytes per point
+// of the times column; p, counted at 8m bytes per value column, so a
+// sample without points has no parameters; then the columns.
+func decodeSample(r *reader) (fda.Sample, error) {
+	m, err := r.count(8)
+	if err != nil {
+		return fda.Sample{}, err
 	}
-	m := binary.LittleEndian.Uint32(data[0:4])
-	p := binary.LittleEndian.Uint32(data[4:8])
-	body := uint64(len(data) - 8)
-	// 8*m*(1+p) bytes of columns must be present; do the comparison in
-	// the division domain so a huge m×p cannot overflow the check, and
-	// compute 1+p in uint64 so p=0xFFFFFFFF cannot wrap it to zero.
-	if m > 0 && (uint64(m) > body/8 || uint64(p)+1 > body/8/uint64(m)) {
-		return fda.Sample{}, 0, errf("sample %d: %d points × %d parameters exceed the %d remaining bytes", idx, m, p, body)
+	p, err := r.count(8 * uint64(m))
+	if err != nil {
+		return fda.Sample{}, err
 	}
-	if m == 0 && p > 0 {
-		return fda.Sample{}, 0, errf("sample %d: %d parameters with zero measurement points", idx, p)
+	s := fda.Sample{Values: make([][]float64, p)}
+	if s.Times, err = r.floats(m); err != nil {
+		return fda.Sample{}, err
 	}
-	s := fda.Sample{Times: make([]float64, m), Values: make([][]float64, p)}
-	off := 8
-	readCol := func(col []float64) {
-		for j := range col {
-			col[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
-			off += 8
+	for k := range s.Values {
+		if s.Values[k], err = r.floats(m); err != nil {
+			return fda.Sample{}, err
 		}
 	}
-	readCol(s.Times)
-	for k := range s.Values {
-		s.Values[k] = make([]float64, m)
-		readCol(s.Values[k])
-	}
-	return s, off, nil
+	return s, nil
 }

@@ -233,9 +233,11 @@ func TestSpecialFloatsSurviveTheWire(t *testing.T) {
 	}
 }
 
-// FuzzWireDecode: the decoder must never panic and never allocate past
-// the frame's own size class, whatever the bytes. Valid decodes must
-// re-encode to the identical frame (canonical encoding).
+// FuzzWireDecode: neither decoder may panic or allocate past the
+// frame's own size class, whatever the bytes. Every input goes to both
+// the request and the scores decoder; each either fails with ErrWire or
+// decodes a frame that re-encodes to the identical bytes (canonical
+// encoding).
 func FuzzWireDecode(f *testing.F) {
 	ds := fda.Dataset{Samples: []fda.Sample{
 		{Times: []float64{0, 0.5, 1}, Values: [][]float64{{1, 2, 3}, {4, 5, 6}}},
@@ -246,20 +248,101 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`{"samples":[]}`))
 	f.Add(make([]byte, headerSize))
 	f.Add(hostileParamsFrame())
+	scores := EncodeScores(Scores{Start: 5, Values: []float64{0.25, math.NaN(), -1}})
+	f.Add(scores)
+	lying := append([]byte(nil), scores...)
+	binary.LittleEndian.PutUint32(lying[16:], 4) // count claims one value more than it carries
+	f.Add(lying)
+	overflow := append([]byte(nil), scores...)
+	binary.LittleEndian.PutUint64(overflow[8:], math.MaxInt64-1) // start + count passes MaxInt64
+	f.Add(overflow)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeRequest(data)
-		if err != nil {
+		if req, err := DecodeRequest(data); err != nil {
 			if !errors.Is(err, ErrWire) {
-				t.Fatalf("non-ErrWire failure: %v", err)
+				t.Fatalf("request: non-ErrWire failure: %v", err)
 			}
-			return
+		} else if re := EncodeRequest(req); !bytes.Equal(re, data) {
+			t.Fatalf("request decode/encode is not the identity on a valid %d-byte frame", len(data))
 		}
-		// A frame that decoded must be the canonical encoding of what it
-		// decoded to: re-encoding reproduces the input bytes exactly.
-		if re := EncodeRequest(req); !bytes.Equal(re, data) {
-			t.Fatalf("decode/encode is not the identity on a valid %d-byte frame", len(data))
+		if s, err := DecodeScores(data); err != nil {
+			if !errors.Is(err, ErrWire) {
+				t.Fatalf("scores: non-ErrWire failure: %v", err)
+			}
+		} else if re := EncodeScores(s); !bytes.Equal(re, data) {
+			t.Fatalf("scores decode/encode is not the identity on a valid %d-byte frame", len(data))
 		}
 	})
+}
+
+// TestReaderCount: count admits a length exactly when count × elemSize
+// fits the bytes left after its prefix, and consumes only the prefix.
+func TestReaderCount(t *testing.T) {
+	prefixed := func(n uint32, left int) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, n), make([]byte, left)...)
+	}
+	cases := []struct {
+		name     string
+		frame    []byte
+		elemSize uint64
+		want     int // -1: refused
+	}{
+		{"exact fit", prefixed(3, 24), 8, 3},
+		{"one byte short", prefixed(3, 23), 8, -1},
+		{"count 0xFFFFFFFF", prefixed(0xFFFFFFFF, 64), 8, -1},
+		{"count 0xFFFFFFFF of one-byte elements", prefixed(0xFFFFFFFF, 64), 1, -1},
+		{"zero elemSize, count 0", prefixed(0, 8), 0, 0},
+		{"zero elemSize, count 1", prefixed(1, 8), 0, -1},
+		{"no room for the prefix", []byte{1, 0, 0}, 8, -1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := reader{rest: c.frame}
+			n, err := r.count(c.elemSize)
+			if c.want < 0 {
+				if !errors.Is(err, ErrWire) {
+					t.Fatalf("count = %d, %v; want ErrWire", n, err)
+				}
+				return
+			}
+			if err != nil || n != c.want {
+				t.Fatalf("count = %d, %v; want %d", n, err, c.want)
+			}
+			if len(r.rest) != len(c.frame)-4 {
+				t.Fatalf("%d bytes left after the prefix, want %d", len(r.rest), len(c.frame)-4)
+			}
+		})
+	}
+}
+
+// TestDecodeAllocations pins what a decode allocates: the sample slice
+// plus, per sample, its times, its value-column slice and each column
+// (1 + n(2 + p) for n curves of p parameters), and the values slice of a
+// scores frame. Nothing is allocated on the success path beyond what
+// the decoded value holds.
+func TestDecodeAllocations(t *testing.T) {
+	d, err := dataset.ECGBivariate(dataset.ECGOptions{N: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(decode func() error) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if err := decode(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, n := range []int{1, 4} {
+		frame := EncodeRequest(Request{Dataset: fda.Dataset{Samples: d.Samples[:n]}})
+		want := 1 + n*(2+len(d.Samples[0].Values))
+		got := allocs(func() error { _, err := DecodeRequest(frame); return err })
+		if got != float64(want) {
+			t.Errorf("%d Fig. 3 curves: %.0f allocations per DecodeRequest, want %d", n, got, want)
+		}
+	}
+	scores := EncodeScores(Scores{Start: 256, Values: make([]float64, 256)})
+	if got := allocs(func() error { _, err := DecodeScores(scores); return err }); got != 1 {
+		t.Errorf("%.0f allocations per DecodeScores, want 1", got)
+	}
 }
 
 // TestEncodedSizeMatchesJSONBaseline pins the byte-accounting helpers
