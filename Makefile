@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint lint-audit test test-race test-chaos bench bench-smoke bench-hotpath bench-serve bench-slo bench-jobs bench-streaming fuzz check
+.PHONY: build vet lint lint-audit test ledger test-race test-chaos bench bench-smoke bench-hotpath bench-serve bench-slo bench-jobs bench-streaming fuzz check
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,14 @@ lint-audit:
 
 test:
 	$(GO) test ./...
+
+# Regenerate the bitwise score ledger (testdata/score_ledger.json) after
+# an intentional numeric change, next to the 1e-12 goldens' line:
+#   go test -run 'TestGoldenScores$$|TestGoldenStreamScores' -update .
+# The ledger records the Go release that writes it and compares only on
+# amd64 under that release; CI's ledger job sets that release up.
+ledger:
+	$(GO) test -count=1 -run 'TestScoreLedger$$' -update .
 
 # The race suite focuses on the concurrent paths: the serving subsystem,
 # the gateway tier (hedged legs, topology watcher, health prober), the

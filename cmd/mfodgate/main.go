@@ -136,15 +136,12 @@ func run(o gateOptions) error {
 	if err != nil {
 		return err
 	}
-	metrics := gate.NewMetrics()
 	stop := make(chan struct{})
 	defer close(stop)
 	table.Watch(o.watch, stop, func(err error) {
 		if err != nil {
 			logger.Error("topology reload failed, previous fleet keeps serving", "err", err)
-			return
 		}
-		metrics.ObserveTopologyReload()
 	})
 	health := &gate.Health{
 		Interval:  o.healthInterval,
@@ -170,7 +167,7 @@ func run(o gateOptions) error {
 	g, err := gate.New(gate.Config{
 		Table:            table,
 		Health:           health,
-		Metrics:          metrics,
+		Metrics:          gate.NewMetrics(),
 		Logger:           logger,
 		HedgeDelay:       o.hedge,
 		Timeout:          o.timeout,

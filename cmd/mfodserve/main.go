@@ -174,7 +174,6 @@ func run(o serveOptions) error {
 			Max:    o.limitMax,
 			Target: o.limitTarget,
 		})
-		metrics.RegisterConcurrencyLimit(limiter.Limit)
 	}
 	var jobsMgr *jobs.Manager
 	if o.jobsEnable {

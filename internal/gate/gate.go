@@ -74,7 +74,7 @@ type Config struct {
 //
 //	POST /v1/score?model={name}     forwarded to the model's shard (hedged)
 //	POST /v1/reload?model={name}    broadcast to every replica
-//	GET  /v1/models                 proxied to the first healthy replica
+//	GET  /v1/models                 forwarded to one replica (a uniform fleet answers alike)
 //	GET  /v1/models/{name}          forwarded to the model's shard
 //	GET  /v1/topology               current fleet, routing and health view
 //	POST /v1/jobs                   async bulk scoring, scatter/gathered (EnableJobs)
@@ -128,6 +128,9 @@ func New(cfg Config) (*Gate, error) {
 	if cfg.Brownout == nil {
 		cfg.Brownout = NewBrownout(BrownoutOptions{SlowAfter: cfg.Timeout / 2})
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetrics()
+	}
 	g := &Gate{
 		cfg:     cfg,
 		hedge:   resilience.Hedge{Delay: cfg.HedgeDelay},
@@ -159,13 +162,25 @@ func New(cfg Config) (*Gate, error) {
 		}
 		g.jobs = mgr
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.RegisterFleetGauges(
-			func() int { return g.cfg.Table.Fleet().ring.Len() },
-			cfg.Health.Snapshot,
-		)
-		cfg.Metrics.RegisterBrownout(cfg.Brownout.Active)
-	}
+	r := cfg.Metrics.reg
+	r.GaugeFunc("mfodgate_replicas", "Replicas in the current topology.", func() int { return cfg.Table.Fleet().ring.Len() })
+	r.GaugeFunc("mfodgate_replica_down", "Replicas currently failing health checks.", func() int {
+		return len(cfg.Health.Snapshot())
+	})
+	r.InfoFunc("mfodgate_replica_down_info", "One series per replica currently failing health checks.", "replica", func() []string {
+		var names []string
+		for n := range cfg.Health.Snapshot() {
+			names = append(names, n)
+		}
+		return names
+	})
+	r.GaugeFunc("mfodgate_brownout", "Whether the gate is in brownout mode (hedges suppressed).", func() int {
+		if cfg.Brownout.Active() {
+			return 1
+		}
+		return 0
+	})
+	r.CounterFunc("mfodgate_topology_reloads_total", "Successful topology hot-reloads.", cfg.Table.reloads.Load)
 	return g, nil
 }
 
@@ -251,11 +266,12 @@ func (g *Gate) Handler() http.Handler {
 		_, ok := g.served.Load(model)
 		return ok
 	})
-	t.Probes(g.ready, g.cfg.Metrics.WritePrometheus)
+	t.Probes(g.ready, g.cfg.Metrics.reg.WritePrometheus)
 	t.Handle(httpapi.Score, g.handleScore)
 	t.Handle(httpapi.Reload, g.handleReload)
-	t.Handle(httpapi.Models, g.handleList)
-	t.Handle(httpapi.ModelInfo, g.forward("name"))
+	byModel := g.forward("name")
+	t.Handle(httpapi.Models, byModel)
+	t.Handle(httpapi.ModelInfo, byModel)
 	t.Handle(httpapi.Topology, g.handleTopology)
 	g.mountStreams(t)
 	if g.jobs != nil {
@@ -328,28 +344,6 @@ func (g *Gate) handleTopology(r *http.Request, _ []byte) httpapi.Reply {
 		}
 	}
 	return httpapi.JSON(out)
-}
-
-// handleList proxies the model listing to the first healthy replica:
-// every replica of a uniform fleet answers identically, and a sharded
-// fleet's union view is an operator concern /v1/topology covers better.
-func (g *Gate) handleList(r *http.Request, _ []byte) httpapi.Reply {
-	f := g.cfg.Table.Fleet()
-	for _, name := range f.ring.Names() {
-		if !g.cfg.Health.Up(name) {
-			continue
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, f.urls[name]+"/v1/models", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			continue
-		}
-		return httpapi.Relay(resp, nil)
-	}
-	return httpapi.Errorf(http.StatusBadGateway, "no healthy replica answered the model listing")
 }
 
 // handleReload broadcasts a model reload to every replica — a sharded
@@ -441,7 +435,7 @@ func (g *Gate) score(r *http.Request, raw []byte, model string) httpapi.Reply {
 		budget, berr = nil, ferr
 	}
 	if berr != nil {
-		g.cfg.Metrics.ObserveDeadlineRejected()
+		g.cfg.Metrics.deadlineRejected.Inc()
 		return httpapi.Errorf(http.StatusBadRequest, "%v", berr)
 	}
 	if budget == nil {
@@ -450,7 +444,7 @@ func (g *Gate) score(r *http.Request, raw []byte, model string) httpapi.Reply {
 		budget = resilience.NewBudget(g.cfg.Timeout)
 	}
 	if budget.Expired() {
-		g.cfg.Metrics.ObserveDeadlineExpired()
+		g.cfg.Metrics.deadlineExpired.Inc()
 		return httpapi.Errorf(http.StatusGatewayTimeout, "deadline in %s already expired", resilience.DeadlineHeader)
 	}
 	body, uerr := upstreamBody(r, raw)
@@ -465,9 +459,9 @@ func (g *Gate) score(r *http.Request, raw []byte, model string) httpapi.Reply {
 	leg := func(name string) func(ctx context.Context) (*http.Response, error) {
 		return func(ctx context.Context) (*http.Response, error) {
 			resp, err := g.client(name).Do(ctx, http.MethodPost, target(name), wire.ContentType, "", body)
-			g.cfg.Metrics.ObserveReplica(name, err == nil)
+			g.cfg.Metrics.replicas.Inc(name, outcome(err))
 			if err == nil {
-				g.cfg.Metrics.ObserveUpstreamBytes("wire", len(body))
+				g.cfg.Metrics.upstreamBytes.Add(uint64(len(body)), "wire")
 				g.answered(model, resp)
 			}
 			return resp, err
@@ -484,7 +478,7 @@ func (g *Gate) score(r *http.Request, raw []byte, model string) httpapi.Reply {
 			// a primary that *fails*, it just no longer races one that is
 			// merely slow.
 			suppressed = true
-			g.cfg.Metrics.ObserveHedgeSuppressed()
+			g.cfg.Metrics.hedgesSuppressed.Inc()
 		}
 	}
 	// The per-hop timeout is capped at the remaining budget: this hop
@@ -503,13 +497,16 @@ func (g *Gate) score(r *http.Request, raw []byte, model string) httpapi.Reply {
 		race = g.hedge.DoFailoverOnly
 	}
 	resp, winner, err := race(ctx, leg(primary), secondaryLeg)
-	g.cfg.Metrics.ObserveHedge(winner == resilience.Secondary, winner.String())
+	if winner == resilience.Secondary {
+		g.cfg.Metrics.hedges.Inc()
+	}
+	g.cfg.Metrics.legWins.Inc(winner.String())
 	if err != nil {
 		cancel()
 		// Both legs failed (or the only leg did): the fleet could not
 		// answer. 504 on a spent deadline or budget, 502 otherwise.
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, resilience.ErrBudgetExhausted) {
-			g.cfg.Metrics.ObserveDeadlineExpired()
+			g.cfg.Metrics.deadlineExpired.Inc()
 			return httpapi.Errorf(http.StatusGatewayTimeout, "fleet did not answer within %v", timeout)
 		}
 		return httpapi.Errorf(http.StatusBadGateway, "fleet error via %s: %v", primary, err)

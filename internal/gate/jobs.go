@@ -44,7 +44,7 @@ func (g *Gate) ScoreChunk(ctx context.Context, model string, c jobs.Chunk) ([]fl
 		u := scoreURL(f.urls[name], "/v1/score", model,
 			map[string][]string{"start": {strconv.Itoa(c.Start)}})
 		resp, err := g.client(name).Do(ctx, http.MethodPost, u, wire.ContentType, wire.ScoresContentType, body)
-		g.cfg.Metrics.ObserveReplica(name, err == nil)
+		g.cfg.Metrics.replicas.Inc(name, outcome(err))
 		if err != nil {
 			lastErr = fmt.Errorf("replica %s: %w", name, err)
 			continue

@@ -1,11 +1,14 @@
 package gate
 
 import (
+	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // familyBlocks splits an exposition page into family blocks keyed by
@@ -63,36 +66,52 @@ func compareGoldenPage(t *testing.T, page, golden string) {
 }
 
 // TestMetricsGoldenPage pins every family the gate exports, byte for
-// byte: each family gets at least one series, every scrape-time source
-// is installed, and a counter above 1e6 pins integer rendering next to
-// the %g forms of histogram bounds and sums.
+// byte: each family gets at least one series, every scrape-time family
+// reads a live owner (a three-replica table with one hot reload, a
+// health view with two replicas down, a brownout in force), and a
+// counter above 1e6 pins integer rendering next to the %g forms of
+// histogram bounds and sums.
 func TestMetricsGoldenPage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "topology.json")
+	writeTopo(t, path, `{"replicas":[{"name":"r1","url":"http://127.0.0.1:1"},`+
+		`{"name":"r2","url":"http://127.0.0.1:2"},{"name":"r3","url":"http://127.0.0.1:3"}]}`)
+	table, err := LoadTable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table.reloads.Add(1)
+	brownout := NewBrownout(BrownoutOptions{Window: time.Hour, MinSamples: 1})
+	brownout.Observe(http.StatusInternalServerError, 0)
 	m := NewMetrics()
+	_, err = New(Config{
+		Table:    table,
+		Health:   &Health{down: map[string]bool{"r3": true, "r2": true}},
+		Metrics:  m,
+		Brownout: brownout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.ObserveRequest("m0", 200, 12)
 	m.ObserveRequest("m0", 200, 0.0034)
 	m.ObserveRequest("m0", 200, 0.7)
 	m.ObserveRequest("(stream)", 200, 0.02)
 	m.ObserveRequest("m0", 502, 0.3)
-	m.ObserveReplica("r1", true)
-	m.ObserveReplica("r1", true)
-	m.ObserveReplica("r2", false)
-	m.ObserveReplica("r3", true)
-	m.ObserveHedge(true, "secondary")
-	m.ObserveHedge(false, "primary")
-	m.ObserveHedge(false, "primary")
-	m.ObserveUpstreamBytes("wire", 1_234_567)
-	m.ObserveUpstreamBytes("json", 640)
-	m.ObserveHedgeSuppressed()
-	m.ObserveDeadlineRejected()
-	m.ObserveDeadlineRejected()
-	m.ObserveDeadlineExpired()
-	m.ObserveTopologyReload()
-	m.RegisterBrownout(func() bool { return true })
-	m.RegisterFleetGauges(
-		func() int { return 3 },
-		func() map[string]bool { return map[string]bool{"r3": true, "r2": true} },
-	)
+	m.replicas.Inc("r1", outcome(nil))
+	m.replicas.Inc("r1", outcome(nil))
+	m.replicas.Inc("r2", outcome(errors.New("connection refused")))
+	m.replicas.Inc("r3", outcome(nil))
+	m.hedges.Inc()
+	m.legWins.Inc("secondary")
+	m.legWins.Inc("primary")
+	m.legWins.Inc("primary")
+	m.upstreamBytes.Add(1_234_567, "wire")
+	m.upstreamBytes.Add(640, "json")
+	m.hedgesSuppressed.Inc()
+	m.deadlineRejected.Inc()
+	m.deadlineRejected.Inc()
+	m.deadlineExpired.Inc()
 	var sb strings.Builder
-	m.WritePrometheus(&sb)
+	m.reg.WritePrometheus(&sb)
 	compareGoldenPage(t, sb.String(), filepath.Join("testdata", "metrics_golden.prom"))
 }

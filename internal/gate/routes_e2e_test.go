@@ -6,8 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/gate"
 	"repro/internal/httpapi"
@@ -51,6 +53,60 @@ func TestGateModelInfo(t *testing.T) {
 	}
 	if code, _, eb := answer(t, "GET", h.base+"/v1/models/zz-unknown", nil); code != http.StatusNotFound || !strings.Contains(eb.Error.Message, "unknown model") {
 		t.Fatalf("unknown model info = %d %+v, want the replica's 404", code, eb)
+	}
+}
+
+// TestGateModelListingTimeout: the model listing rides the gate's
+// forward path, so a replica that accepts the connection and never
+// answers /v1/models costs the client the gate's Timeout and a 504,
+// with the failed leg on mfodgate_replica_requests_total, instead of
+// holding the request until the client gives up.
+func TestGateModelListingTimeout(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/models" {
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) })
+	topo := filepath.Join(t.TempDir(), "topology.json")
+	writeTopology(t, topo, map[string]string{"r1": hung.URL})
+	table, err := gate.LoadTable(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 300 * time.Millisecond
+	g, err := gate.New(gate.Config{Table: table, Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(g.Handler())
+	t.Cleanup(front.Close)
+
+	client := &http.Client{Timeout: 3 * time.Second}
+	start := time.Now()
+	resp, err := client.Get(front.URL + "/v1/models")
+	if err != nil {
+		t.Fatalf("the listing was still open after %v: %v", time.Since(start), err)
+	}
+	resp.Body.Close()
+	if elapsed := time.Since(start); resp.StatusCode != http.StatusGatewayTimeout || elapsed > timeout+time.Second {
+		t.Fatalf("listing over a hung replica = %d after %v, want 504 within the gate's %v timeout", resp.StatusCode, elapsed, timeout)
+	}
+	page, err := client.Get(front.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(page.Body)
+	page.Body.Close()
+	if want := `mfodgate_replica_requests_total{replica="r1",outcome="error"}`; !strings.Contains(string(raw), want) {
+		t.Fatalf("gate page lacks the failed listing leg %s:\n%s", want, raw)
 	}
 }
 

@@ -32,13 +32,15 @@ func (g *Gate) mountStreams(t *httpapi.Table) {
 }
 
 // forward returns the handler that sends a request to the home replica
-// of its path value key (a model name or a stream id), walking the ring
-// order on transport failures, and relays the first answer: any HTTP
-// status is authoritative for that key's home. The gate's timeout
-// bounds the walk, except for a stream watch, which lives as long as
-// its client wants; failover applies only to the connect, and a watch
-// whose upstream breaks ends, so the client reconnects through the gate
-// to the stream's new home.
+// of its path value key (a model name or a stream id), walking the
+// health-ranked ring order on transport failures, and relays the first
+// answer: any HTTP status is authoritative for that key's home. The
+// model listing has no path value; it goes to the home of the empty
+// key, since every replica of a uniform fleet lists alike. The gate's
+// timeout bounds the walk, except for a stream watch, which lives as
+// long as its client wants; failover applies only to the connect, and a
+// watch whose upstream breaks ends, so the client reconnects through
+// the gate to the stream's new home.
 func (g *Gate) forward(key string) httpapi.Handler {
 	return func(r *http.Request, body []byte) httpapi.Reply {
 		id := r.PathValue(key)
@@ -61,7 +63,7 @@ func (g *Gate) forward(key string) httpapi.Handler {
 				target += "?" + q
 			}
 			resp, err := g.client(name).Do(ctx, r.Method, target, contentType, "", body)
-			g.cfg.Metrics.ObserveReplica(name, err == nil)
+			g.cfg.Metrics.replicas.Inc(name, outcome(err))
 			if err == nil {
 				return httpapi.Relay(resp, cancel)
 			}

@@ -109,6 +109,10 @@ type Table struct {
 	// so the poller reloads only when the file visibly changed.
 	lastMod  time.Time
 	lastSize int64
+
+	// reloads counts Watch's successful hot reloads; the gate's page
+	// reads it at scrape time.
+	reloads atomic.Uint64
 }
 
 // LoadTable reads the topology file at path and returns a table
@@ -174,7 +178,8 @@ func (t *Table) changed() bool {
 
 // Watch polls the topology file every interval and hot-reloads it on
 // change until stop is closed. Every hot reload's outcome is reported to
-// onReload — may be nil — with a nil error on success. On a failure
+// onReload — may be nil — with a nil error on success, and each success
+// is counted in mfodgate_topology_reloads_total. On a failure
 // (mid-write truncation, validation errors) the previous fleet keeps
 // serving and the next tick retries. Watch only touches Table fields
 // behind the atomic snapshot, so it is safe next to concurrent routing.
@@ -194,7 +199,11 @@ func (t *Table) Watch(interval time.Duration, stop <-chan struct{}, onReload fun
 				if !t.changed() {
 					continue
 				}
-				if err := t.Reload(); onReload != nil {
+				err := t.Reload()
+				if err == nil {
+					t.reloads.Add(1)
+				}
+				if onReload != nil {
 					onReload(err)
 				}
 			}

@@ -25,7 +25,8 @@ import (
 type API struct {
 	Manager *Manager
 	// Validate, when non-nil, vets the decoded dataset before the job
-	// is accepted; a ValidationError-style failure becomes a 400.
+	// is accepted; any error it returns is the submitter's fault and
+	// becomes a 400 quoting it.
 	Validate func(ds fda.Dataset) error
 	// CheckModel, when non-nil, rejects unknown models at submit time
 	// with a 404 instead of letting the first chunk fail the job.

@@ -35,6 +35,13 @@ var (
 	labelName  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 )
 
+// LatencyBuckets are the upper bounds, in seconds, of both tiers'
+// request-duration histograms: sub-millisecond cache hits through
+// multi-second smoothing of large batches. The +Inf bucket is implicit.
+var LatencyBuckets = []float64{
+	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
+}
+
 // Registry holds the families of one exposition page. It is safe for
 // concurrent use.
 type Registry struct {

@@ -69,7 +69,7 @@ func TestChaosPanicQuarantinesBatch(t *testing.T) {
 		}
 	}
 	var page strings.Builder
-	metrics.WritePrometheus(&page)
+	metrics.reg.WritePrometheus(&page)
 	if !strings.Contains(page.String(), "\nmfod_panics_total 1\n") {
 		t.Fatalf("page lacks mfod_panics_total 1:\n%s", page.String())
 	}

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/fda"
 )
 
 // familyBlocks splits an exposition page into family blocks keyed by
@@ -63,10 +67,38 @@ func compareGoldenPage(t *testing.T, page, golden string) {
 	}
 }
 
+// heldPool returns a one-worker pool on m whose worker holds one job
+// while queued more wait behind it, so the queue-depth gauge reads
+// queued. Every job's caller has gone by the time the worker is let go,
+// so none is scored.
+func heldPool(t *testing.T, m *Metrics, queued int) *Pool {
+	t.Helper()
+	p := NewPool(PoolOptions{Workers: 1, QueueCap: queued, Metrics: m})
+	ctx, cancel := context.WithCancel(context.Background())
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	p.testHook = func(*Job) { once.Do(func() { close(held); <-release }) }
+	t.Cleanup(func() {
+		cancel()
+		close(release)
+		p.Close()
+	})
+	for i := 0; i <= queued; i++ {
+		if _, err := p.Enqueue(ctx, nil, fda.Dataset{}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-held
+		}
+	}
+	return p
+}
+
 // TestMetricsGoldenPage pins every family the replica exports, byte for
-// byte: each family gets at least one series, every scrape-time source
-// is installed, and the large values pin integer rendering of counters
-// next to the %g forms of histogram bounds and sums.
+// byte: each family gets at least one series, every scrape-time family
+// reads its owner (the pool's queue and counts, the limiter, the stream
+// readers), and the large values pin integer rendering of counters next
+// to the %g forms of histogram bounds and sums.
 func TestMetricsGoldenPage(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveRequest("ecg", 200, 0.0034)
@@ -75,33 +107,32 @@ func TestMetricsGoldenPage(t *testing.T) {
 	m.ObserveRequest("ecg", 429, 0.0002)
 	m.ObserveRequest("ecg", 504, math.NaN())
 	m.ObserveRequest("taxonomy", 404, -1)
-	m.ObserveRequestBytes("json", 2_000_000)
-	m.ObserveRequestBytes("wire", 300)
-	m.ObserveRequestBytes("wire", 70_000)
-	m.ObserveReload("ecg")
-	m.ObserveReload("ecg")
-	m.ObserveReload("taxonomy")
-	m.IncInflight()
-	m.IncInflight()
-	m.DecInflight()
-	m.IncPanics()
-	m.IncShed()
-	m.IncShed()
-	m.IncEvicted()
-	m.IncWasted()
-	m.IncWasted()
-	m.IncWasted()
-	m.IncCancelled()
-	m.IncCancelled()
-	m.RegisterQueueDepth(func() int { return 7 })
-	m.RegisterConcurrencyLimit(func() int { return 24 })
-	m.RegisterStreams(
+	m.reqBytes.Observe(2_000_000, "json")
+	m.reqBytes.Observe(300, "wire")
+	m.reqBytes.Observe(70_000, "wire")
+	m.reloads.Inc("ecg")
+	m.reloads.Inc("ecg")
+	m.reloads.Inc("taxonomy")
+	m.inflight.Add(1)
+	m.inflight.Add(1)
+	m.inflight.Add(-1)
+	m.shed.Inc()
+	m.shed.Inc()
+	p := heldPool(t, m, 7)
+	p.panics.Add(1)
+	p.evicted.Add(1)
+	p.wasted.Add(3)
+	p.cancelled.Add(2)
+	if _, err := NewServer(Config{Registry: NewRegistry(), Pool: p, Metrics: m, Limiter: NewAIMD(AIMDOptions{Max: 24})}); err != nil {
+		t.Fatal(err)
+	}
+	m.registerStreams(
 		func() int { return 5 },
 		func() uint64 { return 2_000_000 },
 		func() uint64 { return 4 },
 		func() uint64 { return 1_048_576 },
 	)
 	var sb strings.Builder
-	m.WritePrometheus(&sb)
+	m.reg.WritePrometheus(&sb)
 	compareGoldenPage(t, sb.String(), filepath.Join("testdata", "metrics_golden.prom"))
 }

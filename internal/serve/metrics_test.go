@@ -1,13 +1,20 @@
 package serve
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/gate"
 )
 
 func render(m *Metrics) string {
 	var sb strings.Builder
-	m.WritePrometheus(&sb)
+	m.reg.WritePrometheus(&sb)
 	return sb.String()
 }
 
@@ -46,11 +53,11 @@ func TestMetricsCountersAndHistogram(t *testing.T) {
 
 func TestMetricsGaugesAndBatch(t *testing.T) {
 	m := NewMetrics()
-	m.IncInflight()
-	m.IncInflight()
-	m.DecInflight()
-	m.ObserveReload("m")
-	m.RegisterQueueDepth(func() int { return 7 })
+	m.inflight.Add(1)
+	m.inflight.Add(1)
+	m.inflight.Add(-1)
+	m.reloads.Inc("m")
+	heldPool(t, m, 7)
 	text := render(m)
 	for _, want := range []string{
 		"mfod_inflight_requests 1",
@@ -63,16 +70,48 @@ func TestMetricsGaugesAndBatch(t *testing.T) {
 	}
 }
 
+// TestMetricsNilSafe: a replica whose server and pool were built with
+// no Metrics, behind a gate built with none either, scores a request on
+// both tiers and answers /metrics on both.
 func TestMetricsNilSafe(t *testing.T) {
-	var m *Metrics
-	m.ObserveRequest("x", 200, 0.1)
-	m.ObserveReload("x")
-	m.IncInflight()
-	m.DecInflight()
-	m.RegisterQueueDepth(func() int { return 0 })
-	var sb strings.Builder
-	m.WritePrometheus(&sb)
-	if sb.Len() != 0 {
-		t.Fatal("nil metrics must render nothing")
+	path, _, ds := saveModel(t, t.TempDir(), "model.json", 5)
+	reg := NewRegistry()
+	if err := reg.Load("ecg", path); err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(PoolOptions{Workers: 1})
+	t.Cleanup(pool.Close)
+	srv, err := NewServer(Config{Registry: reg, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := httptest.NewServer(srv.Handler())
+	t.Cleanup(replica.Close)
+	topo := filepath.Join(t.TempDir(), "topology.json")
+	if err := os.WriteFile(topo, []byte(fmt.Sprintf(`{"replicas":[{"name":"r1","url":%q}]}`, replica.URL)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	table, err := gate.LoadTable(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gate.New(gate.Config{Table: table})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(g.Handler())
+	t.Cleanup(front.Close)
+	for _, base := range []string{replica.URL, front.URL} {
+		if resp, body := postScore(t, base+"/v1/score?model=ecg", scoreBody(t, ds, []int{0}, 0)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: score = %d, body %s", base, resp.StatusCode, body)
+		}
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s/metrics = %d", base, resp.StatusCode)
+		}
 	}
 }

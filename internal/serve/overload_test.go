@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -279,5 +282,78 @@ func TestPoolCountsCancelledWorkApartFromWasted(t *testing.T) {
 	}
 	if got := p.Wasted(); got != 0 {
 		t.Fatalf("Wasted = %d, want 0: the job finished long before its deadline", got)
+	}
+}
+
+// TestPoolDeadlineCountsOnPage scrapes a live replica after one
+// evicted, one wasted and one cancelled job: the page reads the pool's
+// own counts, so each family equals its Pool getter.
+func TestPoolDeadlineCountsOnPage(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	ts, _, reg, p, _, ds := testStack(t, PoolOptions{Workers: 1}, 46)
+	m, _ := reg.Get("ecg")
+	two := ds.Subset([]int{0, 1})
+
+	dead, cancelDead := context.WithCancel(context.Background())
+	cancelDead()
+	if _, err := p.Enqueue(dead, m, two, 0); err == nil {
+		t.Fatal("a dead job was queued")
+	}
+
+	// The delay fires inside the scoring call, past every liveness
+	// check: the first job outlives its 40 ms deadline (wasted), the
+	// second is cancelled while it scores (cancelled).
+	faultinject.Arm(core.FaultScore, faultinject.Fault{Delay: 150 * time.Millisecond})
+	short, cancelShort := context.WithTimeout(context.Background(), 40*time.Millisecond)
+	defer cancelShort()
+	if _, err := p.Enqueue(short, m, two, 0); err != nil {
+		t.Fatal(err)
+	}
+	long, cancelLong := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelLong()
+	if _, err := p.Enqueue(long, m, two, 0); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, fired := faultinject.Hits(core.FaultScore); fired >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the second job never started scoring")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancelLong()
+	for p.Cancelled() == 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := string(raw)
+	for _, c := range []struct {
+		family string
+		get    func() uint64
+	}{
+		{"mfod_evicted_total", p.Evicted},
+		{"mfod_wasted_total", p.Wasted},
+		{"mfod_cancelled_total", p.Cancelled},
+	} {
+		want := c.get()
+		if want != 1 {
+			t.Errorf("%s: the pool counts %d, want 1", c.family, want)
+		}
+		if line := fmt.Sprintf("\n%s %d\n", c.family, want); !strings.Contains(page, line) {
+			t.Errorf("page lacks %q:\n%s", strings.TrimSpace(line), page)
+		}
 	}
 }

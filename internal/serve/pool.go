@@ -86,8 +86,8 @@ type PoolOptions struct {
 	// means 64. A full queue rejects new work instead of building an
 	// unbounded backlog.
 	QueueCap int
-	// Metrics receives queue-depth, deadline and panic observations; may
-	// be nil.
+	// Metrics, when non-nil, gets the pool's queue depth and its panic
+	// and deadline counts as families read at scrape time.
 	Metrics *Metrics
 }
 
@@ -96,8 +96,7 @@ type PoolOptions struct {
 // queue keeps overload failures fast and explicit. Jobs are never merged:
 // scoring is per sample, so a merged call would share no work.
 type Pool struct {
-	queue   chan *Job
-	metrics *Metrics
+	queue chan *Job
 
 	mu     sync.RWMutex // guards closed vs. sends on queue
 	closed bool
@@ -108,10 +107,12 @@ type Pool struct {
 	// jobs scored to completion at or after their own deadline — the
 	// signal the SLO harness gates on; cancelled counts jobs scored for a
 	// caller that cancelled before that deadline (a hedge loser, a
-	// disconnect).
+	// disconnect). panics counts recovered scoring panics. These are the
+	// only copies: the metrics page reads them at scrape time.
 	evicted   atomic.Uint64
 	wasted    atomic.Uint64
 	cancelled atomic.Uint64
+	panics    atomic.Uint64
 
 	// Drain-rate EWMA (jobs/second across all workers), feeding the
 	// Retry-After computation for 429 responses.
@@ -132,12 +133,14 @@ func NewPool(opt PoolOptions) *Pool {
 	if opt.QueueCap <= 0 {
 		opt.QueueCap = 64
 	}
-	p := &Pool{
-		queue:   make(chan *Job, opt.QueueCap),
-		metrics: opt.Metrics,
-	}
-	if p.metrics != nil {
-		p.metrics.RegisterQueueDepth(p.QueueDepth)
+	p := &Pool{queue: make(chan *Job, opt.QueueCap)}
+	if m := opt.Metrics; m != nil {
+		m.reg.GaugeFunc("mfod_queue_depth", "Jobs waiting in the scoring queue.", p.QueueDepth)
+		m.reg.CounterFunc("mfod_panics_total", "Scoring panics recovered by the worker pool.", p.panics.Load)
+		m.reg.CounterFunc("mfod_evicted_total", "Queued jobs dropped because their deadline passed before scoring.", p.Evicted)
+		m.reg.CounterFunc("mfod_wasted_total", "Jobs scored to completion after their deadline had passed.", p.Wasted)
+		m.reg.CounterFunc("mfod_cancelled_total",
+			"Jobs scored to completion after their caller cancelled them before the deadline.", p.Cancelled)
 	}
 	p.wg.Add(opt.Workers)
 	for i := 0; i < opt.Workers; i++ {
@@ -214,7 +217,6 @@ func (p *Pool) Enqueue(ctx context.Context, m *Model, ds fda.Dataset, explain in
 		// Dead on arrival: a request whose deadline has already passed
 		// must not take a queue slot from one that can still make it.
 		p.evicted.Add(1)
-		p.metrics.IncEvicted()
 		return nil, err
 	}
 	j := &Job{model: m, ds: ds, explain: explain, ctx: ctx, done: make(chan JobResult, 1)}
@@ -271,7 +273,6 @@ func (p *Pool) run(j *Job) {
 		// The waiter is gone (deadline or disconnect): don't burn
 		// smoothing time on an answer nobody reads.
 		p.evicted.Add(1)
-		p.metrics.IncEvicted()
 		j.done <- JobResult{Err: err}
 		return
 	}
@@ -304,10 +305,8 @@ func (p *Pool) deliver(j *Job, res JobResult) {
 	if res.Err == nil && j.ctx.Err() != nil {
 		if deadline, ok := j.ctx.Deadline(); ok && !time.Now().Before(deadline) {
 			p.wasted.Add(1)
-			p.metrics.IncWasted()
 		} else {
 			p.cancelled.Add(1)
-			p.metrics.IncCancelled()
 		}
 	}
 	j.done <- res
@@ -319,7 +318,7 @@ func (p *Pool) deliver(j *Job, res JobResult) {
 func (p *Pool) call(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.metrics.IncPanics()
+			p.panics.Add(1)
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()

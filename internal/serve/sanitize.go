@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/fda"
@@ -23,61 +24,28 @@ const (
 	jobsMaxSamples = 1 << 20
 )
 
-// ValidationError marks a request rejected by sanitization before any
-// numeric work ran; the HTTP layer maps it to 400 Bad Request. It is
-// distinct from scoring-time failures (422/500) so clients can tell
-// "fix your payload" from "the model could not handle it".
-type ValidationError struct {
-	// Reason is the operator-facing explanation included in the JSON
-	// error body.
-	Reason string
-	// Err is the underlying cause when one exists (e.g. fda.ErrData for
-	// NaN/Inf samples or ragged grids).
-	Err error
-}
-
-func (e *ValidationError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("invalid request: %s: %v", e.Reason, e.Err)
-	}
-	return "invalid request: " + e.Reason
-}
-
-func (e *ValidationError) Unwrap() error { return e.Err }
-
-// SanitizeDataset is the exported form of sanitizeDataset for the other
-// ingress surfaces (the jobs API on serve and gate) — same rules, one
-// sanitizer, and a nil error when the curves are safe. maxSamples here
-// bounds one *chunk*, not one job: a bulk submission is validated
-// per-chunk-sized slice by its caller.
-func SanitizeDataset(ds fda.Dataset, maxSamples, maxPoints int) error {
-	if verr := sanitizeDataset(ds, maxSamples, maxPoints); verr != nil {
-		return verr
-	}
-	return nil
-}
-
 // sanitizeDataset enforces the structural request limits and the fda
 // invariants — finite values, finite strictly increasing measurement
 // points, value rows matching the grid length, a uniform parameter count
 // — before any smoothing or scoring runs. A nil return means the curves
-// are safe to hand to the numeric pipeline.
-func sanitizeDataset(ds fda.Dataset, maxSamples, maxPoints int) *ValidationError {
+// are safe to hand to the numeric pipeline. An error is the request's
+// fault, answered 400 before any numeric work, unlike a scoring-time
+// failure (422/500); it wraps fda.ErrData when the curves break an fda
+// invariant.
+func sanitizeDataset(ds fda.Dataset, maxSamples, maxPoints int) error {
 	if len(ds.Samples) == 0 {
-		return &ValidationError{Reason: "body has no samples"}
+		return errors.New("invalid request: body has no samples")
 	}
 	if len(ds.Samples) > maxSamples {
-		return &ValidationError{Reason: fmt.Sprintf(
-			"%d samples exceed the per-request limit of %d", len(ds.Samples), maxSamples)}
+		return fmt.Errorf("invalid request: %d samples exceed the per-request limit of %d", len(ds.Samples), maxSamples)
 	}
 	for i, s := range ds.Samples {
 		if len(s.Times) > maxPoints {
-			return &ValidationError{Reason: fmt.Sprintf(
-				"sample %d has %d measurement points, limit %d", i, len(s.Times), maxPoints)}
+			return fmt.Errorf("invalid request: sample %d has %d measurement points, limit %d", i, len(s.Times), maxPoints)
 		}
 	}
 	if err := ds.Validate(); err != nil {
-		return &ValidationError{Reason: "invalid curves", Err: err}
+		return fmt.Errorf("invalid request: invalid curves: %w", err)
 	}
 	return nil
 }

@@ -29,7 +29,8 @@ import (
 const FaultShed = "serve.shed"
 
 // Config wires a Server together. Registry and Pool are required;
-// Metrics and Logger may be nil (observability off, logging discarded).
+// Metrics and Logger may be nil: the server then keeps a page of its
+// own, which no pool or stream family joins, and discards its log.
 type Config struct {
 	Registry *Registry
 	Pool     *Pool
@@ -109,6 +110,12 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetrics()
+	}
+	if cfg.Limiter != nil {
+		cfg.Metrics.reg.GaugeFunc("mfod_concurrency_limit", "Current adaptive concurrency limit.", cfg.Limiter.Limit)
+	}
 	return &Server{cfg: cfg}, nil
 }
 
@@ -125,7 +132,7 @@ func (s *Server) Handler() http.Handler {
 		_, ok := s.cfg.Registry.Get(name)
 		return ok
 	})
-	t.Probes(s.ready, s.cfg.Metrics.WritePrometheus)
+	t.Probes(s.ready, s.cfg.Metrics.reg.WritePrometheus)
 	t.Handle(httpapi.Score, s.handleScore)
 	t.Handle(httpapi.Reload, s.handleReload)
 	t.Handle(httpapi.Models, s.handleList)
@@ -134,7 +141,7 @@ func (s *Server) Handler() http.Handler {
 		api := &jobs.API{
 			Manager: s.cfg.Jobs,
 			Validate: func(ds fda.Dataset) error {
-				return SanitizeDataset(ds, jobsMaxSamples, s.cfg.MaxPoints)
+				return sanitizeDataset(ds, jobsMaxSamples, s.cfg.MaxPoints)
 			},
 			CheckModel: func(name string) error {
 				if _, ok := s.cfg.Registry.Get(name); !ok {
@@ -222,7 +229,7 @@ func (s *Server) handleReload(r *http.Request, _ []byte) httpapi.Reply {
 		// swap was refused.
 		return httpapi.Errorf(http.StatusInternalServerError, "reload failed, previous model still serving: %v", err)
 	}
-	s.cfg.Metrics.ObserveReload(name)
+	s.cfg.Metrics.reloads.Inc(name)
 	return httpapi.JSON(map[string]string{"reloaded": name})
 }
 
@@ -252,14 +259,14 @@ func (s *Server) handleScore(r *http.Request, raw []byte) httpapi.Reply {
 		return httpapi.Errorf(http.StatusNotFound, "unknown model %q", name)
 	}
 	start := time.Now()
-	s.cfg.Metrics.IncInflight()
-	defer s.cfg.Metrics.DecInflight()
+	s.cfg.Metrics.inflight.Add(1)
+	defer s.cfg.Metrics.inflight.Add(-1)
 	// Admission control runs before the body is decoded: shedding is
 	// only cheap if it spends no decode or scoring work on the shed
 	// request.
 	forced := faultinject.Hit(FaultShed) != nil
 	if forced || (s.cfg.Limiter != nil && !s.cfg.Limiter.Acquire()) {
-		s.cfg.Metrics.IncShed()
+		s.cfg.Metrics.shed.Inc()
 		retryAfter := s.cfg.Pool.RetryAfter()
 		return httpapi.Errorf(http.StatusTooManyRequests,
 			"server overloaded (adaptive concurrency limit), retry in ~%ds", retryAfter).
@@ -317,7 +324,7 @@ func (s *Server) score(r *http.Request, raw []byte, m *Model, start time.Time) h
 	if wire.IsFrame(ct) {
 		codec = "wire"
 	}
-	s.cfg.Metrics.ObserveRequestBytes(codec, len(raw))
+	s.cfg.Metrics.reqBytes.Observe(float64(len(raw)), codec)
 	body, err := wire.DecodeBody(ct, raw)
 	if err != nil {
 		return httpapi.Errorf(http.StatusBadRequest, "decode body: %v", err)

@@ -22,8 +22,9 @@ type StreamOptions struct {
 }
 
 // NewStreamManager builds a stream.Manager resolving model names
-// through the registry and registers its series with the metrics
-// registry (the mfod_streams_active gauge and companion counters).
+// through the registry. With a non-nil metrics it registers the
+// manager's series there, read from the manager at scrape time (the
+// mfod_streams_active gauge and companion counters).
 // Stream creation pins the pipeline snapshot the first append saw; a
 // hot-reload affects new streams only, exactly like in-flight scoring.
 func NewStreamManager(reg *Registry, metrics *Metrics, opt StreamOptions) (*stream.Manager, error) {
@@ -44,9 +45,19 @@ func NewStreamManager(reg *Registry, metrics *Metrics, opt StreamOptions) (*stre
 		return nil, err
 	}
 	if metrics != nil {
-		metrics.RegisterStreams(mgr.Active, mgr.AppendsTotal, mgr.EvictedTotal, mgr.FitsTotal)
+		metrics.registerStreams(mgr.Active, mgr.AppendsTotal, mgr.EvictedTotal, mgr.FitsTotal)
 	}
 	return mgr, nil
+}
+
+// registerStreams declares the streaming tier's families, read at
+// scrape time from the manager that keeps their counts: the live-stream
+// gauge and the append, eviction and refit counters.
+func (m *Metrics) registerStreams(active func() int, appends, evicted, fits func() uint64) {
+	m.reg.GaugeFunc("mfod_streams_active", "Live ingestion streams.", active)
+	m.reg.CounterFunc("mfod_stream_appends_total", "Observations accepted across all streams.", appends)
+	m.reg.CounterFunc("mfod_streams_evicted_total", "Idle streams reclaimed by the janitor.", evicted)
+	m.reg.CounterFunc("mfod_stream_fits_total", "Incremental refits performed by stream scoring.", fits)
 }
 
 // streamAdmit is the admission hook the server wires into the stream
@@ -55,7 +66,7 @@ func NewStreamManager(reg *Registry, metrics *Metrics, opt StreamOptions) (*stre
 // streaming path too.
 func (s *Server) streamAdmit() error {
 	if err := faultinject.Hit(FaultShed); err != nil {
-		s.cfg.Metrics.IncShed()
+		s.cfg.Metrics.shed.Inc()
 		return err
 	}
 	return nil
