@@ -272,6 +272,16 @@ func (p *Pipeline) Domain() (lo, hi float64) {
 	return p.gridLo, p.gridHi
 }
 
+// CacheStats returns the counters of the basis cache the pipeline's
+// fits share (zero when it has none).
+func (p *Pipeline) CacheStats() fda.CacheStats {
+	c := p.smoothOptions().Cache
+	if c == nil {
+		return fda.CacheStats{}
+	}
+	return c.Stats()
+}
+
 // NewIncremental starts an empty incremental fitter bound to this
 // pipeline's smoothing options and fixed training domain, for streams
 // that accumulate one observation at a time (internal/stream). The

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,11 +21,34 @@ import (
 // the observed values y. The roughness penalty R of Eq. 3 does not depend
 // on the grid either, so the cache keeps one per (basis size, order,
 // penalty order, domain), shared by every grid's entry and by every
-// entry built for a single fit (a stream's prefix grid, a key
-// collision). Cross-validating over basis sizes and λ therefore stops
-// re-deriving identical factorizations for every sample and every
-// parameter: the per-fit work shrinks to one Φᵀy product, and per λ one
-// O(L·k) solve, one Φα product and the residual scan.
+// entry built for a single fit (a grid's first sighting, a stream's
+// prefix grid, a key collision). Cross-validating over basis sizes and λ
+// therefore stops re-deriving identical factorizations for every sample
+// and every parameter: the per-fit work shrinks to one Φᵀy product, and
+// per λ one O(L·k) solve, one Φα product and the residual scan.
+//
+// The fit entries are bounded. A grid is admitted on its second
+// sighting: a doorkeeper, as in TinyLFU (Einziger, Friedman & Manes,
+// 2017), records each missed key in a bitset of doorkeeperBits bits
+// indexed by the key's hash and clears it after doorkeeperReset
+// recorded sightings, and a key it has not seen gets an entry built for
+// its one fit. So a one-off grid (a client that jitters its times)
+// enters the cache only when its hash hits a bit another key set, while
+// the training grid is resident from its second fit on. At most fitCap entries are resident, and CLOCK (second
+// chance) evicts: the hand walks the resident keys in admission order,
+// clearing each reference bit it passes, and evicts the first entry
+// whose bit is already clear. A hit sets its entry's bit only when the
+// bit is clear, so steady hits leave the entry's cache line, which
+// every fit on it reads, unwritten. An entry
+// holds its grid, its design, its Gram band and the default ladder's
+// five λ factorizations with their hat diagonals: about 10–13 KB on a
+// Fig. 3 grid (m = 85), and about 280 KB at stream.MaxPoints = 2048
+// points and the ladder's largest size there, L = 512. So the resident
+// entries stay under about 36 MB. The shared penalties and the span
+// designs are outside the cap: they are keyed by basis size and domain
+// (the designs also by evaluation grid), and a fitted Pipeline fixes
+// the domain and the evaluation grid, so they grow only with the basis
+// sizes its curves' lengths select.
 //
 // The cache also memoizes span-compact design matrices per (basis,
 // grid, derivative), which CurveFit.EvalGrid uses to evaluate
@@ -32,19 +56,41 @@ import (
 // Boor recursion per sample.
 //
 // A BasisCache is safe for concurrent use; all cached values are pure
-// functions of their keys, so warming the cache never changes a result
-// bit (see TestBasisCacheInvariance). Only the default clamped B-spline
-// construction is cacheable — fits with a custom Options.Basis factory
-// bypass the cache, because a factory closure cannot be keyed.
+// functions of their keys, and an entry built for one fit runs the same
+// arithmetic as a resident one, so neither warming, admission nor
+// eviction changes a result bit (see TestBasisCacheInvariance). Only
+// the default clamped B-spline construction is cacheable — fits with a
+// custom Options.Basis factory bypass the cache, because a factory
+// closure cannot be keyed.
 type BasisCache struct {
 	mu        sync.Mutex
 	fits      map[fitKey]*fitEntry
 	designs   map[designKey]*designEntry
 	penalties map[penaltyKey]*penalty
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	// clock lists the resident fit keys, one per entry of fits; hand is
+	// the next slot CLOCK examines.
+	clock []fitKey
+	hand  int
+	// seen is the doorkeeper, with sightings the bits recorded since its
+	// last reset.
+	seen      [doorkeeperBits / 64]uint64
+	sightings int
+
+	admitted, evicted int64 // guarded by mu
+	hits, misses      atomic.Int64
 }
+
+// The cache's bounds. fitCap holds the training grid's four Fig. 3
+// basis sizes and 31 more grids of four. The doorkeeper takes 8 KB and
+// is cleared after 4,096 recorded sightings, so at most one bit in 16
+// is set, and a one-off grid passes it by a hash collision at most one
+// time in 16 (about one in 32 on average).
+const (
+	fitCap          = 128
+	doorkeeperBits  = 1 << 16
+	doorkeeperReset = doorkeeperBits / 16
+)
 
 // NewBasisCache returns an empty cache. One cache per fitted Pipeline
 // (or per FitDataset call) is the intended granularity.
@@ -56,16 +102,30 @@ func NewBasisCache() *BasisCache {
 	}
 }
 
-// CacheStats reports hit/miss counters for benchmarks and tests.
+// CacheStats reports the cache's counters for benchmarks, tests and
+// the serving tier's page. Hits and Misses count fit-entry and
+// span-design lookups combined (penalty lookups are not counted);
+// Entries is the resident fit entries, Admitted and Evicted the fit
+// entries that have entered and left.
 type CacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
+	Hits     int64 `json:"hits"`
+	Misses   int64 `json:"misses"`
+	Entries  int   `json:"entries"`
+	Admitted int64 `json:"admitted"`
+	Evicted  int64 `json:"evicted"`
 }
 
-// Stats returns the cumulative lookup counters (fit entries and
-// span-design entries combined; penalty lookups are not counted).
+// Stats returns the cache's counters.
 func (c *BasisCache) Stats() CacheStats {
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{
+		Hits:     c.hits.Load(),
+		Misses:   c.misses.Load(),
+		Entries:  len(c.clock),
+		Admitted: c.admitted,
+		Evicted:  c.evicted,
+	}
 }
 
 // fitKey identifies one smoothing system. The grid is keyed by a hash of
@@ -102,17 +162,30 @@ type designEntry struct {
 	sd *linalg.SpanMatrix
 }
 
-// hashFloats hashes the IEEE-754 bit patterns of xs a word at a time:
-// FNV-1a's xor-multiply step on each 64-bit word, with a rotation so
-// that high bits reach the low ones.
+// hashFloats hashes the IEEE-754 bit patterns of xs a word at a time
+// (see mix).
 func hashFloats(xs []float64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
+	const offset64 = 14695981039346656037
 	h := uint64(offset64)
 	for _, x := range xs {
-		h = bits.RotateLeft64((h^math.Float64bits(x))*prime64, 29)
+		h = mix(h, math.Float64bits(x))
+	}
+	return h
+}
+
+// mix folds one 64-bit word into h: FNV-1a's xor-multiply step, with a
+// rotation so that high bits reach the low ones.
+func mix(h, w uint64) uint64 {
+	const prime64 = 1099511628211
+	return bits.RotateLeft64((h^w)*prime64, 29)
+}
+
+// hash folds every field of the key into its grid hash; the doorkeeper
+// indexes its bitset by it.
+func (k fitKey) hash() uint64 {
+	h := k.tsHash
+	for _, w := range [...]uint64{uint64(k.dim), uint64(k.order), uint64(k.q), math.Float64bits(k.lo), math.Float64bits(k.hi), uint64(k.m)} {
+		h = mix(h, w)
 	}
 	return h
 }
@@ -130,55 +203,100 @@ func sameFloats(a, b []float64) bool {
 }
 
 // fitEntryFor returns the shared entry for the default clamped B-spline
-// system of the key's size on the grid ts, building it on first use.
-// It returns nil when the basis cannot be constructed or the key
-// collides with a different grid; the caller then builds an entry for
-// the one fit, which runs the exact same arithmetic.
+// system of the key's size on the grid ts, admitting it on the key's
+// second sighting (see BasisCache). It returns nil on a first sighting,
+// when the basis cannot be constructed, or when the key collides with
+// a different grid; the caller then builds an entry for the one fit,
+// which runs the exact same arithmetic.
 func (c *BasisCache) fitEntryFor(key fitKey, ts []float64) *fitEntry {
 	c.mu.Lock()
-	e, ok := c.fits[key]
-	if ok && sameFloats(e.ts, ts) {
-		c.mu.Unlock()
-		c.hits.Add(1)
+	defer c.mu.Unlock()
+	if e := c.residentLocked(key, ts); e != nil {
 		return e
 	}
-	if ok {
-		// Hash collision with a different grid: leave the resident entry
-		// alone and let the caller recompute transiently.
-		c.mu.Unlock()
-		c.misses.Add(1)
+	c.misses.Add(1)
+	if _, collides := c.fits[key]; collides || !c.sightedLocked(key) {
 		return nil
 	}
 	basis, err := bspline.New(key.dim, key.order, key.lo, key.hi)
 	if err != nil {
-		c.mu.Unlock()
-		c.misses.Add(1)
 		return nil
 	}
-	e = newFitEntry(basis, ts, key.q, c.penaltyLocked(key.dim, key.order, key.q, key.lo, key.hi))
-	c.fits[key] = e
-	c.mu.Unlock()
-	c.misses.Add(1)
+	e := newFitEntry(basis, slices.Clone(ts), key.q, c.penaltyLocked(key.dim, key.order, key.q, key.lo, key.hi))
+	c.admitLocked(key, e)
 	return e
 }
 
 // lookupFitEntry returns the resident entry for the exact grid when one
-// is already cached, or nil. Unlike fitEntryFor it never populates the
-// cache: a growing stream passes through a different prefix grid on
-// every refit, and inserting each one would grow the cache without
-// bound. Incremental.Fit uses it to reuse the entries the batch path
-// already built (identical grids share λ factorizations) and builds
-// any other system for the one refit.
+// is already cached, or nil. Unlike fitEntryFor it neither admits nor
+// records a sighting: a growing stream passes through a different
+// prefix grid on every refit. Incremental.Fit uses it to reuse the
+// entries the batch path admitted (identical grids share λ
+// factorizations) and builds any other system for the one refit.
 func (c *BasisCache) lookupFitEntry(key fitKey, ts []float64) *fitEntry {
 	c.mu.Lock()
-	e, ok := c.fits[key]
-	c.mu.Unlock()
-	if ok && sameFloats(e.ts, ts) {
-		c.hits.Add(1)
-		return e
+	defer c.mu.Unlock()
+	e := c.residentLocked(key, ts)
+	if e == nil {
+		c.misses.Add(1)
 	}
-	c.misses.Add(1)
-	return nil
+	return e
+}
+
+// residentLocked returns the resident entry of key when it holds the
+// grid ts, counting the hit and setting the entry's reference bit, or
+// nil.
+func (c *BasisCache) residentLocked(key fitKey, ts []float64) *fitEntry {
+	e, ok := c.fits[key]
+	if !ok || !sameFloats(e.ts, ts) {
+		return nil
+	}
+	if !e.ref {
+		e.ref = true
+	}
+	c.hits.Add(1)
+	return e
+}
+
+// sightedLocked reports whether the doorkeeper has recorded key since
+// its last reset, and records it when it has not.
+func (c *BasisCache) sightedLocked(key fitKey) bool {
+	i := key.hash() % doorkeeperBits
+	word, bit := i/64, uint64(1)<<(i%64)
+	if c.seen[word]&bit != 0 {
+		return true
+	}
+	if c.sightings++; c.sightings > doorkeeperReset {
+		clear(c.seen[:])
+		c.sightings = 1
+	}
+	c.seen[word] |= bit
+	return false
+}
+
+// admitLocked makes e resident under key. At the cap, CLOCK's hand
+// clears the reference bits it passes and evicts the first entry whose
+// bit is clear; e takes that entry's slot, and the hand moves past it,
+// so a new entry gets a full turn before the hand reaches it again.
+func (c *BasisCache) admitLocked(key fitKey, e *fitEntry) {
+	c.admitted++
+	c.fits[key] = e
+	if len(c.clock) < fitCap {
+		c.clock = append(c.clock, key)
+		return
+	}
+	for {
+		victim := c.fits[c.clock[c.hand]]
+		if !victim.ref {
+			break
+		}
+		victim.ref = false
+		c.hand = (c.hand + 1) % fitCap
+	}
+	delete(c.fits, c.clock[c.hand])
+	c.evicted++
+	c.clock[c.hand] = key
+	c.hand = (c.hand + 1) % fitCap
 }
 
 // penaltyFor returns the shared penalty slot of one basis and penalty
@@ -241,6 +359,8 @@ type fitEntry struct {
 	gram      []float64 // lower band of ΦᵀΦ, stored as NewBandCholesky reads it
 	q         int
 	pen       *penalty
+	// ref is the entry's CLOCK reference bit, guarded by the cache's mu.
+	ref bool
 
 	mu      sync.Mutex
 	lambdas map[uint64]*lambdaFactor
@@ -281,8 +401,8 @@ type lambdaFactor struct {
 
 // newFitEntry builds the eager members (design and Gram band). ts is
 // retained; callers that reuse their grid slice must pass a stable one
-// (the cache passes the verified key grid, transient entries live only
-// for one fit). pen is the cache's shared penalty slot, or a fresh one
+// (the cache passes a copy of the grid it admits, transient entries
+// live only for one fit). pen is the cache's shared penalty slot, or a fresh one
 // when no cache is in play.
 func newFitEntry(basis bspline.Basis, ts []float64, q int, pen *penalty) *fitEntry {
 	// Any other basis fills the whole lower triangle (bandwidth L−1).

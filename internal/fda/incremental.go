@@ -20,10 +20,15 @@ import (
 //
 // The one difference is the BasisCache: a growing stream passes through
 // a new prefix grid on every refit, so Fit only looks its grid up and
-// never inserts it. A grid the batch path already cached (a stream that
-// completed on the training grid) reuses the resident λ
+// never offers it for admission. A grid the batch path admitted (a
+// stream that completed on the training grid) reuses the resident λ
 // factorizations; any other grid is built for the one Fit, reading the
-// cache's shared penalty.
+// cache's shared penalty. Streams that sample at a fixed rate repeat
+// their prefix grids, and admitting those would pay: a prototype that
+// let refits admit them cut the benchmark's `stream` CPU per curve by
+// 13.5% and 17.1% in 2 pairs, but raised its end-of-run heap from 3.9
+// to 5.0 MB (+27%), because each replica then held 16 prefix grids. So
+// prefix grids stay lookup-only until a prefix entry costs less heap.
 //
 // Incremental is not safe for concurrent use; callers (internal/stream)
 // serialize access per stream.

@@ -266,10 +266,14 @@ func TestIncrementalSharedCache(t *testing.T) {
 	cache := NewBasisCache()
 	opt := incTestOpts()
 	opt.Cache = cache
-	// Batch-fit first so the cache holds the full grid's entries.
-	want, err := FitSample(s, opt)
-	if err != nil {
-		t.Fatal(err)
+	// Batch-fit first, twice, so the cache admits the full grid's
+	// entries.
+	var want *Fit
+	for range 2 {
+		var err error
+		if want, err = FitSample(s, opt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	inc, err := NewIncremental(2, opt)
 	if err != nil {
@@ -359,11 +363,14 @@ func TestPenaltySharedAcrossGridsAndStreams(t *testing.T) {
 					errs[i] = err
 					return
 				}
+				// Twice, so the cache admits the prefix grid.
 				prefix := Sample{Times: s.Times[:j+1], Values: [][]float64{s.Values[0][:j+1], s.Values[1][:j+1]}}
-				batch, err := FitSample(prefix, opt)
-				if err != nil {
-					errs[i] = err
-					return
+				var batch *Fit
+				for range 2 {
+					if batch, err = FitSample(prefix, opt); err != nil {
+						errs[i] = err
+						return
+					}
 				}
 				results[i].stream = append(results[i].stream, got)
 				results[i].batch = append(results[i].batch, batch)

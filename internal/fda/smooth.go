@@ -265,9 +265,10 @@ func FitSample(s Sample, opt Options) (*Fit, error) {
 // fitGrid is the fit shared by FitSample and Incremental.Fit: it builds
 // the smoothing system of every candidate basis size on the grid ts and
 // lets selectFit pick, per parameter row of ys. cached is how a system
-// is taken from the cache — FitSample inserts its grid (fitEntryFor), a
-// stream only looks its prefix grid up (lookupFitEntry); the grid is
-// hashed once for every size. A system the cache does not supply is
+// is taken from the cache — FitSample offers its grid for admission
+// (fitEntryFor, which admits it on its second sighting), a stream only
+// looks its prefix grid up (lookupFitEntry); the grid is hashed once
+// for every size. A system the cache does not supply is
 // built for this call alone, reading the cache's shared penalty;
 // without a cache, or with a custom Basis factory, it gets a private
 // one. Every value in ys must be finite: the span-compact design

@@ -317,6 +317,53 @@ func TestGateBrownoutSuppressesHedgesAndDerivesRetryAfter(t *testing.T) {
 	}
 }
 
+// TestGateCountsLaunchedHedges: mfodgate_hedges_total counts the races
+// that launched the secondary, whichever leg wins, and the secondary
+// the race cancels once the primary has won is a cancelled leg, not an
+// error of a healthy replica.
+func TestGateCountsLaunchedHedges(t *testing.T) {
+	delays := map[string]*atomic.Int64{"r1": new(atomic.Int64), "r2": new(atomic.Int64)}
+	urls := map[string]string{}
+	for name, delay := range delays {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case <-time.After(time.Duration(delay.Load())):
+			case <-r.Context().Done():
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte(`{"scores":[]}`))
+		}))
+		t.Cleanup(srv.Close)
+		urls[name] = srv.URL
+	}
+	g, base, _ := gateOver(t, urls, func(c *gate.Config) {
+		c.HedgeDelay = 20 * time.Millisecond
+	})
+	primary, secondary := g.Route(modelNames[0])
+	delays[primary].Store(int64(100 * time.Millisecond))
+	delays[secondary].Store(int64(400 * time.Millisecond))
+	if resp := scoreReq(t, base, modelNames[0], "", []byte(`{"samples":[]}`)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("hedged request status = %d", resp.StatusCode)
+	}
+	// The loser's leg is counted when its cancelled call returns.
+	cancelled := `mfodgate_replica_requests_total{replica="` + secondary + `",outcome="cancelled"} 1`
+	page := scrape(t, base)
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(page, cancelled) && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		page = scrape(t, base)
+	}
+	if !strings.Contains(page, cancelled) || strings.Contains(page, `outcome="error"`) {
+		t.Fatalf("want the secondary's leg as %s and no error leg:\n%s", cancelled, page)
+	}
+	if got := metricValue(t, page, "mfodgate_hedges_total"); got != 1 {
+		t.Fatalf("mfodgate_hedges_total = %d, want 1", got)
+	}
+	if !strings.Contains(page, `mfodgate_leg_wins_total{leg="primary"} 1`) {
+		t.Fatalf("the primary did not win the race:\n%s", page)
+	}
+}
+
 // bootTinyReplica is bootReplica with a deliberately undersized pool so
 // a concurrent burst overflows the queue and sheds.
 func bootTinyReplica(t *testing.T, modelPath string) *httptest.Server {

@@ -470,7 +470,12 @@ func (g *Gate) score(r *http.Request, raw []byte, model string) httpapi.Reply {
 	var secondaryLeg func(ctx context.Context) (*http.Response, error)
 	suppressed := false
 	if secondary != "" {
-		secondaryLeg = leg(secondary)
+		// The race calls the secondary leg only when it launches it.
+		call := leg(secondary)
+		secondaryLeg = func(ctx context.Context) (*http.Response, error) {
+			g.cfg.Metrics.hedges.Inc()
+			return call(ctx)
+		}
 		if g.cfg.Brownout.Active() {
 			// Brownout: the speculative duplicate doubles upstream load
 			// exactly when the window says the fleet cannot absorb it, so
@@ -497,9 +502,6 @@ func (g *Gate) score(r *http.Request, raw []byte, model string) httpapi.Reply {
 		race = g.hedge.DoFailoverOnly
 	}
 	resp, winner, err := race(ctx, leg(primary), secondaryLeg)
-	if winner == resilience.Secondary {
-		g.cfg.Metrics.hedges.Inc()
-	}
 	g.cfg.Metrics.legWins.Inc(winner.String())
 	if err != nil {
 		cancel()

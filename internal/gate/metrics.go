@@ -1,6 +1,8 @@
 package gate
 
 import (
+	"context"
+	"errors"
 	"strconv"
 
 	"repro/internal/metrics"
@@ -54,11 +56,15 @@ func (m *Metrics) ObserveRequest(model string, code int, seconds float64) {
 }
 
 // outcome labels one upstream leg in mfodgate_replica_requests_total:
-// "ok" when the replica answered with any status, "error" when the leg
-// got no answer.
+// "ok" when the replica answered with any status, "cancelled" when the
+// leg's caller gave up first (a hedge's losing leg, a client that went
+// away), and "error" when the leg got no answer otherwise.
 func outcome(err error) string {
-	if err != nil {
-		return "error"
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, context.Canceled):
+		return "cancelled"
 	}
-	return "ok"
+	return "error"
 }

@@ -110,6 +110,46 @@ func TestGateModelListingTimeout(t *testing.T) {
 	}
 }
 
+// TestGateStreamListingAsksReplicasAtOnce: the fleet's stream listing
+// asks every replica at once, so a replica that accepts and never
+// answers costs only its own leg: the listing still answers 200 with
+// the streams the other replica holds, within the gate's timeout.
+func TestGateStreamListingAsksReplicasAtOnce(t *testing.T) {
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	t.Cleanup(hung.Close)
+	holder := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"active":1,"streams":["s1"]}`))
+	}))
+	t.Cleanup(holder.Close)
+	const timeout = 300 * time.Millisecond
+	_, base, _ := gateOver(t, map[string]string{"r1": hung.URL, "r2": holder.URL}, func(c *gate.Config) {
+		c.Timeout = timeout
+	})
+	client := &http.Client{Timeout: 3 * time.Second}
+	start := time.Now()
+	resp, err := client.Get(base + "/v1/streams")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view struct {
+		Streams []string `json:"streams"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&view)
+	resp.Body.Close()
+	if elapsed := time.Since(start); err != nil || resp.StatusCode != http.StatusOK || len(view.Streams) != 1 || view.Streams[0] != "s1" {
+		t.Fatalf("listing with r1 hung = %d %v (%v) after %v, want 200 [s1]", resp.StatusCode, view.Streams, err, elapsed)
+	}
+	page := scrape(t, base)
+	for _, leg := range []string{`replica="r1",outcome="error"`, `replica="r2",outcome="ok"`} {
+		if !strings.Contains(page, "mfodgate_replica_requests_total{"+leg+"} 1") {
+			t.Fatalf("gate page lacks the listing leg %s:\n%s", leg, page)
+		}
+	}
+}
+
 // TestGateBodyCap: the gate's one body cap holds on every route. At
 // 4096 bytes, a 7 KB body answers 413 payload_too_large on /v1/jobs and
 // on a stream append, and neither a job nor a stream is created.

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 
 	"repro/internal/httpapi"
+	"repro/internal/parallel"
 )
 
 // mountStreams fronts the replicas' streaming-ingestion routes.
@@ -79,39 +81,30 @@ func (g *Gate) forward(key string) httpapi.Handler {
 }
 
 // streamList gathers the live stream ids across the whole fleet:
-// streams shard by id, so no single replica knows the full set.
-// Replicas that fail to answer are skipped — the list is a best-effort
-// operator view, not a transactional one.
+// streams shard by id, so no single replica knows the full set. Every
+// replica is asked at once, each leg through its resilience client
+// under the gate's timeout, so one replica that never answers costs the
+// listing its own leg, not the others'. Replicas that fail to answer
+// are skipped — the list is a best-effort operator view, not a
+// transactional one.
 func (g *Gate) streamList(r *http.Request, _ []byte) httpapi.Reply {
 	f := g.cfg.Table.Fleet()
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
 	defer cancel()
+	names := f.ring.Names()
+	lists := make([][]string, len(names))
+	answered := make([]bool, len(names))
+	parallel.For(len(names), len(names), func(_, i int) {
+		lists[i], answered[i] = g.replicaStreams(ctx, names[i], f.urls[names[i]])
+	})
+	if !slices.Contains(answered, true) {
+		return httpapi.Errorf(http.StatusBadGateway, "no replica answered the stream listing")
+	}
 	seen := make(map[string]bool)
-	answered := 0
-	for _, name := range f.ring.Names() {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.urls[name]+"/v1/streams", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			continue
-		}
-		var view struct {
-			Streams []string `json:"streams"`
-		}
-		decodeErr := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&view)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || decodeErr != nil {
-			continue
-		}
-		answered++
-		for _, id := range view.Streams {
+	for _, list := range lists {
+		for _, id := range list {
 			seen[id] = true
 		}
-	}
-	if answered == 0 {
-		return httpapi.Errorf(http.StatusBadGateway, "no replica answered the stream listing")
 	}
 	ids := make([]string, 0, len(seen))
 	for id := range seen {
@@ -119,4 +112,22 @@ func (g *Gate) streamList(r *http.Request, _ []byte) httpapi.Reply {
 	}
 	sort.Strings(ids)
 	return httpapi.JSON(map[string]any{"streams": ids, "active": len(ids)})
+}
+
+// replicaStreams is one leg of the stream listing: the ids the replica
+// name at base lists, and whether it answered with a readable 200.
+func (g *Gate) replicaStreams(ctx context.Context, name, base string) ([]string, bool) {
+	resp, err := g.client(name).Do(ctx, http.MethodGet, base+"/v1/streams", "application/json", "", nil)
+	g.cfg.Metrics.replicas.Inc(name, outcome(err))
+	if err != nil {
+		return nil, false
+	}
+	defer resp.Body.Close()
+	var view struct {
+		Streams []string `json:"streams"`
+	}
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&view); err != nil || resp.StatusCode != http.StatusOK {
+		return nil, false
+	}
+	return view.Streams, true
 }

@@ -66,8 +66,8 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 
 // Allow reports whether a request may proceed. It returns ErrOpen while
 // the circuit is open (or while another half-open probe is in flight);
-// a nil return must be followed by exactly one Success or Failure call
-// with the request's outcome.
+// a nil return must be followed by exactly one Success, Failure or
+// Release call with the request's outcome.
 func (b *Breaker) Allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -111,6 +111,15 @@ func (b *Breaker) Failure() {
 		b.openedAt = b.now()
 		b.probing = false
 	}
+}
+
+// Release records a request its caller cancelled before an answer: no
+// verdict on the upstream, so the failure run and the state stay as
+// they are, and a half-open probe's slot is freed for the next request.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
 }
 
 // State returns the current state (tests and observability).

@@ -3,6 +3,7 @@ package resilience
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -186,6 +187,14 @@ func (c *Client) Do(ctx context.Context, method, url, contentType, accept string
 			budget.Observe(time.Since(attemptStart))
 		}
 		if err != nil {
+			if errors.Is(err, context.Canceled) {
+				// The caller gave up (a hedge's losing leg, a client that
+				// went away): no verdict on the upstream, nothing to retry.
+				if c.Breaker != nil {
+					c.Breaker.Release()
+				}
+				return nil, err
+			}
 			if c.Breaker != nil {
 				c.Breaker.Failure()
 			}

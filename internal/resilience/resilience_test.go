@@ -277,3 +277,51 @@ func TestClientHonorsContextCancel(t *testing.T) {
 		t.Fatal("cancellation must interrupt the backoff sleep")
 	}
 }
+
+// TestClientCancelIsNoBreakerFailure: a request its caller cancels
+// mid-flight (a hedge's losing leg) says nothing about the upstream, so
+// a threshold-1 breaker stays closed; and a cancelled half-open probe
+// frees the probe slot instead of reopening the circuit.
+func TestClientCancelIsNoBreakerFailure(t *testing.T) {
+	arrived := make(chan struct{}, 2)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		<-r.Context().Done()
+	}))
+	t.Cleanup(ts.Close)
+	br := NewBreaker(1, time.Hour)
+	c := &Client{MaxAttempts: 3, Backoff: fastBackoff(), Breaker: br}
+	cancelled := func() error {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		go func() {
+			select {
+			case <-arrived:
+				cancel()
+			case <-ctx.Done():
+			}
+		}()
+		_, err := c.Do(ctx, http.MethodPost, ts.URL, "application/json", "", nil)
+		return err
+	}
+	if err := cancelled(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want Canceled", err)
+	}
+	if s := br.State(); s != Closed {
+		t.Fatalf("breaker %v after a cancelled request, want closed", s)
+	}
+
+	clock := time.Now()
+	br.now = func() time.Time { return clock }
+	br.Failure()
+	clock = clock.Add(2 * time.Hour)
+	if err := cancelled(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("probe err = %v, want Canceled", err)
+	}
+	if s := br.State(); s != HalfOpen {
+		t.Fatalf("breaker %v after a cancelled probe, want half-open", s)
+	}
+	if err := br.Allow(); err != nil {
+		t.Fatalf("the next request after a cancelled probe: %v, want a probe", err)
+	}
+}

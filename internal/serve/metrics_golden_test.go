@@ -96,9 +96,10 @@ func heldPool(t *testing.T, m *Metrics, queued int) *Pool {
 
 // TestMetricsGoldenPage pins every family the replica exports, byte for
 // byte: each family gets at least one series, every scrape-time family
-// reads its owner (the pool's queue and counts, the limiter, the stream
-// readers), and the large values pin integer rendering of counters next
-// to the %g forms of histogram bounds and sums.
+// reads its owner (the pool's queue and counts, the limiter, the loaded
+// models' basis caches, the stream readers), and the large values pin
+// integer rendering of counters next to the %g forms of histogram
+// bounds and sums.
 func TestMetricsGoldenPage(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveRequest("ecg", 200, 0.0034)
@@ -123,7 +124,23 @@ func TestMetricsGoldenPage(t *testing.T) {
 	p.evicted.Add(1)
 	p.wasted.Add(3)
 	p.cancelled.Add(2)
-	if _, err := NewServer(Config{Registry: NewRegistry(), Pool: p, Metrics: m, Limiter: NewAIMD(AIMDOptions{Max: 24})}); err != nil {
+	// Two models, each scored twice on its training grid: each cache
+	// admits that grid's one basis size on the second fit, and the
+	// gauge sums both.
+	reg := NewRegistry()
+	for i, name := range []string{"ecg", "taxonomy"} {
+		path, _, d := saveModel(t, t.TempDir(), name+".json", int64(i+1))
+		if err := reg.Load(name, path); err != nil {
+			t.Fatal(err)
+		}
+		model, _ := reg.Get(name)
+		for range 2 {
+			if _, err := model.Pipeline().ScoreOne(d.Samples[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := NewServer(Config{Registry: reg, Pool: p, Metrics: m, Limiter: NewAIMD(AIMDOptions{Max: 24})}); err != nil {
 		t.Fatal(err)
 	}
 	m.registerStreams(

@@ -136,6 +136,19 @@ func (r *Registry) Names() []string {
 	return out
 }
 
+// cacheEntries sums the resident basis-cache entries of every model's
+// current snapshot. A reload starts its snapshot with an empty cache,
+// so the sum falls then.
+func (r *Registry) cacheEntries() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := 0
+	for _, m := range r.models {
+		n += m.Pipeline().CacheStats().Entries
+	}
+	return n
+}
+
 // Len returns the number of registered models.
 func (r *Registry) Len() int {
 	r.mu.RLock()

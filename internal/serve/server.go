@@ -116,6 +116,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Limiter != nil {
 		cfg.Metrics.reg.GaugeFunc("mfod_concurrency_limit", "Current adaptive concurrency limit.", cfg.Limiter.Limit)
 	}
+	cfg.Metrics.reg.GaugeFunc("mfod_basis_cache_entries", "Smoothing systems resident in the loaded models' basis caches.", cfg.Registry.cacheEntries)
 	return &Server{cfg: cfg}, nil
 }
 
