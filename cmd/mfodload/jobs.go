@@ -11,6 +11,10 @@
 //   - bitwise fidelity: every job's merged scores must equal one
 //     synchronous Score over the same curves, bit for bit.
 //
+// It also reports the live heap once the bulk loop is over (heapEndMB,
+// MiB after a full collection), while the gate's job table still holds
+// every finished job it retains.
+//
 // Writes BENCH_jobs.json and exits nonzero when a gate fails; `make
 // bench-jobs` and CI run it.
 package main
@@ -22,6 +26,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/client"
@@ -122,6 +127,9 @@ func runJobs(o loadOptions) (*report, error) {
 	elapsed := time.Since(start)
 	stopPacing()
 	inter := <-interactive
+	runtime.GC()
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
 
 	rep := &report{Mode: "jobs", Target: fleet.base, Fleet: o.selfFleet, Model: o.model, Codec: o.codec,
 		Scenarios: []scenario{bulkJobs.done(elapsed), inter}}
@@ -133,6 +141,7 @@ func runJobs(o loadOptions) (*report, error) {
 		"ttfrMs":       ms(ttfr),
 		"chunkRetries": retries,
 		"bitwiseMatch": mismatches == 0,
+		"heapEndMB":    float64(mem.HeapAlloc) / (1 << 20),
 	}
 	rep.failIf(jobErr != nil, "%v", jobErr)
 	rep.failIf(mismatches > 0, "%d jobs' scores are not bitwise identical to synchronous scoring", mismatches)

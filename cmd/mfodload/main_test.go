@@ -162,6 +162,9 @@ func TestJobsMode(t *testing.T) {
 	if bulk := rep.Scenarios[0]; bulk.Name != "bulk" || bulk.OK == 0 || bulk.Errors != 0 {
 		t.Fatalf("bulk scenario: %+v", bulk)
 	}
+	if heap, ok := rep.Totals["heapEndMB"].(float64); !ok || heap <= 0 {
+		t.Fatalf("totals carry no live heap: %v", rep.Totals)
+	}
 }
 
 // TestStreamsMode completes a handful of live streams at test size.

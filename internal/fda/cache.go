@@ -48,7 +48,9 @@ import (
 // designs are outside the cap: they are keyed by basis size and domain
 // (the designs also by evaluation grid), and a fitted Pipeline fixes
 // the domain and the evaluation grid, so they grow only with the basis
-// sizes its curves' lengths select.
+// sizes its curves' lengths select. A penalty keeps only its lower
+// band, L·order floats (16 KB at L = 512), so all 509 sizes the ladder
+// reaches up to 2048 points take about 4.2 MB.
 //
 // The cache also memoizes span-compact design matrices per (basis,
 // grid, derivative), which CurveFit.EvalGrid uses to evaluate
@@ -347,10 +349,10 @@ func (c *BasisCache) spanDesign(b *bspline.BSpline, ts []float64, deriv int) *li
 
 // fitEntry bundles the sample-independent pieces of one smoothing
 // system: basis, span-compact design Φ, the lower band of the Gram ΦᵀΦ,
-// the penalty R (built lazily, and shared through the cache between
-// entries of one basis), and per-λ factorizations with their hat
-// diagonals. Entries are built once and shared across goroutines; the
-// mutex guards only the λ factorizations.
+// the lower band of the penalty R (built lazily, and shared through the
+// cache between entries of one basis), and per-λ factorizations with
+// their hat diagonals. Entries are built once and shared across
+// goroutines; the mutex guards only the λ factorizations.
 type fitEntry struct {
 	basis     bspline.Basis
 	bandwidth int // band of ΦᵀΦ + λR
@@ -366,25 +368,45 @@ type fitEntry struct {
 	lambdas map[uint64]*lambdaFactor
 }
 
-// penalty is one roughness penalty R, built once on first use.
+// penalty is one roughness penalty R, built once on first use and kept
+// as its lower band in the Gram band's layout: L·(bandwidth+1) floats,
+// L·order for a B-spline.
 type penalty struct {
-	once sync.Once
-	r    *linalg.Dense
-	err  error
+	once  sync.Once
+	lower []float64
+	err   error
 }
 
-// matrix returns R for the basis and penalty order, building it on the
-// first call with the seed path's quadrature order: order − q
-// Gauss–Legendre nodes per panel for a B-spline (exact), 8 otherwise.
-func (pen *penalty) matrix(basis bspline.Basis, q int) (*linalg.Dense, error) {
+// band returns the lower band of R, of bandwidth k, building it on the
+// first call: bspline.PenaltyMatrix builds the dense R, with
+// penaltyNodes' quadrature order, and its band is copied out. Off that
+// band a B-spline penalty is exactly +0 (no two of its basis functions
+// overlap there), so the band holds every value the assembly reads.
+func (pen *penalty) band(basis bspline.Basis, q, k int) ([]float64, error) {
 	pen.once.Do(func() {
-		nodes := 8
-		if bs, ok := basis.(*bspline.BSpline); ok {
-			nodes = max(1, bs.Order()-q)
+		r, err := bspline.PenaltyMatrix(basis, q, penaltyNodes(basis, q))
+		if err != nil {
+			pen.err = err
+			return
 		}
-		pen.r, pen.err = bspline.PenaltyMatrix(basis, q, nodes)
+		L := basis.Dim()
+		pen.lower = make([]float64, L*(k+1))
+		for i := 0; i < L; i++ {
+			for j := max(0, i-k); j <= i; j++ {
+				pen.lower[i*(k+1)+j-i+k] = r.At(i, j)
+			}
+		}
 	})
-	return pen.r, pen.err
+	return pen.lower, pen.err
+}
+
+// penaltyNodes is the seed path's quadrature order for R: order − q
+// Gauss–Legendre nodes per panel for a B-spline (exact), 8 otherwise.
+func penaltyNodes(basis bspline.Basis, q int) int {
+	if bs, ok := basis.(*bspline.BSpline); ok {
+		return max(1, bs.Order()-q)
+	}
+	return 8
 }
 
 // lambdaFactor is one factorized system ΦᵀΦ + λR plus the hat-matrix
@@ -429,7 +451,7 @@ func newFitEntry(basis bspline.Basis, ts []float64, q int, pen *penalty) *fitEnt
 // penalty construction failure aborts the whole basis size exactly as
 // the sequential seed path did.
 func (e *fitEntry) ensurePenalty() error {
-	_, err := e.pen.matrix(e.basis, e.q)
+	_, err := e.pen.band(e.basis, e.q, e.bandwidth)
 	return err
 }
 
@@ -480,10 +502,10 @@ func (e *fitEntry) buildLambdaFactor(lambda float64) *lambdaFactor {
 // in place, with the seed path's tiny-ridge retry on semi-definite
 // systems.
 func (e *fitEntry) factor(lambda float64) (*linalg.BandCholesky, error) {
-	var r *linalg.Dense
+	var r []float64
 	if lambda > 0 {
 		var err error
-		if r, err = e.pen.matrix(e.basis, e.q); err != nil {
+		if r, err = e.pen.band(e.basis, e.q, e.bandwidth); err != nil {
 			return nil, err
 		}
 	}
@@ -504,11 +526,11 @@ func (e *fitEntry) factor(lambda float64) (*linalg.BandCholesky, error) {
 	return linalg.NewBandCholesky(L, k, band)
 }
 
-// assemble writes the lower band of ΦᵀΦ + λR into band (r is R, or nil
-// when λ = 0) and returns its largest magnitude. That is the largest
-// magnitude of the whole matrix: both terms are symmetric, and off the
-// band of a B-spline system they are exact +0.
-func (e *fitEntry) assemble(band []float64, lambda float64, r *linalg.Dense) float64 {
+// assemble writes the lower band of ΦᵀΦ + λR into band (r is R's lower
+// band, or nil when λ = 0) and returns its largest magnitude. That is the
+// largest magnitude of the whole matrix: both terms are symmetric, and
+// off the band of a B-spline system they are exact +0.
+func (e *fitEntry) assemble(band []float64, lambda float64, r []float64) float64 {
 	L, k := e.basis.Dim(), e.bandwidth
 	var peak float64
 	for i := 0; i < L; i++ {
@@ -516,7 +538,7 @@ func (e *fitEntry) assemble(band []float64, lambda float64, r *linalg.Dense) flo
 		for j := max(0, i-k); j <= i; j++ {
 			v := gi[j-i+k]
 			if r != nil {
-				v += lambda * r.At(i, j)
+				v += lambda * r[i*(k+1)+j-i+k]
 			}
 			row[j-i+k] = v
 			if a := math.Abs(v); a > peak {

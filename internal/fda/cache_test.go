@@ -102,3 +102,35 @@ func TestBasisCacheKeepsTrainingGridAmongOneOffs(t *testing.T) {
 		t.Fatalf("after %d one-off grids: %+v; want evictions and at most %d entries", cacheTestGrids, st, fitCap)
 	}
 }
+
+// TestPenaltyStorageIsBanded: one curve at each of 20 lengths from 40
+// points to the serving tier's 2048-point limit (stream.MaxPoints)
+// leaves one penalty per basis size in the cache, and each keeps only
+// its lower band, L·order floats, never the dense L×L.
+func TestPenaltyStorageIsBanded(t *testing.T) {
+	const lengths, shortest, longest = 20, 40, 2048
+	rng := rand.New(rand.NewSource(51))
+	opt := incTestOpts()
+	opt.Cache = NewBasisCache()
+	for i := range lengths {
+		m := shortest + i*(longest-shortest)/(lengths-1)
+		if _, err := FitSample(randomSample(rng, 1, m), opt); err != nil {
+			t.Fatalf("%d points: %v", m, err)
+		}
+	}
+	c := opt.Cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var held, bound, dense int
+	for key, pen := range c.penalties {
+		held += len(pen.lower)
+		bound += key.dim * key.order
+		dense += key.dim * key.dim
+	}
+	if held == 0 || held > bound {
+		t.Fatalf("%d penalties hold %d floats; want at most Σ L·order = %d (dense: %d)",
+			len(c.penalties), held, bound, dense)
+	}
+	t.Logf("%d penalties hold %d floats (%.1f KB); dense they would hold %d (%.1f MB)",
+		len(c.penalties), held, float64(8*held)/1e3, dense, float64(8*dense)/1e6)
+}

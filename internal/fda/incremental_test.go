@@ -332,7 +332,7 @@ func TestPenaltySharedAcrossGridsAndStreams(t *testing.T) {
 		t.Fatalf("stream fit left %d fit entries and %d penalties", len(cache.fits), len(cache.penalties))
 	}
 	for _, pen := range cache.penalties {
-		if pen.r == nil {
+		if pen.lower == nil {
 			t.Fatal("stream fit did not build its penalty in the cache")
 		}
 	}

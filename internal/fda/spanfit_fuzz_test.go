@@ -280,7 +280,7 @@ func denseLambdaFactor(basis bspline.Basis, phi *linalg.Dense, lambda float64, q
 	_, L := phi.Dims()
 	a := denseAtA(phi)
 	if lambda > 0 {
-		r, err := new(penalty).matrix(basis, q)
+		r, err := bspline.PenaltyMatrix(basis, q, penaltyNodes(basis, q))
 		if err != nil {
 			return nil, err
 		}

@@ -27,6 +27,11 @@
 // prefix of finished chunks — is final the moment it exists, which is
 // what makes the NDJSON results stream resumable by plain integer
 // cursor with no risk of a hole or a duplicate.
+//
+// A Job never holds its samples. Only the job's supervisor goroutine
+// holds the chunks, so once a job is done, failed or cancelled, the
+// table keeps its scores and counts for the retention window and never
+// its curves.
 package jobs
 
 import (
@@ -219,20 +224,20 @@ func (m *Manager) Submit(model string, ds fda.Dataset, chunkSize int) (*Job, err
 		model:     model,
 		total:     len(ds.Samples),
 		chunkSize: chunkSize,
-		chunks:    SplitChunks(ds, chunkSize),
 		created:   time.Now(),
 		state:     StatePending,
 		changed:   make(chan struct{}),
 		cancelFn:  cancel,
 		ctx:       ctx,
 	}
+	chunks := SplitChunks(ds, chunkSize)
 	j.scores = make([]float64, j.total)
-	j.chunkDone = make([]bool, len(j.chunks))
+	j.chunkDone = make([]bool, len(chunks))
 	m.jobs[j.id] = j
 	m.wg.Add(1)
 	m.mu.Unlock()
 	//mfodlint:allow poolmisuse one supervisor goroutine per job is the subsystem's purpose; the job table bounds them via Options.MaxJobs
-	go j.run(m)
+	go j.run(m, chunks)
 	return j, nil
 }
 
@@ -305,7 +310,6 @@ type Job struct {
 	model     string
 	total     int
 	chunkSize int
-	chunks    []Chunk
 	created   time.Time
 	ctx       context.Context
 	cancelFn  context.CancelFunc
@@ -353,7 +357,7 @@ func (j *Job) Status() Status {
 		State:       j.state,
 		Samples:     j.total,
 		ChunkSize:   j.chunkSize,
-		TotalChunks: len(j.chunks),
+		TotalChunks: len(j.chunkDone),
 		DoneChunks:  j.doneChunks,
 		Scored:      j.frontier,
 		Retries:     j.retries,
@@ -418,8 +422,10 @@ func (j *Job) broadcastLocked() {
 }
 
 // run is the job supervisor: it feeds chunks to workers under the token
-// budget, waits for them to unwind, and settles the terminal state.
-func (j *Job) run(m *Manager) {
+// budget, waits for them to unwind, and settles the terminal state. The
+// chunks are the job's only reference to its samples, and they die with
+// the supervisor.
+func (j *Job) run(m *Manager, chunks []Chunk) {
 	defer m.wg.Done()
 	j.mu.Lock()
 	j.state = StateRunning
@@ -428,13 +434,13 @@ func (j *Job) run(m *Manager) {
 
 	// Options.Tokens workers claim chunks in index order; once the job
 	// is cancelled, each remaining chunk's runChunk returns at once.
-	parallel.For(len(j.chunks), m.opt.Tokens, func(_, i int) {
-		j.runChunk(m, j.chunks[i])
+	parallel.For(len(chunks), m.opt.Tokens, func(_, i int) {
+		j.runChunk(m, chunks[i])
 	})
 
 	j.mu.Lock()
 	switch {
-	case j.doneChunks == len(j.chunks):
+	case j.doneChunks == len(chunks):
 		j.state = StateDone
 	case j.errMsg != "":
 		j.state = StateFailed
@@ -492,7 +498,8 @@ func (j *Job) runChunk(m *Manager, c Chunk) {
 }
 
 // complete merges a finished chunk at its absolute offset and advances
-// the contiguous frontier.
+// the contiguous frontier: every chunk but the last holds chunkSize
+// samples, so frontierChunk chunks end at frontierChunk × chunkSize.
 func (j *Job) complete(c Chunk, scores []float64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -504,14 +511,10 @@ func (j *Job) complete(c Chunk, scores []float64) {
 	copy(j.scores[c.Start:], scores)
 	j.chunkDone[c.Index] = true
 	j.doneChunks++
-	for j.frontierChunk < len(j.chunks) && j.chunkDone[j.frontierChunk] {
+	for j.frontierChunk < len(j.chunkDone) && j.chunkDone[j.frontierChunk] {
 		j.frontierChunk++
 	}
-	if j.frontierChunk == len(j.chunks) {
-		j.frontier = j.total
-	} else {
-		j.frontier = j.chunks[j.frontierChunk].Start
-	}
+	j.frontier = min(j.frontierChunk*j.chunkSize, j.total)
 	j.broadcastLocked()
 }
 

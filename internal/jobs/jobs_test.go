@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -317,6 +318,126 @@ func TestResumableCursor(t *testing.T) {
 	for i, v := range all {
 		if v != float64(i)*2 {
 			t.Fatalf("score %d = %v after resume", i, v)
+		}
+	}
+}
+
+// fateRunner scores like echoRunner, except chunk 1 of model "fail"
+// fails fatally and chunk 1 of model "cancel" waits for its context.
+type fateRunner struct{ echoRunner }
+
+func (r *fateRunner) ScoreChunk(ctx context.Context, model string, c Chunk) ([]float64, error) {
+	switch {
+	case model == "fail" && c.Index == 1:
+		return nil, Fatal(errors.New("model rejects chunk 1"))
+	case model == "cancel" && c.Index == 1:
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return r.echoRunner.ScoreChunk(ctx, model, c)
+}
+
+// results is what WaitResults(ctx, 0) answers, with the error as text.
+type results struct {
+	vals  []float64
+	next  int
+	final bool
+	err   string
+}
+
+func waitFromZero(t *testing.T, j *Job) results {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	vals, next, final, err := j.WaitResults(ctx, 0)
+	r := results{vals: vals, next: next, final: final}
+	if err != nil {
+		r.err = err.Error()
+	}
+	return r
+}
+
+// TestTerminalJobHoldsNoSamples: a done, a failed and a cancelled job
+// stay in the table with their scores and counts, and none of their
+// samples. A finalizer on every sample's backing arrays runs while the
+// table still holds all three jobs, and afterwards each job answers
+// Status and WaitResults from cursor 0 as it did before, bit for bit.
+func TestTerminalJobHoldsNoSamples(t *testing.T) {
+	const samples, chunk = 12, 4
+	m := newTestManager(t, Options{Runner: &fateRunner{}, Tokens: 1, Backoff: time.Millisecond})
+	var finalizers int
+	var finalized atomic.Int64
+	track := func(p any) {
+		finalizers++
+		runtime.SetFinalizer(p, func(any) { finalized.Add(1) })
+	}
+	// submit builds the job's dataset and returns only the job, so the
+	// test keeps no reference to the samples.
+	submit := func(model string) *Job {
+		ds := testDataset(samples)
+		track(&ds.Samples[0])
+		for i := range ds.Samples {
+			s := &ds.Samples[i]
+			track(&s.Times[0])
+			track(&s.Values[0])
+			track(&s.Values[0][0])
+		}
+		j, err := m.Submit(model, ds, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	done, failed, cancelled := submit("done"), submit("fail"), submit("cancel")
+	deadline := time.Now().Add(10 * time.Second)
+	for cancelled.Status().Scored < chunk {
+		if time.Now().After(deadline) {
+			t.Fatalf("cancel job never merged its first chunk: %+v", cancelled.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancelled.Cancel()
+
+	jobs := []*Job{done, failed, cancelled}
+	want := []State{StateDone, StateFailed, StateCancelled}
+	statuses := make([]Status, len(jobs))
+	before := make([]results, len(jobs))
+	for i, j := range jobs {
+		for !j.Status().State.Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s never ended: %+v", j.ID(), j.Status())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		statuses[i], before[i] = j.Status(), waitFromZero(t, j)
+		if statuses[i].State != want[i] || before[i].next == 0 {
+			t.Fatalf("job %s: %+v, results %+v; want %s with a finished prefix", j.ID(), statuses[i], before[i], want[i])
+		}
+	}
+
+	for finalized.Load() < int64(finalizers) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d sample arrays were collected: a terminal job still holds its samples", finalized.Load(), finalizers)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+
+	for i, j := range jobs {
+		if got, ok := m.Get(j.ID()); !ok || got != j {
+			t.Fatalf("job %s left the table", j.ID())
+		}
+		if st := j.Status(); st != statuses[i] {
+			t.Errorf("job %s status %+v after its samples were collected, was %+v", j.ID(), st, statuses[i])
+		}
+		after := waitFromZero(t, j)
+		if after.next != before[i].next || after.final != before[i].final || after.err != before[i].err || len(after.vals) != len(before[i].vals) {
+			t.Fatalf("job %s results %+v after its samples were collected, were %+v", j.ID(), after, before[i])
+		}
+		for k, v := range after.vals {
+			if math.Float64bits(v) != math.Float64bits(before[i].vals[k]) {
+				t.Fatalf("job %s score %d = %v, was %v", j.ID(), k, v, before[i].vals[k])
+			}
 		}
 	}
 }
