@@ -143,7 +143,13 @@ bench-streaming:
 # encoding/json, which it may only refuse beyond with a named refusal
 # (a null where a value belongs, a field given twice). The
 # append-decode fuzzer holds the stream append's scanner to the same
-# oracle, with a point without t as a third refusal.
+# oracle, with a point without t as a third refusal. The model-file
+# fuzzer holds LoadPipelineJSON to the encoding/json codec it replaced:
+# the same accept or refuse, the same pipeline bit for bit, and only
+# the named refusals beyond it (a null, a field given twice, data after
+# the document, a tree node with one child). A model file is a kilobyte
+# or more, and minimizing each new input in full would take the whole
+# 30 s, so its minimization stops after 200 tries.
 fuzz:
 	$(GO) test -fuzz=FuzzBSplineEval -fuzztime=30s -run=^$$ ./internal/bspline
 	$(GO) test -fuzz=FuzzSpanFit -fuzztime=30s -run=^$$ ./internal/fda
@@ -151,5 +157,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=30s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzAppendDecode -fuzztime=30s -run=^$$ ./internal/wire
+	$(GO) test -fuzz=FuzzLoadPipeline -fuzztime=30s -fuzzminimizetime=200x -run=^$$ ./internal/core
 
 check: build vet lint test test-race test-chaos bench-smoke

@@ -81,6 +81,8 @@ func runBench(n int, seed int64, parallel int, out string, minSpeedup float64) e
 			rep.ScoreSequential.NsPerOp, rep.ScoreOptimized.NsPerOp, rep.ScoreSpeedup)
 		fmt.Printf("  JSON decode     %12d ns/op  %d allocs/op (one curve's body)\n",
 			rep.DecodeJSON.NsPerOp, rep.DecodeJSON.AllocsPerOp)
+		fmt.Printf("  model save      %12d ns/op  %d allocs/op\n", rep.SaveModel.NsPerOp, rep.SaveModel.AllocsPerOp)
+		fmt.Printf("  model load      %12d ns/op  %d allocs/op\n", rep.LoadModel.NsPerOp, rep.LoadModel.AllocsPerOp)
 		fmt.Printf("  cache hits/misses %d/%d, max |Δscore| = %g\n", rep.CacheHits, rep.CacheMisses, rep.MaxAbsScoreDiff)
 		fmt.Printf("(report written to %s)\n", out)
 	}

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 
 	"repro/internal/fda"
 	"repro/internal/geometry"
 	"repro/internal/iforest"
+	"repro/internal/jsontext"
 	"repro/internal/ocsvm"
 )
 
@@ -15,7 +18,20 @@ import (
 // model trained once can score new curves in another process. The
 // serializable surface is the built-in one — B-spline smoothing options
 // (custom basis factories cannot be encoded), the registry mapping
-// functions, and the iForest / one-class SVM detectors.
+// functions, and the iForest / one-class SVM detectors. A model file is
+//
+//	{"version":1,"smooth":{...},"mapping":{...},"detector":{"name":...,"model":...},
+//	 "grid":[...],"gridLo":x,"gridHi":x,"featMean":[...],"featScale":[...]}
+//
+// plus a newline, with the smooth fields, featMean and featScale left
+// out when zero or empty. SaveJSON appends it with a jsontext.Writer and
+// LoadPipelineJSON reads it with a jsontext.Scanner, each in one pass:
+// an iForest's trees, nearly all of a Curvmap model's bytes, go
+// between the file and the forest's flat nodes with no tree of
+// intermediate values (iforest.Forest.WriteJSON and ReadJSON). The
+// smoothing options, the mapping and a one-class SVM model are small
+// and stay on encoding/json over their own bytes. The bytes are the ones encoding/json wrote for
+// the same pipeline, so a model file re-saves byte-identical.
 
 // pipelineVersion is the current on-disk schema version written by
 // SaveJSON. Version 0 (the field absent) is the original schema; the two
@@ -23,19 +39,14 @@ import (
 // anything newer it cannot know how to read.
 const pipelineVersion = 1
 
-// jsonPipeline is the on-disk form of a fitted pipeline.
-type jsonPipeline struct {
-	Version   int          `json:"version"`
-	Smooth    jsonSmooth   `json:"smooth"`
-	Mapping   jsonMapping  `json:"mapping"`
-	Detector  jsonDetector `json:"detector"`
-	Grid      []float64    `json:"grid"`
-	GridLo    float64      `json:"gridLo"`
-	GridHi    float64      `json:"gridHi"`
-	FeatMean  []float64    `json:"featMean,omitempty"`
-	FeatScale []float64    `json:"featScale,omitempty"`
-}
+// The keys of the objects a model file holds that the scanner reads.
+var (
+	pipelineFields = jsontext.Fields{"version", "smooth", "mapping", "detector", "grid", "gridLo", "gridHi", "featMean", "featScale"}
+	detectorFields = jsontext.Fields{"name", "model"}
+)
 
+// jsonSmooth is the on-disk form of the smoothing options; a zero
+// field is left out.
 type jsonSmooth struct {
 	Order        int       `json:"order,omitempty"`
 	Dims         []int     `json:"dims,omitempty"`
@@ -46,17 +57,13 @@ type jsonSmooth struct {
 	Criterion    int       `json:"criterion,omitempty"`
 }
 
+// jsonMapping is the on-disk form of a mapping.
 type jsonMapping struct {
 	Name string `json:"name"`
 	// Params carries the mapping struct's own fields (clamps, shifts);
 	// Stack members recurse.
 	Params  json.RawMessage `json:"params,omitempty"`
 	Members []jsonMapping   `json:"members,omitempty"`
-}
-
-type jsonDetector struct {
-	Name  string          `json:"name"`
-	Model json.RawMessage `json:"model"`
 }
 
 func encodeMapping(m geometry.Mapping) (jsonMapping, error) {
@@ -150,47 +157,9 @@ func decodeMapping(jm jsonMapping) (geometry.Mapping, error) {
 	}
 }
 
-func encodeDetector(d Detector) (jsonDetector, error) {
-	switch det := d.(type) {
-	case *iforest.Forest:
-		blob, err := json.Marshal(det)
-		if err != nil {
-			return jsonDetector{}, err
-		}
-		return jsonDetector{Name: "ifor", Model: blob}, nil
-	case *ocsvm.Model:
-		blob, err := json.Marshal(det)
-		if err != nil {
-			return jsonDetector{}, err
-		}
-		return jsonDetector{Name: "ocsvm", Model: blob}, nil
-	default:
-		return jsonDetector{}, fmt.Errorf("core: detector %q is not serializable: %w", d.Name(), ErrPipeline)
-	}
-}
-
-func decodeDetector(jd jsonDetector) (Detector, error) {
-	switch jd.Name {
-	case "ifor":
-		f := iforest.New(iforest.Options{})
-		if err := json.Unmarshal(jd.Model, f); err != nil {
-			return nil, err
-		}
-		return f, nil
-	case "ocsvm":
-		m := ocsvm.New(ocsvm.Options{})
-		if err := json.Unmarshal(jd.Model, m); err != nil {
-			return nil, err
-		}
-		return m, nil
-	default:
-		return nil, fmt.Errorf("core: unknown detector %q: %w", jd.Name, ErrPipeline)
-	}
-}
-
 // SaveJSON writes the fitted pipeline to w. It fails when the pipeline is
-// unfitted or uses non-serializable components (a custom basis factory,
-// mapping or detector).
+// unfitted, uses non-serializable components (a custom basis factory,
+// mapping or detector) or holds a value JSON cannot carry (NaN, ±Inf).
 func (p *Pipeline) SaveJSON(w io.Writer) error {
 	if !p.fitted {
 		return fmt.Errorf("core: save unfitted pipeline: %w", ErrPipeline)
@@ -202,80 +171,263 @@ func (p *Pipeline) SaveJSON(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	jd, err := encodeDetector(p.Detector)
+	mapping, err := json.Marshal(jm)
 	if err != nil {
+		return fmt.Errorf("core: encode mapping %q: %w", jm.Name, err)
+	}
+	smooth, err := json.Marshal(jsonSmooth{
+		Order:        p.Smooth.Order,
+		Dims:         p.Smooth.Dims,
+		Lambdas:      p.Smooth.Lambdas,
+		PenaltyDeriv: p.Smooth.PenaltyDeriv,
+		Lo:           p.Smooth.Lo,
+		Hi:           p.Smooth.Hi,
+		Criterion:    int(p.Smooth.Criterion),
+	})
+	if err != nil {
+		return fmt.Errorf("core: encode smoothing options: %w: %w", err, ErrPipeline)
+	}
+	var out jsontext.Writer
+	out.Raw(`{"version":`)
+	out.Int(pipelineVersion)
+	out.Raw(`,"smooth":`)
+	out.Raw(string(smooth))
+	out.Raw(`,"mapping":`)
+	out.Raw(string(mapping))
+	out.Raw(`,"detector":`)
+	if err := writeDetector(&out, p.Detector); err != nil {
 		return err
 	}
-	out := jsonPipeline{
-		Version: pipelineVersion,
-		Smooth: jsonSmooth{
-			Order:        p.Smooth.Order,
-			Dims:         p.Smooth.Dims,
-			Lambdas:      p.Smooth.Lambdas,
-			PenaltyDeriv: p.Smooth.PenaltyDeriv,
-			Lo:           p.Smooth.Lo,
-			Hi:           p.Smooth.Hi,
-			Criterion:    int(p.Smooth.Criterion),
-		},
-		Mapping:   jm,
-		Detector:  jd,
-		Grid:      p.grid,
-		GridLo:    p.gridLo,
-		GridHi:    p.gridHi,
-		FeatMean:  p.featMean,
-		FeatScale: p.featScale,
+	out.Raw(`,"grid":`)
+	out.FloatArray(p.grid)
+	out.Raw(`,"gridLo":`)
+	out.Float(p.gridLo)
+	out.Raw(`,"gridHi":`)
+	out.Float(p.gridHi)
+	if len(p.featMean) > 0 {
+		out.Raw(`,"featMean":`)
+		out.FloatArray(p.featMean)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	if len(p.featScale) > 0 {
+		out.Raw(`,"featScale":`)
+		out.FloatArray(p.featScale)
+	}
+	out.Raw("}\n")
+	b, err := out.Bytes()
+	if err != nil {
+		return fmt.Errorf("core: save pipeline: %w: %w", err, ErrPipeline)
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// writeDetector appends the detector's object: its name and its model.
+func writeDetector(w *jsontext.Writer, d Detector) error {
+	switch det := d.(type) {
+	case *iforest.Forest:
+		w.Raw(`{"name":"ifor","model":`)
+		if err := det.WriteJSON(w); err != nil {
+			return err
+		}
+	case *ocsvm.Model:
+		blob, err := json.Marshal(det)
+		if err != nil {
+			return err
+		}
+		w.Raw(`{"name":"ocsvm","model":`)
+		w.Raw(string(blob))
+	default:
+		return fmt.Errorf("core: detector %q is not serializable: %w", d.Name(), ErrPipeline)
+	}
+	w.Raw("}")
+	return nil
 }
 
 // LoadPipelineJSON restores a fitted pipeline saved with SaveJSON; the
-// result scores new datasets without refitting.
+// result scores new datasets without refitting and holds no reference
+// to the bytes it was read from. Keys may come in any order, and
+// unknown ones are skipped. Beyond what encoding/json refuses, it
+// refuses, wrapping ErrPipeline, what encoding/json would misread: data
+// after the document (jsontext.ErrTrailing), and outside the parts
+// encoding/json still decodes, a null where a value belongs
+// (jsontext.ErrNull) and a field given twice (jsontext.ErrDuplicate); a
+// forest that no fit writes is refused with iforest.ErrNotFitted (see
+// iforest.Forest.ReadJSON).
 func LoadPipelineJSON(r io.Reader) (*Pipeline, error) {
-	var in jsonPipeline
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: read pipeline: %w", err)
+	}
+	p, err := decodePipeline(data)
+	if err != nil {
 		return nil, fmt.Errorf("core: decode pipeline: %w", err)
 	}
-	if in.Version < 0 || in.Version > pipelineVersion {
-		return nil, fmt.Errorf("core: pipeline blob has version %d, this build reads <= %d (upgrade the library or re-save the model): %w",
-			in.Version, pipelineVersion, ErrPipeline)
+	return p, nil
+}
+
+// readAll reads r whole. A reader that tells its size, such as a file
+// or a bytes.Reader, is read into one buffer of that size, where
+// io.ReadAll's growth would allocate about five times the model.
+func readAll(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	switch src := r.(type) {
+	case interface{ Len() int }:
+		buf.Grow(src.Len() + bytes.MinRead)
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := src.Stat(); err == nil {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
 	}
-	if len(in.Grid) == 0 {
-		return nil, fmt.Errorf("core: pipeline blob has no grid: %w", ErrPipeline)
-	}
-	mapping, err := decodeMapping(in.Mapping)
-	if err != nil {
-		return nil, err
-	}
-	det, err := decodeDetector(in.Detector)
-	if err != nil {
-		return nil, err
-	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// decodePipeline reads a model file in one pass.
+func decodePipeline(data []byte) (*Pipeline, error) {
+	s := jsontext.NewScanner(data, ErrPipeline, nil)
 	p := &Pipeline{
-		Smooth: fda.Options{
-			Order:        in.Smooth.Order,
-			Dims:         in.Smooth.Dims,
-			Lambdas:      in.Smooth.Lambdas,
-			PenaltyDeriv: in.Smooth.PenaltyDeriv,
-			Lo:           in.Smooth.Lo,
-			Hi:           in.Smooth.Hi,
-			Criterion:    fda.Criterion(in.Smooth.Criterion),
-		},
-		Mapping:     mapping,
-		Detector:    det,
-		GridSize:    len(in.Grid),
-		Standardize: in.FeatMean != nil,
-		fitted:      true,
-		gridLo:      in.GridLo,
-		gridHi:      in.GridHi,
-		grid:        in.Grid,
-		featMean:    in.FeatMean,
-		featScale:   in.FeatScale,
+		fitted: true,
 		// A loaded pipeline scores without refitting, so give it a fresh
 		// basis cache: repeat requests on the same measurement grid then
 		// skip straight to the memoized factorizations.
 		cache: fda.NewBasisCache(),
 	}
+	var seen uint32
+	err := s.Object("the pipeline object", func(key []byte) error {
+		i, err := s.Field(pipelineFields, key, &seen)
+		switch {
+		case err != nil:
+		case i == 0:
+			var version int
+			if version, err = s.Int("version"); err == nil && (version < 0 || version > pipelineVersion) {
+				err = fmt.Errorf("core: pipeline blob has version %d, this build reads <= %d (upgrade the library or re-save the model): %w",
+					version, pipelineVersion, ErrPipeline)
+			}
+		case i == 1:
+			p.Smooth, err = readSmooth(&s)
+		case i == 2:
+			p.Mapping, err = readMapping(&s)
+		case i == 3:
+			p.Detector, err = readDetector(&s)
+		case i == 4:
+			p.grid, err = s.FloatArray("grid")
+		case i == 5:
+			p.gridLo, err = s.Float("gridLo")
+		case i == 6:
+			p.gridHi, err = s.Float("gridHi")
+		case i == 7:
+			p.featMean, err = s.FloatArray("featMean")
+		case i == 8:
+			p.featScale, err = s.FloatArray("featScale")
+		default:
+			err = s.Skip()
+		}
+		return err
+	})
+	if err == nil {
+		err = s.End()
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case len(p.grid) == 0:
+		return nil, fmt.Errorf("core: pipeline blob has no grid: %w", ErrPipeline)
+	case p.Mapping == nil:
+		return nil, fmt.Errorf("core: pipeline blob has no mapping: %w", ErrPipeline)
+	case p.Detector == nil:
+		return nil, fmt.Errorf("core: pipeline blob has no detector: %w", ErrPipeline)
+	}
+	p.GridSize = len(p.grid)
+	p.Standardize = p.featMean != nil
 	return p, nil
+}
+
+// readSmooth reads the smoothing options' object; encoding/json
+// decodes its own bytes.
+func readSmooth(s *jsontext.Scanner) (fda.Options, error) {
+	raw, err := s.Raw()
+	if err != nil {
+		return fda.Options{}, err
+	}
+	var js jsonSmooth
+	if err := json.Unmarshal(raw, &js); err != nil {
+		return fda.Options{}, fmt.Errorf("core: decode smoothing options: %w", err)
+	}
+	return fda.Options{
+		Order:        js.Order,
+		Dims:         js.Dims,
+		Lambdas:      js.Lambdas,
+		PenaltyDeriv: js.PenaltyDeriv,
+		Lo:           js.Lo,
+		Hi:           js.Hi,
+		Criterion:    fda.Criterion(js.Criterion),
+	}, nil
+}
+
+// readMapping reads the mapping's object; encoding/json decodes its own
+// bytes.
+func readMapping(s *jsontext.Scanner) (geometry.Mapping, error) {
+	raw, err := s.Raw()
+	if err != nil {
+		return nil, err
+	}
+	var jm jsonMapping
+	if err := json.Unmarshal(raw, &jm); err != nil {
+		return nil, fmt.Errorf("core: decode mapping: %w", err)
+	}
+	return decodeMapping(jm)
+}
+
+// readDetector reads the detector's object. A model given before the
+// detector's name is kept as bytes and read once the name is known.
+func readDetector(s *jsontext.Scanner) (Detector, error) {
+	var name string
+	var det Detector
+	var model []byte
+	var seen uint32
+	err := s.Object("the detector object", func(key []byte) error {
+		i, err := s.Field(detectorFields, key, &seen)
+		switch {
+		case err != nil:
+		case i == 0:
+			name, err = s.String("name")
+		case i == 1 && seen&1 == 0:
+			model, err = s.Raw()
+		case i == 1:
+			det, err = readModel(s, name)
+		default:
+			err = s.Skip()
+		}
+		return err
+	})
+	if err != nil || det != nil {
+		return det, err
+	}
+	// The model came before the name, or not at all.
+	sub := jsontext.NewScanner(model, ErrPipeline, nil)
+	return readModel(&sub, name)
+}
+
+// readModel reads the model value of the detector called name.
+func readModel(s *jsontext.Scanner, name string) (Detector, error) {
+	switch name {
+	case "ifor":
+		f := iforest.New(iforest.Options{})
+		if err := f.ReadJSON(s); err != nil {
+			return nil, err
+		}
+		return f, nil
+	case "ocsvm":
+		raw, err := s.Raw()
+		if err != nil {
+			return nil, err
+		}
+		m := ocsvm.New(ocsvm.Options{})
+		if err := json.Unmarshal(raw, m); err != nil {
+			return nil, err
+		}
+		return m, nil
+	default:
+		return nil, fmt.Errorf("core: unknown detector %q: %w", name, ErrPipeline)
+	}
 }

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/bspline"
+	"repro/internal/dataset"
 	"repro/internal/fda"
 	"repro/internal/geometry"
 	"repro/internal/iforest"
+	"repro/internal/jsontext"
 	"repro/internal/ocsvm"
 )
 
@@ -231,5 +234,222 @@ func TestLoadPipelineJSONRejectsBadForestSplit(t *testing.T) {
 	}
 	if _, err := LoadPipelineJSON(bytes.NewReader(bad)); !errors.Is(err, iforest.ErrNotFitted) {
 		t.Fatalf("err = %v, want iforest.ErrNotFitted", err)
+	}
+}
+
+// savedModel fits p on d and returns its model file.
+func savedModel(t testing.TB, p *Pipeline, d fda.Dataset) []byte {
+	t.Helper()
+	if err := p.Fit(d); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadPipelineJSONRefusesTrailingData: json.Decoder stopped after
+// the first value, so a model file with anything after it loaded as if
+// the rest were not there. Anything but whitespace after the document
+// now fails the load; SaveJSON's own newline, and more whitespace,
+// still load.
+func TestLoadPipelineJSONRefusesTrailingData(t *testing.T) {
+	saved := savedModel(t, quickPipeline(16), smallECG(t, 20, 16))
+	for _, tail := range []string{"", " \t\r\n"} {
+		if _, err := LoadPipelineJSON(bytes.NewReader(append(bytes.Clone(saved), tail...))); err != nil {
+			t.Fatalf("tail %q: %v", tail, err)
+		}
+	}
+	for _, tail := range []string{`{"version":99} trailing junk`, "x", "{}", "0"} {
+		_, err := LoadPipelineJSON(bytes.NewReader(append(bytes.Clone(saved), tail...)))
+		if !errors.Is(err, ErrPipeline) || !errors.Is(err, jsontext.ErrTrailing) {
+			t.Fatalf("tail %q: err = %v, want ErrPipeline and jsontext.ErrTrailing", tail, err)
+		}
+		if _, err := loadOracle(append(bytes.Clone(saved), tail...)); err != nil {
+			t.Fatalf("tail %q: encoding/json refused it too (%v); the test shows nothing", tail, err)
+		}
+	}
+}
+
+// TestLoadPipelineJSONRefusesOneChildNode: a saved model whose root
+// lost its "right" child used to load, with the root read as a leaf,
+// and score every training curve differently from the model saved. It
+// now fails the load with iforest.ErrNotFitted, as a bad split does.
+func TestLoadPipelineJSONRefusesOneChildNode(t *testing.T) {
+	d := smallECG(t, 20, 17)
+	p := quickPipeline(17)
+	saved := savedModel(t, p, d)
+	want, err := p.Score(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(saved, &raw); err != nil {
+		t.Fatal(err)
+	}
+	root := raw["detector"].(map[string]any)["model"].(map[string]any)["trees"].([]any)[0].(map[string]any)
+	if _, ok := root["right"]; !ok {
+		t.Fatal("fixture forest's first tree is a single leaf")
+	}
+	delete(root, "right")
+	bad, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPipelineJSON(bytes.NewReader(bad)); !errors.Is(err, iforest.ErrNotFitted) {
+		t.Fatalf("err = %v, want iforest.ErrNotFitted", err)
+	}
+	// What the old decoder made of it: a model the file does not hold.
+	old, err := loadOracle(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := old.p.Score(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for i := range want {
+		if got[i] != want[i] {
+			moved++
+		}
+	}
+	if old.repaired != 1 || moved == 0 {
+		t.Fatalf("the old decoder repaired %d nodes and moved %d of %d scores; the fixture shows nothing", old.repaired, moved, len(want))
+	}
+	t.Logf("read as a leaf, the root moved %d of %d training scores", moved, len(want))
+}
+
+// TestSaveJSONMatchesEncodingJSON: SaveJSON writes, byte for byte, what
+// the encoding/json codec wrote for the same pipeline, over both
+// detectors, plain and stacked mappings, mappings with parameters,
+// Standardize off, and smoothing options away from their defaults,
+// whose λ are written in exponent form and whose domain starts below 0.
+func TestSaveJSONMatchesEncodingJSON(t *testing.T) {
+	d := smallECG(t, 30, 18)
+	forest := func() Detector { return iforest.New(iforest.Options{Trees: 20, Seed: 18}) }
+	quick := fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}}
+	cases := []struct {
+		name string
+		p    *Pipeline
+	}{
+		{"ifor", &Pipeline{Smooth: quick, Mapping: geometry.LogCurvature{}, Detector: forest(), Standardize: true}},
+		{"ifor default smoothing", &Pipeline{Mapping: geometry.LogCurvature{Shift: 1e-7}, Detector: forest(), Standardize: true}},
+		{"ocsvm", &Pipeline{Smooth: quick, Mapping: geometry.Curvature{Max: 50}, Detector: ocsvm.New(ocsvm.Options{Nu: 0.2}), Standardize: true}},
+		{"stack", &Pipeline{Smooth: quick, Mapping: geometry.Stack{geometry.Curvature{Max: 50}, geometry.Speed{}}, Detector: forest(), Standardize: true}},
+		{"stack ocsvm", &Pipeline{Smooth: quick, Mapping: geometry.Stack{geometry.NormalizedCurvature{Oversample: 3}, geometry.RadiusOfCurvature{MaxRadius: 2.5e21}}, Detector: ocsvm.New(ocsvm.Options{Nu: 0.3}), Standardize: true}},
+		{"no standardize", &Pipeline{Smooth: quick, Mapping: geometry.LogCurvature{}, Detector: forest()}},
+		{"smoothing options", &Pipeline{
+			Smooth: fda.Options{
+				Order: 5, Dims: []int{8, 12}, Lambdas: []float64{1e-8, 2.5e-7, 0.125}, PenaltyDeriv: 3,
+				Lo: -0.5, Hi: 1.5, Criterion: fda.GCV,
+			},
+			Mapping: geometry.LogCurvature{}, Detector: forest(), Standardize: true,
+		}},
+	}
+	for _, c := range cases {
+		got := savedModel(t, c.p, d)
+		want, err := oracleSave(c.p)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(got, want) {
+			n := 0
+			for n < len(got) && n < len(want) && got[n] == want[n] {
+				n++
+			}
+			t.Errorf("%s: SaveJSON differs from encoding/json at byte %d of %d:\n got …%.80s\nwant …%.80s",
+				c.name, n, len(want), got[max(n-20, 0):], want[max(n-20, 0):])
+		}
+	}
+	// A value JSON cannot carry fails the save, as encoding/json did,
+	// and writes nothing.
+	p := &Pipeline{Smooth: quick, Mapping: geometry.LogCurvature{}, Detector: forest(), Standardize: true}
+	savedModel(t, p, d)
+	p.featScale[0] = math.Inf(1)
+	var buf bytes.Buffer
+	if err := p.SaveJSON(&buf); !errors.Is(err, ErrPipeline) || buf.Len() != 0 {
+		t.Fatalf("err = %v after writing %d bytes, want ErrPipeline and nothing written", err, buf.Len())
+	}
+	if _, err := oracleSave(p); err == nil {
+		t.Fatal("encoding/json saved +Inf; the case shows nothing")
+	}
+}
+
+// TestLoadPipelineJSONMatchesEncodingJSONOnFig3Model loads the
+// benchmark's model — iFor(Curvmap), 300 trees of ψ = 64 with seed 1,
+// fit on the 200 Fig. 3 curves (experiments.CurvmapPipeline on
+// Fig3Dataset(200, 1), which this package cannot import) — through
+// LoadPipelineJSON and through the encoding/json oracle: the two give
+// the same nodes and roots, every field bitwise, and the same scores,
+// bit for bit, on the 200 training curves.
+func TestLoadPipelineJSONMatchesEncodingJSONOnFig3Model(t *testing.T) {
+	d, err := dataset.ECGBivariate(dataset.ECGOptions{N: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Pipeline{
+		Mapping:     geometry.LogCurvature{},
+		Detector:    iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: 1}),
+		Standardize: true,
+	}
+	saved := savedModel(t, p, d)
+	got, err := LoadPipelineJSON(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := loadOracle(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := pipelineDiff(got, want); diff != "" {
+		t.Fatal(diff)
+	}
+	gotScores, err := got.Score(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantScores, err := want.p.Score(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantScores {
+		if math.Float64bits(gotScores[i]) != math.Float64bits(wantScores[i]) {
+			t.Fatalf("score[%d] = %v, oracle %v", i, gotScores[i], wantScores[i])
+		}
+	}
+	t.Logf("%d bytes, %d trees, %d nodes, %d scores bitwise equal", len(saved), len(want.forest.roots), len(want.forest.nodes), len(wantScores))
+}
+
+// TestLoadPipelineJSONKeepsNoBuffer: a loaded pipeline holds nothing
+// of the bytes it was decoded from. Overwriting them after the decode
+// does not change the file it saves.
+func TestLoadPipelineJSONKeepsNoBuffer(t *testing.T) {
+	d := smallECG(t, 20, 20)
+	for _, det := range []Detector{iforest.New(iforest.Options{Trees: 10, Seed: 20}), ocsvm.New(ocsvm.Options{Nu: 0.2})} {
+		p := &Pipeline{
+			Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+			Mapping:     geometry.Stack{geometry.Curvature{Max: 50}, geometry.LogCurvature{Shift: 1e-5}},
+			Detector:    det,
+			Standardize: true,
+		}
+		saved := savedModel(t, p, d)
+		data := bytes.Clone(saved)
+		loaded, err := decodePipeline(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			data[i] = 'x'
+		}
+		var again bytes.Buffer
+		if err := loaded.SaveJSON(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), saved) {
+			t.Fatalf("%s: the loaded pipeline changed with the buffer it was read from", det.Name())
+		}
 	}
 }

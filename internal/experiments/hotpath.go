@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -21,8 +23,9 @@ import (
 // and the optimized path (bounded worker pool + shared BasisCache). It
 // also times the two refit paths a warm cache cannot serve (a stream
 // refit after every append, and scoring on a grid never seen before),
-// and the decode of one curve's JSON request body, which the serving
-// tiers pay before any scoring.
+// the decode of one curve's JSON request body, which the serving tiers
+// pay before any scoring, and the save and load of the fitted model,
+// which every replica pays at start, reload and restart.
 // The report is machine-readable so CI can archive it and fail the
 // build when the optimization regresses; see cmd/mfodbench -bench.
 
@@ -76,6 +79,12 @@ type HotpathReport struct {
 	// as wire.EncodeJSON renders it: the decode a replica, or the gate's
 	// transcode, runs on every JSON scoring request.
 	DecodeJSON HotpathStage `json:"decodeJSON"`
+	// SaveModel is one Pipeline.SaveJSON of the optimized pipeline's
+	// fitted model, the repository benchmark's iFor(Curvmap) model at the
+	// default seed; LoadModel is one LoadPipelineJSON of the file it
+	// writes. Neither has a floor.
+	SaveModel HotpathStage `json:"saveModel"`
+	LoadModel HotpathStage `json:"loadModel"`
 
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
@@ -182,6 +191,11 @@ func RunHotpath(opt HotpathOptions) (*HotpathReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hotpath: encode body: %w", err)
 	}
+	// The model file, for the load stage.
+	var model bytes.Buffer
+	if err := optPipe.SaveJSON(&model); err != nil {
+		return nil, fmt.Errorf("hotpath: save model: %w", err)
+	}
 	seqOpt := fda.Options{Parallel: 1, NoCache: true}
 	cache := fda.NewBasisCache()
 	fitOpt := fda.Options{Parallel: opt.Parallel, Cache: cache}
@@ -241,6 +255,21 @@ func RunHotpath(opt HotpathOptions) (*HotpathReport, error) {
 		{&rep.DecodeJSON, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := wire.DecodeBody("application/json", body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		// The model file's save and load.
+		{&rep.SaveModel, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := optPipe.SaveJSON(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{&rep.LoadModel, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.LoadPipelineJSON(bytes.NewReader(model.Bytes())); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -42,7 +42,8 @@ func TestRunHotpathSmall(t *testing.T) {
 	}
 	if rep.FitSequential.NsPerOp <= 0 || rep.FitOptimized.NsPerOp <= 0 ||
 		rep.ScoreSequential.NsPerOp <= 0 || rep.ScoreOptimized.NsPerOp <= 0 ||
-		rep.StreamRefit.NsPerOp <= 0 || rep.FreshGridScore.NsPerOp <= 0 || rep.DecodeJSON.NsPerOp <= 0 {
+		rep.StreamRefit.NsPerOp <= 0 || rep.FreshGridScore.NsPerOp <= 0 || rep.DecodeJSON.NsPerOp <= 0 ||
+		rep.SaveModel.NsPerOp <= 0 || rep.LoadModel.NsPerOp <= 0 {
 		t.Errorf("missing timings: %+v", rep)
 	}
 	if rep.CacheHits == 0 {

@@ -1,101 +1,244 @@
 package iforest
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
+
+	"repro/internal/jsontext"
 )
 
-// jsonForest is the serialized form of a fitted forest.
-type jsonForest struct {
-	Dim   int        `json:"dim"`
-	CPsi  float64    `json:"cPsi"`
-	Trees []jsonNode `json:"trees"`
+// The JSON form of a fitted forest, which model files carry:
+//
+//	{"dim":D,"cPsi":C,"trees":[N,...]}
+//
+// with each tree N in nested form: an internal node is
+// {"attr":A,"value":V,"size":0,"adj":0,"left":[N],"right":[N]}, a leaf
+// {"attr":0,"value":0,"size":S,"adj":c(S)}. WriteJSON appends it
+// straight from the flat nodes and ReadJSON reads it straight into
+// them, each in one pass; the bytes are the ones encoding/json wrote
+// for the same forest, so a model file re-saves byte-identical.
+
+var (
+	forestFields = jsontext.Fields{"dim", "cPsi", "trees"}
+	nodeFields   = jsontext.Fields{"attr", "value", "size", "adj", "left", "right"}
+)
+
+// WriteJSON appends the forest's JSON form to w; it fails on an
+// unfitted forest. A non-finite split value is w's error.
+func (f *Forest) WriteJSON(w *jsontext.Writer) error {
+	if len(f.roots) == 0 {
+		return fmt.Errorf("iforest: marshal unfitted forest: %w", ErrNotFitted)
+	}
+	w.Raw(`{"dim":`)
+	w.Int(f.dim)
+	w.Raw(`,"cPsi":`)
+	w.Float(f.cPsi)
+	w.Raw(`,"trees":[`)
+	for i, root := range f.roots {
+		if i > 0 {
+			w.Raw(",")
+		}
+		f.writeNode(w, root)
+	}
+	w.Raw("]}")
+	return nil
 }
 
-// jsonNode is one tree node in nested form: an internal node carries
-// attr, value and one-element Left and Right lists, a leaf size and adj.
-type jsonNode struct {
-	Attr  int        `json:"attr"`
-	Value float64    `json:"value"`
-	Size  int        `json:"size"`
-	Adj   float64    `json:"adj"`
-	Left  []jsonNode `json:"left,omitempty"`
-	Right []jsonNode `json:"right,omitempty"`
-}
-
-// encodeNode writes the subtree at nodes[at] in the nested JSON form:
-// an internal node carries attr and value, a leaf size and adj.
-func (f *Forest) encodeNode(at int32) jsonNode {
+// writeNode appends the subtree at nodes[at] in nested form.
+func (f *Forest) writeNode(w *jsontext.Writer, at int32) {
 	nd := f.nodes[at]
 	if nd.attr < 0 {
-		return jsonNode{Size: int(nd.child), Adj: nd.value}
+		w.Raw(`{"attr":0,"value":0,"size":`)
+		w.Int(int(nd.child))
+		w.Raw(`,"adj":`)
+		w.Float(nd.value)
+		w.Raw("}")
+		return
 	}
-	return jsonNode{
-		Attr:  int(nd.attr),
-		Value: nd.value,
-		Left:  []jsonNode{f.encodeNode(nd.child)},
-		Right: []jsonNode{f.encodeNode(nd.child + 1)},
-	}
-}
-
-// decodeNode places the subtree of jn at nodes[at], appending children
-// in sibling pairs. A node with one child is corrupt and degrades to a
-// leaf so scoring stays safe; an internal node must split on a feature
-// in [0, dim).
-func (f *Forest) decodeNode(at int, jn jsonNode) error {
-	if len(jn.Left) == 0 || len(jn.Right) == 0 {
-		if jn.Size < math.MinInt32 || jn.Size > math.MaxInt32 {
-			return fmt.Errorf("iforest: unmarshal leaf size %d out of range: %w", jn.Size, ErrNotFitted)
-		}
-		f.nodes[at] = node{value: jn.Adj, attr: -1, child: int32(jn.Size)}
-		return nil
-	}
-	if jn.Attr < 0 || jn.Attr >= f.dim {
-		return fmt.Errorf("iforest: unmarshal split attribute %d outside [0, %d): %w", jn.Attr, f.dim, ErrNotFitted)
-	}
-	child := len(f.nodes)
-	f.nodes = append(f.nodes, node{}, node{})
-	f.nodes[at] = node{value: jn.Value, attr: int32(jn.Attr), child: int32(child)}
-	if err := f.decodeNode(child, jn.Left[0]); err != nil {
-		return err
-	}
-	return f.decodeNode(child+1, jn.Right[0])
+	w.Raw(`{"attr":`)
+	w.Int(int(nd.attr))
+	w.Raw(`,"value":`)
+	w.Float(nd.value)
+	w.Raw(`,"size":0,"adj":0,"left":[`)
+	f.writeNode(w, nd.child)
+	w.Raw(`],"right":[`)
+	f.writeNode(w, nd.child+1)
+	w.Raw("]}")
 }
 
 // MarshalJSON serializes a fitted forest; it fails on an unfitted one.
 func (f *Forest) MarshalJSON() ([]byte, error) {
-	if len(f.roots) == 0 {
-		return nil, fmt.Errorf("iforest: marshal unfitted forest: %w", ErrNotFitted)
+	var w jsontext.Writer
+	if err := f.WriteJSON(&w); err != nil {
+		return nil, err
 	}
-	jf := jsonForest{Dim: f.dim, CPsi: f.cPsi, Trees: make([]jsonNode, len(f.roots))}
-	for i, root := range f.roots {
-		jf.Trees[i] = f.encodeNode(root)
-	}
-	return json.Marshal(jf)
+	return w.Bytes()
 }
 
-// UnmarshalJSON restores a fitted forest serialized by MarshalJSON. A
-// model that would fail at score time — no trees, or a split on a
-// feature the forest does not have — is rejected here, wrapping
-// ErrNotFitted.
+// UnmarshalJSON restores a fitted forest serialized by MarshalJSON. It
+// refuses what ReadJSON refuses, and anything after the forest's value;
+// every refusal wraps ErrNotFitted.
 func (f *Forest) UnmarshalJSON(data []byte) error {
-	var jf jsonForest
-	if err := json.Unmarshal(data, &jf); err != nil {
-		return fmt.Errorf("iforest: unmarshal: %w", err)
+	s := jsontext.NewScanner(data, ErrNotFitted, nil)
+	if err := f.ReadJSON(&s); err != nil {
+		return err
 	}
-	if jf.Dim <= 0 || len(jf.Trees) == 0 || jf.CPsi <= 0 {
-		return fmt.Errorf("iforest: unmarshal incomplete model: %w", ErrNotFitted)
-	}
-	dec := Forest{opt: f.opt, dim: jf.Dim, cPsi: jf.CPsi, roots: make([]int32, len(jf.Trees))}
-	for i, jn := range jf.Trees {
-		dec.roots[i] = int32(len(dec.nodes))
-		dec.nodes = append(dec.nodes, node{})
-		if err := dec.decodeNode(int(dec.roots[i]), jn); err != nil {
-			return err
+	return s.End()
+}
+
+// ReadJSON reads one forest value at s into f, the nested nodes
+// straight into the flat node slice: siblings in pairs, an exact-size
+// copy, as Fit lays them out. Keys may come in any order. A model that
+// would fail at score time or that no fit writes is refused, wrapping
+// ErrNotFitted, and f keeps its previous state:
+//
+//   - no trees, dim ≤ 0 or cPsi ≤ 0;
+//   - a split on a feature outside [0, dim), which would panic on every
+//     score (a negative one would pass for the leaf marker);
+//   - a node with one child, or a child list of more than one node;
+//     reading it as a leaf, or reading only its first node, would score
+//     every curve that reaches it on a tree the file does not hold;
+//   - a leaf size outside int32's range.
+func (f *Forest) ReadJSON(s *jsontext.Scanner) error {
+	r := reader{s: s, maxAttr: -1}
+	var dim int
+	var cPsi float64
+	var roots []int32
+	var seen uint32
+	err := s.Object("a forest object", func(key []byte) error {
+		i, err := s.Field(forestFields, key, &seen)
+		switch {
+		case err != nil:
+		case i == 0:
+			dim, err = s.Int("dim")
+		case i == 1:
+			cPsi, err = s.Float("cPsi")
+		case i == 2:
+			roots = []int32{}
+			err = s.Array("trees", func() error {
+				roots = append(roots, int32(len(r.nodes)))
+				r.nodes = append(r.nodes, node{})
+				return r.node(len(r.nodes) - 1)
+			})
+		default:
+			err = s.Skip()
 		}
+		return err
+	})
+	switch {
+	case err != nil:
+		return err
+	case dim <= 0 || len(roots) == 0 || cPsi <= 0:
+		return fmt.Errorf("iforest: unmarshal incomplete model: %w", ErrNotFitted)
+	case r.maxAttr >= dim:
+		return fmt.Errorf("iforest: unmarshal split attribute %d outside [0, %d): %w", r.maxAttr, dim, ErrNotFitted)
 	}
-	dec.nodes = append(make([]node, 0, len(dec.nodes)), dec.nodes...) // exact size, as in Fit
-	*f = dec
+	nodes := r.nodes
+	if r.rightFirst {
+		nodes = relayout(nodes, roots)
+	} else {
+		nodes = append(make([]node, 0, len(nodes)), nodes...) // exact size, as in Fit
+	}
+	*f = Forest{opt: f.opt, nodes: nodes, roots: roots, dim: dim, cPsi: cPsi}
 	return nil
+}
+
+// reader places nested JSON nodes into one flat node slice.
+type reader struct {
+	s     *jsontext.Scanner
+	nodes []node
+	// maxAttr is the largest split attribute read; the forest checks it
+	// against dim, which may come after the trees.
+	maxAttr int
+	// rightFirst records a node whose "right" came before its "left":
+	// its right subtree was placed first, so the nodes need relayout.
+	rightFirst bool
+}
+
+// node reads one node object into nodes[at]. Its first non-empty child
+// list reserves the sibling pair, and each child's subtree is placed as
+// it is read.
+func (r *reader) node(at int) error {
+	s := r.s
+	var attr, size int
+	var value, adj float64
+	child := -1     // the sibling pair's first index, once reserved
+	var lists uint8 // bit 0: left read with one node, bit 1: right
+	var seen uint32
+	err := s.Object("a tree node", func(key []byte) error {
+		i, err := s.Field(nodeFields, key, &seen)
+		switch {
+		case err != nil:
+		case i == 0:
+			attr, err = s.Int("attr")
+		case i == 1:
+			value, err = s.Float("value")
+		case i == 2:
+			size, err = s.Int("size")
+		case i == 3:
+			adj, err = s.Float("adj")
+		case i == 4 || i == 5:
+			side := i - 4
+			if side == 1 && lists == 0 {
+				r.rightFirst = true
+			}
+			n := 0
+			err = s.Array("a child list", func() error {
+				if n++; n > 1 {
+					return fmt.Errorf("iforest: unmarshal child list with more than one node: %w", ErrNotFitted)
+				}
+				if child < 0 {
+					child = len(r.nodes)
+					r.nodes = append(r.nodes, node{}, node{})
+				}
+				lists |= 1 << side
+				return r.node(child + side)
+			})
+		default:
+			err = s.Skip()
+		}
+		return err
+	})
+	switch {
+	case err != nil:
+		return err
+	case lists == 0:
+		if size < math.MinInt32 || size > math.MaxInt32 {
+			return fmt.Errorf("iforest: unmarshal leaf size %d out of range: %w", size, ErrNotFitted)
+		}
+		r.nodes[at] = node{value: adj, attr: -1, child: int32(size)}
+	case lists != 3:
+		return fmt.Errorf("iforest: unmarshal node with one child: %w", ErrNotFitted)
+	case attr < 0:
+		return fmt.Errorf("iforest: unmarshal split attribute %d is negative: %w", attr, ErrNotFitted)
+	default:
+		r.maxAttr = max(r.maxAttr, attr)
+		r.nodes[at] = node{value: value, attr: int32(attr), child: int32(child)}
+	}
+	return nil
+}
+
+// relayout returns nodes laid out as Fit lays them out: each tree depth
+// first, a split's sibling pair reserved before its left subtree is
+// placed. It rewrites roots to match.
+func relayout(nodes []node, roots []int32) []node {
+	out := make([]node, 0, len(nodes))
+	var place func(from int32, at int)
+	place = func(from int32, at int) {
+		nd := nodes[from]
+		if nd.attr >= 0 {
+			child := len(out)
+			out = append(out, node{}, node{})
+			place(nd.child, child)
+			place(nd.child+1, child+1)
+			nd.child = int32(child)
+		}
+		out[at] = nd
+	}
+	for t, root := range roots {
+		roots[t] = int32(len(out))
+		out = append(out, node{})
+		place(root, int(roots[t]))
+	}
+	return out
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -55,16 +57,92 @@ func TestForestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestForestUnmarshalRepairsAsymmetricNode(t *testing.T) {
-	// A node with a left child but no right child is corrupt; decoding
-	// must degrade it to a leaf rather than panic during scoring.
-	blob := `{"dim":1,"cPsi":1,"trees":[{"attr":0,"value":0.5,"left":[{"size":1,"adj":0}]}]}`
+// TestForestUnmarshalRejectsOneChildNode: a node with one child, or a
+// child list of more than one node, is no tree a fit writes. Reading
+// the first as a leaf, or the second by its first node, would score on
+// a tree the file does not hold, so both fail the load with
+// ErrNotFitted, as a bad split attribute does, and the forest keeps its
+// previous state.
+func TestForestUnmarshalRejectsOneChildNode(t *testing.T) {
+	for _, blob := range []string{
+		`{"dim":1,"cPsi":1,"trees":[{"attr":0,"value":0.5,"left":[{"size":1,"adj":0}]}]}`,
+		`{"dim":1,"cPsi":1,"trees":[{"attr":0,"value":0.5,"right":[{"size":1,"adj":0}]}]}`,
+		`{"dim":1,"cPsi":1,"trees":[{"attr":0,"value":0.5,"left":[],"right":[{"size":1}]}]}`,
+		`{"dim":1,"cPsi":1,"trees":[{"attr":0,"value":0.5,"left":[{"size":1},{"size":2}],"right":[{"size":1}]}]}`,
+		`{"dim":1,"cPsi":1,"trees":[{"size":1},{"attr":0,"value":0.5,"left":[{"attr":0,"value":0.1,"left":[{"size":1}]}],"right":[{"size":1}]}]}`,
+	} {
+		f := New(Options{})
+		if err := json.Unmarshal([]byte(blob), f); !errors.Is(err, ErrNotFitted) {
+			t.Fatalf("%s: err = %v, want ErrNotFitted", blob, err)
+		}
+		if _, err := f.Score([]float64{0.2}); !errors.Is(err, ErrNotFitted) {
+			t.Fatalf("%s: failed load left a usable forest: err = %v", blob, err)
+		}
+	}
+	// Both lists empty, or absent, is a leaf.
 	f := New(Options{})
-	if err := json.Unmarshal([]byte(blob), f); err != nil {
+	if err := json.Unmarshal([]byte(`{"dim":1,"cPsi":1,"trees":[{"size":3,"adj":1,"left":[],"right":[]}]}`), f); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Score([]float64{0.2}); err != nil {
+}
+
+// TestForestUnmarshalKeyOrder: a forest whose keys come in another
+// order — the trees before dim, a node's right child before its left —
+// loads to the same flat nodes as the file a fit writes, so it scores
+// the same and re-saves to that file.
+func TestForestUnmarshalKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	x := gaussianCloud(rng, 40, 3)
+	f := New(Options{Trees: 5, Seed: 4})
+	if err := f.Fit(x); err != nil {
 		t.Fatal(err)
+	}
+	saved, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(saved, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var reorder func(v any) string
+	reorder = func(v any) string {
+		switch v := v.(type) {
+		case map[string]any:
+			keys := []string{"right", "left", "trees", "adj", "size", "value", "attr", "cPsi", "dim"}
+			var parts []string
+			for _, k := range keys {
+				if e, ok := v[k]; ok {
+					parts = append(parts, fmt.Sprintf("%q:%s", k, reorder(e)))
+				}
+			}
+			return "{" + strings.Join(parts, ",") + "}"
+		case []any:
+			parts := make([]string, len(v))
+			for i, e := range v {
+				parts[i] = reorder(e)
+			}
+			return "[" + strings.Join(parts, ",") + "]"
+		}
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	reordered := reorder(doc)
+	if !strings.HasPrefix(reordered, `{"trees":[{"right":`) {
+		t.Fatalf("reordering failed: %.60s", reordered)
+	}
+	got := New(Options{})
+	if err := json.Unmarshal([]byte(reordered), got); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.nodes, f.nodes) || !slices.Equal(got.roots, f.roots) || got.dim != f.dim || got.cPsi != f.cPsi {
+		t.Fatal("reordered forest loads to other nodes than the fit's")
+	}
+	if cap(got.nodes) != len(got.nodes) {
+		t.Fatalf("node slice keeps %d slots of slack", cap(got.nodes)-len(got.nodes))
 	}
 }
 

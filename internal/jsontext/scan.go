@@ -1,21 +1,28 @@
-package wire
+// Package jsontext reads and writes the repository's JSON documents in
+// one forward pass: the curve bodies of the serving tiers
+// (internal/wire) and the model files of fitted pipelines
+// (internal/core, internal/iforest). Readers walk a document in its
+// fixed shape with a Scanner, with no reflection and no intermediate
+// tree; writers append with a Writer, whose numbers are the bytes
+// encoding/json writes.
+package jsontext
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// The JSON scanner behind DecodeBody and DecodeAppend: one forward walk
-// over the request bytes, in the body's fixed shape. It accepts exactly
-// the documents encoding/json accepts for that shape, less the two it
-// misreads, and reads every accepted value as encoding/json does:
+// The Scanner accepts exactly the documents encoding/json accepts for
+// the shape its caller reads, less the three it misreads, and reads
+// every accepted value as encoding/json does:
 //
 //   - syntax: RFC 8259 as encoding/json's scanner checks it, in every
 //     value, skipped ones included, with its limit of maxDepth nested
-//     arrays and objects;
+//     arrays and objects, counted from the top of the document;
 //   - keys: unquoted, then matched to a field exactly, or else under
 //     bytes.EqualFold (encoding/json's rule, so "Samples" and "ſamples"
 //     name samples); an unknown key's value is skipped;
@@ -25,39 +32,60 @@ import (
 //   - strings: escapes and invalid UTF-8 decode as encoding/json decodes
 //     them (unquote).
 //
-// The two refusals: encoding/json leaves a value unchanged on null and
+// The refusals: encoding/json leaves a value unchanged on null and
 // merges a field given twice into one object, so `[1,null,3]` reads as
-// [1,0,3] and a second "samples" keeps the first copy's "values". The
-// scanner refuses both, with ErrNull and ErrDuplicate.
+// [1,0,3] and a second "samples" keeps the first copy's "values"; and
+// json.Decoder stops after the first value, so whatever follows it is
+// ignored. The Scanner refuses all three, with ErrNull, ErrDuplicate
+// and ErrTrailing.
 
 var (
-	// ErrNull reports a JSON null where the body's schema expects a
+	// ErrNull reports a JSON null where the document's schema expects a
 	// value.
-	ErrNull = fmt.Errorf("%w: null where a value is expected", ErrJSON)
+	ErrNull = errors.New("null where a value is expected")
 	// ErrDuplicate reports a field given twice in one object.
-	ErrDuplicate = fmt.Errorf("%w: field given twice", ErrJSON)
+	ErrDuplicate = errors.New("field given twice")
+	// ErrTrailing reports anything but whitespace after the document's
+	// value.
+	ErrTrailing = errors.New("data after the top-level value")
 )
 
 // maxDepth is encoding/json's limit on nested arrays and objects.
 const maxDepth = 10000
 
-// scanner reads one JSON document from data. Each method reads one
-// value at pos, leading whitespace first, and leaves pos after it.
-type scanner struct {
-	data []byte
-	pos  int
+// Scanner reads one JSON document from data. Each method reads one
+// value at the current offset, leading whitespace first, and leaves the
+// offset after it. Every failure wraps the error the Scanner was made
+// with, so each caller keeps its own error type; the three refusals
+// wrap their sentinel as well.
+type Scanner struct {
+	data  []byte
+	pos   int
+	depth int
+	fail  error
 	// floats collects one number array before it is copied out at its
 	// exact length.
 	floats []float64
 }
 
-// errorf is a failure at the current offset; it wraps ErrJSON.
-func (s *scanner) errorf(format string, args ...any) error {
-	return fmt.Errorf("offset %d: %s: %w", s.pos, fmt.Sprintf(format, args...), ErrJSON)
+// NewScanner returns a Scanner over data whose failures wrap fail.
+// FloatArray collects into scratch; a caller that passes a buffer on
+// its own stack reads number arrays up to its capacity without
+// allocating for them.
+func NewScanner(data []byte, fail error, scratch []float64) Scanner {
+	return Scanner{data: data, fail: fail, floats: scratch}
+}
+
+// Offset returns the current offset into the document.
+func (s *Scanner) Offset() int { return s.pos }
+
+// Errorf is a failure at the current offset.
+func (s *Scanner) Errorf(format string, args ...any) error {
+	return fmt.Errorf("offset %d: %s: %w", s.pos, fmt.Sprintf(format, args...), s.fail)
 }
 
 // ws skips whitespace and returns the next byte, 0 at the end.
-func (s *scanner) ws() byte {
+func (s *Scanner) ws() byte {
 	for s.pos < len(s.data) {
 		switch c := s.data[s.pos]; c {
 		case ' ', '\t', '\n', '\r':
@@ -70,39 +98,53 @@ func (s *scanner) ws() byte {
 }
 
 // unexpected is the failure for a byte, or the end, where want belongs.
-func (s *scanner) unexpected(want string) error {
+func (s *Scanner) unexpected(want string) error {
 	if s.pos >= len(s.data) {
-		return s.errorf("unexpected end of data, want %s", want)
+		return s.Errorf("unexpected end of data, want %s", want)
 	}
-	return s.errorf("invalid character %q, want %s", s.data[s.pos], want)
+	return s.Errorf("invalid character %q, want %s", s.data[s.pos], want)
 }
 
 // badValue is the failure for a value of the wrong type where the
 // schema expects what; a null is ErrNull.
-func (s *scanner) badValue(what string) error {
+func (s *Scanner) badValue(what string) error {
 	if bytes.HasPrefix(s.data[s.pos:], []byte("null")) {
-		return fmt.Errorf("offset %d: null for %s: %w", s.pos, what, ErrNull)
+		return fmt.Errorf("offset %d: null for %s: %w: %w", s.pos, what, s.fail, ErrNull)
 	}
 	return s.unexpected(what)
 }
 
-// end requires that nothing but whitespace follows the document.
-func (s *scanner) end() error {
+// End requires that nothing but whitespace follows the document.
+func (s *Scanner) End() error {
 	if s.ws(); s.pos < len(s.data) {
-		return s.errorf("invalid character %q after the top-level value", s.data[s.pos])
+		return fmt.Errorf("offset %d: invalid character %q: %w: %w", s.pos, s.data[s.pos], s.fail, ErrTrailing)
 	}
 	return nil
 }
 
-// object reads an object, calling field with each key, unquoted, and
-// the scanner at the key's value; field must read that value.
-func (s *scanner) object(what string, field func(key []byte) error) error {
+// nest enters one more array or object level, refusing the one past
+// maxDepth.
+func (s *Scanner) nest() error {
+	if s.depth >= maxDepth {
+		return s.Errorf("nesting deeper than %d", maxDepth)
+	}
+	s.depth++
+	return nil
+}
+
+// Object reads an object, calling field with each key, unquoted, and
+// the Scanner at the key's value; field must read that value.
+func (s *Scanner) Object(what string, field func(key []byte) error) error {
 	if s.ws() != '{' {
 		return s.badValue(what)
+	}
+	if err := s.nest(); err != nil {
+		return err
 	}
 	s.pos++
 	if s.ws() == '}' {
 		s.pos++
+		s.depth--
 		return nil
 	}
 	for {
@@ -125,6 +167,7 @@ func (s *scanner) object(what string, field func(key []byte) error) error {
 			s.pos++
 		case '}':
 			s.pos++
+			s.depth--
 			return nil
 		default:
 			return s.unexpected("',' or '}'")
@@ -132,15 +175,19 @@ func (s *scanner) object(what string, field func(key []byte) error) error {
 	}
 }
 
-// array reads an array, calling elem with the scanner at each element;
+// Array reads an array, calling elem with the Scanner at each element;
 // elem must read it.
-func (s *scanner) array(what string, elem func() error) error {
+func (s *Scanner) Array(what string, elem func() error) error {
 	if s.ws() != '[' {
 		return s.badValue(what)
+	}
+	if err := s.nest(); err != nil {
+		return err
 	}
 	s.pos++
 	if s.ws() == ']' {
 		s.pos++
+		s.depth--
 		return nil
 	}
 	for {
@@ -152,6 +199,7 @@ func (s *scanner) array(what string, elem func() error) error {
 			s.pos++
 		case ']':
 			s.pos++
+			s.depth--
 			return nil
 		default:
 			return s.unexpected("',' or ']'")
@@ -159,13 +207,13 @@ func (s *scanner) array(what string, elem func() error) error {
 	}
 }
 
-// fields is the key set of one object shape, at most 32 keys: a
+// Fields is the key set of one object shape, at most 32 keys: a
 // uint32 records which of them one object has given.
-type fields []string
+type Fields []string
 
 // index returns the index of the field key names, exactly or else
 // under bytes.EqualFold, or -1 for an unknown key.
-func (f fields) index(key []byte) int {
+func (f Fields) index(key []byte) int {
 	for i, name := range f {
 		if string(key) == name {
 			return i
@@ -179,22 +227,22 @@ func (f fields) index(key []byte) int {
 	return -1
 }
 
-// field resolves key in f and marks it in seen, refusing a field the
+// Field resolves key in f and marks it in seen, refusing a field the
 // object has already given; it returns -1 for an unknown key.
-func (s *scanner) field(f fields, key []byte, seen *uint32) (int, error) {
+func (s *Scanner) Field(f Fields, key []byte, seen *uint32) (int, error) {
 	i := f.index(key)
 	if i < 0 {
 		return -1, nil
 	}
 	if *seen&(1<<i) != 0 {
-		return -1, fmt.Errorf("offset %d: %q: %w", s.pos, f[i], ErrDuplicate)
+		return -1, fmt.Errorf("offset %d: %q: %w: %w", s.pos, f[i], s.fail, ErrDuplicate)
 	}
 	*seen |= 1 << i
 	return i, nil
 }
 
 // number reads a number literal and returns its bytes.
-func (s *scanner) number(what string) ([]byte, error) {
+func (s *Scanner) number(what string) ([]byte, error) {
 	if c := s.ws(); c != '-' && (c < '0' || c > '9') {
 		return nil, s.badValue(what)
 	}
@@ -242,38 +290,38 @@ func digits(d []byte, i int) int {
 	return i
 }
 
-// float reads a number as a float64.
-func (s *scanner) float(what string) (float64, error) {
+// Float reads a number as a float64.
+func (s *Scanner) Float(what string) (float64, error) {
 	lit, err := s.number(what)
 	if err != nil {
 		return 0, err
 	}
 	f, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
-		return 0, s.errorf("number %s is outside float64's range", lit)
+		return 0, s.Errorf("number %s is outside float64's range", lit)
 	}
 	return f, nil
 }
 
-// int reads a number as an int; it must be an integer literal.
-func (s *scanner) int(what string) (int, error) {
+// Int reads a number as an int; it must be an integer literal.
+func (s *Scanner) Int(what string) (int, error) {
 	lit, err := s.number(what)
 	if err != nil {
 		return 0, err
 	}
 	n, err := strconv.Atoi(string(lit))
 	if err != nil {
-		return 0, s.errorf("%s %s is not an integer in int's range", what, lit)
+		return 0, s.Errorf("%s %s is not an integer in int's range", what, lit)
 	}
 	return n, nil
 }
 
-// floatArray reads an array of numbers into a slice of its own, empty
+// FloatArray reads an array of numbers into a slice of its own, empty
 // but not nil for [].
-func (s *scanner) floatArray(what string) ([]float64, error) {
+func (s *Scanner) FloatArray(what string) ([]float64, error) {
 	s.floats = s.floats[:0]
-	err := s.array(what, func() error {
-		f, err := s.float("a number")
+	err := s.Array(what, func() error {
+		f, err := s.Float("a number")
 		s.floats = append(s.floats, f)
 		return err
 	})
@@ -283,8 +331,8 @@ func (s *scanner) floatArray(what string) ([]float64, error) {
 	return append(make([]float64, 0, len(s.floats)), s.floats...), nil
 }
 
-// string reads a string value.
-func (s *scanner) string(what string) (string, error) {
+// String reads a string value into a string of its own.
+func (s *Scanner) String(what string) (string, error) {
 	if s.ws() != '"' {
 		return "", s.badValue(what)
 	}
@@ -295,7 +343,7 @@ func (s *scanner) string(what string) (string, error) {
 // str reads the string at pos, which holds its opening quote, and
 // returns its value. The value aliases data unless it had escapes or
 // bytes outside ASCII.
-func (s *scanner) str() ([]byte, error) {
+func (s *Scanner) str() ([]byte, error) {
 	start := s.pos + 1
 	end, plain, err := s.strEnd()
 	switch {
@@ -311,7 +359,7 @@ func (s *scanner) str() ([]byte, error) {
 // opening quote, moves pos past its closing quote, and returns the
 // index of that quote and whether the string is plain ASCII without
 // escapes.
-func (s *scanner) strEnd() (end int, plain bool, err error) {
+func (s *Scanner) strEnd() (end int, plain bool, err error) {
 	d := s.data
 	plain = true
 	for i := s.pos + 1; ; {
@@ -338,10 +386,10 @@ func (s *scanner) strEnd() (end int, plain bool, err error) {
 				}
 			}
 			s.pos = i
-			return 0, false, s.errorf("invalid escape in string")
+			return 0, false, s.Errorf("invalid escape in string")
 		case c < ' ':
 			s.pos = i
-			return 0, false, s.errorf("control character %q in string", c)
+			return 0, false, s.Errorf("control character %q in string", c)
 		case c >= utf8.RuneSelf:
 			plain = false
 			i++
@@ -409,18 +457,13 @@ func unquote(b []byte) []byte {
 // unescape maps the byte after a backslash to the byte it stands for.
 var unescape = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
 
-// skip reads one value of any type and checks its syntax; depth arrays
-// and objects enclose it.
-func (s *scanner) skip(depth int) error {
-	switch c := s.ws(); c {
-	case '{', '[':
-		if depth >= maxDepth {
-			return s.errorf("nesting deeper than %d", maxDepth)
-		}
-		if c == '{' {
-			return s.object("an object", func([]byte) error { return s.skip(depth + 1) })
-		}
-		return s.array("an array", func() error { return s.skip(depth + 1) })
+// Skip reads one value of any type and checks its syntax.
+func (s *Scanner) Skip() error {
+	switch s.ws() {
+	case '{':
+		return s.Object("an object", func([]byte) error { return s.Skip() })
+	case '[':
+		return s.Array("an array", s.Skip)
 	case '"':
 		_, _, err := s.strEnd()
 		return err
@@ -435,10 +478,21 @@ func (s *scanner) skip(depth int) error {
 	return err
 }
 
+// Raw skips one value and returns its bytes, which alias the document:
+// a caller that keeps them must copy them.
+func (s *Scanner) Raw() ([]byte, error) {
+	s.ws()
+	start := s.pos
+	if err := s.Skip(); err != nil {
+		return nil, err
+	}
+	return s.data[start:s.pos], nil
+}
+
 // literal reads the literal word.
-func (s *scanner) literal(word string) error {
+func (s *Scanner) literal(word string) error {
 	if !bytes.HasPrefix(s.data[s.pos:], []byte(word)) {
-		return s.errorf("invalid literal, want %s", word)
+		return s.Errorf("invalid literal, want %s", word)
 	}
 	s.pos += len(word)
 	return nil

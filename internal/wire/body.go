@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/fda"
+	"repro/internal/jsontext"
 )
 
 // ErrJSON reports a JSON curve body that does not parse or that no
@@ -52,11 +53,12 @@ func IsFrame(contentType string) bool {
 }
 
 // DecodeBody decodes a curve body under its Content-Type: a frame when
-// IsFrame says so, JSON otherwise. JSON goes through the package's
-// scanner (scan.go): it reads what encoding/json reads, bit for bit,
-// and refuses a null where the schema expects a value (ErrNull) and a
-// field given twice (ErrDuplicate), the two inputs encoding/json
-// misreads. A JSON body decodes only if one frame could carry it, so
+// IsFrame says so, JSON otherwise. JSON goes through the repository's
+// one JSON scanner (internal/jsontext): it reads what encoding/json
+// reads, bit for bit, and refuses a null where the schema expects a
+// value (jsontext.ErrNull) and a field given twice
+// (jsontext.ErrDuplicate), the two inputs encoding/json misreads. A
+// JSON body decodes only if one frame could carry it, so
 // both codecs hand the same requests to the tiers: nothing but
 // whitespace may follow the JSON value, every value column has exactly
 // as many points as times, a sample with parameters has points, and
@@ -102,10 +104,10 @@ func (b Body) check() error {
 
 // The keys of each object the JSON bodies hold.
 var (
-	bodyFields   = fields{"samples", "explain", "model", "chunk"}
-	sampleFields = fields{"times", "values"}
-	appendFields = fields{"model", "points"}
-	pointFields  = fields{"t", "v"}
+	bodyFields   = jsontext.Fields{"samples", "explain", "model", "chunk"}
+	sampleFields = jsontext.Fields{"times", "values"}
+	appendFields = jsontext.Fields{"model", "points"}
+	pointFields  = jsontext.Fields{"t", "v"}
 )
 
 // decodeJSON scans a JSON curve body. Unknown keys are skipped, so
@@ -115,54 +117,54 @@ var (
 func decodeJSON(data []byte) (Body, error) {
 	// The number scratch starts on the stack, with room for a column
 	// three times the Fig. 3 grid's 85 points.
-	s := scanner{data: data, floats: make([]float64, 0, 256)}
+	s := jsontext.NewScanner(data, ErrJSON, make([]float64, 0, 256))
 	b := Body{Request: Request{Dataset: fda.Dataset{Samples: []fda.Sample{}}}}
 	var seen uint32
-	err := s.object("the body object", func(key []byte) error {
-		i, err := s.field(bodyFields, key, &seen)
+	err := s.Object("the body object", func(key []byte) error {
+		i, err := s.Field(bodyFields, key, &seen)
 		switch {
 		case err != nil:
 		case i == 0:
-			err = s.array("samples", func() error {
-				smp, err := s.sample()
+			err = s.Array("samples", func() error {
+				smp, err := scanSample(&s)
 				b.Dataset.Samples = append(b.Dataset.Samples, smp)
 				return err
 			})
 		case i == 1:
-			b.Explain, err = s.int("explain")
+			b.Explain, err = s.Int("explain")
 		case i == 2:
-			b.Model, err = s.string("model")
+			b.Model, err = s.String("model")
 		case i == 3:
-			b.Chunk, err = s.int("chunk")
+			b.Chunk, err = s.Int("chunk")
 		default:
-			err = s.skip(1)
+			err = s.Skip()
 		}
 		return err
 	})
 	if err == nil {
-		err = s.end()
+		err = s.End()
 	}
 	return b, err
 }
 
-// sample scans one sample object of a curve body.
-func (s *scanner) sample() (fda.Sample, error) {
+// scanSample scans one sample object of a curve body.
+func scanSample(s *jsontext.Scanner) (fda.Sample, error) {
 	smp := fda.Sample{Times: []float64{}, Values: [][]float64{}}
 	var seen uint32
-	err := s.object("a sample object", func(key []byte) error {
-		i, err := s.field(sampleFields, key, &seen)
+	err := s.Object("a sample object", func(key []byte) error {
+		i, err := s.Field(sampleFields, key, &seen)
 		switch {
 		case err != nil:
 		case i == 0:
-			smp.Times, err = s.floatArray("times")
+			smp.Times, err = s.FloatArray("times")
 		case i == 1:
-			err = s.array("values", func() error {
-				col, err := s.floatArray("a values column")
+			err = s.Array("values", func() error {
+				col, err := s.FloatArray("a values column")
 				smp.Values = append(smp.Values, col)
 				return err
 			})
 		default:
-			err = s.skip(3)
+			err = s.Skip()
 		}
 		return err
 	})
@@ -194,33 +196,33 @@ var ErrNoTime = fmt.Errorf("%w: point without \"t\"", ErrJSON)
 //	{"model": "ecg", "points": [{"t": 0.5, "v": [1, 2]}, ...]}
 //
 // through the same scanner as DecodeBody, with its two refusals
-// (ErrNull, ErrDuplicate), and two of its own: an unknown key at any
+// (jsontext.ErrNull, jsontext.ErrDuplicate), and two of its own: an unknown key at any
 // level, and a point without t (ErrNoTime). Nothing but whitespace may
 // follow the value. A point without v has none.
 func DecodeAppend(data []byte) (Append, error) {
-	s := scanner{data: data}
+	s := jsontext.NewScanner(data, ErrJSON, nil)
 	var a Append
 	var seen uint32
-	err := s.object("the append object", func(key []byte) error {
-		i, err := s.field(appendFields, key, &seen)
+	err := s.Object("the append object", func(key []byte) error {
+		i, err := s.Field(appendFields, key, &seen)
 		switch {
 		case err != nil:
 		case i == 0:
-			a.Model, err = s.string("model")
+			a.Model, err = s.String("model")
 		case i == 1:
 			a.Points = []Point{}
-			err = s.array("points", func() error {
-				p, err := s.point()
+			err = s.Array("points", func() error {
+				p, err := scanPoint(&s)
 				a.Points = append(a.Points, p)
 				return err
 			})
 		default:
-			err = s.errorf("unknown field %q", key)
+			err = s.Errorf("unknown field %q", key)
 		}
 		return err
 	})
 	if err == nil {
-		err = s.end()
+		err = s.End()
 	}
 	if err != nil {
 		return Append{}, err
@@ -228,25 +230,25 @@ func DecodeAppend(data []byte) (Append, error) {
 	return a, nil
 }
 
-// point scans one point object of a stream append.
-func (s *scanner) point() (Point, error) {
+// scanPoint scans one point object of a stream append.
+func scanPoint(s *jsontext.Scanner) (Point, error) {
 	var p Point
 	var seen uint32
-	err := s.object("a point object", func(key []byte) error {
-		i, err := s.field(pointFields, key, &seen)
+	err := s.Object("a point object", func(key []byte) error {
+		i, err := s.Field(pointFields, key, &seen)
 		switch {
 		case err != nil:
 		case i == 0:
-			p.T, err = s.float("t")
+			p.T, err = s.Float("t")
 		case i == 1:
-			p.V, err = s.floatArray("v")
+			p.V, err = s.FloatArray("v")
 		default:
-			err = s.errorf("unknown field %q", key)
+			err = s.Errorf("unknown field %q", key)
 		}
 		return err
 	})
 	if err == nil && seen&1 == 0 {
-		err = fmt.Errorf("offset %d: %w", s.pos, ErrNoTime)
+		err = fmt.Errorf("offset %d: %w", s.Offset(), ErrNoTime)
 	}
 	return p, err
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/fda"
+	"repro/internal/jsontext"
 )
 
 // bodiesEqual compares two decoded bodies field by field, the curves
@@ -107,14 +108,18 @@ func disagreement(err, refErr error, equal func() bool, named ...error) string {
 func bodyDisagreement(data []byte) string {
 	got, err := DecodeBody("application/json", data)
 	want, refErr := referenceBody(data)
-	return disagreement(err, refErr, func() bool { return bodiesEqual(got, want) }, ErrNull, ErrDuplicate)
+	return disagreement(err, refErr, func() bool { return bodiesEqual(got, want) }, jsontext.ErrNull, jsontext.ErrDuplicate)
 }
 
 func appendDisagreement(data []byte) string {
 	got, err := DecodeAppend(data)
 	want, refErr := referenceAppend(data)
-	return disagreement(err, refErr, func() bool { return appendsEqual(got, want) }, ErrNull, ErrDuplicate, ErrNoTime)
+	return disagreement(err, refErr, func() bool { return appendsEqual(got, want) }, jsontext.ErrNull, jsontext.ErrDuplicate, ErrNoTime)
 }
+
+// maxDepth is encoding/json's limit on nested arrays and objects, which
+// the scanner keeps.
+const maxDepth = 10000
 
 // nested is an unknown key holding n nested arrays: the body's own
 // object makes n+1 levels, against encoding/json's 10,000.
@@ -128,18 +133,18 @@ var quirkBodies = []struct {
 	body string
 	want error
 }{
-	{`{"samples":[{"times":[0,1,2],"values":[[1,null,3]]}]}`, ErrNull},
-	{`{"samples":[{"times":[0,1],"values":[[1,2]]}],"samples":[{"times":[0,1]}]}`, ErrDuplicate},
-	{`{"samples":[{"times":[0,1],"values":[[1,2]]}],"samples":[{"times":[0,1],"values":[[null,5]]}]}`, ErrDuplicate},
-	{`{"samples":[{"times":[0,1],"values":[[1,2]],"Times":[5,6]}]}`, ErrDuplicate},
-	{`{"samples":null}`, ErrNull},
-	{`{"samples":[null]}`, ErrNull},
-	{`{"samples":[{"times":null,"values":[]}]}`, ErrNull},
-	{`{"samples":[{"times":[0],"values":[[1]]}],"explain":1,"Explain":2}`, ErrDuplicate},
-	{`{"samples":[],"explain":null}`, ErrNull},
-	{`{"samples":[],"model":null}`, ErrNull},
-	{`{"samples":[],"model":"a","model":"b"}`, ErrDuplicate},
-	{`null`, ErrNull},
+	{`{"samples":[{"times":[0,1,2],"values":[[1,null,3]]}]}`, jsontext.ErrNull},
+	{`{"samples":[{"times":[0,1],"values":[[1,2]]}],"samples":[{"times":[0,1]}]}`, jsontext.ErrDuplicate},
+	{`{"samples":[{"times":[0,1],"values":[[1,2]]}],"samples":[{"times":[0,1],"values":[[null,5]]}]}`, jsontext.ErrDuplicate},
+	{`{"samples":[{"times":[0,1],"values":[[1,2]],"Times":[5,6]}]}`, jsontext.ErrDuplicate},
+	{`{"samples":null}`, jsontext.ErrNull},
+	{`{"samples":[null]}`, jsontext.ErrNull},
+	{`{"samples":[{"times":null,"values":[]}]}`, jsontext.ErrNull},
+	{`{"samples":[{"times":[0],"values":[[1]]}],"explain":1,"Explain":2}`, jsontext.ErrDuplicate},
+	{`{"samples":[],"explain":null}`, jsontext.ErrNull},
+	{`{"samples":[],"model":null}`, jsontext.ErrNull},
+	{`{"samples":[],"model":"a","model":"b"}`, jsontext.ErrDuplicate},
+	{`null`, jsontext.ErrNull},
 }
 
 // quirkAppends are the append bodies encoding/json misreads, refused
@@ -148,14 +153,14 @@ var quirkAppends = []struct {
 	body string
 	want error
 }{
-	{`{"model":"ecg","points":[{"t":null,"v":[1,2]}]}`, ErrNull},
+	{`{"model":"ecg","points":[{"t":null,"v":[1,2]}]}`, jsontext.ErrNull},
 	{`{"model":"ecg","points":[{"v":[1,2]}]}`, ErrNoTime},
-	{`{"model":"ecg","points":[{"t":0.5,"v":[null,2]}]}`, ErrNull},
-	{`{"model":"ecg","points":[{"t":0.5,"t":0.7,"v":[1,2]}]}`, ErrDuplicate},
-	{`{"model":"ecg","points":[null]}`, ErrNull},
+	{`{"model":"ecg","points":[{"t":0.5,"v":[null,2]}]}`, jsontext.ErrNull},
+	{`{"model":"ecg","points":[{"t":0.5,"t":0.7,"v":[1,2]}]}`, jsontext.ErrDuplicate},
+	{`{"model":"ecg","points":[null]}`, jsontext.ErrNull},
 	{`{"model":"ecg","points":[{}]}`, ErrNoTime},
-	{`{"model":"ecg","Model":"other","points":[]}`, ErrDuplicate},
-	{`{"model":null,"points":[]}`, ErrNull},
+	{`{"model":"ecg","Model":"other","points":[]}`, jsontext.ErrDuplicate},
+	{`{"model":null,"points":[]}`, jsontext.ErrNull},
 }
 
 // TestDecodeBodyRules: a JSON body decodes only if one frame could carry
