@@ -127,7 +127,13 @@ bench-streaming:
 # each row's zeros, bitwise to the same fit on a dense design whose hat
 # diagonal comes from a plain reference of the selected-inverse
 # recursion (knot and one-ulp grids, orders 1–8, signed zeros,
-# subnormals, huge values and λ, Fourier bases). The stream-append
+# subnormals, huge values and λ, Fourier bases). The dataset-fit fuzzer
+# holds the grouped smoother, which fits every curve on a grid at once,
+# bitwise to the single-curve selection loop it replaced, for every
+# block size and worker count, with and without a cache: 1–40 curves
+# on shared, jittered and prefix grids, values scaled up to 1e±150,
+# both criteria, λ ladders that fail some fits (same error text). The
+# stream-append
 # fuzzer throws hostile HTTP bodies (NaN/Inf, out-of-order, oversized,
 # garbage, junk after the value) at the streaming routes, mounted on
 # the route table as the replica mounts them, and checks that every
@@ -153,6 +159,7 @@ bench-streaming:
 fuzz:
 	$(GO) test -fuzz=FuzzBSplineEval -fuzztime=30s -run=^$$ ./internal/bspline
 	$(GO) test -fuzz=FuzzSpanFit -fuzztime=30s -run=^$$ ./internal/fda
+	$(GO) test -fuzz=FuzzFitDataset -fuzztime=30s -run=^$$ ./internal/fda
 	$(GO) test -fuzz=FuzzStreamAppend -fuzztime=30s -run=^$$ ./internal/stream
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=30s -run=^$$ ./internal/wire

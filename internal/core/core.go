@@ -16,7 +16,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fda"
 	"repro/internal/geometry"
-	"repro/internal/parallel"
 )
 
 // ErrPipeline reports a mis-configured or unfitted pipeline.
@@ -155,16 +154,19 @@ func (p *Pipeline) Fit(train fda.Dataset) error {
 	return nil
 }
 
-// features smooths and maps every sample of d on the pipeline grid in
-// one fan-out over the pipeline's worker pool, sharing the pipeline's
-// basis cache across samples and calls. Each row is written back by
-// sample index and its arithmetic does not depend on scheduling, so the
+// features smooths and maps every sample of d on the pipeline grid,
+// sharing the pipeline's basis cache across samples and calls. d must
+// be valid: Fit and Score check it first. The fits go through
+// fda.MapFits, which fits the samples on each grid together in blocks
+// over the pipeline's worker pool, and each block's samples are mapped
+// as soon as the block is fit. Each row is written back by sample index
+// and its arithmetic does not depend on grouping or scheduling, so the
 // result is bitwise identical for every worker count; on error the
 // lowest-index sample's error is returned.
 func (p *Pipeline) features(d fda.Dataset) ([][]float64, error) {
 	opt := p.smoothOptions()
-	return parallel.Map(d.Len(), p.Parallel, func(i int) ([]float64, error) {
-		fit, err := fda.FitSample(d.Samples[i], opt)
+	opt.Parallel = p.Parallel
+	return fda.MapFits(d, opt, func(i int, fit *fda.Fit, err error) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: sample %d: smoothing: %w", i, err)
 		}

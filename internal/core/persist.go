@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -32,6 +33,15 @@ import (
 // smoothing options, the mapping and a one-class SVM model are small
 // and stay on encoding/json over their own bytes. The bytes are the ones encoding/json wrote for
 // the same pipeline, so a model file re-saves byte-identical.
+
+// ErrModelFile marks every model file LoadPipelineJSON refuses, whatever
+// refused it: bad syntax or shape, data after the document, a forest no
+// fit writes, or smoothing options, a mapping or a detector model that
+// do not decode. The error keeps its cause, which still matches
+// ErrPipeline, iforest.ErrNotFitted or the encoding/json error it is, so
+// a caller tells a corrupt file (ErrModelFile) from a failure to read it
+// (an I/O error, which does not match).
+var ErrModelFile = errors.New("core: refused model file")
 
 // pipelineVersion is the current on-disk schema version written by
 // SaveJSON. Version 0 (the field absent) is the original schema; the two
@@ -252,7 +262,7 @@ func writeDetector(w *jsontext.Writer, d Detector) error {
 // encoding/json still decodes, a null where a value belongs
 // (jsontext.ErrNull) and a field given twice (jsontext.ErrDuplicate); a
 // forest that no fit writes is refused with iforest.ErrNotFitted (see
-// iforest.Forest.ReadJSON).
+// iforest.Forest.ReadJSON). Every refusal also matches ErrModelFile.
 func LoadPipelineJSON(r io.Reader) (*Pipeline, error) {
 	data, err := readAll(r)
 	if err != nil {
@@ -260,7 +270,7 @@ func LoadPipelineJSON(r io.Reader) (*Pipeline, error) {
 	}
 	p, err := decodePipeline(data)
 	if err != nil {
-		return nil, fmt.Errorf("core: decode pipeline: %w", err)
+		return nil, fmt.Errorf("%w: core: decode pipeline: %w", ErrModelFile, err)
 	}
 	return p, nil
 }

@@ -30,11 +30,14 @@ import (
 // document holds such a node). A field given twice is the one refusal
 // that can surface as another error: the loader reads the first copy,
 // which encoding/json drops for the second, and refuses on what is
-// wrong with it before it meets the second.
+// wrong with it before it meets the second. Every refusal, named or
+// not, must match ErrModelFile.
 func loadDisagreement(data []byte) string {
 	got, err := LoadPipelineJSON(bytes.NewReader(data))
 	want, refErr := loadOracle(data)
 	switch {
+	case err != nil && !errors.Is(err, ErrModelFile):
+		return fmt.Sprintf("refused without ErrModelFile: %v", err)
 	case err == nil && refErr != nil:
 		return fmt.Sprintf("accepted what encoding/json refuses (%v)", refErr)
 	case err == nil:

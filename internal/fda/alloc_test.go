@@ -10,7 +10,7 @@ import (
 // TestWarmFitAllocations: once the basis cache holds a grid's systems,
 // FitSample of a Fig. 3 curve (85 points, two parameters, 4 basis sizes
 // × 5 λ) allocates the fit it returns and a fixed few working slices,
-// none per candidate: 12 on go1.24/amd64.
+// none per candidate: 11 on go1.24/amd64.
 func TestWarmFitAllocations(t *testing.T) {
 	d, err := dataset.ECGBivariate(dataset.ECGOptions{N: 4, Seed: 1})
 	if err != nil {

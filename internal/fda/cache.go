@@ -21,36 +21,42 @@ import (
 // the observed values y. The roughness penalty R of Eq. 3 does not depend
 // on the grid either, so the cache keeps one per (basis size, order,
 // penalty order, domain), shared by every grid's entry and by every
-// entry built for a single fit (a grid's first sighting, a stream's
-// prefix grid, a key collision). Cross-validating over basis sizes and λ
-// therefore stops re-deriving identical factorizations for every sample
-// and every parameter: the per-fit work shrinks to one Φᵀy product, and
-// per λ one O(L·k) solve, one Φα product and the residual scan.
+// entry built for a single group of fits (a grid's first sighting, a
+// stream's prefix grid, a key collision). Cross-validating over basis
+// sizes and λ therefore stops re-deriving identical factorizations for
+// every sample and every parameter: the per-fit work shrinks to one Φᵀy
+// product, and per λ one O(L·k) solve, one Φα product and the residual
+// scan, each run for all of a group's curves at once (MapFits).
 //
 // The fit entries are bounded. A grid is admitted on its second
 // sighting: a doorkeeper, as in TinyLFU (Einziger, Friedman & Manes,
 // 2017), records each missed key in a bitset of doorkeeperBits bits
 // indexed by the key's hash and clears it after doorkeeperReset
 // recorded sightings, and a key it has not seen gets an entry built for
-// its one fit. So a one-off grid (a client that jitters its times)
+// its one group. A group — every curve of one FitDataset, Pipeline.Fit
+// or Pipeline.Score call on one grid, or the one curve of a FitSample —
+// looks each basis size up once and is one sighting, so a new grid is
+// admitted by the second call that carries it, however many curves the
+// first carried. So a one-off grid (a client that jitters its times)
 // enters the cache only when its hash hits a bit another key set, while
-// the training grid is resident from its second fit on. At most fitCap entries are resident, and CLOCK (second
-// chance) evicts: the hand walks the resident keys in admission order,
-// clearing each reference bit it passes, and evicts the first entry
-// whose bit is already clear. A hit sets its entry's bit only when the
-// bit is clear, so steady hits leave the entry's cache line, which
-// every fit on it reads, unwritten. An entry
-// holds its grid, its design, its Gram band and the default ladder's
-// five λ factorizations with their hat diagonals: about 10–13 KB on a
-// Fig. 3 grid (m = 85), and about 280 KB at stream.MaxPoints = 2048
-// points and the ladder's largest size there, L = 512. So the resident
-// entries stay under about 36 MB. The shared penalties and the span
-// designs are outside the cap: they are keyed by basis size and domain
-// (the designs also by evaluation grid), and a fitted Pipeline fixes
-// the domain and the evaluation grid, so they grow only with the basis
-// sizes its curves' lengths select. A penalty keeps only its lower
-// band, L·order floats (16 KB at L = 512), so all 509 sizes the ladder
-// reaches up to 2048 points take about 4.2 MB.
+// the training grid is resident from its second call on. At most
+// fitCap entries are resident, and CLOCK (second chance) evicts: the
+// hand walks the resident keys in admission order, clearing each
+// reference bit it passes, and evicts the first entry whose bit is
+// already clear. A hit sets its entry's bit only when the bit is clear,
+// so steady hits leave the entry's cache line, which every fit on it
+// reads, unwritten. An entry holds its grid, its design, its Gram band
+// and the default ladder's five λ factorizations with their hat
+// diagonals: about 10–13 KB on a Fig. 3 grid (m = 85), and about 280 KB
+// at stream.MaxPoints = 2048 points and the ladder's largest size
+// there, L = 512. So the resident entries stay under about 36 MB. The
+// shared penalties and the span designs are outside the cap: they are
+// keyed by basis size and domain (the designs also by evaluation grid),
+// and a fitted Pipeline fixes the domain and the evaluation grid, so
+// they grow only with the basis sizes its curves' lengths select. A
+// penalty keeps only its lower band, L·order floats (16 KB at L = 512),
+// so all 509 sizes the ladder reaches up to 2048 points take about
+// 4.2 MB.
 //
 // The cache also memoizes span-compact design matrices per (basis,
 // grid, derivative), which CurveFit.EvalGrid uses to evaluate
@@ -133,8 +139,8 @@ func (c *BasisCache) Stats() CacheStats {
 // fitKey identifies one smoothing system. The grid is keyed by a hash of
 // its float bits plus its length; the entry keeps the grid itself and
 // lookups verify exact equality, so a collision degrades to a cache
-// bypass, never to a wrong matrix. fitGrid hashes its grid once and
-// looks every basis size up under the same hash.
+// bypass, never to a wrong matrix. newGridSystems looks every basis
+// size of a grid up under one hash of it.
 type fitKey struct {
 	dim, order, q int
 	lo, hi        float64

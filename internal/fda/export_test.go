@@ -30,7 +30,8 @@ func SolveDotFit(ts []float64, ys [][]float64, opt Options) (*Fit, error) {
 		}
 		systems = append(systems, system{entry: e})
 	}
-	return selectFit(systems, ys, opt)
+	g := &gridSystems{systems: systems, m: len(ts), maxL: resolveSystems(systems, opt.lambdas())}
+	return newFit(g.fitColumns(ys, opt.lambdas(), opt.Criterion), nil)
 }
 
 // solveDotHat is the hat diagonal of one SolveInto and one Dot per row

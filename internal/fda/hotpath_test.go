@@ -82,8 +82,10 @@ func TestFitDatasetParallelMatchesSequential(t *testing.T) {
 }
 
 // TestBasisCacheInvariance is the cache half: fits through a cold cache,
-// a warm cache, and no cache at all must agree bitwise, and the second
-// pass must actually hit the memoized factorizations.
+// a warm cache, and no cache at all must agree bitwise, and the warm
+// pass must actually hit the memoized factorizations. A dataset on one
+// grid is one sighting of it, so the first pass builds its systems for
+// itself, the second admits them and the third hits them.
 func TestBasisCacheInvariance(t *testing.T) {
 	d := hotpathDataset(9, 40)
 	plain, err := FitDataset(d, Options{Parallel: 1, NoCache: true})
@@ -96,8 +98,16 @@ func TestBasisCacheInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitwiseEqualFits(t, "cold cache", plain, cold)
-	if s := cache.Stats(); s.Misses == 0 {
-		t.Fatalf("cold pass reported no misses: %+v", s)
+	if s := cache.Stats(); s.Misses == 0 || s.Entries != 0 {
+		t.Fatalf("cold pass: %+v; want misses and no entries", s)
+	}
+	admitting, err := FitDataset(d, Options{Parallel: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitwiseEqualFits(t, "admitting cache", plain, admitting)
+	if s := cache.Stats(); s.Hits != 0 || s.Entries == 0 {
+		t.Fatalf("second pass: %+v; want its grid admitted and no hits", s)
 	}
 	warm, err := FitDataset(d, Options{Parallel: 4, Cache: cache})
 	if err != nil {

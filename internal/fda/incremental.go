@@ -16,7 +16,8 @@ import (
 // order or chunking they arrived in. It holds by construction: the
 // observations are kept sorted by time (a re-observed time keeps its
 // last values), and Fit runs FitSample's own code over them — the same
-// smoothing systems and the same selection loop, selectFit.
+// smoothing systems and the same selection kernel, fitColumns, for a
+// group of one.
 //
 // The one difference is the BasisCache: a growing stream passes through
 // a new prefix grid on every refit, so Fit only looks its grid up and
@@ -139,7 +140,7 @@ func (inc *Incremental) TrimOldest(keep int) int {
 // bitwise the *Fit a batch FitSample over them would (see the type
 // comment).
 func (inc *Incremental) Fit() (*Fit, error) {
-	return fitGrid(inc.ts, inc.ys, inc.opt, (*BasisCache).lookupFitEntry)
+	return fitOne(inc.ts, inc.ys, inc.opt, (*BasisCache).lookupFitEntry)
 }
 
 func insertFloat(xs []float64, pos int, v float64) []float64 {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bspline"
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 )
 
 // ErrFit reports a smoothing failure (singular system, bad options).
@@ -44,18 +43,20 @@ type Options struct {
 	// Criterion selects the model-selection score; the default is the
 	// paper's leave-one-out cross-validation.
 	Criterion Criterion
-	// Parallel bounds the FitDataset worker pool: 0 means GOMAXPROCS,
-	// 1 runs sequentially on the calling goroutine. Fits are written
-	// back by sample index, so the result is bitwise identical for
-	// every worker count.
+	// Parallel bounds the worker pool FitDataset and MapFits fan their
+	// blocks of samples out over: 0 means GOMAXPROCS, 1 runs
+	// sequentially on the calling goroutine. Fits are written back by
+	// sample index, so the result is bitwise identical for every
+	// worker count.
 	Parallel int
 	// Cache memoizes design/penalty matrices and their factorizations
 	// across fits (see BasisCache). nil makes FitDataset create a
-	// private cache for the call; FitSample uses a cache only when one
-	// is supplied. Ignored for custom Basis factories.
+	// private cache for the call; FitSample and MapFits use a cache
+	// only when one is supplied. Ignored for custom Basis factories.
 	Cache *BasisCache
 	// NoCache disables basis caching entirely, forcing every fit to
-	// rebuild its linear algebra from scratch — the sequential seed
+	// rebuild its linear algebra from scratch: every sample builds its
+	// own systems, even among samples on one grid — the sequential seed
 	// behavior the golden-equivalence suite and BENCH_hotpath.json
 	// compare against.
 	NoCache bool
@@ -252,59 +253,79 @@ func (f *Fit) EvalGrid(ts []float64, deriv int) [][]float64 {
 // least-squares criterion of Eq. 3. Each candidate basis size gets one
 // smoothing system — design, Gram, penalty and λ factorizations, none
 // of which depend on the observed values — and every parameter is fit
-// against it; selectFit then keeps, per parameter, the basis size and λ
-// that minimise the selection criterion (by default the closed-form
-// leave-one-out cross-validation error).
+// against it; the selection then keeps, per parameter, the basis size
+// and λ that minimise the selection criterion (by default the
+// closed-form leave-one-out cross-validation error). It is FitDataset's
+// grouped fit for a group of one sample (see fitColumns).
 func FitSample(s Sample, opt Options) (*Fit, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return fitGrid(s.Times, s.Values, opt, (*BasisCache).fitEntryFor)
+	return fitOne(s.Times, s.Values, opt, (*BasisCache).fitEntryFor)
 }
 
-// fitGrid is the fit shared by FitSample and Incremental.Fit: it builds
-// the smoothing system of every candidate basis size on the grid ts and
-// lets selectFit pick, per parameter row of ys. cached is how a system
-// is taken from the cache — FitSample offers its grid for admission
+// fitOne is the fit shared by FitSample and Incremental.Fit: the
+// parameter rows ys of one sample on the grid ts, a group of one.
+func fitOne(ts []float64, ys [][]float64, opt Options, cached cacheLookup) (*Fit, error) {
+	g := newGridSystems(ts, hashFloats(ts), opt, cached)
+	if g.err != nil {
+		return nil, g.err
+	}
+	return newFit(g.fitColumns(ys, opt.lambdas(), opt.Criterion), opt.basisCache())
+}
+
+// cacheLookup is how a grid's systems are taken from the cache:
+// FitSample and FitDataset offer their grid for admission
 // (fitEntryFor, which admits it on its second sighting), a stream only
-// looks its prefix grid up (lookupFitEntry); the grid is hashed once
-// for every size. A system the cache does not supply is
-// built for this call alone, reading the cache's shared penalty;
-// without a cache, or with a custom Basis factory, it gets a private
-// one. Every value in ys must be finite: the span-compact design
-// products skip zero terms, which is exact only against finite values.
-func fitGrid(ts []float64, ys [][]float64, opt Options,
-	cached func(c *BasisCache, key fitKey, ts []float64) *fitEntry) (*Fit, error) {
+// looks its prefix grid up (lookupFitEntry).
+type cacheLookup func(c *BasisCache, key fitKey, ts []float64) *fitEntry
+
+// gridSystems is the smoothing system of every candidate basis size on
+// one grid, built and resolved once and then read by every fit on that
+// grid, or the error that keeps any fit off the grid.
+type gridSystems struct {
+	systems []system
+	m, maxL int
+	err     error
+}
+
+// newGridSystems builds the smoothing system of every candidate basis
+// size on the grid ts, whose hash is tsHash, and resolves their λ
+// factorizations. The grid is looked up once per size, with cached; a
+// system the cache does not supply is built for this grid's fits
+// alone, reading the cache's shared penalty; without a cache, or with a
+// custom Basis factory, it gets a private one.
+func newGridSystems(ts []float64, tsHash uint64, opt Options, cached cacheLookup) gridSystems {
+	g := gridSystems{m: len(ts)}
 	if len(ts) < 2 {
-		return nil, fmt.Errorf("fda: need at least 2 points, got %d: %w", len(ts), ErrData)
+		g.err = fmt.Errorf("fda: need at least 2 points, got %d: %w", len(ts), ErrData)
+		return g
 	}
 	lo, hi := opt.Lo, opt.Hi
 	if !opt.HasDomain() {
 		lo, hi = ts[0], ts[len(ts)-1]
 	}
 	if !(lo < hi) {
-		return nil, fmt.Errorf("fda: degenerate domain [%g, %g]: %w", lo, hi, ErrData)
+		g.err = fmt.Errorf("fda: degenerate domain [%g, %g]: %w", lo, hi, ErrData)
+		return g
 	}
 	factory := opt.factory()
 	order, q := opt.order(), opt.penaltyDeriv()
 	cache := opt.basisCache()
 	dims := opt.dims(len(ts))
-	var key fitKey
-	if cache != nil {
-		key = fitKey{order: order, q: q, lo: lo, hi: hi, m: len(ts), tsHash: hashFloats(ts)}
-	}
-	systems := make([]system, len(dims))
+	key := fitKey{order: order, q: q, lo: lo, hi: hi, m: len(ts), tsHash: tsHash}
+	g.systems = make([]system, len(dims))
 	for i, dim := range dims {
 		if cache != nil {
 			key.dim = dim
 			if e := cached(cache, key, ts); e != nil {
-				systems[i].entry = e
+				g.systems[i].entry = e
 				continue
 			}
 		}
 		basis, err := factory(dim, lo, hi)
 		if err != nil {
-			systems[i].err = err
+			g.systems[i].err = err
 			continue
 		}
 		var pen *penalty
@@ -313,9 +334,10 @@ func fitGrid(ts []float64, ys [][]float64, opt Options,
 		} else {
 			pen = new(penalty)
 		}
-		systems[i].entry = newFitEntry(basis, ts, q, pen)
+		g.systems[i].entry = newFitEntry(basis, ts, q, pen)
 	}
-	return selectFit(systems, ys, opt)
+	g.maxL = resolveSystems(g.systems, opt.lambdas())
+	return g
 }
 
 // system is the smoothing system of one candidate basis size, or the
@@ -324,62 +346,8 @@ type system struct {
 	entry *fitEntry
 	err   error
 	// factors are the entry's λ factorizations in candidate order,
-	// resolved once per fit by resolveSystems.
+	// resolved once per grid by resolveSystems.
 	factors []*lambdaFactor
-}
-
-// selectFit is fitGrid's model selection: each parameter row of ys is
-// fit against every candidate system in ladder order, and the criterion
-// minimiser wins (strict <, so the earlier candidate keeps a tie). A
-// parameter that no candidate fits reports the first candidate error.
-// Each system's penalty and λ factorizations are resolved once, before
-// the first row, and every row is fit in one scratch buffer, so a
-// parameter allocates only its winning CurveFit.
-func selectFit(systems []system, ys [][]float64, opt Options) (*Fit, error) {
-	lambdas, cache := opt.lambdas(), opt.basisCache()
-	maxL := resolveSystems(systems, lambdas)
-	m := 0
-	if len(ys) > 0 {
-		m = len(ys[0])
-	}
-	buf := make([]float64, 4*maxL+m)
-	keep, work := buf[:maxL], buf[maxL:]
-	fit := &Fit{Params: make([]*CurveFit, len(ys))}
-	for k, y := range ys {
-		var best CurveFit
-		var firstErr error
-		for i := range systems {
-			sys := &systems[i]
-			if sys.entry == nil {
-				if firstErr == nil {
-					firstErr = sys.err
-				}
-				continue
-			}
-			cf, err := fitWithEntry(sys, y, lambdas, opt.Criterion, work)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if best.Basis == nil || cf.Score < best.Score {
-				best = cf
-				best.Coef = append(keep[:0], cf.Coef...)
-			}
-		}
-		if best.Basis == nil {
-			inner := fmt.Errorf("fda: no candidate basis fit: %w", ErrFit)
-			if firstErr != nil {
-				inner = fmt.Errorf("fda: no candidate basis fit: %w", firstErr)
-			}
-			return nil, fmt.Errorf("fda: parameter %d: %w", k, inner)
-		}
-		best.Coef = slices.Clone(best.Coef)
-		best.cache = cache
-		fit.Params[k] = &best
-	}
-	return fit, nil
 }
 
 // resolveSystems takes each built system's λ factorizations from its
@@ -409,72 +377,179 @@ func resolveSystems(systems []system, lambdas []float64) int {
 	return maxL
 }
 
-// fitWithEntry solves Eq. 4 for every candidate λ of one smoothing
-// system and returns the criterion minimiser. The LOOCV error of a
-// linear smoother ŷ = H y has the closed form
+// column is one column's selection: its choice so far, its leader
+// within the basis size at hand, and the first error it met.
+type column struct {
+	best, size CurveFit
+	err        error
+}
+
+// fitColumns runs the model selection of Eq. 3–4 for every column of
+// ys — one parameter row of one sample each, all observed on the
+// grid — at once, and returns each column's selected fit (best), whose
+// Coef aliases a scratch buffer, or the error that left it none.
+//
+// Per basis size it forms Φᵀy of every column in one product, and per
+// λ it solves every column in one band solve and forms every column's
+// residual sums in one pass over the design rows, with ŷ = Φα. The
+// LOOCV error of a linear smoother ŷ = H y has the closed form
 // Σ_j ((y_j − ŷ_j)/(1 − H_jj))², avoiding m refits; the hat diagonal
-// H_jj comes factored and precomputed from the entry, so the per-sample
-// work is one Φᵀy product and, per λ, one O(L·k) solve, one ŷ = Φα
-// product and the residual scan, the products over each design row's k
-// nonzero values. The λ iteration order, the ridge retry and the strict
-// score-minimisation tie-break are exactly those of the sequential seed
-// path. A λ whose solve yields a non-finite coefficient is skipped like
-// a failed factorization: Φα skips each row's zero terms, which is
-// exact only against finite coefficients (DESIGN.md §6). work holds
-// at least 3L + m values: Φᵀy, two coefficient buffers that trade
-// places whenever a λ takes the lead, and ŷ. The returned Coef aliases
-// work and is overwritten by the next call.
-func fitWithEntry(sys *system, ys, lambdas []float64, crit Criterion, work []float64) (CurveFit, error) {
-	e := sys.entry
-	L, m := e.basis.Dim(), len(ys)
-	phiTy, coef, spare, yhat := work[:L], work[L:2*L], work[2*L:3*L], work[3*L:3*L+m]
-	if err := e.phi.AtVecInto(ys, phiTy); err != nil {
-		return CurveFit{}, err
-	}
-	var best CurveFit
-	for i, lf := range sys.factors {
-		if lf.err != nil {
-			continue
-		}
-		if err := lf.solver.SolveInto(phiTy, coef); err != nil || !finite(coef) {
-			continue
-		}
-		if err := e.phi.MulVecInto(coef, yhat); err != nil {
-			return CurveFit{}, err
-		}
-		hat := lf.hat[:m]
-		var loocv, rss float64
-		for j, y := range ys {
-			res := y - yhat[j]
-			rss += res * res
-			den := 1 - hat[j]
-			if den < 1e-10 {
-				// Interpolating point: LOOCV blows up; score it with the
-				// raw residual so such models lose to genuinely smoother
-				// ones without being discarded outright.
-				den = 1e-10
+// H_jj comes factored and precomputed from the entry. Each column's
+// operations, and their order, are those of a fit of that column alone
+// (no kernel mixes two columns' terms), so every coefficient, criterion
+// and selection is bitwise that of a group of one.
+//
+// Each column keeps a two-level selection. Within a basis size the λ
+// candidates are scanned in order and the first to succeed leads until
+// a later one scores strictly lower; a λ whose factorization failed or
+// whose solve yields a non-finite coefficient is skipped (Φα skips each
+// row's zero terms, which is exact only against finite coefficients,
+// DESIGN.md §6). Across sizes, in ladder order, a size's winner
+// replaces the column's choice only when it scores strictly lower. The
+// two levels differ from one running minimum once a score is NaN. A
+// column that no size fits gets the first error met in ladder order.
+func (g *gridSystems) fitColumns(ys [][]float64, lambdas []float64, crit Criterion) []column {
+	B, m, maxL := len(ys), g.m, g.maxL
+	// pt (Φᵀy) and x (the solutions of one λ) are L×B row-major:
+	// column b's entry i sits at [i*B+b]. den holds one λ's LOOCV
+	// denominators, rss and wss each column's residual sums; sizeCoef
+	// and keep hold each column's coefficients, maxL apart: those of its
+	// leader within the size, and those of its choice.
+	buf := make([]float64, m+2*B+4*B*maxL)
+	den, rss, wss, rest := buf[:m], buf[m:m+B], buf[m+B:m+2*B], buf[m+2*B:]
+	pt, x, sizeCoef, keep := rest[:B*maxL], rest[B*maxL:2*B*maxL], rest[2*B*maxL:3*B*maxL], rest[3*B*maxL:]
+	cols := make([]column, B)
+	for i := range g.systems {
+		sys := &g.systems[i]
+		if sys.entry == nil {
+			for b := range cols {
+				if cols[b].err == nil {
+					cols[b].err = sys.err
+				}
 			}
-			r := res / den
-			loocv += r * r
+			continue
 		}
-		loocv /= float64(m)
-		gcv := math.Inf(1)
-		if den := float64(m) - lf.trH; den > 1e-10 {
-			gcv = float64(m) * rss / (den * den)
+		e := sys.entry
+		L := e.basis.Dim()
+		ptL, xL := pt[:B*L], x[:B*L]
+		if err := e.phi.AtVecInto(ys, ptL); err != nil {
+			panic(err) // every column holds the grid's m values
 		}
-		score := loocv
-		if crit == GCV {
-			score = gcv
+		for b := range cols {
+			cols[b].size = CurveFit{}
 		}
-		if best.Basis == nil || score < best.Score {
-			best = CurveFit{Basis: e.basis, Coef: coef, Lambda: lambdas[i], LOOCV: loocv, GCV: gcv, DF: lf.trH, Score: score}
-			coef, spare = spare, coef
+		for li, lf := range sys.factors {
+			if lf.err != nil {
+				continue
+			}
+			if err := lf.solver.SolveInto(ptL, xL); err != nil {
+				panic(err) // ptL and xL hold B columns of L
+			}
+			for j, h := range lf.hat[:m] {
+				d := 1 - h
+				if d < 1e-10 {
+					// Interpolating point: LOOCV blows up; score it
+					// with the raw residual so such models lose to
+					// genuinely smoother ones without being discarded
+					// outright.
+					d = 1e-10
+				}
+				den[j] = d
+			}
+			if err := e.phi.ResidualSums(xL, ys, den, rss, wss); err != nil {
+				panic(err)
+			}
+			for b := range cols {
+				if !finiteColumn(xL, b, B) {
+					continue
+				}
+				loocv := wss[b]
+				loocv /= float64(m)
+				gcv := math.Inf(1)
+				if den := float64(m) - lf.trH; den > 1e-10 {
+					gcv = float64(m) * rss[b] / (den * den)
+				}
+				score := loocv
+				if crit == GCV {
+					score = gcv
+				}
+				if c := &cols[b]; c.size.Basis == nil || score < c.size.Score {
+					c.size = CurveFit{Basis: e.basis, Lambda: lambdas[li], LOOCV: loocv, GCV: gcv, DF: lf.trH, Score: score}
+					dst := sizeCoef[b*maxL : b*maxL+L]
+					for i := range dst {
+						dst[i] = xL[i*B+b]
+					}
+				}
+			}
+		}
+		var failed error // the error of a column no λ of this size fits
+		for b := range cols {
+			c := &cols[b]
+			if c.size.Basis == nil {
+				if failed == nil {
+					failed = fmt.Errorf("fda: all λ candidates failed for dim %d: %w", L, ErrFit)
+				}
+				if c.err == nil {
+					c.err = failed
+				}
+				continue
+			}
+			if c.best.Basis == nil || c.size.Score < c.best.Score {
+				c.best = c.size
+				copy(keep[b*maxL:], sizeCoef[b*maxL:b*maxL+L])
+			}
 		}
 	}
-	if best.Basis == nil {
-		return CurveFit{}, fmt.Errorf("fda: all λ candidates failed for dim %d: %w", L, ErrFit)
+	for b := range cols {
+		c := &cols[b]
+		if c.best.Basis != nil {
+			c.best.Coef, c.err = keep[b*maxL:b*maxL+c.best.Basis.Dim()], nil
+			continue
+		}
+		inner := ErrFit
+		if c.err != nil {
+			inner = c.err
+		}
+		c.err = fmt.Errorf("fda: no candidate basis fit: %w", inner)
 	}
-	return best, nil
+	return cols
+}
+
+// newFit assembles one sample's fit from the selections of its
+// parameter columns, copying their coefficients into one allocation,
+// or returns the error of its lowest failing parameter.
+func newFit(cols []column, cache *BasisCache) (*Fit, error) {
+	n := 0
+	for k, c := range cols {
+		if c.err != nil {
+			return nil, fmt.Errorf("fda: parameter %d: %w", k, c.err)
+		}
+		n += len(c.best.Coef)
+	}
+	coef := make([]float64, n)
+	params := make([]CurveFit, len(cols))
+	fit := &Fit{Params: make([]*CurveFit, len(cols))}
+	for k, c := range cols {
+		cf := &params[k]
+		*cf = c.best
+		cf.Coef = coef[:len(c.best.Coef):len(c.best.Coef)]
+		copy(cf.Coef, c.best.Coef)
+		coef = coef[len(c.best.Coef):]
+		cf.cache = cache
+		fit.Params[k] = cf
+	}
+	return fit, nil
+}
+
+// finiteColumn reports whether every value in column b of x, a
+// row-major matrix of B columns, is finite.
+func finiteColumn(x []float64, b, B int) bool {
+	for i := b; i < len(x); i += B {
+		if math.IsNaN(x[i]) || math.IsInf(x[i], 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // finite reports whether every value of xs is finite.
@@ -490,14 +565,14 @@ func finite(xs []float64) bool {
 // FitDataset fits every sample of the dataset, fixing the basis domain to
 // the dataset's global domain so all fits are comparable on one grid.
 //
-// Samples fan out over a bounded worker pool (Options.Parallel; 0 means
-// GOMAXPROCS) sharing one BasisCache, so the design/penalty matrices
-// and factorizations of the λ × basis-size grid are derived once for
-// the whole dataset. Each fit is written back to its sample index and
-// the per-fit arithmetic does not depend on scheduling, so the result
-// is bitwise identical for every worker count and for cold vs warm
-// caches; on error the lowest-index sample's error is returned, exactly
-// as a sequential loop would surface it.
+// The samples go through MapFits: grouped by grid, each group's
+// systems resolved once and its parameter rows fit in blocks on a
+// bounded worker pool (Options.Parallel; 0 means GOMAXPROCS) sharing one
+// BasisCache. Each fit is written back to its sample index and its
+// arithmetic depends neither on the grouping nor on scheduling, so the
+// result is bitwise identical for every worker count and for cold vs
+// warm caches; on error the lowest-index sample's error is returned,
+// exactly as a sequential loop would surface it.
 func FitDataset(d Dataset, opt Options) ([]*Fit, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -508,11 +583,10 @@ func FitDataset(d Dataset, opt Options) ([]*Fit, error) {
 	if opt.Cache == nil && !opt.NoCache && opt.Basis == nil {
 		opt.Cache = NewBasisCache()
 	}
-	return parallel.Map(d.Len(), opt.Parallel, func(i int) (*Fit, error) {
-		f, err := FitSample(d.Samples[i], opt)
+	return MapFits(d, opt, func(i int, fit *Fit, err error) (*Fit, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fda: sample %d: %w", i, err)
 		}
-		return f, nil
+		return fit, nil
 	})
 }

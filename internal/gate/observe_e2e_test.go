@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
+	"os"
 	"slices"
 	"sort"
 	"strconv"
@@ -410,6 +412,55 @@ func TestGateReloadFailureEnvelope(t *testing.T) {
 		if !strings.Contains(eb.Error.Message, name+": 404 Not Found") {
 			t.Errorf("message %q does not name %s and its status", eb.Error.Message, name)
 		}
+	}
+}
+
+// TestGateReloadRefusedModelFile: junk appended to the served model
+// file makes a replica answer a reload with 422 unprocessable, not 500,
+// while its previous snapshot keeps scoring; the gate's broadcast
+// answers 502 naming each replica's 422.
+func TestGateReloadRefusedModelFile(t *testing.T) {
+	modelPath, d := fitModelFile(t)
+	h := bootGate(t, modelPath)
+	body := jsonScoreBody(t, d, []int{0})
+	before := postScores(t, h.base, "m0", "application/json", body)
+	f, err := os.OpenFile(modelPath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"version":99} trailing junk`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(h.replicas["r1"].URL+"/v1/reload?model=m0", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var eb httpapi.ErrorBody
+	if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(raw, &eb) != nil || eb.Error.Code != httpapi.CodeUnprocessable {
+		t.Fatalf("replica reload of a refused file = %d %s, want a 422 %s envelope", resp.StatusCode, raw, httpapi.CodeUnprocessable)
+	}
+	resp, err = http.Post(h.base+"/v1/reload?model=m0", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway || json.Unmarshal(raw, &eb) != nil || eb.Error.Code != httpapi.CodeUpstream {
+		t.Fatalf("gate reload of a refused file = %d %s, want a 502 %s envelope", resp.StatusCode, raw, httpapi.CodeUpstream)
+	}
+	for _, name := range []string{"r1", "r2", "r3"} {
+		if !strings.Contains(eb.Error.Message, name+": 422 Unprocessable Entity") {
+			t.Errorf("message %q does not name %s and its 422", eb.Error.Message, name)
+		}
+	}
+	after := postScores(t, h.base, "m0", "application/json", body)
+	if len(after) != len(before) || math.Float64bits(after[0]) != math.Float64bits(before[0]) {
+		t.Fatalf("score after the refused reload = %v, before %v", after, before)
 	}
 }
 

@@ -94,42 +94,84 @@ func (bc *BandCholesky) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveInto solves A x = b in O(n·k) into the caller-provided x
-// (length n), the allocation-free form the smoothing hot path uses with
-// per-worker scratch buffers. x must not alias b.
+// SolveInto solves A x = b in O(n·k) per right-hand side into the
+// caller-provided x, the allocation-free form the smoothing hot path
+// uses with per-worker scratch buffers. b holds one right-hand side, or
+// the n×c matrix of c of them row-major (entry i of side j at
+// b[i*c+j]), and x, as long as b, receives the solutions in the same
+// layout. Each sweep runs row by row across every right-hand side, so
+// their chains of dependent divisions overlap, and bandwidth 3 (the
+// cubic B-spline system) runs a written-out row; each right-hand side's
+// operations, and their order, are those of a solve of it alone. x must
+// not alias b.
 func (bc *BandCholesky) SolveInto(b, x []float64) error {
-	if len(b) != bc.n {
-		return fmt.Errorf("linalg: band solve rhs %d want %d: %w", len(b), bc.n, ErrShape)
-	}
-	if len(x) != bc.n {
-		return fmt.Errorf("linalg: band solve dst %d want %d: %w", len(x), bc.n, ErrShape)
-	}
 	n, k := bc.n, bc.k
-	w := k + 1
-	idx := func(i, j int) int { return i*w + (j - i + k) }
-	// Forward substitution L y = b, with y stored in x.
-	for i := 0; i < n; i++ {
-		s := b[i]
-		lo := i - k
-		if lo < 0 {
-			lo = 0
-		}
-		for m := lo; m < i; m++ {
-			s -= bc.l[idx(i, m)] * x[m]
-		}
-		x[i] = s / bc.l[idx(i, i)]
+	cols := 0
+	if n > 0 {
+		cols = len(b) / n
 	}
-	// Back substitution Lᵀ x = y, in place.
+	if len(b) != n*cols {
+		return fmt.Errorf("linalg: band solve rhs %d, want a multiple of %d: %w", len(b), n, ErrShape)
+	}
+	if len(x) != len(b) {
+		return fmt.Errorf("linalg: band solve dst %d want %d: %w", len(x), len(b), ErrShape)
+	}
+	w := k + 1
+	l := bc.l
+	// Forward substitution L y = b, with y stored in x:
+	// y_i = (b_i − Σ_{m=i−k..i−1} L[i][m]·y_m) / L[i][i].
+	for i := 0; i < n; i++ {
+		xi, bi := x[i*cols:(i+1)*cols], b[i*cols:(i+1)*cols]
+		bi = bi[:len(xi)]
+		d := l[i*w+k]
+		if k == 3 && i >= 3 {
+			l0, l1, l2 := l[i*w], l[i*w+1], l[i*w+2]
+			x0, x1, x2 := x[(i-3)*cols:(i-2)*cols], x[(i-2)*cols:(i-1)*cols], x[(i-1)*cols:i*cols]
+			x0, x1, x2 = x0[:len(xi)], x1[:len(xi)], x2[:len(xi)]
+			for c := range xi {
+				s := bi[c]
+				s -= l0 * x0[c]
+				s -= l1 * x1[c]
+				s -= l2 * x2[c]
+				xi[c] = s / d
+			}
+			continue
+		}
+		lo := max(0, i-k)
+		for c := range xi {
+			s := bi[c]
+			for m := lo; m < i; m++ {
+				s -= l[i*w+m-i+k] * x[m*cols+c]
+			}
+			xi[c] = s / d
+		}
+	}
+	// Back substitution Lᵀ x = y, in place:
+	// x_i = (y_i − Σ_{m=i+1..i+k} L[m][i]·x_m) / L[i][i].
 	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		hi := i + k
-		if hi > n-1 {
-			hi = n - 1
+		xi := x[i*cols : (i+1)*cols]
+		d := l[i*w+k]
+		if k == 3 && i+3 < n {
+			l1, l2, l3 := l[(i+1)*w+2], l[(i+2)*w+1], l[(i+3)*w]
+			x1, x2, x3 := x[(i+1)*cols:(i+2)*cols], x[(i+2)*cols:(i+3)*cols], x[(i+3)*cols:(i+4)*cols]
+			x1, x2, x3 = x1[:len(xi)], x2[:len(xi)], x3[:len(xi)]
+			for c := range xi {
+				s := xi[c]
+				s -= l1 * x1[c]
+				s -= l2 * x2[c]
+				s -= l3 * x3[c]
+				xi[c] = s / d
+			}
+			continue
 		}
-		for m := i + 1; m <= hi; m++ {
-			s -= bc.l[idx(m, i)] * x[m]
+		hi := min(i+k, n-1)
+		for c := range xi {
+			s := xi[c]
+			for m := i + 1; m <= hi; m++ {
+				s -= l[m*w+i-m+k] * x[m*cols+c]
+			}
+			xi[c] = s / d
 		}
-		x[i] = s / bc.l[idx(i, i)]
 	}
 	return nil
 }

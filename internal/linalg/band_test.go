@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -361,6 +362,82 @@ func BenchmarkCholeskyBanded21(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestBandSolveIntoColumns holds SolveInto on an n×c matrix of
+// right-hand sides to c solves by the single-column substitution
+// loops, bit for bit, across bandwidths (0 through 4, the written-out
+// 3 among them, and the dense n−1), sizes and column counts.
+func TestBandSolveIntoColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 2, 3, 4, 5, 8, 17} {
+		for _, k := range []int{0, 1, 2, 3, 4, n - 1} {
+			if k < 0 || k > n-1 {
+				continue
+			}
+			bc, err := factorBand(randomBandedSPD(rng, n, k), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cols := range []int{1, 2, 3, 7} {
+				rhs := make([]float64, n*cols)
+				for i := range rhs {
+					rhs[i] = rng.NormFloat64()
+				}
+				got := make([]float64, n*cols)
+				for i := range got {
+					got[i] = math.NaN()
+				}
+				if err := bc.SolveInto(rhs, got); err != nil {
+					t.Fatal(err)
+				}
+				for c := 0; c < cols; c++ {
+					b, want := make([]float64, n), make([]float64, n)
+					for i := range b {
+						b[i] = rhs[i*cols+c]
+					}
+					solveOneColumn(bc, b, want)
+					col := make([]float64, n)
+					for i := range col {
+						col[i] = got[i*cols+c]
+					}
+					assertBitwise(t, fmt.Sprintf("n=%d k=%d, column %d of %d", n, k, c, cols), col, want)
+				}
+			}
+		}
+	}
+	bc, err := factorBand(randomBandedSPD(rng, 4, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bc.SolveInto(make([]float64, 6), make([]float64, 6)); !errors.Is(err, ErrShape) {
+		t.Errorf("rhs of 1.5 columns: err = %v, want ErrShape", err)
+	}
+	if err := bc.SolveInto(make([]float64, 8), make([]float64, 4)); !errors.Is(err, ErrShape) {
+		t.Errorf("dst of one column for two: err = %v, want ErrShape", err)
+	}
+}
+
+// solveOneColumn is the band solve of one right-hand side by plain
+// forward and back substitution over the factor's band storage.
+func solveOneColumn(bc *BandCholesky, b, x []float64) {
+	n, k := bc.n, bc.k
+	w := k + 1
+	idx := func(i, j int) int { return i*w + (j - i + k) }
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for m := max(0, i-k); m < i; m++ {
+			s -= bc.l[idx(i, m)] * x[m]
+		}
+		x[i] = s / bc.l[idx(i, i)]
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for m := i + 1; m <= min(i+k, n-1); m++ {
+			s -= bc.l[idx(m, i)] * x[m]
+		}
+		x[i] = s / bc.l[idx(i, i)]
 	}
 }
 

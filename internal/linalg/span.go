@@ -14,11 +14,14 @@ import "fmt"
 // over the same entries, as long as the stored values and the vector
 // operands are finite (DESIGN.md §6).
 //
-// MulVecInto and AtVecInto own their row loops, so a product is one
-// call rather than one per row, and pick their body from the window
-// width: a 4-wide window (a cubic B-spline, the default order) runs a
-// written-out body, any other width the generic window loop. Both run
-// the same products, added in the same order.
+// MulVecInto, AtVecInto and ResidualSums own their row loops, so a
+// product is one call rather than one per row; AtVecInto and
+// ResidualSums take many vectors, so the smoother's Φᵀy, and its
+// residual sums, of every curve on a grid are one call each. Each picks
+// its body from the window width: a 4-wide window (a cubic B-spline,
+// the default order) runs a written-out body, any other width the
+// generic window loop, and both bodies run the same products, added in
+// the same order.
 type SpanMatrix struct {
 	cols, w int
 	start   []int
@@ -81,38 +84,149 @@ func (s *SpanMatrix) MulVecInto(x, out []float64) error {
 	return nil
 }
 
-// AtVecInto writes sᵀx into out: each row's window scaled by x[j] is
-// added in row order, from +0, skipping the rows with x[j] == 0.
-// len(x) must be the row count and len(out) the column count.
-func (s *SpanMatrix) AtVecInto(x, out []float64) error {
-	if len(x) != len(s.start) || len(out) != s.cols {
-		return fmt.Errorf("linalg: atvec %dx%d by vector %d into %d: %w", len(s.start), s.cols, len(x), len(out), ErrShape)
+// AtVecInto writes sᵀx into out for every vector x of xs: out is the
+// column count × len(xs) product row-major, the product with xs[c] in
+// its column c (at out[i*len(xs)+c]). Each row's window scaled by x[j]
+// is added in row order, from +0, skipping the rows with x[j] == 0. The
+// vectors run one after another, each over every row, and the window a
+// row adds into stays in registers while the rows' first column stays
+// put (a B-spline design's rows advance it a column at a time), so the
+// additions into one entry do not wait on memory; they are the same
+// additions, in the same order. Every vector must hold one value per
+// row.
+func (s *SpanMatrix) AtVecInto(xs [][]float64, out []float64) error {
+	m, n, cols := len(s.start), s.cols, len(xs)
+	if len(out) != n*cols {
+		return fmt.Errorf("linalg: atvec %dx%d by %d vectors into %d: %w", m, n, cols, len(out), ErrShape)
+	}
+	for _, x := range xs {
+		if len(x) != m {
+			return fmt.Errorf("linalg: atvec %dx%d by vector %d: %w", m, n, len(x), ErrShape)
+		}
 	}
 	clear(out)
 	if s.w == 4 {
-		for j, xj := range x {
-			if xj == 0 {
-				continue
+		for i, x := range xs {
+			at := -1 // the window in a0..a3: out[(at+r)*cols+i]
+			var a0, a1, a2, a3 float64
+			for j, c := range s.start {
+				xj := x[j]
+				if xj == 0 {
+					continue
+				}
+				if c != at {
+					if at >= 0 {
+						out[at*cols+i], out[(at+1)*cols+i], out[(at+2)*cols+i], out[(at+3)*cols+i] = a0, a1, a2, a3
+					}
+					at = c
+					a0, a1, a2, a3 = out[c*cols+i], out[(c+1)*cols+i], out[(c+2)*cols+i], out[(c+3)*cols+i]
+				}
+				v := s.vals[4*j : 4*j+4 : 4*j+4]
+				a0 += v[0] * xj
+				a1 += v[1] * xj
+				a2 += v[2] * xj
+				a3 += v[3] * xj
 			}
-			c := s.start[j]
-			v, dst := s.vals[4*j:4*j+4:4*j+4], out[c:c+4:c+4]
-			dst[0] += v[0] * xj
-			dst[1] += v[1] * xj
-			dst[2] += v[2] * xj
-			dst[3] += v[3] * xj
+			if at >= 0 {
+				out[at*cols+i], out[(at+1)*cols+i], out[(at+2)*cols+i], out[(at+3)*cols+i] = a0, a1, a2, a3
+			}
 		}
 		return nil
 	}
 	w := s.w
-	for j, xj := range x {
-		if xj == 0 {
-			continue
+	for i, x := range xs {
+		for j, c := range s.start {
+			xj := x[j]
+			if xj == 0 {
+				continue
+			}
+			for r, vr := range s.vals[j*w : (j+1)*w] {
+				out[(c+r)*cols+i] += vr * xj
+			}
 		}
-		c := s.start[j]
-		v, dst := s.vals[j*w:(j+1)*w], out[c:c+w]
-		for r, vr := range v {
-			dst[r] += vr * xj
+	}
+	return nil
+}
+
+// ResidualSums writes the residual sums of squares of the fits s·x to
+// the vectors ys: x is the column count × len(ys) matrix row-major
+// (column c at x[i*len(ys)+c]), and with r_j = ys[c][j] − (s·x_c)_j,
+// rss[c] = Σ_j r_j² and wss[c] = Σ_j (r_j/den[j])². (s·x_c)_j is row j's
+// window times x_c, summed in column order from +0 as MulVecInto sums
+// it, and both sums run in row order from +0, in registers. Vectors run
+// in pairs, which share each row's window and den[j]; each vector's
+// operations, and their order, are those of its sums alone. Every
+// ys[c] and den must hold one value per row.
+func (s *SpanMatrix) ResidualSums(x []float64, ys [][]float64, den, rss, wss []float64) error {
+	m, n, cols := len(s.start), s.cols, len(ys)
+	if len(x) != n*cols || len(den) != m || len(rss) != cols || len(wss) != cols {
+		return fmt.Errorf("linalg: residual sums of %dx%d by %d values into %d vectors with %d weights: %w", m, n, len(x), cols, len(den), ErrShape)
+	}
+	for _, y := range ys {
+		if len(y) != m {
+			return fmt.Errorf("linalg: residual sums of %d rows against %d values: %w", m, len(y), ErrShape)
 		}
+	}
+	// The pair's coefficients, gathered out of x.
+	var buf [128]float64
+	cs := buf[:]
+	if 2*n > len(buf) {
+		cs = make([]float64, 2*n)
+	}
+	c0, c1 := cs[:n], cs[n:2*n]
+	w := s.w
+	c := 0
+	for ; c+1 < cols; c += 2 {
+		for i := range c0 {
+			c0[i], c1[i] = x[i*cols+c], x[i*cols+c+1]
+		}
+		y0, y1 := ys[c], ys[c+1]
+		var r0, r1, w0, w1 float64
+		for j, st := range s.start {
+			var f0, f1 float64
+			if w == 4 {
+				v, a0, a1 := s.vals[4*j:4*j+4:4*j+4], c0[st:st+4:st+4], c1[st:st+4:st+4]
+				f0 += v[0] * a0[0]
+				f1 += v[0] * a1[0]
+				f0 += v[1] * a0[1]
+				f1 += v[1] * a1[1]
+				f0 += v[2] * a0[2]
+				f1 += v[2] * a1[2]
+				f0 += v[3] * a0[3]
+				f1 += v[3] * a1[3]
+			} else {
+				for r, vr := range s.vals[j*w : (j+1)*w] {
+					f0 += vr * c0[st+r]
+					f1 += vr * c1[st+r]
+				}
+			}
+			d := den[j]
+			e0, e1 := y0[j]-f0, y1[j]-f1
+			r0 += e0 * e0
+			r1 += e1 * e1
+			q0, q1 := e0/d, e1/d
+			w0 += q0 * q0
+			w1 += q1 * q1
+		}
+		rss[c], wss[c], rss[c+1], wss[c+1] = r0, w0, r1, w1
+	}
+	if c < cols {
+		for i := range c0 {
+			c0[i] = x[i*cols+c]
+		}
+		y0 := ys[c]
+		var r0, w0 float64
+		for j, st := range s.start {
+			var f0 float64
+			for r, vr := range s.vals[j*w : (j+1)*w] {
+				f0 += vr * c0[st+r]
+			}
+			e0 := y0[j] - f0
+			r0 += e0 * e0
+			q0 := e0 / den[j]
+			w0 += q0 * q0
+		}
+		rss[c], wss[c] = r0, w0
 	}
 	return nil
 }

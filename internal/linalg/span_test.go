@@ -138,39 +138,63 @@ func TestAtAMatchesExplicit(t *testing.T) {
 	}
 }
 
-// TestAtVecMatchesExplicit pins the span kernels sᵀx (AtVecInto) and sx
-// (MulVecInto) to the explicit dense products, bit for bit, for every
-// window width. The vectors mix zeros, subnormals and magnitudes near
+// TestAtVecMatchesExplicit pins the span kernels sᵀx (AtVecInto, for
+// one to five vectors at once) and sx (MulVecInto) to the explicit dense
+// products, bit for bit, for every window width, with windows at random
+// starts and at starts that advance down the rows as a B-spline
+// design's do. The vectors mix zeros, subnormals and magnitudes near
 // MaxFloat64 with normal draws, and the buffers start dirty.
 func TestAtVecMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const m = 13
 	for _, w := range spanWidths {
-		s, a := randomSpan(rng, m, spanCols, w)
-		x, coef := make([]float64, m), make([]float64, spanCols)
-		for i := range x {
-			x[i] = spanValue(rng)
+		for _, sorted := range []bool{false, true} {
+			s, a := randomSpan(rng, m, spanCols, w)
+			if sorted {
+				s, a = advancingSpan(s)
+			}
+			for _, vecs := range []int{1, 2, 3, 5} {
+				xs := make([][]float64, vecs)
+				for c := range xs {
+					xs[c] = make([]float64, m)
+					for i := range xs[c] {
+						xs[c][i] = spanValue(rng)
+					}
+				}
+				got := make([]float64, spanCols*vecs)
+				for i := range got {
+					got[i] = float64(i + 1)
+				}
+				if err := s.AtVecInto(xs, got); err != nil {
+					t.Fatal(err)
+				}
+				for c, x := range xs {
+					want, err := a.T().MulVec(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					col := make([]float64, spanCols)
+					for i := range col {
+						col[i] = got[i*vecs+c]
+					}
+					assertBitwise(t, fmt.Sprintf("width %d (advancing %v) AtVecInto vector %d of %d", w, sorted, c, vecs), col, want)
+				}
+			}
 		}
+		s, a := randomSpan(rng, m, spanCols, w)
+		coef := make([]float64, spanCols)
 		for i := range coef {
 			coef[i] = spanValue(rng)
 		}
-		got := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-		if err := s.AtVecInto(x, got); err != nil {
-			t.Fatal(err)
-		}
-		want, err := a.T().MulVec(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitwise(t, fmt.Sprintf("width %d AtVecInto", w), got, want)
-		got = make([]float64, m)
+		got := make([]float64, m)
 		for i := range got {
 			got[i] = math.NaN()
 		}
 		if err := s.MulVecInto(coef, got); err != nil {
 			t.Fatal(err)
 		}
-		if want, err = a.MulVec(coef); err != nil {
+		want, err := a.MulVec(coef)
+		if err != nil {
 			t.Fatal(err)
 		}
 		assertBitwise(t, fmt.Sprintf("width %d MulVecInto", w), got, want)
@@ -191,10 +215,138 @@ func TestAtVecMatchesExplicit(t *testing.T) {
 		name string
 		err  error
 	}{
-		{"AtVecInto short vector", s.AtVecInto(make([]float64, 4), make([]float64, 5))},
-		{"AtVecInto short out", s.AtVecInto(make([]float64, 3), make([]float64, 4))},
+		{"AtVecInto short vector", s.AtVecInto([][]float64{make([]float64, 3), make([]float64, 4)}, make([]float64, 10))},
+		{"AtVecInto short out", s.AtVecInto([][]float64{make([]float64, 3)}, make([]float64, 4))},
+		{"AtVecInto out for one vector too many", s.AtVecInto([][]float64{make([]float64, 3)}, make([]float64, 10))},
 		{"MulVecInto short vector", s.MulVecInto(make([]float64, 4), make([]float64, 3))},
 		{"MulVecInto long out", s.MulVecInto(make([]float64, 5), make([]float64, 4))},
+	} {
+		if !errors.Is(c.err, ErrShape) {
+			t.Errorf("%s: err = %v, want ErrShape", c.name, c.err)
+		}
+	}
+}
+
+// randomStarts returns s with its windows moved to random starts, and
+// its dense form.
+func randomStarts(rng *rand.Rand, s *SpanMatrix) (*SpanMatrix, *Dense) {
+	m, n := s.Dims()
+	start := make([]int, m)
+	dense := NewDense(m, n)
+	for j := range start {
+		start[j] = rng.Intn(n - s.w + 1)
+		for r, v := range s.vals[j*s.w : (j+1)*s.w] {
+			dense.Set(j, start[j]+r, v)
+		}
+	}
+	return NewSpanMatrix(n, s.w, start, s.vals), dense
+}
+
+// advancingSpan returns s with its windows moved to starts that never
+// decrease down the rows, the shape of a B-spline design on a sorted
+// grid, and its dense form.
+func advancingSpan(s *SpanMatrix) (*SpanMatrix, *Dense) {
+	m, n := s.Dims()
+	start := make([]int, m)
+	dense := NewDense(m, n)
+	for j := range start {
+		if m > 1 {
+			start[j] = j * (n - s.w) / (m - 1)
+		}
+		for r, v := range s.vals[j*s.w : (j+1)*s.w] {
+			dense.Set(j, start[j]+r, v)
+		}
+	}
+	return NewSpanMatrix(n, s.w, start, s.vals), dense
+}
+
+// TestResidualSumsMatchesExplicit pins ResidualSums to the explicit
+// sums over the dense product, bit for bit: for each vector, the
+// residuals r = y − a·x_c of the dense MulVec, then Σ r² and Σ (r/den)²
+// from +0 in row order. Every window width, one to five vectors (pairs
+// and a lone last one), random and advancing starts, and weights from
+// 1e-10 up. The values mix zeros of both signs, subnormals and
+// magnitudes up to 1e75 with normal draws, small enough that most sums
+// stay finite, so a sum that read another vector's terms would show.
+func TestResidualSumsMatchesExplicit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	value := func() float64 {
+		if v := spanValue(rng); math.Abs(v) <= 1e300 {
+			return v
+		}
+		return math.Copysign(1e75*(1-rng.Float64()/4), rng.NormFloat64())
+	}
+	const m = 13
+	for _, w := range spanWidths {
+		for _, sorted := range []bool{false, true} {
+			s, _ := randomSpan(rng, m, spanCols, w)
+			for i := range s.vals {
+				s.vals[i] = value()
+			}
+			s, a := advancingSpan(s)
+			if !sorted {
+				s, a = randomStarts(rng, s)
+			}
+			finite := 0
+			for _, vecs := range []int{1, 2, 3, 4, 5} {
+				x := make([]float64, spanCols*vecs)
+				for i := range x {
+					x[i] = value()
+				}
+				ys := make([][]float64, vecs)
+				for c := range ys {
+					ys[c] = make([]float64, m)
+					for j := range ys[c] {
+						ys[c][j] = value()
+					}
+				}
+				den := make([]float64, m)
+				for j := range den {
+					den[j] = math.Max(1e-10, rng.Float64())
+				}
+				rss, wss := make([]float64, vecs), make([]float64, vecs)
+				if err := s.ResidualSums(x, ys, den, rss, wss); err != nil {
+					t.Fatal(err)
+				}
+				for c, y := range ys {
+					xc := make([]float64, spanCols)
+					for i := range xc {
+						xc[i] = x[i*vecs+c]
+					}
+					fit, err := a.MulVec(xc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var r2, w2 float64
+					for j, f := range fit {
+						r := y[j] - f
+						r2 += r * r
+						q := r / den[j]
+						w2 += q * q
+					}
+					what := fmt.Sprintf("width %d (advancing %v), vector %d of %d", w, sorted, c, vecs)
+					assertBitwise(t, what+" rss", rss[c:c+1], []float64{r2})
+					assertBitwise(t, what+" wss", wss[c:c+1], []float64{w2})
+					if !math.IsInf(r2, 0) && !math.IsNaN(r2) && !math.IsInf(w2, 0) && !math.IsNaN(w2) {
+						finite++
+					}
+				}
+			}
+			if w > 0 && finite < 8 {
+				t.Errorf("width %d (advancing %v): only %d of 15 vectors had finite sums", w, sorted, finite)
+			}
+		}
+	}
+	s := NewSpanMatrix(5, 2, make([]int, 3), make([]float64, 6))
+	one := [][]float64{make([]float64, 3)}
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"short coefficients", s.ResidualSums(make([]float64, 4), one, make([]float64, 3), make([]float64, 1), make([]float64, 1))},
+		{"short vector", s.ResidualSums(make([]float64, 5), [][]float64{make([]float64, 2)}, make([]float64, 3), make([]float64, 1), make([]float64, 1))},
+		{"short weights", s.ResidualSums(make([]float64, 5), one, make([]float64, 2), make([]float64, 1), make([]float64, 1))},
+		{"short sums", s.ResidualSums(make([]float64, 5), one, make([]float64, 3), make([]float64, 0), make([]float64, 1))},
 	} {
 		if !errors.Is(c.err, ErrShape) {
 			t.Errorf("%s: err = %v, want ErrShape", c.name, c.err)

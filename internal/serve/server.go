@@ -225,6 +225,11 @@ func (s *Server) handleReload(r *http.Request, _ []byte) httpapi.Reply {
 	switch {
 	case errors.Is(err, ErrUnknownModel):
 		return httpapi.Errorf(http.StatusNotFound, "unknown model %q", name)
+	case errors.Is(err, core.ErrModelFile):
+		// The file was read but is not a model this build loads; the
+		// operator must fix the file, and the previous snapshot keeps
+		// serving meanwhile.
+		return httpapi.Errorf(http.StatusUnprocessableEntity, "reload refused, previous model still serving: %v", err)
 	case err != nil:
 		// The previous snapshot keeps serving; tell the operator why the
 		// swap was refused.

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fda"
+	"repro/internal/httpapi"
 )
 
 // testStack builds a registry with one model named "ecg", a pool and an
@@ -279,14 +280,26 @@ func TestServerHotReload(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("score after reload = %d, body %s", resp2.StatusCode, body2)
 	}
-	// Corrupt file: reload fails, old snapshot keeps serving.
+	// Corrupt file: the reload is refused as unprocessable, and the old
+	// snapshot keeps serving.
 	current := m.Pipeline()
 	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resp3, _ := postScore(t, ts.URL+"/v1/reload?model=ecg", nil)
-	if resp3.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("corrupt reload status = %d, want 500", resp3.StatusCode)
+	resp3, body3 := postScore(t, ts.URL+"/v1/reload?model=ecg", nil)
+	var eb httpapi.ErrorBody
+	if resp3.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(body3, &eb) != nil || eb.Error.Code != httpapi.CodeUnprocessable {
+		t.Fatalf("corrupt reload = %d %s, want a 422 %s envelope", resp3.StatusCode, body3, httpapi.CodeUnprocessable)
+	}
+	if m.Pipeline() != current {
+		t.Fatal("failed reload must keep serving the old model")
+	}
+	// A file that cannot be read is the server's fault: 500.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postScore(t, ts.URL+"/v1/reload?model=ecg", nil); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("reload of a missing file = %d %s, want 500", resp.StatusCode, body)
 	}
 	if m.Pipeline() != current {
 		t.Fatal("failed reload must keep serving the old model")

@@ -36,11 +36,15 @@ type Model interface {
 // MaxPoints bounds the points one curve may carry: the distinct times a
 // stream holds, and (as serve.DefaultMaxPoints) the points of one curve
 // a replica scores. The default basis ladder sizes a fit at 8–25% of
-// its points, and the L×L penalty matrix is dense (the design is
-// span-compact and the Gram is kept as its band), so a fit's time and
-// memory grow with the square of its points. Scoring one
-// bivariate curve with the Fig. 3 model on a 2-vCPU host takes 0.18 s
-// and 49 MB at 2,048 points, but 4.5 s and 777 MB at 8,192.
+// its points. The design is span-compact and the Gram, the penalty and
+// the factorizations are kept as bands, so most of a fit grows linearly
+// with its points; what still grows with their square is the penalty's
+// construction: bspline.PenaltyMatrix builds the dense L×L matrix R,
+// evaluating every basis function at every quadrature node, once per
+// basis size and domain (the cache keeps only its band afterwards).
+// Scoring one bivariate curve with the Fig. 3 model through a cold
+// cache on a 2-vCPU host takes about 7–13 ms and allocates 5.5 MB at
+// 2,048 points, and 130–210 ms and 68 MB at 8,192.
 const MaxPoints = 2048
 
 // Sentinel errors of the streaming tier; the HTTP layer maps them onto
