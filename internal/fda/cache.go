@@ -61,7 +61,9 @@ import (
 // The cache also memoizes span-compact design matrices per (basis,
 // grid, derivative), which CurveFit.EvalGrid uses to evaluate
 // fitted curves and their derivatives without re-running the Cox–de
-// Boor recursion per sample.
+// Boor recursion per sample. Fit.EvalGrid hashes its grid once for
+// all of a fit's parameters and looks a design up once per run of
+// parameters on one basis.
 //
 // A BasisCache is safe for concurrent use; all cached values are pure
 // functions of their keys, and an entry built for one fit runs the same
@@ -326,12 +328,13 @@ func (c *BasisCache) penaltyLocked(dim, order, q int, lo, hi float64) *penalty {
 	return pen
 }
 
-// spanDesign returns the memoized compact design of the basis on ts at
-// the given derivative order, building it on first use. A key collision
-// returns nil and the caller evaluates transiently.
-func (c *BasisCache) spanDesign(b *bspline.BSpline, ts []float64, deriv int) *linalg.SpanMatrix {
+// spanDesign returns the memoized compact design of the basis on ts,
+// whose hash is tsHash, at the given derivative order, building it on
+// first use. A key collision returns nil and the caller evaluates
+// transiently.
+func (c *BasisCache) spanDesign(b *bspline.BSpline, ts []float64, tsHash uint64, deriv int) *linalg.SpanMatrix {
 	lo, hi := b.Domain()
-	key := designKey{dim: b.Dim(), order: b.Order(), deriv: deriv, lo: lo, hi: hi, m: len(ts), tsHash: hashFloats(ts)}
+	key := designKey{dim: b.Dim(), order: b.Order(), deriv: deriv, lo: lo, hi: hi, m: len(ts), tsHash: tsHash}
 	c.mu.Lock()
 	e, ok := c.designs[key]
 	if ok && sameFloats(e.ts, ts) {

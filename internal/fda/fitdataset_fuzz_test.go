@@ -133,3 +133,83 @@ func diffFits(got *Fit, gotErr error, want *Fit, wantErr error) string {
 	}
 	return ""
 }
+
+// TestGroupedFitSkipsNonFiniteSolutions holds the grouped fit to the
+// single-column loop on curves scaled toward MaxFloat64, where a λ's
+// band solve overflows for some columns of a block and not others, and
+// for one λ of a column and not the next: each block's per-λ
+// finiteness pass must skip exactly the reference's candidates. The
+// test also counts such columns, so the case cannot go unchecked.
+func TestGroupedFitSkipsNonFiniteSolutions(t *testing.T) {
+	ts := UniformGrid(0, 1, 40)
+	rng := rand.New(rand.NewSource(9))
+	var d Dataset
+	for _, scale := range []float64{1, 1e305, 1e306, 3e306, 1e307, 3e307, 1e308} {
+		for range 3 {
+			vals := make([][]float64, 2)
+			for k := range vals {
+				vals[k] = make([]float64, len(ts))
+				phase := rng.Float64()
+				for j, tv := range ts {
+					vals[k][j] = scale * (math.Sin(2*math.Pi*tv+phase) + 0.05*rng.NormFloat64())
+				}
+			}
+			d.Samples = append(d.Samples, Sample{Times: ts, Values: vals})
+		}
+	}
+	opt := Options{Lo: 0, Hi: 1}
+	mixed := 0 // columns with a finite and a non-finite solution in one size
+	g := newGridSystems(ts, hashFloats(ts), opt, (*BasisCache).fitEntryFor)
+	for _, s := range d.Samples {
+		for _, y := range s.Values {
+			for i := range g.systems {
+				sys := &g.systems[i]
+				if sys.entry == nil {
+					continue
+				}
+				pt := make([]float64, sys.entry.basis.Dim())
+				if err := sys.entry.phi.AtVecInto([][]float64{y}, pt); err != nil {
+					t.Fatal(err)
+				}
+				var ok, bad bool
+				for _, lf := range sys.factors {
+					if lf.err != nil {
+						continue
+					}
+					x := make([]float64, len(pt))
+					if err := lf.solver.SolveInto(pt, x); err != nil {
+						t.Fatal(err)
+					}
+					if finite(x) {
+						ok = true
+					} else {
+						bad = true
+					}
+				}
+				if ok && bad {
+					mixed++
+				}
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no column had a finite and a non-finite solution within one basis size")
+	}
+	t.Logf("%d (column, size) pairs mixed finite and non-finite solutions", mixed)
+	for _, width := range []int{1, 2, 4, 5, blockColumns} {
+		gotErr := make([]error, d.Len())
+		got, err := mapFits(d, opt, width, func(i int, fit *Fit, err error) (*Fit, error) {
+			gotErr[i] = err
+			return fit, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range d.Samples {
+			want, wantErr := referenceFitSample(s, opt)
+			if diff := diffFits(got[i], gotErr[i], want, wantErr); diff != "" {
+				t.Fatalf("blocks of %d columns, sample %d: %s", width, i, diff)
+			}
+		}
+	}
+}

@@ -121,9 +121,21 @@ func TestBasisCacheInvariance(t *testing.T) {
 
 // TestEvalGridCachedMatchesUncached pins the EvalGrid fix: the cached
 // span design, the transient span design and the point-by-point Eval
-// must agree bitwise for every derivative order the mappings use.
+// must agree bitwise for every derivative order the mappings use, and
+// Fit.EvalGrid, which hashes the grid once and looks a design up once
+// per run of parameters on one basis, must give each parameter's
+// CurveFit.EvalGrid values.
 func TestEvalGridCachedMatchesUncached(t *testing.T) {
 	d := hotpathDataset(3, 50)
+	// A sample whose second parameter oscillates eight times as fast,
+	// faster than the basis sizes can follow on 50 points, so its two
+	// parameters select different sizes.
+	ts := d.Samples[0].Times
+	slow, fast := make([]float64, len(ts)), make([]float64, len(ts))
+	for j, tt := range ts {
+		slow[j], fast[j] = math.Sin(2*math.Pi*tt), math.Sin(16*math.Pi*tt)
+	}
+	d.Samples = append(d.Samples, Sample{Times: ts, Values: [][]float64{slow, fast}})
 	cache := NewBasisCache()
 	cached, err := FitDataset(d, Options{Parallel: 1, Cache: cache})
 	if err != nil {
@@ -134,7 +146,38 @@ func TestEvalGridCachedMatchesUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := UniformGrid(0, 1, 37) // not the measurement grid: fresh span designs
+	// shared counts the lookups one Fit.EvalGrid shared between
+	// parameters, and split the calls that needed more than one.
+	shared, split := 0, 0
 	for i := range cached {
+		for deriv := 0; deriv <= 2; deriv++ {
+			// One Fit.EvalGrid looks a design up once per run of
+			// parameters on one basis, and gives each parameter's values.
+			lookups := 0
+			for k, p := range cached[i].Params {
+				if k == 0 || p.Basis != cached[i].Params[k-1].Basis {
+					lookups++
+				}
+			}
+			before := cache.Stats()
+			all := cached[i].EvalGrid(grid, deriv)
+			after := cache.Stats()
+			if got := after.Hits + after.Misses - before.Hits - before.Misses; got != int64(lookups) {
+				t.Fatalf("sample %d deriv %d: Fit.EvalGrid made %d design lookups, want %d", i, deriv, got, lookups)
+			}
+			shared += len(cached[i].Params) - lookups
+			if lookups > 1 {
+				split++
+			}
+			for k, p := range cached[i].Params {
+				want := p.EvalGrid(grid, deriv)
+				for j := range want {
+					if math.Float64bits(all[k][j]) != math.Float64bits(want[j]) {
+						t.Fatalf("sample %d param %d deriv %d: Fit.EvalGrid %v, CurveFit.EvalGrid %v", i, k, deriv, all[k][j], want[j])
+					}
+				}
+			}
+		}
 		for k := range cached[i].Params {
 			for deriv := 0; deriv <= 2; deriv++ {
 				a := cached[i].Params[k].EvalGrid(grid, deriv)
@@ -152,6 +195,9 @@ func TestEvalGridCachedMatchesUncached(t *testing.T) {
 	}
 	if s := cache.Stats(); s.Hits == 0 {
 		t.Fatalf("span designs never shared across fits: %+v", s)
+	}
+	if shared == 0 || split == 0 {
+		t.Fatalf("%d shared and %d split lookups: a fit with two parameters on one basis and one with two bases are both needed", shared, split)
 	}
 }
 

@@ -208,18 +208,48 @@ func (f *CurveFit) Eval(t float64, deriv int) float64 {
 // the surviving terms in index order and a fit's coefficients are
 // finite, so the result is bitwise the point-by-point one.
 func (f *CurveFit) EvalGrid(ts []float64, deriv int) []float64 {
-	var sd *linalg.SpanMatrix
-	if bs, ok := f.Basis.(*bspline.BSpline); ok && f.cache != nil {
-		sd = f.cache.spanDesign(bs, ts, deriv)
-	}
+	return f.evalOn(&evalGrid{ts: ts}, deriv)
+}
+
+// evalOn is EvalGrid on the grid of one Fit.EvalGrid call.
+func (f *CurveFit) evalOn(g *evalGrid, deriv int) []float64 {
+	sd := g.design(f, deriv)
 	if sd == nil {
-		sd = bspline.NewSpanDesign(f.Basis, ts, deriv)
+		sd = bspline.NewSpanDesign(f.Basis, g.ts, deriv)
 	}
-	out := make([]float64, len(ts))
+	out := make([]float64, len(g.ts))
 	if err := sd.MulVecInto(f.Coef, out); err != nil {
 		panic(err) // a fit holds one coefficient per basis function
 	}
 	return out
+}
+
+// evalGrid is the grid of one EvalGrid call: its hash, taken at the
+// first cache lookup, and the span design that lookup returned, which
+// the next parameter reuses when it has the same basis.
+type evalGrid struct {
+	ts     []float64
+	hash   uint64
+	hashed bool
+	basis  *bspline.BSpline
+	sd     *linalg.SpanMatrix
+}
+
+// design returns the cache's span design of the fit's basis on the
+// grid, or nil when the fit has no cache or no B-spline basis, or the
+// cache holds another grid under the key.
+func (g *evalGrid) design(f *CurveFit, deriv int) *linalg.SpanMatrix {
+	bs, ok := f.Basis.(*bspline.BSpline)
+	if !ok || f.cache == nil {
+		return nil
+	}
+	if bs != g.basis {
+		if !g.hashed {
+			g.hash, g.hashed = hashFloats(g.ts), true
+		}
+		g.basis, g.sd = bs, f.cache.spanDesign(bs, g.ts, g.hash, deriv)
+	}
+	return g.sd
 }
 
 // Fit is the fitted approximation X̃ of a full MFD sample: one CurveFit per
@@ -240,11 +270,14 @@ func (f *Fit) Eval(t float64, deriv int) []float64 {
 	return out
 }
 
-// EvalGrid returns a (p × len(ts)) matrix of deriv-th derivatives.
+// EvalGrid returns a (p × len(ts)) matrix of deriv-th derivatives. The
+// grid is hashed once for every parameter, and parameters that share a
+// basis share one span design lookup.
 func (f *Fit) EvalGrid(ts []float64, deriv int) [][]float64 {
+	g := evalGrid{ts: ts}
 	out := make([][]float64, len(f.Params))
 	for k, p := range f.Params {
-		out[k] = p.EvalGrid(ts, deriv)
+		out[k] = p.evalOn(&g, deriv)
 	}
 	return out
 }
@@ -382,6 +415,9 @@ func resolveSystems(systems []system, lambdas []float64) int {
 type column struct {
 	best, size CurveFit
 	err        error
+	// nonFinite marks a column whose solution for the λ at hand holds
+	// a value that is not finite.
+	nonFinite bool
 }
 
 // fitColumns runs the model selection of Eq. 3–4 for every column of
@@ -410,14 +446,21 @@ type column struct {
 // column that no size fits gets the first error met in ladder order.
 func (g *gridSystems) fitColumns(ys [][]float64, lambdas []float64, crit Criterion) []column {
 	B, m, maxL := len(ys), g.m, g.maxL
-	// pt (Φᵀy) and x (the solutions of one λ) are L×B row-major:
-	// column b's entry i sits at [i*B+b]. den holds one λ's LOOCV
-	// denominators, rss and wss each column's residual sums; sizeCoef
-	// and keep hold each column's coefficients, maxL apart: those of its
-	// leader within the size, and those of its choice.
-	buf := make([]float64, m+2*B+4*B*maxL)
+	// yb (the columns' values), pt (Φᵀy) and x (the solutions of one
+	// λ) are row-major with B columns: column b's entry i sits at
+	// [i*B+b]. den holds one λ's LOOCV denominators, rss and wss each
+	// column's residual sums; sizeCoef and keep hold each column's
+	// coefficients, maxL apart: those of its leader within the size,
+	// and those of its choice.
+	buf := make([]float64, m+2*B+m*B+4*B*maxL)
 	den, rss, wss, rest := buf[:m], buf[m:m+B], buf[m+B:m+2*B], buf[m+2*B:]
+	yb, rest := rest[:m*B], rest[m*B:]
 	pt, x, sizeCoef, keep := rest[:B*maxL], rest[B*maxL:2*B*maxL], rest[2*B*maxL:3*B*maxL], rest[3*B*maxL:]
+	for b, y := range ys {
+		for j, v := range y {
+			yb[j*B+b] = v
+		}
+	}
 	cols := make([]column, B)
 	for i := range g.systems {
 		sys := &g.systems[i]
@@ -456,11 +499,21 @@ func (g *gridSystems) fitColumns(ys [][]float64, lambdas []float64, crit Criteri
 				}
 				den[j] = d
 			}
-			if err := e.phi.ResidualSums(xL, ys, den, rss, wss); err != nil {
+			if err := e.phi.ResidualSums(xL, yb, den, rss, wss); err != nil {
 				panic(err)
 			}
 			for b := range cols {
-				if !finiteColumn(xL, b, B) {
+				cols[b].nonFinite = false
+			}
+			for i := 0; i < len(xL); i += B {
+				for b, v := range xL[i : i+B] {
+					if !(math.Abs(v) <= math.MaxFloat64) { // ±Inf or NaN
+						cols[b].nonFinite = true
+					}
+				}
+			}
+			for b := range cols {
+				if cols[b].nonFinite {
 					continue
 				}
 				loocv := wss[b]
@@ -539,17 +592,6 @@ func newFit(cols []column, cache *BasisCache) (*Fit, error) {
 		fit.Params[k] = cf
 	}
 	return fit, nil
-}
-
-// finiteColumn reports whether every value in column b of x, a
-// row-major matrix of B columns, is finite.
-func finiteColumn(x []float64, b, B int) bool {
-	for i := b; i < len(x); i += B {
-		if math.IsNaN(x[i]) || math.IsInf(x[i], 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // finite reports whether every value of xs is finite.

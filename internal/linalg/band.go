@@ -100,10 +100,12 @@ func (bc *BandCholesky) Solve(b []float64) ([]float64, error) {
 // the n×c matrix of c of them row-major (entry i of side j at
 // b[i*c+j]), and x, as long as b, receives the solutions in the same
 // layout. Each sweep runs row by row across every right-hand side, so
-// their chains of dependent divisions overlap, and bandwidth 3 (the
-// cubic B-spline system) runs a written-out row; each right-hand side's
-// operations, and their order, are those of a solve of it alone. x must
-// not alias b.
+// their chains of dependent divisions overlap. Bandwidth 3 (the cubic
+// B-spline system) runs its rows past the first three of each sweep
+// written out: on amd64 with AVX2, a vector body takes the whole groups
+// of four right-hand sides, one per lane (kernels_amd64.go), and the Go
+// body the rest. Each right-hand side's operations, and their order,
+// are those of a solve of it alone. x must not alias b.
 func (bc *BandCholesky) SolveInto(b, x []float64) error {
 	n, k := bc.n, bc.k
 	cols := 0
@@ -118,25 +120,18 @@ func (bc *BandCholesky) SolveInto(b, x []float64) error {
 	}
 	w := k + 1
 	l := bc.l
+	// The rows each sweep runs by the generic loop: all of them, or the
+	// first three when bandwidth 3 writes the others out.
+	head := n
+	if k == 3 {
+		head = min(n, 3)
+	}
 	// Forward substitution L y = b, with y stored in x:
 	// y_i = (b_i − Σ_{m=i−k..i−1} L[i][m]·y_m) / L[i][i].
-	for i := 0; i < n; i++ {
+	for i := 0; i < head; i++ {
 		xi, bi := x[i*cols:(i+1)*cols], b[i*cols:(i+1)*cols]
 		bi = bi[:len(xi)]
 		d := l[i*w+k]
-		if k == 3 && i >= 3 {
-			l0, l1, l2 := l[i*w], l[i*w+1], l[i*w+2]
-			x0, x1, x2 := x[(i-3)*cols:(i-2)*cols], x[(i-2)*cols:(i-1)*cols], x[(i-1)*cols:i*cols]
-			x0, x1, x2 = x0[:len(xi)], x1[:len(xi)], x2[:len(xi)]
-			for c := range xi {
-				s := bi[c]
-				s -= l0 * x0[c]
-				s -= l1 * x1[c]
-				s -= l2 * x2[c]
-				xi[c] = s / d
-			}
-			continue
-		}
 		lo := max(0, i-k)
 		for c := range xi {
 			s := bi[c]
@@ -146,24 +141,14 @@ func (bc *BandCholesky) SolveInto(b, x []float64) error {
 			xi[c] = s / d
 		}
 	}
+	if k == 3 {
+		bc.forward3(b, x, cols, forward3Vec(l, b, x, cols))
+	}
 	// Back substitution Lᵀ x = y, in place:
 	// x_i = (y_i − Σ_{m=i+1..i+k} L[m][i]·x_m) / L[i][i].
-	for i := n - 1; i >= 0; i-- {
+	for i := n - 1; i >= n-head; i-- {
 		xi := x[i*cols : (i+1)*cols]
 		d := l[i*w+k]
-		if k == 3 && i+3 < n {
-			l1, l2, l3 := l[(i+1)*w+2], l[(i+2)*w+1], l[(i+3)*w]
-			x1, x2, x3 := x[(i+1)*cols:(i+2)*cols], x[(i+2)*cols:(i+3)*cols], x[(i+3)*cols:(i+4)*cols]
-			x1, x2, x3 = x1[:len(xi)], x2[:len(xi)], x3[:len(xi)]
-			for c := range xi {
-				s := xi[c]
-				s -= l1 * x1[c]
-				s -= l2 * x2[c]
-				s -= l3 * x3[c]
-				xi[c] = s / d
-			}
-			continue
-		}
 		hi := min(i+k, n-1)
 		for c := range xi {
 			s := xi[c]
@@ -173,7 +158,56 @@ func (bc *BandCholesky) SolveInto(b, x []float64) error {
 			xi[c] = s / d
 		}
 	}
+	if k == 3 {
+		bc.back3(x, cols, back3Vec(l, x, cols))
+	}
 	return nil
+}
+
+// forward3 runs the written-out forward rows 3 through n−1 of a
+// bandwidth-3 solve of cols right-hand sides on those from `from`
+// onward: the Go body forward3AVX2 holds its lanes to.
+func (bc *BandCholesky) forward3(b, x []float64, cols, from int) {
+	if from == cols {
+		return
+	}
+	l := bc.l
+	for i := 3; i < bc.n; i++ {
+		l0, l1, l2, d := l[4*i], l[4*i+1], l[4*i+2], l[4*i+3]
+		xi, bi := x[i*cols+from:(i+1)*cols], b[i*cols+from:(i+1)*cols]
+		x0, x1, x2 := x[(i-3)*cols+from:(i-2)*cols], x[(i-2)*cols+from:(i-1)*cols], x[(i-1)*cols+from:i*cols]
+		bi, x0, x1, x2 = bi[:len(xi)], x0[:len(xi)], x1[:len(xi)], x2[:len(xi)]
+		for c := range xi {
+			s := bi[c]
+			s -= l0 * x0[c]
+			s -= l1 * x1[c]
+			s -= l2 * x2[c]
+			xi[c] = s / d
+		}
+	}
+}
+
+// back3 runs the written-out back rows n−4 down to 0 of a bandwidth-3
+// solve of cols right-hand sides on those from `from` onward: the Go
+// body back3AVX2 holds its lanes to.
+func (bc *BandCholesky) back3(x []float64, cols, from int) {
+	if from == cols {
+		return
+	}
+	l := bc.l
+	for i := bc.n - 4; i >= 0; i-- {
+		l1, l2, l3, d := l[4*(i+1)+2], l[4*(i+2)+1], l[4*(i+3)], l[4*i+3]
+		xi := x[i*cols+from : (i+1)*cols]
+		x1, x2, x3 := x[(i+1)*cols+from:(i+2)*cols], x[(i+2)*cols+from:(i+3)*cols], x[(i+3)*cols+from:(i+4)*cols]
+		x1, x2, x3 = x1[:len(xi)], x2[:len(xi)], x3[:len(xi)]
+		for c := range xi {
+			s := xi[c]
+			s -= l1 * x1[c]
+			s -= l2 * x2[c]
+			s -= l3 * x3[c]
+			xi[c] = s / d
+		}
+	}
 }
 
 // HatDiag writes h[j] = φⱼᵀ A⁻¹ φⱼ for every row φⱼ of phi (m×n) into h

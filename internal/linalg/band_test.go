@@ -19,17 +19,15 @@ func randomSPD(rng *rand.Rand, n int) *Dense {
 	return spd
 }
 
-// randomBandedSPD builds an SPD matrix with the given bandwidth by forming
-// BᵀB + I where B is banded.
+// randomBandedSPD builds an SPD matrix of bandwidth k by forming
+// BᵀB + n·I, where row i of B is nonzero in columns i through i+k only:
+// (BᵀB)_ij sums over the rows holding both i and j, so it is +0 for
+// |i−j| > k and, for the draws here, nonzero within the band.
 func randomBandedSPD(rng *rand.Rand, n, k int) *Dense {
 	b := NewDense(n, n)
-	// Fill B with bandwidth floor(k/2): BᵀB then has bandwidth ≤ 2·floor(k/2) ≤ k.
-	half := k / 2
 	for i := 0; i < n; i++ {
-		for j := i - half; j <= i+half; j++ {
-			if j >= 0 && j < n {
-				b.Set(i, j, rng.NormFloat64())
-			}
+		for j := i; j <= min(i+k, n-1); j++ {
+			b.Set(i, j, rng.NormFloat64())
 		}
 	}
 	spd, _ := b.T().Mul(b)
@@ -368,10 +366,14 @@ func BenchmarkCholeskyBanded21(b *testing.B) {
 // TestBandSolveIntoColumns holds SolveInto on an n×c matrix of
 // right-hand sides to c solves by the single-column substitution
 // loops, bit for bit, across bandwidths (0 through 4, the written-out
-// 3 among them, and the dense n−1), sizes and column counts.
+// 3 among them, and the dense n−1), sizes and the column counts of
+// residualColumns. Two columns in three draw normal values; every third
+// draws spanValue's zeros of both signs, subnormals and magnitudes near
+// MaxFloat64, whose products and differences overflow to ±Inf and NaN.
 func TestBandSolveIntoColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{1, 2, 3, 4, 5, 8, 17} {
+	nonFinite := 0
+	for _, n := range []int{1, 2, 3, 4, 5, 8, 17, 21} {
 		for _, k := range []int{0, 1, 2, 3, 4, n - 1} {
 			if k < 0 || k > n-1 {
 				continue
@@ -380,10 +382,14 @@ func TestBandSolveIntoColumns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, cols := range []int{1, 2, 3, 7} {
+			for _, cols := range residualColumns {
 				rhs := make([]float64, n*cols)
 				for i := range rhs {
-					rhs[i] = rng.NormFloat64()
+					if i%cols%3 == 2 {
+						rhs[i] = spanValue(rng)
+					} else {
+						rhs[i] = rng.NormFloat64()
+					}
 				}
 				got := make([]float64, n*cols)
 				for i := range got {
@@ -403,10 +409,20 @@ func TestBandSolveIntoColumns(t *testing.T) {
 						col[i] = got[i*cols+c]
 					}
 					assertBitwise(t, fmt.Sprintf("n=%d k=%d, column %d of %d", n, k, c, cols), col, want)
+					for _, v := range want {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							nonFinite++
+							break
+						}
+					}
 				}
 			}
 		}
 	}
+	if nonFinite == 0 {
+		t.Error("no solution overflowed: the non-finite lanes went unchecked")
+	}
+	t.Logf("%d solutions held a value that is not finite", nonFinite)
 	bc, err := factorBand(randomBandedSPD(rng, 4, 1), 1)
 	if err != nil {
 		t.Fatal(err)

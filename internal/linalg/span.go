@@ -20,8 +20,10 @@ import "fmt"
 // residual sums, of every curve on a grid are one call each. Each picks
 // its body from the window width: a 4-wide window (a cubic B-spline,
 // the default order) runs a written-out body, any other width the
-// generic window loop, and both bodies run the same products, added in
-// the same order.
+// generic window loop. ResidualSums' 4-wide case also picks by CPU and
+// column count: on amd64 with AVX2 a vector body takes a block's whole
+// groups of four columns, one column per lane, and the Go body the
+// rest. Every body runs the same products, added in the same order.
 type SpanMatrix struct {
 	cols, w int
 	start   []int
@@ -149,24 +151,30 @@ func (s *SpanMatrix) AtVecInto(xs [][]float64, out []float64) error {
 }
 
 // ResidualSums writes the residual sums of squares of the fits s·x to
-// the vectors ys: x is the column count × len(ys) matrix row-major
-// (column c at x[i*len(ys)+c]), and with r_j = ys[c][j] − (s·x_c)_j,
-// rss[c] = Σ_j r_j² and wss[c] = Σ_j (r_j/den[j])². (s·x_c)_j is row j's
-// window times x_c, summed in column order from +0 as MulVecInto sums
-// it, and both sums run in row order from +0, in registers. Vectors run
-// in pairs, which share each row's window and den[j]; each vector's
-// operations, and their order, are those of its sums alone. Every
-// ys[c] and den must hold one value per row.
-func (s *SpanMatrix) ResidualSums(x []float64, ys [][]float64, den, rss, wss []float64) error {
-	m, n, cols := len(s.start), s.cols, len(ys)
-	if len(x) != n*cols || len(den) != m || len(rss) != cols || len(wss) != cols {
-		return fmt.Errorf("linalg: residual sums of %dx%d by %d values into %d vectors with %d weights: %w", m, n, len(x), cols, len(den), ErrShape)
+// the columns of ys: x is the column count × B matrix row-major (column
+// c at x[i*B+c]) and ys the row count × B one (ys[j*B+c]), B = len(rss),
+// and with r_j = ys[j*B+c] − (s·x_c)_j, rss[c] = Σ_j r_j² and wss[c] =
+// Σ_j (r_j/den[j])². (s·x_c)_j is row j's window times x_c, summed in
+// column order from +0 as MulVecInto sums it, and both sums run in row
+// order from +0, in registers. Each column's operations, and their
+// order, are those of its sums alone. With 4-wide windows, on an amd64
+// CPU with AVX2, the whole groups of four columns run a vector body,
+// one column per lane (kernels_amd64.go); the Go body takes the other
+// columns, in pairs that share each row's window and den[j]. den must
+// hold one value per row.
+func (s *SpanMatrix) ResidualSums(x, ys, den, rss, wss []float64) error {
+	m, n, cols := len(s.start), s.cols, len(rss)
+	if len(x) != n*cols || len(ys) != m*cols || len(den) != m || len(wss) != cols {
+		return fmt.Errorf("linalg: residual sums of %dx%d by %d values against %d values with %d weights into %d and %d sums: %w", m, n, len(x), len(ys), len(den), cols, len(wss), ErrShape)
 	}
-	for _, y := range ys {
-		if len(y) != m {
-			return fmt.Errorf("linalg: residual sums of %d rows against %d values: %w", m, len(y), ErrShape)
-		}
-	}
+	s.residualSums(x, ys, den, rss, wss, residualSumsVec(s, x, ys, den, rss, wss))
+	return nil
+}
+
+// residualSums is ResidualSums' Go body, on the columns from `from`
+// onward.
+func (s *SpanMatrix) residualSums(x, ys, den, rss, wss []float64, from int) {
+	n, cols := s.cols, len(rss)
 	// The pair's coefficients, gathered out of x.
 	var buf [128]float64
 	cs := buf[:]
@@ -175,13 +183,13 @@ func (s *SpanMatrix) ResidualSums(x []float64, ys [][]float64, den, rss, wss []f
 	}
 	c0, c1 := cs[:n], cs[n:2*n]
 	w := s.w
-	c := 0
+	c := from
 	for ; c+1 < cols; c += 2 {
 		for i := range c0 {
 			c0[i], c1[i] = x[i*cols+c], x[i*cols+c+1]
 		}
-		y0, y1 := ys[c], ys[c+1]
 		var r0, r1, w0, w1 float64
+		yj := c // row j's entry of column c in ys
 		for j, st := range s.start {
 			var f0, f1 float64
 			if w == 4 {
@@ -201,7 +209,8 @@ func (s *SpanMatrix) ResidualSums(x []float64, ys [][]float64, den, rss, wss []f
 				}
 			}
 			d := den[j]
-			e0, e1 := y0[j]-f0, y1[j]-f1
+			e0, e1 := ys[yj]-f0, ys[yj+1]-f1
+			yj += cols
 			r0 += e0 * e0
 			r1 += e1 * e1
 			q0, q1 := e0/d, e1/d
@@ -214,21 +223,19 @@ func (s *SpanMatrix) ResidualSums(x []float64, ys [][]float64, den, rss, wss []f
 		for i := range c0 {
 			c0[i] = x[i*cols+c]
 		}
-		y0 := ys[c]
 		var r0, w0 float64
 		for j, st := range s.start {
 			var f0 float64
 			for r, vr := range s.vals[j*w : (j+1)*w] {
 				f0 += vr * c0[st+r]
 			}
-			e0 := y0[j] - f0
+			e0 := ys[j*cols+c] - f0
 			r0 += e0 * e0
 			q0 := e0 / den[j]
 			w0 += q0 * q0
 		}
 		rss[c], wss[c] = r0, w0
 	}
-	return nil
 }
 
 // GramBandInto writes the lower band of the Gram matrix sᵀs, of

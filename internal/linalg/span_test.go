@@ -260,17 +260,26 @@ func advancingSpan(s *SpanMatrix) (*SpanMatrix, *Dense) {
 	return NewSpanMatrix(n, s.w, start, s.vals), dense
 }
 
+// residualColumns are the block widths the residual sums and the band
+// solve are checked on: every count from one to nine, so each count of
+// tail columns after the groups of four, and 31–33 around a block of
+// the smoother's width.
+var residualColumns = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33}
+
 // TestResidualSumsMatchesExplicit pins ResidualSums to the explicit
-// sums over the dense product, bit for bit: for each vector, the
+// sums over the dense product, bit for bit: for each column, the
 // residuals r = y − a·x_c of the dense MulVec, then Σ r² and Σ (r/den)²
-// from +0 in row order. Every window width, one to five vectors (pairs
-// and a lone last one), random and advancing starts, and weights from
-// 1e-10 up. The values mix zeros of both signs, subnormals and
-// magnitudes up to 1e75 with normal draws, small enough that most sums
-// stay finite, so a sum that read another vector's terms would show.
+// from +0 in row order. Every window width, the block widths of
+// residualColumns, random and advancing starts, and weights from 1e-10
+// up. The design and two columns in three mix zeros of both signs,
+// subnormals and magnitudes up to 1e75 with normal draws, small enough
+// that most of their sums stay finite, so a sum that read another
+// column's terms would show; every third column draws spanValue's
+// whole range, whose magnitudes near MaxFloat64 overflow the products
+// to ±Inf and the sums to ±Inf and NaN.
 func TestResidualSumsMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	value := func() float64 {
+	tame := func() float64 {
 		if v := spanValue(rng); math.Abs(v) <= 1e300 {
 			return v
 		}
@@ -281,34 +290,39 @@ func TestResidualSumsMatchesExplicit(t *testing.T) {
 		for _, sorted := range []bool{false, true} {
 			s, _ := randomSpan(rng, m, spanCols, w)
 			for i := range s.vals {
-				s.vals[i] = value()
+				s.vals[i] = tame()
 			}
 			s, a := advancingSpan(s)
 			if !sorted {
 				s, a = randomStarts(rng, s)
 			}
-			finite := 0
-			for _, vecs := range []int{1, 2, 3, 4, 5} {
-				x := make([]float64, spanCols*vecs)
-				for i := range x {
-					x[i] = value()
-				}
-				ys := make([][]float64, vecs)
-				for c := range ys {
-					ys[c] = make([]float64, m)
-					for j := range ys[c] {
-						ys[c][j] = value()
+			var tameCols, tameFinite, wildCols, wildFinite int
+			for _, vecs := range residualColumns {
+				value := func(c int) float64 {
+					if c%3 == 2 {
+						return spanValue(rng)
 					}
+					return tame()
+				}
+				x, ys := make([]float64, spanCols*vecs), make([]float64, m*vecs)
+				for i := range x {
+					x[i] = value(i % vecs)
+				}
+				for i := range ys {
+					ys[i] = value(i % vecs)
 				}
 				den := make([]float64, m)
 				for j := range den {
 					den[j] = math.Max(1e-10, rng.Float64())
 				}
 				rss, wss := make([]float64, vecs), make([]float64, vecs)
+				for c := range rss {
+					rss[c], wss[c] = math.NaN(), math.NaN()
+				}
 				if err := s.ResidualSums(x, ys, den, rss, wss); err != nil {
 					t.Fatal(err)
 				}
-				for c, y := range ys {
+				for c := 0; c < vecs; c++ {
 					xc := make([]float64, spanCols)
 					for i := range xc {
 						xc[i] = x[i*vecs+c]
@@ -319,34 +333,46 @@ func TestResidualSumsMatchesExplicit(t *testing.T) {
 					}
 					var r2, w2 float64
 					for j, f := range fit {
-						r := y[j] - f
+						r := ys[j*vecs+c] - f
 						r2 += r * r
 						q := r / den[j]
 						w2 += q * q
 					}
-					what := fmt.Sprintf("width %d (advancing %v), vector %d of %d", w, sorted, c, vecs)
+					what := fmt.Sprintf("width %d (advancing %v), column %d of %d", w, sorted, c, vecs)
 					assertBitwise(t, what+" rss", rss[c:c+1], []float64{r2})
 					assertBitwise(t, what+" wss", wss[c:c+1], []float64{w2})
-					if !math.IsInf(r2, 0) && !math.IsNaN(r2) && !math.IsInf(w2, 0) && !math.IsNaN(w2) {
-						finite++
+					finite := !math.IsInf(r2, 0) && !math.IsNaN(r2) && !math.IsInf(w2, 0) && !math.IsNaN(w2)
+					if c%3 == 2 {
+						wildCols++
+						if finite {
+							wildFinite++
+						}
+					} else {
+						tameCols++
+						if finite {
+							tameFinite++
+						}
 					}
 				}
 			}
-			if w > 0 && finite < 8 {
-				t.Errorf("width %d (advancing %v): only %d of 15 vectors had finite sums", w, sorted, finite)
+			if w > 0 && 2*tameFinite < tameCols {
+				t.Errorf("width %d (advancing %v): only %d of %d tame columns had finite sums", w, sorted, tameFinite, tameCols)
+			}
+			if w > 0 && wildFinite == wildCols {
+				t.Errorf("width %d (advancing %v): all %d columns of spanValue's range had finite sums", w, sorted, wildCols)
 			}
 		}
 	}
 	s := NewSpanMatrix(5, 2, make([]int, 3), make([]float64, 6))
-	one := [][]float64{make([]float64, 3)}
 	for _, c := range []struct {
 		name string
 		err  error
 	}{
-		{"short coefficients", s.ResidualSums(make([]float64, 4), one, make([]float64, 3), make([]float64, 1), make([]float64, 1))},
-		{"short vector", s.ResidualSums(make([]float64, 5), [][]float64{make([]float64, 2)}, make([]float64, 3), make([]float64, 1), make([]float64, 1))},
-		{"short weights", s.ResidualSums(make([]float64, 5), one, make([]float64, 2), make([]float64, 1), make([]float64, 1))},
-		{"short sums", s.ResidualSums(make([]float64, 5), one, make([]float64, 3), make([]float64, 0), make([]float64, 1))},
+		{"short coefficients", s.ResidualSums(make([]float64, 4), make([]float64, 3), make([]float64, 3), make([]float64, 1), make([]float64, 1))},
+		{"short values", s.ResidualSums(make([]float64, 5), make([]float64, 2), make([]float64, 3), make([]float64, 1), make([]float64, 1))},
+		{"values for one column too many", s.ResidualSums(make([]float64, 5), make([]float64, 6), make([]float64, 3), make([]float64, 1), make([]float64, 1))},
+		{"short weights", s.ResidualSums(make([]float64, 5), make([]float64, 3), make([]float64, 2), make([]float64, 1), make([]float64, 1))},
+		{"short sums", s.ResidualSums(make([]float64, 5), make([]float64, 3), make([]float64, 3), make([]float64, 1), make([]float64, 0))},
 	} {
 		if !errors.Is(c.err, ErrShape) {
 			t.Errorf("%s: err = %v, want ErrShape", c.name, c.err)
