@@ -46,7 +46,6 @@ var deadCodeAllow = map[string]string{
 	// tests in a later change (ROADMAP.md lists the order).
 	"linalg.LeastSquares":   pendingDeletion,
 	"eval.AveragePrecision": pendingDeletion,
-	"eval.PrecisionAtK":     pendingDeletion,
 }
 
 const pendingDeletion = "pending deletion: only its own tests call it"

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/fda"
 )
@@ -167,9 +169,7 @@ func RankNormalize(scores []float64) []float64 {
 	for i := range idx {
 		idx[i] = i
 	}
-	// Insertion-style sort via sort.Slice is fine at these sizes, but keep
-	// it explicit and allocation-free.
-	quickSortByScore(idx, scores)
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(scores[a], scores[b]) })
 	for i := 0; i < n; {
 		j := i
 		//mfodlint:allow floateq tie-group detection over one computed slice: ties are exact duplicates; a tolerance would merge near-ties and shift midranks
@@ -183,29 +183,6 @@ func RankNormalize(scores []float64) []float64 {
 		i = j + 1
 	}
 	return out
-}
-
-func quickSortByScore(idx []int, scores []float64) {
-	if len(idx) < 2 {
-		return
-	}
-	pivot := scores[idx[len(idx)/2]]
-	left, right := 0, len(idx)-1
-	for left <= right {
-		for scores[idx[left]] < pivot {
-			left++
-		}
-		for scores[idx[right]] > pivot {
-			right--
-		}
-		if left <= right {
-			idx[left], idx[right] = idx[right], idx[left]
-			left++
-			right--
-		}
-	}
-	quickSortByScore(idx[:right+1], scores)
-	quickSortByScore(idx[left:], scores)
 }
 
 // NaNGuard returns an error when any score is NaN or infinite; detectors

@@ -49,37 +49,3 @@ func AveragePrecision(scores []float64, labels []int) (float64, error) {
 	}
 	return sum / float64(nPos), nil
 }
-
-// PrecisionAtK returns the fraction of outliers among the k highest
-// scores, the quantity an analyst inspecting a fixed-size shortlist
-// experiences. k is clamped to the sample count; ties are broken
-// pessimistically as in AveragePrecision.
-func PrecisionAtK(scores []float64, labels []int, k int) (float64, error) {
-	if len(scores) != len(labels) {
-		return 0, fmt.Errorf("eval: %d scores for %d labels: %w", len(scores), len(labels), ErrEval)
-	}
-	if k <= 0 {
-		return 0, fmt.Errorf("eval: k = %d must be positive: %w", k, ErrEval)
-	}
-	if k > len(scores) {
-		k = len(scores)
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		//mfodlint:allow floateq sort tie-break over one computed slice: ties are exact duplicates; tolerance ordering is not a strict weak order
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
-		}
-		return labels[idx[a]] < labels[idx[b]]
-	})
-	var hits int
-	for _, i := range idx[:k] {
-		if labels[i] == 1 {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k), nil
-}

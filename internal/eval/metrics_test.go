@@ -58,36 +58,6 @@ func TestAveragePrecisionErrors(t *testing.T) {
 	}
 }
 
-func TestPrecisionAtK(t *testing.T) {
-	scores := []float64{5, 4, 3, 2, 1}
-	labels := []int{1, 0, 1, 0, 0}
-	p2, err := PrecisionAtK(scores, labels, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2 != 0.5 {
-		t.Fatalf("P@2 = %g want 0.5", p2)
-	}
-	p3, err := PrecisionAtK(scores, labels, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p3-2.0/3) > 1e-12 {
-		t.Fatalf("P@3 = %g want 2/3", p3)
-	}
-	// k beyond n clamps.
-	pAll, err := PrecisionAtK(scores, labels, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pAll != 0.4 {
-		t.Fatalf("P@n = %g want 0.4", pAll)
-	}
-	if _, err := PrecisionAtK(scores, labels, 0); !errors.Is(err, ErrEval) {
-		t.Fatal("k = 0 must fail")
-	}
-}
-
 // Property: AP of a perfect ranking is 1; of a perfectly inverted ranking
 // it is minimal among permutations of the same label multiset.
 func TestAveragePrecisionBoundsProperty(t *testing.T) {

@@ -14,9 +14,9 @@ import (
 
 // BasisCache memoizes the sample-independent linear algebra of the
 // penalized smoother across fits: for every (basis size, order, penalty
-// order, domain, measurement grid) combination it keeps the basis, the
-// span-compact design matrix Φ, the band of the Gram matrix ΦᵀΦ, and — per
-// candidate λ — the banded Cholesky factorization of ΦᵀΦ + λR together
+// order, domain, measurement grid) combination it keeps one λ ladder's
+// fit entry — the basis, the span-compact design matrix Φ and, per
+// candidate λ, the banded Cholesky factorization of ΦᵀΦ + λR together
 // with the hat-matrix diagonal H_jj and tr(H), none of which depend on
 // the observed values y. The roughness penalty R of Eq. 3 does not depend
 // on the grid either, so the cache keeps one per (basis size, order,
@@ -45,11 +45,11 @@ import (
 // reference bit it passes, and evicts the first entry whose bit is
 // already clear. A hit sets its entry's bit only when the bit is clear,
 // so steady hits leave the entry's cache line, which every fit on it
-// reads, unwritten. An entry holds its grid, its design, its Gram band
-// and the default ladder's five λ factorizations with their hat
-// diagonals: about 10–13 KB on a Fig. 3 grid (m = 85), and about 280 KB
-// at stream.MaxPoints = 2048 points and the ladder's largest size
-// there, L = 512. So the resident entries stay under about 36 MB. The
+// reads, unwritten. An entry holds its grid, its ladder, its design and
+// the default ladder's five λ factorizations with their hat diagonals:
+// about 9–13 KB on a Fig. 3 grid (m = 85), and about 270 KB at
+// stream.MaxPoints = 2048 points and the ladder's largest size there,
+// L = 512 (measured). So the resident entries stay under about 35 MB. The
 // shared penalties and the span designs are outside the cap: they are
 // keyed by basis size and domain (the designs also by evaluation grid),
 // and a fitted Pipeline fixes the domain and the evaluation grid, so
@@ -66,9 +66,10 @@ import (
 // parameters on one basis.
 //
 // A BasisCache is safe for concurrent use; all cached values are pure
-// functions of their keys, and an entry built for one fit runs the same
-// arithmetic as a resident one, so neither warming, admission nor
-// eviction changes a result bit (see TestBasisCacheInvariance). Only
+// functions of their keys, and every fit entry, resident or built for
+// one fit, comes from one constructor, newFitEntry, so neither warming,
+// admission nor eviction changes a result bit (see
+// TestBasisCacheInvariance). Only
 // the default clamped B-spline construction is cacheable — fits with a
 // custom Options.Basis factory bypass the cache, because a factory
 // closure cannot be keyed.
@@ -139,10 +140,10 @@ func (c *BasisCache) Stats() CacheStats {
 }
 
 // fitKey identifies one smoothing system. The grid is keyed by a hash of
-// its float bits plus its length; the entry keeps the grid itself and
-// lookups verify exact equality, so a collision degrades to a cache
-// bypass, never to a wrong matrix. newGridSystems looks every basis
-// size of a grid up under one hash of it.
+// its float bits plus its length; the entry keeps the grid and the λ
+// ladder themselves and lookups verify both exactly, so a collision
+// degrades to a cache bypass, never to a wrong matrix. newGridSystems
+// looks every basis size of a grid up under one hash of it.
 type fitKey struct {
 	dim, order, q int
 	lo, hi        float64
@@ -212,59 +213,45 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
-// fitEntryFor returns the shared entry for the default clamped B-spline
-// system of the key's size on the grid ts, admitting it on the key's
-// second sighting (see BasisCache). It returns nil on a first sighting,
-// when the basis cannot be constructed, or when the key collides with
-// a different grid; the caller then builds an entry for the one fit,
-// which runs the exact same arithmetic.
-func (c *BasisCache) fitEntryFor(key fitKey, ts []float64) *fitEntry {
+// entry returns the smoothing system of key on the grid ts for the
+// ladder lambdas. A resident entry that holds this grid and ladder is a
+// hit; another grid or ladder resident under the key is a collision.
+// Anything else is a miss, and the entry comes from build, called
+// outside the lock. It becomes resident (see BasisCache) only when
+// admit is set, the key collides with no resident entry and the
+// doorkeeper has already seen it; it is then built on copies of ts and
+// lambdas, which the caller may go on to change. FitSample and MapFits
+// offer their grids for admission; Incremental.Fit only looks its grid
+// up, since a growing stream passes through a new prefix grid on every
+// refit.
+func (c *BasisCache) entry(key fitKey, ts, lambdas []float64, admit bool, build func(ts, lambdas []float64) *fitEntry) *fitEntry {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.residentLocked(key, ts); e != nil {
-		return e
+	resident, collides := c.fits[key]
+	if collides && resident.holds(ts, lambdas) {
+		if !resident.ref {
+			resident.ref = true
+		}
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return resident
 	}
+	admit = admit && !collides && c.sightedLocked(key)
+	c.mu.Unlock()
 	c.misses.Add(1)
-	if _, collides := c.fits[key]; collides || !c.sightedLocked(key) {
-		return nil
+	if !admit {
+		return build(ts, lambdas)
 	}
-	basis, err := bspline.New(key.dim, key.order, key.lo, key.hi)
-	if err != nil {
-		return nil
-	}
-	e := newFitEntry(basis, slices.Clone(ts), key.q, c.penaltyLocked(key.dim, key.order, key.q, key.lo, key.hi))
-	c.admitLocked(key, e)
-	return e
-}
-
-// lookupFitEntry returns the resident entry for the exact grid when one
-// is already cached, or nil. Unlike fitEntryFor it neither admits nor
-// records a sighting: a growing stream passes through a different
-// prefix grid on every refit. Incremental.Fit uses it to reuse the
-// entries the batch path admitted (identical grids share λ
-// factorizations) and builds any other system for the one refit.
-func (c *BasisCache) lookupFitEntry(key fitKey, ts []float64) *fitEntry {
+	e := build(slices.Clone(ts), slices.Clone(lambdas))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.residentLocked(key, ts)
-	if e == nil {
-		c.misses.Add(1)
+	// Fits that sight the key at once may each build its entry: the
+	// first admits it, and the others take the resident one.
+	switch resident, ok := c.fits[key]; {
+	case !ok:
+		c.admitLocked(key, e)
+	case resident.holds(ts, lambdas):
+		return resident
 	}
-	return e
-}
-
-// residentLocked returns the resident entry of key when it holds the
-// grid ts, counting the hit and setting the entry's reference bit, or
-// nil.
-func (c *BasisCache) residentLocked(key fitKey, ts []float64) *fitEntry {
-	e, ok := c.fits[key]
-	if !ok || !sameFloats(e.ts, ts) {
-		return nil
-	}
-	if !e.ref {
-		e.ref = true
-	}
-	c.hits.Add(1)
 	return e
 }
 
@@ -312,14 +299,9 @@ func (c *BasisCache) admitLocked(key fitKey, e *fitEntry) {
 // penaltyFor returns the shared penalty slot of one basis and penalty
 // order; the matrix itself is built by its first user.
 func (c *BasisCache) penaltyFor(dim, order, q int, lo, hi float64) *penalty {
+	key := penaltyKey{dim: dim, order: order, q: q, lo: math.Float64bits(lo), hi: math.Float64bits(hi)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.penaltyLocked(dim, order, q, lo, hi)
-}
-
-// penaltyLocked is penaltyFor for a caller that holds c.mu.
-func (c *BasisCache) penaltyLocked(dim, order, q int, lo, hi float64) *penalty {
-	key := penaltyKey{dim: dim, order: order, q: q, lo: math.Float64bits(lo), hi: math.Float64bits(hi)}
 	pen, ok := c.penalties[key]
 	if !ok {
 		pen = new(penalty)
@@ -356,25 +338,30 @@ func (c *BasisCache) spanDesign(b *bspline.BSpline, ts []float64, tsHash uint64,
 	return sd
 }
 
-// fitEntry bundles the sample-independent pieces of one smoothing
-// system: basis, span-compact design Φ, the lower band of the Gram ΦᵀΦ,
-// the lower band of the penalty R (built lazily, and shared through the
-// cache between entries of one basis), and per-λ factorizations with
-// their hat diagonals. Entries are built once and shared across
-// goroutines; the mutex guards only the λ factorizations.
+// fitEntry is the smoothing system of one basis size on one grid for
+// one λ ladder, none of which depends on the fitted samples: the basis,
+// the span-compact design Φ, and per λ the factor of ΦᵀΦ + λR with its
+// hat diagonal, or else the error that rules the size out. newFitEntry
+// builds it whole, and only its CLOCK bit changes afterwards, so fits
+// on any number of goroutines read it without a lock.
 type fitEntry struct {
-	basis     bspline.Basis
-	bandwidth int // band of ΦᵀΦ + λR
-	ts        []float64
-	phi       *linalg.SpanMatrix
-	gram      []float64 // lower band of ΦᵀΦ, stored as NewBandCholesky reads it
-	q         int
-	pen       *penalty
+	basis   bspline.Basis
+	ts      []float64
+	lambdas []float64
+	phi     *linalg.SpanMatrix
+	// factors holds one factorized system per λ of lambdas, in order.
+	factors []lambdaFactor
+	// err is the basis or penalty error that rules the size out; the
+	// entry then holds no basis, design or factors.
+	err error
 	// ref is the entry's CLOCK reference bit, guarded by the cache's mu.
 	ref bool
+}
 
-	mu      sync.Mutex
-	lambdas map[uint64]*lambdaFactor
+// holds reports whether e is the system of the grid ts and the ladder
+// lambdas.
+func (e *fitEntry) holds(ts, lambdas []float64) bool {
+	return sameFloats(e.ts, ts) && sameFloats(e.lambdas, lambdas)
 }
 
 // penalty is one roughness penalty R, built once on first use and kept
@@ -430,104 +417,98 @@ type lambdaFactor struct {
 	err    error
 }
 
-// newFitEntry builds the eager members (design and Gram band). ts is
-// retained; callers that reuse their grid slice must pass a stable one
-// (the cache passes a copy of the grid it admits, transient entries
-// live only for one fit). pen is the cache's shared penalty slot, or a fresh one
-// when no cache is in play.
-func newFitEntry(basis bspline.Basis, ts []float64, q int, pen *penalty) *fitEntry {
-	// Any other basis fills the whole lower triangle (bandwidth L−1).
-	e := &fitEntry{basis: basis, ts: ts, q: q, pen: pen, bandwidth: basis.Dim() - 1}
-	if bs, ok := basis.(*bspline.BSpline); ok {
-		// B-spline normal equations are banded with bandwidth order−1
-		// (local support), so the factorization and the hat diagonal
-		// run in O(L·k²) instead of O(L³).
-		e.bandwidth = bs.Order() - 1
+// newFitEntry builds the system of the basis of size dim on [lo, hi],
+// from opt's factory, on the grid ts for the ladder lambdas, and keeps
+// ts and lambdas. When any λ > 0 it reads the roughness penalty R from
+// opt's cache, which keeps one per basis for every grid, or else builds
+// its own; a basis or a penalty that cannot be built fails the whole
+// size, as on the sequential seed path. A λ whose factorization fails
+// even after the ridge retry, or whose hat diagonal is not finite, is
+// skipped by every fit.
+func newFitEntry(opt Options, dim int, lo, hi float64, ts, lambdas []float64) *fitEntry {
+	e := &fitEntry{ts: ts, lambdas: lambdas}
+	basis, err := opt.factory()(dim, lo, hi)
+	if err != nil {
+		e.err = err
+		return e
+	}
+	L, k, q := basis.Dim(), bandwidth(basis), opt.penaltyDeriv()
+	var r []float64
+	if slices.ContainsFunc(lambdas, func(l float64) bool { return l > 0 }) {
+		var pen *penalty
+		if c := opt.basisCache(); c != nil {
+			pen = c.penaltyFor(dim, opt.order(), q, lo, hi)
+		} else {
+			pen = new(penalty)
+		}
+		if r, err = pen.band(basis, q, k); err != nil {
+			e.err = err
+			return e
+		}
 	}
 	// Each design row keeps only its k = order nonzero values, so the
 	// Gram costs O(m·k²) instead of O(m·L²) and keeps only the band the
 	// assembly reads; a custom basis keeps its full rows and the whole
 	// lower triangle.
-	e.phi = bspline.NewSpanDesign(basis, ts, 0)
-	e.gram = make([]float64, basis.Dim()*(e.bandwidth+1))
-	if err := e.phi.GramBandInto(e.bandwidth, e.gram); err != nil {
+	phi := bspline.NewSpanDesign(basis, ts, 0)
+	gram := make([]float64, L*(k+1))
+	if err := phi.GramBandInto(k, gram); err != nil {
 		panic(err) // the design's windows are order (or L) wide, within the band
+	}
+	e.basis, e.phi, e.factors = basis, phi, make([]lambdaFactor, len(lambdas))
+	for i, lambda := range lambdas {
+		lf := &e.factors[i]
+		ch, err := factor(gram, r, k, lambda)
+		if err != nil {
+			lf.err = err
+			continue
+		}
+		// Hat diagonal H_jj = φ(t_j)ᵀ (ΦᵀΦ + λR)⁻¹ φ(t_j), done once per
+		// (basis, λ) instead of once per sample.
+		hat := make([]float64, len(ts))
+		if err := ch.HatDiag(phi, hat); err != nil {
+			lf.err = err
+			continue
+		}
+		if !finite(hat) {
+			lf.err = fmt.Errorf("fda: hat diagonal for λ = %g is not finite: %w", lambda, ErrFit)
+			continue
+		}
+		var trH float64
+		for _, h := range hat {
+			trH += h
+		}
+		*lf = lambdaFactor{solver: ch, hat: hat, trH: trH}
 	}
 	return e
 }
 
-// ensurePenalty forces the penalty build when any λ > 0 is in play, so a
-// penalty construction failure aborts the whole basis size exactly as
-// the sequential seed path did.
-func (e *fitEntry) ensurePenalty() error {
-	_, err := e.pen.band(e.basis, e.q, e.bandwidth)
-	return err
+// bandwidth is the band of ΦᵀΦ + λR for basis: order−1 for a B-spline,
+// whose normal equations are banded by its local support, so the
+// factorization and the hat diagonal run in O(L·k²) instead of O(L³);
+// L−1, the whole lower triangle, for any other basis.
+func bandwidth(basis bspline.Basis) int {
+	if bs, ok := basis.(*bspline.BSpline); ok {
+		return bs.Order() - 1
+	}
+	return basis.Dim() - 1
 }
 
-// lambdaFactors writes the factorized system of each λ into dst, in
-// order, building and memoizing any not yet built.
-func (e *fitEntry) lambdaFactors(lambdas []float64, dst []*lambdaFactor) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.lambdas == nil {
-		e.lambdas = make(map[uint64]*lambdaFactor)
-	}
-	for i, lambda := range lambdas {
-		key := math.Float64bits(lambda)
-		lf, ok := e.lambdas[key]
-		if !ok {
-			lf = e.buildLambdaFactor(lambda)
-			e.lambdas[key] = lf
-		}
-		dst[i] = lf
-	}
-}
-
-// buildLambdaFactor factors ΦᵀΦ + λR and precomputes the hat
-// diagonal. A λ whose hat diagonal is not finite fails like a failed
-// factorization. Caller must hold e.mu.
-func (e *fitEntry) buildLambdaFactor(lambda float64) *lambdaFactor {
-	ch, err := e.factor(lambda)
-	if err != nil {
-		return &lambdaFactor{err: err}
-	}
-	// Hat diagonal H_jj = φ(t_j)ᵀ (ΦᵀΦ + λR)⁻¹ φ(t_j), done once per
-	// (basis, λ) instead of once per sample.
-	hat := make([]float64, len(e.ts))
-	if err := ch.HatDiag(e.phi, hat); err != nil {
-		return &lambdaFactor{err: err}
-	}
-	if !finite(hat) {
-		return &lambdaFactor{err: fmt.Errorf("fda: hat diagonal for λ = %g is not finite: %w", lambda, ErrFit)}
-	}
-	var trH float64
-	for _, h := range hat {
-		trH += h
-	}
-	return &lambdaFactor{solver: ch, hat: hat, trH: trH}
-}
-
-// factor assembles ΦᵀΦ + λR straight into band storage and factors it
-// in place, with the seed path's tiny-ridge retry on semi-definite
-// systems.
-func (e *fitEntry) factor(lambda float64) (*linalg.BandCholesky, error) {
-	var r []float64
-	if lambda > 0 {
-		var err error
-		if r, err = e.pen.band(e.basis, e.q, e.bandwidth); err != nil {
-			return nil, err
-		}
-	}
-	L, k := e.basis.Dim(), e.bandwidth
-	band := make([]float64, L*(k+1))
-	peak := e.assemble(band, lambda, r)
+// factor assembles ΦᵀΦ + λR straight into band storage, from the lower
+// bands of bandwidth k of ΦᵀΦ (gram) and of R (r, read only when
+// λ > 0), and factors it in place, with the seed path's tiny-ridge
+// retry on semi-definite systems.
+func factor(gram, r []float64, k int, lambda float64) (*linalg.BandCholesky, error) {
+	L := len(gram) / (k + 1)
+	band := make([]float64, len(gram))
+	peak := assemble(band, gram, r, k, lambda)
 	ch, err := linalg.NewBandCholesky(L, k, band)
 	if err == nil {
 		return ch, nil
 	}
 	// Semi-definite system (e.g. λ = 0 with near-collinear columns); add
 	// a tiny ridge and retry once.
-	e.assemble(band, lambda, r)
+	assemble(band, gram, r, k, lambda)
 	eps := 1e-9 * (1 + peak)
 	for i := 0; i < L; i++ {
 		band[i*(k+1)+k] += eps
@@ -535,18 +516,17 @@ func (e *fitEntry) factor(lambda float64) (*linalg.BandCholesky, error) {
 	return linalg.NewBandCholesky(L, k, band)
 }
 
-// assemble writes the lower band of ΦᵀΦ + λR into band (r is R's lower
-// band, or nil when λ = 0) and returns its largest magnitude. That is the
-// largest magnitude of the whole matrix: both terms are symmetric, and
-// off the band of a B-spline system they are exact +0.
-func (e *fitEntry) assemble(band []float64, lambda float64, r []float64) float64 {
-	L, k := e.basis.Dim(), e.bandwidth
+// assemble writes the lower band of ΦᵀΦ + λR into band and returns its
+// largest magnitude. That is the largest magnitude of the whole matrix:
+// both terms are symmetric, and off the band of a B-spline system they
+// are exact +0.
+func assemble(band, gram, r []float64, k int, lambda float64) float64 {
 	var peak float64
-	for i := 0; i < L; i++ {
-		gi, row := e.gram[i*(k+1):(i+1)*(k+1)], band[i*(k+1):(i+1)*(k+1)]
+	for i := range len(band) / (k + 1) {
+		gi, row := gram[i*(k+1):(i+1)*(k+1)], band[i*(k+1):(i+1)*(k+1)]
 		for j := max(0, i-k); j <= i; j++ {
 			v := gi[j-i+k]
-			if r != nil {
+			if lambda > 0 {
 				v += lambda * r[i*(k+1)+j-i+k]
 			}
 			row[j-i+k] = v

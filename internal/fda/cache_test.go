@@ -2,6 +2,7 @@ package fda
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -39,6 +40,85 @@ func TestBasisCacheAdmitsOnSecondSighting(t *testing.T) {
 			t.Fatalf("fit %d: %d hits, %d misses, %d entries; want %d, %d, %d",
 				fit+1, hits, misses, entries, want.hits, want.misses, want.entries)
 		}
+	}
+}
+
+// TestBasisCacheSharedByTwoLadders: one cache serves two λ ladders with
+// no λ in common on one grid, fit in turn, twice each. The grid's second
+// sighting admits the second ladder's entries, and the first ladder's
+// second fit collides with them and builds its own; every fit is
+// bitwise its ladder's uncached fit, so neither ladder's fit reads the
+// other's factorizations.
+func TestBasisCacheSharedByTwoLadders(t *testing.T) {
+	s := randomSample(rand.New(rand.NewSource(52)), 2, 40)
+	cache := NewBasisCache()
+	ladders := [][]float64{{0, 1e-6, 1e-2}, {1e-8, 1e-4, 1}}
+	for range 2 {
+		for _, lambdas := range ladders {
+			opt := incTestOpts()
+			opt.Lambdas = lambdas
+			opt.NoCache = true
+			plain, err := FitSample(s, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.NoCache, opt.Cache = false, cache
+			got, err := FitSample(s, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitwiseFit(t, got, plain)
+		}
+	}
+	n := len(incTestOpts().dims(len(s.Times)))
+	if st := cache.Stats(); st.Entries != n || st.Admitted != int64(n) || st.Hits != int64(n) {
+		t.Fatalf("%+v; want the second ladder's %d sizes admitted and hit once each", st, n)
+	}
+}
+
+// TestBasisCacheConcurrentAdmission: eight goroutines fit one grid twice
+// each on a cold cache. Fits that sight a size at once may each build
+// its entry, but only one becomes resident, and every fit is bitwise
+// the uncached fit. The grid's 400 points make a build long enough that
+// concurrent builds overlap on two CPUs.
+func TestBasisCacheConcurrentAdmission(t *testing.T) {
+	s := randomSample(rand.New(rand.NewSource(53)), 2, 400)
+	plain, err := FitSample(s, incTestOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := incTestOpts()
+	opt.Cache = NewBasisCache()
+	const workers = 8
+	fits := make([][2]*Fit, workers)
+	errs := make([]error, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := range fits[w] {
+				if fits[w][i], errs[w] = FitSample(s, opt); errs[w] != nil {
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for w := range workers {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		for _, got := range fits[w] {
+			requireBitwiseFit(t, got, plain)
+		}
+	}
+	n := int64(len(opt.dims(len(s.Times))))
+	if st := opt.Cache.Stats(); st.Admitted != n || st.Entries != int(n) {
+		t.Fatalf("%+v; want each of the %d basis sizes admitted once", st, n)
 	}
 }
 

@@ -1,8 +1,9 @@
 package fda
 
 import (
-	"math"
+	"slices"
 
+	"repro/internal/bspline"
 	"repro/internal/linalg"
 )
 
@@ -10,28 +11,41 @@ import (
 // Incremental.Fit do, with one difference: every candidate's criteria
 // read the hat diagonal of one SolveInto and one Dot per design row,
 // the kernel the smoother had before the selected-inverse recursion.
-// It builds every system afresh; opt must fix the domain.
+// It assembles every system afresh, from newFitEntry's parts; opt must
+// fix the domain.
 func SolveDotFit(ts []float64, ys [][]float64, opt Options) (*Fit, error) {
-	var systems []system
+	lambdas := opt.lambdas()
+	g := &gridSystems{m: len(ts)}
 	for _, dim := range opt.dims(len(ts)) {
+		e := &fitEntry{ts: ts, lambdas: lambdas}
+		g.entries = append(g.entries, e)
 		basis, err := opt.factory()(dim, opt.Lo, opt.Hi)
 		if err != nil {
-			systems = append(systems, system{err: err})
+			e.err = err
 			continue
 		}
-		e := newFitEntry(basis, ts, opt.penaltyDeriv(), new(penalty))
-		e.lambdas = make(map[uint64]*lambdaFactor)
-		for _, lambda := range opt.lambdas() {
-			lf := &lambdaFactor{}
-			if lf.solver, lf.err = e.factor(lambda); lf.err == nil {
+		k := bandwidth(basis)
+		var r []float64
+		if slices.ContainsFunc(lambdas, func(l float64) bool { return l > 0 }) {
+			if r, e.err = new(penalty).band(basis, opt.penaltyDeriv(), k); e.err != nil {
+				continue
+			}
+		}
+		e.basis, e.phi = basis, bspline.NewSpanDesign(basis, ts, 0)
+		gram := make([]float64, basis.Dim()*(k+1))
+		if err := e.phi.GramBandInto(k, gram); err != nil {
+			return nil, err
+		}
+		e.factors = make([]lambdaFactor, len(lambdas))
+		for i, lambda := range lambdas {
+			lf := &e.factors[i]
+			if lf.solver, lf.err = factor(gram, r, k, lambda); lf.err == nil {
 				lf.hat, lf.trH = solveDotHat(lf.solver, e.phi)
 			}
-			e.lambdas[math.Float64bits(lambda)] = lf
 		}
-		systems = append(systems, system{entry: e})
+		g.maxL = max(g.maxL, basis.Dim())
 	}
-	g := &gridSystems{systems: systems, m: len(ts), maxL: resolveSystems(systems, opt.lambdas())}
-	return newFit(g.fitColumns(ys, opt.lambdas(), opt.Criterion), nil)
+	return newFit(g.fitColumns(ys, opt.Criterion), nil)
 }
 
 // solveDotHat is the hat diagonal of one SolveInto and one Dot per row

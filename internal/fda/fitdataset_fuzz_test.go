@@ -159,20 +159,19 @@ func TestGroupedFitSkipsNonFiniteSolutions(t *testing.T) {
 	}
 	opt := Options{Lo: 0, Hi: 1}
 	mixed := 0 // columns with a finite and a non-finite solution in one size
-	g := newGridSystems(ts, hashFloats(ts), opt, (*BasisCache).fitEntryFor)
+	g := newGridSystems(ts, hashFloats(ts), opt, true)
 	for _, s := range d.Samples {
 		for _, y := range s.Values {
-			for i := range g.systems {
-				sys := &g.systems[i]
-				if sys.entry == nil {
+			for _, e := range g.entries {
+				if e.err != nil {
 					continue
 				}
-				pt := make([]float64, sys.entry.basis.Dim())
-				if err := sys.entry.phi.AtVecInto([][]float64{y}, pt); err != nil {
+				pt := make([]float64, e.basis.Dim())
+				if err := e.phi.AtVecInto([][]float64{y}, pt); err != nil {
 					t.Fatal(err)
 				}
 				var ok, bad bool
-				for _, lf := range sys.factors {
+				for _, lf := range e.factors {
 					if lf.err != nil {
 						continue
 					}

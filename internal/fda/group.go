@@ -18,10 +18,10 @@ const blockColumns = 32
 // them again.
 //
 // Samples whose grids have the same bits form one group: the group's
-// smoothing systems are looked up in the cache and resolved once (one
-// sighting per basis size, see BasisCache), and its parameter rows are
-// fit together by fitColumns, in blocks of about blockColumns rows
-// fanned out over Options.Parallel workers (0 means GOMAXPROCS). fn runs
+// smoothing systems are looked up in the cache once (one sighting per
+// basis size, see BasisCache), and its parameter rows are fit together
+// by fitColumns, in blocks of about blockColumns rows fanned out over
+// Options.Parallel workers (0 means GOMAXPROCS). fn runs
 // on each block's samples as soon as the block is fit, so a block's
 // fits can be dropped before the next is made. With Options.NoCache
 // every sample is a group of its own and builds its own systems. The
@@ -34,7 +34,7 @@ func MapFits[T any](d Dataset, opt Options, fn func(i int, fit *Fit, err error) 
 // mapFits is MapFits with blocks of about width parameter rows.
 func mapFits[T any](d Dataset, opt Options, width int, fn func(i int, fit *Fit, err error) (T, error)) ([]T, error) {
 	blocks := planBlocks(d.Samples, opt.NoCache, width)
-	lambdas, cache := opt.lambdas(), opt.basisCache()
+	cache := opt.basisCache()
 	res, err := parallel.Map(len(blocks), opt.Parallel, func(bi int) ([]mapped[T], error) {
 		b := &blocks[bi]
 		g := b.grid.systems(opt)
@@ -47,7 +47,7 @@ func mapFits[T any](d Dataset, opt Options, width int, fn func(i int, fit *Fit, 
 					ys = append(ys, d.Samples[i].Values...)
 				}
 			}
-			cols = g.fitColumns(ys, lambdas, opt.Criterion)
+			cols = g.fitColumns(ys, opt.Criterion)
 		}
 		r := make([]mapped[T], len(b.samples))
 		for k, i := range b.samples {
@@ -101,7 +101,7 @@ type gridGroup struct {
 // first call.
 func (g *gridGroup) systems(opt Options) *gridSystems {
 	g.once.Do(func() {
-		g.sys = newGridSystems(g.ts, g.hash, opt, (*BasisCache).fitEntryFor)
+		g.sys = newGridSystems(g.ts, g.hash, opt, true)
 	})
 	return &g.sys
 }

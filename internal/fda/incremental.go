@@ -23,8 +23,9 @@ import (
 // a new prefix grid on every refit, so Fit only looks its grid up and
 // never offers it for admission. A grid the batch path admitted (a
 // stream that completed on the training grid) reuses the resident λ
-// factorizations; any other grid is built for the one Fit, reading the
-// cache's shared penalty. Streams that sample at a fixed rate repeat
+// factorizations; any other grid gets systems built for the one Fit by
+// the constructor that builds the resident ones, reading the cache's
+// shared penalty. Streams that sample at a fixed rate repeat
 // their prefix grids, and admitting those would pay: a prototype that
 // let refits admit them cut the benchmark's `stream` CPU per curve by
 // 13.5% and 17.1% in 2 pairs, but raised its end-of-run heap from 3.9
@@ -140,7 +141,7 @@ func (inc *Incremental) TrimOldest(keep int) int {
 // bitwise the *Fit a batch FitSample over them would (see the type
 // comment).
 func (inc *Incremental) Fit() (*Fit, error) {
-	return fitOne(inc.ts, inc.ys, inc.opt, (*BasisCache).lookupFitEntry)
+	return fitOne(inc.ts, inc.ys, inc.opt, false)
 }
 
 func insertFloat(xs []float64, pos int, v float64) []float64 {

@@ -392,15 +392,16 @@ func TestPenaltySharedAcrossGridsAndStreams(t *testing.T) {
 			requireBitwiseFit(t, results[i].batch[j], plain)
 		}
 	}
-	perDim := map[int]*penalty{}
-	for key, e := range cache.fits {
-		if pen, ok := perDim[key.dim]; ok && pen != e.pen {
-			t.Fatalf("two entries of basis size %d hold different penalties", key.dim)
+	sizes := map[penaltyKey]bool{}
+	for key := range cache.fits {
+		pk := penaltyKey{dim: key.dim, order: key.order, q: key.q, lo: math.Float64bits(key.lo), hi: math.Float64bits(key.hi)}
+		if pen := cache.penalties[pk]; pen == nil || pen.lower == nil {
+			t.Fatalf("resident basis size %d has no penalty built in the cache", key.dim)
 		}
-		perDim[key.dim] = e.pen
+		sizes[pk] = true
 	}
-	if len(cache.penalties) != len(perDim) {
-		t.Fatalf("cache holds %d penalties for %d basis sizes", len(cache.penalties), len(perDim))
+	if len(cache.penalties) != len(sizes) {
+		t.Fatalf("cache holds %d penalties for %d resident basis sizes", len(cache.penalties), len(sizes))
 	}
 }
 

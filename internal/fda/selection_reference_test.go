@@ -15,17 +15,11 @@ func referenceFitSample(s Sample, opt Options) (*Fit, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return referenceFit(s.Times, s.Values, opt, (*BasisCache).fitEntryFor)
-}
-
-// referenceFit builds the grid's systems as the smoother does and runs
-// the single-column selection over them.
-func referenceFit(ts []float64, ys [][]float64, opt Options, cached cacheLookup) (*Fit, error) {
-	g := newGridSystems(ts, hashFloats(ts), opt, cached)
+	g := newGridSystems(s.Times, hashFloats(s.Times), opt, true)
 	if g.err != nil {
 		return nil, g.err
 	}
-	return selectFit(g.systems, g.maxL, ys, opt)
+	return selectFit(&g, s.Values, opt)
 }
 
 // selectFit is the smoother's model selection one parameter row at a
@@ -33,29 +27,23 @@ func referenceFit(ts []float64, ys [][]float64, opt Options, cached cacheLookup)
 // ys is fit against every candidate system in ladder order, and the
 // criterion minimiser wins (strict <, so the earlier candidate keeps a
 // tie). A parameter that no candidate fits reports the first candidate
-// error. The systems come resolved (maxL is their largest basis size),
-// and every row is fit in one scratch buffer.
-func selectFit(systems []system, maxL int, ys [][]float64, opt Options) (*Fit, error) {
-	lambdas, cache := opt.lambdas(), opt.basisCache()
-	m := 0
-	if len(ys) > 0 {
-		m = len(ys[0])
-	}
-	buf := make([]float64, 4*maxL+m)
-	keep, work := buf[:maxL], buf[maxL:]
+// error. Every row is fit in one scratch buffer.
+func selectFit(g *gridSystems, ys [][]float64, opt Options) (*Fit, error) {
+	cache := opt.basisCache()
+	buf := make([]float64, 4*g.maxL+g.m)
+	keep, work := buf[:g.maxL], buf[g.maxL:]
 	fit := &Fit{Params: make([]*CurveFit, len(ys))}
 	for k, y := range ys {
 		var best CurveFit
 		var firstErr error
-		for i := range systems {
-			sys := &systems[i]
-			if sys.entry == nil {
+		for _, e := range g.entries {
+			if e.err != nil {
 				if firstErr == nil {
-					firstErr = sys.err
+					firstErr = e.err
 				}
 				continue
 			}
-			cf, err := fitWithEntry(sys, y, lambdas, opt.Criterion, work)
+			cf, err := fitWithEntry(e, y, opt.Criterion, work)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
@@ -96,15 +84,15 @@ func selectFit(systems []system, maxL int, ys [][]float64, opt Options) (*Fit, e
 // at least 3L + m values: Φᵀy, two coefficient buffers that trade
 // places whenever a λ takes the lead, and ŷ. The returned Coef aliases
 // work and is overwritten by the next call.
-func fitWithEntry(sys *system, ys, lambdas []float64, crit Criterion, work []float64) (CurveFit, error) {
-	e := sys.entry
+func fitWithEntry(e *fitEntry, ys []float64, crit Criterion, work []float64) (CurveFit, error) {
 	L, m := e.basis.Dim(), len(ys)
 	phiTy, coef, spare, yhat := work[:L], work[L:2*L], work[2*L:3*L], work[3*L:3*L+m]
 	if err := e.phi.AtVecInto([][]float64{ys}, phiTy); err != nil {
 		return CurveFit{}, err
 	}
 	var best CurveFit
-	for i, lf := range sys.factors {
+	for i := range e.factors {
+		lf := &e.factors[i]
 		if lf.err != nil {
 			continue
 		}
@@ -139,7 +127,7 @@ func fitWithEntry(sys *system, ys, lambdas []float64, crit Criterion, work []flo
 			score = gcv
 		}
 		if best.Basis == nil || score < best.Score {
-			best = CurveFit{Basis: e.basis, Coef: coef, Lambda: lambdas[i], LOOCV: loocv, GCV: gcv, DF: lf.trH, Score: score}
+			best = CurveFit{Basis: e.basis, Coef: coef, Lambda: e.lambdas[i], LOOCV: loocv, GCV: gcv, DF: lf.trH, Score: score}
 			coef, spare = spare, coef
 		}
 	}

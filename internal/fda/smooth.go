@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/bspline"
 	"repro/internal/linalg"
@@ -284,8 +283,8 @@ func (f *Fit) EvalGrid(ts []float64, deriv int) [][]float64 {
 
 // FitSample fits all p parameters of one MFD sample with the penalized
 // least-squares criterion of Eq. 3. Each candidate basis size gets one
-// smoothing system — design, Gram, penalty and λ factorizations, none
-// of which depend on the observed values — and every parameter is fit
+// smoothing system — design, penalty and λ factorizations, none of
+// which depend on the observed values — and every parameter is fit
 // against it; the selection then keeps, per parameter, the basis size
 // and λ that minimise the selection criterion (by default the
 // closed-form leave-one-out cross-validation error). It is FitDataset's
@@ -294,41 +293,35 @@ func FitSample(s Sample, opt Options) (*Fit, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return fitOne(s.Times, s.Values, opt, (*BasisCache).fitEntryFor)
+	return fitOne(s.Times, s.Values, opt, true)
 }
 
 // fitOne is the fit shared by FitSample and Incremental.Fit: the
-// parameter rows ys of one sample on the grid ts, a group of one.
-func fitOne(ts []float64, ys [][]float64, opt Options, cached cacheLookup) (*Fit, error) {
-	g := newGridSystems(ts, hashFloats(ts), opt, cached)
+// parameter rows ys of one sample on the grid ts, a group of one,
+// whose systems the cache may admit when admit is set.
+func fitOne(ts []float64, ys [][]float64, opt Options, admit bool) (*Fit, error) {
+	g := newGridSystems(ts, hashFloats(ts), opt, admit)
 	if g.err != nil {
 		return nil, g.err
 	}
-	return newFit(g.fitColumns(ys, opt.lambdas(), opt.Criterion), opt.basisCache())
+	return newFit(g.fitColumns(ys, opt.Criterion), opt.basisCache())
 }
 
-// cacheLookup is how a grid's systems are taken from the cache:
-// FitSample and FitDataset offer their grid for admission
-// (fitEntryFor, which admits it on its second sighting), a stream only
-// looks its prefix grid up (lookupFitEntry).
-type cacheLookup func(c *BasisCache, key fitKey, ts []float64) *fitEntry
-
 // gridSystems is the smoothing system of every candidate basis size on
-// one grid, built and resolved once and then read by every fit on that
-// grid, or the error that keeps any fit off the grid.
+// one grid, built once and then read by every fit on that grid, or the
+// error that keeps any fit off the grid.
 type gridSystems struct {
-	systems []system
-	m, maxL int
+	entries []*fitEntry
+	m, maxL int // the grid's length and the largest basis size built
 	err     error
 }
 
-// newGridSystems builds the smoothing system of every candidate basis
-// size on the grid ts, whose hash is tsHash, and resolves their λ
-// factorizations. The grid is looked up once per size, with cached; a
-// system the cache does not supply is built for this grid's fits
-// alone, reading the cache's shared penalty; without a cache, or with a
-// custom Basis factory, it gets a private one.
-func newGridSystems(ts []float64, tsHash uint64, opt Options, cached cacheLookup) gridSystems {
+// newGridSystems returns the smoothing system of every candidate basis
+// size on the grid ts, whose hash is tsHash: each size is looked up
+// once in the cache (see BasisCache.entry), which may admit it when
+// admit is set; without a cache, or with a custom Basis factory, every
+// size is built for this grid's fits alone.
+func newGridSystems(ts []float64, tsHash uint64, opt Options, admit bool) gridSystems {
 	g := gridSystems{m: len(ts)}
 	if len(ts) < 2 {
 		g.err = fmt.Errorf("fda: need at least 2 points, got %d: %w", len(ts), ErrData)
@@ -342,79 +335,37 @@ func newGridSystems(ts []float64, tsHash uint64, opt Options, cached cacheLookup
 		g.err = fmt.Errorf("fda: degenerate domain [%g, %g]: %w", lo, hi, ErrData)
 		return g
 	}
-	factory := opt.factory()
-	order, q := opt.order(), opt.penaltyDeriv()
-	cache := opt.basisCache()
+	lambdas, cache := opt.lambdas(), opt.basisCache()
 	dims := opt.dims(len(ts))
-	key := fitKey{order: order, q: q, lo: lo, hi: hi, m: len(ts), tsHash: tsHash}
-	g.systems = make([]system, len(dims))
+	key := fitKey{order: opt.order(), q: opt.penaltyDeriv(), lo: lo, hi: hi, m: len(ts), tsHash: tsHash}
+	g.entries = make([]*fitEntry, len(dims))
 	for i, dim := range dims {
-		if cache != nil {
-			key.dim = dim
-			if e := cached(cache, key, ts); e != nil {
-				g.systems[i].entry = e
-				continue
-			}
-		}
-		basis, err := factory(dim, lo, hi)
-		if err != nil {
-			g.systems[i].err = err
-			continue
-		}
-		var pen *penalty
-		if cache != nil {
-			pen = cache.penaltyFor(dim, order, q, lo, hi)
+		build := func(ts, lambdas []float64) *fitEntry { return newFitEntry(opt, dim, lo, hi, ts, lambdas) }
+		var e *fitEntry
+		if cache == nil {
+			e = build(ts, lambdas)
 		} else {
-			pen = new(penalty)
+			key.dim = dim
+			e = cache.entry(key, ts, lambdas, admit, build)
 		}
-		g.systems[i].entry = newFitEntry(basis, ts, q, pen)
+		if e.err == nil {
+			g.maxL = max(g.maxL, e.basis.Dim())
+		}
+		g.entries[i] = e
 	}
-	g.maxL = resolveSystems(g.systems, opt.lambdas())
 	return g
-}
-
-// system is the smoothing system of one candidate basis size, or the
-// error that kept it from being built.
-type system struct {
-	entry *fitEntry
-	err   error
-	// factors are the entry's λ factorizations in candidate order,
-	// resolved once per grid by resolveSystems.
-	factors []*lambdaFactor
-}
-
-// resolveSystems takes each built system's λ factorizations from its
-// entry, building any the entry lacks, after forcing the penalty when
-// any λ > 0 is in play: a penalty construction failure fails the whole
-// basis size, which then carries that error. It returns the largest
-// basis size.
-func resolveSystems(systems []system, lambdas []float64) int {
-	needPenalty := slices.ContainsFunc(lambdas, func(l float64) bool { return l > 0 })
-	factors := make([]*lambdaFactor, len(systems)*len(lambdas))
-	maxL := 0
-	for i := range systems {
-		sys := &systems[i]
-		if sys.entry == nil {
-			continue
-		}
-		if needPenalty {
-			if err := sys.entry.ensurePenalty(); err != nil {
-				sys.entry, sys.err = nil, err
-				continue
-			}
-		}
-		sys.factors = factors[i*len(lambdas) : (i+1)*len(lambdas)]
-		sys.entry.lambdaFactors(lambdas, sys.factors)
-		maxL = max(maxL, sys.entry.basis.Dim())
-	}
-	return maxL
 }
 
 // column is one column's selection: its choice so far, its leader
 // within the basis size at hand, and the first error it met.
 type column struct {
-	best, size CurveFit
-	err        error
+	best CurveFit
+	// lead is the index in the ladder of the λ that leads within the
+	// basis size at hand, or −1 before one fits; loocv, gcv and score
+	// are its criteria.
+	lead              int
+	loocv, gcv, score float64
+	err               error
 	// nonFinite marks a column whose solution for the λ at hand holds
 	// a value that is not finite.
 	nonFinite bool
@@ -440,11 +391,11 @@ type column struct {
 // a later one scores strictly lower; a λ whose factorization failed or
 // whose solve yields a non-finite coefficient is skipped (Φα skips each
 // row's zero terms, which is exact only against finite coefficients,
-// DESIGN.md §6). Across sizes, in ladder order, a size's winner
+// DESIGN.md §6). Across sizes, in ladder order, a size's leader
 // replaces the column's choice only when it scores strictly lower. The
 // two levels differ from one running minimum once a score is NaN. A
 // column that no size fits gets the first error met in ladder order.
-func (g *gridSystems) fitColumns(ys [][]float64, lambdas []float64, crit Criterion) []column {
+func (g *gridSystems) fitColumns(ys [][]float64, crit Criterion) []column {
 	B, m, maxL := len(ys), g.m, g.maxL
 	// yb (the columns' values), pt (Φᵀy) and x (the solutions of one
 	// λ) are row-major with B columns: column b's entry i sits at
@@ -462,26 +413,25 @@ func (g *gridSystems) fitColumns(ys [][]float64, lambdas []float64, crit Criteri
 		}
 	}
 	cols := make([]column, B)
-	for i := range g.systems {
-		sys := &g.systems[i]
-		if sys.entry == nil {
+	for _, e := range g.entries {
+		if e.err != nil {
 			for b := range cols {
 				if cols[b].err == nil {
-					cols[b].err = sys.err
+					cols[b].err = e.err
 				}
 			}
 			continue
 		}
-		e := sys.entry
 		L := e.basis.Dim()
 		ptL, xL := pt[:B*L], x[:B*L]
 		if err := e.phi.AtVecInto(ys, ptL); err != nil {
 			panic(err) // every column holds the grid's m values
 		}
 		for b := range cols {
-			cols[b].size = CurveFit{}
+			cols[b].lead = -1
 		}
-		for li, lf := range sys.factors {
+		for li := range e.factors {
+			lf := &e.factors[li]
 			if lf.err != nil {
 				continue
 			}
@@ -526,8 +476,8 @@ func (g *gridSystems) fitColumns(ys [][]float64, lambdas []float64, crit Criteri
 				if crit == GCV {
 					score = gcv
 				}
-				if c := &cols[b]; c.size.Basis == nil || score < c.size.Score {
-					c.size = CurveFit{Basis: e.basis, Lambda: lambdas[li], LOOCV: loocv, GCV: gcv, DF: lf.trH, Score: score}
+				if c := &cols[b]; c.lead < 0 || score < c.score {
+					c.lead, c.loocv, c.gcv, c.score = li, loocv, gcv, score
 					dst := sizeCoef[b*maxL : b*maxL+L]
 					for i := range dst {
 						dst[i] = xL[i*B+b]
@@ -538,7 +488,7 @@ func (g *gridSystems) fitColumns(ys [][]float64, lambdas []float64, crit Criteri
 		var failed error // the error of a column no λ of this size fits
 		for b := range cols {
 			c := &cols[b]
-			if c.size.Basis == nil {
+			if c.lead < 0 {
 				if failed == nil {
 					failed = fmt.Errorf("fda: all λ candidates failed for dim %d: %w", L, ErrFit)
 				}
@@ -547,8 +497,8 @@ func (g *gridSystems) fitColumns(ys [][]float64, lambdas []float64, crit Criteri
 				}
 				continue
 			}
-			if c.best.Basis == nil || c.size.Score < c.best.Score {
-				c.best = c.size
+			if c.best.Basis == nil || c.score < c.best.Score {
+				c.best = CurveFit{Basis: e.basis, Lambda: e.lambdas[c.lead], LOOCV: c.loocv, GCV: c.gcv, DF: e.factors[c.lead].trH, Score: c.score}
 				copy(keep[b*maxL:], sizeCoef[b*maxL:b*maxL+L])
 			}
 		}
@@ -608,7 +558,7 @@ func finite(xs []float64) bool {
 // the dataset's global domain so all fits are comparable on one grid.
 //
 // The samples go through MapFits: grouped by grid, each group's
-// systems resolved once and its parameter rows fit in blocks on a
+// systems looked up once and its parameter rows fit in blocks on a
 // bounded worker pool (Options.Parallel; 0 means GOMAXPROCS) sharing one
 // BasisCache. Each fit is written back to its sample index and its
 // arithmetic depends neither on the grouping nor on scheduling, so the
