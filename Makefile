@@ -1,10 +1,11 @@
 # Developer gate for the repository. `make check` is the one command to
 # run before sending a change: tier-1 verify (build + test) plus vet,
-# the custom static-analysis suite, and the race-detector suite.
+# the custom static-analysis suite, the race-detector suite and the
+# example programs.
 
 GO ?= go
 
-.PHONY: build vet lint lint-audit test ledger test-race test-chaos bench bench-smoke bench-hotpath bench-serve bench-slo bench-jobs bench-streaming fuzz check
+.PHONY: build vet lint lint-audit test ledger test-race test-chaos examples bench bench-smoke bench-hotpath bench-serve bench-slo bench-jobs bench-streaming fuzz check
 
 build:
 	$(GO) build ./...
@@ -67,6 +68,12 @@ test-race:
 test-chaos:
 	MFOD_CHAOS=1 $(GO) test -race -count=1 \
 		./internal/faultinject ./internal/resilience ./internal/serve
+
+# Run every program under examples/ end to end: each builds, fits and
+# scores a pipeline through the public API, which `go build ./...` only
+# compiles. None writes a file or opens a socket.
+examples:
+	for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -166,4 +173,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzAppendDecode -fuzztime=30s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzLoadPipeline -fuzztime=30s -fuzzminimizetime=200x -run=^$$ ./internal/core
 
-check: build vet lint test test-race test-chaos bench-smoke
+check: build vet lint test test-race test-chaos examples bench-smoke

@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/depth"
+	"repro/internal/detector"
 	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/fda"
@@ -118,9 +119,9 @@ func BenchmarkAblationMappings(b *testing.B) {
 		b.Run(mapping.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := &core.Pipeline{
-					Mapping:     mapping,
-					Detector:    iforest.New(iforest.Options{Seed: int64(i)}),
-					Standardize: true,
+					Mapping:      mapping,
+					DetectorSpec: iforest.New(iforest.Options{Seed: int64(i)}),
+					Standardize:  true,
 				}
 				if err := p.Fit(d); err != nil {
 					b.Fatal(err)
@@ -168,17 +169,17 @@ func BenchmarkAblationDetectors(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	detectors := map[string]func(i int) core.Detector{
-		"iFor":  func(i int) core.Detector { return iforest.New(iforest.Options{Seed: int64(i)}) },
-		"OCSVM": func(i int) core.Detector { return ocsvm.New(ocsvm.Options{Nu: 0.1}) },
-		"LOF":   func(i int) core.Detector { return lof.New(lof.Options{}) },
-		"kNN":   func(i int) core.Detector { return lof.NewKNN(lof.Options{}) },
+	detectors := map[string]func(i int) detector.Spec{
+		"iFor":  func(i int) detector.Spec { return iforest.Options{Seed: int64(i)} },
+		"OCSVM": func(i int) detector.Spec { return ocsvm.Options{Nu: 0.1} },
+		"LOF":   func(i int) detector.Spec { return lof.Options{} },
+		"kNN":   func(i int) detector.Spec { return lof.KNN{} },
 	}
-	for name, build := range detectors {
+	for name, spec := range detectors {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				det := build(i)
-				if err := det.Fit(feats); err != nil {
+				det, err := spec(i).Fit(feats)
+				if err != nil {
 					b.Fatal(err)
 				}
 				if _, err := det.ScoreBatch(feats); err != nil {
@@ -245,8 +246,7 @@ func BenchmarkIForestFit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := iforest.New(iforest.Options{Seed: int64(i)})
-		if err := f.Fit(x); err != nil {
+		if _, err := (iforest.Options{Seed: int64(i)}).Fit(x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,8 +264,7 @@ func BenchmarkOCSVMFit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := ocsvm.New(ocsvm.Options{Nu: 0.1})
-		if err := m.Fit(x); err != nil {
+		if _, err := (ocsvm.Options{Nu: 0.1}).Fit(x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -348,10 +347,10 @@ func BenchmarkServeScoreParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := &core.Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 100, Seed: 1}),
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 100, Seed: 1}),
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		b.Fatal(err)

@@ -35,6 +35,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -45,6 +46,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/detector"
 	"repro/internal/eval"
 	"repro/internal/fda"
 	"repro/internal/geometry"
@@ -104,16 +106,16 @@ func main() {
 	}
 }
 
-func buildDetector(name string, seed int64) (core.Detector, error) {
+func buildDetector(name string, seed int64) (detector.Spec, error) {
 	switch name {
 	case "ifor":
 		return iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: seed}), nil
 	case "ocsvm":
-		return &core.TunedOCSVM{Seed: seed}, nil
+		return core.TunedOCSVM{Seed: seed}, nil
 	case "lof":
-		return lof.New(lof.Options{}), nil
+		return lof.Options{}, nil
 	case "knn":
-		return lof.NewKNN(lof.Options{}), nil
+		return lof.KNN{}, nil
 	default:
 		return nil, fmt.Errorf("unknown detector %q", name)
 	}
@@ -192,7 +194,7 @@ func run(o options) error {
 		if !ok {
 			return fmt.Errorf("unknown mapping %q", o.mapping)
 		}
-		det, err := buildDetector(o.detector, o.seed)
+		spec, err := buildDetector(o.detector, o.seed)
 		if err != nil {
 			return err
 		}
@@ -203,21 +205,18 @@ func run(o options) error {
 				return fmt.Errorf("read %s: %w", o.train, err)
 			}
 		}
-		p = &core.Pipeline{Mapping: m, Detector: det, Standardize: true}
+		p = &core.Pipeline{Mapping: m, DetectorSpec: spec, Standardize: true}
 		if err := p.Fit(trainSet); err != nil {
 			return err
 		}
 	}
 	if o.saveTo != "" {
-		f, err := os.Create(o.saveTo)
-		if err != nil {
-			return err
-		}
-		if err := p.SaveJSON(f); err != nil {
-			f.Close()
+		// Encode first, so a refused save leaves the file as it was.
+		var model bytes.Buffer
+		if err := p.SaveJSON(&model); err != nil {
 			return fmt.Errorf("save %s: %w", o.saveTo, err)
 		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(o.saveTo, model.Bytes(), 0o666); err != nil {
 			return err
 		}
 		fmt.Printf("(pipeline saved to %s)\n", o.saveTo)

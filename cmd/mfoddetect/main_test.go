@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -52,23 +53,49 @@ func TestRunTrainTestSplitFiles(t *testing.T) {
 
 func TestRunEveryDetector(t *testing.T) {
 	in := writeTestCSV(t, 24, 4)
-	for _, det := range []string{"ifor", "lof", "knn"} {
+	for _, det := range []string{"ifor", "ocsvm", "lof", "knn"} {
 		if err := run(options{in: in, mapping: "log-curvature", detector: det, top: 3, seed: 1}); err != nil {
 			t.Fatalf("%s: %v", det, err)
 		}
 	}
 }
 
+// TestRunSaveAndReuseModel: the iForest and tuned-OCSVM models save,
+// and the saved model scores the curves it was fitted on as the fit
+// did, and fresh curves with no refit. LOF and kNN models do not save:
+// the save fails and leaves the file at that path as it was.
 func TestRunSaveAndReuseModel(t *testing.T) {
 	in := writeTestCSV(t, 24, 6)
+	fresh := writeTestCSV(t, 12, 7)
+	for _, det := range []string{"ifor", "ocsvm"} {
+		modelPath := filepath.Join(t.TempDir(), "model.json")
+		fitted := captureStdout(t, func() error {
+			return run(options{in: in, mapping: "log-curvature", detector: det, saveTo: modelPath, seed: 1})
+		})
+		loaded := captureStdout(t, func() error { return run(options{in: in, model: modelPath, seed: 1}) })
+		if want := strings.Replace(fitted, "(pipeline saved to "+modelPath+")\n", "", 1); loaded != want {
+			t.Fatalf("%s: the saved model scores otherwise:\nfitted:\n%s\nloaded:\n%s", det, want, loaded)
+		}
+		if err := run(options{in: fresh, model: modelPath, top: 3, seed: 1}); err != nil {
+			t.Fatalf("%s: %v", det, err)
+		}
+	}
 	modelPath := filepath.Join(t.TempDir(), "model.json")
 	if err := run(options{in: in, mapping: "log-curvature", detector: "ifor", saveTo: modelPath, top: 3, seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Score fresh data with the saved model, no refit.
-	fresh := writeTestCSV(t, 12, 7)
-	if err := run(options{in: fresh, model: modelPath, top: 3, seed: 1}); err != nil {
+	saved, err := os.ReadFile(modelPath)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, det := range []string{"lof", "knn"} {
+		err := run(options{in: in, mapping: "log-curvature", detector: det, saveTo: modelPath, top: 3, seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "not serializable") {
+			t.Fatalf("%s: err = %v, want a refused save", det, err)
+		}
+		if after, err := os.ReadFile(modelPath); err != nil || !bytes.Equal(after, saved) {
+			t.Fatalf("%s: the refused save changed the file at its path: %d bytes, was %d (%v)", det, len(after), len(saved), err)
+		}
 	}
 	// A missing model file fails cleanly.
 	if err := run(options{in: fresh, model: filepath.Join(t.TempDir(), "no.json"), seed: 1}); err == nil {
@@ -112,7 +139,7 @@ func remoteServer(t *testing.T, csvPath string, failN int64, failCode int) (stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &core.Pipeline{Mapping: geometry.LogCurvature{}, Detector: det, Standardize: true}
+	p := &core.Pipeline{Mapping: geometry.LogCurvature{}, DetectorSpec: det, Standardize: true}
 	if err := p.Fit(ds); err != nil {
 		t.Fatal(err)
 	}

@@ -547,10 +547,10 @@ func bootSelfFleet(n int, model string, popt serve.PoolOptions, healthInterval t
 		return nil, err
 	}
 	p := &core.Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 30, Seed: 11}),
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 30, Seed: 11}),
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		return nil, err

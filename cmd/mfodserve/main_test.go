@@ -30,10 +30,10 @@ func writeModel(t *testing.T) (string, fda.Dataset) {
 		t.Fatal(err)
 	}
 	p := &core.Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 30, Seed: 1}),
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 30, Seed: 1}),
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)

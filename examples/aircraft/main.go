@@ -95,9 +95,9 @@ func main() {
 
 	// The paper's geometric pipeline.
 	p := &core.Pipeline{
-		Mapping:     geometry.Curvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: 3}),
-		Standardize: true,
+		Mapping:      geometry.Curvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: 3}),
+		Standardize:  true,
 	}
 	if err := p.Fit(fleet); err != nil {
 		log.Fatal(err)

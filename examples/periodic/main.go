@@ -77,9 +77,9 @@ func main() {
 				return bspline.NewFourier(dim, lo, hi)
 			},
 		},
-		Mapping:     geometry.Curvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: 21}),
-		Standardize: true,
+		Mapping:      geometry.Curvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: 21}),
+		Standardize:  true,
 	}
 	if err := p.Fit(gaits); err != nil {
 		log.Fatal(err)

@@ -27,9 +27,9 @@ func main() {
 	data := dataset.Figure1(dataset.Figure1Options{Seed: 42})
 
 	pipeline := &core.Pipeline{
-		Mapping:     geometry.Curvature{},                  // Eq. 5 of the paper
-		Detector:    iforest.New(iforest.Options{Seed: 1}), // Liu et al. 2008
-		Standardize: true,
+		Mapping:      geometry.Curvature{},                  // Eq. 5 of the paper
+		DetectorSpec: iforest.New(iforest.Options{Seed: 1}), // Liu et al. 2008
+		Standardize:  true,
 	}
 	if err := pipeline.Fit(data); err != nil {
 		log.Fatal(err)

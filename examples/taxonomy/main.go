@@ -32,9 +32,9 @@ func main() {
 			MethodName: "iFor(Curvmap)",
 			Build: func(seed int64) (*core.Pipeline, error) {
 				return &core.Pipeline{
-					Mapping:     geometry.Curvature{},
-					Detector:    iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: seed}),
-					Standardize: true,
+					Mapping:      geometry.Curvature{},
+					DetectorSpec: iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: seed}),
+					Standardize:  true,
 				}, nil
 			},
 		},

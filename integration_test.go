@@ -25,9 +25,9 @@ import (
 func TestClaimFig1OutlierTopRanked(t *testing.T) {
 	d := dataset.Figure1(dataset.Figure1Options{Seed: 5})
 	p := &core.Pipeline{
-		Mapping:     geometry.Curvature{},
-		Detector:    iforest.New(iforest.Options{Seed: 5}),
-		Standardize: true,
+		Mapping:      geometry.Curvature{},
+		DetectorSpec: iforest.New(iforest.Options{Seed: 5}),
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
@@ -118,10 +118,10 @@ func TestClaimThresholdPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &core.Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 100, Seed: 9}),
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 100, Seed: 9}),
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
@@ -178,10 +178,10 @@ func TestClaimIrregularSampling(t *testing.T) {
 		d.Labels = append(d.Labels, label)
 	}
 	p := &core.Pipeline{
-		Mapping:     geometry.Curvature{},
-		Detector:    iforest.New(iforest.Options{Seed: 4}),
-		Standardize: true,
-		GridSize:    50,
+		Mapping:      geometry.Curvature{},
+		DetectorSpec: iforest.New(iforest.Options{Seed: 4}),
+		Standardize:  true,
+		GridSize:     50,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)

@@ -12,9 +12,12 @@ import (
 // receiver-owned slices and maps, or the pointee itself. That contract
 // is what makes one fitted model safe to score from many goroutines at
 // once (internal/parallel fan-out, the serve worker pool) without
-// locks; see internal/parallel/doc.go. Writes that are genuinely safe
-// (for example a mutex-guarded memo) take an allow directive naming the
-// guard.
+// locks; see internal/parallel/doc.go. A detector's fitted model has no
+// Fit (internal/detector), so no caller can retrain it, but Go cannot
+// stop a method from writing its own receiver, and core.Pipeline is
+// still fitted in place; this check covers both. Writes that are
+// genuinely safe (for example a mutex-guarded memo) take an allow
+// directive naming the guard.
 var Mutafterfit = &Analyzer{
 	Name: "mutafterfit",
 	Doc: "forbid assignments to receiver state inside Score*/Transform* " +

@@ -25,10 +25,10 @@ func streamBackend(t *testing.T) (*httptest.Server, *core.Pipeline, fda.Dataset)
 		t.Fatal(err)
 	}
 	p := &core.Pipeline{
-		Smooth:      fda.Options{Dims: []int{8}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 20, Seed: 3}),
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{8}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 20, Seed: 3}),
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)

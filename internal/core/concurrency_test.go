@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/detector"
 	"repro/internal/fda"
 	"repro/internal/geometry"
 	"repro/internal/lof"
@@ -16,9 +17,9 @@ func TestScoreOneMatchesScore(t *testing.T) {
 	for name, p := range map[string]*Pipeline{
 		"ifor-standardized": quickPipeline(21),
 		"ocsvm": {
-			Smooth:   fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-			Mapping:  geometry.Stack{geometry.Curvature{Max: 50}, geometry.Speed{}},
-			Detector: ocsvm.New(ocsvm.Options{Nu: 0.2}),
+			Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+			Mapping:      geometry.Stack{geometry.Curvature{Max: 50}, geometry.Speed{}},
+			DetectorSpec: ocsvm.Options{Nu: 0.2},
 		},
 	} {
 		if err := p.Fit(d); err != nil {
@@ -54,16 +55,16 @@ func TestScoreOneBeforeFit(t *testing.T) {
 // for each built-in detector family.
 func TestPipelineScoreConcurrent(t *testing.T) {
 	d := smallECG(t, 40, 22)
-	for name, det := range map[string]Detector{
-		"ifor":  quickPipeline(22).Detector,
-		"ocsvm": ocsvm.New(ocsvm.Options{Nu: 0.2}),
-		"lof":   lof.New(lof.Options{}),
+	for name, det := range map[string]detector.Spec{
+		"ifor":  quickPipeline(22).DetectorSpec,
+		"ocsvm": ocsvm.Options{Nu: 0.2},
+		"lof":   lof.Options{},
 	} {
 		p := &Pipeline{
-			Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-			Mapping:     geometry.LogCurvature{},
-			Detector:    det,
-			Standardize: true,
+			Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+			Mapping:      geometry.LogCurvature{},
+			DetectorSpec: det,
+			Standardize:  true,
 		}
 		if err := p.Fit(d); err != nil {
 			t.Fatalf("%s: %v", name, err)

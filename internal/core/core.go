@@ -13,6 +13,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/detector"
 	"repro/internal/faultinject"
 	"repro/internal/fda"
 	"repro/internal/geometry"
@@ -26,35 +27,26 @@ var ErrPipeline = errors.New("core: invalid pipeline state")
 // simulate a detector that errors or panics mid-request.
 const FaultScore = "core.pipeline.score"
 
-// Detector is the contract a multivariate outlier-detection algorithm
-// must satisfy to terminate a pipeline: unsupervised fitting on feature
-// vectors and batch scoring where higher = more outlying. The
-// implementations in internal/iforest, internal/ocsvm and internal/lof
-// satisfy it.
-type Detector interface {
-	// Name identifies the detector in reports.
-	Name() string
-	// Fit trains on feature vectors (n × d, no labels).
-	Fit(x [][]float64) error
-	// ScoreBatch returns one outlyingness score per row of x.
-	ScoreBatch(x [][]float64) ([]float64, error)
-}
+// Detector is the fitted multivariate outlier detector that ends a
+// pipeline: batch scoring where higher = more outlying. The fitted
+// models of internal/iforest, internal/ocsvm and internal/lof are
+// Detectors, and their specs (detector.Spec) train them.
+type Detector = detector.Model
 
 // Pipeline is the paper's method: Smooth → Map → Detect. Configure it,
 // call Fit with a (possibly contaminated, unlabeled) training dataset,
 // then Score held-out samples. The zero value is not usable: Mapping and
-// Detector are required.
+// DetectorSpec are required to fit.
 //
 // Concurrency: Fit must complete before any scoring and must not run
 // concurrently with it. After Fit returns, Score, ScoreOne, Explain and
 // Grid only read pipeline state — the one exception being the internal
 // basis cache, which is mutex-protected and memoizes pure functions of
 // its keys — so a single fitted Pipeline is safe for concurrent use by
-// multiple goroutines, provided the configured Detector's ScoreBatch
-// and the Mapping's Map are themselves read-only, which holds for every
-// implementation in this repository (iforest, ocsvm, lof, and all
-// geometry mappings). internal/serve relies on this guarantee to score
-// HTTP requests from a shared model registry.
+// multiple goroutines, provided the Mapping's Map is read-only, which
+// holds for every geometry mapping. The Detector is read-only by type:
+// it is a fitted model, which has no Fit. internal/serve relies on this
+// guarantee to score HTTP requests from a shared model registry.
 type Pipeline struct {
 	// Smooth configures the functional approximation of Sec. 2. The zero
 	// value selects the paper's defaults (cubic B-splines, LOOCV).
@@ -62,7 +54,11 @@ type Pipeline struct {
 	// Mapping is the geometric aggregation of Sec. 3 (e.g.
 	// geometry.Curvature{}).
 	Mapping geometry.Mapping
-	// Detector is the terminal outlier-detection algorithm.
+	// DetectorSpec is the terminal outlier-detection algorithm, which
+	// Fit trains on the mapped training set into Detector. A loaded
+	// pipeline has none, so it cannot be refit.
+	DetectorSpec detector.Spec
+	// Detector is the fitted detector, set by Fit or LoadPipelineJSON.
 	Detector Detector
 	// GridSize is the length of the common evaluation grid the paper
 	// evaluates X̃ on; 0 means the maximum sample length in the training
@@ -95,8 +91,8 @@ func (p *Pipeline) Validate() error {
 	if p.Mapping == nil {
 		return fmt.Errorf("core: pipeline needs a mapping: %w", ErrPipeline)
 	}
-	if p.Detector == nil {
-		return fmt.Errorf("core: pipeline needs a detector: %w", ErrPipeline)
+	if p.DetectorSpec == nil {
+		return fmt.Errorf("core: pipeline needs a detector spec (a loaded pipeline cannot be refit): %w", ErrPipeline)
 	}
 	return nil
 }
@@ -147,9 +143,11 @@ func (p *Pipeline) Fit(train fda.Dataset) error {
 	} else {
 		p.featMean, p.featScale = nil, nil
 	}
-	if err := p.Detector.Fit(feats); err != nil {
+	det, err := p.DetectorSpec.Fit(feats)
+	if err != nil {
 		return fmt.Errorf("core: detector fit: %w", err)
 	}
+	p.Detector = det
 	p.fitted = true
 	return nil
 }

@@ -26,10 +26,10 @@ func smallECG(t *testing.T, n int, seed int64) fda.Dataset {
 
 func quickPipeline(seed int64) *Pipeline {
 	return &Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 50, Seed: seed}),
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 50, Seed: seed}),
+		Standardize:  true,
 	}
 }
 
@@ -42,7 +42,7 @@ func TestPipelineValidate(t *testing.T) {
 	if err := p.Validate(); !errors.Is(err, ErrPipeline) {
 		t.Fatal("missing detector must fail")
 	}
-	p.Detector = iforest.New(iforest.Options{})
+	p.DetectorSpec = iforest.New(iforest.Options{})
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +141,10 @@ func TestPipelineStandardizeUsesTrainStats(t *testing.T) {
 func TestPipelineWithLOFDetector(t *testing.T) {
 	d := smallECG(t, 50, 6)
 	p := &Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    lof.New(lof.Options{K: 10}),
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: lof.Options{K: 10},
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
@@ -181,9 +181,9 @@ func TestNonFiniteFeaturesAreTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &Pipeline{
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: 1}),
-		Standardize: true,
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: 1}),
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
@@ -210,9 +210,9 @@ func TestNonFiniteFeaturesAreTypedErrors(t *testing.T) {
 	train := fda.Dataset{Samples: append([]fda.Sample(nil), d.Samples[:20]...)}
 	train.Samples[3] = s
 	q := &Pipeline{
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 30, Seed: 1}),
-		Standardize: true,
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 30, Seed: 1}),
+		Standardize:  true,
 	}
 	if err := q.Fit(train); !errors.Is(err, geometry.ErrMapping) || !strings.Contains(err.Error(), "sample 3") {
 		t.Errorf("Fit = %v, want a geometry.ErrMapping error naming sample 3", err)
@@ -229,10 +229,10 @@ func TestNonFiniteFeaturesAreTypedErrors(t *testing.T) {
 		}
 	}
 	raw := &Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.Raw{},
-		Detector:    iforest.New(iforest.Options{Trees: 30, Seed: 1}),
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.Raw{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 30, Seed: 1}),
+		Standardize:  true,
 	}
 	if err := raw.Fit(huge); !errors.Is(err, geometry.ErrMapping) {
 		t.Errorf("Fit on features whose mean overflows = %v, want a geometry.ErrMapping error", err)

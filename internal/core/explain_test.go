@@ -40,10 +40,10 @@ func explainDataset() fda.Dataset {
 func TestExplainLocalisesDeviation(t *testing.T) {
 	d := explainDataset()
 	p := &Pipeline{
-		Smooth:      fda.Options{Dims: []int{16}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Seed: 8}),
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{16}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Seed: 8}),
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
@@ -80,10 +80,10 @@ func TestExplainLocalisesDeviation(t *testing.T) {
 func TestExplainInlierIsMild(t *testing.T) {
 	d := explainDataset()
 	p := &Pipeline{
-		Smooth:      fda.Options{Dims: []int{16}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Seed: 8}),
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{16}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Seed: 8}),
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
@@ -104,10 +104,10 @@ func TestExplainInlierIsMild(t *testing.T) {
 func TestExplainValidation(t *testing.T) {
 	d := explainDataset()
 	p := &Pipeline{
-		Smooth:      fda.Options{Dims: []int{16}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Seed: 8}),
-		Standardize: false,
+		Smooth:       fda.Options{Dims: []int{16}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Seed: 8}),
+		Standardize:  false,
 	}
 	if _, err := p.Explain(d.Samples[0], 3); !errors.Is(err, ErrPipeline) {
 		t.Fatal("explain before fit must fail")

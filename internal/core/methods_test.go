@@ -8,9 +8,11 @@ import (
 	"testing/quick"
 
 	"repro/internal/depth"
+	"repro/internal/detector"
 	"repro/internal/fda"
 	"repro/internal/geometry"
 	"repro/internal/iforest"
+	"repro/internal/ocsvm"
 )
 
 func TestInterpLinearExactOnNodes(t *testing.T) {
@@ -178,17 +180,13 @@ func TestCommonGridFallsBackOnMismatch(t *testing.T) {
 func TestTunedOCSVMDetector(t *testing.T) {
 	d := smallECG(t, 40, 9)
 	p := &Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    &TunedOCSVM{Candidates: []float64{0.1, 0.2}, Folds: 3, Seed: 1},
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: TunedOCSVM{Candidates: []float64{0.1, 0.2}, Folds: 3, Seed: 1},
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
-	}
-	det := p.Detector.(*TunedOCSVM)
-	if det.BestNu != 0.1 && det.BestNu != 0.2 {
-		t.Fatalf("BestNu = %g not among candidates", det.BestNu)
 	}
 	scores, err := p.Score(d)
 	if err != nil {
@@ -197,16 +195,60 @@ func TestTunedOCSVMDetector(t *testing.T) {
 	if err := NaNGuard(scores); err != nil {
 		t.Fatal(err)
 	}
+	// The fitted detector is the one-class SVM fitted on the training
+	// features at the ν that TuneNu selects from them.
+	feats, err := p.features(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.standardize(feats, 0, len(p.grid)-1); err != nil {
+		t.Fatal(err)
+	}
+	kernel := ocsvm.RBF{Gamma: ocsvm.GammaScale(feats)}
+	nu, _, err := ocsvm.TuneNu(feats, []float64{0.1, 0.2}, 3, kernel, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nu != 0.1 && nu != 0.2 {
+		t.Fatalf("tuned nu = %g not among candidates", nu)
+	}
+	want, err := ocsvm.Options{Nu: nu, Kernel: kernel}.Fit(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Detector.ScoreBatch(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantScores, err := want.ScoreBatch(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(wantScores[i]) {
+			t.Fatalf("row %d: tuned model scores %v, the nu = %g fit %v", i, got[i], nu, wantScores[i])
+		}
+	}
 }
 
+// TestTunedOCSVMScoreBeforeFit: a TunedOCSVM cannot score before Fit,
+// by type. The spec has no score method, and its Fit returns the
+// one-class SVM's own model, which saves like any other.
 func TestTunedOCSVMScoreBeforeFit(t *testing.T) {
-	det := &TunedOCSVM{}
-	if _, err := det.ScoreBatch([][]float64{{1}}); err == nil {
-		t.Fatal("score before fit must fail")
+	if _, ok := any(TunedOCSVM{}).(Detector); ok {
+		t.Fatal("the spec has a score method")
 	}
-	if det.Name() != "OCSVM" {
-		t.Fatalf("Name = %q", det.Name())
+	det, err := TunedOCSVM{Candidates: []float64{0.2}, Folds: 2}.Fit([][]float64{{0}, {1}, {2}, {3}, {10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := det.(*ocsvm.Model); !ok || det.Name() != "OCSVM" {
+		t.Fatalf("Fit returned %T named %q, want an *ocsvm.Model named OCSVM", det, det.Name())
 	}
 }
 
-var _ Detector = (*iforest.Forest)(nil) // compile-time interface check
+// Compile-time interface checks.
+var (
+	_ Detector      = (*iforest.Forest)(nil)
+	_ detector.Spec = TunedOCSVM{}
+)

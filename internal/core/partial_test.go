@@ -18,11 +18,11 @@ func fitPartialPipeline(t *testing.T, m geometry.Mapping, standardize bool) (*Pi
 		t.Fatal(err)
 	}
 	p := &Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     m,
-		Detector:    iforest.New(iforest.Options{Trees: 40, Seed: 5}),
-		Standardize: standardize,
-		Parallel:    1,
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      m,
+		DetectorSpec: iforest.New(iforest.Options{Trees: 40, Seed: 5}),
+		Standardize:  standardize,
+		Parallel:     1,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ import (
 // LoadPipelineJSON reads it with a jsontext.Scanner, each in one pass:
 // an iForest's trees, nearly all of a Curvmap model's bytes, go
 // between the file and the forest's flat nodes with no tree of
-// intermediate values (iforest.Forest.WriteJSON and ReadJSON). The
+// intermediate values (iforest.Forest.WriteJSON and iforest.ReadJSON). The
 // smoothing options, the mapping and a one-class SVM model are small
 // and stay on encoding/json over their own bytes. The bytes are the ones encoding/json wrote for
 // the same pipeline, so a model file re-saves byte-identical.
@@ -38,7 +38,7 @@ import (
 // refused it: bad syntax or shape, data after the document, a forest no
 // fit writes, or smoothing options, a mapping or a detector model that
 // do not decode. The error keeps its cause, which still matches
-// ErrPipeline, iforest.ErrNotFitted or the encoding/json error it is, so
+// ErrPipeline, iforest.ErrModel or the encoding/json error it is, so
 // a caller tells a corrupt file (ErrModelFile) from a failure to read it
 // (an I/O error, which does not match).
 var ErrModelFile = errors.New("core: refused model file")
@@ -236,9 +236,7 @@ func writeDetector(w *jsontext.Writer, d Detector) error {
 	switch det := d.(type) {
 	case *iforest.Forest:
 		w.Raw(`{"name":"ifor","model":`)
-		if err := det.WriteJSON(w); err != nil {
-			return err
-		}
+		det.WriteJSON(w)
 	case *ocsvm.Model:
 		blob, err := json.Marshal(det)
 		if err != nil {
@@ -261,8 +259,10 @@ func writeDetector(w *jsontext.Writer, d Detector) error {
 // after the document (jsontext.ErrTrailing), and outside the parts
 // encoding/json still decodes, a null where a value belongs
 // (jsontext.ErrNull) and a field given twice (jsontext.ErrDuplicate); a
-// forest that no fit writes is refused with iforest.ErrNotFitted (see
-// iforest.Forest.ReadJSON). Every refusal also matches ErrModelFile.
+// forest that no fit writes is refused with iforest.ErrModel (see
+// iforest.ReadJSON). Every refusal also matches ErrModelFile. The
+// pipeline has no DetectorSpec, so its Fit fails: a model file scores,
+// and a new model comes from a new fit.
 func LoadPipelineJSON(r io.Reader) (*Pipeline, error) {
 	data, err := readAll(r)
 	if err != nil {
@@ -422,8 +422,8 @@ func readDetector(s *jsontext.Scanner) (Detector, error) {
 func readModel(s *jsontext.Scanner, name string) (Detector, error) {
 	switch name {
 	case "ifor":
-		f := iforest.New(iforest.Options{})
-		if err := f.ReadJSON(s); err != nil {
+		f, err := iforest.ReadJSON(s)
+		if err != nil {
 			return nil, err
 		}
 		return f, nil
@@ -432,11 +432,11 @@ func readModel(s *jsontext.Scanner, name string) (Detector, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := ocsvm.New(ocsvm.Options{})
-		if err := json.Unmarshal(raw, m); err != nil {
+		var m ocsvm.Model
+		if err := json.Unmarshal(raw, &m); err != nil {
 			return nil, err
 		}
-		return m, nil
+		return &m, nil
 	default:
 		return nil, fmt.Errorf("core: unknown detector %q: %w", name, ErrPipeline)
 	}

@@ -26,7 +26,7 @@ import (
 // names: a null where a value belongs (jsontext.ErrNull), a field given
 // twice (jsontext.ErrDuplicate), data after the document
 // (jsontext.ErrTrailing, which the oracle never read) and a node with
-// one child or a child list of several (iforest.ErrNotFitted, where the
+// one child or a child list of several (iforest.ErrModel, where the
 // document holds such a node). A field given twice is the one refusal
 // that can surface as another error: the loader reads the first copy,
 // which encoding/json drops for the second, and refuses on what is
@@ -51,7 +51,7 @@ func loadDisagreement(data []byte) string {
 		return ""
 	case errors.Is(err, jsontext.ErrTrailing) && errors.Is(err, ErrPipeline) && want.trailing:
 		return ""
-	case errors.Is(err, iforest.ErrNotFitted) && ev.oneChild:
+	case errors.Is(err, iforest.ErrModel) && ev.oneChild:
 		return ""
 	}
 	return fmt.Sprintf("refused what encoding/json accepts, without a named refusal: %v", err)
@@ -129,9 +129,9 @@ func loadSeeds(tb testing.TB) [][]byte {
 	quick := fda.Options{Dims: []int{6}, Lambdas: []float64{1e-6}}
 	var seeds [][]byte
 	for _, p := range []*Pipeline{
-		{Smooth: quick, Mapping: geometry.LogCurvature{}, Detector: iforest.New(iforest.Options{Trees: 2, SampleSize: 4, Seed: 19}), Standardize: true},
-		{Smooth: quick, Mapping: geometry.Curvature{Max: 50}, Detector: ocsvm.New(ocsvm.Options{Nu: 0.5})},
-		{Smooth: quick, Mapping: geometry.Stack{geometry.Curvature{Max: 50}, geometry.Speed{}}, Detector: iforest.New(iforest.Options{Trees: 2, SampleSize: 4, Seed: 19}), Standardize: true},
+		{Smooth: quick, Mapping: geometry.LogCurvature{}, DetectorSpec: iforest.New(iforest.Options{Trees: 2, SampleSize: 4, Seed: 19}), Standardize: true},
+		{Smooth: quick, Mapping: geometry.Curvature{Max: 50}, DetectorSpec: ocsvm.Options{Nu: 0.5}},
+		{Smooth: quick, Mapping: geometry.Stack{geometry.Curvature{Max: 50}, geometry.Speed{}}, DetectorSpec: iforest.New(iforest.Options{Trees: 2, SampleSize: 4, Seed: 19}), Standardize: true},
 	} {
 		seeds = append(seeds, savedModel(tb, p, d))
 	}

@@ -70,8 +70,7 @@ type flatForest struct {
 	cPsi  float64
 }
 
-func (*flatForest) Name() string            { return "oracle iFor" }
-func (*flatForest) Fit(x [][]float64) error { return errors.New("oracle forest: not fittable") }
+func (*flatForest) Name() string { return "oracle iFor" }
 
 // ScoreBatch walks every tree for each row and averages the path
 // lengths in tree order, as iforest.Forest.Score does.
@@ -223,7 +222,7 @@ func loadOracle(data []byte) (oracleLoad, error) {
 		}
 		det = out.forest
 	case "ocsvm":
-		m := ocsvm.New(ocsvm.Options{})
+		m := new(ocsvm.Model)
 		if err := json.Unmarshal(in.Detector.Model, m); err != nil {
 			return out, err
 		}

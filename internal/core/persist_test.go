@@ -10,20 +10,22 @@ import (
 
 	"repro/internal/bspline"
 	"repro/internal/dataset"
+	"repro/internal/detector"
 	"repro/internal/fda"
 	"repro/internal/geometry"
 	"repro/internal/iforest"
 	"repro/internal/jsontext"
+	"repro/internal/lof"
 	"repro/internal/ocsvm"
 )
 
 func TestPipelineSaveLoadRoundTrip(t *testing.T) {
 	d := smallECG(t, 40, 11)
 	p := &Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{Shift: 1e-5},
-		Detector:    iforest.New(iforest.Options{Trees: 40, Seed: 11}),
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{Shift: 1e-5},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 40, Seed: 11}),
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
@@ -57,12 +59,11 @@ func TestPipelineSaveLoadRoundTrip(t *testing.T) {
 
 func TestPipelineSaveLoadWithOCSVMAndStack(t *testing.T) {
 	d := smallECG(t, 30, 12)
-	det := ocsvm.New(ocsvm.Options{Nu: 0.2})
 	p := &Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.Stack{geometry.Curvature{Max: 50}, geometry.Speed{}},
-		Detector:    det,
-		Standardize: true,
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.Stack{geometry.Curvature{Max: 50}, geometry.Speed{}},
+		DetectorSpec: ocsvm.Options{Nu: 0.2},
+		Standardize:  true,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
@@ -97,6 +98,62 @@ func TestPipelineSaveLoadWithOCSVMAndStack(t *testing.T) {
 	}
 }
 
+// TestPipelineSaveLoadTunedOCSVM: the paper's OCSVM(Curvmap) pipeline,
+// ν tuned by cross-validation, saves its model as an "ocsvm" detector,
+// and the reloaded pipeline scores every curve to the same bits.
+func TestPipelineSaveLoadTunedOCSVM(t *testing.T) {
+	d := smallECG(t, 40, 23)
+	p := &Pipeline{
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: TunedOCSVM{Seed: 23},
+		Standardize:  true,
+	}
+	saved := savedModel(t, p, d)
+	if !bytes.Contains(saved, []byte(`"detector":{"name":"ocsvm","model":`)) {
+		t.Fatalf("the tuned model is not saved as an ocsvm detector: %.200s", saved)
+	}
+	want, err := p.Score(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadPipelineJSON(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.Score(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("score[%d] = %v after the reload, %v before", i, got[i], want[i])
+		}
+	}
+}
+
+// TestLoadedPipelineCannotRefit: a loaded pipeline holds a fitted
+// detector and no spec to train another, so Fit fails with ErrPipeline
+// and the pipeline keeps the model it loaded.
+func TestLoadedPipelineCannotRefit(t *testing.T) {
+	d := smallECG(t, 20, 24)
+	saved := savedModel(t, quickPipeline(24), d)
+	loaded, err := LoadPipelineJSON(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Fit(d); !errors.Is(err, ErrPipeline) {
+		t.Fatalf("Fit on a loaded pipeline: err = %v, want ErrPipeline", err)
+	}
+	var again bytes.Buffer
+	if err := loaded.SaveJSON(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved) {
+		t.Fatal("the failed Fit changed the loaded model")
+	}
+}
+
 func TestPipelineSaveErrors(t *testing.T) {
 	d := smallECG(t, 20, 13)
 	unfitted := quickPipeline(1)
@@ -116,9 +173,9 @@ func TestPipelineSaveErrors(t *testing.T) {
 				return bspline.NewFourier(dim, lo, hi)
 			},
 		},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Seed: 1}),
-		Standardize: true,
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Seed: 1}),
+		Standardize:  true,
 	}
 	if err := custom.Fit(d); err != nil {
 		t.Fatal(err)
@@ -127,16 +184,16 @@ func TestPipelineSaveErrors(t *testing.T) {
 		t.Fatal("custom basis factory must refuse to serialize")
 	}
 	// Non-serializable detector.
-	tuned := &Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    &TunedOCSVM{Candidates: []float64{0.2}, Folds: 3},
-		Standardize: true,
+	local := &Pipeline{
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: lof.Options{},
+		Standardize:  true,
 	}
-	if err := tuned.Fit(d); err != nil {
+	if err := local.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	if err := tuned.SaveJSON(&buf); !errors.Is(err, ErrPipeline) {
+	if err := local.SaveJSON(&buf); !errors.Is(err, ErrPipeline) {
 		t.Fatal("non-serializable detector must fail")
 	}
 }
@@ -232,8 +289,8 @@ func TestLoadPipelineJSONRejectsBadForestSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPipelineJSON(bytes.NewReader(bad)); !errors.Is(err, iforest.ErrNotFitted) {
-		t.Fatalf("err = %v, want iforest.ErrNotFitted", err)
+	if _, err := LoadPipelineJSON(bytes.NewReader(bad)); !errors.Is(err, iforest.ErrModel) {
+		t.Fatalf("err = %v, want iforest.ErrModel", err)
 	}
 }
 
@@ -276,7 +333,7 @@ func TestLoadPipelineJSONRefusesTrailingData(t *testing.T) {
 // TestLoadPipelineJSONRefusesOneChildNode: a saved model whose root
 // lost its "right" child used to load, with the root read as a leaf,
 // and score every training curve differently from the model saved. It
-// now fails the load with iforest.ErrNotFitted, as a bad split does.
+// now fails the load with iforest.ErrModel, as a bad split does.
 func TestLoadPipelineJSONRefusesOneChildNode(t *testing.T) {
 	d := smallECG(t, 20, 17)
 	p := quickPipeline(17)
@@ -298,8 +355,8 @@ func TestLoadPipelineJSONRefusesOneChildNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPipelineJSON(bytes.NewReader(bad)); !errors.Is(err, iforest.ErrNotFitted) {
-		t.Fatalf("err = %v, want iforest.ErrNotFitted", err)
+	if _, err := LoadPipelineJSON(bytes.NewReader(bad)); !errors.Is(err, iforest.ErrModel) {
+		t.Fatalf("err = %v, want iforest.ErrModel", err)
 	}
 	// What the old decoder made of it: a model the file does not hold.
 	old, err := loadOracle(bad)
@@ -329,24 +386,25 @@ func TestLoadPipelineJSONRefusesOneChildNode(t *testing.T) {
 // whose λ are written in exponent form and whose domain starts below 0.
 func TestSaveJSONMatchesEncodingJSON(t *testing.T) {
 	d := smallECG(t, 30, 18)
-	forest := func() Detector { return iforest.New(iforest.Options{Trees: 20, Seed: 18}) }
+	forest := iforest.New(iforest.Options{Trees: 20, Seed: 18})
 	quick := fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}}
 	cases := []struct {
 		name string
 		p    *Pipeline
 	}{
-		{"ifor", &Pipeline{Smooth: quick, Mapping: geometry.LogCurvature{}, Detector: forest(), Standardize: true}},
-		{"ifor default smoothing", &Pipeline{Mapping: geometry.LogCurvature{Shift: 1e-7}, Detector: forest(), Standardize: true}},
-		{"ocsvm", &Pipeline{Smooth: quick, Mapping: geometry.Curvature{Max: 50}, Detector: ocsvm.New(ocsvm.Options{Nu: 0.2}), Standardize: true}},
-		{"stack", &Pipeline{Smooth: quick, Mapping: geometry.Stack{geometry.Curvature{Max: 50}, geometry.Speed{}}, Detector: forest(), Standardize: true}},
-		{"stack ocsvm", &Pipeline{Smooth: quick, Mapping: geometry.Stack{geometry.NormalizedCurvature{Oversample: 3}, geometry.RadiusOfCurvature{MaxRadius: 2.5e21}}, Detector: ocsvm.New(ocsvm.Options{Nu: 0.3}), Standardize: true}},
-		{"no standardize", &Pipeline{Smooth: quick, Mapping: geometry.LogCurvature{}, Detector: forest()}},
+		{"ifor", &Pipeline{Smooth: quick, Mapping: geometry.LogCurvature{}, DetectorSpec: forest, Standardize: true}},
+		{"ifor default smoothing", &Pipeline{Mapping: geometry.LogCurvature{Shift: 1e-7}, DetectorSpec: forest, Standardize: true}},
+		{"ocsvm", &Pipeline{Smooth: quick, Mapping: geometry.Curvature{Max: 50}, DetectorSpec: ocsvm.Options{Nu: 0.2}, Standardize: true}},
+		{"stack", &Pipeline{Smooth: quick, Mapping: geometry.Stack{geometry.Curvature{Max: 50}, geometry.Speed{}}, DetectorSpec: forest, Standardize: true}},
+		{"tuned ocsvm", &Pipeline{Smooth: quick, Mapping: geometry.LogCurvature{}, DetectorSpec: TunedOCSVM{Seed: 18}, Standardize: true}},
+		{"stack ocsvm", &Pipeline{Smooth: quick, Mapping: geometry.Stack{geometry.NormalizedCurvature{Oversample: 3}, geometry.RadiusOfCurvature{MaxRadius: 2.5e21}}, DetectorSpec: ocsvm.Options{Nu: 0.3}, Standardize: true}},
+		{"no standardize", &Pipeline{Smooth: quick, Mapping: geometry.LogCurvature{}, DetectorSpec: forest}},
 		{"smoothing options", &Pipeline{
 			Smooth: fda.Options{
 				Order: 5, Dims: []int{8, 12}, Lambdas: []float64{1e-8, 2.5e-7, 0.125}, PenaltyDeriv: 3,
 				Lo: -0.5, Hi: 1.5, Criterion: fda.GCV,
 			},
-			Mapping: geometry.LogCurvature{}, Detector: forest(), Standardize: true,
+			Mapping: geometry.LogCurvature{}, DetectorSpec: forest, Standardize: true,
 		}},
 	}
 	for _, c := range cases {
@@ -366,7 +424,7 @@ func TestSaveJSONMatchesEncodingJSON(t *testing.T) {
 	}
 	// A value JSON cannot carry fails the save, as encoding/json did,
 	// and writes nothing.
-	p := &Pipeline{Smooth: quick, Mapping: geometry.LogCurvature{}, Detector: forest(), Standardize: true}
+	p := &Pipeline{Smooth: quick, Mapping: geometry.LogCurvature{}, DetectorSpec: forest, Standardize: true}
 	savedModel(t, p, d)
 	p.featScale[0] = math.Inf(1)
 	var buf bytes.Buffer
@@ -391,9 +449,9 @@ func TestLoadPipelineJSONMatchesEncodingJSONOnFig3Model(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &Pipeline{
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: 1}),
-		Standardize: true,
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: 1}),
+		Standardize:  true,
 	}
 	saved := savedModel(t, p, d)
 	got, err := LoadPipelineJSON(bytes.NewReader(saved))
@@ -428,12 +486,12 @@ func TestLoadPipelineJSONMatchesEncodingJSONOnFig3Model(t *testing.T) {
 // does not change the file it saves.
 func TestLoadPipelineJSONKeepsNoBuffer(t *testing.T) {
 	d := smallECG(t, 20, 20)
-	for _, det := range []Detector{iforest.New(iforest.Options{Trees: 10, Seed: 20}), ocsvm.New(ocsvm.Options{Nu: 0.2})} {
+	for _, det := range []detector.Spec{iforest.New(iforest.Options{Trees: 10, Seed: 20}), ocsvm.Options{Nu: 0.2}} {
 		p := &Pipeline{
-			Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-			Mapping:     geometry.Stack{geometry.Curvature{Max: 50}, geometry.LogCurvature{Shift: 1e-5}},
-			Detector:    det,
-			Standardize: true,
+			Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+			Mapping:      geometry.Stack{geometry.Curvature{Max: 50}, geometry.LogCurvature{Shift: 1e-5}},
+			DetectorSpec: det,
+			Standardize:  true,
 		}
 		saved := savedModel(t, p, d)
 		data := bytes.Clone(saved)
@@ -449,7 +507,7 @@ func TestLoadPipelineJSONKeepsNoBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(again.Bytes(), saved) {
-			t.Fatalf("%s: the loaded pipeline changed with the buffer it was read from", det.Name())
+			t.Fatalf("%s: the loaded pipeline changed with the buffer it was read from", loaded.Detector.Name())
 		}
 	}
 }

@@ -6,10 +6,12 @@ import (
 	"repro/internal/ocsvm"
 )
 
-// TunedOCSVM is a Detector that selects ν by k-fold cross-validation on
-// the training features before fitting the final one-class SVM — the
-// procedure the paper follows ("we tune it on the training set with a
-// 5-fold cross validation", Sec. 4.3).
+// TunedOCSVM is the spec of a one-class SVM whose ν is selected by
+// k-fold cross-validation on the training features — the procedure the
+// paper follows ("we tune it on the training set with a 5-fold cross
+// validation", Sec. 4.3). Its Fit returns the *ocsvm.Model fitted on all
+// features with the selected ν, so a tuned model saves and loads as any
+// one-class SVM does.
 type TunedOCSVM struct {
 	// Candidates are the ν values searched; empty means the TuneNu
 	// defaults.
@@ -20,17 +22,10 @@ type TunedOCSVM struct {
 	Kernel ocsvm.Kernel
 	// Seed drives the fold assignment.
 	Seed int64
-
-	model *ocsvm.Model
-	// BestNu records the selected ν after Fit, for diagnostics.
-	BestNu float64
 }
 
-// Name implements Detector.
-func (t *TunedOCSVM) Name() string { return "OCSVM" }
-
-// Fit implements Detector: tune ν, then fit on all features.
-func (t *TunedOCSVM) Fit(x [][]float64) error {
+// Fit implements detector.Spec: tune ν, then fit on all features.
+func (t TunedOCSVM) Fit(x [][]float64) (Detector, error) {
 	folds := t.Folds
 	if folds == 0 {
 		folds = 5
@@ -41,21 +36,7 @@ func (t *TunedOCSVM) Fit(x [][]float64) error {
 	}
 	best, _, err := ocsvm.TuneNu(x, t.Candidates, folds, kernel, t.Seed)
 	if err != nil {
-		return fmt.Errorf("core: tune nu: %w", err)
+		return nil, fmt.Errorf("core: tune nu: %w", err)
 	}
-	t.BestNu = best
-	m := ocsvm.New(ocsvm.Options{Nu: best, Kernel: kernel})
-	if err := m.Fit(x); err != nil {
-		return err
-	}
-	t.model = m
-	return nil
-}
-
-// ScoreBatch implements Detector.
-func (t *TunedOCSVM) ScoreBatch(x [][]float64) ([]float64, error) {
-	if t.model == nil {
-		return nil, fmt.Errorf("core: tuned ocsvm not fitted: %w", ErrPipeline)
-	}
-	return t.model.ScoreBatch(x)
+	return ocsvm.Options{Nu: best, Kernel: kernel}.Fit(x)
 }

@@ -79,9 +79,9 @@ func runMappingAblationForClasses(opt AblationOptions, classes []dataset.Outlier
 				MethodName: mapping.Name(),
 				Build: func(seed int64) (*core.Pipeline, error) {
 					return &core.Pipeline{
-						Mapping:     mapping,
-						Detector:    iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: seed}),
-						Standardize: true,
+						Mapping:      mapping,
+						DetectorSpec: iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: seed}),
+						Standardize:  true,
 					}, nil
 				},
 			})
@@ -142,10 +142,10 @@ func RunBasisAblation(opt AblationOptions) ([]BasisAblationRow, error) {
 				MethodName: fmt.Sprintf("L=%d,lambda=%g", dim, lambda),
 				Build: func(seed int64) (*core.Pipeline, error) {
 					return &core.Pipeline{
-						Smooth:      fda.Options{Dims: []int{dim}, Lambdas: []float64{lambda}},
-						Mapping:     geometry.Curvature{},
-						Detector:    iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: seed}),
-						Standardize: true,
+						Smooth:       fda.Options{Dims: []int{dim}, Lambdas: []float64{lambda}},
+						Mapping:      geometry.Curvature{},
+						DetectorSpec: iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: seed}),
+						Standardize:  true,
 					}, nil
 				},
 			})
@@ -187,19 +187,19 @@ func DetectorAblationMethods() []eval.Method {
 		core.PipelineMethod{
 			MethodName: "OCSVM(Curvmap)",
 			Build: func(seed int64) (*core.Pipeline, error) {
-				return CurvmapPipeline(&core.TunedOCSVM{Seed: seed}), nil
+				return CurvmapPipeline(core.TunedOCSVM{Seed: seed}), nil
 			},
 		},
 		core.PipelineMethod{
 			MethodName: "LOF(Curvmap)",
 			Build: func(seed int64) (*core.Pipeline, error) {
-				return CurvmapPipeline(lof.New(lof.Options{})), nil
+				return CurvmapPipeline(lof.Options{}), nil
 			},
 		},
 		core.PipelineMethod{
 			MethodName: "kNN(Curvmap)",
 			Build: func(seed int64) (*core.Pipeline, error) {
-				return CurvmapPipeline(lof.NewKNN(lof.Options{})), nil
+				return CurvmapPipeline(lof.KNN{}), nil
 			},
 		},
 	}

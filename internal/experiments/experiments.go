@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/depth"
+	"repro/internal/detector"
 	"repro/internal/eval"
 	"repro/internal/fda"
 	"repro/internal/geometry"
@@ -41,17 +42,17 @@ type Fig3Options struct {
 }
 
 // CurvmapPipeline returns the paper's pipeline with the curvature mapping
-// and the given detector. The curvature trace is log-scaled: κ of the
+// and the given detector spec. The curvature trace is log-scaled: κ of the
 // (x, x²) path spans several orders of magnitude (it diverges at the
 // path's stationary points), and the monotone log rescaling conditions the
 // feature space without changing which samples are geometrically deviant.
 // Standardization is enabled: both detectors benefit from commensurable
 // features and OCSVM requires them.
-func CurvmapPipeline(det core.Detector) *core.Pipeline {
+func CurvmapPipeline(spec detector.Spec) *core.Pipeline {
 	return &core.Pipeline{
-		Mapping:     geometry.LogCurvature{},
-		Detector:    det,
-		Standardize: true,
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: spec,
+		Standardize:  true,
 	}
 }
 
@@ -80,7 +81,7 @@ func Fig3Methods() []eval.Method {
 		core.PipelineMethod{
 			MethodName: "OCSVM(Curvmap)",
 			Build: func(seed int64) (*core.Pipeline, error) {
-				return CurvmapPipeline(&core.TunedOCSVM{Seed: seed}), nil
+				return CurvmapPipeline(core.TunedOCSVM{Seed: seed}), nil
 			},
 		},
 	}

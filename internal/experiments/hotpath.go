@@ -86,6 +86,8 @@ type HotpathReport struct {
 	SaveModel HotpathStage `json:"saveModel"`
 	LoadModel HotpathStage `json:"loadModel"`
 
+	// CacheHits and CacheMisses count the basis-cache lookups of three
+	// untimed FitDataset calls on a fresh cache: cold, admitting, warm.
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
 
@@ -197,8 +199,18 @@ func RunHotpath(opt HotpathOptions) (*HotpathReport, error) {
 		return nil, fmt.Errorf("hotpath: save model: %w", err)
 	}
 	seqOpt := fda.Options{Parallel: 1, NoCache: true}
+	// The cache counters come from three untimed fits on a fresh cache,
+	// so they repeat: the timed passes run as many fits as
+	// testing.Benchmark chooses.
 	cache := fda.NewBasisCache()
 	fitOpt := fda.Options{Parallel: opt.Parallel, Cache: cache}
+	for range 3 {
+		if _, err := fda.FitDataset(d, fitOpt); err != nil {
+			return nil, fmt.Errorf("hotpath: cached fit: %w", err)
+		}
+	}
+	st := cache.Stats()
+	rep.CacheHits, rep.CacheMisses = st.Hits, st.Misses
 	rng := rand.New(rand.NewSource(opt.Seed))
 	timeStages([]timedStage{
 		// FitDataset. The optimized configuration keeps one cache across
@@ -282,10 +294,6 @@ func RunHotpath(opt HotpathOptions) (*HotpathReport, error) {
 	if rep.ScoreOptimized.NsPerOp > 0 {
 		rep.ScoreSpeedup = float64(rep.ScoreSequential.NsPerOp) / float64(rep.ScoreOptimized.NsPerOp)
 	}
-	stats := cache.Stats()
-	rep.CacheHits = stats.Hits
-	rep.CacheMisses = stats.Misses
-
 	if opt.MinSpeedup > 0 {
 		if rep.FitSpeedup < opt.MinSpeedup {
 			return rep, fmt.Errorf("hotpath: FitDataset speedup %.2fx below required %.2fx", rep.FitSpeedup, opt.MinSpeedup)

@@ -90,9 +90,9 @@ func depthIssueMethods() []eval.Method {
 			MethodName: "iFor(Curv+Speed)",
 			Build: func(seed int64) (*core.Pipeline, error) {
 				return &core.Pipeline{
-					Mapping:     geometry.Stack{geometry.LogCurvature{}, geometry.Speed{}},
-					Detector:    iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: seed}),
-					Standardize: true,
+					Mapping:      geometry.Stack{geometry.LogCurvature{}, geometry.Speed{}},
+					DetectorSpec: iforest.New(iforest.Options{Trees: 300, SampleSize: 64, Seed: seed}),
+					Standardize:  true,
 				}, nil
 			},
 		},

@@ -14,14 +14,13 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/detector"
 	"repro/internal/parallel"
 )
 
-// ErrNotFitted is returned when Score is called before Fit.
-var ErrNotFitted = errors.New("iforest: model not fitted")
-
-// Options configures the forest. The zero value selects the paper's
-// defaults from Liu et al.: 100 trees on subsamples of 256 points.
+// Options configures a forest and grows it: it is the forest's
+// detector.Spec. The zero value selects the paper's defaults from Liu
+// et al.: 100 trees on subsamples of 256 points.
 type Options struct {
 	// Trees is the ensemble size; 0 means 100.
 	Trees int
@@ -48,27 +47,22 @@ func leaf(size int) node {
 	return node{value: averagePathLength(size), attr: -1, child: int32(size)}
 }
 
-// Forest is a fitted isolation forest. Fit must be called before Score.
+// Forest is a fitted isolation forest, grown by Options.Fit or read by
+// ReadJSON; it has no way to be refit.
 //
 // The whole ensemble is one []node; roots[t] indexes the root of tree
 // t. All randomness is consumed at Fit time; Score, ScoreBatch and the
-// tree walk they share only read the fitted ensemble, so a fitted Forest
-// is safe for concurrent scoring from multiple goroutines.
+// tree walk they share only read the fitted ensemble, so a Forest is
+// safe for concurrent scoring from multiple goroutines.
 type Forest struct {
-	opt   Options
 	nodes []node
 	roots []int32
 	dim   int
 	cPsi  float64
 }
 
-// New returns an unfitted forest with the given options.
-func New(opt Options) *Forest {
-	if opt.Trees == 0 {
-		opt.Trees = 100
-	}
-	return &Forest{opt: opt}
-}
+// New returns opt, the spec of a forest with those options.
+func New(opt Options) Options { return opt }
 
 // Name identifies the detector in reports.
 func (f *Forest) Name() string { return "iFor" }
@@ -87,43 +81,46 @@ func averagePathLength(n int) float64 {
 	}
 }
 
-// Fit grows the ensemble on the feature vectors x (n samples, equal
-// lengths). It is the unsupervised training step of Sec. 4.2.
-func (f *Forest) Fit(x [][]float64) error {
+// Fit grows a forest on the feature vectors x (n samples, equal
+// lengths) and returns it, a *Forest. It is the unsupervised training
+// step of Sec. 4.2.
+func (opt Options) Fit(x [][]float64) (detector.Model, error) {
 	n := len(x)
 	if n == 0 {
-		return fmt.Errorf("iforest: empty training set: %w", ErrNotFitted)
+		return nil, errors.New("iforest: empty training set")
 	}
 	dim := len(x[0])
 	if dim == 0 {
-		return fmt.Errorf("iforest: zero-length feature vectors: %w", ErrNotFitted)
+		return nil, errors.New("iforest: zero-length feature vectors")
 	}
 	for i, xi := range x {
 		if len(xi) != dim {
-			return fmt.Errorf("iforest: sample %d has %d features, want %d", i, len(xi), dim)
+			return nil, fmt.Errorf("iforest: sample %d has %d features, want %d", i, len(xi), dim)
 		}
 	}
-	psi := f.opt.SampleSize
+	trees := opt.Trees
+	if trees == 0 {
+		trees = 100
+	}
+	psi := opt.SampleSize
 	if psi <= 0 || psi > n {
 		psi = 256
 		if psi > n {
 			psi = n
 		}
 	}
-	maxDepth := f.opt.MaxDepth
+	maxDepth := opt.MaxDepth
 	if maxDepth <= 0 {
 		maxDepth = int(math.Ceil(math.Log2(float64(psi))))
 		if maxDepth < 1 {
 			maxDepth = 1
 		}
 	}
-	if int64(f.opt.Trees)*(2*int64(psi)-1) > math.MaxInt32 {
-		return fmt.Errorf("iforest: %d trees of subsample %d exceed the node index range", f.opt.Trees, psi)
+	if int64(trees)*(2*int64(psi)-1) > math.MaxInt32 {
+		return nil, fmt.Errorf("iforest: %d trees of subsample %d exceed the node index range", trees, psi)
 	}
-	g := grower{x: x, maxDepth: maxDepth, rng: rand.New(rand.NewSource(f.opt.Seed))}
-	f.roots = make([]int32, f.opt.Trees)
-	f.dim = dim
-	f.cPsi = averagePathLength(psi)
+	g := grower{x: x, maxDepth: maxDepth, rng: rand.New(rand.NewSource(opt.Seed))}
+	f := &Forest{roots: make([]int32, trees), dim: dim, cPsi: averagePathLength(psi)}
 	if f.cPsi == 0 {
 		f.cPsi = 1
 	}
@@ -143,7 +140,7 @@ func (f *Forest) Fit(x [][]float64) error {
 	// Keep an exact-size copy: the forest lives as long as the model,
 	// and append's growth slack would stay resident with it.
 	f.nodes = append(make([]node, 0, len(g.nodes)), g.nodes...)
-	return nil
+	return f, nil
 }
 
 // grower grows isolation trees depth first into one node slice.
@@ -205,12 +202,9 @@ func (g *grower) grow(at int, idx []int, depth int) {
 }
 
 // Score returns the anomaly score of xq in (0, 1); higher means more
-// outlying. It returns an error if the forest is unfitted or the feature
-// length disagrees with training.
+// outlying. It returns an error if the feature length disagrees with
+// training.
 func (f *Forest) Score(xq []float64) (float64, error) {
-	if len(f.roots) == 0 {
-		return 0, ErrNotFitted
-	}
 	if len(xq) != f.dim {
 		return 0, fmt.Errorf("iforest: query has %d features, want %d", len(xq), f.dim)
 	}

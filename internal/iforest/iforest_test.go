@@ -1,7 +1,6 @@
 package iforest
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,32 +43,32 @@ func TestAveragePathLength(t *testing.T) {
 	}
 }
 
-func TestFitRejectsEmpty(t *testing.T) {
-	f := New(Options{})
-	if err := f.Fit(nil); err == nil {
-		t.Fatal("empty training set must fail")
+// fit grows a forest on x, failing the test on an error.
+func fit(t testing.TB, opt Options, x [][]float64) *Forest {
+	t.Helper()
+	m, err := opt.Fit(x)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := f.Fit([][]float64{{}}); err == nil {
-		t.Fatal("zero-dim features must fail")
-	}
-	if err := f.Fit([][]float64{{1, 2}, {1}}); err == nil {
-		t.Fatal("ragged features must fail")
-	}
+	return m.(*Forest)
 }
 
-func TestScoreBeforeFit(t *testing.T) {
-	f := New(Options{})
-	if _, err := f.Score([]float64{1}); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("err = %v want ErrNotFitted", err)
+func TestFitRejectsEmpty(t *testing.T) {
+	var opt Options
+	if _, err := opt.Fit(nil); err == nil {
+		t.Fatal("empty training set must fail")
+	}
+	if _, err := opt.Fit([][]float64{{}}); err == nil {
+		t.Fatal("zero-dim features must fail")
+	}
+	if _, err := opt.Fit([][]float64{{1, 2}, {1}}); err == nil {
+		t.Fatal("ragged features must fail")
 	}
 }
 
 func TestScoreDimensionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	f := New(Options{Seed: 1})
-	if err := f.Fit(gaussianCloud(rng, 50, 3)); err != nil {
-		t.Fatal(err)
-	}
+	f := fit(t, Options{Seed: 1}, gaussianCloud(rng, 50, 3))
 	if _, err := f.Score([]float64{1, 2}); err == nil {
 		t.Fatal("dimension mismatch must fail")
 	}
@@ -78,10 +77,7 @@ func TestScoreDimensionMismatch(t *testing.T) {
 func TestScoresInUnitInterval(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := gaussianCloud(rng, 100, 4)
-	f := New(Options{Seed: 2})
-	if err := f.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	f := fit(t, Options{Seed: 2}, x)
 	scores, err := f.ScoreBatch(x)
 	if err != nil {
 		t.Fatal(err)
@@ -96,10 +92,7 @@ func TestScoresInUnitInterval(t *testing.T) {
 func TestOutlierScoresHigher(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := gaussianCloud(rng, 200, 2)
-	f := New(Options{Seed: 3})
-	if err := f.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	f := fit(t, Options{Seed: 3}, x)
 	far, err := f.Score([]float64{10, 10})
 	if err != nil {
 		t.Fatal(err)
@@ -120,10 +113,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := gaussianCloud(rng, 80, 3)
 	score := func() float64 {
-		f := New(Options{Seed: 99})
-		if err := f.Fit(x); err != nil {
-			t.Fatal(err)
-		}
+		f := fit(t, Options{Seed: 99}, x)
 		s, err := f.Score(x[0])
 		if err != nil {
 			t.Fatal(err)
@@ -138,14 +128,8 @@ func TestDeterministicGivenSeed(t *testing.T) {
 func TestDifferentSeedsDiffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := gaussianCloud(rng, 80, 3)
-	f1 := New(Options{Seed: 1})
-	f2 := New(Options{Seed: 2})
-	if err := f1.Fit(x); err != nil {
-		t.Fatal(err)
-	}
-	if err := f2.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	f1 := fit(t, Options{Seed: 1}, x)
+	f2 := fit(t, Options{Seed: 2}, x)
 	s1, _ := f1.Score(x[0])
 	s2, _ := f2.Score(x[0])
 	if s1 == s2 {
@@ -160,10 +144,7 @@ func TestConstantDataYieldsLeafForest(t *testing.T) {
 	for i := range x {
 		x[i] = []float64{1, 1}
 	}
-	f := New(Options{Seed: 6})
-	if err := f.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	f := fit(t, Options{Seed: 6}, x)
 	s1, err := f.Score([]float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -177,10 +158,7 @@ func TestConstantDataYieldsLeafForest(t *testing.T) {
 func TestSubsampleSmallerThanN(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := gaussianCloud(rng, 500, 2)
-	f := New(Options{Seed: 7, SampleSize: 64, Trees: 50})
-	if err := f.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	f := fit(t, Options{Seed: 7, SampleSize: 64, Trees: 50}, x)
 	if len(f.roots) != 50 {
 		t.Fatalf("tree count = %d want 50", len(f.roots))
 	}
@@ -198,10 +176,11 @@ func TestScoreBatchMatchesScoreProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x := gaussianCloud(rng, 40, 2)
-		forest := New(Options{Seed: seed})
-		if err := forest.Fit(x); err != nil {
+		m, err := Options{Seed: seed}.Fit(x)
+		if err != nil {
 			return false
 		}
+		forest := m.(*Forest)
 		batch, err := forest.ScoreBatch(x[:5])
 		if err != nil {
 			return false
@@ -228,10 +207,7 @@ func TestAnomalyScoreFormula(t *testing.T) {
 	// approach the training mass.
 	rng := rand.New(rand.NewSource(8))
 	x := gaussianCloud(rng, 150, 1)
-	f := New(Options{Seed: 8})
-	if err := f.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	f := fit(t, Options{Seed: 8}, x)
 	prev := math.Inf(1)
 	for _, q := range []float64{12, 6, 3, 0} {
 		s, err := f.Score([]float64{q})
@@ -287,10 +263,7 @@ func TestScoreMatchesReferenceWalk(t *testing.T) {
 		}
 	}
 	for _, trees := range []int{30, 50, 301} {
-		f := New(Options{Trees: trees, SampleSize: 64, Seed: int64(trees)})
-		if err := f.Fit(x); err != nil {
-			t.Fatal(err)
-		}
+		f := fit(t, Options{Trees: trees, SampleSize: 64, Seed: int64(trees)}, x)
 		for i, q := range queries {
 			got, err := f.Score(q)
 			if err != nil {

@@ -1,11 +1,15 @@
 package iforest
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/jsontext"
 )
+
+// ErrModel marks every forest ReadJSON refuses.
+var ErrModel = errors.New("iforest: invalid model")
 
 // The JSON form of a fitted forest, which model files carry:
 //
@@ -23,12 +27,9 @@ var (
 	nodeFields   = jsontext.Fields{"attr", "value", "size", "adj", "left", "right"}
 )
 
-// WriteJSON appends the forest's JSON form to w; it fails on an
-// unfitted forest. A non-finite split value is w's error.
-func (f *Forest) WriteJSON(w *jsontext.Writer) error {
-	if len(f.roots) == 0 {
-		return fmt.Errorf("iforest: marshal unfitted forest: %w", ErrNotFitted)
-	}
+// WriteJSON appends the forest's JSON form to w. A non-finite split
+// value is w's error.
+func (f *Forest) WriteJSON(w *jsontext.Writer) {
 	w.Raw(`{"dim":`)
 	w.Int(f.dim)
 	w.Raw(`,"cPsi":`)
@@ -41,7 +42,6 @@ func (f *Forest) WriteJSON(w *jsontext.Writer) error {
 		f.writeNode(w, root)
 	}
 	w.Raw("]}")
-	return nil
 }
 
 // writeNode appends the subtree at nodes[at] in nested form.
@@ -66,31 +66,33 @@ func (f *Forest) writeNode(w *jsontext.Writer, at int32) {
 	w.Raw("]}")
 }
 
-// MarshalJSON serializes a fitted forest; it fails on an unfitted one.
+// MarshalJSON serializes the forest.
 func (f *Forest) MarshalJSON() ([]byte, error) {
 	var w jsontext.Writer
-	if err := f.WriteJSON(&w); err != nil {
-		return nil, err
-	}
+	f.WriteJSON(&w)
 	return w.Bytes()
 }
 
-// UnmarshalJSON restores a fitted forest serialized by MarshalJSON. It
+// UnmarshalJSON replaces f with the forest serialized by MarshalJSON. It
 // refuses what ReadJSON refuses, and anything after the forest's value;
-// every refusal wraps ErrNotFitted.
+// every refusal wraps ErrModel, and f keeps its previous state.
 func (f *Forest) UnmarshalJSON(data []byte) error {
-	s := jsontext.NewScanner(data, ErrNotFitted, nil)
-	if err := f.ReadJSON(&s); err != nil {
-		return err
+	s := jsontext.NewScanner(data, ErrModel, nil)
+	g, err := ReadJSON(&s)
+	if err == nil {
+		err = s.End()
 	}
-	return s.End()
+	if err == nil {
+		*f = *g
+	}
+	return err
 }
 
-// ReadJSON reads one forest value at s into f, the nested nodes
-// straight into the flat node slice: siblings in pairs, an exact-size
-// copy, as Fit lays them out. Keys may come in any order. A model that
-// would fail at score time or that no fit writes is refused, wrapping
-// ErrNotFitted, and f keeps its previous state:
+// ReadJSON reads one forest value at s into a new forest, the nested
+// nodes straight into the flat node slice: siblings in pairs, an
+// exact-size copy, as Fit lays them out. Keys may come in any order. A
+// model that would fail at score time or that no fit writes is refused,
+// wrapping ErrModel:
 //
 //   - no trees, dim ≤ 0 or cPsi ≤ 0;
 //   - a split on a feature outside [0, dim), which would panic on every
@@ -99,7 +101,7 @@ func (f *Forest) UnmarshalJSON(data []byte) error {
 //     reading it as a leaf, or reading only its first node, would score
 //     every curve that reaches it on a tree the file does not hold;
 //   - a leaf size outside int32's range.
-func (f *Forest) ReadJSON(s *jsontext.Scanner) error {
+func ReadJSON(s *jsontext.Scanner) (*Forest, error) {
 	r := reader{s: s, maxAttr: -1}
 	var dim int
 	var cPsi float64
@@ -127,11 +129,11 @@ func (f *Forest) ReadJSON(s *jsontext.Scanner) error {
 	})
 	switch {
 	case err != nil:
-		return err
+		return nil, err
 	case dim <= 0 || len(roots) == 0 || cPsi <= 0:
-		return fmt.Errorf("iforest: unmarshal incomplete model: %w", ErrNotFitted)
+		return nil, fmt.Errorf("iforest: unmarshal incomplete model: %w", ErrModel)
 	case r.maxAttr >= dim:
-		return fmt.Errorf("iforest: unmarshal split attribute %d outside [0, %d): %w", r.maxAttr, dim, ErrNotFitted)
+		return nil, fmt.Errorf("iforest: unmarshal split attribute %d outside [0, %d): %w", r.maxAttr, dim, ErrModel)
 	}
 	nodes := r.nodes
 	if r.rightFirst {
@@ -139,8 +141,7 @@ func (f *Forest) ReadJSON(s *jsontext.Scanner) error {
 	} else {
 		nodes = append(make([]node, 0, len(nodes)), nodes...) // exact size, as in Fit
 	}
-	*f = Forest{opt: f.opt, nodes: nodes, roots: roots, dim: dim, cPsi: cPsi}
-	return nil
+	return &Forest{nodes: nodes, roots: roots, dim: dim, cPsi: cPsi}, nil
 }
 
 // reader places nested JSON nodes into one flat node slice.
@@ -185,7 +186,7 @@ func (r *reader) node(at int) error {
 			n := 0
 			err = s.Array("a child list", func() error {
 				if n++; n > 1 {
-					return fmt.Errorf("iforest: unmarshal child list with more than one node: %w", ErrNotFitted)
+					return fmt.Errorf("iforest: unmarshal child list with more than one node: %w", ErrModel)
 				}
 				if child < 0 {
 					child = len(r.nodes)
@@ -204,13 +205,13 @@ func (r *reader) node(at int) error {
 		return err
 	case lists == 0:
 		if size < math.MinInt32 || size > math.MaxInt32 {
-			return fmt.Errorf("iforest: unmarshal leaf size %d out of range: %w", size, ErrNotFitted)
+			return fmt.Errorf("iforest: unmarshal leaf size %d out of range: %w", size, ErrModel)
 		}
 		r.nodes[at] = node{value: adj, attr: -1, child: int32(size)}
 	case lists != 3:
-		return fmt.Errorf("iforest: unmarshal node with one child: %w", ErrNotFitted)
+		return fmt.Errorf("iforest: unmarshal node with one child: %w", ErrModel)
 	case attr < 0:
-		return fmt.Errorf("iforest: unmarshal split attribute %d is negative: %w", attr, ErrNotFitted)
+		return fmt.Errorf("iforest: unmarshal split attribute %d is negative: %w", attr, ErrModel)
 	default:
 		r.maxAttr = max(r.maxAttr, attr)
 		r.nodes[at] = node{value: value, attr: int32(attr), child: int32(child)}

@@ -14,15 +14,12 @@ import (
 func TestForestJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := gaussianCloud(rng, 80, 3)
-	f := New(Options{Trees: 30, Seed: 1})
-	if err := f.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	f := fit(t, Options{Trees: 30, Seed: 1}, x)
 	data, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := New(Options{})
+	restored := new(Forest)
 	if err := json.Unmarshal(data, restored); err != nil {
 		t.Fatal(err)
 	}
@@ -41,16 +38,22 @@ func TestForestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestForestMarshalUnfitted: there is no unfitted forest to marshal.
+// Options.Fit and a load are the only ways to get one, and a load
+// refuses the forms an unfitted forest would take.
 func TestForestMarshalUnfitted(t *testing.T) {
-	if _, err := json.Marshal(New(Options{})); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("err = %v want ErrNotFitted", err)
+	for _, blob := range []string{`{"dim":0,"cPsi":0,"trees":[]}`, `{"dim":2,"cPsi":1,"trees":[]}`, `{}`} {
+		var f Forest
+		if err := json.Unmarshal([]byte(blob), &f); !errors.Is(err, ErrModel) {
+			t.Fatalf("%s: err = %v want ErrModel", blob, err)
+		}
 	}
 }
 
 func TestForestUnmarshalRejectsGarbage(t *testing.T) {
-	f := New(Options{})
-	if err := json.Unmarshal([]byte(`{"dim":0,"trees":[]}`), f); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("err = %v want ErrNotFitted", err)
+	f := new(Forest)
+	if err := json.Unmarshal([]byte(`{"dim":0,"trees":[]}`), f); !errors.Is(err, ErrModel) {
+		t.Fatalf("err = %v want ErrModel", err)
 	}
 	if err := json.Unmarshal([]byte(`{`), f); err == nil {
 		t.Fatal("truncated json must fail")
@@ -61,7 +64,7 @@ func TestForestUnmarshalRejectsGarbage(t *testing.T) {
 // child list of more than one node, is no tree a fit writes. Reading
 // the first as a leaf, or the second by its first node, would score on
 // a tree the file does not hold, so both fail the load with
-// ErrNotFitted, as a bad split attribute does, and the forest keeps its
+// ErrModel, as a bad split attribute does, and the forest keeps its
 // previous state.
 func TestForestUnmarshalRejectsOneChildNode(t *testing.T) {
 	for _, blob := range []string{
@@ -71,16 +74,16 @@ func TestForestUnmarshalRejectsOneChildNode(t *testing.T) {
 		`{"dim":1,"cPsi":1,"trees":[{"attr":0,"value":0.5,"left":[{"size":1},{"size":2}],"right":[{"size":1}]}]}`,
 		`{"dim":1,"cPsi":1,"trees":[{"size":1},{"attr":0,"value":0.5,"left":[{"attr":0,"value":0.1,"left":[{"size":1}]}],"right":[{"size":1}]}]}`,
 	} {
-		f := New(Options{})
-		if err := json.Unmarshal([]byte(blob), f); !errors.Is(err, ErrNotFitted) {
-			t.Fatalf("%s: err = %v, want ErrNotFitted", blob, err)
+		f := new(Forest)
+		if err := json.Unmarshal([]byte(blob), f); !errors.Is(err, ErrModel) {
+			t.Fatalf("%s: err = %v, want ErrModel", blob, err)
 		}
-		if _, err := f.Score([]float64{0.2}); !errors.Is(err, ErrNotFitted) {
-			t.Fatalf("%s: failed load left a usable forest: err = %v", blob, err)
+		if f.roots != nil {
+			t.Fatalf("%s: failed load left a usable forest", blob)
 		}
 	}
 	// Both lists empty, or absent, is a leaf.
-	f := New(Options{})
+	f := new(Forest)
 	if err := json.Unmarshal([]byte(`{"dim":1,"cPsi":1,"trees":[{"size":3,"adj":1,"left":[],"right":[]}]}`), f); err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +96,7 @@ func TestForestUnmarshalRejectsOneChildNode(t *testing.T) {
 func TestForestUnmarshalKeyOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := gaussianCloud(rng, 40, 3)
-	f := New(Options{Trees: 5, Seed: 4})
-	if err := f.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	f := fit(t, Options{Trees: 5, Seed: 4}, x)
 	saved, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestForestUnmarshalKeyOrder(t *testing.T) {
 	if !strings.HasPrefix(reordered, `{"trees":[{"right":`) {
 		t.Fatalf("reordering failed: %.60s", reordered)
 	}
-	got := New(Options{})
+	got := new(Forest)
 	if err := json.Unmarshal([]byte(reordered), got); err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +153,7 @@ const pinnedForestJSON = `{"dim":2,"cPsi":2.7066404880045996,"trees":[{"attr":1,
 
 func TestForestJSONBytesPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	f := New(Options{Trees: 2, Seed: 3})
-	if err := f.Fit(gaussianCloud(rng, 6, 2)); err != nil {
-		t.Fatal(err)
-	}
+	f := fit(t, Options{Trees: 2, Seed: 3}, gaussianCloud(rng, 6, 2))
 	data, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
@@ -173,15 +170,12 @@ func TestForestMarshalRoundTripBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x := gaussianCloud(rng, 300, 4)
 	for _, opt := range []Options{{Trees: 30, Seed: 9}, {Trees: 7, SampleSize: 200, MaxDepth: 3, Seed: 10}} {
-		f := New(opt)
-		if err := f.Fit(x); err != nil {
-			t.Fatal(err)
-		}
+		f := fit(t, opt, x)
 		first, err := json.Marshal(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored := New(Options{})
+		restored := new(Forest)
 		if err := json.Unmarshal(first, restored); err != nil {
 			t.Fatal(err)
 		}
@@ -197,24 +191,24 @@ func TestForestMarshalRoundTripBytes(t *testing.T) {
 
 // TestForestUnmarshalRejectsBadSplitAttr: a split on a feature outside
 // [0, dim) used to load and then panic on every score; it must fail the
-// load with ErrNotFitted instead. A negative attribute would also pass
+// load with ErrModel instead. A negative attribute would also pass
 // for the flat layout's leaf marker.
 func TestForestUnmarshalRejectsBadSplitAttr(t *testing.T) {
 	for _, attr := range []int{7, 1, -1} {
 		blob := fmt.Sprintf(`{"dim":1,"cPsi":1,"trees":[{"attr":%d,"value":0.5,"left":[{"size":1}],"right":[{"size":1}]}]}`, attr)
-		f := New(Options{})
-		if err := json.Unmarshal([]byte(blob), f); !errors.Is(err, ErrNotFitted) {
-			t.Fatalf("attr %d: err = %v, want ErrNotFitted", attr, err)
+		f := new(Forest)
+		if err := json.Unmarshal([]byte(blob), f); !errors.Is(err, ErrModel) {
+			t.Fatalf("attr %d: err = %v, want ErrModel", attr, err)
 		}
 	}
 	// A bad attribute deep in a later tree fails the whole load, and the
 	// forest keeps its previous state.
 	blob := `{"dim":2,"cPsi":1,"trees":[{"size":1},{"attr":0,"value":0,"left":[{"size":1}],"right":[{"attr":2,"value":1,"left":[{"size":1}],"right":[{"size":1}]}]}]}`
-	f := New(Options{})
-	if err := json.Unmarshal([]byte(blob), f); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("deep bad attr: err = %v, want ErrNotFitted", err)
+	f := new(Forest)
+	if err := json.Unmarshal([]byte(blob), f); !errors.Is(err, ErrModel) {
+		t.Fatalf("deep bad attr: err = %v, want ErrModel", err)
 	}
-	if _, err := f.Score([]float64{0, 0}); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("failed load left a usable forest: err = %v", err)
+	if f.roots != nil {
+		t.Fatal("failed load left a usable forest")
 	}
 }

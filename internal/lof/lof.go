@@ -6,40 +6,35 @@
 package lof
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
+	"repro/internal/detector"
 	"repro/internal/linalg"
 )
 
-// ErrNotFitted is returned when Score is called before Fit.
-var ErrNotFitted = errors.New("lof: model not fitted")
-
-// Options configures the neighbourhood size.
+// Options configures the Local Outlier Factor and fits it: it is the
+// LOF's detector.Spec.
 type Options struct {
 	// K is the neighbourhood size; 0 means min(20, n−1).
 	K int
 }
 
-// LOF is a fitted Local Outlier Factor model that scores new points
-// against the training density. Score and ScoreBatch only read the
-// precomputed k-distances and densities (neighbour search allocates its
-// own scratch), so a fitted LOF is safe for concurrent scoring from
-// multiple goroutines; the same holds for KNNDist.
+// LOF is a fitted Local Outlier Factor model, built by Options.Fit,
+// that scores new points against the training density. Score and
+// ScoreBatch only read the precomputed k-distances and densities
+// (neighbour search allocates its own scratch), so a LOF is safe for
+// concurrent scoring from multiple goroutines; the same holds for
+// KNNDist.
 type LOF struct {
-	opt Options
-	x   [][]float64
-	k   int
+	x [][]float64
+	k int
 	// kDist[i] is the distance from training point i to its k-th
 	// neighbour; lrd[i] its local reachability density.
 	kDist []float64
 	lrd   []float64
 }
-
-// New returns an unfitted LOF detector.
-func New(opt Options) *LOF { return &LOF{opt: opt} }
 
 // Name identifies the detector in reports.
 func (l *LOF) Name() string { return "LOF" }
@@ -72,29 +67,38 @@ func neighbours(x [][]float64, q []float64, k, skip int) (idx []int, dist []floa
 	return idx, dist
 }
 
-// Fit memorises the training set and precomputes every training point's
-// k-distance and local reachability density.
-func (l *LOF) Fit(x [][]float64) error {
-	n := len(x)
-	if n < 2 {
-		return fmt.Errorf("lof: need >= 2 training samples, got %d: %w", n, ErrNotFitted)
+// trainingSet checks that x holds at least n samples, all of one
+// length.
+func trainingSet(x [][]float64, n int) error {
+	if len(x) < n {
+		return fmt.Errorf("lof: need >= %d training samples, got %d", n, len(x))
 	}
-	dim := len(x[0])
 	for i, xi := range x {
-		if len(xi) != dim {
-			return fmt.Errorf("lof: sample %d has %d features, want %d", i, len(xi), dim)
+		if len(xi) != len(x[0]) {
+			return fmt.Errorf("lof: sample %d has %d features, want %d", i, len(xi), len(x[0]))
 		}
 	}
-	k := l.opt.K
+	return nil
+}
+
+// neighbourhood returns the neighbourhood size k, or 20 when k ≤ 0,
+// capped at most.
+func neighbourhood(k, most int) int {
 	if k <= 0 {
 		k = 20
 	}
-	if k > n-1 {
-		k = n - 1
+	return min(k, most)
+}
+
+// Fit memorises the training set, precomputes every training point's
+// k-distance and local reachability density, and returns the *LOF.
+func (opt Options) Fit(x [][]float64) (detector.Model, error) {
+	if err := trainingSet(x, 2); err != nil {
+		return nil, err
 	}
-	l.x = x
-	l.k = k
-	l.kDist = make([]float64, n)
+	n := len(x)
+	k := neighbourhood(opt.K, n-1)
+	l := &LOF{x: x, k: k, kDist: make([]float64, n), lrd: make([]float64, n)}
 	nbrIdx := make([][]int, n)
 	nbrDist := make([][]float64, n)
 	for i, xi := range x {
@@ -103,7 +107,6 @@ func (l *LOF) Fit(x [][]float64) error {
 		nbrDist[i] = dist
 		l.kDist[i] = dist[len(dist)-1]
 	}
-	l.lrd = make([]float64, n)
 	for i := range x {
 		var reach float64
 		for j, nb := range nbrIdx[i] {
@@ -116,15 +119,12 @@ func (l *LOF) Fit(x [][]float64) error {
 			l.lrd[i] = float64(len(nbrIdx[i])) / reach
 		}
 	}
-	return nil
+	return l, nil
 }
 
 // Score returns the LOF of xq against the training set: ≈1 for inliers,
 // ≫1 for outliers. Higher means more outlying.
 func (l *LOF) Score(xq []float64) (float64, error) {
-	if l.x == nil {
-		return 0, ErrNotFitted
-	}
 	if len(xq) != len(l.x[0]) {
 		return 0, fmt.Errorf("lof: query has %d features, want %d", len(xq), len(l.x[0]))
 	}
@@ -153,63 +153,37 @@ func (l *LOF) Score(xq []float64) (float64, error) {
 }
 
 // ScoreBatch scores every row of x.
-func (l *LOF) ScoreBatch(x [][]float64) ([]float64, error) {
-	out := make([]float64, len(x))
-	for i, xi := range x {
-		s, err := l.Score(xi)
-		if err != nil {
-			return nil, fmt.Errorf("lof: sample %d: %w", i, err)
-		}
-		out[i] = s
-	}
-	return out, nil
+func (l *LOF) ScoreBatch(x [][]float64) ([]float64, error) { return scoreBatch(x, l.Score) }
+
+// KNN configures the kNN-distance detector and fits it: it is
+// KNNDist's detector.Spec.
+type KNN struct {
+	// K is the neighbourhood size; 0 means min(20, n).
+	K int
 }
 
 // KNNDist scores a point by its mean distance to the k nearest training
 // points — the simplest distance-based detector, a useful floor in
-// ablations.
+// ablations. KNN.Fit builds it.
 type KNNDist struct {
-	opt Options
-	x   [][]float64
-	k   int
+	x [][]float64
+	k int
 }
-
-// NewKNN returns an unfitted kNN-distance detector.
-func NewKNN(opt Options) *KNNDist { return &KNNDist{opt: opt} }
 
 // Name identifies the detector in reports.
 func (d *KNNDist) Name() string { return "kNN" }
 
-// Fit memorises the training set.
-func (d *KNNDist) Fit(x [][]float64) error {
-	n := len(x)
-	if n < 1 {
-		return fmt.Errorf("lof: knn needs >= 1 training sample: %w", ErrNotFitted)
+// Fit memorises the training set and returns the *KNNDist.
+func (opt KNN) Fit(x [][]float64) (detector.Model, error) {
+	if err := trainingSet(x, 1); err != nil {
+		return nil, err
 	}
-	dim := len(x[0])
-	for i, xi := range x {
-		if len(xi) != dim {
-			return fmt.Errorf("lof: sample %d has %d features, want %d", i, len(xi), dim)
-		}
-	}
-	k := d.opt.K
-	if k <= 0 {
-		k = 20
-	}
-	if k > n {
-		k = n
-	}
-	d.x = x
-	d.k = k
-	return nil
+	return &KNNDist{x: x, k: neighbourhood(opt.K, len(x))}, nil
 }
 
 // Score returns the mean distance from xq to its k nearest training
 // points; higher means more outlying.
 func (d *KNNDist) Score(xq []float64) (float64, error) {
-	if d.x == nil {
-		return 0, ErrNotFitted
-	}
 	if len(xq) != len(d.x[0]) {
 		return 0, fmt.Errorf("lof: query has %d features, want %d", len(xq), len(d.x[0]))
 	}
@@ -222,10 +196,13 @@ func (d *KNNDist) Score(xq []float64) (float64, error) {
 }
 
 // ScoreBatch scores every row of x.
-func (d *KNNDist) ScoreBatch(x [][]float64) ([]float64, error) {
+func (d *KNNDist) ScoreBatch(x [][]float64) ([]float64, error) { return scoreBatch(x, d.Score) }
+
+// scoreBatch scores every row of x with score.
+func scoreBatch(x [][]float64, score func([]float64) (float64, error)) ([]float64, error) {
 	out := make([]float64, len(x))
 	for i, xi := range x {
-		s, err := d.Score(xi)
+		s, err := score(xi)
 		if err != nil {
 			return nil, fmt.Errorf("lof: sample %d: %w", i, err)
 		}

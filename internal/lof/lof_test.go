@@ -1,7 +1,6 @@
 package lof
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,13 +18,31 @@ func cloud(rng *rand.Rand, n, dim int) [][]float64 {
 	return out
 }
 
+// fit fits a LOF on x, failing the test on an error.
+func fit(t testing.TB, opt Options, x [][]float64) *LOF {
+	t.Helper()
+	m, err := opt.Fit(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.(*LOF)
+}
+
+// fitKNN fits a kNN-distance detector on x, failing the test on an
+// error.
+func fitKNN(t testing.TB, opt KNN, x [][]float64) *KNNDist {
+	t.Helper()
+	m, err := opt.Fit(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.(*KNNDist)
+}
+
 func TestLOFInlierNearOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := cloud(rng, 200, 2)
-	l := New(Options{K: 15})
-	if err := l.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	l := fit(t, Options{K: 15}, x)
 	s, err := l.Score([]float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
@@ -38,10 +55,7 @@ func TestLOFInlierNearOne(t *testing.T) {
 func TestLOFOutlierLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := cloud(rng, 200, 2)
-	l := New(Options{K: 15})
-	if err := l.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	l := fit(t, Options{K: 15}, x)
 	far, err := l.Score([]float64{12, -12})
 	if err != nil {
 		t.Fatal(err)
@@ -63,10 +77,7 @@ func TestLOFLocalDensity(t *testing.T) {
 	for i := 0; i < 100; i++ { // sparse cluster at (10,10), spread 2
 		x = append(x, []float64{10 + 2*rng.NormFloat64(), 10 + 2*rng.NormFloat64()})
 	}
-	l := New(Options{K: 10})
-	if err := l.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	l := fit(t, Options{K: 10}, x)
 	nearDense, err := l.Score([]float64{1.0, 1.0}) // 5σ from dense cluster
 	if err != nil {
 		t.Fatal(err)
@@ -81,25 +92,19 @@ func TestLOFLocalDensity(t *testing.T) {
 }
 
 func TestLOFValidation(t *testing.T) {
-	l := New(Options{})
-	if err := l.Fit([][]float64{{1}}); !errors.Is(err, ErrNotFitted) {
+	var opt Options
+	if _, err := opt.Fit([][]float64{{1}}); err == nil {
 		t.Fatal("n<2 must fail")
 	}
-	if err := l.Fit([][]float64{{1}, {1, 2}}); err == nil {
+	if _, err := opt.Fit([][]float64{{1}, {1, 2}}); err == nil {
 		t.Fatal("ragged input must fail")
-	}
-	if _, err := l.Score([]float64{1}); !errors.Is(err, ErrNotFitted) {
-		t.Fatal("score before fit must fail")
 	}
 }
 
 func TestLOFDuplicatePoints(t *testing.T) {
 	// Exact duplicates yield infinite density; scoring must stay finite.
 	x := [][]float64{{1, 1}, {1, 1}, {1, 1}, {5, 5}}
-	l := New(Options{K: 2})
-	if err := l.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	l := fit(t, Options{K: 2}, x)
 	s, err := l.Score([]float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +116,7 @@ func TestLOFDuplicatePoints(t *testing.T) {
 
 func TestLOFKClamped(t *testing.T) {
 	x := [][]float64{{0}, {1}, {2}}
-	l := New(Options{K: 50})
-	if err := l.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	l := fit(t, Options{K: 50}, x)
 	if l.k != 2 {
 		t.Fatalf("k = %d want clamped to n-1 = 2", l.k)
 	}
@@ -123,10 +125,7 @@ func TestLOFKClamped(t *testing.T) {
 func TestKNNDistanceOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := cloud(rng, 100, 2)
-	d := NewKNN(Options{K: 5})
-	if err := d.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	d := fitKNN(t, KNN{K: 5}, x)
 	near, err := d.Score([]float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
@@ -141,16 +140,13 @@ func TestKNNDistanceOrdering(t *testing.T) {
 }
 
 func TestKNNValidation(t *testing.T) {
-	d := NewKNN(Options{})
-	if err := d.Fit(nil); !errors.Is(err, ErrNotFitted) {
+	if _, err := (KNN{}).Fit(nil); err == nil {
 		t.Fatal("empty training must fail")
 	}
-	if _, err := d.Score([]float64{1}); !errors.Is(err, ErrNotFitted) {
-		t.Fatal("score before fit must fail")
+	if _, err := (KNN{}).Fit([][]float64{{1}, {1, 2}}); err == nil {
+		t.Fatal("ragged input must fail")
 	}
-	if err := d.Fit([][]float64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
+	d := fitKNN(t, KNN{}, [][]float64{{1, 2}})
 	if _, err := d.Score([]float64{1}); err == nil {
 		t.Fatal("dimension mismatch must fail")
 	}
@@ -159,10 +155,7 @@ func TestKNNValidation(t *testing.T) {
 func TestScoreBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := cloud(rng, 60, 3)
-	l := New(Options{K: 8})
-	if err := l.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	l := fit(t, Options{K: 8}, x)
 	batch, err := l.ScoreBatch(x[:5])
 	if err != nil {
 		t.Fatal(err)
@@ -173,10 +166,7 @@ func TestScoreBatchParity(t *testing.T) {
 			t.Fatal("LOF batch and single disagree")
 		}
 	}
-	k := NewKNN(Options{K: 8})
-	if err := k.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	k := fitKNN(t, KNN{K: 8}, x)
 	kb, err := k.ScoreBatch(x[:5])
 	if err != nil {
 		t.Fatal(err)

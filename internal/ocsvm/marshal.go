@@ -50,11 +50,8 @@ func decodeKernel(jk jsonKernel) (Kernel, error) {
 	}
 }
 
-// MarshalJSON serializes a fitted model; it fails on an unfitted one.
+// MarshalJSON serializes the model; it fails on a custom kernel.
 func (m *Model) MarshalJSON() ([]byte, error) {
-	if m.supportX == nil {
-		return nil, fmt.Errorf("ocsvm: marshal unfitted model: %w", ErrNotFitted)
-	}
 	jk, err := encodeKernel(m.kernel)
 	if err != nil {
 		return nil, err
@@ -68,14 +65,15 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON restores a fitted model serialized by MarshalJSON.
+// UnmarshalJSON replaces m with the model serialized by MarshalJSON; a
+// model that does not decode leaves m as it was.
 func (m *Model) UnmarshalJSON(data []byte) error {
 	var jm jsonModel
 	if err := json.Unmarshal(data, &jm); err != nil {
 		return fmt.Errorf("ocsvm: unmarshal: %w", err)
 	}
 	if len(jm.Support) == 0 || len(jm.Support) != len(jm.Alpha) || jm.Dim <= 0 {
-		return fmt.Errorf("ocsvm: unmarshal incomplete model: %w", ErrNotFitted)
+		return fmt.Errorf("ocsvm: unmarshal incomplete model: %w", ErrOptions)
 	}
 	kernel, err := decodeKernel(jm.Kernel)
 	if err != nil {
@@ -86,10 +84,6 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("ocsvm: support vector %d has dim %d, want %d: %w", i, len(sv), jm.Dim, ErrOptions)
 		}
 	}
-	m.kernel = kernel
-	m.supportX = jm.Support
-	m.alpha = jm.Alpha
-	m.rho = jm.Rho
-	m.dim = jm.Dim
+	*m = Model{kernel: kernel, supportX: jm.Support, alpha: jm.Alpha, rho: jm.Rho, dim: jm.Dim}
 	return nil
 }

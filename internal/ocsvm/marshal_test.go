@@ -10,15 +10,12 @@ import (
 func TestModelJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := cloud(rng, 60, 2, 1)
-	m := New(Options{Nu: 0.15})
-	if err := m.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	m := fit(t, Options{Nu: 0.15}, x)
 	data, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := New(Options{})
+	restored := new(Model)
 	if err := json.Unmarshal(data, restored); err != nil {
 		t.Fatal(err)
 	}
@@ -41,15 +38,12 @@ func TestModelJSONRoundTripAllKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := cloud(rng, 40, 2, 1)
 	for _, k := range []Kernel{RBF{Gamma: 0.7}, Linear{}, Poly{Degree: 2, Gamma: 0.5, Coef0: 1}} {
-		m := New(Options{Nu: 0.2, Kernel: k})
-		if err := m.Fit(x); err != nil {
-			t.Fatalf("%s: %v", k.Name(), err)
-		}
+		m := fit(t, Options{Nu: 0.2, Kernel: k}, x)
 		data, err := json.Marshal(m)
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name(), err)
 		}
-		restored := New(Options{})
+		restored := new(Model)
 		if err := json.Unmarshal(data, restored); err != nil {
 			t.Fatalf("%s: %v", k.Name(), err)
 		}
@@ -61,12 +55,6 @@ func TestModelJSONRoundTripAllKernels(t *testing.T) {
 	}
 }
 
-func TestModelMarshalUnfitted(t *testing.T) {
-	if _, err := json.Marshal(New(Options{})); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("err = %v want ErrNotFitted", err)
-	}
-}
-
 type customKernel struct{}
 
 func (customKernel) Eval(x, y []float64) float64 { return 0 }
@@ -75,10 +63,7 @@ func (customKernel) Name() string                { return "custom" }
 func TestModelMarshalCustomKernelFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := cloud(rng, 20, 2, 1)
-	m := New(Options{Nu: 0.2, Kernel: RBF{Gamma: 1}})
-	if err := m.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	m := fit(t, Options{Nu: 0.2, Kernel: RBF{Gamma: 1}}, x)
 	m.kernel = customKernel{}
 	if _, err := json.Marshal(m); !errors.Is(err, ErrOptions) {
 		t.Fatalf("err = %v want ErrOptions", err)
@@ -86,8 +71,8 @@ func TestModelMarshalCustomKernelFails(t *testing.T) {
 }
 
 func TestModelUnmarshalRejectsGarbage(t *testing.T) {
-	m := New(Options{})
-	if err := json.Unmarshal([]byte(`{"dim":0}`), m); !errors.Is(err, ErrNotFitted) {
+	m := new(Model)
+	if err := json.Unmarshal([]byte(`{"dim":0}`), m); !errors.Is(err, ErrOptions) {
 		t.Fatal("incomplete model must fail")
 	}
 	if err := json.Unmarshal([]byte(`{"dim":2,"support":[[1,2]],"alpha":[1],"kernel":{"name":"bogus"}}`), m); !errors.Is(err, ErrOptions) {

@@ -4,15 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/detector"
 )
 
-// ErrNotFitted is returned when Score is called before Fit.
-var ErrNotFitted = errors.New("ocsvm: model not fitted")
-
-// ErrOptions reports invalid hyper-parameters.
+// ErrOptions reports invalid hyper-parameters, or a saved model that
+// does not decode to one that can score.
 var ErrOptions = errors.New("ocsvm: invalid options")
 
-// Options configures the one-class SVM.
+// Options configures a one-class SVM and trains it: it is the model's
+// detector.Spec.
 type Options struct {
 	// Nu ∈ (0, 1] upper-bounds the training outlier fraction and
 	// lower-bounds the support-vector fraction; 0 means 0.1.
@@ -26,11 +27,11 @@ type Options struct {
 	MaxIter int
 }
 
-// Model is a fitted one-class SVM. Decision, Score and ScoreBatch only
-// read the support set recorded by Fit, so a fitted Model is safe for
-// concurrent scoring from multiple goroutines.
+// Model is a fitted one-class SVM, trained by Options.Fit or read by
+// UnmarshalJSON; it has no way to be refit. Decision, Score and
+// ScoreBatch only read the support set recorded by Fit, so a Model is
+// safe for concurrent scoring from multiple goroutines.
 type Model struct {
-	opt    Options
 	kernel Kernel
 	// Support set: training vectors with α > 0 and their weights.
 	supportX [][]float64
@@ -41,37 +42,30 @@ type Model struct {
 	Iterations int
 }
 
-// New returns an unfitted model with the given options.
-func New(opt Options) *Model {
-	if opt.Nu == 0 {
-		opt.Nu = 0.1
-	}
-	if opt.Tol == 0 {
-		opt.Tol = 1e-4
-	}
-	return &Model{opt: opt}
-}
-
 // Name identifies the detector in reports.
 func (m *Model) Name() string { return "OCSVM" }
 
-// Fit solves the ν-OCSVM dual on the feature vectors x with SMO.
-func (m *Model) Fit(x [][]float64) error {
+// Fit solves the ν-OCSVM dual on the feature vectors x with SMO and
+// returns the fitted *Model.
+func (opt Options) Fit(x [][]float64) (detector.Model, error) {
 	n := len(x)
 	if n == 0 {
-		return fmt.Errorf("ocsvm: empty training set: %w", ErrNotFitted)
+		return nil, errors.New("ocsvm: empty training set")
 	}
 	dim := len(x[0])
 	for i, xi := range x {
 		if len(xi) != dim {
-			return fmt.Errorf("ocsvm: sample %d has %d features, want %d", i, len(xi), dim)
+			return nil, fmt.Errorf("ocsvm: sample %d has %d features, want %d", i, len(xi), dim)
 		}
 	}
-	nu := m.opt.Nu
-	if nu <= 0 || nu > 1 {
-		return fmt.Errorf("ocsvm: nu = %g outside (0, 1]: %w", nu, ErrOptions)
+	nu := opt.Nu
+	if nu == 0 {
+		nu = 0.1
 	}
-	kernel := m.opt.Kernel
+	if nu <= 0 || nu > 1 {
+		return nil, fmt.Errorf("ocsvm: nu = %g outside (0, 1]: %w", nu, ErrOptions)
+	}
+	kernel := opt.Kernel
 	if kernel == nil {
 		kernel = RBF{Gamma: GammaScale(x)}
 	}
@@ -109,14 +103,17 @@ func (m *Model) Fit(x [][]float64) error {
 		}
 		grad[i] = s
 	}
-	maxIter := m.opt.MaxIter
+	maxIter := opt.MaxIter
 	if maxIter == 0 {
 		maxIter = 200 * n
 		if maxIter < 10000 {
 			maxIter = 10000
 		}
 	}
-	tol := m.opt.Tol
+	tol := opt.Tol
+	if tol == 0 {
+		tol = 1e-4
+	}
 	iter := 0
 	for ; iter < maxIter; iter++ {
 		// Working-set selection (maximal violating pair): the objective
@@ -201,21 +198,12 @@ func (m *Model) Fit(x [][]float64) error {
 			sa = append(sa, alpha[t])
 		}
 	}
-	m.kernel = kernel
-	m.supportX = sx
-	m.alpha = sa
-	m.rho = rho
-	m.dim = dim
-	m.Iterations = iter
-	return nil
+	return &Model{kernel: kernel, supportX: sx, alpha: sa, rho: rho, dim: dim, Iterations: iter}, nil
 }
 
 // Decision returns f(x) = Σ α_i k(x_i, x) − ρ; negative values are
 // outliers under the learned support region.
 func (m *Model) Decision(xq []float64) (float64, error) {
-	if m.supportX == nil {
-		return 0, ErrNotFitted
-	}
 	if len(xq) != m.dim {
 		return 0, fmt.Errorf("ocsvm: query has %d features, want %d", len(xq), m.dim)
 	}

@@ -71,24 +71,26 @@ func TestGammaScale(t *testing.T) {
 	}
 }
 
-func TestFitValidation(t *testing.T) {
-	m := New(Options{})
-	if err := m.Fit(nil); err == nil {
-		t.Fatal("empty training set must fail")
+// fit trains a model on x, failing the test on an error.
+func fit(t testing.TB, opt Options, x [][]float64) *Model {
+	t.Helper()
+	m, err := opt.Fit(x)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := m.Fit([][]float64{{1}, {1, 2}}); err == nil {
-		t.Fatal("ragged features must fail")
-	}
-	bad := New(Options{Nu: 1.5})
-	if err := bad.Fit([][]float64{{1}, {2}}); !errors.Is(err, ErrOptions) {
-		t.Fatalf("err = %v want ErrOptions", err)
-	}
+	return m.(*Model)
 }
 
-func TestScoreBeforeFit(t *testing.T) {
-	m := New(Options{})
-	if _, err := m.Score([]float64{1}); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("err = %v want ErrNotFitted", err)
+func TestFitValidation(t *testing.T) {
+	var opt Options
+	if _, err := opt.Fit(nil); err == nil {
+		t.Fatal("empty training set must fail")
+	}
+	if _, err := opt.Fit([][]float64{{1}, {1, 2}}); err == nil {
+		t.Fatal("ragged features must fail")
+	}
+	if _, err := (Options{Nu: 1.5}).Fit([][]float64{{1}, {2}}); !errors.Is(err, ErrOptions) {
+		t.Fatalf("err = %v want ErrOptions", err)
 	}
 }
 
@@ -96,10 +98,7 @@ func TestDualFeasibilityKKT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := cloud(rng, 60, 2, 1)
 	nu := 0.2
-	m := New(Options{Nu: nu})
-	if err := m.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	m := fit(t, Options{Nu: nu}, x)
 	// Σα = 1 and 0 ≤ α ≤ 1/(νn).
 	c := 1 / (nu * float64(len(x)))
 	var sum float64
@@ -118,10 +117,7 @@ func TestNuControlsRejectionFraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := cloud(rng, 200, 2, 1)
 	for _, nu := range []float64{0.1, 0.3} {
-		m := New(Options{Nu: nu})
-		if err := m.Fit(x); err != nil {
-			t.Fatal(err)
-		}
+		m := fit(t, Options{Nu: nu}, x)
 		var rejected int
 		for _, xi := range x {
 			d, err := m.Decision(xi)
@@ -144,10 +140,7 @@ func TestNuControlsRejectionFraction(t *testing.T) {
 func TestOutlierScoresHigherThanInliers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := cloud(rng, 150, 2, 1)
-	m := New(Options{Nu: 0.1})
-	if err := m.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	m := fit(t, Options{Nu: 0.1}, x)
 	far, err := m.Score([]float64{8, 8})
 	if err != nil {
 		t.Fatal(err)
@@ -170,10 +163,7 @@ func TestSupportVectorFractionAtLeastNu(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := cloud(rng, 100, 2, 1)
 	nu := 0.25
-	m := New(Options{Nu: nu})
-	if err := m.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	m := fit(t, Options{Nu: nu}, x)
 	frac := float64(m.SupportVectors()) / float64(len(x))
 	if frac < nu-0.05 {
 		t.Fatalf("support fraction %g < nu %g (Schölkopf bound)", frac, nu)
@@ -182,10 +172,7 @@ func TestSupportVectorFractionAtLeastNu(t *testing.T) {
 
 func TestScoreDimensionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	m := New(Options{})
-	if err := m.Fit(cloud(rng, 30, 3, 1)); err != nil {
-		t.Fatal(err)
-	}
+	m := fit(t, Options{}, cloud(rng, 30, 3, 1))
 	if _, err := m.Score([]float64{1}); err == nil {
 		t.Fatal("dimension mismatch must fail")
 	}
@@ -194,10 +181,7 @@ func TestScoreDimensionMismatch(t *testing.T) {
 func TestScoreBatchMatchesScore(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := cloud(rng, 50, 2, 1)
-	m := New(Options{})
-	if err := m.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	m := fit(t, Options{}, x)
 	batch, err := m.ScoreBatch(x[:7])
 	if err != nil {
 		t.Fatal(err)
@@ -218,10 +202,7 @@ func TestLinearKernelSeparatesShiftedCloud(t *testing.T) {
 		x[i][0] += 5
 		x[i][1] += 5
 	}
-	m := New(Options{Nu: 0.1, Kernel: RBF{Gamma: 0.5}})
-	if err := m.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	m := fit(t, Options{Nu: 0.1, Kernel: RBF{Gamma: 0.5}}, x)
 	d, err := m.Decision([]float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
@@ -234,10 +215,7 @@ func TestLinearKernelSeparatesShiftedCloud(t *testing.T) {
 func TestSMOTerminates(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	x := cloud(rng, 120, 4, 1)
-	m := New(Options{Nu: 0.15, MaxIter: 100000})
-	if err := m.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	m := fit(t, Options{Nu: 0.15, MaxIter: 100000}, x)
 	if m.Iterations >= 100000 {
 		t.Fatalf("SMO hit the iteration cap (%d)", m.Iterations)
 	}

@@ -95,20 +95,20 @@ func TuneGrid(x [][]float64, grid []Params, folds int, seed int64) (best Params,
 			if len(train) == 0 {
 				continue
 			}
-			m := New(Options{Nu: cand.Nu, Kernel: cand.Kernel})
-			if err := m.Fit(train); err != nil {
+			m, err := Options{Nu: cand.Nu, Kernel: cand.Kernel}.Fit(train)
+			if err != nil {
 				return Params{}, nil, fmt.Errorf("ocsvm: tuning fold %d: %w", f, err)
 			}
-			for _, xq := range test {
-				d, err := m.Decision(xq)
-				if err != nil {
-					return Params{}, nil, err
-				}
-				if d < 0 {
+			scores, err := m.ScoreBatch(test)
+			if err != nil {
+				return Params{}, nil, err
+			}
+			for _, s := range scores {
+				if s > 0 { // a negative decision value
 					rejected++
 				}
-				total++
 			}
+			total += len(scores)
 		}
 		rate := 0.0
 		if total > 0 {

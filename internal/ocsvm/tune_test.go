@@ -105,10 +105,7 @@ func TestTuneGridJoint(t *testing.T) {
 		t.Fatalf("best = %+v incomplete", best)
 	}
 	// The winner must fit cleanly.
-	m := New(Options{Nu: best.Nu, Kernel: best.Kernel})
-	if err := m.Fit(x); err != nil {
-		t.Fatal(err)
-	}
+	fit(t, Options{Nu: best.Nu, Kernel: best.Kernel}, x)
 }
 
 func TestTuneGridEmpty(t *testing.T) {

@@ -31,10 +31,12 @@
 //     This is a type rule, not a dataflow check: outside this package
 //     there is no result slice to read before the error.
 //
-//   - Score* and Transform* methods on fitted models are read-only
-//     (mutafterfit). For and Map run one fitted model from many
+//   - A fitted model is read-only. A detector's model has no Fit, so
+//     no caller can train it again (internal/detector), and the Score*
+//     and Transform* methods of every fitted type never write receiver
+//     state (mutafterfit). For and Map run one fitted model from many
 //     goroutines at once with no locks; that is only sound because
-//     scoring never writes receiver state after Fit.
+//     scoring never writes the model.
 //
 // FirstError returns the lowest-index non-nil error, matching the error
 // a sequential loop over the same work would have surfaced first — the

@@ -26,10 +26,10 @@ func testDataset(t *testing.T, n int, seed int64) fda.Dataset {
 func fitPipeline(t *testing.T, d fda.Dataset, seed int64, standardize bool) *core.Pipeline {
 	t.Helper()
 	p := &core.Pipeline{
-		Smooth:      fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 30, Seed: seed}),
-		Standardize: standardize,
+		Smooth:       fda.Options{Dims: []int{10}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 30, Seed: seed}),
+		Standardize:  standardize,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)

@@ -31,11 +31,11 @@ func fitTestModel(t testing.TB) (*core.Pipeline, fda.Dataset) {
 		t.Fatal(err)
 	}
 	p := &core.Pipeline{
-		Smooth:      fda.Options{Dims: []int{8}, Lambdas: []float64{1e-6}},
-		Mapping:     geometry.LogCurvature{},
-		Detector:    iforest.New(iforest.Options{Trees: 20, Seed: 3}),
-		Standardize: true,
-		Parallel:    1,
+		Smooth:       fda.Options{Dims: []int{8}, Lambdas: []float64{1e-6}},
+		Mapping:      geometry.LogCurvature{},
+		DetectorSpec: iforest.New(iforest.Options{Trees: 20, Seed: 3}),
+		Standardize:  true,
+		Parallel:     1,
 	}
 	if err := p.Fit(d); err != nil {
 		t.Fatal(err)
